@@ -12,11 +12,11 @@ from .poly import MultiPoly, poly_from_text, poly_to_text
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix, PolyMatrix, pfaffian, poly_det
 from .univar import (uni_deriv, uni_divmod, uni_eval, uni_gcd,
                      uni_is_squarefree, uni_resultant, uni_trim)
-from .quartic import BinaryQuartic, j_from_quartic, quartic_invariants
+from .quartic import BinaryQuartic
 from .quadforms import (Isometry, QuadraticForm, WittDecomposition,
                         det_2x2_form, diagonalize, express_as_2x2_det,
                         express_as_pfaffian, gram_disc, hyperbolic_form,
-                        isotropic_vector, klein_form, witt_split)
+                        is_split, isotropic_vector, klein_form, witt_split)
 from .systems import (CoverVerdict, DoubleCoverDescriptor, NetOfQuadrics,
                       PencilOfQuadrics, count_points, discriminant_poly,
                       jacobian_j_invariant, moduli_double_cover,

@@ -12,15 +12,14 @@ G3]``), lattices like ``{"label": "K3", "gram": [[...], ...]}``.  The
 bundled inputs are reachable as ``builtin:pencil-diagonal``,
 ``builtin:net-diagonal`` and ``builtin:k3-lattice``.
 
-``K3LAB_THREADS`` caps internal parallelism; the current implementation
-is single-threaded, which respects any cap.
+The implementation is single-threaded.  ``K3LAB_THREADS`` is accepted
+for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -152,17 +151,6 @@ def _emit(report: dict, fmt: str) -> None:
     else:
         for key in sorted(data):
             sys.stdout.write(f"{key} = {json.dumps(data[key], sort_keys=True)}\n")
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("K3LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, cap)
 
 
 def build_parser() -> _Parser:
@@ -354,7 +342,6 @@ class _VerificationExit(Exception):
 
 
 def main(argv=None) -> int:
-    _threads_cap()  # validated; execution is single-threaded either way
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

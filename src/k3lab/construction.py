@@ -15,23 +15,33 @@ single relation T^2 = c * disc(B) is verified, where disc is the system's
 discriminant polynomial and c a constant of the chosen Gram normalization:
 it is measured from the first sample and cross-checked on all others.
 
-Samples are drawn over F_p by picking a base point lam with disc(lam) != 0
-whose member splits, and factoring that member through its Witt
-decomposition, normalized so that det A(x) (or Pf A(x)) equals the member
-exactly; the span coordinates are then lam on the nose.
+Samples are drawn over F_p in three steps.  A base point lam of P^1
+(pencil) or P^2 (net) is drawn from a seeded generator, a bounded number of
+times; draws with disc(lam) = 0 are skipped, and so are draws whose member
+is not split, which the prefilter ``is_split`` decides from the member's
+determinant alone (a 2m-dimensional form is split iff (-1)^m det is a
+nonzero square) before any Witt work.  The first split member is factored
+through its Witt decomposition, normalized so that det A(x) (or Pf A(x))
+equals the member exactly; the span coordinates are then lam on the nose,
+which ``SystemPoint.build`` re-checks.  Only when every draw fails does the
+sampler sweep the whole base in a fixed order, which either finds a split
+member or certifies NoSplitMember.  The cost of a sample therefore does not
+grow with p, except in that final sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
 from .errors import (BadReduction, InconsistentConstant, NoSplitMember,
-                     NotInSpan, NotSplit, PreconditionError)
+                     NotInSpan, PreconditionError, VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
-from .quadforms import express_as_2x2_det, express_as_pfaffian
+from .quadforms import (SEEDED_DRAWS, express_as_2x2_det, express_as_pfaffian,
+                        is_split)
 from .scalars import GF, projective_points
 from .systems import (NetOfQuadrics, PencilOfQuadrics, discriminant_poly)
 
@@ -100,9 +110,9 @@ def invariants(a: LinearMatrix, system) -> InvariantData:
 class SystemPoint:
     """A sampled matrix together with its system mod p and base point.
 
-    Invariant (checked at construction): det/Pf of the matrix equals the
-    member at ``base_point`` exactly, so the span coordinates are the base
-    point itself.
+    Invariant (checked at construction, VerificationFailure otherwise):
+    det/Pf of the matrix equals the member at ``base_point`` exactly, so
+    the span coordinates are the base point itself.
     """
 
     matrix: LinearMatrix
@@ -112,9 +122,11 @@ class SystemPoint:
 
     @staticmethod
     def build(matrix: LinearMatrix, system, base_point: tuple) -> "SystemPoint":
-        b = b_coordinates(matrix, system)
-        assert tuple(b) == tuple(base_point)
-        return SystemPoint(matrix, system, tuple(base_point), tuple(b))
+        b = tuple(b_coordinates(matrix, system))
+        if b != tuple(base_point):
+            raise VerificationFailure(
+                "det/Pf of the sampled matrix is not the member at its base point")
+        return SystemPoint(matrix, system, tuple(base_point), b)
 
 
 def _reduced(system, p):
@@ -130,10 +142,16 @@ def _reduced(system, p):
 def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     """Draw a split member over F_p and factor it into a SystemPoint.
 
-    Sweeps the base's projective points in a seeded pseudorandom order and
-    keeps the first lam with disc(lam) != 0 whose member is split; raises
-    NoSplitMember when the full sweep finds none (possible for tiny p) and
-    BadReduction when the reduced discriminant vanishes identically.
+    Tries ``SEEDED_DRAWS`` base points lam drawn from ``random.Random(seed)``
+    (normalized like ``projective_points``: first nonzero coordinate 1),
+    then sweeps the whole base in its fixed order.  Each lam is skipped
+    when disc(lam) = 0 or when the prefilter ``is_split`` rejects its member;
+    the first member that passes is factored, with the same seed driving
+    the isotropic searches of its Witt split.  About half of all members
+    are split for large p, so the sweep only runs when the draws were
+    unlucky or p is tiny.  Raises NoSplitMember when the sweep finds no
+    split member (possible for tiny p) and BadReduction when the reduced
+    discriminant vanishes identically.
     """
     red = _reduced(system, p)
     pencil_case = isinstance(red, PencilOfQuadrics)
@@ -141,22 +159,26 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     if disc.is_zero():
         raise BadReduction(f"discriminant vanishes identically mod {p}")
     gf = GF(p)
-    points = list(projective_points(gf, 1 if pencil_case else 2))
+    dim = 1 if pencil_case else 2
+    express = express_as_2x2_det if pencil_case else express_as_pfaffian
     rng = random.Random(seed)
-    rng.shuffle(points)
-    for lam in points:
+    draws = (_random_point(gf, dim, rng) for _ in range(SEEDED_DRAWS))
+    for lam in itertools.chain(draws, projective_points(gf, dim)):
         if not disc.eval(lam):
             continue
         member = red.member(lam)
-        try:
-            if pencil_case:
-                a = express_as_2x2_det(member, seed=seed)
-            else:
-                a = express_as_pfaffian(member, seed=seed)
-        except NotSplit:
-            continue
-        return SystemPoint.build(a, red, lam)
+        if is_split(member):
+            return SystemPoint.build(express(member, seed=seed), red, lam)
     raise NoSplitMember(f"no nondegenerate split member over F_{p}")
+
+
+def _random_point(field, dim: int, rng) -> tuple:
+    """A uniform point of P^dim(F_p) whose first nonzero coordinate is 1."""
+    while True:
+        v = [field.random_element(rng) for _ in range(dim + 1)]
+        lead = next((x for x in v if x), None)
+        if lead is not None:
+            return tuple(x / lead for x in v)
 
 
 @dataclass(frozen=True)
@@ -207,6 +229,7 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     c is measured on the first sample (every sample has disc(B) != 0 by
     construction) and must agree with all others; disagreements are
     collected as witnesses rather than raised, so callers can report them.
+    The system is reduced once, so its discriminant is expanded once per run.
     """
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")

@@ -43,10 +43,6 @@ def mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def det(field, m):
     """Fraction-free Bareiss determinant (exact over any field)."""
     n = len(m)

@@ -161,10 +161,11 @@ class LinearMatrix:
     """An m x m matrix of linear forms A(x) = sum_i A_i x_i.
 
     ``coeff_mats`` holds one m x m scalar matrix per variable; entry (j, k)
-    of A(x) is the linear form sum_i (A_i)[j][k] * x_i.
+    of A(x) is the linear form sum_i (A_i)[j][k] * x_i.  The instance is
+    immutable, so its det and Pfaffian expansions are memoized.
     """
 
-    __slots__ = ("field", "size", "nvars", "coeff_mats", "alternating")
+    __slots__ = ("field", "size", "nvars", "coeff_mats", "alternating", "_det", "_pf")
 
     def __init__(self, field, size: int, nvars: int, coeff_mats, alternating=None):
         mats = tuple(tuple(tuple(field.coerce(x) for x in row) for row in mat)
@@ -183,6 +184,8 @@ class LinearMatrix:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeff_mats", mats)
         object.__setattr__(self, "alternating", alt if alternating is None else alternating)
+        object.__setattr__(self, "_det", None)
+        object.__setattr__(self, "_pf", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LinearMatrix is immutable")
@@ -210,10 +213,14 @@ class LinearMatrix:
                            for j in range(self.size)])
 
     def det_poly(self) -> MultiPoly:
-        return poly_det(self.to_poly_matrix())
+        if self._det is None:
+            object.__setattr__(self, "_det", poly_det(self.to_poly_matrix()))
+        return self._det
 
     def pfaffian_poly(self) -> MultiPoly:
-        return pfaffian(self.to_poly_matrix())
+        if self._pf is None:
+            object.__setattr__(self, "_pf", pfaffian(self.to_poly_matrix()))
+        return self._pf
 
     def scaled(self, t) -> "LinearMatrix":
         t = self.field.coerce(t)

@@ -12,19 +12,22 @@ an anisotropic residual of dimension <= 2 at the end.
 ``express_as_2x2_det`` and ``express_as_pfaffian`` realize split forms as
 det of a 2x2 matrix of linear forms, respectively as the Pfaffian of an
 alternating 4x4 one, by transporting the form to the standard model
-through explicit Witt decompositions.  Both return a LinearMatrix whose
-det/Pf reproduces the input form *identically*, which downstream sampling
-relies on.
+through explicit Witt decompositions; the splits of the two fixed target
+models are cached per field.  Both return a LinearMatrix whose det/Pf
+reproduces the input form *identically*, which downstream sampling relies
+on.  Such identities are checked with explicit VerificationFailure raises,
+so they also hold under ``python -O``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import (DegenerateSystem, FieldMismatch, NotSplit,
-                     PreconditionError)
+                     PreconditionError, VerificationFailure)
 from .poly import MultiPoly
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
 from .scalars import GF, PrimeField, QQ
@@ -183,13 +186,25 @@ def _require_prime_field(q: QuadraticForm, who: str):
         raise FieldMismatch(f"{who} works over prime fields only")
 
 
+# Seeded attempts before a search falls back to its deterministic sweep.
+# Each attempt succeeds with probability about 1/2 whatever p is, so the
+# fallback runs only when the attempts are exhausted by bad luck or when
+# the field is tiny.
+SEEDED_DRAWS = 64
+
+
 def isotropic_vector(q: QuadraticForm, seed: int = 0):
     """A nonzero v with q(v) = 0 over F_p, or None when none exists.
 
     For nondegenerate forms a vector always exists once n >= 3; for n = 2 it
-    exists iff -disc is a square; n <= 1 is always anisotropic.  The search
-    sweeps a seeded pseudorandom sequence first (reproducible), then falls
-    back to a deterministic solve on a diagonalized ternary subform.
+    exists iff -disc is a square; n <= 1 is always anisotropic.  For n >= 3
+    the search draws the first n-1 coordinates w from a seeded generator
+    (reproducible) and solves q(w, t) = a t^2 + 2 b t + c = 0 for the last
+    coordinate t, which has a root iff b^2 - a c is a square: about half the
+    draws, since b^2 - a c is a nondegenerate form in w.  When a = 0 the last
+    unit vector is itself isotropic.  After ``SEEDED_DRAWS`` failed draws the
+    search falls back to a deterministic solve on a diagonalized ternary
+    subform.  The returned vector is checked by evaluating q on it.
     """
     _require_prime_field(q, "isotropic_vector")
     if not q.is_nondegenerate():
@@ -203,13 +218,20 @@ def isotropic_vector(q: QuadraticForm, seed: int = 0):
         s = field.sqrt(-b / a)
         if s is None:
             return None
-        return linalg.mat_vec(field, iso.matrix, (s, field.one))
+        return _checked_isotropic(q, linalg.mat_vec(field, iso.matrix, (s, field.one)))
 
+    last = q.gram[n - 1]
+    a = last[n - 1]
+    if not a:
+        return _checked_isotropic(q, _unit(field, n, n - 1))
     rng = random.Random(seed)
-    for _ in range(64 * field.p):
-        v = tuple(field.random_element(rng) for _ in range(n))
-        if any(v) and not q.eval(v):
-            return v
+    for _ in range(SEEDED_DRAWS):
+        w = tuple(field.random_element(rng) for _ in range(n - 1))
+        b = sum((g * x for g, x in zip(last, w)), field.zero)
+        c = q.eval(w + (field.zero,))
+        s = field.sqrt(b * b - a * c)
+        if s is not None and any(w):
+            return _checked_isotropic(q, w + ((s - b) / a,))
 
     # Deterministic completion: solve a*x^2 + b*y^2 + c = 0 on the first
     # three diagonal entries (a nondegenerate conic always has an affine
@@ -221,8 +243,28 @@ def isotropic_vector(q: QuadraticForm, seed: int = 0):
         if s is not None:
             w = [field.zero] * n
             w[0], w[1], w[2] = x, s, field.one
-            return linalg.mat_vec(field, iso.matrix, w)
-    raise AssertionError("unreachable: ternary conics over F_p are isotropic")
+            return _checked_isotropic(q, linalg.mat_vec(field, iso.matrix, w))
+    raise VerificationFailure("ternary conics over F_p are isotropic, but none was found")
+
+
+def _checked_isotropic(q: QuadraticForm, v):
+    if q.eval(v):
+        raise VerificationFailure("isotropic_vector: q(v) != 0 for the returned vector")
+    return v
+
+
+def is_split(q: QuadraticForm) -> bool:
+    """Whether an even-dimensional form over F_p is split (Witt index n/2).
+
+    A nondegenerate form of dimension 2m over F_p is split iff (-1)^m det G
+    is a nonzero square (the classification of quadratic forms over finite
+    fields: Lidl-Niederreiter, *Finite Fields*, ch. 6).  Degenerate forms
+    are not split.
+    """
+    _require_prime_field(q, "is_split")
+    if q.n % 2:
+        raise PreconditionError("is_split expects an even-dimensional form")
+    return q.field.legendre((-1) ** (q.n // 2) * q.disc()) == 1
 
 
 @dataclass(frozen=True)
@@ -254,6 +296,8 @@ def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
     Splits off hyperbolic planes one at a time: find an isotropic v, a
     partner u with B(v, u) = 1/2 and q(u) = 0, then recurse on the
     orthogonal complement; what remains (dimension <= 2) is anisotropic.
+    The result is checked: the isometry must carry the Gram matrix of q to
+    the split normal form exactly, else VerificationFailure.
     """
     _require_prime_field(q, "witt_split")
     if not q.is_nondegenerate():
@@ -261,59 +305,43 @@ def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
     field = q.field
     half = field.one / field.coerce(2)
 
-    # `embed` holds the current subspace basis as columns in original coords.
-    embed = [tuple(field.one if i == j else field.zero for i in range(q.n))
-             for j in range(q.n)]
-    pairs = []
+    # `embed` holds the current subspace basis as rows in original coords;
+    # the subspace's Gram matrix is E G E^T.
+    embed = linalg.identity(field, q.n)
+    planes = []  # v1, u1, v2, u2, ... in original coords
     while True:
-        dim = len(embed)
-        if dim == 0:
-            break
-        sub_gram = [[q.bilinear(embed[i], embed[j]) for j in range(dim)]
-                    for i in range(dim)]
-        sub = QuadraticForm(sub_gram, field)
+        sub = QuadraticForm(_restricted_gram(field, q.gram, embed), field)
         v_loc = isotropic_vector(sub, seed)
         if v_loc is None:
             break
-        j = next(i for i in range(dim) if sub.bilinear(v_loc, _unit(field, dim, i)))
-        u_loc = _unit(field, dim, j)
-        u_loc = tuple(x * (half / sub.bilinear(v_loc, u_loc)) for x in u_loc)
-        # now B(v, u) = 1/2; make u isotropic without touching B(v, u)
-        t = sub.eval(u_loc)
-        u_loc = tuple(x - t * y for x, y in zip(u_loc, v_loc))
-        v = _combine(field, embed, v_loc)
-        u = _combine(field, embed, u_loc)
-        pairs.append((v, u))
+        gv = linalg.mat_vec(field, sub.gram, v_loc)  # gv[i] = B(v, e_i)
+        j = next(i for i, x in enumerate(gv) if x)
+        # u = s e_j has B(v, u) = 1/2; subtracting q(u) v makes it isotropic
+        # without touching B(v, u).
+        s = half / gv[j]
+        t = sub.gram[j][j] * s * s
+        u_loc = [-t * x for x in v_loc]
+        u_loc[j] = u_loc[j] + s
+        gu = linalg.mat_vec(field, sub.gram, u_loc)
+        planes.extend(linalg.mat_mul(field, (v_loc, u_loc), embed))
         # orthogonal complement of span(v, u) inside the current subspace
-        rows = [[sub.bilinear(v_loc, _unit(field, dim, i)) for i in range(dim)],
-                [sub.bilinear(u_loc, _unit(field, dim, i)) for i in range(dim)]]
-        kernel = linalg.nullspace(field, rows)
-        embed = [_combine(field, embed, w) for w in kernel]
+        embed = linalg.mat_mul(field, linalg.nullspace(field, [gv, gu]), embed)
 
-    res_dim = len(embed)
-    res_gram = [[q.bilinear(embed[i], embed[j]) for j in range(res_dim)]
-                for i in range(res_dim)]
-    residual = QuadraticForm(res_gram, field)
-    cols = [c for pair in pairs for c in pair] + embed
-    matrix = tuple(tuple(col[i] for col in cols) for i in range(q.n))
-    dec = WittDecomposition(h=len(pairs), residual=residual,
-                            isometry=Isometry(matrix, field))
-    assert dec.isometry.transform_gram(q.gram) == dec.target_gram()
+    cols = tuple(planes) + tuple(embed)
+    dec = WittDecomposition(h=len(planes) // 2, residual=sub,
+                            isometry=Isometry(linalg.transpose(cols), field))
+    if dec.isometry.transform_gram(q.gram) != dec.target_gram():
+        raise VerificationFailure("witt_split: the isometry does not reach the split normal form")
     return dec
+
+
+def _restricted_gram(field, gram, rows):
+    """Gram matrix E G E^T of the form restricted to the span of ``rows``."""
+    return linalg.mat_mul(field, rows, linalg.mat_mul(field, gram, linalg.transpose(rows)))
 
 
 def _unit(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-
-def _combine(field, basis_cols, coeffs):
-    n = len(basis_cols[0])
-    out = [field.zero] * n
-    for col, c in zip(basis_cols, coeffs):
-        if c:
-            for i in range(n):
-                out[i] = out[i] + c * col[i]
-    return tuple(out)
 
 
 def hyperbolic_form(field, nplanes: int) -> QuadraticForm:
@@ -347,11 +375,26 @@ def klein_form(field) -> QuadraticForm:
     return QuadraticForm(g, field)
 
 
+@functools.lru_cache(maxsize=16)
+def _target_split(field, n: int) -> WittDecomposition:
+    """Witt split of the fixed target model in dimension n, cached per field:
+    det_2x2_form for n = 4, klein_form for n = 6."""
+    return witt_split(det_2x2_form(field) if n == 4 else klein_form(field))
+
+
+def _model_rows(q: QuadraticForm, dec: WittDecomposition):
+    """R = M_t M_q^{-1}: q(M_q u) = H(u) = target(M_t u), so target(R x) = q(x)."""
+    target = _target_split(q.field, q.n)
+    return linalg.mat_mul(q.field, target.isometry.matrix,
+                          linalg.inverse(q.field, dec.isometry.matrix))
+
+
 def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     """Write a split 4-variable form over F_p as det of a 2x2 linear matrix.
 
-    Returns A(x) with det A(x) = q(x) identically.  Raises NotSplit when the
-    form has Witt index < 2 (equivalently: non-square discriminant class).
+    Returns A(x) with det A(x) = q(x) identically (checked; a mismatch raises
+    VerificationFailure).  Raises NotSplit when the form has Witt index < 2
+    (equivalently: non-square discriminant class).
     """
     _require_prime_field(q, "express_as_2x2_det")
     if q.n != 4:
@@ -361,19 +404,17 @@ def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     dec = witt_split(q, seed)
     if dec.h != 2:
         raise NotSplit("form is not split: no 2x2 determinantal model")
-    target = witt_split(det_2x2_form(q.field), seed)
-    # q(M_q u) = H(u) and det-form(M_t u) = H(u), so z = M_t M_q^{-1} x.
-    r = linalg.mat_mul(q.field, target.isometry.matrix,
-                       linalg.inverse(q.field, dec.isometry.matrix))
-    forms = [[r[0], r[1]], [r[2], r[3]]]
-    a = LinearMatrix.from_linear_forms(q.field, 2, 4, forms)
-    assert a.det_poly() == q.to_poly()
+    r = _model_rows(q, dec)
+    a = LinearMatrix.from_linear_forms(q.field, 2, 4, [[r[0], r[1]], [r[2], r[3]]])
+    if a.det_poly() != q.to_poly():
+        raise VerificationFailure("express_as_2x2_det: det A(x) differs from the form")
     return a
 
 
 def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     """Write a 6-variable form isometric to the Klein form as Pf of an
-    alternating 4x4 linear matrix, with Pf(A(x)) = q(x) identically."""
+    alternating 4x4 linear matrix, with Pf(A(x)) = q(x) identically
+    (checked; a mismatch raises VerificationFailure)."""
     _require_prime_field(q, "express_as_pfaffian")
     if q.n != 6:
         raise PreconditionError("express_as_pfaffian expects a 6-variable form")
@@ -382,17 +423,15 @@ def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     dec = witt_split(q, seed)
     if dec.h != 3:
         raise NotSplit("Witt index mismatch with the Klein form")
-    target = witt_split(klein_form(q.field), seed)
-    r = linalg.mat_mul(q.field, target.isometry.matrix,
-                       linalg.inverse(q.field, dec.isometry.matrix))
-    a = LinearMatrix.from_klein_rows(q.field, 6, r)
-    assert a.pfaffian_poly() == q.to_poly()
+    a = LinearMatrix.from_klein_rows(q.field, 6, _model_rows(q, dec))
+    if a.pfaffian_poly() != q.to_poly():
+        raise VerificationFailure("express_as_pfaffian: Pf A(x) differs from the form")
     return a
 
 
 __all__ = [
     "QuadraticForm", "Isometry", "WittDecomposition", "KLEIN_INDEX_PAIRS",
-    "gram_disc", "diagonalize", "isotropic_vector", "witt_split",
+    "gram_disc", "diagonalize", "isotropic_vector", "is_split", "witt_split",
     "hyperbolic_form", "det_2x2_form", "klein_form",
     "express_as_2x2_det", "express_as_pfaffian",
 ]

@@ -98,11 +98,3 @@ class BinaryQuartic:
 
     def __str__(self):
         return str(self.to_poly())
-
-
-def quartic_invariants(f: BinaryQuartic):
-    return f.invariants()
-
-
-def j_from_quartic(f: BinaryQuartic):
-    return f.j_invariant()

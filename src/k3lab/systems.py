@@ -40,7 +40,7 @@ def _check_independent(forms, what):
 class PencilOfQuadrics:
     """Two linearly independent 4-variable quadratic forms."""
 
-    __slots__ = ("q1", "q2", "field")
+    __slots__ = ("q1", "q2", "field", "_disc")
 
     def __init__(self, q1: QuadraticForm, q2: QuadraticForm):
         if q1.n != 4 or q2.n != 4:
@@ -51,6 +51,7 @@ class PencilOfQuadrics:
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
         object.__setattr__(self, "field", q1.field)
+        object.__setattr__(self, "_disc", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PencilOfQuadrics is immutable")
@@ -83,7 +84,7 @@ class PencilOfQuadrics:
 class NetOfQuadrics:
     """Three linearly independent 6-variable quadratic forms."""
 
-    __slots__ = ("q1", "q2", "q3", "field")
+    __slots__ = ("q1", "q2", "q3", "field", "_disc")
 
     def __init__(self, q1, q2, q3):
         for q in (q1, q2, q3):
@@ -96,6 +97,7 @@ class NetOfQuadrics:
         object.__setattr__(self, "q2", q2)
         object.__setattr__(self, "q3", q3)
         object.__setattr__(self, "field", q1.field)
+        object.__setattr__(self, "_disc", None)
 
     def __setattr__(self, *a):
         raise AttributeError("NetOfQuadrics is immutable")
@@ -146,8 +148,13 @@ def symbolic_member(forms) -> PolyMatrix:
 
 
 def discriminant_poly(system) -> MultiPoly:
-    """det of the symbolic member; binary quartic (pencil) or plane sextic (net)."""
-    return poly_det(symbolic_member(system.forms))
+    """det of the symbolic member; binary quartic (pencil) or plane sextic (net).
+
+    Systems are immutable, so the expansion is memoized on the system.
+    """
+    if system._disc is None:
+        object.__setattr__(system, "_disc", poly_det(symbolic_member(system.forms)))
+    return system._disc
 
 
 def pencil_discriminant(pencil: PencilOfQuadrics) -> BinaryQuartic:

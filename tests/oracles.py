@@ -170,8 +170,12 @@ def exhaustive_isotropic(q):
     return out
 
 
-def witt_index_exhaustive(q):
-    """Max dimension of a totally isotropic subspace, by projective search."""
+def witt_index_exhaustive(q, stop_at=None):
+    """Max dimension of a totally isotropic subspace, by projective search.
+
+    With ``stop_at`` the search ends as soon as a subspace of that dimension
+    is found (a nondegenerate form of dimension 2m has index at most m).
+    """
     field = q.field
     # normalized projective representatives of isotropic vectors
     iso = []
@@ -185,6 +189,8 @@ def witt_index_exhaustive(q):
         nonlocal best
         best = max(best, len(chosen))
         for idx, v in enumerate(candidates):
+            if best == stop_at:
+                return
             if _dependent_on(field, chosen, v):
                 continue
             rest = [w for w in candidates[idx + 1:] if not q.bilinear(v, w)]

@@ -7,8 +7,9 @@ import pytest
 from k3lab import (GF, QQ, InconsistentConstant, LinearMatrix,
                    NetOfQuadrics, NoSplitMember, NotInSpan, PencilOfQuadrics,
                    PreconditionError, QuadraticForm, RelationReport,
-                   b_coordinates, det_2x2_form, discriminant_poly,
-                   group_invariance_check, invariants, linalg,
+                   SystemPoint, VerificationFailure, b_coordinates,
+                   det_2x2_form, discriminant_poly, group_invariance_check,
+                   invariants, is_split, klein_form, linalg,
                    projective_points, random_gl, random_sl, sample_point,
                    t_invariant, verify_relation, wedge2_matrix)
 from oracles import witt_index_exhaustive
@@ -16,6 +17,8 @@ from oracles import witt_index_exhaustive
 DIAG_PENCIL = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3])
 DIAG_NET = NetOfQuadrics.from_diagonals(
     [1] * 6, [0, 1, 2, 3, 4, 5], [0, 1, 4, 9, 16, 25])
+# the pencil of test_no_split_member_mod_three
+MOD3_PENCIL = PencilOfQuadrics.from_diagonals([1, 2, 1, 1], [1, 2, 2, 2])
 
 
 def canonical_2x2(field):
@@ -143,6 +146,64 @@ def test_no_split_member_mod_three():
             assert witt_index_exhaustive(member) < 2
 
 
+def test_sample_point_draws_without_sweeping(monkeypatch):
+    # at p = 1009 the seeded draws find a split member; the sweep over the
+    # whole base is only a fallback
+    from k3lab import construction
+
+    def no_sweep(field, dim):
+        raise RuntimeError("the fallback sweep ran")
+        yield
+
+    monkeypatch.setattr(construction, "projective_points", no_sweep)
+    for seed in range(5):
+        pt = sample_point(DIAG_PENCIL, 1009, seed=seed)
+        assert pt.b == pt.base_point
+        pt = sample_point(DIAG_NET, 1009, seed=seed)
+        assert pt.b == pt.base_point
+
+
+def test_split_prefilter_matches_exhaustive_witt_index():
+    # is_split against an exhaustive isotropic-subspace search on every
+    # nondegenerate member: pencils at p = 3, 5, 7 and a net at p = 3
+    systems = []
+    for p in (3, 5, 7):
+        F = GF(p)
+        systems += [DIAG_PENCIL.reduce_mod(p), MOD3_PENCIL.reduce_mod(p),
+                    hyperbolic_pencil(F)]
+    F = GF(3)
+    eye = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    ramp = [[i + 1 if i == j else 0 for j in range(6)] for i in range(6)]
+    systems.append(NetOfQuadrics(klein_form(F), QuadraticForm(eye, F),
+                                 QuadraticForm(ramp, F)))
+    seen = set()
+    for system in systems:
+        m = system.q1.n // 2
+        for lam in projective_points(system.field, len(system.forms) - 1):
+            member = system.member(lam)
+            if not member.is_nondegenerate():
+                continue
+            split = is_split(member)
+            assert split == (witt_index_exhaustive(member, stop_at=m) == m)
+            seen.add((m, split))
+    assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_system_point_build_rejects_a_wrong_base_point():
+    pt = sample_point(DIAG_PENCIL, 11, seed=1)
+    lam = (pt.base_point[0], pt.base_point[1] + 1)
+    with pytest.raises(VerificationFailure):
+        SystemPoint.build(pt.matrix, pt.system, lam)
+
+
+def test_sampler_catches_a_wrong_model(monkeypatch):
+    from_klein = LinearMatrix.from_klein_rows
+    monkeypatch.setattr(LinearMatrix, "from_klein_rows",
+                        classmethod(lambda cls, *args: from_klein(*args).scaled(2)))
+    with pytest.raises(VerificationFailure):
+        sample_point(DIAG_NET, 11, seed=0)
+
+
 def test_sample_bad_reduction():
     from k3lab import BadReduction
 
@@ -171,6 +232,14 @@ def test_relation_constant_pencil_and_net():
         assert rep.c == 16 % p
         rep = verify_relation(DIAG_NET, p, 12, seed=0)
         assert rep.ok and rep.passed == 12
+        assert rep.c == -64 % p
+
+
+def test_relation_constant_net_large_primes():
+    # the sampler's cost does not grow with p, up to the largest allowed prime
+    for p in (10007, 2**31 - 1):
+        rep = verify_relation(DIAG_NET, p, 6, seed=0)
+        assert rep.ok and rep.passed == 6
         assert rep.c == -64 % p
 
 

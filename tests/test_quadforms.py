@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from k3lab import (GF, QQ, Isometry, MultiPoly, NotSplit, PreconditionError,
-                   QuadraticForm, det_2x2_form, diagonalize,
-                   express_as_2x2_det, express_as_pfaffian, gram_disc,
-                   hyperbolic_form, isotropic_vector, klein_form, witt_split)
+from k3lab import (GF, QQ, Isometry, LinearMatrix, MultiPoly, NotSplit,
+                   PreconditionError, QuadraticForm, VerificationFailure,
+                   det_2x2_form, diagonalize, express_as_2x2_det,
+                   express_as_pfaffian, gram_disc, hyperbolic_form, is_split,
+                   isotropic_vector, klein_form, witt_split)
 from k3lab import linalg
 from oracles import (exhaustive_isotropic, row_reduction_rank,
                      witt_index_exhaustive)
@@ -155,6 +156,25 @@ def test_isotropic_binary_iff_minus_disc_square():
                 assert q.eval(found) == 0
 
 
+def test_isotropic_large_prime():
+    # p = 2**31 - 1: the seeded solve for the last coordinate needs no
+    # search over the field; q(v) is re-evaluated here with plain ints
+    p = 2**31 - 1
+    F = GF(p)
+    rng = random.Random(50)
+    for n in (3, 4, 5, 6):
+        for k in range(5):
+            while True:
+                q = QuadraticForm(rand_sym_gram(rng, F, n, 0, p - 1), F)
+                if q.is_nondegenerate():
+                    break
+            v = isotropic_vector(q, seed=k)
+            assert v is not None and any(v)
+            g = [[x.v for x in row] for row in q.gram]
+            w = [x.v for x in v]
+            assert sum(w[i] * g[i][j] * w[j] for i in range(n) for j in range(n)) % p == 0
+
+
 # -- witt_split --------------------------------------------------------------
 
 def test_witt_two_planes():
@@ -185,6 +205,23 @@ def test_witt_rejects_degenerate():
     from k3lab import DegenerateSystem
     with pytest.raises(DegenerateSystem):
         witt_split(diag_form([1, 0, 1, 1], GF(5)))
+
+
+def test_witt_split_check_catches_a_bad_isotropic_vector(monkeypatch):
+    # a non-isotropic first vector leaves an invertible but wrong isometry,
+    # which the explicit Gram-transport check must catch, also under -O
+    from k3lab import quadforms
+
+    real = quadforms.isotropic_vector
+
+    def not_isotropic(q, seed=0):
+        if q.n == 4:
+            return (q.field.one, q.field.one, q.field.zero, q.field.zero)
+        return real(q, seed)
+
+    monkeypatch.setattr(quadforms, "isotropic_vector", not_isotropic)
+    with pytest.raises(VerificationFailure):
+        witt_split(diag_form([1, 2, 3, 4], GF(7)))
 
 
 def test_witt_target_equality_random():
@@ -236,6 +273,17 @@ def test_disc_square_class_criteria_against_enumeration():
             continue
         assert (witt_index_exhaustive(q6) == 3) == split
         seen.add(split)
+
+
+def test_is_split_square_class_rule():
+    for p in (5, 7, 11):
+        F = GF(p)
+        assert is_split(det_2x2_form(F)) and is_split(klein_form(F))
+        assert is_split(hyperbolic_form(F, 1))
+        assert not is_split(diag_form([1, 1, 1, 0], F))
+    assert not is_split(diag_form([1, 1, 1, 2], GF(3)))  # (-1)^2 * det = 2: a non-square mod 3
+    with pytest.raises(PreconditionError):
+        is_split(diag_form([1, 1, 1], GF(5)))
 
 
 # -- congruence invariants ----------------------------------------------------
@@ -340,6 +388,21 @@ def test_express_pfaffian_random_split_forms():
             a = express_as_pfaffian(q, seed=done)
             assert (a.pfaffian_poly() - q.to_poly()).is_zero()
             done += 1
+
+
+def test_express_checks_catch_a_wrong_model(monkeypatch):
+    # models whose det/Pf is 4*q must fail loudly, also under python -O
+    from_forms = LinearMatrix.from_linear_forms
+    from_klein = LinearMatrix.from_klein_rows
+    monkeypatch.setattr(LinearMatrix, "from_linear_forms",
+                        classmethod(lambda cls, *args: from_forms(*args).scaled(2)))
+    monkeypatch.setattr(LinearMatrix, "from_klein_rows",
+                        classmethod(lambda cls, *args: from_klein(*args).scaled(2)))
+    F = GF(7)
+    with pytest.raises(VerificationFailure):
+        express_as_2x2_det(hyperbolic_form(F, 2))
+    with pytest.raises(VerificationFailure):
+        express_as_pfaffian(hyperbolic_form(F, 3))
 
 
 def test_dimension_cap():
