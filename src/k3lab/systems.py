@@ -20,8 +20,7 @@ from .poly import MultiPoly, poly_to_text
 from .polymat import PolyMatrix, poly_det
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
-from .scalars import GF, QQ, projective_points
-from .univar import uni_trim
+from .scalars import GF, QQ
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
@@ -237,23 +236,74 @@ def jacobian_j_invariant(pencil: PencilOfQuadrics):
     return pencil_discriminant(pencil).j_invariant()
 
 
+def _plane_lines(p):
+    """P^2(F_p) as lines (base, j, length): the points base + s*e_j for s in
+    range(length), with base[j] = 0.
+
+    Together they visit every normalized point once, in exactly the order of
+    ``projective_points(GF(p), 2)``: (1, x1, x2) with x1 fastest, then
+    (0, 1, x2), then (0, 0, 1).
+    """
+    for x2 in range(p):
+        yield (1, 0, x2), 1, p
+    yield (0, 1, 0), 2, p
+    yield (0, 0, 1), 0, 1
+
+
+def _eval_terms(terms, x, p) -> int:
+    """An int term list evaluated at the int point x, mod p."""
+    acc = 0
+    for e, c in terms:
+        for xi, k in zip(x, e):
+            if k:
+                c *= xi**k
+        acc += c
+    return acc % p
+
+
+def _restrict(terms, base, j, degree, p):
+    """f(base + s*e_j) as ascending coefficients in s, for base[j] = 0."""
+    out = [0] * (degree + 1)
+    for e, c in terms:
+        for i, (xi, k) in enumerate(zip(base, e)):
+            if k and i != j:
+                c *= xi**k
+        out[e[j]] += c
+    return [c % p for c in out]
+
+
 def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     """Look for singular points of a plane sextic over each F_p.
 
-    Enumerates P^2(F_p) and tests f and its three partials; a common zero
-    is returned as a witness (certifying the reduction mod p is singular),
-    otherwise the verdict is 'probably-smooth' for the probed primes.
+    Sweeps P^2(F_p) in ``projective_points`` order, so the first witness is
+    the same as a point-by-point search would find.  f and its three
+    partials are reduced to int term lists once per prime; f is restricted
+    to each line of the sweep and evaluated along it by Horner, and the
+    partials are evaluated only where f vanishes: O(p^2) int operations per
+    prime.  A common zero is returned as a witness (certifying the
+    reduction mod p is singular), otherwise the verdict is
+    'probably-smooth' for the probed primes.
     """
     if f.nvars != 3 or not f.is_homogeneous(6) or f.is_zero():
         raise PreconditionError("probe expects a nonzero homogeneous plane sextic")
     primes = tuple(primes)
     for p in primes:
         fp = f.reduce_mod(p)  # BadPrime on even/composite p or bad denominator
-        partials = [fp.deriv(i) for i in range(3)]
-        gf = GF(p)
-        for pt in projective_points(gf, 2):
-            if not fp.eval(pt) and all(not d.eval(pt) for d in partials):
-                return CoverVerdict("singular", primes, (p, pt))
+        terms = [(e, c.v) for e, c in fp.terms.items()]
+        partials = [[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in terms if e[i]]
+                    for i in range(3)]
+        for base, j, length in _plane_lines(p):
+            c0, c1, c2, c3, c4, c5, c6 = _restrict(terms, base, j, 6, p)
+            for s in range(length):
+                if (((((((c6 * s + c5) * s + c4) * s + c3) * s + c2) * s + c1) * s
+                     + c0) % p):
+                    continue
+                x = list(base)
+                x[j] = s
+                if not any(_eval_terms(d, x, p) for d in partials):
+                    gf = GF(p)
+                    return CoverVerdict("singular", primes,
+                                        (p, tuple(gf.element(v) for v in x)))
     return CoverVerdict("probably-smooth", primes)
 
 
@@ -270,49 +320,94 @@ def moduli_double_cover(net: NetOfQuadrics,
 def _good_reduction_quartic(f: BinaryQuartic, p: int) -> BinaryQuartic:
     if f.field != QQ:
         raise PreconditionError("reduction starts from a form over QQ")
+    # The discriminant comes first: a quartic that vanishes mod p has
+    # discriminant 0 mod p and no reduction as a BinaryQuartic.
     try:
-        fp = f.reduce_mod(p)
+        if not GF(p).coerce(f.discriminant()):
+            raise BadReduction(f"branch quartic has a repeated root mod {p}")
+        return f.reduce_mod(p)
     except BadPrime as exc:
         raise BadReduction(str(exc)) from exc
-    delta = f.discriminant()
-    if GF(p).coerce(delta) == 0:
-        raise BadReduction(f"branch quartic has a repeated root mod {p}")
-    return fp
+
+
+def _chi(a: int, p: int) -> int:
+    """The quadratic character of a mod p, by Euler's criterion."""
+    a %= p
+    if not a:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def _common_roots(a, b1, c1, b2, c2, p) -> int:
+    """Number of roots in F_p of gcd(a t^2 + b1 t + c1, b2 t + c2).
+
+    The gcd is zero (p roots), a constant (0), linear (1) or the quadratic
+    itself (1 + chi(disc)).  A linear second polynomial has its root
+    -c2/b2 in common with the first iff their resultant vanishes.
+    """
+    if b2:
+        return 0 if (a * c2 * c2 - b1 * b2 * c2 + c1 * b2 * b2) % p else 1
+    if c2:
+        return 0
+    if a:
+        return 1 + _chi(b1 * b1 - 4 * a * c1, p)
+    if b1:
+        return 1
+    return 0 if c1 else p  # a line in the base locus: never with good reduction
+
+
+def _on_line(g, base, j):
+    """(l0, l1, m0, m1, m2) with q(base + s*e_j, t) = G[3][3] t^2
+    + (l0 + l1 s) t + (m0 + m1 s + m2 s^2), for the int Gram matrix g of q
+    and base[j] = 0."""
+    r = range(3)
+    return (2 * sum(g[i][3] * base[i] for i in r), 2 * g[j][3],
+            sum(g[i][k] * base[i] * base[k] for i in r for k in r),
+            2 * sum(g[i][j] * base[i] for i in r), g[j][j])
+
+
+def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
+    g1, g2 = ([[c.v for c in row] for row in q.gram] for q in pencil.reduce_mod(p).forms)
+    # Both forms are quadratics in x3 with the constant leading coefficients
+    # G[3][3].  Recombine the pencil so that only the first keeps one: the
+    # first Euclid step of every pointwise gcd, hoisted out of the sweep.
+    if not g1[3][3]:
+        g1, g2 = g2, g1
+    a, a2 = g1[3][3], g2[3][3]
+    if a2:
+        g2 = [[(a2 * x - a * y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(g1, g2)]
+    # (0:0:0:1) lies on both forms iff both G[3][3] vanish.
+    count = 0 if a else 1
+    for base, j, length in _plane_lines(p):
+        l0, l1, m0, m1, m2 = _on_line(g1, base, j)
+        k0, k1, n0, n1, n2 = _on_line(g2, base, j)
+        for s in range(length):
+            count += _common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
+                                   (k0 + k1 * s) % p, ((n2 * s + n1) * s + n0) % p, p)
+    return count
 
 
 def count_points(system, p: int) -> int:
     """Point counts over F_p with good reduction.
 
-    * PencilOfQuadrics: #{x in P^3(F_p) : q1(x) = q2(x) = 0} by enumeration.
-    * BinaryQuartic f: points of the smooth model of tau^2 = f(t), i.e. the
-      affine count plus 2/1/0 points at infinity according to whether the
-      leading coefficient is a nonzero square / zero (degree drop) /
-      a non-square.
+    * PencilOfQuadrics: #{x in P^3(F_p) : q1(x) = q2(x) = 0}, by projection
+      from (0:0:0:1).  Every other point is (x, t) for a normalized x in
+      P^2(F_p) and t in F_p; for fixed x both forms are quadratics in t, and
+      the points over x are the roots in F_p of their gcd.  (0:0:0:1) itself
+      counts when both G[3][3] vanish.  Cost O(p^2) int operations.
+    * BinaryQuartic f: points of the smooth model of tau^2 = f, i.e. the sum
+      over P^1(F_p) of 1 + chi(f): each t gives 1 + chi(f(t, 1)), and
+      infinity gives 2/1/0 points according to whether the leading
+      coefficient is a nonzero square / zero (degree drop) / a non-square.
+      Horner and Euler's criterion on ints; cost O(p log p).
     """
     if isinstance(system, PencilOfQuadrics):
-        branch = pencil_discriminant(system)
-        _good_reduction_quartic(branch, p)
-        red = system.reduce_mod(p)
-        gf = GF(p)
-        count = 0
-        for pt in projective_points(gf, 3):
-            if not red.q1.eval(pt) and not red.q2.eval(pt):
-                count += 1
-        return count
+        _good_reduction_quartic(pencil_discriminant(system), p)
+        return _count_pencil(system, p)
     if isinstance(system, BinaryQuartic):
-        fp = _good_reduction_quartic(system, p)
-        gf = GF(p)
-        coeffs = uni_trim(gf, fp.dehomogenized())
-        count = 0
-        for t in gf.elements():
-            val = gf.zero
-            for c in reversed(coeffs):
-                val = val * t + c
-            count += 1 + gf.legendre(val)
-        a = fp.coeffs[0]
-        if not a:
-            count += 1
-        elif gf.legendre(a) == 1:
-            count += 2
+        a, b, c, d, e = (x.v for x in _good_reduction_quartic(system, p).coeffs)
+        count = 1 + _chi(a, p)
+        for t in range(p):
+            count += 1 + _chi((((a * t + b) * t + c) * t + d) * t + e, p)
         return count
     raise PreconditionError("count_points expects a pencil or a binary quartic")

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a different route than the library:
 permutation-sum determinants, direct cofactor recursion, term-by-term
-convolution, cross-ratio j-invariants, exhaustive isotropic searches.
+convolution, cross-ratio j-invariants, exhaustive isotropic searches, boxed
+sweeps of P^3 and P^2 for point counts and singular points.
 """
 
 from fractions import Fraction
@@ -205,3 +206,25 @@ def _dependent_on(field, chosen, v):
         return False
     rows = [list(u) for u in chosen] + [list(v)]
     return row_reduction_rank(field, rows) < len(rows)
+
+
+def brute_force_pencil_count(pencil, p):
+    """#{x in P^3(F_p) : q1(x) = q2(x) = 0} by a boxed sweep of all of P^3."""
+    from k3lab import GF, projective_points
+
+    red = pencil.reduce_mod(p)
+    return sum(1 for pt in projective_points(GF(p), 3)
+               if not red.q1.eval(pt) and not red.q2.eval(pt))
+
+
+def brute_force_singular_point(f, p):
+    """The first point of P^2(F_p), in ``projective_points`` order, where a
+    plane polynomial and its three partials vanish mod p (boxed), or None."""
+    from k3lab import GF, projective_points
+
+    fp = f.reduce_mod(p)
+    partials = [fp.deriv(i) for i in range(3)]
+    for pt in projective_points(GF(p), 2):
+        if not fp.eval(pt) and all(not d.eval(pt) for d in partials):
+            return pt
+    return None

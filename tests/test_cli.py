@@ -56,6 +56,28 @@ def test_net_subcommands(capsys):
     assert cover["verdict"]["status"] == "singular"
 
 
+
+def test_point_count_and_probe_golden_bytes(capsys):
+    goldens = [
+        (("pencil", "count", "--system", "builtin:pencil-diagonal", "--p", "5"),
+         '{"hyperelliptic_points": 8, "p": 5, "pencil_points": 8, '
+         '"twist_consistent": true}\n'),
+        (("pencil", "count", "--system", "builtin:pencil-diagonal", "--p", "23"),
+         '{"hyperelliptic_points": 32, "p": 23, "pencil_points": 32, '
+         '"twist_consistent": true}\n'),
+        (("net", "probe", "--system", "builtin:net-diagonal", "--primes", "7,11,13"),
+         '{"primes": [7, 11, 13], "status": "singular", '
+         '"witness": {"p": 7, "point": [1, 1, 1]}}\n'),
+        # the first witness in sweep order; a sweep with x2 fastest finds another
+        (("net", "probe", "--system", "builtin:net-diagonal", "--primes", "43"),
+         '{"primes": [43], "status": "singular", '
+         '"witness": {"p": 43, "point": [1, 31, 11]}}\n'),
+    ]
+    for argv, want in goldens:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want
+
 def test_construct_verify_goldens(capsys):
     rep = run_json(capsys, "construct", "verify-pencil", "--system",
                    "builtin:pencil-diagonal", "--p", "11", "--samples", "10",

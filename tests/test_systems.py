@@ -9,7 +9,9 @@ from k3lab import (GF, QQ, BadReduction, BinaryQuartic, DegenerateBranch,
                    discriminant_poly, jacobian_j_invariant,
                    moduli_double_cover, net_discriminant, pencil_discriminant,
                    pic2_double_cover, sextic_smoothness_probe)
-from oracles import cofactor_det, cross_ratio_j, uni_sweep_count
+from oracles import (brute_force_pencil_count, brute_force_singular_point,
+                     cofactor_det, cross_ratio_j, scalar_leibniz_det,
+                     uni_sweep_count)
 
 VAR = lambda i, n=2: MultiPoly.var(QQ, n, i)
 
@@ -371,3 +373,160 @@ def test_count_degree_drop_infinity_rule():
     assert count_points(branch, 5) == 8
     n_curve = count_points(pencil, 5)
     assert n_curve in (8, 2 * 5 + 2 - 8)
+
+
+# Fixed up front: 20 good-reduction pencils per prime, drawn from at most 200.
+PENCILS_PER_PRIME, MAX_DRAWS = 20, 200
+
+
+def _gram(rows):
+    return QuadraticForm([[Fraction(x) for x in r] for r in rows], QQ)
+
+
+def _counts_match_oracle(pencil, p):
+    """Compare count_points with the boxed P^3 sweep; False on bad reduction."""
+    try:
+        n = count_points(pencil, p)
+    except BadReduction:
+        return False
+    assert n == brute_force_pencil_count(pencil, p)
+    return True
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_count_pencil_matches_brute_force_on_dense_pencils(p):
+    rng = random.Random(f"dense-pencil/{p}")
+    done = 0
+    for _ in range(MAX_DRAWS):
+        pencil = rand_pencil(rng)
+        if all(pencil.q1.gram[i][j] == 0 for i in range(4) for j in range(4) if i != j):
+            continue
+        done += _counts_match_oracle(pencil, p)
+        if done == PENCILS_PER_PRIME:
+            break
+    assert done == PENCILS_PER_PRIME
+
+
+def _with_corner(rng, g33, p):
+    g = rand_sym(rng, 4)
+    g[3][3] = Fraction(g33(p))
+    return QuadraticForm(g, QQ)
+
+
+@pytest.mark.parametrize("corners", [
+    (lambda p: 0, lambda p: 0),      # (0:0:0:1) on both quadrics
+    (lambda p: p, lambda p: 3 * p),  # both G[3][3] vanish only mod p
+    (lambda p: 0, lambda p: 1),      # the first t-quadratic drops degree
+    (lambda p: 2, lambda p: p),      # the second one does, mod p
+], ids=["both-zero", "both-zero-mod-p", "first-zero", "second-zero-mod-p"])
+def test_count_pencil_corner_cases_match_brute_force(corners):
+    rng = random.Random(63)
+    for p in (5, 7, 11):
+        done = 0
+        for _ in range(MAX_DRAWS):
+            try:
+                pencil = PencilOfQuadrics(_with_corner(rng, corners[0], p),
+                                          _with_corner(rng, corners[1], p))
+            except DegenerateSystem:
+                continue
+            done += _counts_match_oracle(pencil, p)
+            if done == 5:
+                break
+        assert done == 5
+
+
+def test_count_hand_built_corner_pencils():
+    # q1 = x0^2 - x1^2 + 2 x2 x3 and q2 = 2 x0 x3 + x1^2 + 3 x2^2 both vanish
+    # at (0:0:0:1); q3 = x0^2 + 2 x1^2 + 3 x2^2 + 5 x3^2 + 2 x0 x1 does not.
+    q1 = _gram([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    q2 = _gram([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 3, 0], [1, 0, 0, 0]])
+    q3 = _gram([[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 5]])
+    for pencil in (PencilOfQuadrics(q1, q2), PencilOfQuadrics(q1, q3),
+                   PencilOfQuadrics(q3, q2),
+                   PencilOfQuadrics.from_diagonals([1, 1, 1, 0], [0, -1, 1, 1])):
+        compared = sum(_counts_match_oracle(pencil, p) for p in (3, 5, 7, 11, 13))
+        assert compared >= 3
+
+
+def _gauss_sum_count(pencil, p):
+    """p + 1 + sum over P^1(F_p) of chi(det(l0 G1 + l1 G2)): the point count
+    of a pencil with good reduction (Lidl-Niederreiter, Finite Fields, ch. 6)."""
+    gf = GF(p)
+    red = pencil.reduce_mod(p)
+    total = p + 1
+    for lam in [(1, t) for t in range(p)] + [(0, 1)]:
+        rows = [[lam[0] * x + lam[1] * y for x, y in zip(r1, r2)]
+                for r1, r2 in zip(red.q1.gram, red.q2.gram)]
+        total += gf.legendre(scalar_leibniz_det(gf, rows))
+    return total
+
+
+def test_twist_consistent_and_gauss_sum_at_p101():
+    from k3lab.cli import load_system
+
+    p = 101
+    rng = random.Random(64)
+    pencils = [load_system("builtin:pencil-diagonal")]
+    while len(pencils) < 3:
+        pencil = rand_pencil(rng)
+        try:
+            count_points(pencil, p)
+        except BadReduction:
+            continue
+        pencils.append(pencil)
+    for pencil in pencils:
+        n_curve = count_points(pencil, p)
+        n_cover = count_points(pencil_discriminant(pencil), p)
+        assert n_curve in (n_cover, 2 * p + 2 - n_cover)
+        assert n_curve == _gauss_sum_count(pencil, p)
+
+
+def test_count_hyperelliptic_matches_sweep_on_random_quartics():
+    rng = random.Random(65)
+    for p in (5, 7, 11, 13, 101):
+        done = 0
+        while done < 10:
+            coeffs = [rng.randint(-9, 9) for _ in range(5)]
+            if done % 3 == 0:
+                coeffs[0] = p * rng.randint(-1, 1)  # degree drop mod p
+            if not any(coeffs):
+                continue
+            quartic = BinaryQuartic(coeffs)
+            try:
+                n = count_points(quartic, p)
+            except BadReduction:
+                continue
+            assert n == uni_sweep_count(quartic, p)
+            done += 1
+
+
+def _probe_nets():
+    rng = random.Random(66)
+    nets = []
+    while len(nets) < 6:
+        net = rand_net(rng)
+        if not net_discriminant(net).is_zero():
+            nets.append(net)
+    for _ in range(3):
+        cols = rng.sample([(a, b) for a in range(-6, 7) for b in range(-6, 7)], 6)
+        nets.append(NetOfQuadrics.from_diagonals(
+            [1] * 6, [a for a, _ in cols], [b for _, b in cols]))
+    return nets
+
+
+def test_probe_matches_brute_force_witness():
+    statuses = set()
+    for net in _probe_nets():
+        d = net_discriminant(net)
+        first = None
+        for p in (7, 11, 13):
+            verdict = sextic_smoothness_probe(d, (p,))
+            pt = brute_force_singular_point(d, p)
+            if pt is None:
+                assert verdict.status == "probably-smooth" and verdict.witness is None
+            else:
+                assert verdict.status == "singular" and verdict.witness == (p, pt)
+                first = first or (p, pt)
+            statuses.add(verdict.status)
+        assert sextic_smoothness_probe(d, (7, 11, 13)).witness == first
+    assert statuses == {"singular", "probably-smooth"}
