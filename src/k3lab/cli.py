@@ -37,8 +37,8 @@ from .lattices import (IntegralLattice, MukaiVector, OverlatticeSpec,
 from .poly import poly_to_text
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, scalar_to_json
-from .systems import (NetOfQuadrics, PencilOfQuadrics, count_points,
-                      jacobian_j_invariant, moduli_double_cover,
+from .systems import (MAX_SWEEP_PRIME, NetOfQuadrics, PencilOfQuadrics,
+                      count_points, jacobian_j_invariant, moduli_double_cover,
                       net_discriminant, pencil_discriminant,
                       pic2_double_cover, sextic_smoothness_probe)
 
@@ -183,7 +183,8 @@ def build_parser() -> _Parser:
         p = leaf(pencil, name, help=hlp)
         p.add_argument("--system", required=True)
         if name == "count":
-            p.add_argument("--p", type=int, required=True)
+            p.add_argument("--p", type=int, required=True,
+                           help=f"an odd prime <= {MAX_SWEEP_PRIME} (larger p exits 2)")
 
     net = sub.add_parser("net").add_subparsers(dest="action", required=True)
     for name, hlp in (("disc", "branch sextic of the net"),
@@ -191,7 +192,9 @@ def build_parser() -> _Parser:
                       ("probe", "finite-field smoothness probe of the branch")):
         p = leaf(net, name, help=hlp)
         p.add_argument("--system", required=True)
-        p.add_argument("--primes", default="7,11,13")
+        p.add_argument("--primes", default="7,11,13",
+                       help=f"comma-separated odd primes <= {MAX_SWEEP_PRIME} "
+                            "(larger p exits 2)")
 
     construct = sub.add_parser("construct").add_subparsers(dest="action", required=True)
     for name in ("verify-pencil", "verify-net"):

@@ -1,15 +1,23 @@
 """Matrices of polynomials: symbolic determinants, Pfaffians, linear matrices.
 
-``poly_det`` uses fraction-free Bareiss when every entry is constant and a
-memoized Laplace expansion otherwise (pivoting buys nothing for symbolic
-entries at sizes <= 8).  ``pfaffian`` is the classical first-row expansion,
-normalized so that the 4x4 value is m01*m23 - m02*m13 + m03*m12.
+``poly_det`` (size <= 8) and ``pfaffian`` (even size <= 6) share one int
+kernel, a first-row Laplace expansion memoized on the indices left to
+expand (pivoting buys nothing for symbolic entries at these sizes).  Over
+QQ it scales the entries by the lcm D of their denominators, expands over
+ZZ and divides by D**n (D**(n/2) for the Pfaffian) at the end; over GF(p)
+it reduces every minor mod p.  A monomial is one int with a bit slot per
+variable, wide enough for size * max entry degree, so a product of
+monomials is one addition.  ``pfaffian`` is normalized so that the 4x4
+value is m01*m23 - m02*m13 + m03*m12.
 
 ``LinearMatrix`` bundles an m x m matrix of homogeneous linear forms
 A(x) = sum_i A_i x_i through its scalar coefficient matrices A_i.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from . import linalg
 from .errors import FieldMismatch, PreconditionError, VariableCountMismatch
@@ -59,9 +67,6 @@ class PolyMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def is_constant(self) -> bool:
-        return all(p.degree() <= 0 for row in self.entries for p in row)
-
     def is_alternating(self) -> bool:
         if self.nrows != self.ncols:
             return False
@@ -83,36 +88,9 @@ def poly_det(m: PolyMatrix) -> MultiPoly:
     """Exact determinant of a square PolyMatrix of size <= 8."""
     if m.nrows != m.ncols:
         raise PreconditionError("determinant of a non-square matrix")
-    n = m.nrows
-    if n > _MAX_DET:
+    if m.nrows > _MAX_DET:
         raise PreconditionError(f"determinant limited to size {_MAX_DET}")
-    if m.is_constant():
-        zero_e = (0,) * m.nvars
-        scal = [[p.coeff(zero_e) for p in row] for row in m.entries]
-        return MultiPoly.const(m.field, m.nvars, linalg.det(m.field, scal))
-
-    one = MultiPoly.const(m.field, m.nvars, m.field.one)
-    cache: dict = {}
-
-    def minor(cols: tuple) -> MultiPoly:
-        if not cols:
-            return one
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        i = n - len(cols)  # expand along row i, the first not yet consumed
-        acc = MultiPoly.zero(m.field, m.nvars)
-        for pos, j in enumerate(cols):
-            e = m.entries[i][j]
-            if e.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            term = e * sub
-            acc = acc - term if pos % 2 else acc + term
-        cache[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
+    return _expand(m, pf=False)
 
 
 def pfaffian(m: PolyMatrix) -> MultiPoly:
@@ -127,29 +105,51 @@ def pfaffian(m: PolyMatrix) -> MultiPoly:
         raise PreconditionError(f"pfaffian needs even size <= {_MAX_PF}")
     if not m.is_alternating():
         raise PreconditionError("pfaffian of a non-alternating matrix")
+    return _expand(m, pf=True)
 
-    one = MultiPoly.const(m.field, m.nvars, m.field.one)
-    cache: dict = {}
 
-    def pf(idx: tuple) -> MultiPoly:
-        if not idx:
-            return one
+def _expand(m: PolyMatrix, pf: bool) -> MultiPoly:
+    """The int kernel of ``poly_det`` and ``pfaffian`` (see the module
+    docstring).  A minor is keyed by the indices left to expand: columns for
+    the determinant, whose row is the first not yet consumed; rows and
+    columns for the Pfaffian, whose row is the first index."""
+    field, nvars, n, p = m.field, m.nvars, m.nrows, m.field.char
+    width = max(n * max(e.degree() for row in m.entries for e in row), 1).bit_length()
+    shifts = [width * i for i in range(nvars)]
+    scale = 1 if p else math.lcm(*(c.denominator for row in m.entries for e in row
+                                   for c in e.terms.values()))
+    rows = [[[(sum(k << s for k, s in zip(exps, shifts)),
+               c.v if p else c.numerator * (scale // c.denominator))
+              for exps, c in e.terms.items()] for e in row] for row in m.entries]
+    cache: dict = {(): [(0, 1)]}
+
+    def minor(idx: tuple) -> list:
         got = cache.get(idx)
         if got is not None:
             return got
-        i0, rest = idx[0], idx[1:]
-        acc = MultiPoly.zero(m.field, m.nvars)
+        i, rest = (idx[0], idx[1:]) if pf else (n - len(idx), idx)
+        acc: dict = {}
         for pos, j in enumerate(rest):
-            e = m.entries[i0][j]
-            if e.is_zero():
+            entry = rows[i][j]
+            if not entry:
                 continue
-            sub = pf(rest[:pos] + rest[pos + 1:])
-            term = e * sub
-            acc = acc - term if pos % 2 else acc + term
-        cache[idx] = acc
-        return acc
+            sub = minor(rest[:pos] + rest[pos + 1:])
+            for ea, ca in entry:
+                if pos % 2:
+                    ca = -ca
+                for eb, cb in sub:
+                    k = ea + eb
+                    acc[k] = acc.get(k, 0) + ca * cb
+        if p:
+            acc = {k: c % p for k, c in acc.items()}
+        got = cache[idx] = [(k, c) for k, c in acc.items() if c]
+        return got
 
-    return pf(tuple(range(n)))
+    denom = scale ** (n // 2 if pf else n)
+    mask = (1 << width) - 1
+    return MultiPoly(field, nvars, {
+        tuple(k >> s & mask for s in shifts): c if denom == 1 else Fraction(c, denom)
+        for k, c in minor(tuple(range(n)))})
 
 
 # Klein basis order for 4x4 alternating matrices: entries (0,1), (0,2),

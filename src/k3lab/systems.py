@@ -24,6 +24,18 @@ from .scalars import GF, QQ
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
+# The largest prime the point sweeps (count_points, sextic_smoothness_probe)
+# accept: they cost O(p^2) int operations per prime, and a dense pencil count
+# at p = 4093 took 19 s (a dense-net probe 11 s) on a 2-CPU host.
+MAX_SWEEP_PRIME = 4093
+
+
+def _check_sweep_prime(p) -> None:
+    """BadPrime unless p is an odd prime <= MAX_SWEEP_PRIME."""
+    GF(p)  # BadPrime on even, composite or too large p
+    if p > MAX_SWEEP_PRIME:
+        raise BadPrime(f"p = {p} is above {MAX_SWEEP_PRIME}, the largest prime "
+                       "the point sweeps accept")
 
 
 def _check_independent(forms, what):
@@ -282,13 +294,16 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     partials are evaluated only where f vanishes: O(p^2) int operations per
     prime.  A common zero is returned as a witness (certifying the
     reduction mod p is singular), otherwise the verdict is
-    'probably-smooth' for the probed primes.
+    'probably-smooth' for the probed primes.  Every prime must be at most
+    MAX_SWEEP_PRIME (BadPrime before any sweep otherwise).
     """
     if f.nvars != 3 or not f.is_homogeneous(6) or f.is_zero():
         raise PreconditionError("probe expects a nonzero homogeneous plane sextic")
     primes = tuple(primes)
     for p in primes:
-        fp = f.reduce_mod(p)  # BadPrime on even/composite p or bad denominator
+        _check_sweep_prime(p)
+    for p in primes:
+        fp = f.reduce_mod(p)  # BadPrime when a denominator vanishes mod p
         terms = [(e, c.v) for e, c in fp.terms.items()]
         partials = [[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in terms if e[i]]
                     for i in range(3)]
@@ -400,7 +415,10 @@ def count_points(system, p: int) -> int:
       infinity gives 2/1/0 points according to whether the leading
       coefficient is a nonzero square / zero (degree drop) / a non-square.
       Horner and Euler's criterion on ints; cost O(p log p).
+
+    p must be at most MAX_SWEEP_PRIME (BadPrime otherwise).
     """
+    _check_sweep_prime(p)
     if isinstance(system, PencilOfQuadrics):
         _good_reduction_quartic(pencil_discriminant(system), p)
         return _count_pencil(system, p)

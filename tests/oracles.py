@@ -1,9 +1,10 @@
 """Independent oracle implementations used by the test suite.
 
 Everything here recomputes results by a different route than the library:
-permutation-sum determinants, direct cofactor recursion, term-by-term
-convolution, cross-ratio j-invariants, exhaustive isotropic searches, boxed
-sweeps of P^3 and P^2 for point counts and singular points.
+permutation-sum determinants, direct cofactor recursion, perfect-matching
+Pfaffians, term-by-term convolution, cross-ratio j-invariants, exhaustive
+isotropic searches, boxed sweeps of P^3 and P^2 for point counts and
+singular points.
 """
 
 from fractions import Fraction
@@ -70,6 +71,32 @@ def pfaffian_three_term(entries):
     """Pf of a 4x4 alternating matrix: m01*m23 - m02*m13 + m03*m12."""
     m = entries
     return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+
+
+def _perfect_matchings(idx):
+    if not idx:
+        yield []
+        return
+    for j in idx[1:]:
+        rest = [k for k in idx[1:] if k != j]
+        for m in _perfect_matchings(rest):
+            yield [(idx[0], j)] + m
+
+
+def matching_pfaffian(entries):
+    """Pfaffian of an alternating matrix of MultiPoly entries as the sum over
+    perfect matchings {i1 < j1, i2 < j2, ...} of sgn(i1 j1 i2 j2 ...) times
+    the product of the matched entries (no recursion on minors)."""
+    n = len(entries)
+    field, nvars = entries[0][0].field, entries[0][0].nvars
+    acc = MultiPoly.zero(field, nvars)
+    for match in _perfect_matchings(list(range(n))):
+        term = MultiPoly.const(field, nvars, field.one)
+        for i, j in match:
+            term = term * entries[i][j]
+        perm = [k for pair in match for k in pair]
+        acc = acc + term if perm_sign(perm) > 0 else acc - term
+    return acc
 
 
 def naive_convolution(p, q):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from k3lab.cli import main
 
@@ -78,6 +79,41 @@ def test_point_count_and_probe_golden_bytes(capsys):
         assert code == 0
         assert out == want
 
+
+FRACTIONAL_NET = str(Path(__file__).parent / "data" / "net-fractional.json")
+
+
+def test_fractional_net_disc_and_probe_golden_bytes(capsys):
+    # bytes computed by a boxed MultiPoly expansion, independent of the int
+    # kernel; the Gram entries have denominators 2 to 6
+    goldens = [
+        (("net", "disc", "--system", FRACTIONAL_NET),
+         '{"degree": 6, "discriminant": "-106351/38400*x0^6 + '
+         '199433/36000*x0^5*x1 + 55974991/3456000*x0^5*x2 - '
+         '395653/144000*x0^4*x1^2 - 59183969/1440000*x0^4*x1*x2 - '
+         '38248739/2160000*x0^4*x2^2 + 85932389/2880000*x0^3*x1^3 + '
+         '807412933/21600000*x0^3*x1^2*x2 + '
+         '7510888379/259200000*x0^3*x1*x2^2 + 3675252253/155520000*x0^3*x2^3 '
+         '- 416135261/5760000*x0^2*x1^4 - 216771493/10800000*x0^2*x1^3*x2 - '
+         '4679995909/1296000000*x0^2*x1^2*x2^2 + '
+         '1092583081/259200000*x0^2*x1*x2^3 - 1036973443/466560000*x0^2*x2^4 '
+         '+ 2557793/96000*x0*x1^5 - 60472531/960000*x0*x1^4*x2 - '
+         '6726927847/259200000*x0*x1^3*x2^2 + '
+         '2005985659/86400000*x0*x1^2*x2^3 + '
+         '147310593493/11664000000*x0*x1*x2^4 - 5571317/777600*x0*x2^5 - '
+         '126127/48000*x1^6 + 75887407/8640000*x1^5*x2 - '
+         '91199399/4800000*x1^4*x2^2 + 507600869/194400000*x1^3*x2^3 + '
+         '93212175487/5832000000*x1^2*x2^4 - 4223142619/388800000*x1*x2^5 + '
+         '344213353/162000000*x2^6"}\n'),
+        (("net", "probe", "--system", FRACTIONAL_NET, "--primes", "23"),
+         '{"primes": [23], "status": "probably-smooth"}\n'),
+    ]
+    for argv, want in goldens:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want
+
+
 def test_construct_verify_goldens(capsys):
     rep = run_json(capsys, "construct", "verify-pencil", "--system",
                    "builtin:pencil-diagonal", "--p", "11", "--samples", "10",
@@ -154,6 +190,18 @@ def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "lattice", "overlattice", "--alpha", ALPHA_BAD,
                        "--r", "2")
     assert code == 2 and "divisible" in err
+
+
+def test_exit_code_sweep_prime_above_the_limit(capsys):
+    from k3lab.systems import MAX_SWEEP_PRIME
+
+    above = "4099"  # the first prime above MAX_SWEEP_PRIME = 4093
+    assert MAX_SWEEP_PRIME == 4093
+    for argv in (("pencil", "count", "--system", "builtin:pencil-diagonal", "--p", above),
+                 ("net", "probe", "--system", "builtin:net-diagonal", "--primes", "7," + above),
+                 ("net", "cover", "--system", "builtin:net-diagonal", "--primes", above)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "4093" in err
 
 
 def test_exit_code_wrong_system_kind(capsys):

@@ -5,7 +5,15 @@ import pytest
 
 from k3lab import (GF, QQ, LinearMatrix, MultiPoly, PolyMatrix,
                    PreconditionError, pfaffian, poly_det)
-from oracles import cofactor_det, leibniz_det, pfaffian_three_term
+from oracles import (cofactor_det, leibniz_det, matching_pfaffian,
+                     pfaffian_three_term)
+
+ORACLE_FIELDS = (QQ, GF(13), GF(2**31 - 1))
+# (nvars, max entry degree): every pair for small sizes, a spread for 5 and 6
+# (where the oracles are slow), ending at the widest exponent slot n * 3.
+ALL_SHAPES = tuple((v, d) for v in (1, 2, 3, 4) for d in (0, 1, 2, 3))
+DET_SHAPES = {1: ALL_SHAPES, 2: ALL_SHAPES, 3: ALL_SHAPES, 4: ALL_SHAPES,
+              5: ((2, 3), (4, 1)), 6: ((3, 2), (4, 3))}
 
 
 def const(field, nvars, c):
@@ -50,6 +58,56 @@ def test_det_matches_oracles_all_sizes():
             d = poly_det(m)
             assert d == cofactor_det(m.entries)
             assert d == leibniz_det(m.entries)
+
+
+def rand_coeff(rng, field):
+    if field == QQ:
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 9, 10)))
+    return field.element(rng.randrange(field.p))
+
+
+def rand_entry(rng, field, nvars, max_deg):
+    """Zero to two terms of degree <= max_deg (some of them zero entries)."""
+    terms = {}
+    for _ in range(rng.randint(0, 2)):
+        e = [0] * nvars
+        for _ in range(rng.randint(0, max_deg)):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = rand_coeff(rng, field)
+    return MultiPoly(field, nvars, terms)
+
+
+def test_det_matches_oracles_over_fields_degrees_and_sizes():
+    rng = random.Random(20)
+    for field in ORACLE_FIELDS:
+        for n, shapes in DET_SHAPES.items():
+            for nvars, max_deg in shapes:
+                rows = [[rand_entry(rng, field, nvars, max_deg) for _ in range(n)]
+                        for _ in range(n)]
+                d = poly_det(PolyMatrix(rows))
+                assert d == cofactor_det(rows)
+                if n <= 5:
+                    assert d == leibniz_det(rows)
+
+
+def test_det_with_a_zero_row():
+    rng = random.Random(21)
+    for field in ORACLE_FIELDS:
+        for n in range(1, 7):
+            rows = [[rand_entry(rng, field, 2, 2) for _ in range(n)] for _ in range(n)]
+            rows[rng.randrange(n)] = [MultiPoly.zero(field, 2)] * n
+            d = poly_det(PolyMatrix(rows))
+            assert d.is_zero() and d == cofactor_det(rows)
+
+
+def test_det_widest_exponent_slot():
+    # x0^(3n) fills the x0 slot to n * (max entry degree), next to x1's slot
+    for n in (6, 8):
+        x0, x1 = (MultiPoly.var(QQ, 2, i) for i in range(2))
+        z = MultiPoly.zero(QQ, 2)
+        rows = [[x0**3 if i == j else z for j in range(n)] for i in range(n)]
+        rows[0][1] = rows[1][0] = x1**3
+        assert poly_det(PolyMatrix(rows)) == x0**(3 * n) - x0**(3 * n - 6) * x1**6
 
 
 def test_det_non_square_rejected():
@@ -100,6 +158,23 @@ def test_pfaffian_squares_to_det():
     for _ in range(40):
         m = rand_alternating(rng, GF(11), 6, 3)
         assert pfaffian(m) ** 2 == poly_det(m)
+
+
+def test_pfaffian_matches_matching_sum_oracle():
+    rng = random.Random(22)
+    for field in ORACLE_FIELDS:
+        for n in (2, 4, 6):
+            for nvars, max_deg in ALL_SHAPES:
+                rows = [[MultiPoly.zero(field, nvars)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        rows[i][j] = rand_entry(rng, field, nvars, max_deg)
+                        rows[j][i] = -rows[i][j]
+                if max_deg == 0:  # a zero row and column
+                    k = rng.randrange(n)
+                    for i in range(n):
+                        rows[i][k] = rows[k][i] = MultiPoly.zero(field, nvars)
+                assert pfaffian(PolyMatrix(rows)) == matching_pfaffian(rows)
 
 
 def test_pfaffian_three_term_expansion():

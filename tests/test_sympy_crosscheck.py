@@ -6,13 +6,15 @@ fully independent implementation.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from k3lab import (QQ, MultiPoly, PencilOfQuadrics, QuadraticForm,
-                   discriminant_poly, uni_resultant)
+                   discriminant_poly, net_discriminant, uni_resultant)
+from k3lab.cli import load_system
 
 
 def _to_sympy(p, symbols):
@@ -51,6 +53,18 @@ def test_pencil_discriminant_matches_sympy_det():
         got = _to_sympy(discriminant_poly(pencil), (l0, l1))
         assert sympy.simplify(got - expected) == 0
         done += 1
+
+
+def test_dense_fractional_net_discriminant_matches_sympy_det():
+    net = load_system(str(Path(__file__).parent / "data" / "net-fractional.json"))
+    ls = sympy.symbols("l0 l1 l2")
+    m = sympy.Matrix(6, 6, lambda i, j: sum(
+        sympy.Rational(q.gram[i][j].numerator, q.gram[i][j].denominator) * l
+        for q, l in zip(net.forms, ls)))
+    assert any(x.denominator > 1 for q in net.forms for row in q.gram for x in row)
+    # elimination over QQ[l0, l1, l2]; sympy's default bareiss takes seconds here
+    expected = m.det(method="domain-ge")
+    assert sympy.expand(_to_sympy(net_discriminant(net), ls) - expected) == 0
 
 
 def test_pfaffian_squared_matches_sympy_det():

@@ -281,6 +281,29 @@ def test_probe_rejects_bad_prime():
         sextic_smoothness_probe(f, (7,))
 
 
+def test_sweeps_refuse_primes_above_the_limit():
+    from itertools import count
+
+    from k3lab import BadPrime
+    from k3lab.cli import load_system
+    from k3lab.scalars import is_odd_prime
+    from k3lab.systems import MAX_SWEEP_PRIME
+
+    assert is_odd_prime(MAX_SWEEP_PRIME)
+    above = next(q for q in count(MAX_SWEEP_PRIME + 1) if is_odd_prime(q))
+    pencil = load_system("builtin:pencil-diagonal")
+    branch = pencil_discriminant(pencil)
+    assert count_points(branch, MAX_SWEEP_PRIME) > 0  # the limit itself is accepted
+    for system in (pencil, branch):
+        with pytest.raises(BadPrime, match=str(MAX_SWEEP_PRIME)):
+            count_points(system, above)
+    d = net_discriminant(load_system("builtin:net-diagonal"))
+    assert sextic_smoothness_probe(d, (7,)).status == "singular"
+    # refused before the sweep at 7, which would return its witness
+    with pytest.raises(BadPrime, match=str(MAX_SWEEP_PRIME)):
+        sextic_smoothness_probe(d, (7, above))
+
+
 def test_moduli_double_cover_diagonal_singular():
     net = NetOfQuadrics.from_diagonals(
         [1] * 6, [0, 1, 2, 3, 4, 5], [0, 1, 4, 9, 16, 25])
