@@ -19,6 +19,7 @@ for compatibility and ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -122,9 +123,16 @@ def load_lattice(path: str | None) -> IntegralLattice:
     if path is None:
         return k3_lattice()
     doc = _read_json(path)
-    if "gram" not in doc:
+    if not isinstance(doc, dict) or "gram" not in doc:
         raise CLIParseError("lattice file must contain a 'gram' key")
-    return IntegralLattice(doc["gram"], label=doc.get("label", ""))
+    rows = doc["gram"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise CLIParseError("lattice 'gram' must be an array of row arrays")
+    for row in rows:
+        for x in row:
+            if type(x) is not int:  # JSON true/false and 2.7 are not integers
+                raise CLIParseError(f"bad lattice Gram entry {x!r}")
+    return IntegralLattice(rows, label=doc.get("label", ""))
 
 
 def _parse_int_list(text: str, what: str):
@@ -153,7 +161,10 @@ def _emit(report: dict, fmt: str) -> None:
             sys.stdout.write(f"{key} = {json.dumps(data[key], sort_keys=True)}\n")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process (parsing leaves no state
+    in it)."""
     top = _Parser(prog="k3lab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="group", required=True)
 

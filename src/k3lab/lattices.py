@@ -15,11 +15,10 @@ divides (alpha^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from . import linalg
 from .errors import DivisibilityViolation, K3LabError, PreconditionError
-from .scalars import QQ
 
 
 @dataclass(frozen=True)
@@ -60,53 +59,50 @@ def is_k3_moduli(v: MukaiVector) -> bool:
 class IntegralLattice:
     """A finite-rank lattice presented by a symmetric integer Gram matrix."""
 
-    __slots__ = ("rank", "gram", "label", "_det")
+    __slots__ = ("rank", "gram", "label", "_det_sig")
 
     def __init__(self, gram, label: str = ""):
-        rows = tuple(tuple(int(x) for x in r) for r in gram)
+        rows = tuple(tuple(r) for r in gram)
+        for r in rows:
+            for x in r:
+                if type(x) is not int:  # no bools, floats or strings
+                    raise PreconditionError(f"Gram entry {x!r} is not an integer")
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise PreconditionError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise PreconditionError("Gram matrix must be symmetric")
+        if rows != tuple(zip(*rows)):
+            raise PreconditionError("Gram matrix must be symmetric")
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_det", None)
+        object.__setattr__(self, "_det_sig", None)
 
     def __setattr__(self, *a):
         raise AttributeError("IntegralLattice is immutable")
 
+    def _invariants(self):
+        if self._det_sig is None:
+            object.__setattr__(self, "_det_sig", _det_and_signature(self.gram))
+        return self._det_sig
+
     @property
     def det(self) -> int:
-        if self._det is None:
-            object.__setattr__(self, "_det", int_det(self.gram))
-        return self._det
+        return self._invariants()[0]
 
     @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def pairing(self, u, v) -> int:
-        return sum(u[i] * self.gram[i][j] * v[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return sum(map(mul, _combination(u, self.gram), v))
 
     def norm(self, v) -> int:
         return self.pairing(v, v)
 
     def signature(self):
-        """(positive, negative) inertia counts; None when degenerate."""
-        if self.rank == 0:
-            return (0, 0)
-        g = [[Fraction(x) for x in row] for row in self.gram]
-        _, d = linalg.congruence_diagonalize(QQ, g)
-        pos = sum(1 for i in range(self.rank) if d[i][i] > 0)
-        neg = sum(1 for i in range(self.rank) if d[i][i] < 0)
-        if pos + neg < self.rank:
-            return None
-        return (pos, neg)
+        """(positive, negative) inertia counts, read off the pivots of the
+        integer elimination behind ``det``; None when degenerate."""
+        return self._invariants()[1]
 
     def to_json(self):
         return {"label": self.label, "gram": [list(r) for r in self.gram]}
@@ -174,27 +170,46 @@ def k3_lattice() -> IntegralLattice:
 
 # -- integer matrix helpers ------------------------------------------------
 
-def int_det(gram) -> int:
-    """Fraction-free Bareiss determinant over the integers."""
-    n = len(gram)
-    if n == 0:
-        return 1
+def _det_and_signature(gram):
+    """(det, (positive, negative)) of a symmetric integer matrix, (0, None)
+    if degenerate, by Bareiss congruence: pivot k is the leading minor p_k of
+    a congruent matrix, so diagonal entry k has the sign of p_k * p_(k-1).
+    Pivot on the first nonzero diagonal entry (a symmetric swap); with none,
+    e_0 += e_j makes it twice a nonzero pairing, unless row 0 is zero."""
     a = [list(row) for row in gram]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    prev, neg = 1, 0
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            k, j = 0, next((i for i, x in enumerate(a[0]) if x), None)
+            if j is None:
+                return 0, None
+            a[0] = [x + y for x, y in zip(a[0], a[j])]
+            for row in a:
+                row[0] += row[j]
+        top = a.pop(k)
+        piv = top.pop(k)
+        neg += (piv > 0) != (prev > 0)
+        a = [[(piv * x - f * y) // prev for x, y in zip(row, top)] if f
+             else [piv * x // prev for x in row]
+             for row in a for f in (row.pop(k),)]
+        prev = piv
+    return prev, (len(gram) - neg, neg)
+
+
+def _combination(row, mat):
+    """The product row . mat: the rows of mat added up at nonzero entries."""
+    acc = [0] * (len(mat[0]) if mat else 0)
+    for x, mrow in zip(row, mat):
+        if x:
+            acc = [a + x * y for a, y in zip(acc, mrow)]
+    return acc
+
+
+def _gram_of(lat: IntegralLattice, vecs):
+    """Gram matrix (A G) A^T of the rows of A in O(n^3), not n^2 pairings."""
+    ag = [_combination(u, lat.gram) for u in vecs]
+    return [[sum(map(mul, u, v)) for v in vecs] for u in ag]
 
 
 def hnf_row_basis(rows):
@@ -209,11 +224,7 @@ def hnf_row_basis(rows):
     nrows = len(mat)
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
@@ -249,6 +260,18 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def _column_ops(w, r: int):
+    """Unimodular column operations (i, s, t, a0, ai) reducing [w | r] to
+    [g, 0, ..., 0]: columns 0, i become s*c0 + t*ci, a0*ci - ai*c0."""
+    ops, v0 = [], w[0]
+    for i, vi in enumerate(list(w[1:]) + [r], 1):
+        if vi:
+            g, s, t = _xgcd(v0, vi)
+            ops.append((i, s, t, v0 // g, vi // g))
+            v0 = g
+    return ops
+
+
 def _kernel_of_functional_mod(w, r: int):
     """Z-basis (as columns) of {beta : w . beta = 0 mod r}.
 
@@ -257,28 +280,30 @@ def _kernel_of_functional_mod(w, r: int):
     coordinate (the projection is injective on the kernel).
     """
     n = len(w)
-    v = list(w) + [r]
     u = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-    for i in range(1, n + 1):
-        if v[i] == 0:
-            continue
-        g, s, t = _xgcd(v[0], v[i])
-        a0, ai = v[0] // g, v[i] // g
+    for i, s, t, a0, ai in _column_ops(w, r):
         for row in u:
-            c0, ci = row[0], row[i]
-            row[0] = s * c0 + t * ci
-            row[i] = -ai * c0 + a0 * ci
-        v[0], v[i] = g, 0
+            row[0], row[i] = s * row[0] + t * row[i], a0 * row[i] - ai * row[0]
     # columns 1..n of u span the kernel; keep their beta parts
     return [tuple(u[i][j] for i in range(n)) for j in range(1, n + 1)]
+
+
+def _kernel_coordinates(w, r: int, beta):
+    """Coordinates U^-1 (beta, -(w . beta)/r) of beta (w . beta = 0 mod r)
+    in the ``_kernel_of_functional_mod`` basis, undoing its operations."""
+    y = list(beta) + [-sum(map(mul, w, beta)) // r]
+    for i, s, t, a0, ai in _column_ops(w, r):
+        y[0], y[i] = a0 * y[0] + ai * y[i], s * y[i] - t * y[0]
+    if y[0]:
+        raise K3LabError("vector is not in the kernel")  # unreachable
+    return y[1:]
 
 
 # -- sublattice and overlattice ---------------------------------------------
 
 def l_zero_sublattice(lat: IntegralLattice, alpha, r: int) -> IntegralLattice:
     """The sublattice of vectors beta with (beta . alpha) divisible by r."""
-    basis = l_zero_basis(lat, alpha, r)
-    gram = _basis_gram(lat, basis)
+    gram = _gram_of(lat, l_zero_basis(lat, alpha, r))
     return IntegralLattice(gram, label=f"L0({lat.label or 'L'}; r={r})")
 
 
@@ -291,14 +316,7 @@ def l_zero_basis(lat: IntegralLattice, alpha, r: int):
         raise PreconditionError("alpha must be nonzero")
     if r < 1:
         raise PreconditionError("r must be positive")
-    w = [sum(lat.gram[i][j] * alpha[j] for j in range(lat.rank))
-         for i in range(lat.rank)]
-    return _kernel_of_functional_mod(w, r)
-
-
-def _basis_gram(lat: IntegralLattice, basis):
-    k = len(basis)
-    return [[lat.pairing(basis[i], basis[j]) for j in range(k)] for i in range(k)]
+    return _kernel_of_functional_mod(_combination(alpha, lat.gram), r)
 
 
 @dataclass(frozen=True)
@@ -329,8 +347,8 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     Requires 2*r^2 | (alpha^2) (DivisibilityViolation otherwise); the result
     is verified to be integral and even before it is returned.
 
-    Computed in L0-coordinates: alpha/r has integer coordinates over a
-    denominator m | r there (alpha lies in L0 since r | (alpha^2)), so the
+    Computed on integers in L0-coordinates: alpha lies in L0 (r | (alpha^2))
+    and alpha/r = c/m there, m = r / gcd(r, coordinates of alpha).  So the
     overlattice is Z^n + Z(c/m), whose Hermite stack is diagonal plus one
     dense row and stays well-conditioned.
     """
@@ -340,38 +358,19 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
             f"(alpha^2) = {spec.alpha_sq} is not divisible by 2*r^2 = {2 * r * r}")
     n = lat.rank
     basis = l_zero_basis(lat, alpha, r)
-    bmat = [[Fraction(basis[j][i]) for j in range(n)] for i in range(n)]
-    coords = linalg.solve(QQ, bmat, [Fraction(x) for x in alpha])
-    y = [x / r for x in coords]  # alpha/r in L0-coordinates
-    m = 1
-    for x in y:
-        m = m * x.denominator // _gcd(m, x.denominator)
-    c = [int(x * m) for x in y]
+    coords = _kernel_coordinates(_combination(alpha, lat.gram), r, alpha)
+    m = r // gcd(r, *coords)  # alpha/r = c/m in L0-coordinates, in lowest terms
     rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
-    rows.append(c)
+    rows.append([x * m // r for x in coords])
     scaled = hnf_row_basis(rows)  # basis of m * (Z^n + Z(c/m)) in L0-coords
     if len(scaled) != n:
         raise K3LabError("overlattice basis has wrong rank")  # unreachable
     # back to ambient coordinates, still scaled by m
-    ambient = [[sum(row[j] * basis[j][i] for j in range(n)) for i in range(n)]
-               for row in scaled]
-    m2 = m * m
-    gram = []
-    for i in range(n):
-        grow = []
-        for j in range(n):
-            val = lat.pairing(ambient[i], ambient[j])
-            if val % m2:
-                raise K3LabError("overlattice Gram is not integral")  # unreachable
-            grow.append(val // m2)
-        gram.append(grow)
+    gram = _gram_of(lat, [_combination(row, basis) for row in scaled])
+    if any(val % (m * m) for row in gram for val in row):
+        raise K3LabError("overlattice Gram is not integral")  # unreachable
+    gram = [[val // (m * m) for val in row] for row in gram]
     out = IntegralLattice(gram, label=f"{lat.label or 'L'}+Z(alpha/{r})")
     if not out.is_even:
         raise K3LabError("overlattice is not even")  # unreachable under the precondition
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

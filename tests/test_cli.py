@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from k3lab.cli import main
+from k3lab.cli import build_parser, main
 
 ALPHA_OK = ",".join(["1", "4"] + ["0"] * 20)
 ALPHA_BAD = ",".join(["1", "1"] + ["0"] * 20)
@@ -144,6 +144,20 @@ def test_lattice_overlattice(capsys):
     assert len(rep["gram"]) == 22
 
 
+OVERLATTICE_GOLDEN = Path(__file__).parent / "data" / "overlattice-gram-golden.json"
+
+
+def test_lattice_overlattice_gram_golden_bytes(capsys):
+    # r = 2 and 3, alpha entries in [-1, 1] and [-3, 3]; the Gram matrix
+    # depends on the L0 basis and on the coordinates of alpha in it
+    goldens = json.loads(OVERLATTICE_GOLDEN.read_text())
+    assert len(goldens) == 4
+    for case in goldens:
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
+
+
 def test_fano_and_pairs(capsys):
     row = run_json(capsys, "fano", "section", "--variety", "spinor10",
                    "--cuts", "7")
@@ -161,6 +175,25 @@ def test_determinism_byte_identical(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first.encode() == second.encode()
+
+
+def test_repeated_in_process_calls_match_first_calls(capsys):
+    calls = [
+        ("mukai", "dim", "--r", "2", "--l2", "8", "--s", "2"),
+        ("lattice", "overlattice", "--alpha", ALPHA_OK, "--r", "2", "--format", "text"),
+        ("mukai", "dim", "--r", "x", "--l2", "8", "--s", "2"),
+        ("pencil", "disc", "--system", "builtin:pencil-diagonal"),
+        ("bn", "dim", "--type", "II", "--g", "3", "--n", "3", "--format", "text"),
+        ("lattice", "overlattice", "--alpha", ALPHA_BAD, "--r", "2"),
+        ("fano", "genus", "--g", "11"),
+    ]
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [code for code, _, _ in first] == [0, 0, 1, 0, 0, 2, 0]
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == first
 
 
 def test_text_format_same_data(capsys):
@@ -278,6 +311,22 @@ def test_lattice_file_input(tmp_path, capsys):
     rep = run_json(capsys, "lattice", "overlattice", "--alpha", "1,4",
                    "--r", "2", "--lattice", str(path))
     assert rep["rank"] == 2 and rep["det"] == -1 and rep["even"] is True
+
+
+def test_lattice_file_non_integer_entries(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for gram, named in (([[2.7, 1], [1, -2.2]], "2.7"), ([["2", 1], [1, 0]], "'2'"),
+                        ([[True, 1], [1, 0]], "True"), ([[0, 1], [1, None]], "None")):
+        path.write_text(json.dumps({"gram": gram}))
+        code, out, err = run(capsys, "lattice", "overlattice", "--alpha", "1,4",
+                             "--r", "2", "--lattice", str(path))
+        assert code == 1 and out == ""
+        assert f"bad lattice Gram entry {named}" in err
+    for doc in ({"gram": [1, 2]}, {"gram": 3}, [[0, 1], [1, 0]]):
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "lattice", "overlattice", "--alpha", "1,4",
+                           "--r", "2", "--lattice", str(path))
+        assert code == 1 and "parse error" in err
 
 
 def test_bundled_k3_lattice_matches_construction(capsys):

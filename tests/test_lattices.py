@@ -8,8 +8,10 @@ from k3lab import (DivisibilityViolation, IntegralLattice, MukaiVector,
                    hyperbolic_plane_lattice, is_k3_moduli, is_rigid,
                    k3_lattice, l_zero_sublattice, lattice_invariants,
                    moduli_dim, overlattice)
-from k3lab.lattices import hnf_row_basis, int_det, l_zero_basis
-from oracles import scalar_leibniz_det
+from k3lab import MultiPoly, QQ, linalg
+from k3lab.lattices import (_kernel_coordinates, e8_gram, hnf_row_basis,
+                            l_zero_basis)
+from oracles import cofactor_det, leibniz_det, scalar_leibniz_det
 
 
 # -- Mukai dimension calculus --------------------------------------------------
@@ -65,7 +67,7 @@ def test_e8_gram_golden():
     edges = {(i, j) for i in range(8) for j in range(8)
              if i < j and g[i][j] == -1}
     assert edges == {(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)}
-    assert int_det(g) == 1
+    assert IntegralLattice(g).det == 1
 
 
 def test_k3_lattice_invariants():
@@ -76,13 +78,121 @@ def test_k3_lattice_invariants():
 
 def test_int_det_against_leibniz():
     rng = random.Random(81)
-    from k3lab import QQ
-
     for n in (2, 3, 4, 5):
         for _ in range(20):
-            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            m = _random_symmetric(rng, n, 5)
             expect = scalar_leibniz_det(QQ, [[Fraction(x) for x in r] for r in m])
-            assert int_det(m) == expect
+            assert IntegralLattice(m).det == expect
+
+
+def _random_symmetric(rng, n, size, zero_diagonal_share=0.0):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-size, size)
+        if rng.random() < zero_diagonal_share:
+            m[i][i] = 0
+    return m
+
+
+def _make_degenerate(rng, m):
+    """Repeat a row and column (or zero one) of a symmetric matrix."""
+    n = len(m)
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    m = [row[:] for row in m]
+    if i == j or rng.random() < 0.5:
+        for k in range(n):
+            m[i][k] = m[k][i] = 0
+        return m
+    for k in range(n):
+        m[j][k] = m[i][k]
+    for k in range(n):
+        m[k][j] = m[k][i]
+    return m
+
+
+def _const_entries(m):
+    return [[MultiPoly.const(QQ, 1, Fraction(x)) for x in row] for row in m]
+
+
+def test_det_against_leibniz_and_cofactor_oracles():
+    # n = 1..8; every third matrix is made degenerate, about half of the
+    # diagonal entries are zero so the pivot repairs run
+    rng = random.Random(90)
+    counts = {1: 20, 2: 20, 3: 20, 4: 20, 5: 20, 6: 10, 7: 4, 8: 2}
+    for n, count in counts.items():
+        for k in range(count):
+            m = _random_symmetric(rng, n, 4, zero_diagonal_share=0.5)
+            if k % 3 == 2:
+                m = _make_degenerate(rng, m)
+            oracle = leibniz_det if n <= 6 else cofactor_det
+            expect = oracle(_const_entries(m)).coeff((0,))
+            assert IntegralLattice(m).det == expect, m
+
+
+def _fraction_signature(m):
+    n = len(m)
+    _, d = linalg.congruence_diagonalize(QQ, [[Fraction(x) for x in r] for r in m])
+    pos = sum(1 for i in range(n) if d[i][i] > 0)
+    neg = sum(1 for i in range(n) if d[i][i] < 0)
+    return (pos, neg) if pos + neg == n else None
+
+
+def _block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    m, off = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[off + i][off:off + len(b)] = list(row)
+        off += len(b)
+    return m
+
+
+def _scramble(rng, m, steps):
+    """P^T m P for P a product of random elementary integer operations."""
+    n = len(m)
+    m = [row[:] for row in m]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for k in range(n):
+            m[k][i] += c * m[k][j]
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+    return m
+
+
+def test_signature_against_fraction_congruence_diagonalize():
+    rng = random.Random(91)
+    u = [[0, 1], [1, 0]]
+    structured = [u, _block_sum(u, u), _block_sum(u, u, u), _block_sum(e8_gram(True)),
+                  _block_sum(e8_gram(False)), _block_sum(u, e8_gram(True)),
+                  _block_sum(u, [[2]], u, [[-2]]), _block_sum(u, [[0]], u)]
+    cases = []
+    for m in structured:
+        cases += [m, _scramble(rng, m, 6), _make_degenerate(rng, m)]
+    for n in range(1, 9):
+        for k in range(12):
+            # all-zero diagonals every fourth matrix: only e_0 += e_j repairs
+            share = 1.0 if k % 4 == 0 else 0.5
+            m = _random_symmetric(rng, n, 3, zero_diagonal_share=share)
+            cases.append(_make_degenerate(rng, m) if k % 3 == 2 else m)
+    assert any(_fraction_signature(m) is None for m in cases)
+    assert any(all(not m[i][i] for i in range(len(m)))
+               and _fraction_signature(m) is not None for m in cases)
+    for m in cases:
+        lat = IntegralLattice(m)
+        sig = _fraction_signature(m)
+        assert lat.signature() == sig, m
+        assert (lat.det == 0) == (sig is None)
+        if sig is not None:
+            assert (lat.det > 0) == (sig[1] % 2 == 0)
+
+
+def test_non_integer_gram_entries_rejected():
+    for bad in (2.7, "2", True, None, Fraction(1, 2)):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            IntegralLattice([[bad, 1], [1, -2]])
 
 
 def test_degenerate_signature_reported_as_none():
@@ -130,6 +240,43 @@ def test_l_zero_basis_pairs_divisibly():
         w = [sum(k3.gram[i][j] * alpha[j] for j in range(22)) for i in range(22)]
         for b in basis:
             assert sum(x * y for x, y in zip(b, w)) % r == 0
+
+
+def _pairing_oracle(gram, u, v):
+    n = len(gram)
+    return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def test_l_zero_gram_against_pairing_oracle():
+    rng = random.Random(92)
+    k3 = k3_lattice()
+    odd = IntegralLattice(_block_sum([[1]], [[0, 2], [2, 3]], [[-6]], e8_gram(True)))
+    for lat in (k3, odd):
+        for _ in range(10):
+            r = rng.choice((2, 3, 5))
+            alpha = [rng.randint(-3, 3) for _ in range(lat.rank)]
+            if not any(alpha):
+                continue
+            basis = l_zero_basis(lat, alpha, r)
+            want = [[_pairing_oracle(lat.gram, u, v) for v in basis] for u in basis]
+            assert l_zero_sublattice(lat, alpha, r).gram == tuple(map(tuple, want))
+
+
+def test_alpha_coordinates_in_the_l_zero_basis():
+    # alpha = sum_j coords_j basis_j, the coordinates overlattice divides by r
+    rng = random.Random(93)
+    k3 = k3_lattice()
+    done = 0
+    while done < 20:
+        r = rng.choice((2, 3))
+        alpha = [rng.randint(-3, 3) for _ in range(22)]
+        if not any(alpha) or k3.norm(alpha) % r:
+            continue
+        w = [sum(k3.gram[i][j] * alpha[j] for j in range(22)) for i in range(22)]
+        basis = l_zero_basis(k3, alpha, r)
+        coords = _kernel_coordinates(w, r, alpha)
+        assert [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(22)] == alpha
+        done += 1
 
 
 def test_l_zero_det_index_formula():
