@@ -15,7 +15,7 @@ from .univar import (uni_deriv, uni_divmod, uni_eval, uni_gcd,
 from .quartic import BinaryQuartic
 from .quadforms import (Isometry, QuadraticForm, WittDecomposition,
                         det_2x2_form, diagonalize, express_as_2x2_det,
-                        express_as_pfaffian, gram_disc, hyperbolic_form,
+                        express_as_pfaffian, hyperbolic_form,
                         is_split, isotropic_vector, klein_form, witt_split)
 from .systems import (CoverVerdict, DoubleCoverDescriptor, NetOfQuadrics,
                       PencilOfQuadrics, count_points, discriminant_poly,

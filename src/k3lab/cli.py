@@ -11,9 +11,6 @@ look like ``{"pencil": [G1, G2], "field": "Q"}`` (or ``"net": [G1, G2,
 G3]``), lattices like ``{"label": "K3", "gram": [[...], ...]}``.  The
 bundled inputs are reachable as ``builtin:pencil-diagonal``,
 ``builtin:net-diagonal`` and ``builtin:k3-lattice``.
-
-The implementation is single-threaded.  ``K3LAB_THREADS`` is accepted
-for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -91,7 +88,7 @@ def _parse_field(tag):
 
 def _parse_gram(rows, field):
     def entry(x):
-        if isinstance(x, int):
+        if type(x) is int:  # JSON true/false are not integers
             return field.coerce(x)
         if isinstance(x, str):
             return field.coerce(Fraction(x))
@@ -103,6 +100,8 @@ def _parse_gram(rows, field):
 def load_system(path: str):
     """A PencilOfQuadrics or NetOfQuadrics from a JSON file or builtin name."""
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise CLIParseError("system file must be a JSON object")
     field = _parse_field(doc.get("field"))
     if "pencil" in doc:
         grams = doc["pencil"]

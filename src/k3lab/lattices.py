@@ -309,14 +309,24 @@ def l_zero_sublattice(lat: IntegralLattice, alpha, r: int) -> IntegralLattice:
 
 def l_zero_basis(lat: IntegralLattice, alpha, r: int):
     """Column basis vectors of the sublattice, in the ambient coordinates."""
-    alpha = tuple(int(x) for x in alpha)
+    alpha = _checked_alpha(lat, alpha)
+    if r < 1:
+        raise PreconditionError("r must be positive")
+    return _kernel_of_functional_mod(_combination(alpha, lat.gram), r)
+
+
+def _checked_alpha(lat: IntegralLattice, alpha) -> tuple:
+    """alpha as a tuple of ints; PreconditionError unless it is a nonzero
+    integer vector of the lattice's rank."""
+    alpha = tuple(alpha)
+    for x in alpha:
+        if type(x) is not int:  # no bools, floats or strings
+            raise PreconditionError(f"alpha entry {x!r} is not an integer")
     if len(alpha) != lat.rank:
         raise PreconditionError("alpha has the wrong length")
     if not any(alpha):
         raise PreconditionError("alpha must be nonzero")
-    if r < 1:
-        raise PreconditionError("r must be positive")
-    return _kernel_of_functional_mod(_combination(alpha, lat.gram), r)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -328,11 +338,7 @@ class OverlatticeSpec:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(x) for x in self.alpha))
-        if len(self.alpha) != self.lattice.rank:
-            raise PreconditionError("alpha has the wrong length")
-        if not any(self.alpha):
-            raise PreconditionError("alpha must be nonzero")
+        object.__setattr__(self, "alpha", _checked_alpha(self.lattice, self.alpha))
         if self.r < 2:
             raise PreconditionError("r must be at least 2")
 

@@ -1,12 +1,29 @@
 """Small exact linear algebra over QQ or GF(p).
 
-Matrices are tuples of tuples of scalars.  Everything is pure and
-allocation-happy; the package never sees matrices bigger than 23x23.
+Matrices are tuples of tuples of field scalars at the API.  Inside, each
+function runs one algorithm on raw representatives for both fields: over
+GF(p) the ints in [0, p), reduced with ``% p``; over QQ the matrix times
+the lcm D of its denominators, an int matrix whose results are divided
+back once at the end.  Scalars are unboxed once on the way in
+(``int_rows``) and boxed once on the way out.  The other ``int_*`` kernels
+work on those ints directly, with ``p = 0`` standing for ZZ; ``quadforms``
+runs on them.
+
+``det``, ``rank``, ``solve``, ``inverse`` and ``nullspace`` share one
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  Each step
+divides by the previous pivot: exactly over ZZ, where every entry stays a
+minor of the input, and through its inverse mod p over GF(p).  The
+package never sees matrices bigger than 23x23.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import mul
+
 from .errors import SingularMatrix
+from .scalars import GFElement
 
 
 def identity(field, n):
@@ -19,95 +36,136 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
+def int_rows(field, m):
+    """(rows, D): the entries of ``m`` as ints times D.  Over GF(p) they are
+    the representatives in [0, p) and D = 1; over QQ, D is the lcm of the
+    denominators."""
+    if field.char:
+        return [[x.v for x in row] for row in m], 1
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+
+
+def _box(field, rows, den=1):
+    """The int ``rows`` divided by ``den`` as field scalars (den is 1 over GF(p))."""
+    if field.char:
+        return tuple(tuple(GFElement(field, x) for x in row) for row in rows)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def int_mul(a, b, p):
+    """The product of two int matrices, reduced mod p unless p = 0."""
+    cols = list(zip(*b))
+    if p:
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _eliminate(rows, ncols, p, jordan):
+    """Fraction-free elimination of the int ``rows`` in place, with pivots
+    taken in the first ``ncols`` columns.  Returns (pivots, d, sign): the
+    pivot columns, the last pivot (1 if none) and the sign of the swaps.
+
+    Forward elimination clears the rows below each pivot, and sign * d is
+    then the determinant of a nonsingular square input.  With ``jordan``
+    every other row is cleared, and each pivot row ends with d in its pivot
+    column, so rows / d is the reduced row echelon form.
+    """
+    nrows = len(rows)
+    pivots, prev, sign = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top, pk = rows[r], rows[r][c]
+        if p:  # the division by prev, folded into the two multipliers
+            inv = pow(prev, -1, p)
+            a = pk * inv % p
+        for i in range(0 if jordan else r + 1, nrows):
+            if i == r:
+                continue
+            row, f = rows[i], rows[i][c]
+            if p:
+                b = f * inv % p
+                rows[i] = [(a * x - b * y) % p for x, y in zip(row, top)]
+            else:
+                rows[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = pk
+    return pivots, prev, sign
+
+
+def int_rref(rows, ncols, p):
+    """Gauss-Jordan elimination of the int ``rows`` in place: (rows, pivots,
+    den) with rows / den the reduced row echelon form (den = 1 over GF(p))."""
+    pivots, d, _ = _eliminate(rows, ncols, p, True)
+    if p:
+        s = pow(d, -1, p)
+        return [[x * s % p for x in row] for row in rows], pivots, 1
+    return rows, pivots, d
+
+
+def int_inverse(rows, p, scale=1):
+    """(inv, den) with inv / den = scale times the inverse of the square int
+    ``rows``; SingularMatrix when they are singular."""
+    n = len(rows)
+    a = [list(row) + [scale if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots, den = int_rref(a, n, p)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in red], den
+
+
+def int_nullspace(rows, ncols, p):
+    """(basis, den): the rows of basis / den span the right kernel of the int
+    ``rows``, one per free column, normalized by the reduced echelon form."""
+    red, pivots, den = int_rref([list(row) for row in rows], ncols, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = den
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] % p if p else -row[fc]
+        basis.append(v)
+    return basis, den
+
+
 def mat_mul(field, a, b):
     if not a or not b:
         return ()
-    bt = transpose(b)
-    return tuple(
-        tuple(_dot(field, row, col) for col in bt) for row in a
-    )
+    (ra, da), (rb, db) = int_rows(field, a), int_rows(field, b)
+    return _box(field, int_mul(ra, rb, field.char), da * db)
 
 
 def mat_vec(field, a, v):
-    return tuple(_dot(field, row, v) for row in a)
-
-
-def _dot(field, u, v):
-    acc = field.zero
-    for x, y in zip(u, v):
-        acc = acc + x * y
-    return acc
-
-
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
+    (ra, da), ((rv,), dv) = int_rows(field, a), int_rows(field, (v,))
+    return _box(field, [[sum(map(mul, row, rv)) for row in ra]], da * dv)[0]
 
 
 def det(field, m):
-    """Fraction-free Bareiss determinant (exact over any field)."""
+    """Determinant: the last Bareiss pivot of D*m, divided by D**n."""
     n = len(m)
-    if n == 0:
-        return field.one
-    a = [list(row) for row in m]
-    sign = 1
-    prev = field.one
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return field.zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-            a[i][k] = field.zero
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    rows, scale = int_rows(field, m)
+    pivots, d, sign = _eliminate(rows, n, field.char, False)
+    if len(pivots) < n:
+        return field.zero
+    return _box(field, [[sign * d]], scale ** n)[0][0]
 
 
 def rank(field, m):
-    if not m:
-        return 0
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.one / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    rows, _ = int_rows(field, m)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0, field.char, False)[0])
 
 
 def inverse(field, m):
-    n = len(m)
-    a = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = field.one / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
+    rows, scale = int_rows(field, m)
+    return _box(field, *int_inverse(rows, field.char, scale))
 
 
 def solve(field, a, b):
@@ -117,91 +175,51 @@ def solve(field, a, b):
     unique solution, None when inconsistent.  Underdetermined systems
     raise SingularMatrix since no caller wants a non-unique answer.
     """
-    rows = [list(ra) + [bb] for ra, bb in zip(a, b)]
     ncols = len(a[0]) if a else 0
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None
+    rows, _ = int_rows(field, [list(ra) + [bb] for ra, bb in zip(a, b)])
+    red, pivots, den = int_rref(rows, ncols, field.char)
+    if any(row[ncols] for row in red[len(pivots):]):
+        return None
     if len(pivots) < ncols:
         raise SingularMatrix("system is underdetermined")
-    x = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    return tuple(x)
+    x = [0] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[ncols]
+    return _box(field, [x], den)[0]
 
 
 def nullspace(field, a):
     """Basis of the right kernel of ``a`` (list of vectors)."""
     if not a:
         return []
-    rows = [list(r) for r in a]
-    ncols = len(rows[0])
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(tuple(v))
-    return basis
+    rows, _ = int_rows(field, a)
+    return list(_box(field, *int_nullspace(rows, len(rows[0]), field.char)))
 
 
 def congruence_diagonalize(field, g):
     """Diagonalize a symmetric matrix by congruence: returns (m, d), m^T g m = d.
 
-    Works over any field of characteristic != 2.  Zero diagonal entries are
-    repaired by mixing in a row with a nonzero off-diagonal partner.
+    Works over any field of characteristic != 2, on ints mod p over GF(p)
+    and on Fractions over QQ.  Zero diagonal entries are repaired by mixing
+    in a row with a nonzero off-diagonal partner.
     """
-    n = len(g)
-    a = [list(row) for row in g]
-    m = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    p, n = field.char, len(g)
+    red = (lambda x: x % p) if p else (lambda x: x)
+    a = int_rows(field, g)[0] if p else [list(row) for row in g]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def add_col(dst, src, c):
         # basis op e_dst <- e_dst + c * e_src, applied to gram and basis
-        for i in range(n):
-            a[i][dst] = a[i][dst] + c * a[i][src]
-        for i in range(n):
-            a[dst][i] = a[dst][i] + c * a[src][i]
-        for i in range(n):
-            m[i][dst] = m[i][dst] + c * m[i][src]
+        for mat in (a, m):
+            for row in mat:
+                row[dst] = red(row[dst] + c * row[src])
+        a[dst] = [red(x + c * y) for x, y in zip(a[dst], a[src])]
 
     def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for mat in (a, m):
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
         a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
 
     for k in range(n):
         if not a[k][k]:
@@ -212,10 +230,10 @@ def congruence_diagonalize(field, g):
                 swap_cols(k, j)
             else:
                 j = next(i for i in range(k + 1, n) if a[k][i])
-                add_col(k, j, field.one)  # now a[k][k] = 2*a[k][j] != 0
+                add_col(k, j, 1)  # now a[k][k] = 2*a[k][j] != 0
         d = a[k][k]
         for j in range(k + 1, n):
             if a[k][j]:
-                add_col(j, k, -(a[k][j] / d))
-    diag = tuple(tuple(a[i][j] if i == j else field.zero for j in range(n)) for i in range(n))
-    return tuple(tuple(row) for row in m), diag
+                add_col(j, k, red(-a[k][j] * (pow(d, -1, p) if p else Fraction(1, d))))
+    diag = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(n)]
+    return _box(field, m), _box(field, diag)

@@ -53,6 +53,17 @@ class MultiPoly:
 
     # -- constructors ---------------------------------------------------
     @classmethod
+    def _of_terms(cls, field, nvars, terms):
+        """Wrap a dict that is already canonical (exponent tuples of length
+        ``nvars`` -> nonzero scalars of ``field``) without validating it: for
+        the package's own results."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "nvars", nvars)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
     def zero(cls, field, nvars):
         return cls(field, nvars, {})
 

@@ -11,7 +11,8 @@ monomials is one addition.  ``pfaffian`` is normalized so that the 4x4
 value is m01*m23 - m02*m13 + m03*m12.
 
 ``LinearMatrix`` bundles an m x m matrix of homogeneous linear forms
-A(x) = sum_i A_i x_i through its scalar coefficient matrices A_i.
+A(x) = sum_i A_i x_i through its scalar coefficient matrices A_i, and feeds
+the kernel from them directly: the monomial of x_i is 1 << width * i.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import FieldMismatch, PreconditionError, VariableCountMismatch
 from .poly import MultiPoly
+from .scalars import GFElement
 
 _MAX_DET = 8
 _MAX_PF = 6
@@ -86,11 +88,8 @@ class PolyMatrix:
 
 def poly_det(m: PolyMatrix) -> MultiPoly:
     """Exact determinant of a square PolyMatrix of size <= 8."""
-    if m.nrows != m.ncols:
-        raise PreconditionError("determinant of a non-square matrix")
-    if m.nrows > _MAX_DET:
-        raise PreconditionError(f"determinant limited to size {_MAX_DET}")
-    return _expand(m, pf=False)
+    _check_shape(m.nrows, m.ncols, pf=False)
+    return _expand(m.field, m.nvars, *_pack(m), pf=False)
 
 
 def pfaffian(m: PolyMatrix) -> MultiPoly:
@@ -98,29 +97,44 @@ def pfaffian(m: PolyMatrix) -> MultiPoly:
 
     Satisfies pfaffian(m)**2 == poly_det(m).
     """
-    if m.nrows != m.ncols:
-        raise PreconditionError("pfaffian of a non-square matrix")
-    n = m.nrows
-    if n % 2 or n > _MAX_PF:
-        raise PreconditionError(f"pfaffian needs even size <= {_MAX_PF}")
+    _check_shape(m.nrows, m.ncols, pf=True)
     if not m.is_alternating():
         raise PreconditionError("pfaffian of a non-alternating matrix")
-    return _expand(m, pf=True)
+    return _expand(m.field, m.nvars, *_pack(m), pf=True)
 
 
-def _expand(m: PolyMatrix, pf: bool) -> MultiPoly:
-    """The int kernel of ``poly_det`` and ``pfaffian`` (see the module
-    docstring).  A minor is keyed by the indices left to expand: columns for
-    the determinant, whose row is the first not yet consumed; rows and
-    columns for the Pfaffian, whose row is the first index."""
-    field, nvars, n, p = m.field, m.nvars, m.nrows, m.field.char
+def _check_shape(nrows, ncols, pf):
+    """The size caps of ``poly_det`` and ``pfaffian``."""
+    if nrows != ncols:
+        raise PreconditionError(f"{'pfaffian' if pf else 'determinant'} of a non-square matrix")
+    if pf and (nrows % 2 or nrows > _MAX_PF):
+        raise PreconditionError(f"pfaffian needs even size <= {_MAX_PF}")
+    if not pf and nrows > _MAX_DET:
+        raise PreconditionError(f"determinant limited to size {_MAX_DET}")
+
+
+def _pack(m: PolyMatrix):
+    """The entries of ``m`` as ``_expand``'s packed term lists, with the
+    slot width and the lcm scale of the module docstring: (rows, width,
+    scale)."""
+    p, n = m.field.char, m.nrows
     width = max(n * max(e.degree() for row in m.entries for e in row), 1).bit_length()
-    shifts = [width * i for i in range(nvars)]
+    shifts = [width * i for i in range(m.nvars)]
     scale = 1 if p else math.lcm(*(c.denominator for row in m.entries for e in row
                                    for c in e.terms.values()))
     rows = [[[(sum(k << s for k, s in zip(exps, shifts)),
                c.v if p else c.numerator * (scale // c.denominator))
               for exps, c in e.terms.items()] for e in row] for row in m.entries]
+    return rows, width, scale
+
+
+def _expand(field, nvars, rows, width, scale, pf: bool) -> MultiPoly:
+    """The int kernel of ``poly_det`` and ``pfaffian`` (see the module
+    docstring) on packed entries (see ``_pack``).  A minor is keyed by the
+    indices left to expand: columns for the determinant, whose row is the
+    first not yet consumed; rows and columns for the Pfaffian, whose row is
+    the first index."""
+    n, p = len(rows), field.char
     cache: dict = {(): [(0, 1)]}
 
     def minor(idx: tuple) -> list:
@@ -146,10 +160,11 @@ def _expand(m: PolyMatrix, pf: bool) -> MultiPoly:
         return got
 
     denom = scale ** (n // 2 if pf else n)
+    box = (lambda c: GFElement(field, c)) if p else (lambda c: Fraction(c, denom))
     mask = (1 << width) - 1
-    return MultiPoly(field, nvars, {
-        tuple(k >> s & mask for s in shifts): c if denom == 1 else Fraction(c, denom)
-        for k, c in minor(tuple(range(n)))})
+    shifts = [width * i for i in range(nvars)]
+    return MultiPoly._of_terms(field, nvars, {
+        tuple(k >> s & mask for s in shifts): box(c) for k, c in minor(tuple(range(n)))})
 
 
 # Klein basis order for 4x4 alternating matrices: entries (0,1), (0,2),
@@ -212,21 +227,30 @@ class LinearMatrix:
         return PolyMatrix([[self.entry_poly(j, k) for k in range(self.size)]
                            for j in range(self.size)])
 
+    def _pack(self):
+        """The entries as ``_expand``'s packed term lists (see ``_pack``)."""
+        n = self.size
+        ints, scale = linalg.int_rows(self.field, [row for mat in self.coeff_mats for row in mat])
+        width = n.bit_length()
+        rows = [[[(1 << width * i, ints[i * n + j][k]) for i in range(self.nvars)
+                  if ints[i * n + j][k]] for k in range(n)] for j in range(n)]
+        return rows, width, scale
+
     def det_poly(self) -> MultiPoly:
         if self._det is None:
-            object.__setattr__(self, "_det", poly_det(self.to_poly_matrix()))
+            _check_shape(self.size, self.size, pf=False)
+            object.__setattr__(self, "_det", _expand(self.field, self.nvars, *self._pack(),
+                                                     pf=False))
         return self._det
 
     def pfaffian_poly(self) -> MultiPoly:
         if self._pf is None:
-            object.__setattr__(self, "_pf", pfaffian(self.to_poly_matrix()))
+            _check_shape(self.size, self.size, pf=True)
+            if not (self.alternating or all(map(_is_alternating_scalar, self.coeff_mats))):
+                raise PreconditionError("pfaffian of a non-alternating matrix")
+            object.__setattr__(self, "_pf", _expand(self.field, self.nvars, *self._pack(),
+                                                    pf=True))
         return self._pf
-
-    def scaled(self, t) -> "LinearMatrix":
-        t = self.field.coerce(t)
-        return LinearMatrix(
-            self.field, self.size, self.nvars,
-            [linalg.mat_scale(t, mat) for mat in self.coeff_mats])
 
     def left_right_transform(self, g, h) -> "LinearMatrix":
         """A_i -> g A_i h^T for square scalar matrices g, h."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .errors import (DegenerateSystem, FieldMismatch, NotSplit,
@@ -34,9 +35,13 @@ from .scalars import GF, PrimeField, QQ
 
 
 class QuadraticForm:
-    """A quadratic form of dimension n <= 6 given by its symmetric Gram matrix."""
+    """A quadratic form of dimension n <= 6 given by its symmetric Gram matrix.
 
-    __slots__ = ("field", "n", "gram")
+    ``_rows`` holds the Gram matrix as raw representatives (ints in [0, p)
+    over GF(p), Fractions over QQ), which the algorithms below run on.
+    """
+
+    __slots__ = ("field", "n", "gram", "_rows", "_disc")
 
     MAX_DIM = 6
 
@@ -60,6 +65,8 @@ class QuadraticForm:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gram", rows)
+        object.__setattr__(self, "_rows", linalg.int_rows(field, rows)[0] if field.char else rows)
+        object.__setattr__(self, "_disc", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticForm is immutable")
@@ -72,51 +79,40 @@ class QuadraticForm:
         half = p.field.one / p.field.coerce(2)
         gram = [[p.field.zero] * n for _ in range(n)]
         for e, c in p.terms.items():
-            idx = [i for i, k in enumerate(e) if k]
-            if len(idx) == 1:
-                gram[idx[0]][idx[0]] = c
-            else:
-                i, j = idx
-                gram[i][j] = c * half
-                gram[j][i] = c * half
+            i, j = [i for i, k in enumerate(e) for _ in range(k)]
+            gram[i][j] = gram[j][i] = c if i == j else c * half
         return cls(gram, p.field)
 
     def to_poly(self) -> MultiPoly:
         terms = {}
         for i in range(self.n):
-            if self.gram[i][i]:
-                e = [0] * self.n
-                e[i] = 2
-                terms[tuple(e)] = self.gram[i][i]
-            for j in range(i + 1, self.n):
+            for j in range(i, self.n):
                 if self.gram[i][j]:
                     e = [0] * self.n
-                    e[i] = e[j] = 1
-                    terms[tuple(e)] = 2 * self.gram[i][j]
-        return MultiPoly(self.field, self.n, terms)
+                    e[i] += 1
+                    e[j] += 1
+                    terms[tuple(e)] = self.gram[i][j] if i == j else 2 * self.gram[i][j]
+        return MultiPoly._of_terms(self.field, self.n, terms)
 
     def eval(self, v):
-        v = tuple(self.field.coerce(x) for x in v)
-        acc = self.field.zero
-        for i in range(self.n):
-            row = self.gram[i]
-            for j in range(self.n):
-                acc = acc + v[i] * row[j] * v[j]
-        return acc
+        return self._pair(v, v)
 
     def bilinear(self, u, v):
-        u = tuple(self.field.coerce(x) for x in u)
-        v = tuple(self.field.coerce(x) for x in v)
-        acc = self.field.zero
-        for i in range(self.n):
-            row = self.gram[i]
-            for j in range(self.n):
-                acc = acc + u[i] * row[j] * v[j]
-        return acc
+        return self._pair(u, v)
+
+    def _pair(self, u, v):
+        """u^T G v, computed on raw representatives."""
+        f = self.field
+        x, y = ([f.coerce(t) for t in w] for w in (u, v))
+        if f.char:
+            x, y = [t.v for t in x], [t.v for t in y]
+        return f.coerce(sum(a * sum(map(mul, row, y)) for a, row in zip(x, self._rows)))
 
     def disc(self):
-        """det of the Gram matrix; zero iff the form is degenerate."""
-        return linalg.det(self.field, self.gram)
+        """det of the Gram matrix (memoized); zero iff the form is degenerate."""
+        if self._disc is None:
+            object.__setattr__(self, "_disc", linalg.det(self.field, self.gram))
+        return self._disc
 
     def is_nondegenerate(self) -> bool:
         return bool(self.disc()) if self.n else True
@@ -170,10 +166,6 @@ class Isometry:
         return f"Isometry({self.matrix!r})"
 
 
-def gram_disc(q: QuadraticForm):
-    return q.disc()
-
-
 def diagonalize(q: QuadraticForm):
     """Congruence diagonalization: returns (Isometry m, diagonal form d) with
     m^T G m = Gram(d).  Rank is preserved; degenerate forms are fine."""
@@ -204,12 +196,13 @@ def isotropic_vector(q: QuadraticForm, seed: int = 0):
     draws, since b^2 - a c is a nondegenerate form in w.  When a = 0 the last
     unit vector is itself isotropic.  After ``SEEDED_DRAWS`` failed draws the
     search falls back to a deterministic solve on a diagonalized ternary
-    subform.  The returned vector is checked by evaluating q on it.
+    subform.  The draws run on ints mod p; the returned vector is checked by
+    evaluating q on it.
     """
     _require_prime_field(q, "isotropic_vector")
     if not q.is_nondegenerate():
         raise PreconditionError("isotropic_vector expects a nondegenerate form")
-    field, n = q.field, q.n
+    field, n, p, g = q.field, q.n, q.field.p, q._rows
     if n <= 1:
         return None
     if n == 2:
@@ -220,18 +213,18 @@ def isotropic_vector(q: QuadraticForm, seed: int = 0):
             return None
         return _checked_isotropic(q, linalg.mat_vec(field, iso.matrix, (s, field.one)))
 
-    last = q.gram[n - 1]
+    last = g[n - 1]
     a = last[n - 1]
     if not a:
-        return _checked_isotropic(q, _unit(field, n, n - 1))
+        return _checked_isotropic(q, [0] * (n - 1) + [1])
     rng = random.Random(seed)
     for _ in range(SEEDED_DRAWS):
-        w = tuple(field.random_element(rng) for _ in range(n - 1))
-        b = sum((g * x for g, x in zip(last, w)), field.zero)
-        c = q.eval(w + (field.zero,))
+        w = [rng.randrange(p) for _ in range(n - 1)]
+        b = sum(map(mul, last, w))
+        c = sum(x * sum(map(mul, row, w)) for x, row in zip(w, g))  # q(w, 0)
         s = field.sqrt(b * b - a * c)
         if s is not None and any(w):
-            return _checked_isotropic(q, w + ((s - b) / a,))
+            return _checked_isotropic(q, w + [(s.v - b) * pow(a, -1, p)])
 
     # Deterministic completion: solve a*x^2 + b*y^2 + c = 0 on the first
     # three diagonal entries (a nondegenerate conic always has an affine
@@ -248,6 +241,7 @@ def isotropic_vector(q: QuadraticForm, seed: int = 0):
 
 
 def _checked_isotropic(q: QuadraticForm, v):
+    v = tuple(map(q.field.coerce, v))
     if q.eval(v):
         raise VerificationFailure("isotropic_vector: q(v) != 0 for the returned vector")
     return v
@@ -277,17 +271,9 @@ class WittDecomposition:
     isometry: Isometry
 
     def target_gram(self):
-        field = self.isometry.field
-        n = 2 * self.h + self.residual.n
-        half = field.one / field.coerce(2)
-        g = [[field.zero] * n for _ in range(n)]
-        for k in range(self.h):
-            g[2 * k][2 * k + 1] = half
-            g[2 * k + 1][2 * k] = half
-        for i in range(self.residual.n):
-            for j in range(self.residual.n):
-                g[2 * self.h + i][2 * self.h + j] = self.residual.gram[i][j]
-        return tuple(tuple(r) for r in g)
+        field, k, r = self.isometry.field, 2 * self.h, self.residual.n
+        return (tuple(row + (field.zero,) * r for row in hyperbolic_form(field, self.h).gram)
+                + tuple((field.zero,) * k + row for row in self.residual.gram))
 
 
 def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
@@ -296,83 +282,76 @@ def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
     Splits off hyperbolic planes one at a time: find an isotropic v, a
     partner u with B(v, u) = 1/2 and q(u) = 0, then recurse on the
     orthogonal complement; what remains (dimension <= 2) is anisotropic.
-    The result is checked: the isometry must carry the Gram matrix of q to
-    the split normal form exactly, else VerificationFailure.
+    The work runs on ints mod p.  The result is checked: the isometry must
+    carry the Gram matrix of q to the split normal form exactly, else
+    VerificationFailure.
     """
     _require_prime_field(q, "witt_split")
     if not q.is_nondegenerate():
         raise DegenerateSystem("witt_split expects a nondegenerate form")
-    field = q.field
-    half = field.one / field.coerce(2)
+    field, p = q.field, q.field.p
+    half = (p + 1) // 2
 
     # `embed` holds the current subspace basis as rows in original coords;
     # the subspace's Gram matrix is E G E^T.
-    embed = linalg.identity(field, q.n)
+    embed = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
     planes = []  # v1, u1, v2, u2, ... in original coords
     while True:
-        sub = QuadraticForm(_restricted_gram(field, q.gram, embed), field)
+        sub = QuadraticForm(_restricted_gram(p, q._rows, embed), field)
         v_loc = isotropic_vector(sub, seed)
         if v_loc is None:
             break
-        gv = linalg.mat_vec(field, sub.gram, v_loc)  # gv[i] = B(v, e_i)
+        v = [x.v for x in v_loc]
+        gv = [sum(map(mul, row, v)) % p for row in sub._rows]  # gv[i] = B(v, e_i)
         j = next(i for i, x in enumerate(gv) if x)
         # u = s e_j has B(v, u) = 1/2; subtracting q(u) v makes it isotropic
         # without touching B(v, u).
-        s = half / gv[j]
-        t = sub.gram[j][j] * s * s
-        u_loc = [-t * x for x in v_loc]
-        u_loc[j] = u_loc[j] + s
-        gu = linalg.mat_vec(field, sub.gram, u_loc)
-        planes.extend(linalg.mat_mul(field, (v_loc, u_loc), embed))
+        s = half * pow(gv[j], -1, p) % p
+        t = sub._rows[j][j] * s * s
+        u = [-t * x % p for x in v]
+        u[j] = (u[j] + s) % p
+        gu = [sum(map(mul, row, u)) % p for row in sub._rows]
+        planes += linalg.int_mul([v, u], embed, p)
         # orthogonal complement of span(v, u) inside the current subspace
-        embed = linalg.mat_mul(field, linalg.nullspace(field, [gv, gu]), embed)
+        embed = linalg.int_mul(linalg.int_nullspace([gv, gu], len(gv), p)[0], embed, p)
 
-    cols = tuple(planes) + tuple(embed)
+    cols = planes + embed
     dec = WittDecomposition(h=len(planes) // 2, residual=sub,
                             isometry=Isometry(linalg.transpose(cols), field))
-    if dec.isometry.transform_gram(q.gram) != dec.target_gram():
+    if _restricted_gram(p, q._rows, cols) != linalg.int_rows(field, dec.target_gram())[0]:
         raise VerificationFailure("witt_split: the isometry does not reach the split normal form")
     return dec
 
 
-def _restricted_gram(field, gram, rows):
-    """Gram matrix E G E^T of the form restricted to the span of ``rows``."""
-    return linalg.mat_mul(field, rows, linalg.mat_mul(field, gram, linalg.transpose(rows)))
+def _restricted_gram(p, gram, rows):
+    """Gram matrix E G E^T mod p of the form restricted to the span of the
+    int ``rows``."""
+    return linalg.int_mul(rows, linalg.int_mul(gram, list(zip(*rows)), p), p)
 
 
-def _unit(field, n, i):
-    return tuple(field.one if j == i else field.zero for j in range(n))
+def _products_form(field, n, signs) -> QuadraticForm:
+    """sum of sign * x_i * x_j over ``signs`` {(i, j): +-1}, i != j."""
+    half = field.one / field.coerce(2)
+    g = [[field.zero] * n for _ in range(n)]
+    for (i, j), sign in signs.items():
+        g[i][j] = g[j][i] = sign * half
+    return QuadraticForm(g, field)
 
 
 def hyperbolic_form(field, nplanes: int) -> QuadraticForm:
     """x0*x1 + x2*x3 + ... with `nplanes` hyperbolic planes."""
-    n = 2 * nplanes
-    half = field.one / field.coerce(2)
-    g = [[field.zero] * n for _ in range(n)]
-    for k in range(nplanes):
-        g[2 * k][2 * k + 1] = half
-        g[2 * k + 1][2 * k] = half
-    return QuadraticForm(g, field)
+    return _products_form(field, 2 * nplanes, {(2 * k, 2 * k + 1): 1 for k in range(nplanes)})
 
 
 def det_2x2_form(field) -> QuadraticForm:
     """The form z0*z3 - z1*z2 = det [[z0, z1], [z2, z3]]."""
-    half = field.one / field.coerce(2)
-    g = [[field.zero] * 4 for _ in range(4)]
-    g[0][3] = g[3][0] = half
-    g[1][2] = g[2][1] = -half
-    return QuadraticForm(g, field)
+    return _products_form(field, 4, {(0, 3): 1, (1, 2): -1})
 
 
 def klein_form(field) -> QuadraticForm:
     """The Pfaffian form w0*w5 - w1*w4 + w2*w3 on alternating 4x4 matrices,
     in the Klein basis order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
-    half = field.one / field.coerce(2)
-    g = [[field.zero] * 6 for _ in range(6)]
-    g[0][5] = g[5][0] = half
-    g[1][4] = g[4][1] = -half
-    g[2][3] = g[3][2] = half
-    return QuadraticForm(g, field)
+    return _products_form(field, 6, {(0, 5): 1, (1, 4): -1, (2, 3): 1})
 
 
 @functools.lru_cache(maxsize=16)
@@ -383,10 +362,12 @@ def _target_split(field, n: int) -> WittDecomposition:
 
 
 def _model_rows(q: QuadraticForm, dec: WittDecomposition):
-    """R = M_t M_q^{-1}: q(M_q u) = H(u) = target(M_t u), so target(R x) = q(x)."""
-    target = _target_split(q.field, q.n)
-    return linalg.mat_mul(q.field, target.isometry.matrix,
-                          linalg.inverse(q.field, dec.isometry.matrix))
+    """R = M_t M_q^{-1} as int rows mod p: q(M_q u) = H(u) = target(M_t u),
+    so target(R x) = q(x)."""
+    field, p = q.field, q.field.p
+    m_t = linalg.int_rows(field, _target_split(field, q.n).isometry.matrix)[0]
+    m_q = linalg.int_rows(field, dec.isometry.matrix)[0]
+    return linalg.int_mul(m_t, linalg.int_inverse(m_q, p)[0], p)
 
 
 def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
@@ -431,7 +412,7 @@ def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
 
 __all__ = [
     "QuadraticForm", "Isometry", "WittDecomposition", "KLEIN_INDEX_PAIRS",
-    "gram_disc", "diagonalize", "isotropic_vector", "is_split", "witt_split",
+    "diagonalize", "isotropic_vector", "is_split", "witt_split",
     "hyperbolic_form", "det_2x2_form", "klein_form",
     "express_as_2x2_det", "express_as_pfaffian",
 ]

@@ -279,17 +279,6 @@ def projective_points(field: PrimeField, dim: int):
             yield tuple(coords + rest)
 
 
-def as_fraction(x) -> Fraction:
-    """Parse an exact rational from int, Fraction or a 'num/den' string."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"not an exact rational: {x!r}")
-
-
 def scalar_to_json(x):
     """JSON encoding: integers stay integers, other rationals become 'num/den'."""
     if isinstance(x, GFElement):

@@ -10,7 +10,7 @@ singular points.
 from fractions import Fraction
 from itertools import permutations
 
-from k3lab import MultiPoly
+from k3lab import LinearMatrix, MultiPoly
 
 
 def perm_sign(perm):
@@ -255,3 +255,10 @@ def brute_force_singular_point(f, p):
         if not fp.eval(pt) and all(not d.eval(pt) for d in partials):
             return pt
     return None
+
+
+def scaled(a, t):
+    """The linear matrix t * A(x), rebuilt from scaled coefficient matrices."""
+    t = a.field.coerce(t)
+    return LinearMatrix(a.field, a.size, a.nvars,
+                        [[[t * x for x in row] for row in mat] for mat in a.coeff_mats])

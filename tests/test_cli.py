@@ -217,6 +217,25 @@ def test_exit_code_parse_error_bad_json(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_exit_code_parse_error_boolean_gram_entries(tmp_path, capsys):
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    for flag in (True, False):
+        doc = {"field": "Q", "pencil": [eye, [[flag] * 4 for _ in range(4)]]}
+        path = tmp_path / f"bool-{flag}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "pencil", "disc", "--system", str(path))
+        assert code == 1 and out == "" and "bad Gram entry" in err
+
+
+def test_exit_code_parse_error_system_not_an_object(tmp_path, capsys):
+    for i, doc in enumerate(([1, 2], "pencil", 3, None)):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "pencil", "disc", "--system", str(path))
+        assert code == 1 and out == "" and "parse error" in err
+        assert "Traceback" not in err and "JSON object" in err
+
+
 def test_exit_code_precondition(capsys):
     code, _, err = run(capsys, "mukai", "dim", "--r", "2", "--l2", "7", "--s", "2")
     assert code == 2 and "even" in err

@@ -388,3 +388,13 @@ def test_overlattice_spec_validation():
         OverlatticeSpec(k3, [1] * 22, 1)
     with pytest.raises(PreconditionError):
         OverlatticeSpec(k3, [1, 2, 3], 2)
+
+
+def test_non_integer_alpha_entries_rejected():
+    k3 = k3_lattice()
+    for bad in (1.9, True, "2", Fraction(2)):
+        alpha = [bad, 4] + [0] * 20
+        with pytest.raises(PreconditionError, match="not an integer"):
+            OverlatticeSpec(k3, alpha, 2)
+        with pytest.raises(PreconditionError, match="not an integer"):
+            l_zero_basis(k3, alpha, 2)

@@ -1,0 +1,285 @@
+"""linalg against independent oracles over QQ, GF(13) and GF(2**31 - 1).
+
+Products, solutions and inverses are re-checked in plain int / Fraction
+arithmetic (never through linalg), determinants against permutation sums
+and cofactor expansions, ranks and kernels against brute-force enumeration
+of F_5^n.  Seeds and sizes are fixed.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from k3lab import GF, QQ, MultiPoly, QuadraticForm, SingularMatrix, linalg, witt_split
+from oracles import cofactor_det, row_reduction_rank, scalar_leibniz_det
+
+FIELDS = (QQ, GF(13), GF(2**31 - 1))
+IDS = ("QQ", "GF13", "GFmersenne")
+
+
+def rand_entry(rng, field, zero_share=0.3):
+    if rng.random() < zero_share:
+        return field.zero
+    if field.char == 0:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 10))
+    return field.element(rng.randrange(field.p))
+
+
+def rand_matrix(rng, field, rows, cols):
+    return tuple(tuple(rand_entry(rng, field) for _ in range(cols)) for _ in range(rows))
+
+
+def plain(field, m):
+    """Entries as plain ints (GF(p)) or Fractions (QQ)."""
+    return [[x.v if field.char else Fraction(x) for x in row] for row in m]
+
+
+def reduce(field, x):
+    return x % field.char if field.char else x
+
+
+def plain_mul(field, a, b):
+    """Schoolbook product of plain matrices."""
+    return [[reduce(field, sum(a[i][k] * b[k][j] for k in range(len(b))))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def dependent_matrix(rng, field, n, rank):
+    """An n x n matrix of the given rank: independent random rows (by the
+    oracle's rank), then random combinations of them."""
+    while True:
+        base = [list(row) for row in rand_matrix(rng, field, rank, n)]
+        if row_reduction_rank(field, base) == rank:
+            break
+    rows = list(base)
+    while len(rows) < n:
+        coeffs = [rand_entry(rng, field, 0) for _ in base]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, base)), field.zero)
+                     for j in range(n)])
+    rng.shuffle(rows)
+    return tuple(tuple(row) for row in rows)
+
+
+def const(field, x):
+    return MultiPoly.const(field, 1, x)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_det_against_permutation_sum_and_cofactors(field):
+    rng = random.Random(1)
+    assert linalg.det(field, ()) == field.one
+    for n in range(1, 6):
+        for _ in range(6):
+            m = rand_matrix(rng, field, n, n)
+            d = linalg.det(field, m)
+            assert d == scalar_leibniz_det(field, m)
+            entries = [[const(field, x) for x in row] for row in m]
+            assert MultiPoly.const(field, 1, d) == cofactor_det(entries)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_det_singular_and_zero_row(field):
+    rng = random.Random(2)
+    for n in range(2, 6):
+        for rank in range(n):
+            assert linalg.det(field, dependent_matrix(rng, field, n, rank)) == field.zero
+        m = [list(row) for row in rand_matrix(rng, field, n, n)]
+        m[rng.randrange(n)] = [field.zero] * n
+        assert linalg.det(field, m) == field.zero
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_det_is_multiplicative(field):
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for _ in range(4):
+            a, b = rand_matrix(rng, field, n, n), rand_matrix(rng, field, n, n)
+            ab = linalg.mat_mul(field, a, b)
+            assert linalg.det(field, ab) == linalg.det(field, a) * linalg.det(field, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_mat_mul_and_mat_vec_against_schoolbook(field):
+    rng = random.Random(4)
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 4), (4, 2, 3), (5, 5, 5), (3, 6, 1)):
+        a, b = rand_matrix(rng, field, rows, inner), rand_matrix(rng, field, inner, cols)
+        assert plain(field, linalg.mat_mul(field, a, b)) == plain_mul(field, plain(field, a),
+                                                                      plain(field, b))
+        v = tuple(rand_entry(rng, field) for _ in range(inner))
+        got = plain(field, [linalg.mat_vec(field, a, v)])[0]
+        want = [row[0] for row in plain_mul(field, plain(field, a),
+                                            [[x] for x in plain(field, [v])[0]])]
+        assert got == want
+    assert linalg.mat_mul(field, (), rand_matrix(rng, field, 2, 2)) == ()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_rank_against_row_reduction(field):
+    rng = random.Random(5)
+    assert linalg.rank(field, ()) == 0
+    for rows, cols in ((1, 4), (3, 3), (4, 2), (5, 6), (6, 4)):
+        for _ in range(4):
+            m = rand_matrix(rng, field, rows, cols)
+            assert linalg.rank(field, m) == row_reduction_rank(field, m)
+    for n in range(2, 6):
+        for r in range(n + 1):
+            assert linalg.rank(field, dependent_matrix(rng, field, n, r)) == r
+
+
+def kernel_by_enumeration(field, m):
+    """All x in F_p^n with m x = 0, as tuples of ints."""
+    a = plain(field, m)
+    n = len(a[0])
+    return {x for x in product(range(field.p), repeat=n)
+            if all(sum(c * y for c, y in zip(row, x)) % field.p == 0 for row in a)}
+
+
+def span_by_enumeration(field, basis, n):
+    vecs = plain(field, basis)
+    return {tuple(sum(c * v[j] for c, v in zip(cs, vecs)) % field.p for j in range(n))
+            for cs in product(range(field.p), repeat=len(vecs))}
+
+
+def test_rank_and_nullspace_against_enumeration_at_5():
+    field = GF(5)
+    rng = random.Random(6)
+    shapes = [(rows, cols) for rows in range(1, 5) for cols in range(1, 6)]
+    for rows, cols in shapes:
+        for _ in range(3):
+            m = rand_matrix(rng, field, rows, cols)
+            kernel = kernel_by_enumeration(field, m)
+            r = linalg.rank(field, m)
+            assert len(kernel) == 5 ** (cols - r)
+            basis = linalg.nullspace(field, m)
+            assert len(basis) == cols - r
+            assert span_by_enumeration(field, basis, cols) == kernel
+    zero = ((field.zero,) * 3,) * 2
+    assert linalg.rank(field, zero) == 0
+    assert span_by_enumeration(field, linalg.nullspace(field, zero), 3) == \
+        set(product(range(5), repeat=3))
+    assert linalg.nullspace(field, ()) == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_nullspace_vectors_are_annihilated(field):
+    rng = random.Random(7)
+    for n in range(2, 7):
+        for r in range(n + 1):
+            m = dependent_matrix(rng, field, n, r)
+            basis = linalg.nullspace(field, m)
+            assert len(basis) == n - r
+            if basis:
+                cols = [list(c) for c in zip(*plain(field, basis))]
+                prod = plain_mul(field, plain(field, m), cols)
+                assert all(x == 0 for row in prod for x in row)
+                assert row_reduction_rank(field, basis) == len(basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_solve_checked_in_plain_arithmetic(field):
+    rng = random.Random(8)
+    for rows, cols in ((1, 1), (3, 3), (5, 5), (6, 4), (4, 2)):
+        for _ in range(4):
+            while True:
+                a = rand_matrix(rng, field, rows, cols)
+                if row_reduction_rank(field, a) == cols:
+                    break
+            x0 = tuple(rand_entry(rng, field) for _ in range(cols))
+            b = tuple(row[0] for row in plain_mul(field, plain(field, a),
+                                                  [[x] for x in plain(field, [x0])[0]]))
+            b = tuple(field.coerce(x) for x in b)
+            x = linalg.solve(field, a, b)
+            assert plain(field, [x]) == plain(field, [x0])
+            assert [row[0] for row in plain_mul(field, plain(field, a),
+                                                [[y] for y in plain(field, [x])[0]])] == \
+                plain(field, [b])[0]
+    assert linalg.solve(field, (), ()) == ()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_solve_inconsistent_and_underdetermined(field):
+    rng = random.Random(9)
+    one, zero = field.one, field.zero
+    # overdetermined and inconsistent: x = 1 and x = 2
+    assert linalg.solve(field, ((one,), (one,)), (one, one + one)) is None
+    # a zero row with a nonzero right-hand side
+    assert linalg.solve(field, ((one, zero), (zero, zero)), (one, one)) is None
+    for n in range(2, 6):
+        a = dependent_matrix(rng, field, n, n - 1)
+        with pytest.raises(SingularMatrix):
+            linalg.solve(field, a, (zero,) * n)
+        wide = rand_matrix(rng, field, n - 1, n)
+        with pytest.raises(SingularMatrix):
+            linalg.solve(field, wide, (zero,) * (n - 1))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_inverse_checked_in_plain_arithmetic(field):
+    rng = random.Random(10)
+    assert linalg.inverse(field, ()) == ()
+    for n in range(1, 7):
+        for _ in range(4):
+            m = rand_matrix(rng, field, n, n)
+            if scalar_leibniz_det(field, m) == field.zero:
+                with pytest.raises(SingularMatrix):
+                    linalg.inverse(field, m)
+                continue
+            inv = linalg.inverse(field, m)
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert plain_mul(field, plain(field, m), plain(field, inv)) == eye
+            assert plain_mul(field, plain(field, inv), plain(field, m)) == eye
+        with pytest.raises(SingularMatrix):
+            linalg.inverse(field, dependent_matrix(rng, field, n, n - 1))
+
+
+def rand_symmetric(rng, field, n, zero_diagonal=False):
+    g = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            g[i][j] = g[j][i] = rand_entry(rng, field)
+    return tuple(tuple(row) for row in g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_congruence_diagonalize_checked_in_plain_arithmetic(field):
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for zero_diagonal in (False, True):
+            for _ in range(3):
+                g = rand_symmetric(rng, field, n, zero_diagonal)
+                m, d = linalg.congruence_diagonalize(field, g)
+                pm, pd = plain(field, m), plain(field, d)
+                mt = [list(c) for c in zip(*pm)]
+                assert plain_mul(field, plain_mul(field, mt, plain(field, g)), pm) == pd
+                assert all(pd[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+                assert scalar_leibniz_det(field, m) != field.zero
+                assert row_reduction_rank(field, d) == row_reduction_rank(field, g)
+
+
+@pytest.mark.parametrize("p", (3, 13, 2**31 - 1))
+def test_witt_split_transports_the_gram_exactly(p):
+    field = GF(p)
+    rng = random.Random(12)
+    half = (p + 1) // 2
+    for n in range(2, 7):
+        done = 0
+        while done < 4:
+            q = QuadraticForm(rand_symmetric(rng, field, n), field)
+            if not q.is_nondegenerate():
+                continue
+            dec = witt_split(q, seed=done)
+            h, r = dec.h, dec.residual.n
+            assert 2 * h + r == n and r <= 2
+            target = [[0] * n for _ in range(n)]
+            for k in range(h):
+                target[2 * k][2 * k + 1] = target[2 * k + 1][2 * k] = half
+            for i, row in enumerate(plain(field, dec.residual.gram)):
+                target[2 * h + i][2 * h:] = row
+            pm = plain(field, dec.isometry.matrix)
+            mt = [list(c) for c in zip(*pm)]
+            assert plain_mul(field, plain_mul(field, mt, plain(field, q.gram)), pm) == target
+            done += 1

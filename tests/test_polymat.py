@@ -207,6 +207,51 @@ def test_linear_matrix_round_trip():
     assert a.det_poly() == x[0] * x[3] - x[1] * x[2]
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_linear_matrix_expansions_against_oracles(field):
+    # det_poly and pfaffian_poly pack the coefficient matrices directly; the
+    # oracles expand the entry polynomials of to_poly_matrix() instead.
+    rng = random.Random(16)
+
+    def coeff():
+        if field.char == 0:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        return field.element(rng.randint(-5, 5))
+
+    for n, nvars in ((1, 2), (2, 4), (3, 3), (4, 2)):
+        a = LinearMatrix(field, n, nvars, [[[coeff() for _ in range(n)] for _ in range(n)]
+                                           for _ in range(nvars)])
+        det = a.det_poly()
+        assert det == cofactor_det(a.to_poly_matrix().entries)
+        assert all(type(c) is type(field.one) for c in det.terms.values())
+    # integral coefficients: the scale is 1, and QQ coefficients stay Fractions
+    eye = LinearMatrix(field, 2, 4, [[[int(2 * j + k == i) for k in range(2)]
+                                      for j in range(2)] for i in range(4)])
+    assert all(type(c) is type(field.one) for c in eye.det_poly().terms.values())
+    for nvars in (2, 6):
+        rows = [[coeff() for _ in range(nvars)] for _ in range(6)]
+        a = LinearMatrix.from_klein_rows(field, nvars, rows)
+        pf = a.pfaffian_poly()
+        assert pf == matching_pfaffian(a.to_poly_matrix().entries)
+        assert all(type(c) is type(field.one) for c in pf.terms.values())
+
+
+def test_linear_matrix_expansions_keep_their_caps():
+    F = GF(7)
+    with pytest.raises(PreconditionError, match="limited to size"):
+        LinearMatrix(F, 9, 1, [[[0] * 9 for _ in range(9)]]).det_poly()
+    with pytest.raises(PreconditionError, match="even size"):
+        LinearMatrix(F, 3, 1, [[[0] * 3 for _ in range(3)]]).pfaffian_poly()
+    with pytest.raises(PreconditionError, match="non-alternating"):
+        LinearMatrix(F, 2, 1, [[[0, 1], [1, 0]]]).pfaffian_poly()
+    with pytest.raises(PreconditionError, match="non-alternating"):
+        LinearMatrix(F, 2, 1, [[[1, 0], [0, 0]]]).pfaffian_poly()
+    # the flag is a claim, not the test: an alternating matrix flagged False
+    # still has a Pfaffian
+    a = LinearMatrix(F, 2, 1, [[[0, 1], [-1, 0]]], alternating=False)
+    assert a.pfaffian_poly() == MultiPoly.var(F, 1, 0)
+
+
 def test_linear_matrix_klein_round_trip():
     F = GF(11)
     rng = random.Random(14)

@@ -6,10 +6,10 @@ import pytest
 from k3lab import (GF, QQ, Isometry, LinearMatrix, MultiPoly, NotSplit,
                    PreconditionError, QuadraticForm, VerificationFailure,
                    det_2x2_form, diagonalize, express_as_2x2_det,
-                   express_as_pfaffian, gram_disc, hyperbolic_form, is_split,
+                   express_as_pfaffian, hyperbolic_form, is_split,
                    isotropic_vector, klein_form, witt_split)
 from k3lab import linalg
-from oracles import (exhaustive_isotropic, row_reduction_rank,
+from oracles import (exhaustive_isotropic, row_reduction_rank, scaled,
                      witt_index_exhaustive)
 
 
@@ -36,11 +36,11 @@ def rand_form(rng, field, n, nondegenerate=False):
             return q
 
 
-# -- gram_disc -------------------------------------------------------------
+# -- disc -----------------------------------------------------------------
 
 def test_disc_diagonal():
     q = diag_form([2, 3, 5, 7])
-    assert gram_disc(q) == 2 * 3 * 5 * 7
+    assert q.disc() == 2 * 3 * 5 * 7
 
 
 def test_disc_hyperbolic_four_vars():
@@ -51,13 +51,13 @@ def test_disc_hyperbolic_four_vars():
          [0, 0, Fraction(-1, 2), 0],
          [0, Fraction(-1, 2), 0, 0],
          [Fraction(1, 2), 0, 0, 0]], QQ)
-    assert gram_disc(qq_version) == Fraction(1, 16)
-    assert gram_disc(q) == GF(7).coerce(Fraction(1, 16))
+    assert qq_version.disc() == Fraction(1, 16)
+    assert q.disc() == GF(7).coerce(Fraction(1, 16))
 
 
 def test_disc_rank_three_vanishes():
     q = diag_form([1, 2, 3, 0])
-    assert gram_disc(q) == 0
+    assert q.disc() == 0
 
 
 def test_poly_round_trip():
@@ -150,7 +150,7 @@ def test_isotropic_binary_iff_minus_disc_square():
         for _ in range(20):
             q = rand_form(rng, F, 2, nondegenerate=True)
             found = isotropic_vector(q)
-            expect = F.legendre(-gram_disc(q)) == 1
+            expect = F.legendre(-q.disc()) == 1
             assert (found is not None) == expect
             if found is not None:
                 assert q.eval(found) == 0
@@ -243,13 +243,13 @@ def test_disc_square_class_criteria_validated():
     rng = random.Random(45)
     for p in (5, 7, 11):
         F = GF(p)
-        klein_disc_class = F.legendre(gram_disc(klein_form(F)))
+        klein_disc_class = F.legendre(klein_form(F).disc())
         for _ in range(20):
             q4 = rand_form(rng, F, 4, nondegenerate=True)
-            assert (witt_split(q4).h == 2) == (F.legendre(gram_disc(q4)) == 1)
+            assert (witt_split(q4).h == 2) == (F.legendre(q4.disc()) == 1)
             q6 = rand_form(rng, F, 6, nondegenerate=True)
             assert (witt_split(q6).h == 3) == (
-                F.legendre(gram_disc(q6)) == klein_disc_class)
+                F.legendre(q6.disc()) == klein_disc_class)
 
 
 def test_disc_square_class_criteria_against_enumeration():
@@ -261,14 +261,14 @@ def test_disc_square_class_criteria_against_enumeration():
         for _ in range(6):
             q4 = rand_form(rng, F, 4, nondegenerate=True)
             assert (witt_index_exhaustive(q4) == 2) == (
-                F.legendre(gram_disc(q4)) == 1)
+                F.legendre(q4.disc()) == 1)
     F = GF(3)
     rng6 = random.Random(38)
-    klein_disc_class = F.legendre(gram_disc(klein_form(F)))
+    klein_disc_class = F.legendre(klein_form(F).disc())
     seen = set()
     while len(seen) < 2:  # one form of each Witt index
         q6 = rand_form(rng6, F, 6, nondegenerate=True)
-        split = F.legendre(gram_disc(q6)) == klein_disc_class
+        split = F.legendre(q6.disc()) == klein_disc_class
         if split in seen:
             continue
         assert (witt_index_exhaustive(q6) == 3) == split
@@ -299,7 +299,7 @@ def test_disc_congruence_square_class_invariant():
         if not det_m:
             continue
         iso = Isometry(m, field)
-        assert gram_disc(iso.transform(q)) == det_m**2 * gram_disc(q)
+        assert iso.transform(q).disc() == det_m**2 * q.disc()
         count += 1
 
 
@@ -338,7 +338,7 @@ def test_express_2x2_random_split_forms():
         done = 0
         while done < 100:
             q = rand_form(rng, F, 4, nondegenerate=True)
-            if F.legendre(gram_disc(q)) != 1:
+            if F.legendre(q.disc()) != 1:
                 continue
             a = express_as_2x2_det(q, seed=done)
             assert (a.det_poly() - q.to_poly()).is_zero()
@@ -379,11 +379,11 @@ def test_express_pfaffian_random_split_forms():
     rng = random.Random(48)
     for p in (5, 7, 11):
         F = GF(p)
-        klein_class = F.legendre(gram_disc(klein_form(F)))
+        klein_class = F.legendre(klein_form(F).disc())
         done = 0
         while done < 100:
             q = rand_form(rng, F, 6, nondegenerate=True)
-            if F.legendre(gram_disc(q)) != klein_class:
+            if F.legendre(q.disc()) != klein_class:
                 continue
             a = express_as_pfaffian(q, seed=done)
             assert (a.pfaffian_poly() - q.to_poly()).is_zero()
@@ -395,9 +395,9 @@ def test_express_checks_catch_a_wrong_model(monkeypatch):
     from_forms = LinearMatrix.from_linear_forms
     from_klein = LinearMatrix.from_klein_rows
     monkeypatch.setattr(LinearMatrix, "from_linear_forms",
-                        classmethod(lambda cls, *args: from_forms(*args).scaled(2)))
+                        classmethod(lambda cls, *args: scaled(from_forms(*args), 2)))
     monkeypatch.setattr(LinearMatrix, "from_klein_rows",
-                        classmethod(lambda cls, *args: from_klein(*args).scaled(2)))
+                        classmethod(lambda cls, *args: scaled(from_klein(*args), 2)))
     F = GF(7)
     with pytest.raises(VerificationFailure):
         express_as_2x2_det(hyperbolic_form(F, 2))
