@@ -10,8 +10,6 @@ from .errors import (BadPrime, BadReduction, DegenerateBranch,
 from .scalars import GF, QQ, Fraction, GFElement, PrimeField, projective_points
 from .poly import MultiPoly, poly_from_text, poly_to_text
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix, PolyMatrix, pfaffian, poly_det
-from .univar import (uni_deriv, uni_divmod, uni_eval, uni_gcd,
-                     uni_is_squarefree, uni_resultant, uni_trim)
 from .quartic import BinaryQuartic
 from .quadforms import (Isometry, QuadraticForm, WittDecomposition,
                         det_2x2_form, diagonalize, express_as_2x2_det,

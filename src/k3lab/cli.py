@@ -325,6 +325,8 @@ def _run(args) -> dict:
 def _invariance_report(system, p, count, seed):
     import random
 
+    if count < 1:
+        raise PreconditionError("invariance needs a count of at least 1")
     is_pencil = isinstance(system, PencilOfQuadrics)
     point = sample_point(system, p, seed)
     field = GF(p)

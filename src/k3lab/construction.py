@@ -15,13 +15,17 @@ single relation T^2 = c * disc(B) is verified, where disc is the system's
 discriminant polynomial and c a constant of the chosen Gram normalization:
 it is measured from the first sample and cross-checked on all others.
 
-Samples are drawn over F_p in three steps.  A base point lam of P^1
-(pencil) or P^2 (net) is drawn from a seeded generator, a bounded number of
-times; draws with disc(lam) = 0 are skipped, and so are draws whose member
-is not split, which the prefilter ``is_split`` decides from the member's
-determinant alone (a 2m-dimensional form is split iff (-1)^m det is a
-nonzero square) before any Witt work.  The first split member is factored
-through its Witt decomposition, normalized so that det A(x) (or Pf A(x))
+Samples are drawn over F_p in three steps, on int Gram rows mod p from
+the draw to the finished Witt split.  A base point lam of P^1 (pencil) or
+P^2 (net) is drawn from a seeded generator as ints, a bounded number of
+times.  Each draw's member sum lam_k G_k is combined on the reduced forms'
+int rows (``systems.member_rows``), and one Bareiss determinant decides
+it: that determinant is disc(lam) exactly, and a 2m-dimensional member is
+split iff (-1)^m det is a nonzero square, which Euler's criterion tells.
+So degenerate and non-split members are both skipped before any Witt
+work, without evaluating the discriminant polynomial.  The first split
+member is boxed once and factored through its Witt decomposition
+(``quadforms``, also on ints), normalized so that det A(x) (or Pf A(x))
 equals the member exactly; the span coordinates are then lam on the nose,
 which ``SystemPoint.build`` re-checks.  Only when every draw fails does the
 sampler sweep the whole base in a fixed order, which either finds a split
@@ -40,10 +44,11 @@ from . import linalg
 from .errors import (BadReduction, InconsistentConstant, NoSplitMember,
                      NotInSpan, PreconditionError, VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
-from .quadforms import (SEEDED_DRAWS, express_as_2x2_det, express_as_pfaffian,
-                        is_split)
-from .scalars import GF, projective_points
-from .systems import (NetOfQuadrics, PencilOfQuadrics, discriminant_poly)
+from .quadforms import (SEEDED_DRAWS, QuadraticForm, _split_rows,
+                        express_as_2x2_det, express_as_pfaffian)
+from .scalars import GF, GFElement, projective_points
+from .systems import (NetOfQuadrics, PencilOfQuadrics, discriminant_poly,
+                      member_rows)
 
 
 class InvariantData(NamedTuple):
@@ -145,40 +150,43 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     Tries ``SEEDED_DRAWS`` base points lam drawn from ``random.Random(seed)``
     (normalized like ``projective_points``: first nonzero coordinate 1),
     then sweeps the whole base in its fixed order.  Each lam is skipped
-    when disc(lam) = 0 or when the prefilter ``is_split`` rejects its member;
-    the first member that passes is factored, with the same seed driving
-    the isotropic searches of its Witt split.  About half of all members
-    are split for large p, so the sweep only runs when the draws were
-    unlucky or p is tiny.  Raises NoSplitMember when the sweep finds no
-    split member (possible for tiny p) and BadReduction when the reduced
-    discriminant vanishes identically.
+    unless its member, combined on int Gram rows, is split; the first member
+    that passes is factored, with the same seed driving the isotropic searches
+    of its Witt split.  About half of all members are split for large p,
+    so the sweep only runs when the draws were unlucky or p is tiny.
+    Raises NoSplitMember when the sweep finds no split member (possible for
+    tiny p) and BadReduction when the reduced discriminant vanishes
+    identically.
     """
     red = _reduced(system, p)
     pencil_case = isinstance(red, PencilOfQuadrics)
-    disc = discriminant_poly(red)
-    if disc.is_zero():
+    if discriminant_poly(red).is_zero():
         raise BadReduction(f"discriminant vanishes identically mod {p}")
     gf = GF(p)
-    dim = 1 if pencil_case else 2
+    dim = len(red.forms) - 1
+    grams = [q._rows for q in red.forms]
     express = express_as_2x2_det if pencil_case else express_as_pfaffian
     rng = random.Random(seed)
-    draws = (_random_point(gf, dim, rng) for _ in range(SEEDED_DRAWS))
-    for lam in itertools.chain(draws, projective_points(gf, dim)):
-        if not disc.eval(lam):
-            continue
-        member = red.member(lam)
-        if is_split(member):
-            return SystemPoint.build(express(member, seed=seed), red, lam)
+    draws = (_random_point(p, dim, rng) for _ in range(SEEDED_DRAWS))
+    sweep = ([x.v for x in lam] for lam in projective_points(gf, dim))
+    for lam in itertools.chain(draws, sweep):
+        # det(member) is disc(lam), so one determinant rejects both the
+        # degenerate and the non-split members
+        g = member_rows(grams, lam, p)
+        if _split_rows(g, p):
+            return SystemPoint.build(express(QuadraticForm._of_rows(gf, g), seed=seed),
+                                     red, tuple(GFElement(gf, x) for x in lam))
     raise NoSplitMember(f"no nondegenerate split member over F_{p}")
 
 
-def _random_point(field, dim: int, rng) -> tuple:
-    """A uniform point of P^dim(F_p) whose first nonzero coordinate is 1."""
+def _random_point(p: int, dim: int, rng) -> list:
+    """A uniform point of P^dim(F_p) as ints, first nonzero coordinate 1."""
     while True:
-        v = [field.random_element(rng) for _ in range(dim + 1)]
+        v = [rng.randrange(p) for _ in range(dim + 1)]
         lead = next((x for x in v if x), None)
         if lead is not None:
-            return tuple(x / lead for x in v)
+            inv = pow(lead, -1, p)
+            return [x * inv % p for x in v]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ the lcm D of its denominators, an int matrix whose results are divided
 back once at the end.  Scalars are unboxed once on the way in
 (``int_rows``) and boxed once on the way out.  The other ``int_*`` kernels
 work on those ints directly, with ``p = 0`` standing for ZZ; ``quadforms``
-runs on them.
+and the sampler in ``construction`` run on them.
 
 ``det``, ``rank``, ``solve``, ``inverse`` and ``nullspace`` share one
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  Each step
@@ -101,6 +101,16 @@ def _eliminate(rows, ncols, p, jordan):
     return pivots, prev, sign
 
 
+def int_det(rows, p):
+    """Determinant of the square int ``rows`` (left unchanged), mod p or over
+    ZZ when p = 0: the last Bareiss pivot with the sign of the swaps."""
+    n = len(rows)
+    pivots, d, sign = _eliminate(list(rows), n, p, False)
+    if len(pivots) < n:
+        return 0
+    return sign * d % p if p else sign * d
+
+
 def int_rref(rows, ncols, p):
     """Gauss-Jordan elimination of the int ``rows`` in place: (rows, pivots,
     den) with rows / den the reduced row echelon form (den = 1 over GF(p))."""
@@ -149,13 +159,9 @@ def mat_vec(field, a, v):
 
 
 def det(field, m):
-    """Determinant: the last Bareiss pivot of D*m, divided by D**n."""
-    n = len(m)
+    """Determinant: the int determinant of D*m, divided by D**n."""
     rows, scale = int_rows(field, m)
-    pivots, d, sign = _eliminate(rows, n, field.char, False)
-    if len(pivots) < n:
-        return field.zero
-    return _box(field, [[sign * d]], scale ** n)[0][0]
+    return _box(field, [[int_det(rows, field.char)]], scale ** len(m))[0][0]
 
 
 def rank(field, m):
@@ -199,13 +205,24 @@ def nullspace(field, a):
 def congruence_diagonalize(field, g):
     """Diagonalize a symmetric matrix by congruence: returns (m, d), m^T g m = d.
 
-    Works over any field of characteristic != 2, on ints mod p over GF(p)
-    and on Fractions over QQ.  Zero diagonal entries are repaired by mixing
-    in a row with a nonzero off-diagonal partner.
+    Works over any field of characteristic != 2 (see ``int_congruence``).
     """
     p, n = field.char, len(g)
+    m, diag = int_congruence(int_rows(field, g)[0] if p else [list(row) for row in g], p)
+    return _box(field, m), _box(field, [[diag[i] if i == j else 0 for j in range(n)]
+                                         for i in range(n)])
+
+
+def int_congruence(a, p):
+    """Congruence diagonalization of the symmetric rows ``a`` in place: ints
+    mod p, or Fractions over QQ (p = 0).  Returns (m, diag), int rows m and
+    the diagonal entries of m^T a m.
+
+    Zero diagonal entries are repaired by mixing in a row with a nonzero
+    off-diagonal partner.
+    """
+    n = len(a)
     red = (lambda x: x % p) if p else (lambda x: x)
-    a = int_rows(field, g)[0] if p else [list(row) for row in g]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def add_col(dst, src, c):
@@ -235,5 +252,4 @@ def congruence_diagonalize(field, g):
         for j in range(k + 1, n):
             if a[k][j]:
                 add_col(j, k, red(-a[k][j] * (pow(d, -1, p) if p else Fraction(1, d))))
-    diag = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(n)]
-    return _box(field, m), _box(field, diag)
+    return m, [a[i][i] for i in range(n)]

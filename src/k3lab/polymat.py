@@ -194,11 +194,14 @@ class LinearMatrix:
         alt = all(_is_alternating_scalar(mat) for mat in mats)
         if alternating and not alt:
             raise PreconditionError("alternating flag set but a coefficient matrix is not")
+        self._init(field, size, nvars, mats, alt if alternating is None else alternating)
+
+    def _init(self, field, size, nvars, mats, alternating):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "coeff_mats", mats)
-        object.__setattr__(self, "alternating", alt if alternating is None else alternating)
+        object.__setattr__(self, "alternating", alternating)
         object.__setattr__(self, "_det", None)
         object.__setattr__(self, "_pf", None)
 
@@ -209,7 +212,7 @@ class LinearMatrix:
     def from_linear_forms(cls, field, size, nvars, form_rows, alternating=None):
         """Build from entry-wise coefficient vectors: form_rows[j][k][i] is
         the x_i coefficient of entry (j, k)."""
-        mats = [[[field.coerce(form_rows[j][k][i]) for k in range(size)]
+        mats = [[[form_rows[j][k][i] for k in range(size)]
                  for j in range(size)] for i in range(nvars)]
         return cls(field, size, nvars, mats, alternating)
 
@@ -277,15 +280,18 @@ class LinearMatrix:
         w(x) with w_a(x) = sum_i rows[a][i] x_i."""
         if len(rows) != 6:
             raise PreconditionError("need six Klein coordinate forms")
-        mats = []
+        zero, mats = field.zero, []
         for i in range(nvars):
-            mat = [[field.zero] * 4 for _ in range(4)]
-            for a, (r, c) in enumerate(KLEIN_INDEX_PAIRS):
-                v = field.coerce(rows[a][i])
+            mat = [[zero] * 4 for _ in range(4)]
+            for (r, c), row in zip(KLEIN_INDEX_PAIRS, rows):
+                v = field.coerce(row[i])
                 mat[r][c] = v
                 mat[c][r] = -v
-            mats.append(mat)
-        return cls(field, 4, nvars, mats, alternating=True)
+            mats.append(tuple(map(tuple, mat)))
+        # alternating by construction, and every entry boxed once above
+        out = object.__new__(cls)
+        out._init(field, 4, nvars, tuple(mats), True)
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, LinearMatrix) and self.field == other.field

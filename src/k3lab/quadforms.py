@@ -12,11 +12,17 @@ an anisotropic residual of dimension <= 2 at the end.
 ``express_as_2x2_det`` and ``express_as_pfaffian`` realize split forms as
 det of a 2x2 matrix of linear forms, respectively as the Pfaffian of an
 alternating 4x4 one, by transporting the form to the standard model
-through explicit Witt decompositions; the splits of the two fixed target
-models are cached per field.  Both return a LinearMatrix whose det/Pf
-reproduces the input form *identically*, which downstream sampling relies
-on.  Such identities are checked with explicit VerificationFailure raises,
-so they also hold under ``python -O``.
+through explicit Witt decompositions; the Witt bases of the two fixed
+target models are cached per prime.  Both return a LinearMatrix whose
+det/Pf reproduces the input form *identically*, which downstream sampling
+relies on.  Such identities are checked with explicit VerificationFailure
+raises, so they also hold under ``python -O``.
+
+Over F_p the split test, the isotropic search and the Witt split are
+kernels on int Gram rows mod p (``_split_rows``, ``_isotropic_rows``,
+``_witt_rows``), which the sampler in ``construction`` calls directly;
+``is_split``, ``isotropic_vector`` and ``witt_split`` are thin wrappers
+that box their results.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .errors import (DegenerateSystem, FieldMismatch, NotSplit,
                      PreconditionError, VerificationFailure)
 from .poly import MultiPoly
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
-from .scalars import GF, PrimeField, QQ
+from .scalars import GF, GFElement, PrimeField, QQ, chi_mod, sqrt_mod
 
 
 class QuadraticForm:
@@ -72,6 +78,20 @@ class QuadraticForm:
         raise AttributeError("QuadraticForm is immutable")
 
     @classmethod
+    def _of_rows(cls, field, rows) -> "QuadraticForm":
+        """Wrap symmetric Gram rows of raw representatives (ints in [0, p)
+        over GF(p), Fractions over QQ) without validating them, boxing them
+        once: for the package's own results."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "n", len(rows))
+        object.__setattr__(out, "gram", linalg._box(field, rows) if field.char
+                           else tuple(map(tuple, rows)))
+        object.__setattr__(out, "_rows", rows)
+        object.__setattr__(out, "_disc", None)
+        return out
+
+    @classmethod
     def from_poly(cls, p: MultiPoly) -> "QuadraticForm":
         if not p.is_homogeneous(2) or p.is_zero():
             raise PreconditionError("expected a nonzero homogeneous quadratic")
@@ -106,7 +126,7 @@ class QuadraticForm:
         x, y = ([f.coerce(t) for t in w] for w in (u, v))
         if f.char:
             x, y = [t.v for t in x], [t.v for t in y]
-        return f.coerce(sum(a * sum(map(mul, row, y)) for a, row in zip(x, self._rows)))
+        return f.coerce(_pair_rows(self._rows, x, y))
 
     def disc(self):
         """det of the Gram matrix (memoized); zero iff the form is degenerate."""
@@ -129,6 +149,11 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm({self.gram!r})"
+
+
+def _pair_rows(g, u, v):
+    """u^T g v on raw representatives, unreduced."""
+    return sum(a * sum(map(mul, row, v)) for a, row in zip(u, g))
 
 
 class Isometry:
@@ -196,53 +221,55 @@ def isotropic_vector(q: QuadraticForm, seed: int = 0):
     draws, since b^2 - a c is a nondegenerate form in w.  When a = 0 the last
     unit vector is itself isotropic.  After ``SEEDED_DRAWS`` failed draws the
     search falls back to a deterministic solve on a diagonalized ternary
-    subform.  The draws run on ints mod p; the returned vector is checked by
-    evaluating q on it.
+    subform.  The search runs on the form's int Gram rows mod p
+    (``_isotropic_rows``), which check q(v) = 0 on the returned vector.
     """
     _require_prime_field(q, "isotropic_vector")
     if not q.is_nondegenerate():
         raise PreconditionError("isotropic_vector expects a nondegenerate form")
-    field, n, p, g = q.field, q.n, q.field.p, q._rows
+    v = _isotropic_rows(q._rows, q.field.p, seed)
+    return None if v is None else tuple(GFElement(q.field, x) for x in v)
+
+
+def _isotropic_rows(g, p, seed):
+    """``isotropic_vector`` on nondegenerate int Gram rows g mod p: a nonzero
+    int vector v mod p with v^T g v = 0 (checked), or None."""
+    n = len(g)
     if n <= 1:
         return None
     if n == 2:
-        iso, diag = diagonalize(q)
-        a, b = diag.gram[0][0], diag.gram[1][1]
-        s = field.sqrt(-b / a)
+        m, (a, b) = linalg.int_congruence([list(row) for row in g], p)
+        s = sqrt_mod(-b * pow(a, -1, p), p)
         if s is None:
             return None
-        return _checked_isotropic(q, linalg.mat_vec(field, iso.matrix, (s, field.one)))
+        return _checked_isotropic(g, p, [(r0 * s + r1) % p for r0, r1 in m])
 
     last = g[n - 1]
     a = last[n - 1]
     if not a:
-        return _checked_isotropic(q, [0] * (n - 1) + [1])
+        return _checked_isotropic(g, p, [0] * (n - 1) + [1])
     rng = random.Random(seed)
     for _ in range(SEEDED_DRAWS):
         w = [rng.randrange(p) for _ in range(n - 1)]
         b = sum(map(mul, last, w))
-        c = sum(x * sum(map(mul, row, w)) for x, row in zip(w, g))  # q(w, 0)
-        s = field.sqrt(b * b - a * c)
+        s = sqrt_mod(b * b - a * _pair_rows(g, w, w), p)  # q(w, 0) = w^T g w
         if s is not None and any(w):
-            return _checked_isotropic(q, w + [(s.v - b) * pow(a, -1, p)])
+            return _checked_isotropic(g, p, w + [(s - b) * pow(a, -1, p) % p])
 
     # Deterministic completion: solve a*x^2 + b*y^2 + c = 0 on the first
     # three diagonal entries (a nondegenerate conic always has an affine
     # point over F_p).
-    iso, diag = diagonalize(q)
-    a, b, c = (diag.gram[i][i] for i in range(3))
-    for x in field.elements():
-        s = field.sqrt((-c - a * x * x) / b)
+    m, (a, b, c, *_) = linalg.int_congruence([list(row) for row in g], p)
+    b_inv = pow(b, -1, p)
+    for x in range(p):
+        s = sqrt_mod((-c - a * x * x) * b_inv, p)
         if s is not None:
-            w = [field.zero] * n
-            w[0], w[1], w[2] = x, s, field.one
-            return _checked_isotropic(q, linalg.mat_vec(field, iso.matrix, w))
+            return _checked_isotropic(g, p, [(r[0] * x + r[1] * s + r[2]) % p for r in m])
     raise VerificationFailure("ternary conics over F_p are isotropic, but none was found")
 
 
-def _checked_isotropic(q: QuadraticForm, v):
-    v = tuple(map(q.field.coerce, v))
-    if q.eval(v):
+def _checked_isotropic(g, p, v):
+    if _pair_rows(g, v, v) % p:
         raise VerificationFailure("isotropic_vector: q(v) != 0 for the returned vector")
     return v
 
@@ -258,7 +285,13 @@ def is_split(q: QuadraticForm) -> bool:
     _require_prime_field(q, "is_split")
     if q.n % 2:
         raise PreconditionError("is_split expects an even-dimensional form")
-    return q.field.legendre((-1) ** (q.n // 2) * q.disc()) == 1
+    return _split_rows(q._rows, q.field.p)
+
+
+def _split_rows(g, p) -> bool:
+    """``is_split`` on even-dimensional int Gram rows g mod p: one Bareiss
+    determinant and Euler's criterion."""
+    return chi_mod((-1) ** (len(g) // 2) * linalg.int_det(g, p), p) == 1
 
 
 @dataclass(frozen=True)
@@ -282,45 +315,61 @@ def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
     Splits off hyperbolic planes one at a time: find an isotropic v, a
     partner u with B(v, u) = 1/2 and q(u) = 0, then recurse on the
     orthogonal complement; what remains (dimension <= 2) is anisotropic.
-    The work runs on ints mod p.  The result is checked: the isometry must
-    carry the Gram matrix of q to the split normal form exactly, else
-    VerificationFailure.
+    The work runs on ints mod p (``_witt_rows``) and is checked there: the
+    isometry must carry the Gram matrix of q to the split normal form
+    exactly, else VerificationFailure.
     """
     _require_prime_field(q, "witt_split")
     if not q.is_nondegenerate():
         raise DegenerateSystem("witt_split expects a nondegenerate form")
-    field, p = q.field, q.field.p
-    half = (p + 1) // 2
+    cols, h, sub = _witt_rows(q._rows, q.field.p, seed)
+    return WittDecomposition(h=h, residual=QuadraticForm._of_rows(q.field, sub),
+                             isometry=Isometry(linalg.transpose(cols), q.field))
 
-    # `embed` holds the current subspace basis as rows in original coords;
-    # the subspace's Gram matrix is E G E^T.
-    embed = [[int(i == j) for j in range(q.n)] for i in range(q.n)]
+
+def _witt_rows(g, p, seed):
+    """``witt_split`` on nondegenerate int Gram rows g mod p: (cols, h, sub).
+
+    ``cols`` is the new basis in original coordinates, v1, u1, ..., vh, uh
+    and then the anisotropic residual's basis, and ``sub`` the residual's
+    int Gram rows.  Checked: the Gram rows of ``cols`` must be h hyperbolic
+    planes [[0, 1/2], [1/2, 0]] followed by ``sub``, else VerificationFailure.
+    """
+    n, half = len(g), (p + 1) // 2
+    # `embed` holds the current subspace basis as rows in original coords,
+    # and `sub` the subspace's Gram matrix E G E^T.
+    embed = [[int(i == j) for j in range(n)] for i in range(n)]
+    sub = [list(row) for row in g]
     planes = []  # v1, u1, v2, u2, ... in original coords
     while True:
-        sub = QuadraticForm(_restricted_gram(p, q._rows, embed), field)
-        v_loc = isotropic_vector(sub, seed)
-        if v_loc is None:
+        v = _isotropic_rows(sub, p, seed)
+        if v is None:
             break
-        v = [x.v for x in v_loc]
-        gv = [sum(map(mul, row, v)) % p for row in sub._rows]  # gv[i] = B(v, e_i)
+        gv = [sum(map(mul, row, v)) % p for row in sub]  # gv[i] = B(v, e_i)
         j = next(i for i, x in enumerate(gv) if x)
         # u = s e_j has B(v, u) = 1/2; subtracting q(u) v makes it isotropic
         # without touching B(v, u).
         s = half * pow(gv[j], -1, p) % p
-        t = sub._rows[j][j] * s * s
+        t = sub[j][j] * s * s
         u = [-t * x % p for x in v]
         u[j] = (u[j] + s) % p
-        gu = [sum(map(mul, row, u)) % p for row in sub._rows]
+        gu = [sum(map(mul, row, u)) % p for row in sub]
         planes += linalg.int_mul([v, u], embed, p)
-        # orthogonal complement of span(v, u) inside the current subspace
-        embed = linalg.int_mul(linalg.int_nullspace([gv, gu], len(gv), p)[0], embed, p)
+        # orthogonal complement N of span(v, u) inside the current subspace;
+        # its Gram matrix is N (E G E^T) N^T
+        comp = linalg.int_nullspace([gv, gu], len(gv), p)[0]
+        embed = linalg.int_mul(comp, embed, p)
+        sub = _restricted_gram(p, sub, comp)
 
-    cols = planes + embed
-    dec = WittDecomposition(h=len(planes) // 2, residual=sub,
-                            isometry=Isometry(linalg.transpose(cols), field))
-    if _restricted_gram(p, q._rows, cols) != linalg.int_rows(field, dec.target_gram())[0]:
+    cols, k = planes + embed, len(planes)
+    target = [[0] * n for _ in range(n)]
+    for i in range(0, k, 2):
+        target[i][i + 1] = target[i + 1][i] = half
+    for i, row in enumerate(sub):
+        target[k + i][k:] = row
+    if _restricted_gram(p, g, cols) != target:
         raise VerificationFailure("witt_split: the isometry does not reach the split normal form")
-    return dec
+    return cols, k // 2, sub
 
 
 def _restricted_gram(p, gram, rows):
@@ -355,19 +404,36 @@ def klein_form(field) -> QuadraticForm:
 
 
 @functools.lru_cache(maxsize=16)
-def _target_split(field, n: int) -> WittDecomposition:
-    """Witt split of the fixed target model in dimension n, cached per field:
-    det_2x2_form for n = 4, klein_form for n = 6."""
-    return witt_split(det_2x2_form(field) if n == 4 else klein_form(field))
+def _target_split(p: int, n: int):
+    """M_t, the Witt basis of the fixed target model in dimension n as the
+    columns of int rows mod p, cached per prime: det_2x2_form for n = 4,
+    klein_form for n = 6."""
+    field = GF(p)
+    target = det_2x2_form(field) if n == 4 else klein_form(field)
+    return tuple(zip(*_witt_rows(target._rows, p, 0)[0]))
 
 
-def _model_rows(q: QuadraticForm, dec: WittDecomposition):
-    """R = M_t M_q^{-1} as int rows mod p: q(M_q u) = H(u) = target(M_t u),
-    so target(R x) = q(x)."""
-    field, p = q.field, q.field.p
-    m_t = linalg.int_rows(field, _target_split(field, q.n).isometry.matrix)[0]
-    m_q = linalg.int_rows(field, dec.isometry.matrix)[0]
-    return linalg.int_mul(m_t, linalg.int_inverse(m_q, p)[0], p)
+def _model_rows(p: int, cols):
+    """R = M_t M_q^{-1} as int rows mod p, for M_q with the Witt basis
+    ``cols`` of q as columns: q(M_q u) = H(u) = target(M_t u), so
+    target(R x) = q(x)."""
+    m_q_inv = linalg.int_inverse(list(zip(*cols)), p)[0]
+    return linalg.int_mul(_target_split(p, len(cols)), m_q_inv, p)
+
+
+def _split_model_rows(q: QuadraticForm, n: int, h: int, seed: int, who: str):
+    """The model rows R of a split n-variable form q (see ``_model_rows``);
+    NotSplit unless its Witt index is h."""
+    _require_prime_field(q, who)
+    if q.n != n:
+        raise PreconditionError(f"{who} expects a {n}-variable form")
+    if not q.is_nondegenerate():
+        raise PreconditionError("form must be nondegenerate")
+    p = q.field.p
+    cols, index, _ = _witt_rows(q._rows, p, seed)
+    if index != h:
+        raise NotSplit(f"form is not split: Witt index {index} < {h}")
+    return _model_rows(p, cols)
 
 
 def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
@@ -377,15 +443,7 @@ def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     VerificationFailure).  Raises NotSplit when the form has Witt index < 2
     (equivalently: non-square discriminant class).
     """
-    _require_prime_field(q, "express_as_2x2_det")
-    if q.n != 4:
-        raise PreconditionError("express_as_2x2_det expects a 4-variable form")
-    if not q.is_nondegenerate():
-        raise PreconditionError("form must be nondegenerate")
-    dec = witt_split(q, seed)
-    if dec.h != 2:
-        raise NotSplit("form is not split: no 2x2 determinantal model")
-    r = _model_rows(q, dec)
+    r = _split_model_rows(q, 4, 2, seed, "express_as_2x2_det")
     a = LinearMatrix.from_linear_forms(q.field, 2, 4, [[r[0], r[1]], [r[2], r[3]]])
     if a.det_poly() != q.to_poly():
         raise VerificationFailure("express_as_2x2_det: det A(x) differs from the form")
@@ -395,16 +453,10 @@ def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
 def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     """Write a 6-variable form isometric to the Klein form as Pf of an
     alternating 4x4 linear matrix, with Pf(A(x)) = q(x) identically
-    (checked; a mismatch raises VerificationFailure)."""
-    _require_prime_field(q, "express_as_pfaffian")
-    if q.n != 6:
-        raise PreconditionError("express_as_pfaffian expects a 6-variable form")
-    if not q.is_nondegenerate():
-        raise PreconditionError("form must be nondegenerate")
-    dec = witt_split(q, seed)
-    if dec.h != 3:
-        raise NotSplit("Witt index mismatch with the Klein form")
-    a = LinearMatrix.from_klein_rows(q.field, 6, _model_rows(q, dec))
+    (checked; a mismatch raises VerificationFailure).  Raises NotSplit when
+    the form has Witt index < 3."""
+    r = _split_model_rows(q, 6, 3, seed, "express_as_pfaffian")
+    a = LinearMatrix.from_klein_rows(q.field, 6, r)
     if a.pfaffian_poly() != q.to_poly():
         raise VerificationFailure("express_as_pfaffian: Pf A(x) differs from the form")
     return a

@@ -168,6 +168,45 @@ def _inv_mod(v: int, p: int) -> int:
     return pow(v, p - 2, p)
 
 
+def chi_mod(a: int, p: int) -> int:
+    """The quadratic character of the int a mod p, by Euler's criterion:
+    1 for nonzero squares, -1 for non-squares, 0 for zero."""
+    a %= p
+    if not a:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def sqrt_mod(a: int, p: int):
+    """An int square root of a mod p in [0, p), or None when a is a
+    non-square (Tonelli-Shanks)."""
+    v = a % p
+    if v == 0:
+        return 0
+    if chi_mod(v, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(v, (p + 1) // 4, p)
+    # Tonelli-Shanks for p = 1 mod 4.
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t * t % p, 1
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 class PrimeField:
     """The prime field F_p for an odd prime p < 2**31.  Instances are cached."""
 
@@ -219,39 +258,12 @@ class PrimeField:
 
     def legendre(self, a) -> int:
         """Quadratic character: 1 for nonzero squares, -1 for non-squares, 0 for zero."""
-        v = self.coerce(a).v
-        if v == 0:
-            return 0
-        return 1 if pow(v, (self.p - 1) // 2, self.p) == 1 else -1
+        return chi_mod(self.coerce(a).v, self.p)
 
     def sqrt(self, a):
         """A square root of ``a``, or None when ``a`` is a non-square (Tonelli-Shanks)."""
-        v = self.coerce(a).v
-        p = self.p
-        if v == 0:
-            return self.zero
-        if self.legendre(v) != 1:
-            return None
-        if p % 4 == 3:
-            return GFElement(self, pow(v, (p + 1) // 4, p))
-        # Tonelli-Shanks for p = 1 mod 4.
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
-        while t != 1:
-            t2, i = t * t % p, 1
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return GFElement(self, r)
+        r = sqrt_mod(self.coerce(a).v, self.p)
+        return None if r is None else GFElement(self, r)
 
     def __repr__(self):
         return f"GF({self.p})"

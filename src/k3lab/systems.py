@@ -12,6 +12,7 @@ probed over small finite fields for sextics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import (BadPrime, BadReduction, DegenerateSystem,
@@ -20,7 +21,7 @@ from .poly import MultiPoly, poly_to_text
 from .polymat import PolyMatrix, poly_det
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
-from .scalars import GF, QQ
+from .scalars import GF, QQ, chi_mod
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
@@ -46,6 +47,29 @@ def _check_independent(forms, what):
         raise DegenerateSystem(
             f"{what}: Gram matrices are linearly dependent "
             "(identically-proportional members)")
+
+
+def member_rows(grams, lam, p):
+    """The Gram rows of sum_k lam_k G_k from the raw Gram rows ``grams`` and
+    raw coefficients ``lam``: ints reduced mod p, or Fractions when p = 0."""
+    rows = [[sum(map(mul, lam, entries)) for entries in zip(*row_i)]
+            for row_i in zip(*grams)]
+    if p:
+        return [[x % p for x in row] for row in rows]
+    return rows
+
+
+def _member(system, lam) -> QuadraticForm:
+    """The member sum_k lam_k q_k, combined on raw representatives and
+    boxed once."""
+    field = system.field
+    if len(lam) != len(system.forms):
+        raise PreconditionError(f"a member needs {len(system.forms)} coefficients")
+    lam = [field.coerce(x) for x in lam]
+    if field.char:
+        lam = [x.v for x in lam]
+    return QuadraticForm._of_rows(
+        field, member_rows([q._rows for q in system.forms], lam, field.char))
 
 
 class PencilOfQuadrics:
@@ -79,11 +103,7 @@ class PencilOfQuadrics:
              for i in range(4)], field)
         return cls(mk(d1), mk(d2))
 
-    def member(self, lam) -> QuadraticForm:
-        l1, l2 = (self.field.coerce(x) for x in lam)
-        g = [[l1 * self.q1.gram[i][j] + l2 * self.q2.gram[i][j]
-              for j in range(4)] for i in range(4)]
-        return QuadraticForm(g, self.field)
+    member = _member
 
     def reduce_mod(self, p: int) -> "PencilOfQuadrics":
         try:
@@ -124,11 +144,7 @@ class NetOfQuadrics:
              for i in range(6)], field)
         return cls(mk(d1), mk(d2), mk(d3))
 
-    def member(self, lam) -> QuadraticForm:
-        ls = [self.field.coerce(x) for x in lam]
-        g = [[ls[0] * self.q1.gram[i][j] + ls[1] * self.q2.gram[i][j]
-              + ls[2] * self.q3.gram[i][j] for j in range(6)] for i in range(6)]
-        return QuadraticForm(g, self.field)
+    member = _member
 
     def reduce_mod(self, p: int) -> "NetOfQuadrics":
         try:
@@ -345,14 +361,6 @@ def _good_reduction_quartic(f: BinaryQuartic, p: int) -> BinaryQuartic:
         raise BadReduction(str(exc)) from exc
 
 
-def _chi(a: int, p: int) -> int:
-    """The quadratic character of a mod p, by Euler's criterion."""
-    a %= p
-    if not a:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _common_roots(a, b1, c1, b2, c2, p) -> int:
     """Number of roots in F_p of gcd(a t^2 + b1 t + c1, b2 t + c2).
 
@@ -365,7 +373,7 @@ def _common_roots(a, b1, c1, b2, c2, p) -> int:
     if c2:
         return 0
     if a:
-        return 1 + _chi(b1 * b1 - 4 * a * c1, p)
+        return 1 + chi_mod(b1 * b1 - 4 * a * c1, p)
     if b1:
         return 1
     return 0 if c1 else p  # a line in the base locus: never with good reduction
@@ -424,8 +432,8 @@ def count_points(system, p: int) -> int:
         return _count_pencil(system, p)
     if isinstance(system, BinaryQuartic):
         a, b, c, d, e = (x.v for x in _good_reduction_quartic(system, p).coeffs)
-        count = 1 + _chi(a, p)
+        count = 1 + chi_mod(a, p)
         for t in range(p):
-            count += 1 + _chi((((a * t + b) * t + c) * t + d) * t + e, p)
+            count += 1 + chi_mod((((a * t + b) * t + c) * t + d) * t + e, p)
         return count
     raise PreconditionError("count_points expects a pencil or a binary quartic")

@@ -4,13 +4,14 @@ Everything here recomputes results by a different route than the library:
 permutation-sum determinants, direct cofactor recursion, perfect-matching
 Pfaffians, term-by-term convolution, cross-ratio j-invariants, exhaustive
 isotropic searches, boxed sweeps of P^3 and P^2 for point counts and
-singular points.
+singular points, and univariate Euclid gcds, squarefree tests and
+Sylvester resultants.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from k3lab import LinearMatrix, MultiPoly
+from k3lab import LinearMatrix, MultiPoly, PreconditionError, linalg
 
 
 def perm_sign(perm):
@@ -262,3 +263,89 @@ def scaled(a, t):
     t = a.field.coerce(t)
     return LinearMatrix(a.field, a.size, a.nvars,
                         [[[t * x for x in row] for row in mat] for mat in a.coeff_mats])
+
+
+# -- univariate polynomials ------------------------------------------------------
+# Tuples of scalars in ascending degree with no trailing zeros; the zero
+# polynomial is the empty tuple.  The resultant follows the Sylvester-matrix
+# convention with the rows of the first argument on top.
+
+def uni_trim(field, coeffs):
+    cs = [field.coerce(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def uni_degree(f) -> int:
+    return len(f) - 1
+
+
+def uni_eval(field, f, x):
+    x = field.coerce(x)
+    acc = field.zero
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def uni_deriv(field, f):
+    return uni_trim(field, [c * i for i, c in enumerate(f)][1:])
+
+
+def uni_divmod(field, f, g):
+    if not g:
+        raise ZeroDivisionError("univariate division by zero")
+    rem = list(f)
+    quo = [field.zero] * max(0, len(f) - len(g) + 1)
+    dg, lead = len(g) - 1, g[-1]
+    while len(rem) - 1 >= dg and any(rem):
+        shift = len(rem) - 1 - dg
+        c = rem[-1] / lead
+        quo[shift] = c
+        for i, gc in enumerate(g):
+            rem[shift + i] = rem[shift + i] - c * gc
+        while rem and not rem[-1]:
+            rem.pop()
+    return uni_trim(field, quo), uni_trim(field, rem)
+
+
+def uni_gcd(field, f, g):
+    """Monic gcd via the Euclidean algorithm."""
+    a, b = uni_trim(field, f), uni_trim(field, g)
+    if not a and not b:
+        raise PreconditionError("gcd(0, 0) is undefined")
+    while b:
+        _, r = uni_divmod(field, a, b)
+        a, b = b, r
+    lead = a[-1]
+    return tuple(c / lead for c in a)
+
+
+def uni_is_squarefree(field, f) -> bool:
+    """Squarefree iff gcd(f, f') is constant."""
+    f = uni_trim(field, f)
+    if not f:
+        raise PreconditionError("zero polynomial has no squarefree test")
+    if len(f) == 1:
+        return True
+    return uni_degree(uni_gcd(field, f, uni_deriv(field, f))) == 0
+
+
+def uni_resultant(field, f, g):
+    """Resultant as the determinant of the Sylvester matrix (f-rows first)."""
+    f, g = uni_trim(field, f), uni_trim(field, g)
+    if not f or not g:
+        raise PreconditionError("resultant needs two nonzero polynomials")
+    m, n = uni_degree(f), uni_degree(g)
+    if m == 0 and n == 0:
+        return field.one
+    size = m + n
+    rows = []
+    fd = list(reversed(f))  # descending coefficients
+    gd = list(reversed(g))
+    for i in range(n):
+        rows.append([field.zero] * i + fd + [field.zero] * (size - i - len(fd)))
+    for i in range(m):
+        rows.append([field.zero] * i + gd + [field.zero] * (size - i - len(gd)))
+    return linalg.det(field, rows)

@@ -133,6 +133,14 @@ def test_construct_invariance(capsys):
     assert rep["b_invariant"] is True and rep["t_invariant"] is True
 
 
+def test_construct_invariance_rejects_counts_below_one(capsys):
+    # a pass with no checks would report both invariants true
+    for count in ("0", "-3"):
+        code, out, err = run(capsys, "construct", "invariance", "--system",
+                             "builtin:net-diagonal", "--p", "7", "--count", count)
+        assert code == 2 and out == "" and "count" in err
+
+
 def test_lattice_overlattice(capsys):
     rep = run_json(capsys, "lattice", "overlattice", "--alpha", ALPHA_OK,
                    "--r", "2")

@@ -197,9 +197,11 @@ def test_system_point_build_rejects_a_wrong_base_point():
 
 
 def test_sampler_catches_a_wrong_model(monkeypatch):
-    from_klein = LinearMatrix.from_klein_rows
-    monkeypatch.setattr(LinearMatrix, "from_klein_rows",
-                        classmethod(lambda cls, *args: scaled(from_klein(*args), 2)))
+    from k3lab import quadforms
+
+    real = quadforms._model_rows
+    monkeypatch.setattr(quadforms, "_model_rows", lambda p, cols: [
+        [2 * x % p for x in row] for row in real(p, cols)])
     with pytest.raises(VerificationFailure):
         sample_point(DIAG_NET, 11, seed=0)
 

@@ -359,6 +359,23 @@ def test_overlattice_random_draws_are_even_unimodular():
         done += 1
 
 
+def test_overlattice_property_wider_alpha_and_r():
+    # r up to 5 and alpha entries up to 9: the overlattice is always an even
+    # unimodular lattice of the K3 rank and signature
+    rng = random.Random(93)
+    k3 = k3_lattice()
+    done = 0
+    while done < 30:
+        r = rng.choice((2, 3, 4, 5))
+        alpha = [rng.randint(-9, 9) for _ in range(22)]
+        if not any(alpha) or k3.norm(alpha) % (2 * r * r):
+            continue
+        out = overlattice(OverlatticeSpec(k3, alpha, r))
+        assert out.rank == 22 and out.is_even and abs(out.det) == 1
+        assert out.signature() == (3, 19)
+        done += 1
+
+
 def test_det_chain_measured():
     # when the index in equals the index out, |det| is preserved
     rng = random.Random(86)

@@ -112,6 +112,22 @@ def test_text_round_trip_gf():
         assert poly_from_text(s, F, nvars=2) == p
 
 
+def test_text_round_trip_property():
+    # every field kind, one to five variables, degree up to six, sparse to
+    # dense, the zero polynomial and constants included
+    rng = random.Random(91)
+    for field in (QQ, GF(3), GF(2**31 - 1)):
+        for _ in range(80):
+            nvars = rng.randint(1, 5)
+            p = rand_poly(rng, field, nvars, rng.randint(0, 6), rng.randint(0, 12))
+            s = poly_to_text(p)
+            q = poly_from_text(s, field, nvars=nvars)
+            assert q == p and poly_to_text(q) == s
+            # the inferred variable count covers every variable that occurs
+            inferred = poly_from_text(s, field)
+            assert poly_to_text(inferred) == s and inferred.nvars <= nvars
+
+
 def test_text_examples():
     p = poly_from_text("3*x0^2*x1 - 2/5*x2^3")
     assert p.nvars == 3

@@ -236,6 +236,32 @@ def test_linear_matrix_expansions_against_oracles(field):
         assert all(type(c) is type(field.one) for c in pf.terms.values())
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_linear_matrix_pfaffian_squares_to_det(field):
+    # random alternating linear matrices of sizes 2, 4 and 6 in one to four
+    # variables; QQ coefficients have denominators up to 6
+    rng = random.Random(92)
+
+    def coeff():
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 6) if field.char == 0 else 1)
+        return field.coerce(c)
+
+    for n in (2, 4, 6):
+        for _ in range(6):
+            nvars = rng.randint(1, 4)
+            mats = []
+            for _ in range(nvars):
+                mat = [[field.zero] * n for _ in range(n)]
+                for j in range(n):
+                    for k in range(j + 1, n):
+                        mat[j][k] = coeff()
+                        mat[k][j] = -mat[j][k]
+                mats.append(mat)
+            a = LinearMatrix(field, n, nvars, mats)
+            assert a.alternating
+            assert a.pfaffian_poly() ** 2 == a.det_poly()
+
+
 def test_linear_matrix_expansions_keep_their_caps():
     F = GF(7)
     with pytest.raises(PreconditionError, match="limited to size"):

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from k3lab import (GF, QQ, Isometry, LinearMatrix, MultiPoly, NotSplit,
+from k3lab import (GF, QQ, Isometry, MultiPoly, NotSplit,
                    PreconditionError, QuadraticForm, VerificationFailure,
                    det_2x2_form, diagonalize, express_as_2x2_det,
                    express_as_pfaffian, hyperbolic_form, is_split,
                    isotropic_vector, klein_form, witt_split)
 from k3lab import linalg
-from oracles import (exhaustive_isotropic, row_reduction_rank, scaled,
+from oracles import (exhaustive_isotropic, row_reduction_rank,
                      witt_index_exhaustive)
 
 
@@ -212,14 +212,14 @@ def test_witt_split_check_catches_a_bad_isotropic_vector(monkeypatch):
     # which the explicit Gram-transport check must catch, also under -O
     from k3lab import quadforms
 
-    real = quadforms.isotropic_vector
+    real = quadforms._isotropic_rows
 
-    def not_isotropic(q, seed=0):
-        if q.n == 4:
-            return (q.field.one, q.field.one, q.field.zero, q.field.zero)
-        return real(q, seed)
+    def not_isotropic(g, p, seed):
+        if len(g) == 4:
+            return [1, 1, 0, 0]
+        return real(g, p, seed)
 
-    monkeypatch.setattr(quadforms, "isotropic_vector", not_isotropic)
+    monkeypatch.setattr(quadforms, "_isotropic_rows", not_isotropic)
     with pytest.raises(VerificationFailure):
         witt_split(diag_form([1, 2, 3, 4], GF(7)))
 
@@ -392,12 +392,11 @@ def test_express_pfaffian_random_split_forms():
 
 def test_express_checks_catch_a_wrong_model(monkeypatch):
     # models whose det/Pf is 4*q must fail loudly, also under python -O
-    from_forms = LinearMatrix.from_linear_forms
-    from_klein = LinearMatrix.from_klein_rows
-    monkeypatch.setattr(LinearMatrix, "from_linear_forms",
-                        classmethod(lambda cls, *args: scaled(from_forms(*args), 2)))
-    monkeypatch.setattr(LinearMatrix, "from_klein_rows",
-                        classmethod(lambda cls, *args: scaled(from_klein(*args), 2)))
+    from k3lab import quadforms
+
+    real = quadforms._model_rows
+    monkeypatch.setattr(quadforms, "_model_rows", lambda p, cols: [
+        [2 * x % p for x in row] for row in real(p, cols)])
     F = GF(7)
     with pytest.raises(VerificationFailure):
         express_as_2x2_det(hyperbolic_form(F, 2))

@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 
 from k3lab import (QQ, BinaryQuartic, DegenerateBranch, MultiPoly,
-                   PreconditionError, uni_gcd, uni_deriv, uni_trim)
-from oracles import cross_ratio_j, quartic_from_roots
+                   PreconditionError)
+from oracles import (cross_ratio_j, quartic_from_roots, uni_deriv, uni_gcd,
+                     uni_trim)
 
 
 def test_harmonic_quartic_invariants():

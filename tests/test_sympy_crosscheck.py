@@ -13,8 +13,9 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from k3lab import (QQ, MultiPoly, PencilOfQuadrics, QuadraticForm,
-                   discriminant_poly, net_discriminant, uni_resultant)
+                   discriminant_poly, net_discriminant)
 from k3lab.cli import load_system
+from oracles import uni_resultant
 
 
 def _to_sympy(p, symbols):

