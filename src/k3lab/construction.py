@@ -24,13 +24,22 @@ it: that determinant is disc(lam) exactly, and a 2m-dimensional member is
 split iff (-1)^m det is a nonzero square, which Euler's criterion tells.
 So degenerate and non-split members are both skipped before any Witt
 work, without evaluating the discriminant polynomial.  The first split
-member is boxed once and factored through its Witt decomposition
-(``quadforms``, also on ints), normalized so that det A(x) (or Pf A(x))
-equals the member exactly; the span coordinates are then lam on the nose,
-which ``SystemPoint.build`` re-checks.  Only when every draw fails does the
-sampler sweep the whole base in a fixed order, which either finds a split
-member or certifies NoSplitMember.  The cost of a sample therefore does not
-grow with p, except in that final sweep.
+member is factored through its Witt decomposition (``quadforms``, also on
+ints), normalized so that det A(x) (or Pf A(x)) equals the member exactly;
+the span coordinates are then lam on the nose, which ``SystemPoint.build``
+re-checks.  Only when every draw fails does the sampler sweep the whole
+base in a fixed order, which either finds a split member or certifies
+NoSplitMember.  The cost of a sample therefore does not grow with p,
+except in that final sweep.
+
+The checks run on ints as well.  ``b_coordinates`` solves for the span
+coordinates with one elimination of the forms' int coefficient columns
+(memoized on the reduced system) against the matrix's packed det/Pf
+expansion (memoized on the matrix, which the det/Pf = q check of
+``express_as_*`` already computed); T is one int determinant of the raw
+coefficients; disc(B) is the system's packed discriminant evaluated at
+B.  Both fields share these steps, QQ through the lcm scaling of
+``linalg``.  Only what is reported or returned is boxed.
 """
 
 from __future__ import annotations
@@ -41,14 +50,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .errors import (BadReduction, InconsistentConstant, NoSplitMember,
-                     NotInSpan, PreconditionError, VerificationFailure)
+from .errors import (BadReduction, FieldMismatch, InconsistentConstant,
+                     NoSplitMember, NotInSpan, PreconditionError,
+                     VariableCountMismatch, VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
 from .quadforms import (SEEDED_DRAWS, QuadraticForm, _split_rows,
                         express_as_2x2_det, express_as_pfaffian)
 from .scalars import GF, GFElement, projective_points
-from .systems import (NetOfQuadrics, PencilOfQuadrics, discriminant_poly,
-                      member_rows)
+from .systems import (NetOfQuadrics, PencilOfQuadrics, member_matrix,
+                      member_rows, span_rows)
 
 
 class InvariantData(NamedTuple):
@@ -62,30 +72,31 @@ def b_coordinates(a: LinearMatrix, system) -> tuple:
     """Solve det A(x) = sum B_i q_i (pencil) or Pf A(x) = sum B_i q_i (net).
 
     The solution is unique because the system's quadrics are linearly
-    independent; a nonzero residual raises NotInSpan.
+    independent; a nonzero residual raises NotInSpan.  It is one int
+    elimination of the forms' coefficient columns (``span_rows``) augmented
+    by the packed expansion of det/Pf A(x).
     """
-    forms = system.forms
-    lhs = _matrix_form(a)
-    field = a.field
-    monomials = set(lhs.terms)
-    cols = [q.to_poly() for q in forms]
-    for c in cols:
-        monomials.update(c.terms)
-    monomials = sorted(monomials)
-    mat = [[c.coeff(e) for c in cols] for e in monomials]
-    rhs = [lhs.coeff(e) for e in monomials]
-    sol = linalg.solve(field, mat, rhs)
+    if a.size == 2:
+        pf = False
+    elif a.size == 4 and a.alternating:
+        pf = True
+    else:
+        raise PreconditionError("expected a 2x2 matrix or an alternating 4x4 matrix")
+    if a.field != system.field:
+        raise FieldMismatch("matrix and system over different fields")
+    if a.nvars != system.forms[0].n:
+        raise VariableCountMismatch("matrix and system in different numbers of variables")
+    cols, den = span_rows(system)
+    lhs, lhs_den = a._terms(pf), a._denom(pf)
+    sol = None
+    if lhs.keys() <= cols.keys():
+        # sum_k B_k f_k / den = lhs / lhs_den, cleared of both denominators
+        rows = [[c * lhs_den for c in col] + [lhs.get(key, 0) * den]
+                for key, col in cols.items()]
+        sol = linalg.int_solve(rows, len(system.forms), system.field.char)
     if sol is None:
         raise NotInSpan("det/Pf of the matrix is not a combination of the system's quadrics")
-    return sol
-
-
-def _matrix_form(a: LinearMatrix):
-    if a.size == 2:
-        return a.det_poly()
-    if a.size == 4 and a.alternating:
-        return a.pfaffian_poly()
-    raise PreconditionError("expected a 2x2 matrix or an alternating 4x4 matrix")
+    return linalg._box(a.field, [sol[0]], sol[1])[0]
 
 
 def t_invariant(a: LinearMatrix):
@@ -93,22 +104,30 @@ def t_invariant(a: LinearMatrix):
 
     Pencil shape (2x2 in four variables): det of the 4x4 matrix whose i-th
     column is A_i flattened row-major.  Net shape (alternating 4x4 in six
-    variables): det of the 6x6 matrix of Klein coordinate columns.
+    variables): det of the 6x6 matrix of Klein coordinate columns.  One int
+    determinant of the raw coefficients (a matrix and its transpose have
+    the same determinant, so the columns are taken as rows).
     """
-    field = a.field
     if a.size == 2 and a.nvars == 4:
-        cols = [[mat[0][0], mat[0][1], mat[1][0], mat[1][1]] for mat in a.coeff_mats]
+        cols = [[mat[0][0], mat[0][1], mat[1][0], mat[1][1]] for mat in a._mats]
     elif a.size == 4 and a.nvars == 6 and a.alternating:
-        cols = [list(a.klein_coordinates(i)) for i in range(6)]
+        cols = [[mat[i][j] for i, j in KLEIN_INDEX_PAIRS] for mat in a._mats]
     else:
         raise PreconditionError(
             "t_invariant expects 2x2 over four variables or alternating 4x4 over six")
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-    return linalg.det(field, rows)
+    p = a.field.char
+    return linalg._box(a.field, [[linalg.int_det(cols, p)]], a._scale ** len(cols))[0][0]
 
 
 def invariants(a: LinearMatrix, system) -> InvariantData:
-    return InvariantData(b=b_coordinates(a, system), t=t_invariant(a))
+    """B and T of ``a``.  Memoized on ``a`` for the last system it was asked
+    about, so ``group_invariance_check`` computes the untransformed side once
+    per matrix however many group elements it is checked against."""
+    got = a._memo.get("invariants")
+    if got is None or got[0] is not system:
+        got = a._memo["invariants"] = (
+            system, InvariantData(b=b_coordinates(a, system), t=t_invariant(a)))
+    return got[1]
 
 
 @dataclass(frozen=True)
@@ -127,7 +146,11 @@ class SystemPoint:
 
     @staticmethod
     def build(matrix: LinearMatrix, system, base_point: tuple) -> "SystemPoint":
-        b = tuple(b_coordinates(matrix, system))
+        try:
+            b = b_coordinates(matrix, system)
+        except NotInSpan as exc:
+            raise VerificationFailure(
+                "det/Pf of the sampled matrix is not in the span of the system") from exc
         if b != tuple(base_point):
             raise VerificationFailure(
                 "det/Pf of the sampled matrix is not the member at its base point")
@@ -160,7 +183,7 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     """
     red = _reduced(system, p)
     pencil_case = isinstance(red, PencilOfQuadrics)
-    if discriminant_poly(red).is_zero():
+    if not member_matrix(red)._terms(False):
         raise BadReduction(f"discriminant vanishes identically mod {p}")
     gf = GF(p)
     dim = len(red.forms) - 1
@@ -237,19 +260,20 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     c is measured on the first sample (every sample has disc(B) != 0 by
     construction) and must agree with all others; disagreements are
     collected as witnesses rather than raised, so callers can report them.
-    The system is reduced once, so its discriminant is expanded once per run.
+    The system is reduced once, so its discriminant is expanded once per run,
+    and evaluated at each B on its packed int terms.
     """
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")
     red = _reduced(system, p)
     case = "pencil" if isinstance(red, PencilOfQuadrics) else "net"
-    disc = discriminant_poly(red)
+    member = member_matrix(red)
     c = None
     passed, failed = 0, []
     for i in range(count):
         pt = sample_point(red, p, seed + i)
         t = t_invariant(pt.matrix)
-        disc_b = disc.eval(pt.b)
+        disc_b = GFElement(red.field, member._at([x.v for x in pt.b]))
         if c is None:
             c = t * t / disc_b
         if t * t == c * disc_b:

@@ -42,6 +42,14 @@ def int_rows(field, m):
     denominators."""
     if field.char:
         return [[x.v for x in row] for row in m], 1
+    return scaled_rows(m, 0)
+
+
+def scaled_rows(m, p):
+    """``int_rows`` of raw representatives (ints in [0, p) over GF(p), which
+    are copied as they are, or ints and Fractions over QQ when p = 0)."""
+    if p:
+        return [list(row) for row in m], 1
     scale = math.lcm(*(x.denominator for row in m for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
 
@@ -153,11 +161,6 @@ def mat_mul(field, a, b):
     return _box(field, int_mul(ra, rb, field.char), da * db)
 
 
-def mat_vec(field, a, v):
-    (ra, da), ((rv,), dv) = int_rows(field, a), int_rows(field, (v,))
-    return _box(field, [[sum(map(mul, row, rv)) for row in ra]], da * dv)[0]
-
-
 def det(field, m):
     """Determinant: the int determinant of D*m, divided by D**n."""
     rows, scale = int_rows(field, m)
@@ -165,8 +168,12 @@ def det(field, m):
 
 
 def rank(field, m):
-    rows, _ = int_rows(field, m)
-    return len(_eliminate(rows, len(rows[0]) if rows else 0, field.char, False)[0])
+    return int_rank(int_rows(field, m)[0], field.char)
+
+
+def int_rank(rows, p):
+    """Rank of the int ``rows`` (left unchanged), mod p or over ZZ when p = 0."""
+    return len(_eliminate(list(rows), len(rows[0]) if rows else 0, p, False)[0])
 
 
 def inverse(field, m):
@@ -183,7 +190,14 @@ def solve(field, a, b):
     """
     ncols = len(a[0]) if a else 0
     rows, _ = int_rows(field, [list(ra) + [bb] for ra, bb in zip(a, b)])
-    red, pivots, den = int_rref(rows, ncols, field.char)
+    sol = int_solve(rows, ncols, field.char)
+    return None if sol is None else _box(field, [sol[0]], sol[1])[0]
+
+
+def int_solve(rows, ncols, p):
+    """``solve`` on the augmented int ``rows`` [a | b] (reduced in place):
+    (x, den) with x / den the unique solution, or None when inconsistent."""
+    red, pivots, den = int_rref(rows, ncols, p)
     if any(row[ncols] for row in red[len(pivots):]):
         return None
     if len(pivots) < ncols:
@@ -191,7 +205,7 @@ def solve(field, a, b):
     x = [0] * ncols
     for row, c in zip(red, pivots):
         x[c] = row[ncols]
-    return _box(field, [x], den)[0]
+    return x, den
 
 
 def nullspace(field, a):

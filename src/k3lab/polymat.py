@@ -11,8 +11,13 @@ monomials is one addition.  ``pfaffian`` is normalized so that the 4x4
 value is m01*m23 - m02*m13 + m03*m12.
 
 ``LinearMatrix`` bundles an m x m matrix of homogeneous linear forms
-A(x) = sum_i A_i x_i through its scalar coefficient matrices A_i, and feeds
-the kernel from them directly: the monomial of x_i is 1 << width * i.
+A(x) = sum_i A_i x_i through its scalar coefficient matrices A_i, kept as
+raw int rows, and feeds the kernel from them directly: the monomial of x_i
+is 1 << width * i.  Its packed expansions are memoized and are what the
+package checks against: ``quadforms`` compares det/Pf with a form's
+``quadratic_terms`` and ``construction`` solves for span coordinates and
+evaluates the discriminant on them, all on ints.  ``det_poly`` and
+``pfaffian_poly`` only box them.  Its transforms multiply the raw rows.
 """
 
 from __future__ import annotations
@@ -89,7 +94,9 @@ class PolyMatrix:
 def poly_det(m: PolyMatrix) -> MultiPoly:
     """Exact determinant of a square PolyMatrix of size <= 8."""
     _check_shape(m.nrows, m.ncols, pf=False)
-    return _expand(m.field, m.nvars, *_pack(m), pf=False)
+    rows, width, scale = _pack(m)
+    return _box_terms(m.field, m.nvars, _expand(rows, m.field.char, pf=False), width,
+                      scale ** m.nrows)
 
 
 def pfaffian(m: PolyMatrix) -> MultiPoly:
@@ -100,7 +107,9 @@ def pfaffian(m: PolyMatrix) -> MultiPoly:
     _check_shape(m.nrows, m.ncols, pf=True)
     if not m.is_alternating():
         raise PreconditionError("pfaffian of a non-alternating matrix")
-    return _expand(m.field, m.nvars, *_pack(m), pf=True)
+    rows, width, scale = _pack(m)
+    return _box_terms(m.field, m.nvars, _expand(rows, m.field.char, pf=True), width,
+                      scale ** (m.nrows // 2))
 
 
 def _check_shape(nrows, ncols, pf):
@@ -128,13 +137,14 @@ def _pack(m: PolyMatrix):
     return rows, width, scale
 
 
-def _expand(field, nvars, rows, width, scale, pf: bool) -> MultiPoly:
+def _expand(rows, p, pf: bool) -> dict:
     """The int kernel of ``poly_det`` and ``pfaffian`` (see the module
-    docstring) on packed entries (see ``_pack``).  A minor is keyed by the
-    indices left to expand: columns for the determinant, whose row is the
-    first not yet consumed; rows and columns for the Pfaffian, whose row is
-    the first index."""
-    n, p = len(rows), field.char
+    docstring) on packed entries (see ``_pack``): the expansion as a dict
+    {packed monomial: nonzero int}, reduced mod p unless p = 0.  A minor is
+    keyed by the indices left to expand: columns for the determinant, whose
+    row is the first not yet consumed; rows and columns for the Pfaffian,
+    whose row is the first index."""
+    n = len(rows)
     cache: dict = {(): [(0, 1)]}
 
     def minor(idx: tuple) -> list:
@@ -159,12 +169,39 @@ def _expand(field, nvars, rows, width, scale, pf: bool) -> MultiPoly:
         got = cache[idx] = [(k, c) for k, c in acc.items() if c]
         return got
 
-    denom = scale ** (n // 2 if pf else n)
-    box = (lambda c: GFElement(field, c)) if p else (lambda c: Fraction(c, denom))
+    return dict(minor(tuple(range(n))))
+
+
+def _box_terms(field, nvars, terms: dict, width, denom) -> MultiPoly:
+    """The packed int ``terms`` divided by ``denom`` (1 over GF(p)) as a
+    MultiPoly."""
+    box = (lambda c: GFElement(field, c)) if field.char else (lambda c: Fraction(c, denom))
     mask = (1 << width) - 1
     shifts = [width * i for i in range(nvars)]
     return MultiPoly._of_terms(field, nvars, {
-        tuple(k >> s & mask for s in shifts): box(c) for k, c in minor(tuple(range(n)))})
+        tuple(k >> s & mask for s in shifts): box(c) for k, c in terms.items()})
+
+
+def _width(size, pf):
+    """The slot width of a linear matrix's expansion: wide enough for its
+    degree, size (det) or size/2 (Pf).  Both degree-2 expansions, det of a
+    2x2 and Pf of a 4x4, get width 2, the width of ``quadratic_terms``."""
+    return max(size // 2 if pf else size, 1).bit_length()
+
+
+def quadratic_terms(rows, p) -> dict:
+    """The quadratic form x^T G x of the raw Gram ``rows`` (ints mod p, or
+    Fractions when p = 0) as packed terms of width 2: G[i][i] on x_i^2 and
+    2 G[i][j] on x_i x_j, reduced mod p unless p = 0, zeros dropped."""
+    n, out = len(rows), {}
+    for i, row in enumerate(rows):
+        for j in range(i, n):
+            c = row[j] if i == j else 2 * row[j]
+            if p:
+                c %= p
+            if c:
+                out[(1 << 2 * i) + (1 << 2 * j)] = c
+    return out
 
 
 # Klein basis order for 4x4 alternating matrices: entries (0,1), (0,2),
@@ -176,11 +213,17 @@ class LinearMatrix:
     """An m x m matrix of linear forms A(x) = sum_i A_i x_i.
 
     ``coeff_mats`` holds one m x m scalar matrix per variable; entry (j, k)
-    of A(x) is the linear form sum_i (A_i)[j][k] * x_i.  The instance is
-    immutable, so its det and Pfaffian expansions are memoized.
+    of A(x) is the linear form sum_i (A_i)[j][k] * x_i.  Inside, ``_mats[i]``
+    holds A_i as raw int rows times ``_scale``: the representatives in
+    [0, p) with scale 1 over GF(p), the numerators over the lcm of the
+    denominators over QQ.  The algorithms run on those; ``coeff_mats`` is
+    boxed on first use.  The instance is immutable, so ``_memo`` keeps what
+    is derived from it: the packed det and Pfaffian expansions
+    (``_terms``), their boxed polynomials, the boxed ``coeff_mats``, and
+    the invariants ``construction.invariants`` derived against one system.
     """
 
-    __slots__ = ("field", "size", "nvars", "coeff_mats", "alternating", "_det", "_pf")
+    __slots__ = ("field", "size", "nvars", "alternating", "_mats", "_scale", "_memo")
 
     def __init__(self, field, size: int, nvars: int, coeff_mats, alternating=None):
         mats = tuple(tuple(tuple(field.coerce(x) for x in row) for row in mat)
@@ -191,30 +234,44 @@ class LinearMatrix:
         for mat in mats:
             if len(mat) != size or any(len(r) != size for r in mat):
                 raise PreconditionError(f"coefficient matrices must be {size}x{size}")
-        alt = all(_is_alternating_scalar(mat) for mat in mats)
+        ints, scale = linalg.int_rows(field, [row for mat in mats for row in mat])
+        raw = [ints[i * size:(i + 1) * size] for i in range(nvars)]
+        alt = all(_is_alternating(mat, field.char) for mat in raw)
         if alternating and not alt:
             raise PreconditionError("alternating flag set but a coefficient matrix is not")
-        self._init(field, size, nvars, mats, alt if alternating is None else alternating)
+        self._init(field, size, nvars, raw, scale, alt if alternating is None else alternating)
+        self._memo["coeff_mats"] = mats
 
-    def _init(self, field, size, nvars, mats, alternating):
+    def _init(self, field, size, nvars, mats, scale, alternating):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "coeff_mats", mats)
         object.__setattr__(self, "alternating", alternating)
-        object.__setattr__(self, "_det", None)
-        object.__setattr__(self, "_pf", None)
+        object.__setattr__(self, "_mats", mats)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _of_raw(cls, field, size, nvars, mats, scale=1, alternating=None) -> "LinearMatrix":
+        """Wrap ``nvars`` raw size x size int matrices times ``scale`` (see
+        the class docstring) without validating their shape: for the
+        package's own results.  ``alternating`` is computed when None."""
+        if alternating is None:
+            alternating = all(_is_alternating(mat, field.char) for mat in mats)
+        out = object.__new__(cls)
+        out._init(field, size, nvars, mats, scale, alternating)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("LinearMatrix is immutable")
 
-    @classmethod
-    def from_linear_forms(cls, field, size, nvars, form_rows, alternating=None):
-        """Build from entry-wise coefficient vectors: form_rows[j][k][i] is
-        the x_i coefficient of entry (j, k)."""
-        mats = [[[form_rows[j][k][i] for k in range(size)]
-                 for j in range(size)] for i in range(nvars)]
-        return cls(field, size, nvars, mats, alternating)
+    @property
+    def coeff_mats(self):
+        got = self._memo.get("coeff_mats")
+        if got is None:
+            got = self._memo["coeff_mats"] = tuple(
+                linalg._box(self.field, mat, self._scale) for mat in self._mats)
+        return got
 
     def entry_poly(self, j: int, k: int) -> MultiPoly:
         terms = {}
@@ -230,37 +287,66 @@ class LinearMatrix:
         return PolyMatrix([[self.entry_poly(j, k) for k in range(self.size)]
                            for j in range(self.size)])
 
-    def _pack(self):
-        """The entries as ``_expand``'s packed term lists (see ``_pack``)."""
-        n = self.size
-        ints, scale = linalg.int_rows(self.field, [row for mat in self.coeff_mats for row in mat])
-        width = n.bit_length()
-        rows = [[[(1 << width * i, ints[i * n + j][k]) for i in range(self.nvars)
-                  if ints[i * n + j][k]] for k in range(n)] for j in range(n)]
-        return rows, width, scale
+    def _terms(self, pf: bool) -> dict:
+        """det (Pf when ``pf``) of A(x) as ``_expand``'s packed int terms,
+        memoized: the monomial of x_i is 1 << _width(size, pf) * i, and the
+        value is the terms divided by ``_denom(pf)``."""
+        got = self._memo.get(("terms", pf))
+        if got is None:
+            n, p = self.size, self.field.char
+            _check_shape(n, n, pf)
+            if pf and not (self.alternating
+                           or all(_is_alternating(mat, p) for mat in self._mats)):
+                raise PreconditionError("pfaffian of a non-alternating matrix")
+            width = _width(n, pf)
+            rows = [[[(1 << width * i, mat[j][k]) for i, mat in enumerate(self._mats)
+                      if mat[j][k]] for k in range(n)] for j in range(n)]
+            got = self._memo[("terms", pf)] = _expand(rows, p, pf)
+        return got
+
+    def _denom(self, pf: bool) -> int:
+        """The denominator of ``_terms(pf)``: scale ** degree (1 over GF(p))."""
+        return self._scale ** (self.size // 2 if pf else self.size)
+
+    def _at(self, x, pf: bool = False):
+        """det (Pf when ``pf``) of A(x) at the raw point ``x`` (ints mod p,
+        or Fractions over QQ) as a raw representative."""
+        width, p = _width(self.size, pf), self.field.char
+        mask, acc = (1 << width) - 1, 0
+        for k, c in self._terms(pf).items():
+            for xi in x:
+                e = k & mask
+                if e:
+                    c *= xi ** e
+                k >>= width
+            acc += c
+        return acc % p if p else Fraction(acc) / self._denom(pf)
+
+    def _poly(self, pf: bool) -> MultiPoly:
+        """``_terms(pf)`` boxed as a MultiPoly, memoized."""
+        key = ("poly", pf)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = _box_terms(self.field, self.nvars, self._terms(pf),
+                                               _width(self.size, pf), self._denom(pf))
+        return got
 
     def det_poly(self) -> MultiPoly:
-        if self._det is None:
-            _check_shape(self.size, self.size, pf=False)
-            object.__setattr__(self, "_det", _expand(self.field, self.nvars, *self._pack(),
-                                                     pf=False))
-        return self._det
+        return self._poly(False)
 
     def pfaffian_poly(self) -> MultiPoly:
-        if self._pf is None:
-            _check_shape(self.size, self.size, pf=True)
-            if not (self.alternating or all(map(_is_alternating_scalar, self.coeff_mats))):
-                raise PreconditionError("pfaffian of a non-alternating matrix")
-            object.__setattr__(self, "_pf", _expand(self.field, self.nvars, *self._pack(),
-                                                    pf=True))
-        return self._pf
+        return self._poly(True)
 
     def left_right_transform(self, g, h) -> "LinearMatrix":
-        """A_i -> g A_i h^T for square scalar matrices g, h."""
-        ht = linalg.transpose(h)
-        mats = [linalg.mat_mul(self.field, linalg.mat_mul(self.field, g, mat), ht)
-                for mat in self.coeff_mats]
-        return LinearMatrix(self.field, self.size, self.nvars, mats)
+        """A_i -> g A_i h^T for size x size scalar matrices g, h."""
+        n, field = self.size, self.field
+        for m in (g, h):
+            if len(m) != n or any(len(r) != n for r in m):
+                raise PreconditionError(f"transforms need {n}x{n} matrices")
+        (gi, dg), (hi, dh) = linalg.int_rows(field, g), linalg.int_rows(field, h)
+        ht, p = list(zip(*hi)), field.char
+        mats = [linalg.int_mul(linalg.int_mul(gi, mat, p), ht, p) for mat in self._mats]
+        return LinearMatrix._of_raw(field, n, self.nvars, mats, self._scale * dg * dh)
 
     def congruence_transform(self, g) -> "LinearMatrix":
         """A_i -> g A_i g^T (preserves the alternating property)."""
@@ -280,18 +366,21 @@ class LinearMatrix:
         w(x) with w_a(x) = sum_i rows[a][i] x_i."""
         if len(rows) != 6:
             raise PreconditionError("need six Klein coordinate forms")
-        zero, mats = field.zero, []
+        ints, scale = linalg.int_rows(field, [[field.coerce(row[i]) for i in range(nvars)]
+                                              for row in rows])
+        return cls._from_klein_raw(field, nvars, ints, scale)
+
+    @classmethod
+    def _from_klein_raw(cls, field, nvars, rows, scale=1) -> "LinearMatrix":
+        """``from_klein_rows`` on six raw int rows times ``scale``."""
+        p, mats = field.char, []
         for i in range(nvars):
-            mat = [[zero] * 4 for _ in range(4)]
+            mat = [[0] * 4 for _ in range(4)]
             for (r, c), row in zip(KLEIN_INDEX_PAIRS, rows):
-                v = field.coerce(row[i])
-                mat[r][c] = v
-                mat[c][r] = -v
-            mats.append(tuple(map(tuple, mat)))
-        # alternating by construction, and every entry boxed once above
-        out = object.__new__(cls)
-        out._init(field, 4, nvars, tuple(mats), True)
-        return out
+                mat[r][c] = row[i]
+                mat[c][r] = -row[i] % p if p else -row[i]
+            mats.append(mat)
+        return cls._of_raw(field, 4, nvars, mats, scale, True)
 
     def __eq__(self, other):
         return (isinstance(other, LinearMatrix) and self.field == other.field
@@ -305,12 +394,14 @@ class LinearMatrix:
                 f"alternating={self.alternating})")
 
 
-def _is_alternating_scalar(mat) -> bool:
+def _is_alternating(mat, p) -> bool:
+    """Whether the raw int matrix ``mat`` is alternating (mod p unless p = 0)."""
     n = len(mat)
     for i in range(n):
         if mat[i][i]:
             return False
         for j in range(i + 1, n):
-            if mat[i][j] != -mat[j][i]:
+            s = mat[i][j] + mat[j][i]
+            if s % p if p else s:
                 return False
     return True

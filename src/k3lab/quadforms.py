@@ -15,8 +15,9 @@ alternating 4x4 one, by transporting the form to the standard model
 through explicit Witt decompositions; the Witt bases of the two fixed
 target models are cached per prime.  Both return a LinearMatrix whose
 det/Pf reproduces the input form *identically*, which downstream sampling
-relies on.  Such identities are checked with explicit VerificationFailure
-raises, so they also hold under ``python -O``.
+relies on: the check compares the model's packed int det/Pf expansion
+with the form's coefficients.  Such identities are checked with explicit
+VerificationFailure raises, so they also hold under ``python -O``.
 
 Over F_p the split test, the isotropic search and the Witt split are
 kernels on int Gram rows mod p (``_split_rows``, ``_isotropic_rows``,
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import linalg
-from .errors import (DegenerateSystem, FieldMismatch, NotSplit,
+from .errors import (BadPrime, DegenerateSystem, FieldMismatch, NotSplit,
                      PreconditionError, VerificationFailure)
 from .poly import MultiPoly
-from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
+from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix, quadratic_terms
 from .scalars import GF, GFElement, PrimeField, QQ, chi_mod, sqrt_mod
 
 
@@ -44,10 +45,12 @@ class QuadraticForm:
     """A quadratic form of dimension n <= 6 given by its symmetric Gram matrix.
 
     ``_rows`` holds the Gram matrix as raw representatives (ints in [0, p)
-    over GF(p), Fractions over QQ), which the algorithms below run on.
+    over GF(p), Fractions over QQ), which the algorithms below run on;
+    ``gram`` is its boxed form, built on first use for the package's own
+    results.
     """
 
-    __slots__ = ("field", "n", "gram", "_rows", "_disc")
+    __slots__ = ("field", "n", "_gram", "_rows", "_disc")
 
     MAX_DIM = 6
 
@@ -70,7 +73,7 @@ class QuadraticForm:
                     raise PreconditionError("Gram matrix must be symmetric")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gram", rows)
+        object.__setattr__(self, "_gram", rows)
         object.__setattr__(self, "_rows", linalg.int_rows(field, rows)[0] if field.char else rows)
         object.__setattr__(self, "_disc", None)
 
@@ -80,16 +83,21 @@ class QuadraticForm:
     @classmethod
     def _of_rows(cls, field, rows) -> "QuadraticForm":
         """Wrap symmetric Gram rows of raw representatives (ints in [0, p)
-        over GF(p), Fractions over QQ) without validating them, boxing them
-        once: for the package's own results."""
+        over GF(p), Fractions over QQ) without validating or boxing them:
+        for the package's own results."""
         out = object.__new__(cls)
         object.__setattr__(out, "field", field)
         object.__setattr__(out, "n", len(rows))
-        object.__setattr__(out, "gram", linalg._box(field, rows) if field.char
-                           else tuple(map(tuple, rows)))
+        object.__setattr__(out, "_gram", None)
         object.__setattr__(out, "_rows", rows)
         object.__setattr__(out, "_disc", None)
         return out
+
+    @property
+    def gram(self):
+        if self._gram is None:
+            object.__setattr__(self, "_gram", linalg._box(self.field, self._rows))
+        return self._gram
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "QuadraticForm":
@@ -131,15 +139,32 @@ class QuadraticForm:
     def disc(self):
         """det of the Gram matrix (memoized); zero iff the form is degenerate."""
         if self._disc is None:
-            object.__setattr__(self, "_disc", linalg.det(self.field, self.gram))
+            p = self.field.char
+            rows, scale = linalg.scaled_rows(self._rows, p)
+            object.__setattr__(self, "_disc", linalg._box(
+                self.field, [[linalg.int_det(rows, p)]], scale ** self.n)[0][0])
         return self._disc
 
     def is_nondegenerate(self) -> bool:
         return bool(self.disc()) if self.n else True
 
     def reduce_mod(self, p: int) -> "QuadraticForm":
+        """The form over GF(p): BadPrime when p is not an odd prime below
+        2**31 or divides a denominator of the Gram matrix."""
         f = GF(p)
-        return QuadraticForm([[f.coerce(x) for x in r] for r in self.gram], f)
+        if self.field.char:
+            if self.field is not f:
+                raise FieldMismatch(f"form over GF({self.field.char}) reduced mod {p}")
+            return self
+        rows = []
+        for row in self._rows:
+            out = []
+            for x in row:
+                if x.denominator % p == 0:
+                    raise BadPrime(f"denominator of {x} vanishes mod {p}")
+                out.append(x.numerator * pow(x.denominator, -1, p) % p)
+            rows.append(out)
+        return QuadraticForm._of_rows(f, rows)
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticForm) and self.field == other.field
@@ -444,9 +469,9 @@ def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     (equivalently: non-square discriminant class).
     """
     r = _split_model_rows(q, 4, 2, seed, "express_as_2x2_det")
-    a = LinearMatrix.from_linear_forms(q.field, 2, 4, [[r[0], r[1]], [r[2], r[3]]])
-    if a.det_poly() != q.to_poly():
-        raise VerificationFailure("express_as_2x2_det: det A(x) differs from the form")
+    a = LinearMatrix._of_raw(q.field, 2, 4, [[[r[0][i], r[1][i]], [r[2][i], r[3][i]]]
+                                             for i in range(4)])
+    _check_model(a, q, False, "express_as_2x2_det: det A(x) differs from the form")
     return a
 
 
@@ -456,10 +481,16 @@ def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     (checked; a mismatch raises VerificationFailure).  Raises NotSplit when
     the form has Witt index < 3."""
     r = _split_model_rows(q, 6, 3, seed, "express_as_pfaffian")
-    a = LinearMatrix.from_klein_rows(q.field, 6, r)
-    if a.pfaffian_poly() != q.to_poly():
-        raise VerificationFailure("express_as_pfaffian: Pf A(x) differs from the form")
+    a = LinearMatrix._from_klein_raw(q.field, 6, r)
+    _check_model(a, q, True, "express_as_pfaffian: Pf A(x) differs from the form")
     return a
+
+
+def _check_model(a: LinearMatrix, q: QuadraticForm, pf: bool, message: str):
+    """VerificationFailure unless det (Pf when ``pf``) of A(x) is q(x)
+    identically: the packed int expansion against q's coefficients."""
+    if a._terms(pf) != quadratic_terms(q._rows, q.field.p):
+        raise VerificationFailure(message)
 
 
 __all__ = [

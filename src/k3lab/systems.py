@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import (BadPrime, BadReduction, DegenerateSystem,
                      PreconditionError)
 from .poly import MultiPoly, poly_to_text
-from .polymat import PolyMatrix, poly_det
+from .polymat import LinearMatrix, quadratic_terms
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, chi_mod
@@ -41,9 +41,9 @@ def _check_sweep_prime(p) -> None:
 
 def _check_independent(forms, what):
     """The Gram matrices, flattened, must be linearly independent."""
-    field = forms[0].field
-    rows = [[entry for row in q.gram for entry in row] for q in forms]
-    if linalg.rank(field, rows) < len(forms):
+    p = forms[0].field.char
+    rows, _ = linalg.scaled_rows([[x for row in q._rows for x in row] for q in forms], p)
+    if linalg.int_rank(rows, p) < len(forms):
         raise DegenerateSystem(
             f"{what}: Gram matrices are linearly dependent "
             "(identically-proportional members)")
@@ -75,7 +75,7 @@ def _member(system, lam) -> QuadraticForm:
 class PencilOfQuadrics:
     """Two linearly independent 4-variable quadratic forms."""
 
-    __slots__ = ("q1", "q2", "field", "_disc")
+    __slots__ = ("q1", "q2", "field", "_matrix", "_span")
 
     def __init__(self, q1: QuadraticForm, q2: QuadraticForm):
         if q1.n != 4 or q2.n != 4:
@@ -86,7 +86,8 @@ class PencilOfQuadrics:
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
         object.__setattr__(self, "field", q1.field)
-        object.__setattr__(self, "_disc", None)
+        object.__setattr__(self, "_matrix", None)
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PencilOfQuadrics is immutable")
@@ -106,6 +107,7 @@ class PencilOfQuadrics:
     member = _member
 
     def reduce_mod(self, p: int) -> "PencilOfQuadrics":
+        GF(p)  # BadPrime on an invalid p, which is not a bad reduction
         try:
             return PencilOfQuadrics(self.q1.reduce_mod(p), self.q2.reduce_mod(p))
         except (BadPrime, DegenerateSystem) as exc:
@@ -115,7 +117,7 @@ class PencilOfQuadrics:
 class NetOfQuadrics:
     """Three linearly independent 6-variable quadratic forms."""
 
-    __slots__ = ("q1", "q2", "q3", "field", "_disc")
+    __slots__ = ("q1", "q2", "q3", "field", "_matrix", "_span")
 
     def __init__(self, q1, q2, q3):
         for q in (q1, q2, q3):
@@ -128,7 +130,8 @@ class NetOfQuadrics:
         object.__setattr__(self, "q2", q2)
         object.__setattr__(self, "q3", q3)
         object.__setattr__(self, "field", q1.field)
-        object.__setattr__(self, "_disc", None)
+        object.__setattr__(self, "_matrix", None)
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, *a):
         raise AttributeError("NetOfQuadrics is immutable")
@@ -147,6 +150,7 @@ class NetOfQuadrics:
     member = _member
 
     def reduce_mod(self, p: int) -> "NetOfQuadrics":
+        GF(p)  # BadPrime on an invalid p, which is not a bad reduction
         try:
             return NetOfQuadrics(self.q1.reduce_mod(p), self.q2.reduce_mod(p),
                                  self.q3.reduce_mod(p))
@@ -154,34 +158,40 @@ class NetOfQuadrics:
             raise BadReduction(f"net has bad reduction mod {p}: {exc}") from exc
 
 
-def symbolic_member(forms) -> PolyMatrix:
-    """The Gram matrix of l0*q1 + l1*q2 + ... as a matrix of linear forms."""
-    field = forms[0].field
-    k, n = len(forms), forms[0].n
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            for v, q in enumerate(forms):
-                c = q.gram[i][j]
-                if c:
-                    e = [0] * k
-                    e[v] = 1
-                    terms[tuple(e)] = c
-            row.append(MultiPoly(field, k, terms))
-        entries.append(row)
-    return PolyMatrix(entries)
+def member_matrix(system) -> LinearMatrix:
+    """The symbolic member l0*G1 + l1*G2 + ... as a linear matrix in the
+    base variables whose coefficient matrices are the raw Gram rows.  Systems
+    are immutable, so it is memoized on the system, and with it the
+    expansion of its determinant, the discriminant."""
+    if system._matrix is None:
+        forms, p = system.forms, system.field.char
+        n = forms[0].n
+        rows, scale = linalg.scaled_rows([row for q in forms for row in q._rows], p)
+        mats = [rows[i * n:(i + 1) * n] for i in range(len(forms))]
+        object.__setattr__(system, "_matrix",
+                           LinearMatrix._of_raw(system.field, n, len(forms), mats, scale))
+    return system._matrix
 
 
 def discriminant_poly(system) -> MultiPoly:
-    """det of the symbolic member; binary quartic (pencil) or plane sextic (net).
+    """det of the symbolic member; binary quartic (pencil) or plane sextic
+    (net).  Memoized with ``member_matrix``."""
+    return member_matrix(system).det_poly()
 
-    Systems are immutable, so the expansion is memoized on the system.
-    """
-    if system._disc is None:
-        object.__setattr__(system, "_disc", poly_det(symbolic_member(system.forms)))
-    return system._disc
+
+def span_rows(system):
+    """The forms' coefficients as packed quadratic monomials (see
+    ``polymat.quadratic_terms``), for solving in their span: (rows, D) with
+    rows {monomial: [D * coefficient of q_k]} over every monomial some form
+    has, D = 1 over GF(p) and the lcm of the denominators over QQ.
+    Memoized on the system."""
+    if system._span is None:
+        p = system.field.char
+        terms = [quadratic_terms(q._rows, p) for q in system.forms]
+        keys = set().union(*terms)
+        ints, scale = linalg.scaled_rows([[t.get(k, 0) for t in terms] for k in keys], p)
+        object.__setattr__(system, "_span", (dict(zip(keys, ints)), scale))
+    return system._span
 
 
 def pencil_discriminant(pencil: PencilOfQuadrics) -> BinaryQuartic:
@@ -390,7 +400,7 @@ def _on_line(g, base, j):
 
 
 def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
-    g1, g2 = ([[c.v for c in row] for row in q.gram] for q in pencil.reduce_mod(p).forms)
+    g1, g2 = (q._rows for q in pencil.reduce_mod(p).forms)
     # Both forms are quadratics in x3 with the constant leading coefficients
     # G[3][3].  Recombine the pencil so that only the first keeps one: the
     # first Euclid step of every pointwise gcd, hoisted out of the sweep.

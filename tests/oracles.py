@@ -2,7 +2,7 @@
 
 Everything here recomputes results by a different route than the library:
 permutation-sum determinants, direct cofactor recursion, perfect-matching
-Pfaffians, term-by-term convolution, cross-ratio j-invariants, exhaustive
+Pfaffians, boxed span solves, term-by-term convolution, cross-ratio j-invariants, exhaustive
 isotropic searches, boxed sweeps of P^3 and P^2 for point counts and
 singular points, and univariate Euclid gcds, squarefree tests and
 Sylvester resultants.
@@ -256,6 +256,40 @@ def brute_force_singular_point(f, p):
         if not fp.eval(pt) and all(not d.eval(pt) for d in partials):
             return pt
     return None
+
+
+def symbolic_member_entries(system):
+    """The Gram matrix of l0*q1 + l1*q2 + ... with MultiPoly entries, built
+    from the boxed Gram matrices."""
+    field, forms = system.field, system.forms
+    k, n = len(forms), forms[0].n
+    return [[sum((MultiPoly.var(field, k, v) * q.gram[i][j] for v, q in enumerate(forms)),
+                 MultiPoly.zero(field, k)) for j in range(n)] for i in range(n)]
+
+
+def boxed_span_solve(lhs, polys):
+    """The unique c with lhs = sum c_k polys[k] (MultiPolys), by Gauss-Jordan
+    elimination on boxed scalars over the union of their monomials; None
+    when lhs is not in their span."""
+    field = lhs.field
+    monos = sorted(set(lhs.terms).union(*(q.terms for q in polys)))
+    rows = [[q.coeff(e) for q in polys] + [lhs.coeff(e)] for e in monos]
+    k, r = len(polys), 0
+    for c in range(k):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            raise PreconditionError("the polynomials are linearly dependent")
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if any(row[k] for row in rows[k:]):
+        return None
+    return tuple(row[k] for row in rows[:k])
 
 
 def scaled(a, t):

@@ -264,6 +264,25 @@ def test_exit_code_sweep_prime_above_the_limit(capsys):
         assert code == 2 and out == "" and "4093" in err
 
 
+def test_exit_code_bad_prime_is_not_a_bad_reduction(tmp_path, capsys):
+    # an invalid p is reported as such, before any reduction
+    for p in ("2", "15"):
+        code, out, err = run(capsys, "construct", "verify-net", "--system",
+                             "builtin:net-diagonal", "--p", p)
+        assert (code, out) == (2, "")
+        assert err == f"k3lab: {p} is not an odd prime below 2**31\n"
+    # a denominator that vanishes mod p is a bad reduction
+    doc = {"field": "Q", "pencil": [
+        [["1/3", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]]}
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "construct", "verify-pencil", "--system", str(path),
+                         "--p", "3")
+    assert (code, out) == (2, "")
+    assert err == "k3lab: pencil has bad reduction mod 3: denominator of 1/3 vanishes mod 3\n"
+
+
 def test_exit_code_wrong_system_kind(capsys):
     code, _, err = run(capsys, "pencil", "disc", "--system", "builtin:net-diagonal")
     assert code == 2
