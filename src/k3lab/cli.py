@@ -73,6 +73,8 @@ def _read_json(path: str):
         raise CLIParseError(
             f"{name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer beyond Python's int-string conversion limit
+        raise CLIParseError(f"{name}: {exc}") from exc
 
 
 def _parse_field(tag):
@@ -86,12 +88,21 @@ def _parse_field(tag):
     raise CLIParseError(f"bad field tag {tag!r}")
 
 
-def _parse_gram(rows, field):
+def _parse_gram(rows):
+    """A Gram matrix's entries as raw representatives: JSON integers as ints,
+    "num/den" strings as Fractions.  ``QuadraticForm`` takes them into the
+    system's field."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise CLIParseError("a Gram matrix must be an array of row arrays")
+
     def entry(x):
         if type(x) is int:  # JSON true/false are not integers
-            return field.coerce(x)
+            return x
         if isinstance(x, str):
-            return field.coerce(Fraction(x))
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
         raise CLIParseError(f"bad Gram entry {x!r}")
 
     return [[entry(x) for x in row] for row in rows]
@@ -103,18 +114,13 @@ def load_system(path: str):
     if not isinstance(doc, dict):
         raise CLIParseError("system file must be a JSON object")
     field = _parse_field(doc.get("field"))
-    if "pencil" in doc:
-        grams = doc["pencil"]
-        if len(grams) != 2:
-            raise CLIParseError("a pencil needs exactly two Gram matrices")
-        q1, q2 = (QuadraticForm(_parse_gram(g, field), field) for g in grams)
-        return PencilOfQuadrics(q1, q2)
-    if "net" in doc:
-        grams = doc["net"]
-        if len(grams) != 3:
-            raise CLIParseError("a net needs exactly three Gram matrices")
-        q1, q2, q3 = (QuadraticForm(_parse_gram(g, field), field) for g in grams)
-        return NetOfQuadrics(q1, q2, q3)
+    for key, kind, size, count in (("pencil", PencilOfQuadrics, 2, "two"),
+                                   ("net", NetOfQuadrics, 3, "three")):
+        if key in doc:
+            grams = doc[key]
+            if not isinstance(grams, list) or len(grams) != size:
+                raise CLIParseError(f"a {key} needs exactly {count} Gram matrices")
+            return kind(*(QuadraticForm(_parse_gram(g), field) for g in grams))
     raise CLIParseError("system file must contain a 'pencil' or 'net' key")
 
 

@@ -25,7 +25,9 @@ split iff (-1)^m det is a nonzero square, which Euler's criterion tells.
 So degenerate and non-split members are both skipped before any Witt
 work, without evaluating the discriminant polynomial.  The first split
 member is factored through its Witt decomposition (``quadforms``, also on
-ints), normalized so that det A(x) (or Pf A(x)) equals the member exactly;
+ints), with the same determinant handed on as the member's memoized disc,
+so each member costs one determinant.  The factorization is normalized so
+that det A(x) (or Pf A(x)) equals the member exactly;
 the span coordinates are then lam on the nose, which ``SystemPoint.build``
 re-checks.  Only when every draw fails does the sampler sweep the whole
 base in a fixed order, which either finds a split member or certifies
@@ -54,7 +56,7 @@ from .errors import (BadReduction, FieldMismatch, InconsistentConstant,
                      NoSplitMember, NotInSpan, PreconditionError,
                      VariableCountMismatch, VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
-from .quadforms import (SEEDED_DRAWS, QuadraticForm, _split_rows,
+from .quadforms import (SEEDED_DRAWS, QuadraticForm, _split_det,
                         express_as_2x2_det, express_as_pfaffian)
 from .scalars import GF, GFElement, projective_points
 from .systems import (NetOfQuadrics, PencilOfQuadrics, member_matrix,
@@ -194,10 +196,13 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     sweep = ([x.v for x in lam] for lam in projective_points(gf, dim))
     for lam in itertools.chain(draws, sweep):
         # det(member) is disc(lam), so one determinant rejects both the
-        # degenerate and the non-split members
+        # degenerate and the non-split members, and is the member's memoized
+        # disc for the nondegeneracy check of express_as_*
         g = member_rows(grams, lam, p)
-        if _split_rows(g, p):
-            return SystemPoint.build(express(QuadraticForm._of_rows(gf, g), seed=seed),
+        d = linalg.int_det(g, p)
+        if _split_det(d, len(g), p):
+            member = QuadraticForm._of_rows(gf, g, GFElement(gf, d))
+            return SystemPoint.build(express(member, seed=seed),
                                      red, tuple(GFElement(gf, x) for x in lam))
     raise NoSplitMember(f"no nondegenerate split member over F_{p}")
 

@@ -169,7 +169,11 @@ def _expand(rows, p, pf: bool) -> dict:
         got = cache[idx] = [(k, c) for k, c in acc.items() if c]
         return got
 
-    return dict(minor(tuple(range(n))))
+    out = dict(minor(tuple(range(n))))
+    # `minor` holds itself through its closure; dropping that reference frees
+    # the memo of minors now, not at some later cyclic collection
+    minor = None
+    return out
 
 
 def _box_terms(field, nvars, terms: dict, width, denom) -> MultiPoly:

@@ -13,17 +13,24 @@ an anisotropic residual of dimension <= 2 at the end.
 det of a 2x2 matrix of linear forms, respectively as the Pfaffian of an
 alternating 4x4 one, by transporting the form to the standard model
 through explicit Witt decompositions; the Witt bases of the two fixed
-target models are cached per prime.  Both return a LinearMatrix whose
-det/Pf reproduces the input form *identically*, which downstream sampling
-relies on: the check compares the model's packed int det/Pf expansion
-with the form's coefficients.  Such identities are checked with explicit
-VerificationFailure raises, so they also hold under ``python -O``.
+target models are cached per prime.  The model needs M_q^-1 for the form's
+Witt basis M_q, which the Witt split's own transport check M_q^T G M_q = H
+gives without an inversion: M_q^-1 = H^-1 (G M_q)^T, the dual basis.
+Both return a LinearMatrix whose det/Pf reproduces the input form
+*identically*, which downstream sampling relies on: the check compares the
+model's packed int det/Pf expansion with the form's coefficients.  Such
+identities are checked with explicit VerificationFailure raises, so they
+also hold under ``python -O``.
 
 Over F_p the split test, the isotropic search and the Witt split are
-kernels on int Gram rows mod p (``_split_rows``, ``_isotropic_rows``,
-``_witt_rows``), which the sampler in ``construction`` calls directly;
-``is_split``, ``isotropic_vector`` and ``witt_split`` are thin wrappers
-that box their results.
+kernels on int Gram rows mod p (``_split_rows``/``_split_det``,
+``_isotropic_rows``, ``_witt_rows``), which the sampler in ``construction``
+calls directly; ``is_split``, ``isotropic_vector`` and ``witt_split`` are
+thin wrappers that box their results.  Each step of a Witt split takes the
+orthogonal complement of one hyperbolic plane by sparse row operations
+(``_complement``).  Forms keep their Gram matrix as raw representatives,
+ints or Fractions over QQ as a system file gives them, and are validated
+and reduced mod p on those.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 from . import linalg
@@ -45,9 +53,11 @@ class QuadraticForm:
     """A quadratic form of dimension n <= 6 given by its symmetric Gram matrix.
 
     ``_rows`` holds the Gram matrix as raw representatives (ints in [0, p)
-    over GF(p), Fractions over QQ), which the algorithms below run on;
-    ``gram`` is its boxed form, built on first use for the package's own
-    results.
+    over GF(p), ints or Fractions over QQ), which the algorithms below run
+    on.  The constructor takes field scalars, ints, Fractions or "num/den"
+    strings, converts each entry once to its representative and checks
+    squareness and symmetry on those; ``gram`` is the boxed form, built on
+    first use.
     """
 
     __slots__ = ("field", "n", "_gram", "_rows", "_disc")
@@ -55,7 +65,7 @@ class QuadraticForm:
     MAX_DIM = 6
 
     def __init__(self, gram, field=None):
-        rows = tuple(tuple(r) for r in gram)
+        rows = [list(r) for r in gram]
         n = len(rows)
         if n > self.MAX_DIM:
             raise PreconditionError(f"quadratic forms limited to dimension {self.MAX_DIM}")
@@ -64,33 +74,32 @@ class QuadraticForm:
                 raise PreconditionError("dimension-0 form needs an explicit field")
             probe = rows[0][0]
             field = probe.field if hasattr(probe, "field") else QQ
-        rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
         if any(len(r) != n for r in rows):
             raise PreconditionError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise PreconditionError("Gram matrix must be symmetric")
+        rows = tuple(tuple(_raw(field, x) for x in r) for r in rows)
+        if rows != tuple(zip(*rows)):
+            raise PreconditionError("Gram matrix must be symmetric")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_gram", rows)
-        object.__setattr__(self, "_rows", linalg.int_rows(field, rows)[0] if field.char else rows)
+        object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_disc", None)
 
     def __setattr__(self, *a):
         raise AttributeError("QuadraticForm is immutable")
 
     @classmethod
-    def _of_rows(cls, field, rows) -> "QuadraticForm":
+    def _of_rows(cls, field, rows, disc=None) -> "QuadraticForm":
         """Wrap symmetric Gram rows of raw representatives (ints in [0, p)
-        over GF(p), Fractions over QQ) without validating or boxing them:
-        for the package's own results."""
+        over GF(p), ints or Fractions over QQ) without validating or boxing
+        them: for the package's own results.  ``disc``, when given, is their
+        determinant as a field scalar, already computed by the caller."""
         out = object.__new__(cls)
         object.__setattr__(out, "field", field)
         object.__setattr__(out, "n", len(rows))
         object.__setattr__(out, "_gram", None)
         object.__setattr__(out, "_rows", rows)
-        object.__setattr__(out, "_disc", None)
+        object.__setattr__(out, "_disc", disc)
         return out
 
     @property
@@ -150,21 +159,21 @@ class QuadraticForm:
 
     def reduce_mod(self, p: int) -> "QuadraticForm":
         """The form over GF(p): BadPrime when p is not an odd prime below
-        2**31 or divides a denominator of the Gram matrix."""
+        2**31 or divides a denominator of the Gram matrix (named in the
+        message).  The rows are cleared of denominators with one lcm D and
+        multiplied by one inverse of D mod p."""
         f = GF(p)
         if self.field.char:
             if self.field is not f:
                 raise FieldMismatch(f"form over GF({self.field.char}) reduced mod {p}")
             return self
-        rows = []
-        for row in self._rows:
-            out = []
-            for x in row:
-                if x.denominator % p == 0:
-                    raise BadPrime(f"denominator of {x} vanishes mod {p}")
-                out.append(x.numerator * pow(x.denominator, -1, p) % p)
-            rows.append(out)
-        return QuadraticForm._of_rows(f, rows)
+        # the rows times the lcm D of the denominators, times D^-1 mod p
+        rows, scale = linalg.scaled_rows(self._rows, 0)
+        if scale % p == 0:
+            bad = next(x for row in self._rows for x in row if x.denominator % p == 0)
+            raise BadPrime(f"denominator of {bad} vanishes mod {p}")
+        inv = pow(scale, -1, p)
+        return QuadraticForm._of_rows(f, [[x * inv % p for x in row] for row in rows])
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticForm) and self.field == other.field
@@ -174,6 +183,17 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm({self.gram!r})"
+
+
+def _raw(field, x):
+    """x as a raw representative of ``field``: an int in [0, p) over GF(p),
+    an int or a Fraction over QQ."""
+    if type(x) is int:
+        return x % field.char if field.char else x
+    if type(x) is Fraction and not field.char:
+        return x
+    x = field.coerce(x)
+    return x.v if field.char else x
 
 
 def _pair_rows(g, u, v):
@@ -315,8 +335,14 @@ def is_split(q: QuadraticForm) -> bool:
 
 def _split_rows(g, p) -> bool:
     """``is_split`` on even-dimensional int Gram rows g mod p: one Bareiss
-    determinant and Euler's criterion."""
-    return chi_mod((-1) ** (len(g) // 2) * linalg.int_det(g, p), p) == 1
+    determinant and ``_split_det``."""
+    return _split_det(linalg.int_det(g, p), len(g), p)
+
+
+def _split_det(d, n, p) -> bool:
+    """Whether an n-dimensional form over F_p (n even) with Gram determinant
+    d mod p is split: Euler's criterion on (-1)^(n/2) d."""
+    return chi_mod((-1) ** (n // 2) * d, p) == 1
 
 
 @dataclass(frozen=True)
@@ -347,18 +373,22 @@ def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
     _require_prime_field(q, "witt_split")
     if not q.is_nondegenerate():
         raise DegenerateSystem("witt_split expects a nondegenerate form")
-    cols, h, sub = _witt_rows(q._rows, q.field.p, seed)
+    cols, h, sub, _ = _witt_rows(q._rows, q.field.p, seed)
     return WittDecomposition(h=h, residual=QuadraticForm._of_rows(q.field, sub),
                              isometry=Isometry(linalg.transpose(cols), q.field))
 
 
 def _witt_rows(g, p, seed):
-    """``witt_split`` on nondegenerate int Gram rows g mod p: (cols, h, sub).
+    """``witt_split`` on nondegenerate int Gram rows g mod p: (cols, h, sub,
+    gm).
 
     ``cols`` is the new basis in original coordinates, v1, u1, ..., vh, uh
     and then the anisotropic residual's basis, and ``sub`` the residual's
     int Gram rows.  Checked: the Gram rows of ``cols`` must be h hyperbolic
     planes [[0, 1/2], [1/2, 0]] followed by ``sub``, else VerificationFailure.
+    ``gm`` is G M_q, the product that check forms, for M_q the matrix with
+    the columns ``cols``.  Each plane's orthogonal complement comes from
+    ``_complement``.
     """
     n, half = len(g), (p + 1) // 2
     # `embed` holds the current subspace basis as rows in original coords,
@@ -380,11 +410,8 @@ def _witt_rows(g, p, seed):
         u[j] = (u[j] + s) % p
         gu = [sum(map(mul, row, u)) % p for row in sub]
         planes += linalg.int_mul([v, u], embed, p)
-        # orthogonal complement N of span(v, u) inside the current subspace;
-        # its Gram matrix is N (E G E^T) N^T
-        comp = linalg.int_nullspace([gv, gu], len(gv), p)[0]
-        embed = linalg.int_mul(comp, embed, p)
-        sub = _restricted_gram(p, sub, comp)
+        # B(v, u) = 1/2 makes gv, gu independent
+        embed, sub = _complement(gv, gu, embed, sub, p)
 
     cols, k = planes + embed, len(planes)
     target = [[0] * n for _ in range(n)]
@@ -392,15 +419,32 @@ def _witt_rows(g, p, seed):
         target[i][i + 1] = target[i + 1][i] = half
     for i, row in enumerate(sub):
         target[k + i][k:] = row
-    if _restricted_gram(p, g, cols) != target:
+    gm = linalg.int_mul(g, list(zip(*cols)), p)
+    if linalg.int_mul(cols, gm, p) != target:
         raise VerificationFailure("witt_split: the isometry does not reach the split normal form")
-    return cols, k // 2, sub
+    return cols, k // 2, sub, gm
 
 
-def _restricted_gram(p, gram, rows):
-    """Gram matrix E G E^T mod p of the form restricted to the span of the
-    int ``rows``."""
-    return linalg.int_mul(rows, linalg.int_mul(gram, list(zip(*rows)), p), p)
+def _complement(gv, gu, embed, sub, p):
+    """(N E, N S N^T) mod p for the rows N of the right kernel of [gv; gu]
+    (two independent int rows mod p) as ``linalg.int_nullspace`` returns
+    them, E = ``embed`` and S = ``sub`` symmetric: the basis and the Gram
+    rows of the orthogonal complement of span(v, u) when gv = S v, gu = S u.
+
+    With r1, r2 the rows of the reduced echelon form of [gv; gu] and c1, c2
+    its pivot columns, the kernel row of free column f is
+    w_f = e_f - r1[f] e_c1 - r2[f] e_c2, three nonzeros, so both products
+    are row operations: O(m n) and O(m^2) instead of general products.
+    """
+    (r1, r2), (c1, c2), _ = linalg.int_rref([gv, gu], len(gv), p)
+    free = [f for f in range(len(gv)) if f != c1 and f != c2]
+
+    def combine(rows, f):  # w_f^T rows
+        return [(x - r1[f] * y - r2[f] * z) % p for x, y, z in zip(rows[f], rows[c1], rows[c2])]
+
+    sw = [combine(sub, f) for f in free]  # the rows w_f^T S = (S w_f)^T
+    return ([combine(embed, f) for f in free],
+            [[(w[f] - r1[f] * w[c1] - r2[f] * w[c2]) % p for w in sw] for f in free])
 
 
 def _products_form(field, n, signs) -> QuadraticForm:
@@ -430,20 +474,25 @@ def klein_form(field) -> QuadraticForm:
 
 @functools.lru_cache(maxsize=16)
 def _target_split(p: int, n: int):
-    """M_t, the Witt basis of the fixed target model in dimension n as the
-    columns of int rows mod p, cached per prime: det_2x2_form for n = 4,
-    klein_form for n = 6."""
+    """M_t H^-1 as int rows mod p, cached per prime: M_t is the Witt basis
+    of the fixed target model in dimension n (det_2x2_form for n = 4,
+    klein_form for n = 6) as columns, and H^-1 the inverse of the split
+    normal form, n/2 blocks [[0, 2], [2, 0]], so column k of M_t H^-1 is
+    twice column k ^ 1 of M_t."""
     field = GF(p)
     target = det_2x2_form(field) if n == 4 else klein_form(field)
-    return tuple(zip(*_witt_rows(target._rows, p, 0)[0]))
+    cols = _witt_rows(target._rows, p, 0)[0]
+    return tuple(tuple(2 * cols[k ^ 1][i] % p for k in range(n)) for i in range(n))
 
 
-def _model_rows(p: int, cols):
-    """R = M_t M_q^{-1} as int rows mod p, for M_q with the Witt basis
-    ``cols`` of q as columns: q(M_q u) = H(u) = target(M_t u), so
-    target(R x) = q(x)."""
-    m_q_inv = linalg.int_inverse(list(zip(*cols)), p)[0]
-    return linalg.int_mul(_target_split(p, len(cols)), m_q_inv, p)
+def _model_rows(p: int, gm):
+    """R = M_t M_q^{-1} as int rows mod p, for the Witt basis M_q of a split
+    form q with Gram matrix G and gm = G M_q: q(M_q u) = H(u) = target(M_t u),
+    so target(R x) = q(x).  The transport check M_q^T G M_q = H makes
+    M_q^{-1} = H^{-1} M_q^T G = H^{-1} gm^T, the dual basis 2 G u_k, 2 G v_k
+    (Lam, *Introduction to Quadratic Forms over Fields*, ch. I), so R is one
+    product with the cached M_t H^{-1}."""
+    return linalg.int_mul(_target_split(p, len(gm)), list(zip(*gm)), p)
 
 
 def _split_model_rows(q: QuadraticForm, n: int, h: int, seed: int, who: str):
@@ -455,10 +504,10 @@ def _split_model_rows(q: QuadraticForm, n: int, h: int, seed: int, who: str):
     if not q.is_nondegenerate():
         raise PreconditionError("form must be nondegenerate")
     p = q.field.p
-    cols, index, _ = _witt_rows(q._rows, p, seed)
+    _, index, _, gm = _witt_rows(q._rows, p, seed)
     if index != h:
         raise NotSplit(f"form is not split: Witt index {index} < {h}")
-    return _model_rows(p, cols)
+    return _model_rows(p, gm)
 
 
 def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:

@@ -11,7 +11,7 @@ Sylvester resultants.
 from fractions import Fraction
 from itertools import permutations
 
-from k3lab import LinearMatrix, MultiPoly, PreconditionError, linalg
+from k3lab import LinearMatrix, MultiPoly, PreconditionError, linalg, quadforms
 
 
 def perm_sign(perm):
@@ -383,3 +383,50 @@ def uni_resultant(field, f, g):
     for i in range(m):
         rows.append([field.zero] * i + gd + [field.zero] * (size - i - len(gd)))
     return linalg.det(field, rows)
+
+
+def witt_rows_by_products(g, p, seed):
+    """(cols, h, sub) of a Witt split of the int Gram rows g mod p, taking
+    each orthogonal complement as a general kernel (``linalg.int_nullspace``)
+    and its basis and Gram rows as general products (``linalg.int_mul``).
+    The isotropic vectors come from the library's own search."""
+    n, half = len(g), (p + 1) // 2
+    embed = [[int(i == j) for j in range(n)] for i in range(n)]
+    sub, planes = [list(row) for row in g], []
+    while True:
+        v = quadforms._isotropic_rows(sub, p, seed)
+        if v is None:
+            return planes + embed, len(planes) // 2, sub
+        gv = linalg.int_mul(sub, [[x] for x in v], p)
+        j = next(i for i, (x,) in enumerate(gv) if x)
+        s = half * pow(gv[j][0], -1, p) % p
+        u = [-sub[j][j] * s * s * x % p for x in v]
+        u[j] = (u[j] + s) % p
+        gu = linalg.int_mul(sub, [[x] for x in u], p)
+        planes += linalg.int_mul([v, u], embed, p)
+        comp = linalg.int_nullspace([[x for (x,) in gv], [x for (x,) in gu]], len(sub), p)[0]
+        embed = linalg.int_mul(comp, embed, p)
+        sub = linalg.int_mul(comp, linalg.int_mul(sub, [list(c) for c in zip(*comp)], p), p)
+
+
+def model_rows_by_inverse(p, cols, target_cols):
+    """M_t M_q^-1 mod p with M_q^-1 from ``linalg.int_inverse``, for the Witt
+    bases ``cols`` of a form and ``target_cols`` of the target model, both
+    given as their columns."""
+    m_q_inv = linalg.int_inverse([list(r) for r in zip(*cols)], p)[0]
+    return linalg.int_mul([list(r) for r in zip(*target_cols)], m_q_inv, p)
+
+
+def boxed_reduce(rows, p):
+    """Per-entry reduction of Gram entries (ints, Fractions or "num/den"
+    strings) mod p: the reduced int rows, or the BadPrime message of the
+    first entry, in row-major order, whose denominator p divides."""
+    out = []
+    for row in rows:
+        out.append([])
+        for x in row:
+            x = Fraction(x)
+            if x.denominator % p == 0:
+                return f"denominator of {x} vanishes mod {p}"
+            out[-1].append(x.numerator * pow(x.denominator, -1, p) % p)
+    return out

@@ -235,6 +235,35 @@ def test_exit_code_parse_error_boolean_gram_entries(tmp_path, capsys):
         assert code == 1 and out == "" and "bad Gram entry" in err
 
 
+def test_exit_code_parse_error_malformed_system_files(tmp_path, capsys):
+    # bad entry strings, a zero denominator and pencils or nets that are not
+    # arrays of Gram matrices are parse errors, reported without a traceback
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    bad = [[row[:] for row in eye] for _ in range(3)]
+    bad[0][1][2] = bad[0][2][1] = "abc"
+    bad[1][0][0] = "1/0"
+    bad[2][3][3] = "1/2/3"
+    docs = [{"pencil": [eye, g]} for g in bad] + [
+        {"pencil": 5}, {"pencil": [5, 6]}, {"pencil": "ab"}, {"pencil": [eye, 7]},
+        {"pencil": [eye, [1, 2, 3, 4]]}, {"pencil": [eye, [[[1]] * 4] * 4]},
+        {"pencil": [eye, [[1.5] * 4] * 4]}, {"pencil": [eye, [[None] * 4] * 4]},
+        {"net": 5}, {"net": {"a": 1}}, {"net": [5, 6, 7]}, {"pencil": {"q1": eye}}]
+    texts = [json.dumps(doc) for doc in docs]
+    # an integer longer than Python's int-string conversion limit
+    texts.append('{"pencil": [%s, [[%s]]]}' % (json.dumps(eye), "7" * 5000))
+    for i, text in enumerate(texts):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "pencil", "disc", "--system", str(path))
+        assert code == 1 and out == "", text[:80]
+        assert err.startswith("k3lab: parse error: ") and "Traceback" not in err, text[:80]
+    path = tmp_path / "long-int-lattice.json"
+    path.write_text('{"gram": [[%s]]}' % ("2" * 5000))
+    code, out, err = run(capsys, "lattice", "overlattice", "--alpha", "1", "--r", "2",
+                         "--lattice", str(path))
+    assert code == 1 and out == "" and err.startswith("k3lab: parse error: ")
+
+
 def test_exit_code_parse_error_system_not_an_object(tmp_path, capsys):
     for i, doc in enumerate(([1, 2], "pencil", 3, None)):
         path = tmp_path / f"doc{i}.json"

@@ -200,8 +200,8 @@ def test_sampler_catches_a_wrong_model(monkeypatch):
     from k3lab import quadforms
 
     real = quadforms._model_rows
-    monkeypatch.setattr(quadforms, "_model_rows", lambda p, cols: [
-        [2 * x % p for x in row] for row in real(p, cols)])
+    monkeypatch.setattr(quadforms, "_model_rows", lambda p, gm: [
+        [2 * x % p for x in row] for row in real(p, gm)])
     with pytest.raises(VerificationFailure):
         sample_point(DIAG_NET, 11, seed=0)
 

@@ -187,7 +187,8 @@ def test_express_check_against_oracle_expansions(p, monkeypatch):
         for q in split_forms(rng, F, n, 3):
             a = express(q, seed=5)
             assert oracle_quadratic(a) == q.to_poly()
-            rows = real(p, quadforms._witt_rows(q._rows, p, 5)[0])
+            rows = real(p, quadforms._witt_rows(q._rows, p, 5)[3])
+            assert model_from_rows(F, n, rows) == a
             # each one-coefficient mutant of the model fails the check, and
             # the oracle agrees that its det/Pf is not q
             for i in range(n):
@@ -195,7 +196,7 @@ def test_express_check_against_oracle_expansions(p, monkeypatch):
                     mutant = [list(row) for row in rows]
                     mutant[i][j] = (mutant[i][j] + 1) % p
                     assert oracle_quadratic(model_from_rows(F, n, mutant)) != q.to_poly()
-                    monkeypatch.setattr(quadforms, "_model_rows", lambda p_, cols: mutant)
+                    monkeypatch.setattr(quadforms, "_model_rows", lambda p_, gm: mutant)
                     with pytest.raises(VerificationFailure):
                         express(q, seed=5)
             monkeypatch.setattr(quadforms, "_model_rows", real)

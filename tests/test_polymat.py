@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -286,3 +287,29 @@ def test_linear_matrix_klein_round_trip():
     assert a.alternating
     for i in range(6):
         assert a.klein_coordinates(i) == tuple(rows[k][i] for k in range(6))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_expansions_leave_no_cyclic_garbage(field):
+    # the memo of minors is freed when an expansion returns, so repeated
+    # expansions do not pile up until the cyclic collector runs
+    rng = random.Random(17)
+    m = rand_linear_matrix(rng, field, 4, 3)
+    alt = [[rand_linear(rng, field, 3) for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        alt[i][i] = const(field, 3, 0)
+        for j in range(i):
+            alt[i][j] = -alt[j][i]
+    a = LinearMatrix.from_klein_rows(field, 6, [[rng.randint(-5, 5) for _ in range(6)]
+                                                for _ in range(6)])
+    gc.collect()
+    gc.disable()
+    try:
+        poly_det(m)
+        pfaffian(PolyMatrix(alt))
+        a.pfaffian_poly()
+        a.det_poly()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0

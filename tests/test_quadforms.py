@@ -395,8 +395,8 @@ def test_express_checks_catch_a_wrong_model(monkeypatch):
     from k3lab import quadforms
 
     real = quadforms._model_rows
-    monkeypatch.setattr(quadforms, "_model_rows", lambda p, cols: [
-        [2 * x % p for x in row] for row in real(p, cols)])
+    monkeypatch.setattr(quadforms, "_model_rows", lambda p, gm: [
+        [2 * x % p for x in row] for row in real(p, gm)])
     F = GF(7)
     with pytest.raises(VerificationFailure):
         express_as_2x2_det(hyperbolic_form(F, 2))

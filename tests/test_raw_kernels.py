@@ -1,0 +1,243 @@
+"""The sampler's sparse and inverse-free kernels, and raw-loaded forms,
+against the general routes they replace.
+
+* ``quadforms._complement`` (the orthogonal complement of one hyperbolic
+  plane as row operations) against ``linalg.int_nullspace`` and two
+  ``linalg.int_mul`` products, and whole Witt splits against a split that
+  takes every complement that way (``oracles.witt_rows_by_products``);
+* ``quadforms._model_rows`` (M_q^-1 as the dual basis H^-1 (G M_q)^T)
+  against ``linalg.int_inverse``;
+* the determinant ``sample_point`` hands to ``QuadraticForm._of_rows``
+  against ``linalg.int_det``, a Leibniz sum and the discriminant;
+* forms loaded from system files as raw ints and Fractions against a boxed
+  per-entry oracle: ``gram``, ``reduce_mod`` and the ``BadPrime`` text.
+
+Seeds and sizes are fixed.  The primes include 3 and 5, where the tiny-field
+paths run; the searches are also run with no seeded draws, so that their
+fallbacks (the base-point sweep, the isotropic search's conic) run.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from k3lab import (GF, QQ, BadPrime, BadReduction, GFElement, NetOfQuadrics,
+                   NoSplitMember, PencilOfQuadrics, PreconditionError,
+                   QuadraticForm, det_2x2_form, discriminant_poly, klein_form,
+                   linalg, sample_point)
+from k3lab import cli, construction, quadforms
+from oracles import (boxed_reduce, model_rows_by_inverse, scalar_leibniz_det,
+                     witt_rows_by_products)
+
+PRIMES = (3, 5, 7, 13, 1009, 2**31 - 1)
+
+
+@pytest.fixture
+def fallback(request, monkeypatch):
+    """None, or the fallback that runs when the seeded draws are taken away:
+    "sweep" (of base points) or "conic" (the isotropic search's).  The
+    cached target bases are rebuilt either way."""
+    if request.param == "sweep":
+        monkeypatch.setattr(construction, "SEEDED_DRAWS", 0)
+    elif request.param == "conic":
+        monkeypatch.setattr(quadforms, "SEEDED_DRAWS", 0)
+    quadforms._target_split.cache_clear()
+    yield request.param
+    quadforms._target_split.cache_clear()
+
+
+def rand_rows(rng, p, nrows, ncols):
+    return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def rand_sym(rng, p, n):
+    g = rand_rows(rng, p, n, n)
+    return [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def nondegenerate(rng, p, n):
+    while True:
+        g = rand_sym(rng, p, n)
+        if linalg.int_det(g, p):
+            return g
+
+
+def split_rows(rng, p, n):
+    """A seeded split n-variable form mod p: m^T T m for the target T and
+    an invertible m."""
+    t = (det_2x2_form if n == 4 else klein_form)(GF(p))._rows
+    while True:
+        m = rand_rows(rng, p, n, n)
+        if linalg.int_det(m, p):
+            return linalg.int_mul(linalg.int_mul([list(r) for r in zip(*m)], t, p), m, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_complement_against_nullspace_products(p):
+    rng = random.Random(911)
+    for m in range(2, 7):
+        for n in (m, 6):
+            for _ in range(4):
+                while True:
+                    gv, gu = rand_rows(rng, p, 2, m)
+                    if linalg.int_rank([gv, gu], p) == 2:
+                        break
+                embed, sub = rand_rows(rng, p, m, n), rand_sym(rng, p, m)
+                comp = linalg.int_nullspace([gv, gu], m, p)[0]
+                want_sub = linalg.int_mul(
+                    comp, linalg.int_mul(sub, [list(c) for c in zip(*comp)], p), p)
+                got = quadforms._complement(list(gv), list(gu), embed, sub, p)
+                assert got == (linalg.int_mul(comp, embed, p), want_sub)
+
+
+@pytest.mark.parametrize("fallback", [None, "conic"], indirect=True)
+@pytest.mark.parametrize("p", PRIMES)
+def test_witt_rows_against_product_route(p, fallback):
+    rng = random.Random(912)
+    for n in range(2, 7):
+        for seed in range(3):
+            g = nondegenerate(rng, p, n)
+            cols, h, sub, gm = quadforms._witt_rows(g, p, seed)
+            assert (cols, h, sub) == witt_rows_by_products(g, p, seed)
+            assert gm == linalg.int_mul(g, [list(c) for c in zip(*cols)], p)
+
+
+@pytest.mark.parametrize("fallback", [None, "conic"], indirect=True)
+@pytest.mark.parametrize("p", PRIMES)
+def test_model_rows_against_int_inverse(p, fallback):
+    rng = random.Random(913)
+    for n in (4, 6):
+        target = (det_2x2_form if n == 4 else klein_form)(GF(p))
+        target_cols = quadforms._witt_rows(target._rows, p, 0)[0]
+        for seed in range(4):
+            g = split_rows(rng, p, n)
+            cols, h, _, gm = quadforms._witt_rows(g, p, seed)
+            assert h == n // 2
+            m_q_inv = linalg.int_inverse([list(r) for r in zip(*cols)], p)[0]
+            # the dual basis: row 2k is 2 G u_k, row 2k + 1 is 2 G v_k
+            assert [[2 * row[k ^ 1] % p for row in gm] for k in range(n)] == m_q_inv
+            assert quadforms._model_rows(p, gm) == model_rows_by_inverse(p, cols, target_cols)
+
+
+def dense_system(rng, k, n):
+    """A seeded system of k dense n-variable integer forms over QQ."""
+    while True:
+        grams = [[[0] * n for _ in range(n)] for _ in range(k)]
+        for g in grams:
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.randint(-4, 4)
+        try:
+            return (PencilOfQuadrics if k == 2 else NetOfQuadrics)(
+                *(QuadraticForm(g) for g in grams))
+        except PreconditionError:
+            continue
+
+
+SYSTEMS = (
+    PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3]),
+    NetOfQuadrics.from_diagonals([1] * 6, [0, 1, 2, 3, 4, 5], [0, 1, 4, 9, 16, 25]),
+    dense_system(random.Random(914), 2, 4),
+    dense_system(random.Random(915), 3, 6),
+)
+
+
+@pytest.mark.parametrize("fallback", [None, "sweep", "conic"], indirect=True)
+@pytest.mark.parametrize("p", PRIMES)
+def test_sampled_member_disc_is_int_det(p, fallback, monkeypatch):
+    calls = []
+    real = QuadraticForm._of_rows.__func__
+
+    def spy(cls, field, rows, disc=None):
+        if disc is not None:
+            calls.append((field, [list(r) for r in rows], disc))
+        return real(cls, field, rows, disc)
+
+    monkeypatch.setattr(QuadraticForm, "_of_rows", classmethod(spy))
+    sampled = 0
+    for system in SYSTEMS:
+        for seed in range(3):
+            calls.clear()
+            try:
+                pt = sample_point(system, p, seed)
+            except (BadReduction, NoSplitMember):
+                continue
+            sampled += 1
+            # one member is factored per sample, with its determinant
+            ((field, rows, disc),) = calls
+            assert disc == GFElement(field, linalg.int_det(rows, p))
+            assert disc == scalar_leibniz_det(field, linalg._box(field, rows))
+            assert disc == discriminant_poly(pt.system).eval(pt.base_point)
+            assert disc == real(QuadraticForm, field, rows).disc() != 0
+    assert sampled >= 4
+
+
+def rand_entry(rng):
+    """An int, or a "num/den" string whose denominator may be 1 or share a
+    factor with the numerator."""
+    if rng.random() < 0.4:
+        return rng.randint(-9, 9)
+    return f"{rng.randint(-9, 9)}/{rng.choice((1, 2, 3, 5, 6, 7, 10, 13, 21))}"
+
+
+def rand_gram(rng, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rand_entry(rng)
+    return g
+
+
+def _parsed(g):
+    """The entries of ``g`` as ``cli.load_system`` hands them on."""
+    return [[x if type(x) is int else Fraction(x) for x in row] for row in g]
+
+
+@pytest.mark.parametrize("key,k,n", [("pencil", 2, 4), ("net", 3, 6)])
+def test_raw_loaded_forms_against_boxed_oracle(tmp_path, key, k, n):
+    rng = random.Random(916)
+    for trial in range(12):
+        grams = [rand_gram(rng, n) for _ in range(k)]
+        path = tmp_path / f"{key}{trial}.json"
+        path.write_text(json.dumps({"field": "Q", key: grams}))
+        system = cli.load_system(str(path))
+        for q, g in zip(system.forms, grams):
+            assert all(type(x) in (int, Fraction) for row in q._rows for x in row)
+            boxed = tuple(tuple(Fraction(x) for x in row) for row in g)
+            assert q.gram == boxed and all(type(x) is Fraction for row in q.gram for x in row)
+            assert q == QuadraticForm(boxed, QQ)
+            for p in PRIMES:
+                want = boxed_reduce(g, p)
+                if isinstance(want, str):
+                    with pytest.raises(BadPrime) as exc:
+                        q.reduce_mod(p)
+                    assert str(exc.value) == want
+                    # over GF(p) the constructor reduces the raw entries the same way
+                    with pytest.raises(BadPrime) as exc:
+                        QuadraticForm(_parsed(g), GF(p))
+                    assert str(exc.value) == want
+                else:
+                    red = q.reduce_mod(p)
+                    assert [list(row) for row in red._rows] == want
+                    assert red.gram == linalg._box(GF(p), want)
+                    assert [list(row) for row in QuadraticForm(_parsed(g), GF(p))._rows] == want
+        for p in PRIMES:
+            messages = [m for m in (boxed_reduce(g, p) for g in grams) if isinstance(m, str)]
+            if messages:
+                with pytest.raises(BadReduction) as exc:
+                    system.reduce_mod(p)
+                assert str(exc.value).endswith(messages[0])
+
+
+def test_raw_symmetry_and_squareness_are_checked():
+    half = Fraction(1, 2)
+    assert QuadraticForm([[1, "1/2"], [half, 3]]).gram == ((1, half), (half, 3))
+    assert QuadraticForm([[1, 2], [Fraction(4, 2), 1]], QQ).gram == ((1, 2), (2, 1))
+    assert QuadraticForm([[1, 9], [2, 1]], GF(7))._rows == ((1, 2), (2, 1))
+    for rows, field in (([[1, 2], [3, 1]], QQ), ([[1, half], ["1/3", 1]], QQ),
+                        ([[1, 2], [3, 1]], GF(7)), ([[1, 2], [1]], QQ),
+                        ([[1, 2, 3], [2, 1, 3]], QQ)):
+        with pytest.raises(PreconditionError):
+            QuadraticForm(rows, field)
