@@ -32,7 +32,7 @@ from .errors import (K3LabError, PreconditionError, VerificationFailure)
 from .lattices import (IntegralLattice, MukaiVector, OverlatticeSpec,
                        k3_lattice, lattice_invariants, moduli_dim,
                        overlattice)
-from .poly import poly_to_text
+from .poly import MultiPoly, poly_to_text
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, scalar_to_json
 from .systems import (MAX_SWEEP_PRIME, NetOfQuadrics, PencilOfQuadrics,
@@ -148,6 +148,10 @@ def _parse_int_list(text: str, what: str):
 
 
 def _jsonable(x):
+    if hasattr(x, "to_json"):
+        return _jsonable(x.to_json())
+    if isinstance(x, MultiPoly):
+        return poly_to_text(x)
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -157,13 +161,16 @@ def _jsonable(x):
     return scalar_to_json(x)
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _render(report, fmt: str) -> str:
+    """The report as printed.  Polynomials and objects with ``to_json`` are
+    turned into text here, so every int-to-text conversion of a report is
+    in this function, and the only ValueError it raises is an integer
+    beyond Python's int-string conversion limit."""
     data = _jsonable(report)
     if fmt == "json":
-        sys.stdout.write(json.dumps(data, sort_keys=True) + "\n")
-    else:
-        for key in sorted(data):
-            sys.stdout.write(f"{key} = {json.dumps(data[key], sort_keys=True)}\n")
+        return json.dumps(data, sort_keys=True) + "\n"
+    return "".join(f"{key} = {json.dumps(data[key], sort_keys=True)}\n"
+                   for key in sorted(data))
 
 
 @functools.cache
@@ -245,7 +252,9 @@ def build_parser() -> _Parser:
     return top
 
 
-def _run(args) -> dict:
+def _run(args):
+    """The report of one command: a dict or an object with ``to_json``,
+    rendered by ``_render``."""
     group, action = args.group, args.action
     if group == "mukai":
         return {"dim": moduli_dim(MukaiVector(args.r, args.l2, args.s))}
@@ -267,11 +276,11 @@ def _run(args) -> dict:
         if not isinstance(system, PencilOfQuadrics):
             raise PreconditionError("pencil subcommands need a pencil system")
         if action == "disc":
-            return {"discriminant": poly_to_text(pencil_discriminant(system).to_poly())}
+            return {"discriminant": pencil_discriminant(system).to_poly()}
         if action == "jinv":
             return {"j": jacobian_j_invariant(system)}
         if action == "cover":
-            return pic2_double_cover(system).to_json()
+            return pic2_double_cover(system)
         if action == "count":
             branch = pencil_discriminant(system)
             n_pencil = count_points(system, args.p)
@@ -287,14 +296,14 @@ def _run(args) -> dict:
         primes = tuple(_parse_int_list(args.primes, "primes"))
         if action == "disc":
             d = net_discriminant(system)
-            return {"discriminant": poly_to_text(d), "degree": d.degree()}
+            return {"discriminant": d, "degree": d.degree()}
         if action == "cover":
-            return moduli_double_cover(system, primes).to_json()
+            return moduli_double_cover(system, primes)
         if action == "probe":
             d = net_discriminant(system)
             if d.is_zero():
                 raise PreconditionError("net discriminant vanishes identically")
-            return sextic_smoothness_probe(d, primes).to_json()
+            return sextic_smoothness_probe(d, primes)
 
     if group == "construct":
         system = load_system(args.system)
@@ -376,7 +385,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"k3lab: parse error: {exc}\n")
         return 1
     except _VerificationExit as exc:
-        _emit(exc.report, fmt)
+        sys.stdout.write(_render(exc.report, fmt))
         sys.stderr.write("k3lab: verification failed\n")
         return 3
     except VerificationFailure as exc:
@@ -385,7 +394,13 @@ def main(argv=None) -> int:
     except (PreconditionError, K3LabError) as exc:
         sys.stderr.write(f"k3lab: {exc}\n")
         return 2
-    _emit(report, fmt)
+    try:
+        text = _render(report, fmt)
+    except ValueError:  # an integer beyond Python's int-string conversion limit
+        sys.stderr.write("k3lab: result too large to print: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits\n")
+        return 2
+    sys.stdout.write(text)
     return 0
 
 

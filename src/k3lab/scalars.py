@@ -299,4 +299,4 @@ def scalar_to_json(x):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, int):
         return x
-    raise ValueError(f"not a scalar: {x!r}")
+    raise TypeError(f"not a scalar: {x!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .errors import (BadPrime, BadReduction, DegenerateSystem,
+from .errors import (BadPrime, BadReduction, DegenerateSystem, FieldMismatch,
                      PreconditionError)
 from .poly import MultiPoly, poly_to_text
 from .polymat import LinearMatrix, quadratic_terms
@@ -25,9 +25,10 @@ from .scalars import GF, QQ, chi_mod
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
-# The largest prime the point sweeps (count_points, sextic_smoothness_probe)
-# accept: they cost O(p^2) int operations per prime, and a dense pencil count
-# at p = 4093 took 19 s (a dense-net probe 11 s) on a 2-CPU host.
+# The largest prime the sweeps of P^2(F_p) (count_points, sextic_smoothness_probe)
+# accept.  A pencil count costs O(p^2) int operations per prime: a dense one
+# at p = 4093 took 19 s on a 2-CPU host.  The probe costs O(p) line tests: a
+# dense net at p = 4093 took 0.4 s there.
 MAX_SWEEP_PRIME = 4093
 
 
@@ -288,63 +289,122 @@ def _plane_lines(p):
     yield (0, 0, 1), 0, 1
 
 
-def _eval_terms(terms, x, p) -> int:
-    """An int term list evaluated at the int point x, mod p."""
-    acc = 0
-    for e, c in terms:
-        for xi, k in zip(x, e):
-            if k:
-                c *= xi**k
-        acc += c
-    return acc % p
+def _trim(a, p):
+    """The descending coefficient list a reduced mod p, without leading
+    zeros ([] for the zero polynomial)."""
+    a = [x % p for x in a]
+    while a and not a[0]:
+        del a[0]
+    return a
 
 
-def _restrict(terms, base, j, degree, p):
-    """f(base + s*e_j) as ascending coefficients in s, for base[j] = 0."""
-    out = [0] * (degree + 1)
-    for e, c in terms:
-        for i, (xi, k) in enumerate(zip(base, e)):
-            if k and i != j:
-                c *= xi**k
-        out[e[j]] += c
-    return [c % p for c in out]
+def _poly_gcd(a, b, p):
+    """A gcd mod p of two descending coefficient lists, by Euclid's
+    algorithm: [] when both are zero, [u] (u a unit) when they are coprime."""
+    a, b = _trim(a, p), _trim(b, p)
+    while b:
+        inv, n, tail = pow(b[0], -1, p), len(b), b[1:]
+        while len(a) >= n:
+            q = a[0] * inv
+            a = [(x - q * y) % p for x, y in zip(a[1:n], tail)] + a[n:]
+            while a and not a[0]:
+                del a[0]
+        a, b = b, a
+    return a
+
+
+def _first_root(h, length, p):
+    """The least t in range(length) where the descending coefficient list h
+    vanishes mod p, or None."""
+    for t in range(length):
+        acc = 0
+        for a in h:
+            acc = acc * t + a
+        if not acc % p:
+            return t
+    return None
+
+
+def _line_restriction(rows, base, j):
+    """A plane form of degree d on the line base + t*e_j of ``_plane_lines``,
+    as a descending coefficient list in t (unreduced ints).  ``rows[k][i]``
+    is the coefficient of x0^(d-k-i)*x1^k*x2^i, so each row k is a
+    polynomial in x2: on (1 : t : x2) it gives the coefficient of t^k."""
+    if j == 1:  # (1 : t : x2)
+        powers = [base[2]**i for i in range(len(rows))]
+        return [sum(map(mul, r, powers)) for r in reversed(rows)]
+    if j == 2:  # (0 : 1 : t): the terms free of x0
+        return [r[-1] for r in rows]
+    return rows[0]  # (t : 0 : 1): the terms free of x1
+
+
+def _sextic_rows(f):
+    """(rows, D): D*f in the layout of ``_line_restriction``, with D the lcm
+    of the coefficients' denominators (1 over GF(p))."""
+    (ints,), scale = linalg.int_rows(f.field, [list(f.terms.values())])
+    rows = [[0] * (7 - k) for k in range(7)]
+    for (_, k, i), c in zip(f.terms, ints):
+        rows[k][i] = c
+    return rows, scale
+
+
+def _partial_rows(rows):
+    """The three partials of a sextic in the layout of ``_line_restriction``."""
+    return ([[(6 - k - i) * c for i, c in enumerate(r[:-1])] for k, r in enumerate(rows[:6])],
+            [[k * c for c in r] for k, r in enumerate(rows) if k],
+            [[i * c for i, c in enumerate(r) if i] for r in rows[:6]])
 
 
 def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     """Look for singular points of a plane sextic over each F_p.
 
-    Sweeps P^2(F_p) in ``projective_points`` order, so the first witness is
-    the same as a point-by-point search would find.  f and its three
-    partials are reduced to int term lists once per prime; f is restricted
-    to each line of the sweep and evaluated along it by Horner, and the
-    partials are evaluated only where f vanishes: O(p^2) int operations per
-    prime.  A common zero is returned as a witness (certifying the
-    reduction mod p is singular), otherwise the verdict is
-    'probably-smooth' for the probed primes.  Every prime must be at most
-    MAX_SWEEP_PRIME (BadPrime before any sweep otherwise).
+    Sweeps the lines of ``_plane_lines`` in order, so the first witness is
+    the one a point-by-point search of ``projective_points`` would find.
+    On the line base + t*e_j, f restricts to a polynomial c(t) of degree at
+    most 6 whose derivative c' is the partial f_j on the line, so in every
+    characteristic a singular point on the line is a common root of c and
+    c'.  The line is skipped unless gcd(c, c') mod p is zero (the line lies
+    on the curve) or has positive degree; of the lines through (0:1:0),
+    only those tangent to the curve or through a singular point pass.  On
+    a line that passes, the two other partials join the gcd, and a scan
+    finds its first root in F_p: the witness.  The coefficients are
+    reduced to ints mod p and grouped by the power of x1 once per prime,
+    and c on (1 : t : x2) comes from seven evaluations in x2, so a prime
+    costs O(p) line tests.  A witness certifies that the reduction mod p
+    is singular; without one the verdict is 'probably-smooth' for the
+    probed primes.  The primes must be nonempty (PreconditionError) and
+    each at most MAX_SWEEP_PRIME (BadPrime, before any sweep).
     """
     if f.nvars != 3 or not f.is_homogeneous(6) or f.is_zero():
         raise PreconditionError("probe expects a nonzero homogeneous plane sextic")
     primes = tuple(primes)
+    if not primes:
+        raise PreconditionError("the probe needs at least one prime")
     for p in primes:
         _check_sweep_prime(p)
+    rows, scale = _sextic_rows(f)
     for p in primes:
-        fp = f.reduce_mod(p)  # BadPrime when a denominator vanishes mod p
-        terms = [(e, c.v) for e, c in fp.terms.items()]
-        partials = [[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in terms if e[i]]
-                    for i in range(3)]
+        if f.field.char not in (0, p):
+            raise FieldMismatch(f"element of GF({f.field.char}) used in GF({p})")
+        if scale % p == 0:
+            bad = next(c for c in f.terms.values() if c.denominator % p == 0)
+            raise BadPrime(f"denominator of {bad} vanishes mod {p}")
+        rp = [[c % p for c in r] for r in rows]
+        partials = _partial_rows(rp)
         for base, j, length in _plane_lines(p):
-            c0, c1, c2, c3, c4, c5, c6 = _restrict(terms, base, j, 6, p)
-            for s in range(length):
-                if (((((((c6 * s + c5) * s + c4) * s + c3) * s + c2) * s + c1) * s
-                     + c0) % p):
-                    continue
+            c = _line_restriction(rp, base, j)
+            h = _poly_gcd(c, [k * x for k, x in zip(range(len(c) - 1, 0, -1), c)], p)
+            if len(h) == 1:  # a unit: no common root (c = 0 leaves h = [])
+                continue
+            for i in range(3):
+                if i != j:
+                    h = _poly_gcd(h, _line_restriction(partials[i], base, j), p)
+            t = _first_root(h, length, p)
+            if t is not None:
                 x = list(base)
-                x[j] = s
-                if not any(_eval_terms(d, x, p) for d in partials):
-                    gf = GF(p)
-                    return CoverVerdict("singular", primes,
-                                        (p, tuple(gf.element(v) for v in x)))
+                x[j] = t
+                gf = GF(p)
+                return CoverVerdict("singular", primes, (p, tuple(gf.element(v) for v in x)))
     return CoverVerdict("probably-smooth", primes)
 
 

@@ -4,7 +4,8 @@ Everything here recomputes results by a different route than the library:
 permutation-sum determinants, direct cofactor recursion, perfect-matching
 Pfaffians, boxed span solves, term-by-term convolution, cross-ratio j-invariants, exhaustive
 isotropic searches, boxed sweeps of P^3 and P^2 for point counts and
-singular points, and univariate Euclid gcds, squarefree tests and
+singular points, an int point-by-point sweep of P^2 for singular points,
+and univariate Euclid gcds, squarefree tests and
 Sylvester resultants.
 """
 
@@ -255,6 +256,45 @@ def brute_force_singular_point(f, p):
     for pt in projective_points(GF(p), 2):
         if not fp.eval(pt) and all(not d.eval(pt) for d in partials):
             return pt
+    return None
+
+
+def line_sweep_singular_point(f, p):
+    """``brute_force_singular_point`` by an int sweep of every point: f is
+    restricted to each line of ``systems._plane_lines`` and evaluated along
+    it by Horner, and the partials are evaluated wherever f vanishes,
+    O(p^2) int operations.  The point as a tuple of ints, or None."""
+    from k3lab.systems import _plane_lines
+
+    terms = [(e, c.v) for e, c in f.reduce_mod(p).terms.items()]
+    partials = [[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in terms if e[i]]
+                for i in range(3)]
+
+    def at(terms, x):
+        acc = 0
+        for e, c in terms:
+            for xi, k in zip(x, e):
+                c *= xi**k
+            acc += c
+        return acc % p
+
+    for base, j, length in _plane_lines(p):
+        coeffs = [0] * 7
+        for e, c in terms:
+            for i, (xi, k) in enumerate(zip(base, e)):
+                if i != j:
+                    c *= xi**k
+            coeffs[e[j]] += c
+        for s in range(length):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * s + c
+            if acc % p:
+                continue
+            x = list(base)
+            x[j] = s
+            if not any(at(d, x) for d in partials):
+                return tuple(x)
     return None
 
 

@@ -1,5 +1,8 @@
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from k3lab.cli import build_parser, main
 
@@ -112,6 +115,43 @@ def test_fractional_net_disc_and_probe_golden_bytes(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == want
+
+
+NET_DIAGONAL_BRANCH = (
+    "x0^6 + 15*x0^5*x1 + 55*x0^5*x2 + 85*x0^4*x1^2 + 600*x0^4*x1*x2 + "
+    "1023*x0^4*x2^2 + 225*x0^3*x1^3 + 2279*x0^3*x1^2*x2 + 7395*x0^3*x1*x2^2 + "
+    "7645*x0^3*x2^3 + 274*x0^2*x1^4 + 3510*x0^2*x1^3*x2 + 16090*x0^2*x1^2*x2^2 + "
+    "31050*x0^2*x1*x2^3 + 21076*x0^2*x2^4 + 120*x0*x1^5 + 1800*x0*x1^4*x2 + "
+    "10200*x0*x1^3*x2^2 + 27000*x0*x1^2*x2^3 + 32880*x0*x1*x2^4 + 14400*x0*x2^5")
+
+
+def test_probe_and_cover_golden_bytes_small_and_large_p(capsys):
+    # bytes computed by the O(p^2) point-by-point sweep, independent of the line-gcd probe
+    net_disc = run_json(capsys, "net", "disc", "--system", FRACTIONAL_NET)["discriminant"]
+    goldens = [
+        (("net", "probe", "--system", "builtin:net-diagonal", "--primes", "3,5"),
+         '{"primes": [3, 5], "status": "singular", '
+         '"witness": {"p": 3, "point": [1, 1, 0]}}\n'),
+        (("net", "cover", "--system", "builtin:net-diagonal", "--primes", "1009"),
+         '{"base_dim": 2, "branch": "%s", "branch_degree": 6, "equation": '
+         '"tau^2 = %s", "verdict": {"primes": [1009], "status": "singular", '
+         '"witness": {"p": 1009, "point": [1, 302, 101]}}}\n'
+         % (NET_DIAGONAL_BRANCH, NET_DIAGONAL_BRANCH)),
+        (("net", "cover", "--system", FRACTIONAL_NET, "--primes", "1009"),
+         '{"base_dim": 2, "branch": "%s", "branch_degree": 6, "equation": '
+         '"tau^2 = %s", "verdict": {"primes": [1009], "status": "probably-smooth"}}\n'
+         % (net_disc, net_disc)),
+        (("net", "probe", "--system", FRACTIONAL_NET, "--primes", "7,11,13,1009"),
+         '{"primes": [7, 11, 13, 1009], "status": "probably-smooth"}\n'),
+    ]
+    for argv, want in goldens:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want
+    # the fractional net's denominators vanish mod 3
+    code, out, err = run(capsys, "net", "probe", "--system", FRACTIONAL_NET,
+                         "--primes", "3,5")
+    assert (code, out, err) == (2, "", "k3lab: denominator of 199433/36000 vanishes mod 3\n")
 
 
 def test_construct_verify_goldens(capsys):
@@ -291,6 +331,40 @@ def test_exit_code_sweep_prime_above_the_limit(capsys):
                  ("net", "cover", "--system", "builtin:net-diagonal", "--primes", above)):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "4093" in err
+
+
+def test_exit_code_empty_prime_list(capsys):
+    for action in ("probe", "cover"):
+        for primes in ("", ","):
+            code, out, err = run(capsys, "net", action, "--system", "builtin:net-diagonal",
+                                 "--primes", primes)
+            assert (code, out, err) == (2, "", "k3lab: the probe needs at least one prime\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-string conversion limit")
+def test_exit_code_result_too_large_to_print(tmp_path, capsys):
+    # inputs within the limit whose results are beyond it
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    diag = [[(i + 1) * (i == j) for j in range(4)] for i in range(4)]
+    big_exponent = [row[:] for row in diag]
+    big_exponent[0][0] = "1e10000"
+    path = tmp_path / "big-exponent.json"
+    path.write_text(json.dumps({"pencil": [eye, big_exponent]}))
+    long_int = tmp_path / "long-int.json"
+    long_int.write_text(json.dumps({"pencil": [eye, diag]}).replace(
+        "[[1, 0, 0, 0], [0, 2", "[[%s, 0, 0, 0], [0, 2" % ("7" * 4000)))
+    assert json.loads(long_int.read_text())["pencil"][1][0][0] == int("7" * 4000)
+    for argv in (("pencil", "disc", "--system", str(path)),
+                 ("pencil", "cover", "--system", str(path)),
+                 ("pencil", "jinv", "--system", str(long_int))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == ("k3lab: result too large to print: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits\n"), argv
+    # the same long entry prints when every integer of the result stays within the limit
+    code, out, _ = run(capsys, "pencil", "disc", "--system", str(long_int))
+    assert code == 0 and len(out) > 4000
 
 
 def test_exit_code_bad_prime_is_not_a_bad_reduction(tmp_path, capsys):

@@ -10,8 +10,8 @@ from k3lab import (GF, QQ, BadReduction, BinaryQuartic, DegenerateBranch,
                    moduli_double_cover, net_discriminant, pencil_discriminant,
                    pic2_double_cover, sextic_smoothness_probe)
 from oracles import (brute_force_pencil_count, brute_force_singular_point,
-                     cofactor_det, cross_ratio_j, scalar_leibniz_det,
-                     uni_sweep_count)
+                     cofactor_det, cross_ratio_j, line_sweep_singular_point,
+                     scalar_leibniz_det, uni_sweep_count)
 
 VAR = lambda i, n=2: MultiPoly.var(QQ, n, i)
 
@@ -268,9 +268,15 @@ def test_probe_fermat_probably_smooth():
 def test_probe_cone_singular_at_vertex():
     l = [MultiPoly.var(QQ, 3, i) for i in range(3)]
     cone = l[0]**6 + l[1]**6
-    verdict = sextic_smoothness_probe(cone, (7,))
-    assert verdict.status == "singular"
-    assert tuple(c.v for c in verdict.witness[1]) == (0, 0, 1)
+    # no x2^6, x0*x2^5 or x1*x2^5 term: singular at (0:0:1), the last point
+    # of the sweep, and nowhere else
+    vertex = l[0]**6 + l[1]**6 + l[2]**4 * (l[0]**2 + l[1]**2) + l[0] * l[1] * l[2]**4
+    for f in (cone, vertex):
+        for p in (7, 11, 13):
+            verdict = sextic_smoothness_probe(f, (p,))
+            assert verdict.status == "singular"
+            assert tuple(c.v for c in verdict.witness[1]) == (0, 0, 1)
+            assert verdict.witness[1] == brute_force_singular_point(f, p)
 
 
 def test_probe_rejects_bad_prime():
@@ -279,6 +285,17 @@ def test_probe_rejects_bad_prime():
     f = l[0]**6 * Fraction(1, 7) + l[1]**6 + l[2]**6
     with pytest.raises(BadPrime):
         sextic_smoothness_probe(f, (7,))
+
+
+def test_probe_needs_a_prime():
+    from k3lab import PreconditionError
+
+    net = NetOfQuadrics.from_diagonals([1] * 6, [0, 1, 2, 3, 4, 5], [0, 1, 4, 9, 16, 25])
+    for primes in ((), [], iter(())):
+        with pytest.raises(PreconditionError, match="at least one prime"):
+            sextic_smoothness_probe(net_discriminant(net), primes)
+    with pytest.raises(PreconditionError, match="at least one prime"):
+        moduli_double_cover(net, ())
 
 
 def test_sweeps_refuse_primes_above_the_limit():
@@ -538,11 +555,12 @@ def _probe_nets():
 
 
 def test_probe_matches_brute_force_witness():
+    primes = (3, 5, 7, 11, 13, 23, 47)
     statuses = set()
     for net in _probe_nets():
         d = net_discriminant(net)
         first = None
-        for p in (7, 11, 13):
+        for p in primes:
             verdict = sextic_smoothness_probe(d, (p,))
             pt = brute_force_singular_point(d, p)
             if pt is None:
@@ -551,5 +569,81 @@ def test_probe_matches_brute_force_witness():
                 assert verdict.status == "singular" and verdict.witness == (p, pt)
                 first = first or (p, pt)
             statuses.add(verdict.status)
-        assert sextic_smoothness_probe(d, (7, 11, 13)).witness == first
+        assert sextic_smoothness_probe(d, primes).witness == first
     assert statuses == {"singular", "probably-smooth"}
+
+
+def test_probe_matches_point_sweep_at_larger_primes():
+    # against the O(p^2) int point sweep, on nets with and without
+    # F_p-singular points; a full sweep at 1009 takes about 0.5 s a net
+    nets = _probe_nets()
+    statuses = set()
+    for p, chosen in ((101, nets), (211, nets), (1009, nets[:2] + nets[-1:])):
+        for net in chosen:
+            d = net_discriminant(net)
+            verdict = sextic_smoothness_probe(d, (p,))
+            pt = line_sweep_singular_point(d, p)
+            if pt is None:
+                assert verdict.status == "probably-smooth" and verdict.witness is None
+            else:
+                assert verdict.status == "singular"
+                assert (verdict.witness[0], tuple(c.v for c in verdict.witness[1])) == (p, pt)
+            statuses.add((p, verdict.status))
+    assert statuses == {(p, s) for p in (101, 211, 1009)
+                        for s in ("singular", "probably-smooth")}
+
+
+X = [MultiPoly.var(QQ, 3, i) for i in range(3)]
+
+
+def _probe_agrees(f, p, want):
+    """The probe's witness at p (a tuple of ints, or None) is ``want`` and
+    the boxed point-by-point search's."""
+    verdict = sextic_smoothness_probe(f, (p,))
+    got = None if verdict.witness is None else tuple(c.v for c in verdict.witness[1])
+    pt = brute_force_singular_point(f, p)
+    assert got == want == (None if pt is None else tuple(c.v for c in pt))
+
+
+def _vanish(f, p, pt, i=None):
+    """f (or its i-th partial) vanishes at the int point pt mod p."""
+    g = f.reduce_mod(p)
+    return not (g if i is None else g.deriv(i)).eval(pt)
+
+
+def test_probe_first_witness_on_the_line_x0_zero():
+    x0, x1, x2 = X
+    # f0 = 6*x0^5, so every singular point lies on x0 = 0
+    f = x0**6 + (x1 - x2)**2 * (x1**4 + x1 * x2**3 + 2 * x2**4)
+    for p in (7, 11, 13):
+        _probe_agrees(f, p, (0, 1, 1))
+
+
+def test_probe_curve_containing_a_sweep_line():
+    x0, x1, x2 = X
+    # f = 0 on the whole line (1 : t : 3), so c = c' = 0 there; its singular
+    # points are where the quintic meets it
+    f = (x2 - 3 * x0) * (x0**5 + x1**5 + x2**5 + x0 * x1**4 - 2 * x1**2 * x2**3)
+    assert all(_vanish(f, 11, (1, t, 3)) for t in range(11))
+    _probe_agrees(f, 11, (1, 4, 3))
+
+
+def test_probe_derivative_along_the_line_vanishes_mod_p():
+    x0, x1, x2 = X
+    # x1 occurs only as x1^5 (x1^3): c' = 0 mod 5 (mod 3) on every line (1 : t : x2)
+    f = x0 * x1**5 + x2**6 + x0**6
+    assert all(_vanish(f, 5, (1, t, a), 1) for t in range(5) for a in range(5))
+    _probe_agrees(f, 5, (1, 4, 0))
+    f = x0**3 * x1**3 + x2**6 + x0**6  # (x0*x1 + x2^2 + x0^2)^3 mod 3
+    _probe_agrees(f, 3, (1, 2, 0))
+
+
+def test_probe_tangent_line_is_not_a_witness():
+    x0, x1, x2 = X
+    # (1:0:0) is on the curve and c, c' share the root t = 0 on the line
+    # (1 : t : 0), but f2 = -1 there: the line passes the first test only
+    f = x0**4 * x1**2 - x0**5 * x2 + x2**6 + x1**6
+    for p in (11, 13):
+        assert _vanish(f, p, (1, 0, 0)) and _vanish(f, p, (1, 0, 0), 1)
+        assert not _vanish(f, p, (1, 0, 0), 2)
+        _probe_agrees(f, p, None)
