@@ -35,9 +35,9 @@ from .lattices import (IntegralLattice, MukaiVector, OverlatticeSpec,
 from .poly import MultiPoly, poly_to_text
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, scalar_to_json
-from .systems import (MAX_SWEEP_PRIME, NetOfQuadrics, PencilOfQuadrics,
-                      count_points, jacobian_j_invariant, moduli_double_cover,
-                      net_discriminant, pencil_discriminant,
+from .systems import (DEFAULT_PROBE_PRIMES, MAX_SWEEP_PRIME, NetOfQuadrics,
+                      PencilOfQuadrics, count_points, jacobian_j_invariant,
+                      moduli_double_cover, net_discriminant, pencil_discriminant,
                       pic2_double_cover, sextic_smoothness_probe)
 
 _BUILTIN_FILES = {
@@ -215,9 +215,10 @@ def build_parser() -> _Parser:
                       ("probe", "finite-field smoothness probe of the branch")):
         p = leaf(net, name, help=hlp)
         p.add_argument("--system", required=True)
-        p.add_argument("--primes", default="7,11,13",
+        p.add_argument("--primes", default=None,
                        help=f"comma-separated odd primes <= {MAX_SWEEP_PRIME} "
-                            "(larger p exits 2)")
+                            "(larger p exits 2); default: the system's own prime "
+                            f"over F_p, {','.join(map(str, DEFAULT_PROBE_PRIMES))} over Q")
 
     construct = sub.add_parser("construct").add_subparsers(dest="action", required=True)
     for name in ("verify-pencil", "verify-net"):
@@ -293,7 +294,10 @@ def _run(args):
         system = load_system(args.system)
         if not isinstance(system, NetOfQuadrics):
             raise PreconditionError("net subcommands need a net system")
-        primes = tuple(_parse_int_list(args.primes, "primes"))
+        if args.primes is not None:
+            primes = tuple(_parse_int_list(args.primes, "primes"))
+        else:
+            primes = (system.field.char,) if system.field.char else DEFAULT_PROBE_PRIMES
         if action == "disc":
             d = net_discriminant(system)
             return {"discriminant": d, "degree": d.degree()}

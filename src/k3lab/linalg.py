@@ -26,12 +26,6 @@ from .errors import SingularMatrix
 from .scalars import GFElement
 
 
-def identity(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
-
-
 def transpose(m):
     return tuple(zip(*m)) if m else ()
 

@@ -221,15 +221,18 @@ class LinearMatrix:
     holds A_i as raw int rows times ``_scale``: the representatives in
     [0, p) with scale 1 over GF(p), the numerators over the lcm of the
     denominators over QQ.  The algorithms run on those; ``coeff_mats`` is
-    boxed on first use.  The instance is immutable, so ``_memo`` keeps what
-    is derived from it: the packed det and Pfaffian expansions
-    (``_terms``), their boxed polynomials, the boxed ``coeff_mats``, and
-    the invariants ``construction.invariants`` derived against one system.
+    boxed on first use.  ``alternating`` says whether every A_i is
+    alternating, as computed from them.  The instance is immutable, so
+    ``_memo`` keeps what is derived from it: the packed det and Pfaffian
+    expansions (``_terms``), their boxed polynomials, the boxed
+    ``coeff_mats``, the invariants ``construction.invariants`` derived
+    against one system, and a pencil's branch quartic
+    (``systems.pencil_discriminant``).
     """
 
     __slots__ = ("field", "size", "nvars", "alternating", "_mats", "_scale", "_memo")
 
-    def __init__(self, field, size: int, nvars: int, coeff_mats, alternating=None):
+    def __init__(self, field, size: int, nvars: int, coeff_mats):
         mats = tuple(tuple(tuple(field.coerce(x) for x in row) for row in mat)
                      for mat in coeff_mats)
         if len(mats) != nvars:
@@ -239,14 +242,13 @@ class LinearMatrix:
             if len(mat) != size or any(len(r) != size for r in mat):
                 raise PreconditionError(f"coefficient matrices must be {size}x{size}")
         ints, scale = linalg.int_rows(field, [row for mat in mats for row in mat])
-        raw = [ints[i * size:(i + 1) * size] for i in range(nvars)]
-        alt = all(_is_alternating(mat, field.char) for mat in raw)
-        if alternating and not alt:
-            raise PreconditionError("alternating flag set but a coefficient matrix is not")
-        self._init(field, size, nvars, raw, scale, alt if alternating is None else alternating)
+        self._init(field, size, nvars, [ints[i * size:(i + 1) * size] for i in range(nvars)],
+                   scale)
         self._memo["coeff_mats"] = mats
 
-    def _init(self, field, size, nvars, mats, scale, alternating):
+    def _init(self, field, size, nvars, mats, scale, alternating=None):
+        if alternating is None:
+            alternating = all(_is_alternating(mat, field.char) for mat in mats)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "nvars", nvars)
@@ -260,8 +262,6 @@ class LinearMatrix:
         """Wrap ``nvars`` raw size x size int matrices times ``scale`` (see
         the class docstring) without validating their shape: for the
         package's own results.  ``alternating`` is computed when None."""
-        if alternating is None:
-            alternating = all(_is_alternating(mat, field.char) for mat in mats)
         out = object.__new__(cls)
         out._init(field, size, nvars, mats, scale, alternating)
         return out
@@ -277,20 +277,6 @@ class LinearMatrix:
                 linalg._box(self.field, mat, self._scale) for mat in self._mats)
         return got
 
-    def entry_poly(self, j: int, k: int) -> MultiPoly:
-        terms = {}
-        for i, mat in enumerate(self.coeff_mats):
-            c = mat[j][k]
-            if c:
-                e = [0] * self.nvars
-                e[i] = 1
-                terms[tuple(e)] = c
-        return MultiPoly(self.field, self.nvars, terms)
-
-    def to_poly_matrix(self) -> PolyMatrix:
-        return PolyMatrix([[self.entry_poly(j, k) for k in range(self.size)]
-                           for j in range(self.size)])
-
     def _terms(self, pf: bool) -> dict:
         """det (Pf when ``pf``) of A(x) as ``_expand``'s packed int terms,
         memoized: the monomial of x_i is 1 << _width(size, pf) * i, and the
@@ -299,8 +285,7 @@ class LinearMatrix:
         if got is None:
             n, p = self.size, self.field.char
             _check_shape(n, n, pf)
-            if pf and not (self.alternating
-                           or all(_is_alternating(mat, p) for mat in self._mats)):
+            if pf and not self.alternating:
                 raise PreconditionError("pfaffian of a non-alternating matrix")
             width = _width(n, pf)
             rows = [[[(1 << width * i, mat[j][k]) for i, mat in enumerate(self._mats)
@@ -355,14 +340,6 @@ class LinearMatrix:
     def congruence_transform(self, g) -> "LinearMatrix":
         """A_i -> g A_i g^T (preserves the alternating property)."""
         return self.left_right_transform(g, g)
-
-    def klein_coordinates(self, i: int):
-        """Coordinates of the alternating coefficient matrix A_i in the
-        Klein basis order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
-        if self.size != 4 or not self.alternating:
-            raise PreconditionError("Klein coordinates need a 4x4 alternating matrix")
-        mat = self.coeff_mats[i]
-        return tuple(mat[a][b] for a, b in KLEIN_INDEX_PAIRS)
 
     @classmethod
     def from_klein_rows(cls, field, nvars, rows):

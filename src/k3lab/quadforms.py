@@ -23,7 +23,7 @@ identities are checked with explicit VerificationFailure raises, so they
 also hold under ``python -O``.
 
 Over F_p the split test, the isotropic search and the Witt split are
-kernels on int Gram rows mod p (``_split_rows``/``_split_det``,
+kernels on int Gram rows mod p (``_split_det`` on a Bareiss determinant,
 ``_isotropic_rows``, ``_witt_rows``), which the sampler in ``construction``
 calls directly; ``is_split``, ``isotropic_vector`` and ``witt_split`` are
 thin wrappers that box their results.  Each step of a Witt split takes the
@@ -330,13 +330,7 @@ def is_split(q: QuadraticForm) -> bool:
     _require_prime_field(q, "is_split")
     if q.n % 2:
         raise PreconditionError("is_split expects an even-dimensional form")
-    return _split_rows(q._rows, q.field.p)
-
-
-def _split_rows(g, p) -> bool:
-    """``is_split`` on even-dimensional int Gram rows g mod p: one Bareiss
-    determinant and ``_split_det``."""
-    return _split_det(linalg.int_det(g, p), len(g), p)
+    return _split_det(linalg.int_det(q._rows, q.field.p), q.n, q.field.p)
 
 
 def _split_det(d, n, p) -> bool:

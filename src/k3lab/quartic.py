@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from .errors import BadPrime, DegenerateBranch, PreconditionError
 from .poly import MultiPoly
-from .scalars import GF, QQ
+from .scalars import QQ
 
 
 class BinaryQuartic:
     """The five exact coefficients (a, b, c, d, e); all-zero is forbidden."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_invariants")
 
     def __init__(self, coeffs, field=QQ):
         cs = tuple(field.coerce(c) for c in coeffs)
@@ -36,6 +36,7 @@ class BinaryQuartic:
             raise PreconditionError("the zero quartic is forbidden")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_invariants", None)
 
     def __setattr__(self, *a):
         raise AttributeError("BinaryQuartic is immutable")
@@ -50,25 +51,18 @@ class BinaryQuartic:
         return MultiPoly(self.field, 2,
                          {(4 - k, k): c for k, c in enumerate(self.coeffs)})
 
-    def dehomogenized(self):
-        """Coefficients of f(t, 1) in ascending degree (kept even when a = 0
-        drops the top degree)."""
-        a, b, c, d, e = self.coeffs
-        coeffs = [e, d, c, b, a]
-        while len(coeffs) > 1 and not coeffs[-1]:
-            coeffs.pop()
-        return tuple(coeffs)
-
     def invariants(self):
-        """The triple (I, J, Delta)."""
-        if self.field.char == 3:
-            raise BadPrime("quartic invariants are undefined in characteristic 3")
-        a, b, c, d, e = self.coeffs
-        i_inv = 12 * a * e - 3 * b * d + c * c
-        j_inv = (72 * a * c * e + 9 * b * c * d - 27 * a * d * d
-                 - 27 * b * b * e - 2 * c**3)
-        delta = (4 * i_inv**3 - j_inv**2) / self.field.coerce(27)
-        return i_inv, j_inv, delta
+        """The triple (I, J, Delta), computed once: the quartic is immutable."""
+        if self._invariants is None:
+            if self.field.char == 3:
+                raise BadPrime("quartic invariants are undefined in characteristic 3")
+            a, b, c, d, e = self.coeffs
+            i_inv = 12 * a * e - 3 * b * d + c * c
+            j_inv = (72 * a * c * e + 9 * b * c * d - 27 * a * d * d
+                     - 27 * b * b * e - 2 * c**3)
+            delta = (4 * i_inv**3 - j_inv**2) / self.field.coerce(27)
+            object.__setattr__(self, "_invariants", (i_inv, j_inv, delta))
+        return self._invariants
 
     def discriminant(self):
         return self.invariants()[2]
@@ -82,10 +76,6 @@ class BinaryQuartic:
         if not delta:
             raise DegenerateBranch("repeated branch point: j-invariant undefined")
         return 1728 * 4 * i_inv**3 / (4 * i_inv**3 - j_inv**2)
-
-    def reduce_mod(self, p: int) -> "BinaryQuartic":
-        f = GF(p)
-        return BinaryQuartic([f.coerce(c) for c in self.coeffs], f)
 
     def __eq__(self, other):
         return (isinstance(other, BinaryQuartic) and self.field == other.field

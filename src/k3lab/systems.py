@@ -196,11 +196,17 @@ def span_rows(system):
 
 
 def pencil_discriminant(pencil: PencilOfQuadrics) -> BinaryQuartic:
-    """The branch quartic det(l1*G1 + l2*G2); vanishes at the singular members."""
-    d = discriminant_poly(pencil)
-    if d.is_zero():
-        raise DegenerateSystem("pencil discriminant vanishes identically")
-    return BinaryQuartic.from_poly(d)
+    """The branch quartic det(l1*G1 + l2*G2); vanishes at the singular members.
+    Memoized with ``member_matrix``, so a pencil has one branch quartic and
+    its invariants are computed once."""
+    memo = member_matrix(pencil)._memo
+    branch = memo.get("branch")
+    if branch is None:
+        d = discriminant_poly(pencil)
+        if d.is_zero():
+            raise DegenerateSystem("pencil discriminant vanishes identically")
+        branch = memo["branch"] = BinaryQuartic.from_poly(d)
+    return branch
 
 
 def net_discriminant(net: NetOfQuadrics) -> MultiPoly:
@@ -418,15 +424,16 @@ def moduli_double_cover(net: NetOfQuadrics,
     return DoubleCoverDescriptor(2, branch, sextic_smoothness_probe(branch, primes))
 
 
-def _good_reduction_quartic(f: BinaryQuartic, p: int) -> BinaryQuartic:
+def _good_reduction_coeffs(f: BinaryQuartic, p: int) -> list:
+    """The coefficients (a, b, c, d, e) of f mod p as ints; BadReduction
+    unless f reduces mod p to a quartic with four distinct roots."""
     if f.field != QQ:
         raise PreconditionError("reduction starts from a form over QQ")
-    # The discriminant comes first: a quartic that vanishes mod p has
-    # discriminant 0 mod p and no reduction as a BinaryQuartic.
+    gf = GF(p)
     try:
-        if not GF(p).coerce(f.discriminant()):
+        if not gf.coerce(f.discriminant()):
             raise BadReduction(f"branch quartic has a repeated root mod {p}")
-        return f.reduce_mod(p)
+        return [gf.coerce(c).v for c in f.coeffs]
     except BadPrime as exc:
         raise BadReduction(str(exc)) from exc
 
@@ -498,10 +505,10 @@ def count_points(system, p: int) -> int:
     """
     _check_sweep_prime(p)
     if isinstance(system, PencilOfQuadrics):
-        _good_reduction_quartic(pencil_discriminant(system), p)
+        _good_reduction_coeffs(pencil_discriminant(system), p)
         return _count_pencil(system, p)
     if isinstance(system, BinaryQuartic):
-        a, b, c, d, e = (x.v for x in _good_reduction_quartic(system, p).coeffs)
+        a, b, c, d, e = _good_reduction_coeffs(system, p)
         count = 1 + chi_mod(a, p)
         for t in range(p):
             count += 1 + chi_mod((((a * t + b) * t + c) * t + d) * t + e, p)

@@ -6,7 +6,11 @@ Pfaffians, boxed span solves, term-by-term convolution, cross-ratio j-invariants
 isotropic searches, boxed sweeps of P^3 and P^2 for point counts and
 singular points, an int point-by-point sweep of P^2 for singular points,
 and univariate Euclid gcds, squarefree tests and
-Sylvester resultants.
+Sylvester resultants.  The views of a ``LinearMatrix`` that only tests need
+are rebuilt here from its boxed ``coeff_mats``: its matrix of MultiPoly
+entries (``poly_entries``) and the Klein coordinates of its alternating
+coefficient matrices (``klein_coordinates``); ``identity`` builds identity
+matrices of field scalars.
 """
 
 from fractions import Fraction
@@ -330,6 +334,28 @@ def boxed_span_solve(lhs, polys):
     if any(row[k] for row in rows[k:]):
         return None
     return tuple(row[k] for row in rows[:k])
+
+
+def identity(field, n):
+    """The n x n identity matrix of field scalars."""
+    return tuple(tuple(field.one if i == j else field.zero for j in range(n))
+                 for i in range(n))
+
+
+def poly_entries(a):
+    """A(x) of the LinearMatrix ``a`` as rows of MultiPoly entries: entry
+    (j, k) is sum_i (A_i)[j][k] x_i, built from the boxed ``coeff_mats``."""
+    x = [MultiPoly.var(a.field, a.nvars, i) for i in range(a.nvars)]
+    return [[sum((xi * mat[j][k] for xi, mat in zip(x, a.coeff_mats)),
+                 MultiPoly.zero(a.field, a.nvars)) for k in range(a.size)]
+            for j in range(a.size)]
+
+
+def klein_coordinates(a, i):
+    """Entries (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of the alternating
+    4x4 coefficient matrix A_i of ``a``, read from the boxed ``coeff_mats``."""
+    mat = a.coeff_mats[i]
+    return tuple(mat[r][c] for r, c in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
 
 def scaled(a, t):

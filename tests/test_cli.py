@@ -83,6 +83,34 @@ def test_point_count_and_probe_golden_bytes(capsys):
         assert out == want
 
 
+def test_pencil_count_builds_one_branch_and_evaluates_it_once(capsys, monkeypatch):
+    # one op builds the branch quartic once (cli and count_points(pencil) share
+    # the pencil's memo) and evaluates its invariants once (both counts check
+    # its discriminant mod p)
+    from k3lab.quartic import BinaryQuartic
+
+    built, evaluated = [], []
+    init, invariants = BinaryQuartic.__init__, BinaryQuartic.invariants
+
+    def counting_init(self, *a, **kw):
+        built.append(a)
+        init(self, *a, **kw)
+
+    def counting_invariants(self):
+        if getattr(self, "_invariants", None) is None:
+            evaluated.append(self)
+        return invariants(self)
+
+    monkeypatch.setattr(BinaryQuartic, "__init__", counting_init)
+    monkeypatch.setattr(BinaryQuartic, "invariants", counting_invariants)
+    code, out, _ = run(capsys, "pencil", "count", "--system", "builtin:pencil-diagonal",
+                       "--p", "101")
+    assert code == 0
+    assert out == ('{"hyperelliptic_points": 120, "p": 101, "pencil_points": 120, '
+                   '"twist_consistent": true}\n')
+    assert (len(built), len(evaluated)) == (1, 1)
+
+
 FRACTIONAL_NET = str(Path(__file__).parent / "data" / "net-fractional.json")
 
 
@@ -152,6 +180,39 @@ def test_probe_and_cover_golden_bytes_small_and_large_p(capsys):
     code, out, err = run(capsys, "net", "probe", "--system", FRACTIONAL_NET,
                          "--primes", "3,5")
     assert (code, out, err) == (2, "", "k3lab: denominator of 199433/36000 vanishes mod 3\n")
+
+
+def test_probe_and_cover_default_primes(tmp_path, capsys):
+    # over Q the default is DEFAULT_PROBE_PRIMES, with the bytes of an explicit
+    # --primes 7,11,13 (taken before the default followed the field)
+    goldens = [
+        (("net", "probe", "--system", "builtin:net-diagonal"),
+         '{"primes": [7, 11, 13], "status": "singular", '
+         '"witness": {"p": 7, "point": [1, 1, 1]}}\n'),
+        (("net", "cover", "--system", "builtin:net-diagonal"),
+         '{"base_dim": 2, "branch": "%s", "branch_degree": 6, "equation": '
+         '"tau^2 = %s", "verdict": {"primes": [7, 11, 13], "status": "singular", '
+         '"witness": {"p": 7, "point": [1, 1, 1]}}}\n'
+         % (NET_DIAGONAL_BRANCH, NET_DIAGONAL_BRANCH)),
+        (("net", "probe", "--system", FRACTIONAL_NET),
+         '{"primes": [7, 11, 13], "status": "probably-smooth"}\n'),
+    ]
+    for argv, want in goldens:
+        assert run(capsys, *argv) == (0, want, "")
+        assert run(capsys, *argv, "--primes", "7,11,13") == (0, want, "")
+    # over F_q the default is the system's own prime (the Q default exited 2
+    # with "element of GF(11) used in GF(7)")
+    doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
+                      / "net-diagonal.json").read_text())
+    doc["field"] = "F11"
+    path = tmp_path / "net11.json"
+    path.write_text(json.dumps(doc))
+    for action in ("probe", "cover"):
+        code, out, err = run(capsys, "net", action, "--system", str(path))
+        assert code == 0, err
+        verdict = json.loads(out) if action == "probe" else json.loads(out)["verdict"]
+        assert verdict["primes"] == [11]
+        assert run(capsys, "net", action, "--system", str(path), "--primes", "11") == (0, out, "")
 
 
 def test_construct_verify_goldens(capsys):

@@ -12,7 +12,7 @@ from k3lab import (GF, QQ, InconsistentConstant, LinearMatrix,
                    invariants, is_split, klein_form, linalg,
                    projective_points, random_gl, random_sl, sample_point,
                    t_invariant, verify_relation, wedge2_matrix)
-from oracles import scaled, witt_index_exhaustive
+from oracles import identity, scaled, witt_index_exhaustive
 
 DIAG_PENCIL = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3])
 DIAG_NET = NetOfQuadrics.from_diagonals(
@@ -316,7 +316,7 @@ def test_inconsistent_constant_surface():
 def test_invariance_identity():
     F = GF(11)
     pt = sample_point(DIAG_PENCIL, 11, seed=3)
-    eye = linalg.identity(F, 2)
+    eye = identity(F, 2)
     rep = group_invariance_check(pt.matrix, pt.system, eye, eye)
     assert rep.ok
 
@@ -325,7 +325,7 @@ def test_invariance_shear():
     F = GF(11)
     pt = sample_point(DIAG_PENCIL, 11, seed=4)
     shear = ((F.one, F.one), (F.zero, F.one))
-    eye = linalg.identity(F, 2)
+    eye = identity(F, 2)
     rep = group_invariance_check(pt.matrix, pt.system, shear, eye)
     assert rep.ok
 
@@ -348,7 +348,7 @@ def test_invariance_rejects_non_unimodular():
     pt = sample_point(DIAG_PENCIL, 11, seed=7)
     g = ((F.element(2), F.zero), (F.zero, F.one))
     with pytest.raises(PreconditionError):
-        group_invariance_check(pt.matrix, pt.system, g, linalg.identity(F, 2))
+        group_invariance_check(pt.matrix, pt.system, g, identity(F, 2))
 
 
 # -- the invariants satisfy exactly one relation of the expected degree ---------------

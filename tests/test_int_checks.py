@@ -3,7 +3,7 @@
 Span coordinates, T, disc(B), the det/Pf = q check of ``express_as_*`` and
 ``left_right_transform`` run on raw int rows; here each is recomputed on
 boxed scalars through ``tests/oracles.py`` (cofactor and perfect-matching
-expansions of ``to_poly_matrix()``, a Gauss-Jordan span solve on MultiPoly
+expansions of ``poly_entries``, a Gauss-Jordan span solve on MultiPoly
 coefficients, ``MultiPoly.eval``, permutation-sum determinants) over QQ,
 GF(13) and GF(2**31 - 1).  Mutants that change one raw coefficient of a
 model must fail the checks with VerificationFailure.  Seeds and sizes are
@@ -22,8 +22,8 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NotInSpan,
                    sample_point, t_invariant)
 from k3lab import cli, construction, quadforms
 from k3lab.systems import member_matrix
-from oracles import (boxed_span_solve, cofactor_det, matching_pfaffian,
-                     scalar_leibniz_det, symbolic_member_entries)
+from oracles import (boxed_span_solve, cofactor_det, klein_coordinates, matching_pfaffian,
+                     poly_entries, scalar_leibniz_det, symbolic_member_entries)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -56,7 +56,7 @@ def rand_form(rng, field, n):
 
 def oracle_quadratic(a):
     """det (2x2) or Pf (alternating 4x4) of A(x), expanded on boxed entries."""
-    entries = a.to_poly_matrix().entries
+    entries = poly_entries(a)
     return cofactor_det(entries) if a.size == 2 else matching_pfaffian(entries)
 
 
@@ -123,7 +123,7 @@ def oracle_t(a):
     if a.size == 2:
         cols = [[m[0][0], m[0][1], m[1][0], m[1][1]] for m in a.coeff_mats]
     else:
-        cols = [list(a.klein_coordinates(i)) for i in range(6)]
+        cols = [list(klein_coordinates(a, i)) for i in range(6)]
     return scalar_leibniz_det(field, [list(r) for r in zip(*cols)])
 
 
@@ -216,7 +216,7 @@ def test_system_point_build_rejects_one_coefficient_mutants(p):
                 with pytest.raises(VerificationFailure):
                     SystemPoint.build(LinearMatrix(F, 2, 4, mats), pt.system, pt.base_point)
     pt = sample_point(net, p, seed=3)
-    rows = [list(r) for r in zip(*(pt.matrix.klein_coordinates(i) for i in range(6)))]
+    rows = [list(r) for r in zip(*(klein_coordinates(pt.matrix, i) for i in range(6)))]
     for a in range(6):
         for i in range(6):
             mutant = [list(row) for row in rows]

@@ -6,8 +6,8 @@ import pytest
 
 from k3lab import (GF, QQ, LinearMatrix, MultiPoly, PolyMatrix,
                    PreconditionError, pfaffian, poly_det)
-from oracles import (cofactor_det, leibniz_det, matching_pfaffian,
-                     pfaffian_three_term)
+from oracles import (cofactor_det, klein_coordinates, leibniz_det, matching_pfaffian,
+                     pfaffian_three_term, poly_entries)
 
 ORACLE_FIELDS = (QQ, GF(13), GF(2**31 - 1))
 # (nvars, max entry degree): every pair for small sizes, a spread for 5 and 6
@@ -201,17 +201,17 @@ def test_linear_matrix_round_trip():
     a = LinearMatrix(F, 2, 4, [
         [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
     ])
-    pm = a.to_poly_matrix()
+    pm = poly_entries(a)
     x = [MultiPoly.var(F, 4, i) for i in range(4)]
-    assert pm[0, 0] == x[0] and pm[0, 1] == x[1]
-    assert pm[1, 0] == x[2] and pm[1, 1] == x[3]
+    assert pm[0][0] == x[0] and pm[0][1] == x[1]
+    assert pm[1][0] == x[2] and pm[1][1] == x[3]
     assert a.det_poly() == x[0] * x[3] - x[1] * x[2]
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_linear_matrix_expansions_against_oracles(field):
     # det_poly and pfaffian_poly pack the coefficient matrices directly; the
-    # oracles expand the entry polynomials of to_poly_matrix() instead.
+    # oracles expand the entry polynomials of poly_entries() instead.
     rng = random.Random(16)
 
     def coeff():
@@ -223,7 +223,7 @@ def test_linear_matrix_expansions_against_oracles(field):
         a = LinearMatrix(field, n, nvars, [[[coeff() for _ in range(n)] for _ in range(n)]
                                            for _ in range(nvars)])
         det = a.det_poly()
-        assert det == cofactor_det(a.to_poly_matrix().entries)
+        assert det == cofactor_det(poly_entries(a))
         assert all(type(c) is type(field.one) for c in det.terms.values())
     # integral coefficients: the scale is 1, and QQ coefficients stay Fractions
     eye = LinearMatrix(field, 2, 4, [[[int(2 * j + k == i) for k in range(2)]
@@ -233,7 +233,7 @@ def test_linear_matrix_expansions_against_oracles(field):
         rows = [[coeff() for _ in range(nvars)] for _ in range(6)]
         a = LinearMatrix.from_klein_rows(field, nvars, rows)
         pf = a.pfaffian_poly()
-        assert pf == matching_pfaffian(a.to_poly_matrix().entries)
+        assert pf == matching_pfaffian(poly_entries(a))
         assert all(type(c) is type(field.one) for c in pf.terms.values())
 
 
@@ -273,10 +273,11 @@ def test_linear_matrix_expansions_keep_their_caps():
         LinearMatrix(F, 2, 1, [[[0, 1], [1, 0]]]).pfaffian_poly()
     with pytest.raises(PreconditionError, match="non-alternating"):
         LinearMatrix(F, 2, 1, [[[1, 0], [0, 0]]]).pfaffian_poly()
-    # the flag is a claim, not the test: an alternating matrix flagged False
-    # still has a Pfaffian
-    a = LinearMatrix(F, 2, 1, [[[0, 1], [-1, 0]]], alternating=False)
-    assert a.pfaffian_poly() == MultiPoly.var(F, 1, 0)
+    # alternating is computed, never claimed: there is no flag to set
+    a = LinearMatrix(F, 2, 1, [[[0, 1], [-1, 0]]])
+    assert a.alternating and a.pfaffian_poly() == MultiPoly.var(F, 1, 0)
+    with pytest.raises(TypeError):
+        LinearMatrix(F, 2, 1, [[[0, 1], [-1, 0]]], alternating=False)
 
 
 def test_linear_matrix_klein_round_trip():
@@ -286,7 +287,7 @@ def test_linear_matrix_klein_round_trip():
     a = LinearMatrix.from_klein_rows(F, 6, rows)
     assert a.alternating
     for i in range(6):
-        assert a.klein_coordinates(i) == tuple(rows[k][i] for k in range(6))
+        assert klein_coordinates(a, i) == tuple(rows[k][i] for k in range(6))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)

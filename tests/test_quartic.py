@@ -70,7 +70,7 @@ def test_delta_zero_iff_gcd_nonconstant():
             base = rng.sample(range(-10, 11), 3)
             roots = base + [base[0]]
         f = BinaryQuartic(quartic_from_roots(roots))
-        coeffs = uni_trim(QQ, f.dehomogenized())
+        coeffs = uni_trim(QQ, f.coeffs[::-1])  # f(t, 1), ascending
         g = uni_gcd(QQ, coeffs, uni_deriv(QQ, coeffs))
         squarefree_by_gcd = len(g) == 1
         assert f.is_squarefree() == squarefree_by_gcd
@@ -112,11 +112,6 @@ def _substituted(f, a, b, g, d):
     y = MultiPoly.var(QQ, 2, 1)
     q = p.substitute({0: a * x + b * y, 1: g * x + d * y})
     return BinaryQuartic.from_poly(q)
-
-
-def test_dehomogenized_degree_drop():
-    f = BinaryQuartic([0, 1, 0, -1, 0])
-    assert f.dehomogenized() == (0, -1, 0, 1)  # cubic: top coefficient dropped
 
 
 def test_from_poly_validation():

@@ -1,0 +1,291 @@
+"""Every function in ``src/k3lab`` is reached by the CLI or allowlisted.
+
+A fixed command set runs in process through ``cli.main`` under
+``sys.setprofile``, which records the code object of every Python call.
+The commands are the ``k3lab ...`` lines of README.md's examples (each must
+exit 0), ``construct invariance`` on the builtin pencil (the README runs
+the net), ``lattice overlattice --gram --format text``, ``net cover`` on
+``tests/data/net-fractional.json``, a pencil over F_3 with no split member
+(the sampler's draws all fail and its sweep runs), a bad flag (exit 1) and
+a composite ``--p`` (exit 2).
+
+Every ``def`` in the package, found by parsing its source, must be reached
+or named in ``ALLOWLIST`` with a reason.  Methods are named
+``module.Class.method``, nested functions ``module.outer.<locals>.inner``;
+dunders other than ``__init__`` are exempt.  An allowlisted name that no
+longer exists or that the commands reach fails too, so the list cannot go
+stale.  A new function has to be reached by the command set or be
+allowlisted here with its reason.  Every check fails through
+``pytest.fail``, so it also holds under ``python -O``.
+"""
+
+import argparse
+import ast
+import contextlib
+import io
+import json
+import os
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+import k3lab
+from k3lab import cli
+
+SRC = Path(k3lab.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+FRACTIONAL_NET = str(Path(__file__).parent / "data" / "net-fractional.json")
+# modules that hold only imports, exception classes or a script body
+NO_DEFS = frozenset({"__init__", "__main__", "errors"})
+
+TRACER = "wrapped by the bench tracer until ROADMAP item 2"
+ALLOWLIST = {
+    # called by name from bench/tracing.py TARGETS, and README-documented API
+    "linalg.solve": TRACER,
+    "linalg.rank": TRACER,
+    "linalg.inverse": TRACER,
+    "linalg.nullspace": TRACER,
+    "linalg.mat_mul": TRACER,
+    "linalg.congruence_diagonalize": TRACER,
+    "quadforms.witt_split": TRACER,
+    "quadforms.isotropic_vector": TRACER,
+    "quadforms.QuadraticForm.eval": TRACER,
+    "quadforms.QuadraticForm.bilinear": TRACER,
+    "poly.MultiPoly.eval": TRACER,
+    "scalars.PrimeField.sqrt": TRACER,
+    "scalars.PrimeField.legendre": TRACER,
+    # kernels of the boxed solvers above, and the general routes of the oracles
+    "linalg.int_inverse": "the int kernel of linalg.inverse; the general "
+                          "route of oracles.model_rows_by_inverse",
+    "linalg.int_nullspace": "the int kernel of linalg.nullspace; the general "
+                            "route of oracles.witt_rows_by_products",
+    "linalg.transpose": "used by Isometry.transform_gram and witt_split",
+    # entry points and error paths no command of the set takes
+    "cli.main_entry": "the console script; runs cli.main in a new process",
+    "cli._VerificationExit.__init__": "raised only when a sampled identity is "
+                                      "falsified (exit 3)",
+    "construction.RelationReport.ok": "API of verify_relation's report",
+    "construction.RelationReport.raise_if_failed": "API of verify_relation's report",
+    "construction.InvarianceReport.ok": "API of group_invariance_check's report",
+    "construction.random_gl": "exported: GL elements for covariance checks "
+                              "(acceptance criterion 8)",
+    "construction.wedge2_matrix": "exported: the action of GL(4) on Klein "
+                                  "coordinates (acceptance criterion 8)",
+    # library API the CLI does not use
+    "enumerative.brill_noether_number": "exported enumerative bookkeeping",
+    "enumerative.restriction_section_bound": "exported enumerative bookkeeping",
+    "enumerative.type_ii_expected_dim": "reached by `bn dim --type II`; the "
+                                        "README shows type III",
+    "lattices.MukaiVector.chi": "exported Mukai-vector API",
+    "lattices.is_rigid": "exported Mukai-vector API",
+    "lattices.is_k3_moduli": "exported Mukai-vector API",
+    "lattices.IntegralLattice.to_json": "exported lattice API",
+    "lattices.e8_lattice": "exported lattice constructor",
+    "lattices.hyperbolic_plane_lattice": "exported lattice constructor",
+    "lattices.l_zero_sublattice": "exported: the lattice L0 that overlattice "
+                                  "builds on (README)",
+    "poly.poly_from_text": "exported: the parser of the polynomial text format "
+                           "(README)",
+    "poly.MultiPoly._check": "the operand check of MultiPoly arithmetic",
+    "poly.MultiPoly.zero": "exported MultiPoly API (acceptance criterion 5)",
+    "poly.MultiPoly.const": "exported MultiPoly API (acceptance criterion 5)",
+    "poly.MultiPoly.var": "exported MultiPoly API (acceptance criterion 5)",
+    "poly.MultiPoly.substitute": "exported MultiPoly API",
+    "poly.MultiPoly.deriv": "exported MultiPoly API",
+    "poly.MultiPoly.reduce_mod": "exported MultiPoly API",
+    "polymat.PolyMatrix.__init__": "exported: input of poly_det and pfaffian",
+    "polymat.PolyMatrix.nrows": "exported PolyMatrix API",
+    "polymat.PolyMatrix.ncols": "exported PolyMatrix API",
+    "polymat.PolyMatrix.is_alternating": "the precondition check of pfaffian",
+    "polymat.poly_det": "exported symbolic determinant (README)",
+    "polymat.pfaffian": "exported symbolic Pfaffian (README)",
+    "polymat._pack": "packs the entries of poly_det and pfaffian",
+    "polymat.LinearMatrix.__init__": "exported: the validating constructor; the "
+                                     "package builds its own results by _of_raw",
+    "polymat.LinearMatrix.coeff_mats": "exported LinearMatrix API",
+    "polymat.LinearMatrix.pfaffian_poly": "exported LinearMatrix API",
+    "polymat.LinearMatrix.from_klein_rows": "exported LinearMatrix constructor",
+    "quadforms.QuadraticForm.gram": "exported QuadraticForm API",
+    "quadforms.QuadraticForm.from_poly": "exported QuadraticForm API",
+    "quadforms.QuadraticForm.to_poly": "exported QuadraticForm API",
+    "quadforms.QuadraticForm._pair": "the bilinear form behind eval and bilinear",
+    "quadforms.Isometry.__init__": "exported: the result type of diagonalize "
+                                   "and witt_split",
+    "quadforms.Isometry.transform_gram": "exported Isometry API",
+    "quadforms.Isometry.transform": "exported Isometry API",
+    "quadforms.Isometry.inverse": "exported Isometry API",
+    "quadforms.Isometry.det": "exported Isometry API",
+    "quadforms.WittDecomposition.target_gram": "API of witt_split's result",
+    "quadforms.diagonalize": "exported quadratic-form API (README)",
+    "quadforms.is_split": "exported quadratic-form API (README)",
+    "quadforms.hyperbolic_form": "exported model form",
+    "scalars.PrimeField.elements": "exported PrimeField API",
+    "scalars.RationalField.one": "exported field API, the counterpart of "
+                                 "PrimeField.one",
+    "systems._member": "PencilOfQuadrics.member and NetOfQuadrics.member",
+    "systems.PencilOfQuadrics.from_diagonals": "exported constructor",
+    "systems.NetOfQuadrics.from_diagonals": "exported constructor",
+}
+
+
+def readme_commands():
+    """The ``k3lab ...`` lines of README.md's examples, as argv lists."""
+    return [shlex.split(line)[1:]
+            for line in (ROOT / "README.md").read_text("utf-8").splitlines()
+            if line.startswith("k3lab ")]
+
+
+def extra_commands(tmp: Path):
+    """(argv, exit code) of the commands beyond the README."""
+    mod3 = tmp / "pencil-no-split-mod-3.json"
+    mod3.write_text(json.dumps({"pencil": [
+        [[int(i == j) * d for j in range(4)] for i, d in enumerate(diag)]
+        for diag in ([1, 2, 1, 1], [1, 2, 2, 2])]}))
+    alpha = ",".join(["1", "4"] + ["0"] * 20)
+    return [
+        (["construct", "invariance", "--system", "builtin:pencil-diagonal",
+          "--p", "11", "--count", "5"], 0),
+        (["lattice", "overlattice", "--alpha", alpha, "--r", "2", "--gram",
+          "--format", "text"], 0),
+        (["net", "cover", "--system", FRACTIONAL_NET], 0),
+        (["construct", "verify-pencil", "--system", str(mod3), "--p", "3",
+          "--samples", "1"], 2),
+        (["mukai", "dim", "--r", "two", "--l2", "8", "--s", "2"], 1),
+        # GF caches each field it builds, so only a p that is not prime reaches
+        # is_odd_prime whatever ran before
+        (["pencil", "count", "--system", "builtin:pencil-diagonal", "--p", "4095"], 2),
+    ]
+
+
+def collect_defs():
+    """{(source path, first line of its code object): (name, def line)} for
+    every def in the package.  A decorated function's code starts at its
+    first decorator."""
+    out = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(str(path), first)] = (f"{path.stem}.{name}", child.lineno)
+                walk(child, path, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, prefix + child.name + ".")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text("utf-8")), path, "")
+    return out
+
+
+def exempt(name):
+    last = name.rsplit(".", 1)[-1]
+    return last.startswith("__") and last.endswith("__") and last != "__init__"
+
+
+def run_profiled(commands):
+    """Run each argv through ``cli.main`` under a profiler that records every
+    Python call: (exit codes, {(real source path, first line)})."""
+    # memoized functions (build_parser, the Witt targets) must run their
+    # bodies inside the profiled window, whatever other tests ran before
+    for module in [m for n, m in sys.modules.items() if n.startswith("k3lab.")]:
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    codes, seen = [], set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main(argv))
+    finally:
+        sys.setprofile(previous)
+    real = {}
+    for code in seen:
+        if code.co_filename not in real:
+            real[code.co_filename] = os.path.realpath(code.co_filename)
+    return codes, {(real[c.co_filename], c.co_firstlineno) for c in seen}
+
+
+@pytest.fixture(scope="module")
+def audit(tmp_path_factory):
+    readme = readme_commands()
+    extra = extra_commands(tmp_path_factory.mktemp("reach"))
+    previous = sys.getprofile()
+    codes, reached = run_profiled(readme + [argv for argv, _ in extra])
+    defs = collect_defs()
+    return {
+        "readme": list(zip(readme, codes)),
+        "extra": [(argv, want, got) for (argv, want), got in zip(extra, codes[len(readme):])],
+        "defs": defs,
+        "reached": {name for key, (name, _) in defs.items() if key in reached},
+        "profile_restored": sys.getprofile() is previous,
+    }
+
+
+def test_readme_commands_exit_zero(audit):
+    groups = next(set(action.choices) for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+    covered = {argv[0] for argv, _ in audit["readme"]}
+    if covered != groups:
+        pytest.fail(f"README examples cover {sorted(covered)}, the CLI has {sorted(groups)}")
+    bad = [f"k3lab {shlex.join(argv)} -> exit {code}" for argv, code in audit["readme"]
+           if code != 0]
+    if bad:
+        pytest.fail("README commands that do not exit 0:\n" + "\n".join(bad))
+
+
+def test_extra_commands_exit_codes(audit):
+    bad = [f"k3lab {shlex.join(argv)} -> exit {got}, want {want}"
+           for argv, want, got in audit["extra"] if got != want]
+    if bad:
+        pytest.fail("\n".join(bad))
+
+
+def test_every_function_is_reached_or_allowlisted(audit):
+    missing = sorted(
+        (os.path.relpath(path, ROOT), line, name)
+        for (path, _), (name, line) in audit["defs"].items()
+        if name not in audit["reached"] and name not in ALLOWLIST and not exempt(name))
+    if missing:
+        pytest.fail("functions no command reaches; reach them from the command set, "
+                    "delete them, or allowlist them with a reason:\n"
+                    + "\n".join(f"{path}:{line} {name}" for path, line, name in missing))
+
+
+def test_allowlist_is_current(audit):
+    names = {name for name, _ in audit["defs"].values()}
+    problems = [f"{name}: no such function" for name in ALLOWLIST if name not in names]
+    problems += [f"{name}: reached, so drop it from the allowlist"
+                 for name in ALLOWLIST if name in audit["reached"]]
+    problems += [f"{name}: no reason given" for name, why in ALLOWLIST.items()
+                 if not (isinstance(why, str) and why.strip())]
+    if problems:
+        pytest.fail("\n".join(sorted(problems)))
+
+
+def test_guard_is_not_vacuous(audit):
+    modules = {name.split(".", 1)[0] for name, _ in audit["defs"].values()}
+    want = {path.stem for path in SRC.glob("*.py")} - NO_DEFS
+    if modules != want:
+        pytest.fail(f"collected functions from {sorted(modules)}, want {sorted(want)}")
+    for name in ("cli.main", "construction.sample_point", "scalars.projective_points",
+                 "cli._Parser.error", "polymat._expand.<locals>.minor"):
+        if name not in audit["reached"]:
+            pytest.fail(f"{name} should be reached by the command set")
+    for name in ("linalg.solve", "quadforms.witt_split"):
+        if name in audit["reached"]:
+            pytest.fail(f"{name} should not be reached by the command set")
+    if not audit["profile_restored"]:
+        pytest.fail("the previous profiler was not restored")

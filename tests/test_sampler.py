@@ -158,6 +158,6 @@ def test_split_filter_matches_the_boxed_route(p):
                 assert member.gram == boxed_member_gram(system, lam)
                 split = bool(d) and is_split(member)
                 assert split == (F.legendre((-1) ** (n // 2) * d) == 1)
-                assert quadforms._split_rows(rows, p) == split
+                assert quadforms._split_det(d.v, n, p) == split  # the sampler's test
                 seen.add("split" if split else "nonsplit" if d else "disc=0")
     assert seen == {"split", "nonsplit", "disc=0"}
