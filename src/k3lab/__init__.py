@@ -16,7 +16,7 @@ from .quadforms import (Isometry, QuadraticForm, WittDecomposition,
                         express_as_pfaffian, hyperbolic_form,
                         is_split, isotropic_vector, klein_form, witt_split)
 from .systems import (CoverVerdict, DoubleCoverDescriptor, NetOfQuadrics,
-                      PencilOfQuadrics, count_points, discriminant_poly,
+                      PencilOfQuadrics, QuadricSystem, count_points, discriminant_poly,
                       jacobian_j_invariant, moduli_double_cover,
                       net_discriminant, pencil_discriminant,
                       pic2_double_cover, sextic_smoothness_probe)

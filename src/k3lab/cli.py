@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -28,7 +29,7 @@ from .enumerative import (EXPECTED_DIM_BASIS, fano_degree, fano_genus_allowed,
                           HOMOGENEOUS_SPACES, linear_section_invariants,
                           pairs_moduli_dims, type_ii_expected_dim,
                           type_iii_expected_dim)
-from .errors import (K3LabError, PreconditionError, VerificationFailure)
+from .errors import K3LabError, PreconditionError, VerificationFailure
 from .lattices import (IntegralLattice, MukaiVector, OverlatticeSpec,
                        k3_lattice, lattice_invariants, moduli_dim,
                        overlattice)
@@ -38,7 +39,7 @@ from .scalars import GF, QQ, scalar_to_json
 from .systems import (DEFAULT_PROBE_PRIMES, MAX_SWEEP_PRIME, NetOfQuadrics,
                       PencilOfQuadrics, count_points, jacobian_j_invariant,
                       moduli_double_cover, net_discriminant, pencil_discriminant,
-                      pic2_double_cover, sextic_smoothness_probe)
+                      pic2_double_cover)
 
 _BUILTIN_FILES = {
     "builtin:pencil-diagonal": "pencil-diagonal.json",
@@ -59,22 +60,20 @@ class _Parser(argparse.ArgumentParser):
 def _read_json(path: str):
     if path in _BUILTIN_FILES:
         text = resources.files("k3lab.data").joinpath(_BUILTIN_FILES[path]).read_text("utf-8")
-        name = path
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise CLIParseError(f"cannot read {path}: {exc}") from exc
-        name = path
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CLIParseError(
-            f"{name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ValueError as exc:  # an integer beyond Python's int-string conversion limit
-        raise CLIParseError(f"{name}: {exc}") from exc
+        raise CLIParseError(f"{path}: {exc}") from exc
 
 
 def _parse_field(tag):
@@ -114,13 +113,12 @@ def load_system(path: str):
     if not isinstance(doc, dict):
         raise CLIParseError("system file must be a JSON object")
     field = _parse_field(doc.get("field"))
-    for key, kind, size, count in (("pencil", PencilOfQuadrics, 2, "two"),
-                                   ("net", NetOfQuadrics, 3, "three")):
-        if key in doc:
-            grams = doc[key]
-            if not isinstance(grams, list) or len(grams) != size:
-                raise CLIParseError(f"a {key} needs exactly {count} Gram matrices")
-            return kind(*(QuadraticForm(_parse_gram(g), field) for g in grams))
+    for cls, count in ((PencilOfQuadrics, "two"), (NetOfQuadrics, "three")):
+        if cls.KIND in doc:
+            grams = doc[cls.KIND]
+            if not isinstance(grams, list) or len(grams) != cls.NFORMS:
+                raise CLIParseError(f"a {cls.KIND} needs exactly {count} Gram matrices")
+            return cls(*(QuadraticForm(_parse_gram(g), field) for g in grams))
     raise CLIParseError("system file must contain a 'pencil' or 'net' key")
 
 
@@ -215,10 +213,11 @@ def build_parser() -> _Parser:
                       ("probe", "finite-field smoothness probe of the branch")):
         p = leaf(net, name, help=hlp)
         p.add_argument("--system", required=True)
-        p.add_argument("--primes", default=None,
-                       help=f"comma-separated odd primes <= {MAX_SWEEP_PRIME} "
-                            "(larger p exits 2); default: the system's own prime "
-                            f"over F_p, {','.join(map(str, DEFAULT_PROBE_PRIMES))} over Q")
+        if name != "disc":
+            p.add_argument("--primes", default=None,
+                           help=f"comma-separated odd primes <= {MAX_SWEEP_PRIME} "
+                                "(larger p exits 2), only p itself over F_p; default: "
+                                f"p over F_p, {','.join(map(str, DEFAULT_PROBE_PRIMES))} over Q")
 
     construct = sub.add_parser("construct").add_subparsers(dest="action", required=True)
     for name in ("verify-pencil", "verify-net"):
@@ -272,10 +271,12 @@ def _run(args):
             report["gram"] = [list(r) for r in out.gram]
         return report
 
-    if group == "pencil":
+    if group in ("pencil", "net"):
         system = load_system(args.system)
-        if not isinstance(system, PencilOfQuadrics):
-            raise PreconditionError("pencil subcommands need a pencil system")
+        if system.KIND != group:
+            raise PreconditionError(f"{group} subcommands need a {group} system")
+
+    if group == "pencil":
         if action == "disc":
             return {"discriminant": pencil_discriminant(system).to_poly()}
         if action == "jinv":
@@ -291,29 +292,24 @@ def _run(args):
                     "twist_consistent": n_pencil in (n_hyp, 2 * args.p + 2 - n_hyp)}
 
     if group == "net":
-        system = load_system(args.system)
-        if not isinstance(system, NetOfQuadrics):
-            raise PreconditionError("net subcommands need a net system")
-        if args.primes is not None:
-            primes = tuple(_parse_int_list(args.primes, "primes"))
-        else:
-            primes = (system.field.char,) if system.field.char else DEFAULT_PROBE_PRIMES
         if action == "disc":
             d = net_discriminant(system)
             return {"discriminant": d, "degree": d.degree()}
-        if action == "cover":
-            return moduli_double_cover(system, primes)
-        if action == "probe":
-            d = net_discriminant(system)
-            if d.is_zero():
-                raise PreconditionError("net discriminant vanishes identically")
-            return sextic_smoothness_probe(d, primes)
+        q = system.field.char
+        if args.primes is None:
+            primes = (q,) if q else DEFAULT_PROBE_PRIMES
+        else:
+            primes = tuple(_parse_int_list(args.primes, "primes"))
+            if q and set(primes) - {q}:
+                raise PreconditionError(f"the system is over GF({q}): --primes may "
+                                        f"list only {q}, not {args.primes}")
+        cover = moduli_double_cover(system, primes)
+        return cover if action == "cover" else cover.verdict
 
     if group == "construct":
         system = load_system(args.system)
         if action in ("verify-pencil", "verify-net"):
-            want_pencil = action == "verify-pencil"
-            if want_pencil != isinstance(system, PencilOfQuadrics):
+            if action != f"verify-{system.KIND}":
                 raise PreconditionError(f"{action} got the wrong kind of system")
             report = verify_relation(system, args.p, args.samples, args.seed)
             out = report.to_json()
@@ -342,17 +338,14 @@ def _run(args):
 
 
 def _invariance_report(system, p, count, seed):
-    import random
-
     if count < 1:
         raise PreconditionError("invariance needs a count of at least 1")
-    is_pencil = isinstance(system, PencilOfQuadrics)
     point = sample_point(system, p, seed)
     field = GF(p)
     rng = random.Random(seed)
     b_ok = t_ok = True
     for _ in range(count):
-        if is_pencil:
+        if system.KIND == "pencil":
             g, h = random_sl(field, 2, rng), random_sl(field, 2, rng)
             rep = group_invariance_check(point.matrix, point.system, g, h)
         else:
@@ -360,7 +353,7 @@ def _invariance_report(system, p, count, seed):
             rep = group_invariance_check(point.matrix, point.system, g)
         b_ok = b_ok and rep.b_equal
         t_ok = t_ok and rep.t_equal
-    out = {"case": "pencil" if is_pencil else "net", "p": p, "seed": seed,
+    out = {"case": system.KIND, "p": p, "seed": seed,
            "checked": count, "b_invariant": b_ok, "t_invariant": t_ok}
     if not (b_ok and t_ok):
         raise _VerificationExit(out)
@@ -395,7 +388,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         sys.stderr.write(f"k3lab: verification failed: {exc}\n")
         return 3
-    except (PreconditionError, K3LabError) as exc:
+    except K3LabError as exc:
         sys.stderr.write(f"k3lab: {exc}\n")
         return 2
     try:

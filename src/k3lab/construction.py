@@ -1,11 +1,14 @@
 """Sampling and invariants for rank-degenerate spaces of linear matrices.
 
-Two parallel settings share the machinery:
+Two parallel settings share the machinery, and a system's ``KIND``
+(``systems.QuadricSystem``) says which one it is in:
 
-* pencil case: 2x2 matrices of linear forms in four variables whose
-  determinant lies in the span of the pencil's quadrics;
-* net case: alternating 4x4 matrices of linear forms in six variables
-  whose Pfaffian lies in the span of the net's quadrics.
+* ``"pencil"``: 2x2 matrices of linear forms in four variables whose
+  determinant lies in the span of the pencil's quadrics, factored by
+  ``express_as_2x2_det``;
+* ``"net"``: alternating 4x4 matrices of linear forms in six variables
+  whose Pfaffian lies in the span of the net's quadrics, factored by
+  ``express_as_pfaffian``.
 
 For such a matrix A, the span coordinates B (degree 2 in the entries of A)
 and the coefficient determinant T (degree 4, resp. 6: det of the row-major
@@ -59,8 +62,7 @@ from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
 from .quadforms import (SEEDED_DRAWS, QuadraticForm, _split_det,
                         express_as_2x2_det, express_as_pfaffian)
 from .scalars import GF, GFElement, projective_points
-from .systems import (NetOfQuadrics, PencilOfQuadrics, member_matrix,
-                      member_rows, span_rows)
+from .systems import QuadricSystem, member_matrix, member_rows, span_rows
 
 
 class InvariantData(NamedTuple):
@@ -160,13 +162,13 @@ class SystemPoint:
 
 
 def _reduced(system, p):
-    if isinstance(system, (PencilOfQuadrics, NetOfQuadrics)):
-        if system.field.char == 0:
-            return system.reduce_mod(p)
-        if system.field.char == p:
-            return system
-        raise BadReduction(f"system already lives over GF({system.field.char})")
-    raise PreconditionError("expected a pencil or a net")
+    if not isinstance(system, QuadricSystem):
+        raise PreconditionError("expected a pencil or a net")
+    if system.field.char == 0:
+        return system.reduce_mod(p)
+    if system.field.char == p:
+        return system
+    raise BadReduction(f"system already lives over GF({system.field.char})")
 
 
 def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
@@ -184,13 +186,12 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     identically.
     """
     red = _reduced(system, p)
-    pencil_case = isinstance(red, PencilOfQuadrics)
     if not member_matrix(red)._terms(False):
         raise BadReduction(f"discriminant vanishes identically mod {p}")
     gf = GF(p)
     dim = len(red.forms) - 1
     grams = [q._rows for q in red.forms]
-    express = express_as_2x2_det if pencil_case else express_as_pfaffian
+    express = express_as_2x2_det if red.KIND == "pencil" else express_as_pfaffian
     rng = random.Random(seed)
     draws = (_random_point(p, dim, rng) for _ in range(SEEDED_DRAWS))
     sweep = ([x.v for x in lam] for lam in projective_points(gf, dim))
@@ -271,7 +272,6 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")
     red = _reduced(system, p)
-    case = "pencil" if isinstance(red, PencilOfQuadrics) else "net"
     member = member_matrix(red)
     c = None
     passed, failed = 0, []
@@ -286,7 +286,7 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
         else:
             failed.append({"index": i, "base_point": pt.base_point,
                            "t": t, "disc_b": disc_b})
-    return RelationReport(case=case, p=p, samples=count, seed=seed, c=c,
+    return RelationReport(case=red.KIND, p=p, samples=count, seed=seed, c=c,
                           passed=passed, failed=tuple(failed))
 
 

@@ -1,12 +1,14 @@
 """Pencils and nets of quadrics: discriminants, double covers, point counts.
 
 A pencil is spanned by two 4-variable forms q1, q2, a net by three
-6-variable forms.  The discriminant det(l1*G1 + l2*G2 [+ l3*G3]) of the
-symbolic member cuts out the singular members of the system: a binary
-quartic on the pencil's P^1, a plane sextic on the net's P^2.  The double
-cover tau^2 = disc is the object of interest in both cases; smoothness of
-its branch is decided exactly for quartics (discriminant nonzero) and
-probed over small finite fields for sextics.
+6-variable forms; both are ``QuadricSystem``s, whose ``KIND`` names the
+case for the modules that differ on it.  The discriminant
+det(l1*G1 + l2*G2 [+ l3*G3]) of the symbolic member cuts out the singular
+members of the system: a binary quartic on the pencil's P^1, a plane
+sextic on the net's P^2.  The double cover tau^2 = disc is the object of
+interest in both cases; smoothness of its branch is decided exactly for
+quartics (discriminant nonzero) and probed over small finite fields for
+sextics.
 """
 
 from __future__ import annotations
@@ -40,16 +42,6 @@ def _check_sweep_prime(p) -> None:
                        "the point sweeps accept")
 
 
-def _check_independent(forms, what):
-    """The Gram matrices, flattened, must be linearly independent."""
-    p = forms[0].field.char
-    rows, _ = linalg.scaled_rows([[x for row in q._rows for x in row] for q in forms], p)
-    if linalg.int_rank(rows, p) < len(forms):
-        raise DegenerateSystem(
-            f"{what}: Gram matrices are linearly dependent "
-            "(identically-proportional members)")
-
-
 def member_rows(grams, lam, p):
     """The Gram rows of sum_k lam_k G_k from the raw Gram rows ``grams`` and
     raw coefficients ``lam``: ints reduced mod p, or Fractions when p = 0."""
@@ -60,103 +52,100 @@ def member_rows(grams, lam, p):
     return rows
 
 
-def _member(system, lam) -> QuadraticForm:
-    """The member sum_k lam_k q_k, combined on raw representatives and
-    boxed once."""
-    field = system.field
-    if len(lam) != len(system.forms):
-        raise PreconditionError(f"a member needs {len(system.forms)} coefficients")
-    lam = [field.coerce(x) for x in lam]
-    if field.char:
-        lam = [x.v for x in lam]
-    return QuadraticForm._of_rows(
-        field, member_rows([q._rows for q in system.forms], lam, field.char))
+class QuadricSystem:
+    """NFORMS linearly independent NVARS-variable quadratic forms over one
+    field: a pencil or a net.  Immutable; ``KIND`` names the case."""
 
+    KIND: str
+    NFORMS: int
+    NVARS: int
+    __slots__ = ("forms", "field", "_matrix", "_span")
 
-class PencilOfQuadrics:
-    """Two linearly independent 4-variable quadratic forms."""
-
-    __slots__ = ("q1", "q2", "field", "_matrix", "_span")
-
-    def __init__(self, q1: QuadraticForm, q2: QuadraticForm):
-        if q1.n != 4 or q2.n != 4:
-            raise PreconditionError("pencil members must be 4-variable forms")
-        if q1.field != q2.field:
-            raise PreconditionError("pencil members over different fields")
-        _check_independent((q1, q2), "pencil")
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "field", q1.field)
+    def __init__(self, *forms: QuadraticForm):
+        kind = self.KIND
+        if len(forms) != self.NFORMS:
+            raise PreconditionError(f"a {kind} has {self.NFORMS} members, got {len(forms)}")
+        if any(q.n != self.NVARS for q in forms):
+            raise PreconditionError(f"{kind} members must be {self.NVARS}-variable forms")
+        field = forms[0].field
+        if any(q.field != field for q in forms):
+            raise PreconditionError(f"{kind} members over different fields")
+        # the Gram matrices, flattened, must be linearly independent
+        rows, _ = linalg.scaled_rows([[x for row in q._rows for x in row] for q in forms],
+                                     field.char)
+        if linalg.int_rank(rows, field.char) < len(forms):
+            raise DegenerateSystem(
+                f"{kind}: Gram matrices are linearly dependent "
+                "(identically-proportional members)")
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_span", None)
 
     def __setattr__(self, *a):
-        raise AttributeError("PencilOfQuadrics is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
-    def forms(self):
-        return (self.q1, self.q2)
+    def q1(self) -> QuadraticForm:
+        return self.forms[0]
+
+    @property
+    def q2(self) -> QuadraticForm:
+        return self.forms[1]
+
+    @classmethod
+    def _diagonal(cls, field, *diagonals):
+        """The system of the forms sum d[i] x_i^2, one per diagonal d."""
+        r = range(cls.NVARS)
+        return cls(*(QuadraticForm([[field.coerce(d[i]) if i == j else field.zero
+                                     for j in r] for i in r], field)
+                     for d in diagonals))
+
+    def member(self, lam) -> QuadraticForm:
+        """The member sum_k lam_k q_k, combined on raw representatives and
+        boxed once."""
+        field = self.field
+        if len(lam) != len(self.forms):
+            raise PreconditionError(f"a member needs {len(self.forms)} coefficients")
+        lam = [field.coerce(x) for x in lam]
+        if field.char:
+            lam = [x.v for x in lam]
+        return QuadraticForm._of_rows(
+            field, member_rows([q._rows for q in self.forms], lam, field.char))
+
+    def reduce_mod(self, p: int) -> "QuadricSystem":
+        GF(p)  # BadPrime on an invalid p, which is not a bad reduction
+        try:
+            return type(self)(*(q.reduce_mod(p) for q in self.forms))
+        except (BadPrime, DegenerateSystem) as exc:
+            raise BadReduction(f"{self.KIND} has bad reduction mod {p}: {exc}") from exc
+
+
+class PencilOfQuadrics(QuadricSystem):
+    """Two linearly independent 4-variable quadratic forms."""
+
+    KIND, NFORMS, NVARS = "pencil", 2, 4
+    __slots__ = ()
 
     @classmethod
     def from_diagonals(cls, d1, d2, field=QQ):
         """Diagonal pencil: q1 = sum d1[i] x_i^2, q2 = sum d2[i] x_i^2."""
-        mk = lambda d: QuadraticForm(
-            [[field.coerce(d[i]) if i == j else field.zero for j in range(4)]
-             for i in range(4)], field)
-        return cls(mk(d1), mk(d2))
-
-    member = _member
-
-    def reduce_mod(self, p: int) -> "PencilOfQuadrics":
-        GF(p)  # BadPrime on an invalid p, which is not a bad reduction
-        try:
-            return PencilOfQuadrics(self.q1.reduce_mod(p), self.q2.reduce_mod(p))
-        except (BadPrime, DegenerateSystem) as exc:
-            raise BadReduction(f"pencil has bad reduction mod {p}: {exc}") from exc
+        return cls._diagonal(field, d1, d2)
 
 
-class NetOfQuadrics:
+class NetOfQuadrics(QuadricSystem):
     """Three linearly independent 6-variable quadratic forms."""
 
-    __slots__ = ("q1", "q2", "q3", "field", "_matrix", "_span")
-
-    def __init__(self, q1, q2, q3):
-        for q in (q1, q2, q3):
-            if q.n != 6:
-                raise PreconditionError("net members must be 6-variable forms")
-        if not (q1.field == q2.field == q3.field):
-            raise PreconditionError("net members over different fields")
-        _check_independent((q1, q2, q3), "net")
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "q3", q3)
-        object.__setattr__(self, "field", q1.field)
-        object.__setattr__(self, "_matrix", None)
-        object.__setattr__(self, "_span", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("NetOfQuadrics is immutable")
+    KIND, NFORMS, NVARS = "net", 3, 6
+    __slots__ = ()
 
     @property
-    def forms(self):
-        return (self.q1, self.q2, self.q3)
+    def q3(self) -> QuadraticForm:
+        return self.forms[2]
 
     @classmethod
     def from_diagonals(cls, d1, d2, d3, field=QQ):
-        mk = lambda d: QuadraticForm(
-            [[field.coerce(d[i]) if i == j else field.zero for j in range(6)]
-             for i in range(6)], field)
-        return cls(mk(d1), mk(d2), mk(d3))
-
-    member = _member
-
-    def reduce_mod(self, p: int) -> "NetOfQuadrics":
-        GF(p)  # BadPrime on an invalid p, which is not a bad reduction
-        try:
-            return NetOfQuadrics(self.q1.reduce_mod(p), self.q2.reduce_mod(p),
-                                 self.q3.reduce_mod(p))
-        except (BadPrime, DegenerateSystem) as exc:
-            raise BadReduction(f"net has bad reduction mod {p}: {exc}") from exc
+        return cls._diagonal(field, d1, d2, d3)
 
 
 def member_matrix(system) -> LinearMatrix:

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -213,6 +215,15 @@ def test_probe_and_cover_default_primes(tmp_path, capsys):
         verdict = json.loads(out) if action == "probe" else json.loads(out)["verdict"]
         assert verdict["primes"] == [11]
         assert run(capsys, "net", action, "--system", str(path), "--primes", "11") == (0, out, "")
+        # any other listed prime is refused, naming the flag and the field
+        for primes in ("7", "11,13"):
+            assert run(capsys, "net", action, "--system", str(path), "--primes", primes) == (
+                2, "", "k3lab: the system is over GF(11): --primes may list only 11, "
+                       f"not {primes}\n")
+    # the bytes of --primes 11, taken before other primes were refused
+    assert run(capsys, "net", "probe", "--system", str(path), "--primes", "11") == (
+        0, '{"primes": [11], "status": "singular", "witness": {"p": 11, "point": [1, 4, 1]}}\n',
+        "")
 
 
 def test_construct_verify_goldens(capsys):
@@ -316,6 +327,9 @@ def test_text_format_same_data(capsys):
 def test_exit_code_parse_error_flags(capsys):
     code, _, err = run(capsys, "mukai", "dim", "--r", "x", "--l2", "8", "--s", "2")
     assert code == 1 and "parse error" in err
+    # only probe and cover take --primes
+    assert run(capsys, "net", "disc", "--system", "builtin:net-diagonal", "--primes", "3") == (
+        1, "", "k3lab: parse error: unrecognized arguments: --primes 3\n")
 
 
 def test_exit_code_parse_error_bad_json(tmp_path, capsys):
@@ -447,9 +461,47 @@ def test_exit_code_bad_prime_is_not_a_bad_reduction(tmp_path, capsys):
     assert err == "k3lab: pencil has bad reduction mod 3: denominator of 1/3 vanishes mod 3\n"
 
 
-def test_exit_code_wrong_system_kind(capsys):
-    code, _, err = run(capsys, "pencil", "disc", "--system", "builtin:net-diagonal")
-    assert code == 2
+def _diag(*d):
+    return [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+
+
+def test_exit_code_wrong_system_kind(tmp_path, capsys):
+    # exact texts, taken before one QuadricSystem base named the case
+    docs = {
+        "pencil3": {"pencil": [_diag(1, 2, 3, 4), _diag(1, 1, 1, 1), _diag(0, 1, 2, 3)]},
+        "net2": {"net": [_diag(1, 2, 3, 4, 5, 6), _diag(1, 1, 1, 1, 1, 1)]},
+        "pencil5": {"pencil": [_diag(1, 1, 1, 1), _diag(1, 1, 1, 6)]},
+        "net5": {"net": [_diag(1, 1, 1, 1, 1, 1), _diag(1, 1, 1, 1, 1, 6),
+                         _diag(0, 1, 2, 3, 4, 5)]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    path = lambda name: str(tmp_path / f"{name}.json")
+    pencil, net = "builtin:pencil-diagonal", "builtin:net-diagonal"
+    dependent = "Gram matrices are linearly dependent (identically-proportional members)"
+    cases = [
+        (("pencil", "disc", "--system", net), 2, "pencil subcommands need a pencil system"),
+        (("pencil", "count", "--system", net, "--p", "5"), 2,
+         "pencil subcommands need a pencil system"),
+        (("net", "disc", "--system", pencil), 2, "net subcommands need a net system"),
+        (("net", "probe", "--system", pencil), 2, "net subcommands need a net system"),
+        (("construct", "verify-pencil", "--system", net, "--p", "11"), 2,
+         "verify-pencil got the wrong kind of system"),
+        (("construct", "verify-net", "--system", pencil, "--p", "11"), 2,
+         "verify-net got the wrong kind of system"),
+        (("pencil", "disc", "--system", path("pencil3")), 1,
+         "parse error: a pencil needs exactly two Gram matrices"),
+        (("net", "disc", "--system", path("net2")), 1,
+         "parse error: a net needs exactly three Gram matrices"),
+        (("construct", "verify-pencil", "--system", path("pencil5"), "--p", "5"), 2,
+         f"pencil has bad reduction mod 5: pencil: {dependent}"),
+        (("construct", "verify-net", "--system", path("net5"), "--p", "5"), 2,
+         f"net has bad reduction mod 5: net: {dependent}"),
+        (("construct", "invariance", "--system", FRACTIONAL_NET, "--p", "3"), 2,
+         "net has bad reduction mod 3: denominator of -1/6 vanishes mod 3"),
+    ]
+    for argv, code, err in cases:
+        assert run(capsys, *argv) == (code, "", f"k3lab: {err}\n"), argv
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):
@@ -489,6 +541,21 @@ def test_file_input_with_rational_entries(tmp_path, capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "pencil", "disc", "--system", "/no/such/file.json")
     assert code == 1 and "cannot read" in err
+
+
+def test_python_dash_m_matches_in_process_main(capsys):
+    # a fresh interpreter runs __main__, main_entry's sys.exit and loads the
+    # builtin system through importlib.resources
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv, code in ((("net", "probe", "--system", "builtin:net-diagonal",
+                         "--primes", "7,11,13"), 0),
+                       (("pencil", "count", "--system", "builtin:pencil-diagonal",
+                         "--p", "4099"), 2)):
+        proc = subprocess.run([sys.executable, "-m", "k3lab", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        assert proc.returncode == code and (proc.stdout != "") == (code == 0)
 
 
 def test_threads_env_var_does_not_change_output(capsys, monkeypatch):

@@ -124,7 +124,11 @@ ALLOWLIST = {
     "scalars.PrimeField.elements": "exported PrimeField API",
     "scalars.RationalField.one": "exported field API, the counterpart of "
                                  "PrimeField.one",
-    "systems._member": "PencilOfQuadrics.member and NetOfQuadrics.member",
+    "systems.QuadricSystem.member": "exported system API",
+    "systems.QuadricSystem.q1": "exported system API: forms[0]",
+    "systems.QuadricSystem.q2": "exported system API: forms[1]",
+    "systems.NetOfQuadrics.q3": "exported net API: forms[2]",
+    "systems.QuadricSystem._diagonal": "the body of both from_diagonals",
     "systems.PencilOfQuadrics.from_diagonals": "exported constructor",
     "systems.NetOfQuadrics.from_diagonals": "exported constructor",
 }

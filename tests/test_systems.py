@@ -238,6 +238,44 @@ def test_dependent_net_rejected_at_construction():
         NetOfQuadrics(q1, q2, q3)
 
 
+def test_pencil_and_net_share_the_quadric_system_base():
+    from k3lab import PreconditionError, QuadricSystem, systems
+
+    gf = GF(7)
+    pencil = PencilOfQuadrics.from_diagonals([1, 2, 3, 4], [0, 1, 2, 3], gf)  # field positional
+    net = NetOfQuadrics.from_diagonals([1] * 6, [0, 1, 2, 3, 4, 5],
+                                       [0, 1, 4, 9, 16, 25], gf)
+    for system, kind, n, qs in ((pencil, "pencil", 2, ("q1", "q2")),
+                                (net, "net", 3, ("q1", "q2", "q3"))):
+        assert isinstance(system, QuadricSystem)
+        assert (system.KIND, system.NFORMS, system.NVARS) == (kind, n, 2 * n)
+        assert system.field == gf and system.forms == tuple(getattr(system, q) for q in qs)
+        assert all(q.field == gf and q.n == 2 * n for q in system.forms)
+        assert type(system.reduce_mod(7)) is type(system)
+        assert not hasattr(system, "__dict__")
+        with pytest.raises(AttributeError, match=f"^{type(system).__name__} is immutable$"):
+            system.q1 = system.q2
+        with pytest.raises(PreconditionError, match=f"^a member needs {n} coefficients$"):
+            system.member([1] * (n + 1))
+    assert pencil.member([1, 2]).gram == tuple(
+        tuple(gf.element(d if i == j else 0) for j in range(4))
+        for i, d in enumerate((1, 4, 7, 10)))
+    assert PencilOfQuadrics.__init__ is NetOfQuadrics.__init__ is QuadricSystem.__init__
+    assert PencilOfQuadrics.reduce_mod is NetOfQuadrics.reduce_mod
+    assert not hasattr(systems, "_member")
+    q = pencil.q1
+    for cls, forms, text in (
+            (PencilOfQuadrics, (q, q, q), "a pencil has 2 members, got 3"),
+            (PencilOfQuadrics, (q,), "a pencil has 2 members, got 1"),
+            (NetOfQuadrics, (q, q), "a net has 3 members, got 2"),
+            (PencilOfQuadrics, (net.q1, net.q2), "pencil members must be 4-variable forms"),
+            (NetOfQuadrics, (q, q, q), "net members must be 6-variable forms"),
+            (PencilOfQuadrics, (q, PencilOfQuadrics.from_diagonals([1] * 4, [0, 1, 2, 3]).q2),
+             "pencil members over different fields")):
+        with pytest.raises(PreconditionError, match=f"^{text}$"):
+            cls(*forms)
+
+
 # -- sextic probe ---------------------------------------------------------------
 
 def test_probe_six_lines_singular_with_crossing_witness():
