@@ -10,6 +10,14 @@ as U + U + U + E8(-1) + E8(-1).  ``l_zero_sublattice`` carves out the
 vectors pairing with a fixed alpha divisibly by r, and ``overlattice``
 adjoins alpha/r, which stays integral and even precisely because 2*r^2
 divides (alpha^2).
+
+Both Grams are built by congruence, never from ambient basis vectors.  The
+L0 basis comes from at most n unimodular two-column operations on
+[alpha G | r] (Cohen, GTM 138, section 2.4); applying each one to the rows
+and the columns of G + [0] gives the Gram of that basis in O(n) per
+operation.  The overlattice's Hermite basis S is m*I plus one dense row in
+L0-coordinates, so its Gram S G0 S^T / m^2 costs one row operation per
+sparse row of S.
 """
 
 from __future__ import annotations
@@ -30,9 +38,8 @@ class MukaiVector:
     s: int
 
     def __post_init__(self):
-        if not (isinstance(self.r, int) and isinstance(self.selfint, int)
-                and isinstance(self.s, int)):
-            raise PreconditionError("Mukai data must be integers")
+        if not all(type(x) is int for x in (self.r, self.selfint, self.s)):
+            raise PreconditionError("Mukai data must be integers")  # no bools either
         if self.r < 0:
             raise PreconditionError("rank must be non-negative")
         if self.selfint % 2:
@@ -206,12 +213,6 @@ def _combination(row, mat):
     return acc
 
 
-def _gram_of(lat: IntegralLattice, vecs):
-    """Gram matrix (A G) A^T of the rows of A in O(n^3), not n^2 pairings."""
-    ag = [_combination(u, lat.gram) for u in vecs]
-    return [[sum(map(mul, u, v)) for v in vecs] for u in ag]
-
-
 def hnf_row_basis(rows):
     """Row-style Hermite reduction; returns the nonzero rows (a Z-basis of
     the row span) with positive pivots and reduced entries above them.
@@ -288,11 +289,32 @@ def _kernel_of_functional_mod(w, r: int):
     return [tuple(u[i][j] for i in range(n)) for j in range(1, n + 1)]
 
 
-def _kernel_coordinates(w, r: int, beta):
-    """Coordinates U^-1 (beta, -(w . beta)/r) of beta (w . beta = 0 mod r)
-    in the ``_kernel_of_functional_mod`` basis, undoing its operations."""
-    y = list(beta) + [-sum(map(mul, w, beta)) // r]
-    for i, s, t, a0, ai in _column_ops(w, r):
+def _kernel_gram(gram, ops):
+    """Gram matrix of the ``_kernel_of_functional_mod`` basis, U^T (G + [0]) U.
+
+    Each column operation of ``ops`` acts on the columns and then on the
+    rows of G extended by a zero row and column, which stand for the
+    auxiliary coordinate of [w | r]; that coordinate adds nothing to a
+    pairing, so dropping index 0 (the gcd column) leaves the Gram of
+    columns 1..n.  O(n) per operation, no ambient vectors.
+    """
+    a = [list(row) + [0] for row in gram]
+    a.append([0] * (len(a) + 1))
+    for i, s, t, a0, ai in ops:
+        for row in a:
+            row[0], row[i] = s * row[0] + t * row[i], a0 * row[i] - ai * row[0]
+        row_0, row_i = a[0], a[i]
+        a[0] = [s * x + t * y for x, y in zip(row_0, row_i)]
+        a[i] = [a0 * y - ai * x for x, y in zip(row_0, row_i)]
+    return [row[1:] for row in a[1:]]
+
+
+def _kernel_coordinates(ops, y):
+    """Coordinates U^-1 y of a kernel vector y = (beta, -(w . beta)/r) of
+    [w | r] in the ``_kernel_of_functional_mod`` basis, undoing its
+    operations ``ops``."""
+    y = list(y)
+    for i, s, t, a0, ai in ops:
         y[0], y[i] = a0 * y[0] + ai * y[i], s * y[i] - t * y[0]
     if y[0]:
         raise K3LabError("vector is not in the kernel")  # unreachable
@@ -302,16 +324,20 @@ def _kernel_coordinates(w, r: int, beta):
 # -- sublattice and overlattice ---------------------------------------------
 
 def l_zero_sublattice(lat: IntegralLattice, alpha, r: int) -> IntegralLattice:
-    """The sublattice of vectors beta with (beta . alpha) divisible by r."""
-    gram = _gram_of(lat, l_zero_basis(lat, alpha, r))
+    """The sublattice of vectors beta with (beta . alpha) divisible by r.
+
+    Its Gram matrix is the congruence ``_kernel_gram`` of the ambient Gram,
+    in the basis ``l_zero_basis`` returns."""
+    alpha = _checked_alpha(lat, alpha)
+    _checked_r(r, 1)
+    gram = _kernel_gram(lat.gram, _column_ops(_combination(alpha, lat.gram), r))
     return IntegralLattice(gram, label=f"L0({lat.label or 'L'}; r={r})")
 
 
 def l_zero_basis(lat: IntegralLattice, alpha, r: int):
     """Column basis vectors of the sublattice, in the ambient coordinates."""
     alpha = _checked_alpha(lat, alpha)
-    if r < 1:
-        raise PreconditionError("r must be positive")
+    _checked_r(r, 1)
     return _kernel_of_functional_mod(_combination(alpha, lat.gram), r)
 
 
@@ -329,6 +355,15 @@ def _checked_alpha(lat: IntegralLattice, alpha) -> tuple:
     return alpha
 
 
+def _checked_r(r, least: int) -> None:
+    """PreconditionError unless r is an int (no bool, float or string) of
+    at least ``least``."""
+    if type(r) is not int:
+        raise PreconditionError(f"r {r!r} is not an integer")
+    if r < least:
+        raise PreconditionError(f"r must be at least {least}")
+
+
 @dataclass(frozen=True)
 class OverlatticeSpec:
     """Ambient lattice, class alpha (coordinates in the ambient basis), r >= 2."""
@@ -339,8 +374,7 @@ class OverlatticeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _checked_alpha(self.lattice, self.alpha))
-        if self.r < 2:
-            raise PreconditionError("r must be at least 2")
+        _checked_r(self.r, 2)
 
     @property
     def alpha_sq(self) -> int:
@@ -356,23 +390,29 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     Computed on integers in L0-coordinates: alpha lies in L0 (r | (alpha^2))
     and alpha/r = c/m there, m = r / gcd(r, coordinates of alpha).  So the
     overlattice is Z^n + Z(c/m), whose Hermite stack is diagonal plus one
-    dense row and stays well-conditioned.
+    dense row and stays well-conditioned.  Its Gram is S G0 S^T / m^2, with
+    S the Hermite basis and G0 the congruence ``_kernel_gram`` of the
+    ambient Gram; no ambient basis vector is formed.
     """
     lat, alpha, r = spec.lattice, spec.alpha, spec.r
-    if spec.alpha_sq % (2 * r * r):
+    w = _combination(alpha, lat.gram)
+    alpha_sq = sum(map(mul, w, alpha))
+    if alpha_sq % (2 * r * r):
         raise DivisibilityViolation(
-            f"(alpha^2) = {spec.alpha_sq} is not divisible by 2*r^2 = {2 * r * r}")
+            f"(alpha^2) = {alpha_sq} is not divisible by 2*r^2 = {2 * r * r}")
     n = lat.rank
-    basis = l_zero_basis(lat, alpha, r)
-    coords = _kernel_coordinates(_combination(alpha, lat.gram), r, alpha)
+    ops = _column_ops(w, r)
+    coords = _kernel_coordinates(ops, alpha + (-alpha_sq // r,))
     m = r // gcd(r, *coords)  # alpha/r = c/m in L0-coordinates, in lowest terms
     rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
     rows.append([x * m // r for x in coords])
     scaled = hnf_row_basis(rows)  # basis of m * (Z^n + Z(c/m)) in L0-coords
     if len(scaled) != n:
         raise K3LabError("overlattice basis has wrong rank")  # unreachable
-    # back to ambient coordinates, still scaled by m
-    gram = _gram_of(lat, [_combination(row, basis) for row in scaled])
+    # S G0 S^T = S (S G0)^T as G0 is symmetric; rows of S are mostly m * e_i
+    g0 = _kernel_gram(lat.gram, ops)
+    g0_st = list(zip(*[_combination(row, g0) for row in scaled]))
+    gram = [_combination(row, g0_st) for row in scaled]
     if any(val % (m * m) for row in gram for val in row):
         raise K3LabError("overlattice Gram is not integral")  # unreachable
     gram = [[val // (m * m) for val in row] for row in gram]

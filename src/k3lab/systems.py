@@ -97,6 +97,10 @@ class QuadricSystem:
     def _diagonal(cls, field, *diagonals):
         """The system of the forms sum d[i] x_i^2, one per diagonal d."""
         r = range(cls.NVARS)
+        for d in diagonals:
+            if len(d) != cls.NVARS:
+                raise PreconditionError(
+                    f"a {cls.KIND} diagonal has {cls.NVARS} entries, got {len(d)}")
         return cls(*(QuadraticForm([[field.coerce(d[i]) if i == j else field.zero
                                      for j in r] for i in r], field)
                      for d in diagonals))

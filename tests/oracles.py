@@ -10,13 +10,16 @@ Sylvester resultants.  The views of a ``LinearMatrix`` that only tests need
 are rebuilt here from its boxed ``coeff_mats``: its matrix of MultiPoly
 entries (``poly_entries``) and the Klein coordinates of its alternating
 coefficient matrices (``klein_coordinates``); ``identity`` builds identity
-matrices of field scalars.
+matrices of field scalars.  Overlattice Grams are rebuilt from ambient
+basis vectors as dense A G A^T products (``dense_overlattice_gram``).
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
-from k3lab import LinearMatrix, MultiPoly, PreconditionError, linalg, quadforms
+from k3lab import QQ, LinearMatrix, MultiPoly, PreconditionError, linalg, quadforms
+from k3lab.lattices import hnf_row_basis, l_zero_basis
 
 
 def perm_sign(perm):
@@ -496,3 +499,31 @@ def boxed_reduce(rows, p):
                 return f"denominator of {x} vanishes mod {p}"
             out[-1].append(x.numerator * pow(x.denominator, -1, p) % p)
     return out
+
+
+def gram_of(gram, vecs):
+    """The Gram matrix A G A^T of the rows of A, as dense products."""
+    ag = [[sum(x * g for x, g in zip(u, col)) for col in zip(*gram)] for u in vecs]
+    return [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in ag]
+
+
+def dense_overlattice_gram(lat, alpha, r):
+    """The Gram of ``overlattice`` through ambient vectors: the L0 basis of
+    ``l_zero_basis``, the coordinates of alpha in it by an exact solve over
+    QQ, the Hermite basis S of m * (Z^n + Z(alpha/r)) in those coordinates,
+    the ambient rows S B and their Gram (S B) G (S B)^T / m^2."""
+    basis = l_zero_basis(lat, alpha, r)
+    coords = linalg.solve(QQ, [list(col) for col in zip(*basis)], list(alpha))
+    if any(c.denominator != 1 for c in coords):
+        raise AssertionError("alpha is not in L0")
+    coords = [int(c) for c in coords]
+    n = len(basis)
+    m = r // gcd(r, *coords)
+    rows = [[m * (i == j) for j in range(n)] for i in range(n)]
+    rows.append([c * m // r for c in coords])
+    ambient = [[sum(s * b[k] for s, b in zip(row, basis)) for k in range(n)]
+               for row in hnf_row_basis(rows)]
+    gram = gram_of(lat.gram, ambient)
+    if any(x % (m * m) for row in gram for x in row):
+        raise AssertionError("overlattice Gram is not integral")
+    return [[x // (m * m) for x in row] for row in gram]

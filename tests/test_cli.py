@@ -278,6 +278,19 @@ def test_lattice_overlattice_gram_golden_bytes(capsys):
         assert out == case["stdout"]
 
 
+def test_lattice_overlattice_gram_golden_bytes_wide(capsys):
+    # r in 4..12, composite r included, and alpha scaled by 2, 3, 4 and r
+    # (non-primitive); captured from the dense A G A^T route
+    goldens = json.loads(OVERLATTICE_GOLDEN.with_name(
+        "overlattice-gram-golden-wide.json").read_text())
+    assert len(goldens) == 12
+    assert {case["argv"][4] for case in goldens} >= {"4", "6", "8", "9", "10", "12"}
+    for case in goldens:
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
+
+
 def test_fano_and_pairs(capsys):
     row = run_json(capsys, "fano", "section", "--variety", "spinor10",
                    "--cuts", "7")

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,9 +11,10 @@ from k3lab import (DivisibilityViolation, IntegralLattice, MukaiVector,
                    k3_lattice, l_zero_sublattice, lattice_invariants,
                    moduli_dim, overlattice)
 from k3lab import MultiPoly, QQ, linalg
-from k3lab.lattices import (_kernel_coordinates, e8_gram, hnf_row_basis,
-                            l_zero_basis)
-from oracles import cofactor_det, leibniz_det, scalar_leibniz_det
+from k3lab.lattices import (_column_ops, _kernel_coordinates, e8_gram,
+                            hnf_row_basis, l_zero_basis)
+from oracles import (cofactor_det, dense_overlattice_gram, gram_of, leibniz_det,
+                     scalar_leibniz_det)
 
 
 # -- Mukai dimension calculus --------------------------------------------------
@@ -36,6 +39,13 @@ def test_mukai_validation():
     with pytest.raises(PreconditionError):
         MukaiVector(-1, 0, 1)
     assert MukaiVector(2, 20, 5).chi == 7
+
+
+def test_mukai_data_must_be_ints():
+    for data in ((True, 2, 1), (2, False, 1), (2, 2, True), (2.0, 2, 1),
+                 (2, 2.0, 1), (2, 2, "1"), (Fraction(2), 2, 1)):
+        with pytest.raises(PreconditionError, match="^Mukai data must be integers$"):
+            MukaiVector(*data)
 
 
 def test_moduli_dim_even_for_even_selfint():
@@ -274,7 +284,8 @@ def test_alpha_coordinates_in_the_l_zero_basis():
             continue
         w = [sum(k3.gram[i][j] * alpha[j] for j in range(22)) for i in range(22)]
         basis = l_zero_basis(k3, alpha, r)
-        coords = _kernel_coordinates(w, r, alpha)
+        aux = -sum(x * y for x, y in zip(w, alpha)) // r
+        coords = _kernel_coordinates(_column_ops(w, r), alpha + [aux])
         assert [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(22)] == alpha
         done += 1
 
@@ -415,3 +426,100 @@ def test_non_integer_alpha_entries_rejected():
             OverlatticeSpec(k3, alpha, 2)
         with pytest.raises(PreconditionError, match="not an integer"):
             l_zero_basis(k3, alpha, 2)
+
+
+def test_r_must_be_an_int():
+    k3 = k3_lattice()
+    alpha = [1, 4] + [0] * 20
+    for bad in ("2", 2.5, 2.0, True, Fraction(2), None):
+        text = f"^r {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(PreconditionError, match=text):
+            OverlatticeSpec(k3, alpha, bad)
+        for make in (l_zero_basis, l_zero_sublattice):
+            with pytest.raises(PreconditionError, match=text):
+                make(k3, alpha, bad)
+    for r in (1, 0, -2):
+        with pytest.raises(PreconditionError, match="^r must be at least 2$"):
+            OverlatticeSpec(k3, alpha, r)
+    for r in (0, -2):
+        for make in (l_zero_basis, l_zero_sublattice):
+            with pytest.raises(PreconditionError, match="^r must be at least 1$"):
+                make(k3, alpha, r)
+    assert lattice_invariants(l_zero_sublattice(k3, alpha, 1)) == lattice_invariants(k3)
+
+
+# -- the congruence route against dense ambient products --------------------------
+
+def _permuted(rng, gram, alpha):
+    """The lattice and alpha with their coordinates permuted together."""
+    perm = list(range(len(gram)))
+    rng.shuffle(perm)
+    return ([[gram[i][j] for j in perm] for i in perm], [alpha[i] for i in perm])
+
+
+def _random_even_block(rng, k):
+    m = _random_symmetric(rng, k, 3)
+    for i in range(k):
+        m[i][i] = 2 * rng.randint(-3, 3)
+    return m
+
+
+def _alpha_on_u(rng, gram, r, size):
+    """alpha = a e + b f + rest on a Gram whose first block is U = <e, f>,
+    with 2 r^2 | (alpha^2): a is a unit mod r and b solves a b = -(rest^2)/2
+    mod r^2 (rest^2 is even as the lattice is)."""
+    n = len(gram)
+    rest = [0, 0] + [rng.randint(-size, size) for _ in range(n - 2)]
+    half = IntegralLattice(gram).norm(rest) // 2
+    a = rng.choice([x for x in range(-5, 6) if gcd(x, r) == 1])
+    b = -half * pow(a, -1, r * r) % (r * r) + r * r * rng.randint(-1, 0)
+    return [a, b] + rest[2:]
+
+
+def _overlattice_cases():
+    """(lattice, alpha, r) with 2 r^2 | (alpha^2): the K3 lattice and random
+    even lattices U + A, coordinates permuted, r in 2..12, alpha scaled by
+    1, 2, 3 or r (non-primitive) about a third of the time."""
+    rng = random.Random(1300)
+    k3 = k3_lattice()
+    cases = []
+    for k in range(240):
+        if k % 2:
+            gram = _block_sum([[0, 1], [1, 0]], _random_even_block(rng, rng.randint(1, 8)))
+        else:
+            gram = [list(row) for row in k3.gram]
+        r = rng.randint(2, 12)
+        alpha = _alpha_on_u(rng, gram, r, rng.choice((1, 3)))
+        if k % 3 == 2:
+            scale = rng.choice((2, 3, r))
+            alpha = [scale * x for x in alpha]
+        if k % 4 != 0:
+            gram, alpha = _permuted(rng, gram, alpha)
+        cases.append((IntegralLattice(gram, label="L"), alpha, r))
+    return cases
+
+
+def test_overlattice_and_l_zero_grams_match_dense_ambient_products():
+    cases = _overlattice_cases()
+    assert len(cases) >= 200
+    assert {r for _, _, r in cases} >= {4, 6, 8, 9, 10, 12}
+    assert any(abs(lat.det) > 1 for lat, _, _ in cases)
+    assert any(lat.det == 0 for lat, _, _ in cases)
+    assert sum(gcd(*alpha) > 1 for _, alpha, _ in cases) >= 60
+    for lat, alpha, r in cases:
+        out = overlattice(OverlatticeSpec(lat, alpha, r))
+        want = dense_overlattice_gram(lat, alpha, r)
+        assert out.gram == tuple(map(tuple, want)), (lat.gram, alpha, r)
+        assert out.is_even and out.rank == lat.rank
+        # [L : L0] = r / gcd(r, content of alpha G) and [M : L0] = m
+        w = [sum(a * g for a, g in zip(alpha, col)) for col in zip(*lat.gram)]
+        index_in = r // gcd(r, *w)
+        coords = linalg.solve(QQ, [list(c) for c in zip(*l_zero_basis(lat, alpha, r))], alpha)
+        m = r // gcd(r, *[int(c) for c in coords])
+        assert out.det * m * m == lat.det * index_in * index_in
+        if lat.det:
+            assert out.signature() == lat.signature()
+        # L0 needs no divisibility; at r + 1 alpha^2 is mostly not divisible
+        for r_sub in (r, r + 1):
+            want = gram_of(lat.gram, l_zero_basis(lat, alpha, r_sub))
+            assert l_zero_sublattice(lat, alpha, r_sub).gram == tuple(map(tuple, want))

@@ -56,6 +56,10 @@ ALLOWLIST = {
     "poly.MultiPoly.eval": TRACER,
     "scalars.PrimeField.sqrt": TRACER,
     "scalars.PrimeField.legendre": TRACER,
+    "lattices.IntegralLattice.pairing": TRACER,
+    # overlattice and l_zero_sublattice build their Grams by congruence
+    "lattices.l_zero_basis": "exported L0 basis; " + TRACER,
+    "lattices._kernel_of_functional_mod": "the body of l_zero_basis",
     # kernels of the boxed solvers above, and the general routes of the oracles
     "linalg.int_inverse": "the int kernel of linalg.inverse; the general "
                           "route of oracles.model_rows_by_inverse",
@@ -82,6 +86,8 @@ ALLOWLIST = {
     "lattices.is_rigid": "exported Mukai-vector API",
     "lattices.is_k3_moduli": "exported Mukai-vector API",
     "lattices.IntegralLattice.to_json": "exported lattice API",
+    "lattices.IntegralLattice.norm": "exported lattice API (acceptance criterion 7)",
+    "lattices.OverlatticeSpec.alpha_sq": "exported OverlatticeSpec API",
     "lattices.e8_lattice": "exported lattice constructor",
     "lattices.hyperbolic_plane_lattice": "exported lattice constructor",
     "lattices.l_zero_sublattice": "exported: the lattice L0 that overlattice "

@@ -1,7 +1,8 @@
 """Optional cross-checks against sympy (skipped when sympy is absent).
 
 These duplicate results already covered by the in-repo oracles, through a
-fully independent implementation.
+fully independent implementation.  The lattice signatures are the exception:
+in-repo, only ``linalg.congruence_diagonalize`` checks them.
 """
 
 import random
@@ -12,8 +13,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from k3lab import (QQ, MultiPoly, PencilOfQuadrics, QuadraticForm,
-                   discriminant_poly, net_discriminant)
+from k3lab import (QQ, IntegralLattice, MultiPoly, OverlatticeSpec,
+                   PencilOfQuadrics, QuadraticForm, discriminant_poly,
+                   k3_lattice, lattice_invariants, net_discriminant, overlattice)
 from k3lab.cli import load_system
 from oracles import uni_resultant
 
@@ -112,3 +114,64 @@ def test_resultant_matches_sympy_sylvester_det():
         gs = sum(sympy.Rational(c) * t**i for i, c in enumerate(g))
         assert abs(ours) == abs(sympy.resultant(fs, gs, t))
         done += 1
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sympy_invariants(gram):
+    """det by sympy's ``det`` and the signature by Descartes' rule of signs
+    on sympy's characteristic polynomial, which counts the positive and the
+    negative roots exactly because a symmetric matrix has only real
+    eigenvalues; None when 0 is an eigenvalue."""
+    m = sympy.Matrix(gram)
+    coeffs = m.charpoly().all_coeffs()  # leading coefficient first
+    zeros = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zeros += 1
+    pos = _sign_changes(coeffs)
+    neg = _sign_changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
+    assert pos + neg + zeros == len(gram)
+    return m.det(), ((pos, neg) if not zeros else None)
+
+
+def _random_symmetric(rng, n, size, zero_diagonal_share):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-size, size)
+        if rng.random() < zero_diagonal_share:
+            m[i][i] = 0
+    return m
+
+
+def test_lattice_invariants_match_sympy_det_and_descartes_signature():
+    rng = random.Random(203)
+    k3 = k3_lattice()
+    cases = [k3.gram]
+    # (e + b f + rest)^2 = 2b + rest^2 on the first U = <e, f>
+    for alpha, r in (([1, 4] + [0] * 20, 2), ([1, 24, 1, 1] + [0] * 18, 5),
+                     ([1, 145, 0, 0, 0, 0, 1] + [0] * 15, 12),
+                     ([2, 34, 0, 0, 0, 0, 2] + [0] * 15, 4), ([2, 2] + [0] * 20, 2)):
+        assert k3.norm(alpha) % (2 * r * r) == 0
+        cases.append(overlattice(OverlatticeSpec(k3, alpha, r)).gram)
+    for n in range(1, 9):
+        for k in range(8):
+            m = _random_symmetric(rng, n, 3, 1.0 if k % 4 == 0 else 0.5)
+            if k % 3 == 2:  # repeat a row and column: degenerate
+                i, j = rng.randrange(n), rng.randrange(n)
+                for row in m:
+                    row[j] = row[i]
+                m[j] = list(m[i])
+            cases.append(m)
+    degenerate = zero_diagonal = 0
+    for gram in cases:
+        inv = lattice_invariants(IntegralLattice(gram))
+        det, sig = _sympy_invariants(gram)
+        assert (inv["det"], inv["signature"]) == (det, sig), gram
+        degenerate += sig is None
+        zero_diagonal += sig is not None and not any(gram[i][i] for i in range(len(gram)))
+    assert degenerate >= 10 and zero_diagonal >= 5

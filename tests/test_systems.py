@@ -276,6 +276,28 @@ def test_pencil_and_net_share_the_quadric_system_base():
             cls(*forms)
 
 
+def test_from_diagonals_rejects_a_diagonal_of_the_wrong_length():
+    from k3lab import PreconditionError
+
+    for diagonals, text in (
+            (([1, 2, 3, 4, 99], [0, 1, 2, 3, 77]), "a pencil diagonal has 4 entries, got 5"),
+            (([1, 2, 3, 4], [0, 1, 2, 3, 77]), "a pencil diagonal has 4 entries, got 5"),
+            (([1, 2], [3, 4]), "a pencil diagonal has 4 entries, got 2"),
+            (([1, 2, 3, 4], [0, 1, 2]), "a pencil diagonal has 4 entries, got 3")):
+        with pytest.raises(PreconditionError, match=f"^{text}$"):
+            PencilOfQuadrics.from_diagonals(*diagonals)
+        with pytest.raises(PreconditionError, match=f"^{text}$"):
+            PencilOfQuadrics.from_diagonals(*diagonals, GF(7))
+    six = [0, 1, 2, 3, 4, 5]
+    for diagonals, text in (
+            (([1] * 7, six, six + [9]), "a net diagonal has 6 entries, got 7"),
+            (([1] * 6, six, [0, 1, 4, 9, 16, 25, 36]), "a net diagonal has 6 entries, got 7"),
+            (([1] * 6, six[:5], six), "a net diagonal has 6 entries, got 5"),
+            (([1] * 4, [0, 1, 2, 3], [0, 1, 4, 9]), "a net diagonal has 6 entries, got 4")):
+        with pytest.raises(PreconditionError, match=f"^{text}$"):
+            NetOfQuadrics.from_diagonals(*diagonals)
+
+
 # -- sextic probe ---------------------------------------------------------------
 
 def test_probe_six_lines_singular_with_crossing_witness():
