@@ -122,9 +122,14 @@ def load_system(path: str):
     raise CLIParseError("system file must contain a 'pencil' or 'net' key")
 
 
+# The builtin lattice, built once: IntegralLattice is immutable, so one copy,
+# with its cached det and signature, serves every op without --lattice.
+_builtin_lattice = functools.cache(k3_lattice)
+
+
 def load_lattice(path: str | None) -> IntegralLattice:
     if path is None:
-        return k3_lattice()
+        return _builtin_lattice()
     doc = _read_json(path)
     if not isinstance(doc, dict) or "gram" not in doc:
         raise CLIParseError("lattice file must contain a 'gram' key")
@@ -135,7 +140,10 @@ def load_lattice(path: str | None) -> IntegralLattice:
         for x in row:
             if type(x) is not int:  # JSON true/false and 2.7 are not integers
                 raise CLIParseError(f"bad lattice Gram entry {x!r}")
-    return IntegralLattice(rows, label=doc.get("label", ""))
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise CLIParseError(f"lattice 'label' must be a string, got {label!r}")
+    return IntegralLattice(rows, label=label)
 
 
 def _parse_int_list(text: str, what: str):

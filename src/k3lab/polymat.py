@@ -12,12 +12,20 @@ value is m01*m23 - m02*m13 + m03*m12.
 
 ``LinearMatrix`` bundles an m x m matrix of homogeneous linear forms
 A(x) = sum_i A_i x_i through its scalar coefficient matrices A_i, kept as
-raw int rows, and feeds the kernel from them directly: the monomial of x_i
-is 1 << width * i.  Its packed expansions are memoized and are what the
-package checks against: ``quadforms`` compares det/Pf with a form's
-``quadratic_terms`` and ``construction`` solves for span coordinates and
-evaluates the discriminant on them, all on ints.  ``det_poly`` and
-``pfaffian_poly`` only box them.  Its transforms multiply the raw rows.
+raw int rows, and expands det/Pf from them directly into the same packed
+terms: the monomial of x_i is 1 << width * i.  A determinant in at most
+three variables, such as the symbolic member of a pencil (4x4 in two) or
+a net (6x6 in three), is one int determinant at a Kronecker point
+(``_kronecker_det``; Kronecker substitution as in D. Harvey, J. Symb.
+Comp. 44, 2009), taken by ``linalg.int_det``.  Pfaffians and
+determinants in more variables go through the Laplace kernel above,
+because the Kronecker point of n variables needs (m+1)^(n-1) digits.
+The rule reads only the number of variables.  The packed expansions are
+memoized and are what the package checks against: ``quadforms``
+compares det/Pf with a form's ``quadratic_terms`` and ``construction``
+solves for span coordinates and evaluates the discriminant on them, all
+on ints.  ``det_poly`` and ``pfaffian_poly`` only box them.  Its
+transforms multiply the raw rows.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from .scalars import GFElement
 
 _MAX_DET = 8
 _MAX_PF = 6
+# Linear matrices in more variables keep _expand: the Kronecker point of
+# _kronecker_det has (size+1)^(nvars-1) digits, multi-Mbit ints at 8x8 in 6.
+_MAX_KRONECKER_VARS = 3
 
 
 class PolyMatrix:
@@ -193,6 +204,47 @@ def _width(size, pf):
     return max(size // 2 if pf else size, 1).bit_length()
 
 
+def _kronecker_det(mats, n, p) -> dict:
+    """det of the n x n linear matrix sum_i mats[i] x_i (raw int rows, at
+    most three variables) as the packed terms of ``LinearMatrix._terms``,
+    reduced mod p unless p = 0, from one int determinant (Kronecker
+    substitution).
+
+    The determinant is homogeneous of degree n, so x0 = 1 loses nothing;
+    x_i = 2^(B (n+1)^(i-1)) for i >= 1 puts the coefficient of
+    x0^(n-e1-e2) x1^e1 x2^e2 in base-2^B digit e1 + (n+1) e2, one digit per
+    monomial since e1 <= n.  No coefficient exceeds the permanent bound
+    prod_rows sum |coefficients| < 2^(B-1), so the digits, read balanced
+    in [-2^(B-1), 2^(B-1)), are the coefficients.  Over GF(p) the rows are
+    lifted to balanced representatives first, which keeps B small.
+    """
+    if p:
+        half = p // 2
+        mats = [[[x - p if x > half else x for x in row] for row in mat] for mat in mats]
+    bound = math.prod(sum(abs(x) for mat in mats for x in mat[j]) for j in range(n))
+    b = bound.bit_length() + 1
+    shifts = [0] + [b * (n + 1) ** i for i in range(len(mats) - 1)]
+    point = [[0] * n for _ in range(n)]
+    for mat, s in zip(mats, shifts):
+        point = [[x + (y << s) for x, y in zip(prow, row)] for prow, row in zip(point, mat)]
+    d = linalg.int_det(point, 0)
+    width = _width(n, False)
+    mask, top = (1 << b) - 1, 1 << (b - 1)
+    terms, slot = {}, 0
+    while d:
+        c = d & mask
+        if c >= top:
+            c -= 1 << b
+        d = (d - c) >> b
+        if p:
+            c %= p
+        if c:
+            e2, e1 = divmod(slot, n + 1)
+            terms[n - e1 - e2 + (e1 << width) + (e2 << 2 * width)] = c
+        slot += 1
+    return terms
+
+
 def quadratic_terms(rows, p) -> dict:
     """The quadratic form x^T G x of the raw Gram ``rows`` (ints mod p, or
     Fractions when p = 0) as packed terms of width 2: G[i][i] on x_i^2 and
@@ -278,19 +330,26 @@ class LinearMatrix:
         return got
 
     def _terms(self, pf: bool) -> dict:
-        """det (Pf when ``pf``) of A(x) as ``_expand``'s packed int terms,
-        memoized: the monomial of x_i is 1 << _width(size, pf) * i, and the
-        value is the terms divided by ``_denom(pf)``."""
+        """det (Pf when ``pf``) of A(x) as packed int terms {monomial: nonzero
+        int}, memoized: the monomial of x_i is 1 << _width(size, pf) * i,
+        and the value is the terms divided by ``_denom(pf)``.  A determinant
+        in at most three variables is ``_kronecker_det``'s one int
+        determinant; Pfaffians, and determinants in more variables, are
+        ``_expand``'s Laplace expansion."""
         got = self._memo.get(("terms", pf))
         if got is None:
             n, p = self.size, self.field.char
             _check_shape(n, n, pf)
             if pf and not self.alternating:
                 raise PreconditionError("pfaffian of a non-alternating matrix")
-            width = _width(n, pf)
-            rows = [[[(1 << width * i, mat[j][k]) for i, mat in enumerate(self._mats)
-                      if mat[j][k]] for k in range(n)] for j in range(n)]
-            got = self._memo[("terms", pf)] = _expand(rows, p, pf)
+            if not pf and self.nvars <= _MAX_KRONECKER_VARS:
+                got = _kronecker_det(self._mats, n, p)
+            else:
+                width = _width(n, pf)
+                rows = [[[(1 << width * i, mat[j][k]) for i, mat in enumerate(self._mats)
+                          if mat[j][k]] for k in range(n)] for j in range(n)]
+                got = _expand(rows, p, pf)
+            self._memo[("terms", pf)] = got
         return got
 
     def _denom(self, pf: bool) -> int:

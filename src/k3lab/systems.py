@@ -29,8 +29,8 @@ from . import linalg
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
 # The largest prime the sweeps of P^2(F_p) (count_points, sextic_smoothness_probe)
 # accept.  A pencil count costs O(p^2) int operations per prime: a dense one
-# at p = 4093 took 19 s on a 2-CPU host.  The probe costs O(p) line tests: a
-# dense net at p = 4093 took 0.4 s there.
+# at p = 4093 took 14-15 s on a shared 2-CPU host.  The probe costs O(p) line
+# tests: a dense net at p = 4093 took 0.4 s there.
 MAX_SWEEP_PRIME = 4093
 
 
@@ -386,7 +386,7 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
         if f.field.char not in (0, p):
             raise FieldMismatch(f"element of GF({f.field.char}) used in GF({p})")
         if scale % p == 0:
-            bad = next(c for c in f.terms.values() if c.denominator % p == 0)
+            bad = next(c for _, c in f.sorted_terms() if c.denominator % p == 0)
             raise BadPrime(f"denominator of {bad} vanishes mod {p}")
         rp = [[c % p for c in r] for r in rows]
         partials = _partial_rows(rp)

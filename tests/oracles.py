@@ -52,13 +52,16 @@ def leibniz_det(entries):
 
 
 def cofactor_det(entries):
-    """Plain first-row cofactor expansion (no memoization, fresh code)."""
+    """Plain first-row cofactor expansion (no memoization, fresh code),
+    skipping zero entries of the first row."""
     n = len(entries)
     field, nvars = entries[0][0].field, entries[0][0].nvars
     if n == 1:
         return entries[0][0]
     acc = MultiPoly.zero(field, nvars)
     for j in range(n):
+        if entries[0][j].is_zero():
+            continue
         minor = [[entries[i][k] for k in range(n) if k != j] for i in range(1, n)]
         term = entries[0][j] * cofactor_det(minor)
         acc = acc + term if j % 2 == 0 else acc - term

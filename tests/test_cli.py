@@ -178,10 +178,11 @@ def test_probe_and_cover_golden_bytes_small_and_large_p(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == want
-    # the fractional net's denominators vanish mod 3
+    # the fractional net's denominators vanish mod 3; the error names the first
+    # such coefficient in print order, the leading term of `net disc`
     code, out, err = run(capsys, "net", "probe", "--system", FRACTIONAL_NET,
                          "--primes", "3,5")
-    assert (code, out, err) == (2, "", "k3lab: denominator of 199433/36000 vanishes mod 3\n")
+    assert (code, out, err) == (2, "", "k3lab: denominator of -106351/38400 vanishes mod 3\n")
 
 
 def test_probe_and_cover_default_primes(tmp_path, capsys):
@@ -619,6 +620,17 @@ def test_lattice_file_non_integer_entries(tmp_path, capsys):
         assert code == 1 and "parse error" in err
 
 
+def test_lattice_file_label_must_be_a_string(tmp_path, capsys):
+    path = tmp_path / "labelled.json"
+    for label, named in ((["x", 1], "['x', 1]"), (7, "7"), (None, "None"),
+                         ({"a": 1}, "{'a': 1}")):
+        path.write_text(json.dumps({"label": label, "gram": [[0, 1], [1, 0]]}))
+        code, out, err = run(capsys, "lattice", "overlattice", "--alpha", "1,4",
+                             "--r", "2", "--lattice", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"k3lab: parse error: lattice 'label' must be a string, got {named}\n"
+
+
 def test_bundled_k3_lattice_matches_construction(capsys):
     from k3lab import k3_lattice
     from k3lab.cli import load_lattice
@@ -626,6 +638,9 @@ def test_bundled_k3_lattice_matches_construction(capsys):
     bundled = load_lattice("builtin:k3-lattice")
     built = k3_lattice()
     assert bundled.gram == built.gram and bundled.label == "K3"
+    # without --lattice every op shares one built K3 lattice
+    assert load_lattice(None) is load_lattice(None)
+    assert load_lattice(None).gram == built.gram
     rep = run_json(capsys, "lattice", "overlattice", "--alpha", ALPHA_OK,
                    "--r", "2", "--lattice", "builtin:k3-lattice")
     assert rep["det"] == -1 and rep["rank"] == 22

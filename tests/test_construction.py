@@ -215,6 +215,21 @@ def test_sample_bad_reduction():
         sample_point(pencil, 7)
 
 
+def test_sample_discriminant_vanishing_identically():
+    from k3lab import BadReduction
+    from k3lab.systems import member_matrix
+
+    # every member is singular on a common kernel: the discriminant, one
+    # int determinant at the Kronecker point, has no terms at all
+    for system in (PencilOfQuadrics.from_diagonals([1, 0, 0, 0], [0, 1, 0, 0]),
+                   NetOfQuadrics.from_diagonals([1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+                                                [0, 0, 1, 0, 0, 0])):
+        assert member_matrix(system)._terms(False) == {}
+        for p in (7, 2**31 - 1):
+            with pytest.raises(BadReduction, match=f"vanishes identically mod {p}"):
+                sample_point(system, p)
+
+
 # -- relation verification ---------------------------------------------------------
 
 def test_relation_constant_direct_computation():

@@ -1,11 +1,14 @@
 import gc
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from k3lab import (GF, QQ, LinearMatrix, MultiPoly, PolyMatrix,
-                   PreconditionError, pfaffian, poly_det)
+from k3lab import (GF, QQ, DegenerateSystem, LinearMatrix, MultiPoly, NetOfQuadrics,
+                   PencilOfQuadrics, PolyMatrix, PreconditionError, QuadraticForm, cli,
+                   linalg, pfaffian, poly_det, polymat)
+from k3lab.systems import member_matrix
 from oracles import (cofactor_det, klein_coordinates, leibniz_det, matching_pfaffian,
                      pfaffian_three_term, poly_entries)
 
@@ -314,3 +317,108 @@ def test_expansions_leave_no_cyclic_garbage(field):
     finally:
         gc.enable()
     assert found == 0
+
+
+# -- determinants of linear matrices in at most three variables --------------
+# These go through _kronecker_det, one int determinant at a Kronecker point.
+
+KRONECKER_FIELDS = (QQ, GF(3), GF(13), GF(2**31 - 1))
+FRACTIONAL_NET = str(Path(__file__).parent / "data" / "net-fractional.json")
+
+
+def seeded_systems(rng, field):
+    """Two dense and one diagonal pencil and net over ``field``."""
+    out = []
+    for cls in (PencilOfQuadrics, NetOfQuadrics):
+        n, k = cls.NVARS, cls.NFORMS
+        for dense in (True, True, False):
+            while True:
+                grams = [[[rand_coeff(rng, field) if dense or i == j else field.zero
+                           for j in range(n)] for i in range(n)] for _ in range(k)]
+                for g in grams:
+                    for i in range(n):
+                        for j in range(i):
+                            g[i][j] = g[j][i]
+                try:
+                    out.append(cls(*(QuadraticForm(g, field) for g in grams)))
+                    break
+                except DegenerateSystem:
+                    continue
+    return out
+
+
+@pytest.mark.parametrize("field", KRONECKER_FIELDS)
+def test_member_matrix_dets_match_the_cofactor_oracle(field):
+    systems = seeded_systems(random.Random(31), field)
+    if field == QQ:
+        systems.append(cli.load_system(FRACTIONAL_NET))
+    for system in systems:
+        a = member_matrix(system)
+        assert a.nvars <= 3
+        assert a.det_poly() == cofactor_det(poly_entries(a))
+
+
+@pytest.mark.parametrize("field", KRONECKER_FIELDS)
+def test_linear_matrix_dets_in_up_to_three_variables_match_the_cofactor_oracle(field):
+    # dense up to size 6; sizes 7 and 8 sparse, which the zero-skipping
+    # cofactor oracle expands in time; every shape once more with a zero row
+    rng = random.Random(32)
+    for n in range(1, 9):
+        density = 1 if n <= 6 else 0.3
+        for nvars in (1, 2, 3):
+            mats = [[[rand_coeff(rng, field) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(n)] for _ in range(nvars)]
+            a = LinearMatrix(field, n, nvars, mats)
+            assert a.det_poly() == cofactor_det(poly_entries(a))
+            j = rng.randrange(n)
+            for mat in mats:
+                mat[j] = [0] * n
+            a = LinearMatrix(field, n, nvars, mats)
+            assert a._terms(False) == {} and a.det_poly().is_zero()
+            zero = LinearMatrix(field, n, nvars, [[[0] * n for _ in range(n)]] * nvars)
+            assert zero._terms(False) == {} and zero.det_poly().is_zero()
+
+
+@pytest.mark.parametrize("field", (QQ, GF(13), GF(2**31 - 1)))
+def test_linear_matrix_det_at_its_coefficient_bound(field):
+    # det diag(M x_v, ..., M x_v) = M^n x_v^n, whose coefficient equals the
+    # bound prod_rows sum |coefficients| that sizes the Kronecker digits;
+    # over GF(p), M and -M run over the largest balanced representatives
+    ms = (7, -7) if field == QQ else (field.p // 2, field.p // 2 + 1)
+    for n in range(1, 9):
+        for nvars in (1, 2, 3):
+            for v in {0, nvars - 1}:
+                for m in ms:
+                    mats = [[[m if j == k and i == v else 0 for k in range(n)]
+                             for j in range(n)] for i in range(nvars)]
+                    x = MultiPoly.var(field, nvars, v)
+                    assert LinearMatrix(field, n, nvars, mats).det_poly() == x**n * m**n
+
+
+def test_kronecker_point_packs_balanced_representatives(monkeypatch):
+    # -1 mod p is packed as -1, not as p - 1: a 2x2 matrix of coefficients
+    # +-1 mod p has digits of at most 7 bits, and its Kronecker point stays
+    # below p
+    F = GF(2**31 - 1)
+    points = []
+    real = linalg.int_det
+    monkeypatch.setattr(linalg, "int_det", lambda rows, p: points.append(rows) or real(rows, p))
+    rng = random.Random(34)
+    for nvars in (1, 2, 3):
+        a = LinearMatrix(F, 2, nvars, [[[rng.choice((1, -1)) for _ in range(2)]
+                                        for _ in range(2)] for _ in range(nvars)])
+        assert a.det_poly() == cofactor_det(poly_entries(a))
+        assert max(abs(x) for row in points[-1] for x in row) < F.p
+
+
+def test_only_pfaffians_and_dets_in_four_or_more_variables_expand(monkeypatch):
+    calls = []
+    real = polymat._expand
+    monkeypatch.setattr(polymat, "_expand",
+                        lambda rows, p, pf: calls.append((len(rows), pf)) or real(rows, p, pf))
+    rng = random.Random(35)
+    for nvars in range(1, 7):
+        rows = [[rng.randint(-5, 5) for _ in range(nvars)] for _ in range(6)]
+        a = LinearMatrix.from_klein_rows(QQ, nvars, rows)
+        assert a.pfaffian_poly() ** 2 == a.det_poly()
+    assert calls == [(4, True)] * 3 + [(4, True), (4, False)] * 3

@@ -200,8 +200,9 @@ def exempt(name):
 def run_profiled(commands):
     """Run each argv through ``cli.main`` under a profiler that records every
     Python call: (exit codes, {(real source path, first line)})."""
-    # memoized functions (build_parser, the Witt targets) must run their
-    # bodies inside the profiled window, whatever other tests ran before
+    # memoized functions (build_parser, the builtin K3 lattice, the Witt
+    # targets) must run their bodies inside the profiled window, whatever
+    # other tests ran before
     for module in [m for n, m in sys.modules.items() if n.startswith("k3lab.")]:
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):

@@ -347,6 +347,21 @@ def test_probe_rejects_bad_prime():
         sextic_smoothness_probe(f, (7,))
 
 
+def test_probe_bad_prime_names_the_first_coefficient_in_print_order():
+    # the same sextic built in two insertion orders gives one message: the
+    # first coefficient, in the order `net disc` prints, whose denominator p divides
+    from k3lab import BadPrime
+    terms = [((6, 0, 0), Fraction(1, 3)), ((3, 3, 0), Fraction(5, 6)),
+             ((0, 6, 0), Fraction(2, 3)), ((0, 0, 6), Fraction(1))]
+    messages = set()
+    for order in (terms, terms[::-1]):
+        f = MultiPoly(QQ, 3, dict(order))
+        with pytest.raises(BadPrime) as info:
+            sextic_smoothness_probe(f, (3,))
+        messages.add(str(info.value))
+    assert messages == {"denominator of 1/3 vanishes mod 3"}
+
+
 def test_probe_needs_a_prime():
     from k3lab import PreconditionError
 
