@@ -34,7 +34,7 @@ from .lattices import (IntegralLattice, MukaiVector, OverlatticeSpec,
                        k3_lattice, lattice_invariants, moduli_dim,
                        overlattice)
 from .poly import MultiPoly, poly_to_text
-from .quadforms import QuadraticForm
+from .quadforms import QuadraticForm, matrix_model
 from .scalars import GF, QQ, scalar_to_json
 from .systems import (DEFAULT_PROBE_PRIMES, MAX_SWEEP_PRIME, NetOfQuadrics,
                       PencilOfQuadrics, count_points, jacobian_j_invariant,
@@ -107,11 +107,24 @@ def _parse_gram(rows):
     return [[entry(x) for x in row] for row in rows]
 
 
+def _check_keys(doc, what, allowed):
+    """CLIParseError naming the first key of the JSON object ``doc`` that is
+    not in ``allowed``."""
+    bad = next((key for key in doc if key not in allowed), None)
+    if bad is not None:
+        raise CLIParseError(f"{what} file has an unknown key {bad!r}")
+
+
 def load_system(path: str):
-    """A PencilOfQuadrics or NetOfQuadrics from a JSON file or builtin name."""
+    """A PencilOfQuadrics or NetOfQuadrics from a JSON file or builtin name:
+    an object with exactly one of the keys 'pencil' and 'net', and optionally
+    'field'."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CLIParseError("system file must be a JSON object")
+    _check_keys(doc, "system", ("pencil", "net", "field"))
+    if "pencil" in doc and "net" in doc:
+        raise CLIParseError("system file has both a 'pencil' and a 'net' key")
     field = _parse_field(doc.get("field"))
     for cls, count in ((PencilOfQuadrics, "two"), (NetOfQuadrics, "three")):
         if cls.KIND in doc:
@@ -133,6 +146,7 @@ def load_lattice(path: str | None) -> IntegralLattice:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "gram" not in doc:
         raise CLIParseError("lattice file must contain a 'gram' key")
+    _check_keys(doc, "lattice", ("gram", "label"))
     rows = doc["gram"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise CLIParseError("lattice 'gram' must be an array of row arrays")
@@ -292,6 +306,10 @@ def _run(args):
         if action == "cover":
             return pic2_double_cover(system)
         if action == "count":
+            q = system.field.char
+            if q and args.p != q:
+                raise PreconditionError(
+                    f"the system is over GF({q}): --p must be {q}, not {args.p}")
             branch = pencil_discriminant(system)
             n_pencil = count_points(system, args.p)
             n_hyp = count_points(branch, args.p)
@@ -349,16 +367,13 @@ def _invariance_report(system, p, count, seed):
     if count < 1:
         raise PreconditionError("invariance needs a count of at least 1")
     point = sample_point(system, p, seed)
+    model = matrix_model(point.matrix, "invariance")
     field = GF(p)
     rng = random.Random(seed)
     b_ok = t_ok = True
     for _ in range(count):
-        if system.KIND == "pencil":
-            g, h = random_sl(field, 2, rng), random_sl(field, 2, rng)
-            rep = group_invariance_check(point.matrix, point.system, g, h)
-        else:
-            g = random_sl(field, 4, rng)
-            rep = group_invariance_check(point.matrix, point.system, g)
+        elements = [random_sl(field, model.size, rng) for _ in range(1 if model.pf else 2)]
+        rep = group_invariance_check(point.matrix, point.system, *elements)
         b_ok = b_ok and rep.b_equal
         t_ok = t_ok and rep.t_equal
     out = {"case": system.KIND, "p": p, "seed": seed,

@@ -1,14 +1,17 @@
 """Sampling and invariants for rank-degenerate spaces of linear matrices.
 
-Two parallel settings share the machinery, and a system's ``KIND``
-(``systems.QuadricSystem``) says which one it is in:
+Pencils and nets run one code path.  They differ only in the split model
+of their members, one row of ``quadforms.SPLIT_MODELS`` each, which
+``sample_point`` looks up by the system's dimension and ``b_coordinates``,
+``t_invariant`` and ``group_invariance_check`` by the matrix's shape
+(``quadforms.matrix_model``):
 
-* ``"pencil"``: 2x2 matrices of linear forms in four variables whose
+* pencil: 2x2 matrices of linear forms in four variables whose
   determinant lies in the span of the pencil's quadrics, factored by
   ``express_as_2x2_det``;
-* ``"net"``: alternating 4x4 matrices of linear forms in six variables
-  whose Pfaffian lies in the span of the net's quadrics, factored by
-  ``express_as_pfaffian``.
+* net: alternating 4x4 matrices of linear forms in six variables whose
+  Pfaffian, in Klein coordinates, lies in the span of the net's quadrics,
+  factored by ``express_as_pfaffian``.
 
 For such a matrix A, the span coordinates B (degree 2 in the entries of A)
 and the coefficient determinant T (degree 4, resp. 6: det of the row-major
@@ -34,8 +37,9 @@ that det A(x) (or Pf A(x)) equals the member exactly;
 the span coordinates are then lam on the nose, which ``SystemPoint.build``
 re-checks.  Only when every draw fails does the sampler sweep the whole
 base in a fixed order, which either finds a split member or certifies
-NoSplitMember.  The cost of a sample therefore does not grow with p,
-except in that final sweep.
+NoSplitMember; before it, a discriminant that vanishes identically (on
+which every draw fails) is refused.  The cost of a sample therefore does
+not grow with p, except in that final sweep.
 
 The checks run on ints as well.  ``b_coordinates`` solves for the span
 coordinates with one elimination of the forms' int coefficient columns
@@ -59,8 +63,8 @@ from .errors import (BadReduction, FieldMismatch, InconsistentConstant,
                      NoSplitMember, NotInSpan, PreconditionError,
                      VariableCountMismatch, VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
-from .quadforms import (SEEDED_DRAWS, QuadraticForm, _split_det,
-                        express_as_2x2_det, express_as_pfaffian)
+from .quadforms import (SEEDED_DRAWS, SPLIT_MODELS, QuadraticForm, _split_det,
+                        express_as_2x2_det, express_as_pfaffian, matrix_model)
 from .scalars import GF, GFElement, projective_points
 from .systems import QuadricSystem, member_matrix, member_rows, span_rows
 
@@ -80,12 +84,7 @@ def b_coordinates(a: LinearMatrix, system) -> tuple:
     elimination of the forms' coefficient columns (``span_rows``) augmented
     by the packed expansion of det/Pf A(x).
     """
-    if a.size == 2:
-        pf = False
-    elif a.size == 4 and a.alternating:
-        pf = True
-    else:
-        raise PreconditionError("expected a 2x2 matrix or an alternating 4x4 matrix")
+    pf = matrix_model(a, "b_coordinates").pf
     if a.field != system.field:
         raise FieldMismatch("matrix and system over different fields")
     if a.nvars != system.forms[0].n:
@@ -112,13 +111,8 @@ def t_invariant(a: LinearMatrix):
     determinant of the raw coefficients (a matrix and its transpose have
     the same determinant, so the columns are taken as rows).
     """
-    if a.size == 2 and a.nvars == 4:
-        cols = [[mat[0][0], mat[0][1], mat[1][0], mat[1][1]] for mat in a._mats]
-    elif a.size == 4 and a.nvars == 6 and a.alternating:
-        cols = [[mat[i][j] for i, j in KLEIN_INDEX_PAIRS] for mat in a._mats]
-    else:
-        raise PreconditionError(
-            "t_invariant expects 2x2 over four variables or alternating 4x4 over six")
+    cells = matrix_model(a, "t_invariant").cells
+    cols = [[mat[r][c] for r, c in cells] for mat in a._mats]
     p = a.field.char
     return linalg._box(a.field, [[linalg.int_det(cols, p)]], a._scale ** len(cols))[0][0]
 
@@ -186,16 +180,13 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     identically.
     """
     red = _reduced(system, p)
-    if not member_matrix(red)._terms(False):
-        raise BadReduction(f"discriminant vanishes identically mod {p}")
     gf = GF(p)
     dim = len(red.forms) - 1
     grams = [q._rows for q in red.forms]
-    express = express_as_2x2_det if red.KIND == "pencil" else express_as_pfaffian
+    express = express_as_pfaffian if SPLIT_MODELS[red.NVARS].pf else express_as_2x2_det
     rng = random.Random(seed)
     draws = (_random_point(p, dim, rng) for _ in range(SEEDED_DRAWS))
-    sweep = ([x.v for x in lam] for lam in projective_points(gf, dim))
-    for lam in itertools.chain(draws, sweep):
+    for lam in itertools.chain(draws, _sweep(red, gf, dim)):
         # det(member) is disc(lam), so one determinant rejects both the
         # degenerate and the non-split members, and is the member's memoized
         # disc for the nondegeneracy check of express_as_*
@@ -206,6 +197,15 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
             return SystemPoint.build(express(member, seed=seed),
                                      red, tuple(GFElement(gf, x) for x in lam))
     raise NoSplitMember(f"no nondegenerate split member over F_{p}")
+
+
+def _sweep(red, gf, dim):
+    """``sample_point``'s sweep of P^dim as ints; first BadReduction when the
+    discriminant vanishes identically, on which every draw has failed."""
+    if not member_matrix(red)._terms(False):
+        raise BadReduction(f"discriminant vanishes identically mod {gf.p}")
+    for lam in projective_points(gf, dim):
+        yield [x.v for x in lam]
 
 
 def _random_point(p: int, dim: int, rng) -> list:
@@ -318,21 +318,16 @@ def group_invariance_check(a: LinearMatrix, system, g, h=None) -> InvarianceRepo
     Non-unimodular inputs are rejected.
     """
     field = a.field
-    if a.size == 2:
-        if h is None:
-            raise PreconditionError("pencil case needs a pair (g, h)")
-        for m in (g, h):
-            if linalg.det(field, m) != field.one:
-                raise PreconditionError("group elements must have determinant 1")
-        transformed = a.left_right_transform(g, h)
-    elif a.size == 4:
+    if matrix_model(a, "group_invariance_check").pf:
         if h is not None:
             raise PreconditionError("net case takes a single SL(4) element")
-        if linalg.det(field, g) != field.one:
+        h = g
+    elif h is None:
+        raise PreconditionError("pencil case needs a pair (g, h)")
+    for m in (g,) if h is g else (g, h):
+        if linalg.det(field, m) != field.one:
             raise PreconditionError("group elements must have determinant 1")
-        transformed = a.congruence_transform(g)
-    else:
-        raise PreconditionError("unsupported matrix shape")
+    transformed = a.left_right_transform(g, h)
     before = invariants(a, system)
     after = invariants(transformed, system)
     return InvarianceReport(b_before=tuple(before.b), b_after=tuple(after.b),

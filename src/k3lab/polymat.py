@@ -356,19 +356,19 @@ class LinearMatrix:
         """The denominator of ``_terms(pf)``: scale ** degree (1 over GF(p))."""
         return self._scale ** (self.size // 2 if pf else self.size)
 
-    def _at(self, x, pf: bool = False):
-        """det (Pf when ``pf``) of A(x) at the raw point ``x`` (ints mod p,
-        or Fractions over QQ) as a raw representative."""
-        width, p = _width(self.size, pf), self.field.char
+    def _at(self, x):
+        """det A(x) at the raw point ``x`` (ints mod p, or Fractions over QQ)
+        as a raw representative."""
+        width, p = _width(self.size, False), self.field.char
         mask, acc = (1 << width) - 1, 0
-        for k, c in self._terms(pf).items():
+        for k, c in self._terms(False).items():
             for xi in x:
                 e = k & mask
                 if e:
                     c *= xi ** e
                 k >>= width
             acc += c
-        return acc % p if p else Fraction(acc) / self._denom(pf)
+        return acc % p if p else Fraction(acc) / self._denom(False)
 
     def _poly(self, pf: bool) -> MultiPoly:
         """``_terms(pf)`` boxed as a MultiPoly, memoized."""
@@ -408,19 +408,22 @@ class LinearMatrix:
             raise PreconditionError("need six Klein coordinate forms")
         ints, scale = linalg.int_rows(field, [[field.coerce(row[i]) for i in range(nvars)]
                                               for row in rows])
-        return cls._from_klein_raw(field, nvars, ints, scale)
+        return cls._of_cells(field, 4, nvars, KLEIN_INDEX_PAIRS, True, ints, scale)
 
     @classmethod
-    def _from_klein_raw(cls, field, nvars, rows, scale=1) -> "LinearMatrix":
-        """``from_klein_rows`` on six raw int rows times ``scale``."""
+    def _of_cells(cls, field, size, nvars, cells, alternating, rows, scale=1) -> "LinearMatrix":
+        """The linear matrix with the form of raw int coefficients ``rows[a]``
+        times ``scale`` in cell ``cells[a]``, its negative in the mirror cell
+        when ``alternating`` (then not tested again), and 0 elsewhere."""
         p, mats = field.char, []
         for i in range(nvars):
-            mat = [[0] * 4 for _ in range(4)]
-            for (r, c), row in zip(KLEIN_INDEX_PAIRS, rows):
+            mat = [[0] * size for _ in range(size)]
+            for (r, c), row in zip(cells, rows):
                 mat[r][c] = row[i]
-                mat[c][r] = -row[i] % p if p else -row[i]
+                if alternating:
+                    mat[c][r] = -row[i] % p if p else -row[i]
             mats.append(mat)
-        return cls._of_raw(field, 4, nvars, mats, scale, True)
+        return cls._of_raw(field, size, nvars, mats, scale, alternating or None)
 
     def __eq__(self, other):
         return (isinstance(other, LinearMatrix) and self.field == other.field

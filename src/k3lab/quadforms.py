@@ -11,11 +11,13 @@ an anisotropic residual of dimension <= 2 at the end.
 
 ``express_as_2x2_det`` and ``express_as_pfaffian`` realize split forms as
 det of a 2x2 matrix of linear forms, respectively as the Pfaffian of an
-alternating 4x4 one, by transporting the form to the standard model
-through explicit Witt decompositions; the Witt bases of the two fixed
-target models are cached per prime.  The model needs M_q^-1 for the form's
-Witt basis M_q, which the Witt split's own transport check M_q^T G M_q = H
-gives without an inversion: M_q^-1 = H^-1 (G M_q)^T, the dual basis.
+alternating 4x4 one.  The two models are data, one row of ``SPLIT_MODELS``
+each, so one body (``_express``) transports the form to the model's
+hard-coded target form through explicit Witt decompositions; the Witt
+bases of the two targets are cached per prime.  The model needs M_q^-1
+for the form's Witt basis M_q, which the Witt split's own transport check
+M_q^T G M_q = H gives without an inversion: M_q^-1 = H^-1 (G M_q)^T, the
+dual basis.
 Both return a LinearMatrix whose det/Pf reproduces the input form
 *identically*, which downstream sampling relies on: the check compares the
 model's packed int det/Pf expansion with the form's coefficients.  Such
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -455,26 +458,44 @@ def hyperbolic_form(field, nplanes: int) -> QuadraticForm:
     return _products_form(field, 2 * nplanes, {(2 * k, 2 * k + 1): 1 for k in range(nplanes)})
 
 
+# A split form of dimension n (the key) as det (Pf when pf) of a size x size
+# matrix of linear forms, with the coordinate z_a in cell cells[a] (and -z_a
+# in its mirror when pf): det/Pf is the target form {(i, j): sign} in z.
+SplitModel = namedtuple("SplitModel", "size pf cells target")
+SPLIT_MODELS = {
+    4: SplitModel(2, False, ((0, 0), (0, 1), (1, 0), (1, 1)), {(0, 3): 1, (1, 2): -1}),
+    6: SplitModel(4, True, KLEIN_INDEX_PAIRS, {(0, 5): 1, (1, 4): -1, (2, 3): 1}),
+}
+
+
+def matrix_model(a: LinearMatrix, who: str) -> SplitModel:
+    """The model of the shape of ``a``; PreconditionError naming ``who``
+    unless it is 2x2 over four variables or alternating 4x4 over six."""
+    model = SPLIT_MODELS.get(a.nvars)
+    if model is None or a.size != model.size or model.pf and not a.alternating:
+        raise PreconditionError(
+            f"{who} expects 2x2 over four variables or alternating 4x4 over six")
+    return model
+
+
 def det_2x2_form(field) -> QuadraticForm:
     """The form z0*z3 - z1*z2 = det [[z0, z1], [z2, z3]]."""
-    return _products_form(field, 4, {(0, 3): 1, (1, 2): -1})
+    return _products_form(field, 4, SPLIT_MODELS[4].target)
 
 
 def klein_form(field) -> QuadraticForm:
     """The Pfaffian form w0*w5 - w1*w4 + w2*w3 on alternating 4x4 matrices,
     in the Klein basis order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
-    return _products_form(field, 6, {(0, 5): 1, (1, 4): -1, (2, 3): 1})
+    return _products_form(field, 6, SPLIT_MODELS[6].target)
 
 
 @functools.lru_cache(maxsize=16)
 def _target_split(p: int, n: int):
     """M_t H^-1 as int rows mod p, cached per prime: M_t is the Witt basis
-    of the fixed target model in dimension n (det_2x2_form for n = 4,
-    klein_form for n = 6) as columns, and H^-1 the inverse of the split
-    normal form, n/2 blocks [[0, 2], [2, 0]], so column k of M_t H^-1 is
-    twice column k ^ 1 of M_t."""
-    field = GF(p)
-    target = det_2x2_form(field) if n == 4 else klein_form(field)
+    of the target form of the n-variable model as columns, and H^-1 the
+    inverse of the split normal form, n/2 blocks [[0, 2], [2, 0]], so column
+    k of M_t H^-1 is twice column k ^ 1 of M_t."""
+    target = _products_form(GF(p), n, SPLIT_MODELS[n].target)
     cols = _witt_rows(target._rows, p, 0)[0]
     return tuple(tuple(2 * cols[k ^ 1][i] % p for k in range(n)) for i in range(n))
 
@@ -489,9 +510,9 @@ def _model_rows(p: int, gm):
     return linalg.int_mul(_target_split(p, len(gm)), list(zip(*gm)), p)
 
 
-def _split_model_rows(q: QuadraticForm, n: int, h: int, seed: int, who: str):
-    """The model rows R of a split n-variable form q (see ``_model_rows``);
-    NotSplit unless its Witt index is h."""
+def _express(q: QuadraticForm, n: int, seed: int, who: str) -> LinearMatrix:
+    """The body of ``express_as_*``: q in the model of dimension n."""
+    model = SPLIT_MODELS[n]
     _require_prime_field(q, who)
     if q.n != n:
         raise PreconditionError(f"{who} expects a {n}-variable form")
@@ -499,9 +520,14 @@ def _split_model_rows(q: QuadraticForm, n: int, h: int, seed: int, who: str):
         raise PreconditionError("form must be nondegenerate")
     p = q.field.p
     _, index, _, gm = _witt_rows(q._rows, p, seed)
-    if index != h:
-        raise NotSplit(f"form is not split: Witt index {index} < {h}")
-    return _model_rows(p, gm)
+    if index != n // 2:
+        raise NotSplit(f"form is not split: Witt index {index} < {n // 2}")
+    a = LinearMatrix._of_cells(q.field, model.size, n, model.cells, model.pf,
+                               _model_rows(p, gm))
+    if a._terms(model.pf) != quadratic_terms(q._rows, p):
+        raise VerificationFailure(
+            f"{who}: {'Pf' if model.pf else 'det'} A(x) differs from the form")
+    return a
 
 
 def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
@@ -511,11 +537,7 @@ def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     VerificationFailure).  Raises NotSplit when the form has Witt index < 2
     (equivalently: non-square discriminant class).
     """
-    r = _split_model_rows(q, 4, 2, seed, "express_as_2x2_det")
-    a = LinearMatrix._of_raw(q.field, 2, 4, [[[r[0][i], r[1][i]], [r[2][i], r[3][i]]]
-                                             for i in range(4)])
-    _check_model(a, q, False, "express_as_2x2_det: det A(x) differs from the form")
-    return a
+    return _express(q, 4, seed, "express_as_2x2_det")
 
 
 def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
@@ -523,17 +545,7 @@ def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
     alternating 4x4 linear matrix, with Pf(A(x)) = q(x) identically
     (checked; a mismatch raises VerificationFailure).  Raises NotSplit when
     the form has Witt index < 3."""
-    r = _split_model_rows(q, 6, 3, seed, "express_as_pfaffian")
-    a = LinearMatrix._from_klein_raw(q.field, 6, r)
-    _check_model(a, q, True, "express_as_pfaffian: Pf A(x) differs from the form")
-    return a
-
-
-def _check_model(a: LinearMatrix, q: QuadraticForm, pf: bool, message: str):
-    """VerificationFailure unless det (Pf when ``pf``) of A(x) is q(x)
-    identically: the packed int expansion against q's coefficients."""
-    if a._terms(pf) != quadratic_terms(q._rows, q.field.p):
-        raise VerificationFailure(message)
+    return _express(q, 6, seed, "express_as_pfaffian")
 
 
 __all__ = [

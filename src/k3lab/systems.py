@@ -418,10 +418,9 @@ def moduli_double_cover(net: NetOfQuadrics,
 
 
 def _good_reduction_coeffs(f: BinaryQuartic, p: int) -> list:
-    """The coefficients (a, b, c, d, e) of f mod p as ints; BadReduction
-    unless f reduces mod p to a quartic with four distinct roots."""
-    if f.field != QQ:
-        raise PreconditionError("reduction starts from a form over QQ")
+    """The coefficients (a, b, c, d, e) of f mod p as ints, for f over QQ or
+    GF(p) (FieldMismatch over another GF(q)); BadReduction unless f mod p is
+    a quartic with four distinct roots."""
     gf = GF(p)
     try:
         if not gf.coerce(f.discriminant()):

@@ -663,6 +663,71 @@ def test_prime_field_system_input(tmp_path, capsys):
     assert rep["c"] == 16 % 7
 
 
+def test_pencil_count_over_a_prime_field(tmp_path, capsys):
+    # the builtin diagonal pencil with its field tag set to F_q: --p q counts
+    # where the forms live and prints what the pencil over Q prints at p = q
+    # (every --p exited 2 with "reduction starts from a form over QQ")
+    doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
+                      / "pencil-diagonal.json").read_text())
+    for q in (7, 13):
+        doc["field"] = f"F{q}"
+        path = tmp_path / f"pencil{q}.json"
+        path.write_text(json.dumps(doc))
+        over_q = run(capsys, "pencil", "count", "--system", "builtin:pencil-diagonal",
+                     "--p", str(q))
+        rep = run_json(capsys, "pencil", "count", "--system", str(path), "--p", str(q))
+        assert (0, json.dumps(rep, sort_keys=True) + "\n", "") == over_q
+        assert rep["p"] == q and rep["twist_consistent"] is True
+        n, h = rep["pencil_points"], rep["hyperelliptic_points"]
+        assert n in (h, 2 * q + 2 - h)
+        # any other prime is refused, naming the flag and the field
+        for p in ("5", "11", "4099", "9"):
+            assert run(capsys, "pencil", "count", "--system", str(path), "--p", p) == (
+                2, "", f"k3lab: the system is over GF({q}): --p must be {q}, not {p}\n")
+
+
+def test_system_file_keys(tmp_path, capsys):
+    doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
+                      / "pencil-diagonal.json").read_text())
+    net = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
+                      / "net-diagonal.json").read_text())
+    cases = [
+        # a misspelt field tag no longer loads silently over Q
+        ({"feild": "F7", "pencil": doc["pencil"]}, "system file has an unknown key 'feild'"),
+        ({**doc, "comment": "x"}, "system file has an unknown key 'comment'"),
+        ({"Pencil": doc["pencil"]}, "system file has an unknown key 'Pencil'"),
+        # both systems: `net disc` exited 2 with "net subcommands need a net
+        # system", and `pencil disc` ignored the net
+        ({**doc, "net": net["net"]}, "system file has both a 'pencil' and a 'net' key"),
+        ({"field": "Q"}, "system file must contain a 'pencil' or 'net' key"),
+        ({}, "system file must contain a 'pencil' or 'net' key"),
+    ]
+    for i, (bad, message) in enumerate(cases):
+        path = tmp_path / f"system{i}.json"
+        path.write_text(json.dumps(bad))
+        for group in ("pencil", "net"):
+            assert run(capsys, group, "disc", "--system", str(path)) == (
+                1, "", f"k3lab: parse error: {message}\n"), bad
+    # what the keys allow still loads: the field is optional
+    path = tmp_path / "no-field.json"
+    path.write_text(json.dumps({"pencil": doc["pencil"]}))
+    assert run(capsys, "pencil", "disc", "--system", str(path)) == run(
+        capsys, "pencil", "disc", "--system", "builtin:pencil-diagonal")
+
+
+def test_lattice_file_keys(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    for doc, key in (({"gram": [[0, 1], [1, 0]], "lable": "U"}, "lable"),
+                     ({"label": "U", "gram": [[0, 1], [1, 0]], "r": 2}, "r")):
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "lattice", "overlattice", "--alpha", "1,4", "--r", "2",
+                   "--lattice", str(path)) == (
+            1, "", f"k3lab: parse error: lattice file has an unknown key '{key}'\n")
+    path.write_text(json.dumps({"gram": [[0, 1], [1, 0]]}))  # the label is optional
+    assert run(capsys, "lattice", "overlattice", "--alpha", "1,4", "--r", "2",
+               "--lattice", str(path))[0] == 0
+
+
 def test_probe_degenerate_net_precondition(tmp_path, capsys):
     def coordinate_square(i):
         row = [[0] * 6 for _ in range(6)]

@@ -78,6 +78,68 @@ def test_t_invariant_shape_check():
         t_invariant(LinearMatrix(QQ, 2, 3, [[[1, 0], [0, 1]]] * 3))
 
 
+# -- shapes outside the two models -------------------------------------------------
+
+def _shape_cases():
+    """(id, matrix, system, g, h) for every linear matrix outside the models
+    (2x2 over four variables, alternating 4x4 over six) and the group
+    elements a check of it would be handed."""
+    F = GF(11)
+    rng = random.Random(75)
+
+    def mats(size, nvars, alternating):
+        out = []
+        for i in range(nvars):
+            m = [[F.zero] * size for _ in range(size)]
+            for r in range(size):
+                for c in range(r if alternating else 0, size):
+                    if r != c or not alternating:
+                        m[r][c] = F.element(1 + (3 * i + 5 * r + 7 * c) % 10)
+                        if alternating:
+                            m[c][r] = -m[r][c]
+            out.append(m)
+        return LinearMatrix(F, size, nvars, out)
+
+    pencil, net = DIAG_PENCIL.reduce_mod(11), DIAG_NET.reduce_mod(11)
+    sl2, sl3, sl4 = (random_sl(F, n, rng) for n in (2, 3, 4))
+    return [
+        ("3x3", mats(3, 4, False), pencil, sl3, None),
+        ("4x4-not-alternating", mats(4, 6, False), net, sl4, None),
+        ("2x2-in-3", mats(2, 3, False), pencil, sl2, sl2),
+        ("alternating-4x4-in-5", mats(4, 5, True), net, sl4, None),
+    ]
+
+
+# each function refuses such a matrix up front, before any work on it
+SHAPE = "expects 2x2 over four variables or alternating 4x4 over six"
+
+
+@pytest.mark.parametrize("case", _shape_cases(), ids=lambda case: case[0])
+def test_non_model_shapes_are_refused(case):
+    name, a, system, g, h = case
+    for who, call in (("b_coordinates", lambda: b_coordinates(a, system)),
+                      ("t_invariant", lambda: t_invariant(a)),
+                      ("group_invariance_check",
+                       lambda: group_invariance_check(a, system, g, h))):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert (err.type, str(err.value)) == (PreconditionError, f"{who} {SHAPE}"), name
+
+
+def test_group_elements_must_fit_the_model():
+    F = GF(11)
+    pt = sample_point(DIAG_PENCIL, 11, seed=3)
+    nt = sample_point(DIAG_NET, 11, seed=3)
+    eye2, eye4 = identity(F, 2), identity(F, 4)
+    for call, message in ((lambda: group_invariance_check(pt.matrix, pt.system, eye2),
+                           "pencil case needs a pair (g, h)"),
+                          (lambda: group_invariance_check(nt.matrix, nt.system, eye4, eye4),
+                           "net case takes a single SL(4) element")):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert (err.type, str(err.value)) == (PreconditionError, message)
+
+
 def test_t_gl_covariance_pencil():
     F = GF(13)
     rng = random.Random(70)
@@ -228,6 +290,17 @@ def test_sample_discriminant_vanishing_identically():
         for p in (7, 2**31 - 1):
             with pytest.raises(BadReduction, match=f"vanishes identically mod {p}"):
                 sample_point(system, p)
+
+
+def test_sample_leaves_the_discriminant_unexpanded():
+    # a draw that succeeds never needs the discriminant: only the sweep, when
+    # every draw failed, checks that it does not vanish identically
+    for system in (DIAG_PENCIL, DIAG_NET):
+        for p in (11, 1009):
+            pt = sample_point(system, p, seed=2)
+            assert pt.system._matrix is None
+    with pytest.raises(NoSplitMember):
+        sample_point(MOD3_PENCIL, 3)
 
 
 # -- relation verification ---------------------------------------------------------

@@ -113,6 +113,9 @@ ALLOWLIST = {
     "polymat.LinearMatrix.coeff_mats": "exported LinearMatrix API",
     "polymat.LinearMatrix.pfaffian_poly": "exported LinearMatrix API",
     "polymat.LinearMatrix.from_klein_rows": "exported LinearMatrix constructor",
+    "polymat.LinearMatrix.congruence_transform": "exported LinearMatrix API; "
+                                                 "group_invariance_check calls "
+                                                 "left_right_transform(g, g)",
     "quadforms.QuadraticForm.gram": "exported QuadraticForm API",
     "quadforms.QuadraticForm.from_poly": "exported QuadraticForm API",
     "quadforms.QuadraticForm.to_poly": "exported QuadraticForm API",
@@ -127,6 +130,10 @@ ALLOWLIST = {
     "quadforms.diagonalize": "exported quadratic-form API (README)",
     "quadforms.is_split": "exported quadratic-form API (README)",
     "quadforms.hyperbolic_form": "exported model form",
+    "quadforms.det_2x2_form": "exported model form; _target_split builds the "
+                              "same form from SPLIT_MODELS[4].target",
+    "quadforms.klein_form": "exported model form; _target_split builds the "
+                            "same form from SPLIT_MODELS[6].target",
     "scalars.PrimeField.elements": "exported PrimeField API",
     "scalars.RationalField.one": "exported field API, the counterpart of "
                                  "PrimeField.one",
@@ -161,7 +168,7 @@ def extra_commands(tmp: Path):
           "--format", "text"], 0),
         (["net", "cover", "--system", FRACTIONAL_NET], 0),
         (["construct", "verify-pencil", "--system", str(mod3), "--p", "3",
-          "--samples", "1"], 2),
+          "--samples", "2"], 2),
         (["mukai", "dim", "--r", "two", "--l2", "8", "--s", "2"], 1),
         # GF caches each field it builds, so only a p that is not prime reaches
         # is_odd_prime whatever ran before

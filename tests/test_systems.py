@@ -490,6 +490,24 @@ def test_count_degree_drop_infinity_rule():
     assert n_curve in (8, 2 * 5 + 2 - 8)
 
 
+def test_count_over_the_systems_own_prime_field():
+    # a pencil and its branch quartic over GF(q) count at p = q exactly as
+    # their lifts over Q reduced mod q, and refuse any other p
+    from k3lab import FieldMismatch
+
+    pencil = PencilOfQuadrics.from_diagonals([1, 0, 1, 1], [0, 1, 1, 2])
+    for q in (5, 11, 13):
+        red = pencil.reduce_mod(q)
+        branch = pencil_discriminant(red)
+        assert branch.field is GF(q)
+        assert count_points(red, q) == count_points(pencil, q)
+        assert count_points(branch, q) == count_points(pencil_discriminant(pencil), q)
+        with pytest.raises(FieldMismatch):
+            count_points(branch, 7)
+        with pytest.raises(FieldMismatch):
+            count_points(red, 7)
+
+
 # Fixed up front: 20 good-reduction pencils per prime, drawn from at most 200.
 PENCILS_PER_PRIME, MAX_DRAWS = 20, 200
 
