@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -76,14 +77,16 @@ def _read_json(path: str):
         raise CLIParseError(f"{path}: {exc}") from exc
 
 
+# "F" and a prime in canonical ASCII decimal: no sign, "_" or leading zero.
+# 20 digits are far past GF's bound of 2**31, whose BadPrime then names it.
+_FIELD_TAG = re.compile(r"F[1-9][0-9]{0,19}")
+
+
 def _parse_field(tag):
     if tag in (None, "Q"):
         return QQ
-    if isinstance(tag, str) and tag.startswith("F"):
-        try:
-            return GF(int(tag[1:]))
-        except ValueError as exc:
-            raise CLIParseError(f"bad field tag {tag!r}") from exc
+    if isinstance(tag, str) and _FIELD_TAG.fullmatch(tag):
+        return GF(int(tag[1:]))
     raise CLIParseError(f"bad field tag {tag!r}")
 
 

@@ -18,6 +18,12 @@ and the columns of G + [0] gives the Gram of that basis in O(n) per
 operation.  The overlattice's Hermite basis S is m*I plus one dense row in
 L0-coordinates, so its Gram S G0 S^T / m^2 costs one row operation per
 sparse row of S.
+
+Determinant and signature come from one fraction-free symmetric
+elimination (Bareiss, Math. Comp. 22, 1968), ``_det_and_signature``.  It
+pivots on the row with the most zeros, as the overlattice Gram has one
+dense row that would fill the whole matrix if eliminated first, and it
+rescales a row only when it is used; both are exact (see its docstring).
 """
 
 from __future__ import annotations
@@ -181,25 +187,50 @@ def _det_and_signature(gram):
     """(det, (positive, negative)) of a symmetric integer matrix, (0, None)
     if degenerate, by Bareiss congruence: pivot k is the leading minor p_k of
     a congruent matrix, so diagonal entry k has the sign of p_k * p_(k-1).
-    Pivot on the first nonzero diagonal entry (a symmetric swap); with none,
-    e_0 += e_j makes it twice a nonzero pairing, unless row 0 is zero."""
+
+    Pivot on the row with the most zeros among those with a nonzero diagonal
+    entry, the lowest such index on a tie (Markowitz's rule against fill-in).
+    That is a symmetric swap, a congruence by a permutation, so it changes
+    neither det nor the sign rule.  With no nonzero diagonal entry,
+    e_0 += e_j makes it twice a nonzero pairing, unless row 0 is zero.
+
+    Rows are scaled lazily.  Bareiss multiplies a row with a zero in the
+    pivot column by piv / prev; over several steps the factors telescope to
+    prev / q, q the pivot at which the row was last brought up to date.  So
+    each row keeps its q, and only a row that is used is brought up to date:
+    the pivot row and a row in the repair as x * prev // q, a row with an
+    entry f in the pivot column as (piv * x - f * y) // q, which is its
+    rescale by prev / q and the Bareiss step by 1 / prev in one division.
+    Both divisions are exact because the results are minors of the matrix.
+    Zero tests, zero counts and the repair's column operation, which stays
+    within each row, do not see the scale of a row."""
     a = [list(row) for row in gram]
+    q = [1] * len(a)
     prev, neg = 1, 0
     while a:
-        k = next((i for i in range(len(a)) if a[i][i]), None)
-        if k is None:
+        zeros = [row.count(0) if row[i] else -1 for i, row in enumerate(a)]
+        most = max(zeros)
+        if most < 0:
             k, j = 0, next((i for i, x in enumerate(a[0]) if x), None)
             if j is None:
                 return 0, None
-            a[0] = [x + y for x, y in zip(a[0], a[j])]
+            q0, qj = q[0], q[j]
+            a[0] = [x * prev // q0 + y * prev // qj for x, y in zip(a[0], a[j])]
+            q[0] = prev
             for row in a:
                 row[0] += row[j]
-        top = a.pop(k)
+        else:
+            k = zeros.index(most)
+        top, qk = a.pop(k), q.pop(k)
+        if qk != prev:
+            top = [x * prev // qk for x in top]
         piv = top.pop(k)
         neg += (piv > 0) != (prev > 0)
-        a = [[(piv * x - f * y) // prev for x, y in zip(row, top)] if f
-             else [piv * x // prev for x in row]
-             for row in a for f in (row.pop(k),)]
+        for i, row in enumerate(a):
+            f = row.pop(k)
+            if f:
+                a[i] = [(piv * x - f * y) // q[i] for x, y in zip(row, top)]
+                q[i] = piv
         prev = piv
     return prev, (len(gram) - neg, neg)
 

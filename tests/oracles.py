@@ -12,14 +12,21 @@ entries (``poly_entries``) and the Klein coordinates of its alternating
 coefficient matrices (``klein_coordinates``); ``identity`` builds identity
 matrices of field scalars.  Overlattice Grams are rebuilt from ambient
 basis vectors as dense A G A^T products (``dense_overlattice_gram``).
+The lattice tests share their case generators, which are no oracles:
+overlattice Grams drawn as the benchmark draws its ops
+(``seeded_overlattice_grams``), block sums of U and E8 with one dense row
+(``dense_row_block_sums``) and all-zero diagonals reached after stale rows
+(``stale_repair_cases``).
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
-from k3lab import QQ, LinearMatrix, MultiPoly, PreconditionError, linalg, quadforms
-from k3lab.lattices import hnf_row_basis, l_zero_basis
+from k3lab import (QQ, LinearMatrix, MultiPoly, OverlatticeSpec, PreconditionError,
+                   k3_lattice, linalg, overlattice, quadforms)
+from k3lab.lattices import e8_gram, hnf_row_basis, l_zero_basis
 
 
 def perm_sign(perm):
@@ -530,3 +537,66 @@ def dense_overlattice_gram(lat, alpha, r):
     if any(x % (m * m) for row in gram for x in row):
         raise AssertionError("overlattice Gram is not integral")
     return [[x // (m * m) for x in row] for row in gram]
+
+
+def seeded_overlattice_grams(r, size, count=20):
+    """The Grams of ``count`` seeded overlattices L0 + Z(alpha/r) of the K3
+    lattice, alpha with entries in [-size, size] and 2 r^2 | (alpha^2), drawn
+    by rejection as the overlattice benchmark draws its ops."""
+    rng = random.Random(f"overlattice/{r}/{size}")
+    k3 = k3_lattice()
+    grams = []
+    while len(grams) < count:
+        alpha = [rng.randint(-size, size) for _ in range(k3.rank)]
+        if any(alpha) and k3.norm(alpha) % (2 * r * r) == 0:
+            grams.append(overlattice(OverlatticeSpec(k3, alpha, r)).gram)
+    return grams
+
+
+def block_sum(*blocks):
+    """The block-diagonal matrix of square blocks."""
+    n = sum(len(b) for b in blocks)
+    m, off = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[off + i][off:off + len(b)] = list(row)
+        off += len(b)
+    return m
+
+
+def sym_permuted(rng, m):
+    """P^T m P for a random permutation matrix P."""
+    perm = list(range(len(m)))
+    rng.shuffle(perm)
+    return [[m[i][j] for j in perm] for i in perm]
+
+
+def dense_row_block_sums(rng):
+    """U and E8 block sums with row and column 0 made dense and its diagonal
+    nonzero, the shape of an overlattice Gram, then three symmetric
+    permutations of each: the first nonzero diagonal entry is then not on
+    the row with the most zeros."""
+    u, e8n, e8 = [[0, 1], [1, 0]], e8_gram(True), e8_gram(False)
+    cases = []
+    for blocks in ((u, [[-2]], u), (e8n,), (e8,), (u, e8n), (u, u, u, e8n), (u, u, u, e8n, e8n)):
+        m = block_sum([[2 * rng.choice((-2, -1, 1, 2))]], *blocks)
+        for j in range(1, len(m)):
+            m[0][j] = m[j][0] = rng.choice((-2, -1, 1, 2))
+        if m[0].count(0) >= max(row.count(0) for i, row in enumerate(m) if row[i]):
+            raise AssertionError("row 0 is the sparsest pivot candidate")
+        cases += [m] + [sym_permuted(rng, m) for _ in range(3)]
+    return cases
+
+
+def stale_repair_cases():
+    """All-zero diagonals left after pivots with |p_k| > 1, whose rows went
+    stale at different steps, so the e_0 += e_j repair adds rows kept at
+    different scales."""
+    # in base, pivot 2 zeroes the diagonal of row 1 (2 * 2 = 2^2) and brings
+    # it up to date while row 2 stays at scale 1; the sparser rows of the
+    # blocks [[3]] and [[5]] pivot before it, so the repair sees prev = 30
+    base = [[2, 2, 0], [2, 2, 1], [0, 1, 0]]
+    return [base, block_sum([[3]], base), block_sum([[3]], [[5]], base),
+            block_sum([[-2]], base, [[0, 1], [1, 0]]),
+            block_sum([[3]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+            block_sum([[2, 1], [1, 2]], [[0, 2], [2, 0]], [[-7]])]

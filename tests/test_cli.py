@@ -715,6 +715,28 @@ def test_system_file_keys(tmp_path, capsys):
         capsys, "pencil", "disc", "--system", "builtin:pencil-diagonal")
 
 
+def test_field_tags(tmp_path, capsys):
+    # a tag is "F" and canonical decimal digits; int() read "F1_009" as
+    # GF(1009) and "F+7", "F07" as GF(7), and "F-7" exited 2
+    doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
+                      / "pencil-diagonal.json").read_text())
+    path = tmp_path / "pencil.json"
+    for tag in ("F1_009", "F+7", "F07", "F-7", "F", "F 7", "F7 ", "F7\n", "f7",
+                "F\u0667", "F" + "1" * 21, "Q7", 7):
+        path.write_text(json.dumps({**doc, "field": tag}))
+        assert run(capsys, "pencil", "disc", "--system", str(path)) == (
+            1, "", f"k3lab: parse error: bad field tag {tag!r}\n"), tag
+    # well-formed tags naming no odd prime below 2**31 keep exit 2
+    for tag, p in (("F4", 4), ("F1", 1), ("F2", 2), ("F2147483659", 2147483659),
+                   ("F" + "9" * 20, int("9" * 20))):
+        path.write_text(json.dumps({**doc, "field": tag}))
+        assert run(capsys, "pencil", "disc", "--system", str(path)) == (
+            2, "", f"k3lab: {p} is not an odd prime below 2**31\n"), tag
+    for tag in ("F7", "F1009", "F2147483647"):
+        path.write_text(json.dumps({**doc, "field": tag}))
+        assert run(capsys, "pencil", "disc", "--system", str(path))[0] == 0, tag
+
+
 def test_lattice_file_keys(tmp_path, capsys):
     path = tmp_path / "u.json"
     for doc, key in (({"gram": [[0, 1], [1, 0]], "lable": "U"}, "lable"),

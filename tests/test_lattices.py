@@ -13,8 +13,9 @@ from k3lab import (DivisibilityViolation, IntegralLattice, MukaiVector,
 from k3lab import MultiPoly, QQ, linalg
 from k3lab.lattices import (_column_ops, _kernel_coordinates, e8_gram,
                             hnf_row_basis, l_zero_basis)
-from oracles import (cofactor_det, dense_overlattice_gram, gram_of, leibniz_det,
-                     scalar_leibniz_det)
+from oracles import (block_sum, cofactor_det, dense_overlattice_gram,
+                     dense_row_block_sums, gram_of, leibniz_det, scalar_leibniz_det,
+                     seeded_overlattice_grams, stale_repair_cases, sym_permuted)
 
 
 # -- Mukai dimension calculus --------------------------------------------------
@@ -148,16 +149,6 @@ def _fraction_signature(m):
     return (pos, neg) if pos + neg == n else None
 
 
-def _block_sum(*blocks):
-    n = sum(len(b) for b in blocks)
-    m, off = [[0] * n for _ in range(n)], 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            m[off + i][off:off + len(b)] = list(row)
-        off += len(b)
-    return m
-
-
 def _scramble(rng, m, steps):
     """P^T m P for P a product of random elementary integer operations."""
     n = len(m)
@@ -175,9 +166,9 @@ def _scramble(rng, m, steps):
 def test_signature_against_fraction_congruence_diagonalize():
     rng = random.Random(91)
     u = [[0, 1], [1, 0]]
-    structured = [u, _block_sum(u, u), _block_sum(u, u, u), _block_sum(e8_gram(True)),
-                  _block_sum(e8_gram(False)), _block_sum(u, e8_gram(True)),
-                  _block_sum(u, [[2]], u, [[-2]]), _block_sum(u, [[0]], u)]
+    structured = [u, block_sum(u, u), block_sum(u, u, u), block_sum(e8_gram(True)),
+                  block_sum(e8_gram(False)), block_sum(u, e8_gram(True)),
+                  block_sum(u, [[2]], u, [[-2]]), block_sum(u, [[0]], u)]
     cases = []
     for m in structured:
         cases += [m, _scramble(rng, m, 6), _make_degenerate(rng, m)]
@@ -197,6 +188,48 @@ def test_signature_against_fraction_congruence_diagonalize():
         assert (lat.det == 0) == (sig is None)
         if sig is not None:
             assert (lat.det > 0) == (sig[1] % 2 == 0)
+
+
+# -- the sparsest-row-first, lazily scaled elimination ---------------------------
+
+def _assert_against_oracles(m):
+    lat = IntegralLattice(m)
+    assert lat.det == linalg.det(QQ, [[Fraction(x) for x in row] for row in m]), m
+    assert lat.signature() == _fraction_signature(m), m
+
+
+def test_dense_row_block_sums_against_oracles():
+    for m in dense_row_block_sums(random.Random(92)):
+        _assert_against_oracles(m)
+
+
+def test_stale_repair_against_leibniz_and_fraction_signature():
+    for m in stale_repair_cases():
+        _assert_against_oracles(m)
+        expect = leibniz_det(_const_entries(m)).coeff((0,))
+        assert IntegralLattice(m).det == expect, m
+
+
+@pytest.mark.parametrize("r, size", [(2, 1), (3, 1), (2, 3), (3, 3)])
+def test_seeded_overlattice_grams_against_oracles(r, size):
+    grams = seeded_overlattice_grams(r, size)
+    assert len(grams) == 20
+    for m in grams:
+        _assert_against_oracles(m)
+
+
+def test_det_and_signature_invariant_under_symmetric_permutations():
+    rng = random.Random(93)
+    cases = [seeded_overlattice_grams(2, 1, count=1)[0], *stale_repair_cases()[-2:],
+             *dense_row_block_sums(rng)[::8]]
+    for n in (3, 5, 7):
+        m = _random_symmetric(rng, n, 3, zero_diagonal_share=0.7)
+        cases += [m, _make_degenerate(rng, m)]
+    assert any(IntegralLattice(m).signature() is None for m in cases)
+    for m in cases:
+        want = lattice_invariants(IntegralLattice(m))
+        for _ in range(50):
+            assert lattice_invariants(IntegralLattice(sym_permuted(rng, m))) == want, m
 
 
 def test_non_integer_gram_entries_rejected():
@@ -260,7 +293,7 @@ def _pairing_oracle(gram, u, v):
 def test_l_zero_gram_against_pairing_oracle():
     rng = random.Random(92)
     k3 = k3_lattice()
-    odd = IntegralLattice(_block_sum([[1]], [[0, 2], [2, 3]], [[-6]], e8_gram(True)))
+    odd = IntegralLattice(block_sum([[1]], [[0, 2], [2, 3]], [[-6]], e8_gram(True)))
     for lat in (k3, odd):
         for _ in range(10):
             r = rng.choice((2, 3, 5))
@@ -485,7 +518,7 @@ def _overlattice_cases():
     cases = []
     for k in range(240):
         if k % 2:
-            gram = _block_sum([[0, 1], [1, 0]], _random_even_block(rng, rng.randint(1, 8)))
+            gram = block_sum([[0, 1], [1, 0]], _random_even_block(rng, rng.randint(1, 8)))
         else:
             gram = [list(row) for row in k3.gram]
         r = rng.randint(2, 12)

@@ -1,7 +1,10 @@
 """Every function in ``src/k3lab`` is reached by the CLI or allowlisted.
 
 A fixed command set runs in process through ``cli.main`` under
-``sys.setprofile``, which records the code object of every Python call.
+``sys.settrace``, which records the code object of every Python call.  A
+generator's code counts only once a line of it runs: CPython fires a call
+event when it closes a generator object that never started, so a function
+that creates and drops a generator would otherwise reach its body.
 The commands are the ``k3lab ...`` lines of README.md's examples (each must
 exit 0), ``construct invariance`` on the builtin pencil (the README runs
 the net), ``lattice overlattice --gram --format text``, ``net cover`` on
@@ -22,6 +25,8 @@ allowlisted here with its reason.  Every check fails through
 import argparse
 import ast
 import contextlib
+import importlib.util
+import inspect
 import io
 import json
 import os
@@ -176,10 +181,10 @@ def extra_commands(tmp: Path):
     ]
 
 
-def collect_defs():
+def collect_defs(src):
     """{(source path, first line of its code object): (name, def line)} for
-    every def in the package.  A decorated function's code starts at its
-    first decorator."""
+    every def in the modules of ``src``.  A decorated function's code starts
+    at its first decorator."""
     out = {}
 
     def walk(node, path, prefix):
@@ -194,7 +199,7 @@ def collect_defs():
             else:
                 walk(child, path, prefix)
 
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(src.glob("*.py")):
         walk(ast.parse(path.read_text("utf-8")), path, "")
     return out
 
@@ -204,51 +209,79 @@ def exempt(name):
     return last.startswith("__") and last.endswith("__") and last != "__init__"
 
 
-def run_profiled(commands):
-    """Run each argv through ``cli.main`` under a profiler that records every
-    Python call: (exit codes, {(real source path, first line)})."""
+GENERATOR_FLAGS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
+
+@contextlib.contextmanager
+def reached_code():
+    """Yield the set of code objects that run inside the block: a function's
+    at its call event, a generator's at its first line event."""
+    seen = set()
+
+    def first_line(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_code)
+            return None  # one line is enough: stop tracing this frame
+        return first_line
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if code in seen:
+            return None
+        if code.co_flags & GENERATOR_FLAGS:
+            return first_line
+        seen.add(code)
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield seen
+    finally:
+        sys.settrace(previous)
+
+
+def real_keys(codes):
+    """{(real source path, first line)} of code objects."""
+    real = {}
+    for code in codes:
+        if code.co_filename not in real:
+            real[code.co_filename] = os.path.realpath(code.co_filename)
+    return {(real[c.co_filename], c.co_firstlineno) for c in codes}
+
+
+def run_traced(commands):
+    """Run each argv through ``cli.main`` inside ``reached_code``: (exit
+    codes, {(real source path, first line)} of the code that ran)."""
     # memoized functions (build_parser, the builtin K3 lattice, the Witt
-    # targets) must run their bodies inside the profiled window, whatever
+    # targets) must run their bodies inside the traced window, whatever
     # other tests ran before
     for module in [m for n, m in sys.modules.items() if n.startswith("k3lab.")]:
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 obj.cache_clear()
-    codes, seen = [], set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    codes = []
+    with reached_code() as seen:
         for argv in commands:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 codes.append(cli.main(argv))
-    finally:
-        sys.setprofile(previous)
-    real = {}
-    for code in seen:
-        if code.co_filename not in real:
-            real[code.co_filename] = os.path.realpath(code.co_filename)
-    return codes, {(real[c.co_filename], c.co_firstlineno) for c in seen}
+    return codes, real_keys(seen)
 
 
 @pytest.fixture(scope="module")
 def audit(tmp_path_factory):
     readme = readme_commands()
     extra = extra_commands(tmp_path_factory.mktemp("reach"))
-    previous = sys.getprofile()
-    codes, reached = run_profiled(readme + [argv for argv, _ in extra])
-    defs = collect_defs()
+    previous = sys.gettrace()
+    codes, reached = run_traced(readme + [argv for argv, _ in extra])
+    defs = collect_defs(SRC)
     return {
         "readme": list(zip(readme, codes)),
         "extra": [(argv, want, got) for (argv, want), got in zip(extra, codes[len(readme):])],
         "defs": defs,
         "reached": {name for key, (name, _) in defs.items() if key in reached},
-        "profile_restored": sys.getprofile() is previous,
+        "trace_restored": sys.gettrace() is previous,
     }
 
 
@@ -271,11 +304,16 @@ def test_extra_commands_exit_codes(audit):
         pytest.fail("\n".join(bad))
 
 
+def unreached(defs, reached, allowlist):
+    """Sorted (path, def line, name) of the functions of ``defs`` that are
+    neither reached nor allowlisted nor exempt."""
+    return sorted((path, line, name) for (path, _), (name, line) in defs.items()
+                  if name not in reached and name not in allowlist and not exempt(name))
+
+
 def test_every_function_is_reached_or_allowlisted(audit):
-    missing = sorted(
-        (os.path.relpath(path, ROOT), line, name)
-        for (path, _), (name, line) in audit["defs"].items()
-        if name not in audit["reached"] and name not in ALLOWLIST and not exempt(name))
+    missing = [(os.path.relpath(path, ROOT), line, name)
+               for path, line, name in unreached(audit["defs"], audit["reached"], ALLOWLIST)]
     if missing:
         pytest.fail("functions no command reaches; reach them from the command set, "
                     "delete them, or allowlist them with a reason:\n"
@@ -305,5 +343,39 @@ def test_guard_is_not_vacuous(audit):
     for name in ("linalg.solve", "quadforms.witt_split"):
         if name in audit["reached"]:
             pytest.fail(f"{name} should not be reached by the command set")
-    if not audit["profile_restored"]:
-        pytest.fail("the previous profiler was not restored")
+    if not audit["trace_restored"]:
+        pytest.fail("the previous trace function was not restored")
+
+
+MUTANT = """\
+def drops():
+    gen()  # a generator object, created and dropped without running
+
+
+def runs():
+    return next(gen())
+
+
+def gen():
+    yield 1
+"""
+
+
+def test_guard_counts_a_generator_only_once_it_runs(tmp_path):
+    # CPython fires a call event when it closes the unstarted generator of
+    # drops(), which a profiler took for a run of gen's body
+    path = tmp_path.resolve() / "mutant.py"
+    path.write_text(MUTANT)
+    spec = importlib.util.spec_from_file_location("mutant", path)
+    mutant = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutant)
+    defs = collect_defs(path.parent)
+    for entry, want in ((mutant.drops, {"mutant.gen", "mutant.runs"}),
+                        (mutant.runs, {"mutant.drops"})):
+        with reached_code() as seen:
+            entry()
+        reached = {name for key, (name, _) in defs.items() if key in real_keys(seen)}
+        got = {name for _, _, name in unreached(defs, reached, {})}
+        if got != want:
+            pytest.fail(f"after {entry.__name__}() the guard reports {sorted(got)} "
+                        f"unreached, want {sorted(want)}")

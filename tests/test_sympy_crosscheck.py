@@ -17,7 +17,8 @@ from k3lab import (QQ, IntegralLattice, MultiPoly, OverlatticeSpec,
                    PencilOfQuadrics, QuadraticForm, discriminant_poly,
                    k3_lattice, lattice_invariants, net_discriminant, overlattice)
 from k3lab.cli import load_system
-from oracles import uni_resultant
+from oracles import (dense_row_block_sums, seeded_overlattice_grams, stale_repair_cases,
+                     uni_resultant)
 
 
 def _to_sympy(p, symbols):
@@ -121,13 +122,16 @@ def _sign_changes(coeffs):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sympy_invariants(gram):
+def _sympy_invariants(gram, det_from_charpoly=False):
     """det by sympy's ``det`` and the signature by Descartes' rule of signs
     on sympy's characteristic polynomial, which counts the positive and the
     negative roots exactly because a symmetric matrix has only real
-    eigenvalues; None when 0 is an eigenvalue."""
+    eigenvalues; None when 0 is an eigenvalue.  ``det_from_charpoly`` reads
+    det off the constant term (-1)^n det of det(t I - m) instead, which is
+    several times faster than sympy's ``det`` at rank 22."""
     m = sympy.Matrix(gram)
     coeffs = m.charpoly().all_coeffs()  # leading coefficient first
+    det = (-1) ** len(gram) * coeffs[-1] if det_from_charpoly else m.det()
     zeros = 0
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -135,7 +139,7 @@ def _sympy_invariants(gram):
     pos = _sign_changes(coeffs)
     neg = _sign_changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
     assert pos + neg + zeros == len(gram)
-    return m.det(), ((pos, neg) if not zeros else None)
+    return det, ((pos, neg) if not zeros else None)
 
 
 def _random_symmetric(rng, n, size, zero_diagonal_share):
@@ -175,3 +179,16 @@ def test_lattice_invariants_match_sympy_det_and_descartes_signature():
         degenerate += sig is None
         zero_diagonal += sig is not None and not any(gram[i][i] for i in range(len(gram)))
     assert degenerate >= 10 and zero_diagonal >= 5
+
+
+def test_sparsest_pivot_shapes_match_sympy_det_and_descartes_signature():
+    # dense-row block sums and their permutations, all-zero diagonals after
+    # stale rows, and the benchmark's overlattice Grams of every class
+    cases = dense_row_block_sums(random.Random(204)) + stale_repair_cases()
+    for r in (2, 3):
+        for size in (1, 3):
+            cases += seeded_overlattice_grams(r, size)
+    for gram in cases:
+        inv = lattice_invariants(IntegralLattice(gram))
+        want = _sympy_invariants(gram, det_from_charpoly=True)
+        assert (inv["det"], inv["signature"]) == want, gram
