@@ -4,17 +4,16 @@ lattice constructions."""
 
 from .errors import (BadPrime, BadReduction, DegenerateBranch,
                      DegenerateSystem, DivisibilityViolation, FieldMismatch,
-                     InconsistentConstant, K3LabError, NoSplitMember,
-                     NotInSpan, NotSplit, PreconditionError, SingularMatrix,
-                     VariableCountMismatch, VerificationFailure)
+                     K3LabError, NoSplitMember, NotInSpan, NotSplit,
+                     PreconditionError, SingularMatrix, VariableCountMismatch,
+                     VerificationFailure)
 from .scalars import GF, QQ, Fraction, GFElement, PrimeField, projective_points
 from .poly import MultiPoly, poly_from_text, poly_to_text
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix, PolyMatrix, pfaffian, poly_det
 from .quartic import BinaryQuartic
-from .quadforms import (Isometry, QuadraticForm, WittDecomposition,
-                        det_2x2_form, diagonalize, express_as_2x2_det,
-                        express_as_pfaffian, hyperbolic_form,
-                        is_split, isotropic_vector, klein_form, witt_split)
+from .quadforms import (QuadraticForm, WittDecomposition, diagonalize,
+                        express_as_2x2_det, express_as_pfaffian, is_split,
+                        isotropic_vector, witt_split)
 from .systems import (CoverVerdict, DoubleCoverDescriptor, NetOfQuadrics,
                       PencilOfQuadrics, QuadricSystem, count_points, discriminant_poly,
                       jacobian_j_invariant, moduli_double_cover,

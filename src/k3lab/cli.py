@@ -75,6 +75,8 @@ def _read_json(path: str):
         ) from exc
     except ValueError as exc:  # an integer beyond Python's int-string conversion limit
         raise CLIParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested too deeply to decode
+        raise CLIParseError(f"{path}: JSON nested too deeply") from exc
 
 
 # "F" and a prime in canonical ASCII decimal: no sign, "_" or leading zero.
@@ -163,10 +165,28 @@ def load_lattice(path: str | None) -> IntegralLattice:
     return IntegralLattice(rows, label=label)
 
 
+# An integer on argv: an optional "-", then ASCII decimal digits without a
+# leading zero; no "+", "_", whitespace or other digits.
+_INT = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _parse_int(text: str) -> int:
+    """The ``type`` of every integer flag: ``text`` as an int if it is in
+    the grammar of ``_INT`` and within the int-string conversion limit."""
+    if _INT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # beyond Python's int-string conversion limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_int_list(text: str, what: str):
+    """A comma-separated list of integers, each as ``_parse_int`` reads it;
+    the empty string is the empty list."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
+        return [_parse_int(x) for x in text.split(",")] if text else []
+    except argparse.ArgumentTypeError as exc:
         raise CLIParseError(f"bad {what} list {text!r}") from exc
 
 
@@ -210,14 +230,14 @@ def build_parser() -> _Parser:
 
     mukai = sub.add_parser("mukai").add_subparsers(dest="action", required=True)
     p = leaf(mukai, "dim", help="moduli dimension from (r, (L^2), s)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--l2", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
+    p.add_argument("--l2", type=_parse_int, required=True)
+    p.add_argument("--s", type=_parse_int, required=True)
 
     lattice = sub.add_parser("lattice").add_subparsers(dest="action", required=True)
     p = leaf(lattice, "overlattice", help="adjoin alpha/r to the alpha-divisibility sublattice")
     p.add_argument("--alpha", required=True, help="comma-separated integer coordinates")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_parse_int, required=True)
     p.add_argument("--lattice", default=None, help="ambient lattice JSON (default: K3 lattice)")
     p.add_argument("--gram", action="store_true", help="include the resulting Gram matrix")
 
@@ -229,7 +249,7 @@ def build_parser() -> _Parser:
         p = leaf(pencil, name, help=hlp)
         p.add_argument("--system", required=True)
         if name == "count":
-            p.add_argument("--p", type=int, required=True,
+            p.add_argument("--p", type=_parse_int, required=True,
                            help=f"an odd prime <= {MAX_SWEEP_PRIME} (larger p exits 2)")
 
     net = sub.add_parser("net").add_subparsers(dest="action", required=True)
@@ -248,31 +268,31 @@ def build_parser() -> _Parser:
     for name in ("verify-pencil", "verify-net"):
         p = leaf(construct, name, help="sample points and verify T^2 = c*disc(B)")
         p.add_argument("--system", required=True)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--p", type=_parse_int, required=True)
+        p.add_argument("--samples", type=_parse_int, default=100)
+        p.add_argument("--seed", type=_parse_int, default=0)
     p = leaf(construct, "invariance", help="check (B, T) under random unimodular elements")
     p.add_argument("--system", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=_parse_int, required=True)
+    p.add_argument("--count", type=_parse_int, default=20)
+    p.add_argument("--seed", type=_parse_int, default=0)
 
     bn = sub.add_parser("bn").add_subparsers(dest="action", required=True)
     p = leaf(bn, "dim", help="expected dimension of a section locus")
     p.add_argument("--type", dest="kind", choices=("II", "III"), required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g", type=_parse_int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
 
     fano = sub.add_parser("fano").add_subparsers(dest="action", required=True)
     p = leaf(fano, "section", help="invariants of a linear section")
     p.add_argument("--variety", choices=sorted(HOMOGENEOUS_SPACES), required=True)
-    p.add_argument("--cuts", type=int, required=True)
+    p.add_argument("--cuts", type=_parse_int, required=True)
     p = leaf(fano, "genus", help="genus admissibility and degree")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_parse_int, required=True)
 
     pairs = sub.add_parser("pairs").add_subparsers(dest="action", required=True)
     p = leaf(pairs, "dims", help="dimensions of the pair and curve moduli")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_parse_int, required=True)
 
     return top
 

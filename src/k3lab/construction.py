@@ -59,9 +59,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linalg
-from .errors import (BadReduction, FieldMismatch, InconsistentConstant,
-                     NoSplitMember, NotInSpan, PreconditionError,
-                     VariableCountMismatch, VerificationFailure)
+from .errors import (BadReduction, FieldMismatch, NoSplitMember, NotInSpan,
+                     PreconditionError, VariableCountMismatch,
+                     VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
 from .quadforms import (SEEDED_DRAWS, SPLIT_MODELS, QuadraticForm, _split_det,
                         express_as_2x2_det, express_as_pfaffian, matrix_model)
@@ -230,16 +230,6 @@ class RelationReport:
     passed: int
     failed: tuple
 
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    def raise_if_failed(self):
-        if self.failed:
-            raise InconsistentConstant(
-                f"constant mismatch on {len(self.failed)} of {self.samples} samples; "
-                f"first witness: {self.failed[0]}")
-
     def to_json(self):
         return {
             "case": self.case,
@@ -304,10 +294,6 @@ class InvarianceReport:
     @property
     def t_equal(self) -> bool:
         return self.t_before == self.t_after
-
-    @property
-    def ok(self) -> bool:
-        return self.b_equal and self.t_equal
 
 
 def group_invariance_check(a: LinearMatrix, system, g, h=None) -> InvarianceReport:

@@ -60,7 +60,3 @@ class DivisibilityViolation(PreconditionError):
 
 class SingularMatrix(PreconditionError):
     """A matrix expected to be invertible is singular."""
-
-
-class InconsistentConstant(VerificationFailure):
-    """Two samples disagree on the constant tying the squared invariant to the discriminant."""

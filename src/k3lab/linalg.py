@@ -26,10 +26,6 @@ from .errors import SingularMatrix
 from .scalars import GFElement
 
 
-def transpose(m):
-    return tuple(zip(*m)) if m else ()
-
-
 def int_rows(field, m):
     """(rows, D): the entries of ``m`` as ints times D.  Over GF(p) they are
     the representatives in [0, p) and D = 1; over QQ, D is the lcm of the

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .errors import FieldMismatch, PreconditionError, VariableCountMismatch
-from .scalars import GF, QQ, Fraction, GFElement
+from .scalars import QQ, Fraction, GFElement
 
 
 class MultiPoly:
@@ -165,7 +165,7 @@ class MultiPoly:
         """Terms in descending graded-lex order (the canonical print order)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    # -- evaluation and substitution --------------------------------------
+    # -- evaluation ----------------------------------------------------
     def eval(self, values):
         if len(values) != self.nvars:
             raise VariableCountMismatch(
@@ -179,45 +179,6 @@ class MultiPoly:
                     t = t * v**k
             acc = acc + t
         return acc
-
-    def substitute(self, assignment: dict):
-        """Substitute polynomials (or scalars) for the given variable indices."""
-        subs = {}
-        for i, p in assignment.items():
-            if not 0 <= i < self.nvars:
-                raise VariableCountMismatch(f"variable index {i} out of range")
-            if not isinstance(p, MultiPoly):
-                p = MultiPoly.const(self.field, self.nvars, p)
-            else:
-                self._check(p)
-            subs[i] = p
-        out = MultiPoly.zero(self.field, self.nvars)
-        for e, c in self.terms.items():
-            t = MultiPoly.const(self.field, self.nvars, c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                base = subs.get(i, MultiPoly.var(self.field, self.nvars, i))
-                t = t * base**k
-            out = out + t
-        return out
-
-    def deriv(self, i: int):
-        """Partial derivative with respect to variable i."""
-        if not 0 <= i < self.nvars:
-            raise VariableCountMismatch(f"variable index {i} out of range")
-        acc = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                acc[tuple(e2)] = c * e[i]
-        return MultiPoly(self.field, self.nvars, acc)
-
-    def reduce_mod(self, p: int):
-        """Image over GF(p); raises BadPrime when a denominator vanishes mod p."""
-        f = GF(p)
-        return MultiPoly(f, self.nvars, {e: f.coerce(c) for e, c in self.terms.items()})
 
     def __repr__(self):
         return f"MultiPoly({self.field!r}, {poly_to_text(self)!r})"

@@ -401,16 +401,6 @@ class LinearMatrix:
         return self.left_right_transform(g, g)
 
     @classmethod
-    def from_klein_rows(cls, field, nvars, rows):
-        """Alternating 4x4 linear matrix whose Klein coordinate vector is
-        w(x) with w_a(x) = sum_i rows[a][i] x_i."""
-        if len(rows) != 6:
-            raise PreconditionError("need six Klein coordinate forms")
-        ints, scale = linalg.int_rows(field, [[field.coerce(row[i]) for i in range(nvars)]
-                                              for row in rows])
-        return cls._of_cells(field, 4, nvars, KLEIN_INDEX_PAIRS, True, ints, scale)
-
-    @classmethod
     def _of_cells(cls, field, size, nvars, cells, alternating, rows, scale=1) -> "LinearMatrix":
         """The linear matrix with the form of raw int coefficients ``rows[a]``
         times ``scale`` in cell ``cells[a]``, its negative in the mirror cell

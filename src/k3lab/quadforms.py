@@ -47,7 +47,6 @@ from operator import mul
 from . import linalg
 from .errors import (BadPrime, DegenerateSystem, FieldMismatch, NotSplit,
                      PreconditionError, VerificationFailure)
-from .poly import MultiPoly
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix, quadratic_terms
 from .scalars import GF, GFElement, PrimeField, QQ, chi_mod, sqrt_mod
 
@@ -110,29 +109,6 @@ class QuadraticForm:
         if self._gram is None:
             object.__setattr__(self, "_gram", linalg._box(self.field, self._rows))
         return self._gram
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "QuadraticForm":
-        if not p.is_homogeneous(2) or p.is_zero():
-            raise PreconditionError("expected a nonzero homogeneous quadratic")
-        n = p.nvars
-        half = p.field.one / p.field.coerce(2)
-        gram = [[p.field.zero] * n for _ in range(n)]
-        for e, c in p.terms.items():
-            i, j = [i for i, k in enumerate(e) for _ in range(k)]
-            gram[i][j] = gram[j][i] = c if i == j else c * half
-        return cls(gram, p.field)
-
-    def to_poly(self) -> MultiPoly:
-        terms = {}
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if self.gram[i][j]:
-                    e = [0] * self.n
-                    e[i] += 1
-                    e[j] += 1
-                    terms[tuple(e)] = self.gram[i][j] if i == j else 2 * self.gram[i][j]
-        return MultiPoly._of_terms(self.field, self.n, terms)
 
     def eval(self, v):
         return self._pair(v, v)
@@ -204,46 +180,12 @@ def _pair_rows(g, u, v):
     return sum(a * sum(map(mul, row, v)) for a, row in zip(u, g))
 
 
-class Isometry:
-    """An invertible change of basis acting on Gram matrices by G -> M^T G M."""
-
-    __slots__ = ("field", "matrix")
-
-    def __init__(self, matrix, field=None):
-        rows = tuple(tuple(r) for r in matrix)
-        if field is None:
-            field = rows[0][0].field if hasattr(rows[0][0], "field") else QQ
-        rows = tuple(tuple(field.coerce(x) for x in r) for r in rows)
-        if not linalg.det(field, rows):
-            raise PreconditionError("isometry matrix must be invertible")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "matrix", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Isometry is immutable")
-
-    def transform_gram(self, gram):
-        mt = linalg.transpose(self.matrix)
-        return linalg.mat_mul(self.field, linalg.mat_mul(self.field, mt, gram), self.matrix)
-
-    def transform(self, q: QuadraticForm) -> QuadraticForm:
-        return QuadraticForm(self.transform_gram(q.gram), self.field)
-
-    def inverse(self) -> "Isometry":
-        return Isometry(linalg.inverse(self.field, self.matrix), self.field)
-
-    def det(self):
-        return linalg.det(self.field, self.matrix)
-
-    def __repr__(self):
-        return f"Isometry({self.matrix!r})"
-
-
 def diagonalize(q: QuadraticForm):
-    """Congruence diagonalization: returns (Isometry m, diagonal form d) with
-    m^T G m = Gram(d).  Rank is preserved; degenerate forms are fine."""
+    """Congruence diagonalization: returns (m, d), the change-of-basis matrix
+    m as rows of field scalars and the diagonal form d, with m^T G m =
+    Gram(d).  Rank is preserved; degenerate forms are fine."""
     m, d = linalg.congruence_diagonalize(q.field, q.gram)
-    return Isometry(m, q.field), QuadraticForm(d, q.field)
+    return m, QuadraticForm(d, q.field)
 
 
 def _require_prime_field(q: QuadraticForm, who: str):
@@ -345,16 +287,12 @@ def _split_det(d, n, p) -> bool:
 @dataclass(frozen=True)
 class WittDecomposition:
     """h hyperbolic planes, an anisotropic residual, and the isometry into
-    the split normal form (planes first, residual last)."""
+    the split normal form (planes first, residual last): the matrix M, as
+    rows of field scalars, with M^T G M the normal form."""
 
     h: int
     residual: QuadraticForm
-    isometry: Isometry
-
-    def target_gram(self):
-        field, k, r = self.isometry.field, 2 * self.h, self.residual.n
-        return (tuple(row + (field.zero,) * r for row in hyperbolic_form(field, self.h).gram)
-                + tuple((field.zero,) * k + row for row in self.residual.gram))
+    matrix: tuple
 
 
 def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
@@ -372,7 +310,7 @@ def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
         raise DegenerateSystem("witt_split expects a nondegenerate form")
     cols, h, sub, _ = _witt_rows(q._rows, q.field.p, seed)
     return WittDecomposition(h=h, residual=QuadraticForm._of_rows(q.field, sub),
-                             isometry=Isometry(linalg.transpose(cols), q.field))
+                             matrix=linalg._box(q.field, list(zip(*cols))))
 
 
 def _witt_rows(g, p, seed):
@@ -453,11 +391,6 @@ def _products_form(field, n, signs) -> QuadraticForm:
     return QuadraticForm(g, field)
 
 
-def hyperbolic_form(field, nplanes: int) -> QuadraticForm:
-    """x0*x1 + x2*x3 + ... with `nplanes` hyperbolic planes."""
-    return _products_form(field, 2 * nplanes, {(2 * k, 2 * k + 1): 1 for k in range(nplanes)})
-
-
 # A split form of dimension n (the key) as det (Pf when pf) of a size x size
 # matrix of linear forms, with the coordinate z_a in cell cells[a] (and -z_a
 # in its mirror when pf): det/Pf is the target form {(i, j): sign} in z.
@@ -476,17 +409,6 @@ def matrix_model(a: LinearMatrix, who: str) -> SplitModel:
         raise PreconditionError(
             f"{who} expects 2x2 over four variables or alternating 4x4 over six")
     return model
-
-
-def det_2x2_form(field) -> QuadraticForm:
-    """The form z0*z3 - z1*z2 = det [[z0, z1], [z2, z3]]."""
-    return _products_form(field, 4, SPLIT_MODELS[4].target)
-
-
-def klein_form(field) -> QuadraticForm:
-    """The Pfaffian form w0*w5 - w1*w4 + w2*w3 on alternating 4x4 matrices,
-    in the Klein basis order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
-    return _products_form(field, 6, SPLIT_MODELS[6].target)
 
 
 @functools.lru_cache(maxsize=16)
@@ -549,8 +471,7 @@ def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
 
 
 __all__ = [
-    "QuadraticForm", "Isometry", "WittDecomposition", "KLEIN_INDEX_PAIRS",
+    "QuadraticForm", "WittDecomposition", "KLEIN_INDEX_PAIRS",
     "diagonalize", "isotropic_vector", "is_split", "witt_split",
-    "hyperbolic_form", "det_2x2_form", "klein_form",
     "express_as_2x2_det", "express_as_pfaffian",
 ]

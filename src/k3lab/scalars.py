@@ -249,10 +249,6 @@ class PrimeField:
             return self.coerce(Fraction(x))
         raise FieldMismatch(f"cannot coerce {x!r} into GF({self.p})")
 
-    def elements(self):
-        for v in range(self.p):
-            yield GFElement(self, v)
-
     def random_element(self, rng) -> GFElement:
         return GFElement(self, rng.randrange(self.p))
 

@@ -85,14 +85,6 @@ class QuadricSystem:
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @property
-    def q1(self) -> QuadraticForm:
-        return self.forms[0]
-
-    @property
-    def q2(self) -> QuadraticForm:
-        return self.forms[1]
-
     @classmethod
     def _diagonal(cls, field, *diagonals):
         """The system of the forms sum d[i] x_i^2, one per diagonal d."""
@@ -104,18 +96,6 @@ class QuadricSystem:
         return cls(*(QuadraticForm([[field.coerce(d[i]) if i == j else field.zero
                                      for j in r] for i in r], field)
                      for d in diagonals))
-
-    def member(self, lam) -> QuadraticForm:
-        """The member sum_k lam_k q_k, combined on raw representatives and
-        boxed once."""
-        field = self.field
-        if len(lam) != len(self.forms):
-            raise PreconditionError(f"a member needs {len(self.forms)} coefficients")
-        lam = [field.coerce(x) for x in lam]
-        if field.char:
-            lam = [x.v for x in lam]
-        return QuadraticForm._of_rows(
-            field, member_rows([q._rows for q in self.forms], lam, field.char))
 
     def reduce_mod(self, p: int) -> "QuadricSystem":
         GF(p)  # BadPrime on an invalid p, which is not a bad reduction
@@ -142,10 +122,6 @@ class NetOfQuadrics(QuadricSystem):
 
     KIND, NFORMS, NVARS = "net", 3, 6
     __slots__ = ()
-
-    @property
-    def q3(self) -> QuadraticForm:
-        return self.forms[2]
 
     @classmethod
     def from_diagonals(cls, d1, d2, d3, field=QQ):

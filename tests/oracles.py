@@ -9,8 +9,14 @@ and univariate Euclid gcds, squarefree tests and
 Sylvester resultants.  The views of a ``LinearMatrix`` that only tests need
 are rebuilt here from its boxed ``coeff_mats``: its matrix of MultiPoly
 entries (``poly_entries``) and the Klein coordinates of its alternating
-coefficient matrices (``klein_coordinates``); ``identity`` builds identity
-matrices of field scalars.  Overlattice Grams are rebuilt from ambient
+coefficient matrices (``klein_coordinates``); ``klein_matrix`` builds one
+from Klein coordinate forms through the public constructor, and
+``identity`` builds identity matrices of field scalars.  What only tests
+do with polynomials and forms is done here on boxed scalars: reduction
+mod p (``poly_mod``), substitution, partial derivatives, a form's
+polynomial and back (``form_poly``, ``poly_form``), the members of a
+system (``member_form``), and the model target forms and hyperbolic forms
+written out entry by entry (``model_form``, ``hyperbolic_form``).  Overlattice Grams are rebuilt from ambient
 basis vectors as dense A G A^T products (``dense_overlattice_gram``).
 The lattice tests share their case generators, which are no oracles:
 overlattice Grams drawn as the benchmark draws its ops
@@ -25,7 +31,7 @@ from itertools import permutations
 from math import gcd
 
 from k3lab import (QQ, LinearMatrix, MultiPoly, OverlatticeSpec, PreconditionError,
-                   k3_lattice, linalg, overlattice, quadforms)
+                   QuadraticForm, k3_lattice, linalg, overlattice, quadforms)
 from k3lab.lattices import e8_gram, hnf_row_basis, l_zero_basis
 
 
@@ -161,7 +167,7 @@ def uni_sweep_count(quartic, p):
     gf = GF(p)
     a, b, c, d, e = (gf.coerce(x) for x in quartic.coeffs)
     count = 0
-    for t in gf.elements():
+    for t in map(gf.element, range(p)):
         val = a * t**4 + b * t**3 + c * t**2 + d * t + e
         if val == 0:
             count += 1
@@ -258,9 +264,9 @@ def brute_force_pencil_count(pencil, p):
     """#{x in P^3(F_p) : q1(x) = q2(x) = 0} by a boxed sweep of all of P^3."""
     from k3lab import GF, projective_points
 
-    red = pencil.reduce_mod(p)
+    q1, q2 = pencil.reduce_mod(p).forms
     return sum(1 for pt in projective_points(GF(p), 3)
-               if not red.q1.eval(pt) and not red.q2.eval(pt))
+               if not q1.eval(pt) and not q2.eval(pt))
 
 
 def brute_force_singular_point(f, p):
@@ -268,8 +274,8 @@ def brute_force_singular_point(f, p):
     plane polynomial and its three partials vanish mod p (boxed), or None."""
     from k3lab import GF, projective_points
 
-    fp = f.reduce_mod(p)
-    partials = [fp.deriv(i) for i in range(3)]
+    fp = poly_mod(f, p)
+    partials = [deriv(fp, i) for i in range(3)]
     for pt in projective_points(GF(p), 2):
         if not fp.eval(pt) and all(not d.eval(pt) for d in partials):
             return pt
@@ -283,7 +289,7 @@ def line_sweep_singular_point(f, p):
     O(p^2) int operations.  The point as a tuple of ints, or None."""
     from k3lab.systems import _plane_lines
 
-    terms = [(e, c.v) for e, c in f.reduce_mod(p).terms.items()]
+    terms = [(e, c.v) for e, c in poly_mod(f, p).terms.items()]
     partials = [[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in terms if e[i]]
                 for i in range(3)]
 
@@ -347,6 +353,96 @@ def boxed_span_solve(lhs, polys):
     if any(row[k] for row in rows[k:]):
         return None
     return tuple(row[k] for row in rows[:k])
+
+
+def poly_mod(f, p):
+    """The image of the MultiPoly f over GF(p), coefficient by coefficient."""
+    from k3lab import GF
+
+    gf = GF(p)
+    return MultiPoly(gf, f.nvars, {e: gf.coerce(c) for e, c in f.terms.items()})
+
+
+def substitute(f, assignment):
+    """f with the polynomials ``assignment[i]`` put in for the variables x_i,
+    expanded term by term."""
+    field, n = f.field, f.nvars
+    out = MultiPoly.zero(field, n)
+    for e, c in f.terms.items():
+        t = MultiPoly.const(field, n, c)
+        for i, k in enumerate(e):
+            t = t * assignment.get(i, MultiPoly.var(field, n, i)) ** k
+        out = out + t
+    return out
+
+
+def deriv(f, i):
+    """The partial derivative of the MultiPoly f in x_i."""
+    return MultiPoly(f.field, f.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                        for e, c in f.terms.items() if e[i]})
+
+
+def form_poly(q):
+    """The quadratic MultiPoly sum_ij G_ij x_i x_j of a form, from its boxed
+    Gram matrix."""
+    x = [MultiPoly.var(q.field, q.n, i) for i in range(q.n)]
+    return sum((x[i] * x[j] * q.gram[i][j] for i in range(q.n) for j in range(q.n)),
+               MultiPoly.zero(q.field, q.n))
+
+
+def poly_form(f):
+    """The QuadraticForm of a homogeneous quadratic MultiPoly: the
+    coefficient of x_i^2 on the diagonal, half that of x_i x_j off it."""
+    field, n = f.field, f.nvars
+    half = field.one / field.coerce(2)
+    gram = [[field.zero] * n for _ in range(n)]
+    for e, c in f.terms.items():
+        i, j = [i for i, k in enumerate(e) for _ in range(k)]
+        gram[i][j] = gram[j][i] = c if i == j else c * half
+    return QuadraticForm(gram, field)
+
+
+def model_form(field, n):
+    """The target form of the n-variable split model, written out: z0*z3 -
+    z1*z2 = det [[z0, z1], [z2, z3]] for n = 4, and the Pfaffian form
+    w0*w5 - w1*w4 + w2*w3 in Klein coordinates for n = 6."""
+    h = Fraction(1, 2)
+    if n == 4:
+        gram = [[0, 0, 0, h], [0, 0, -h, 0], [0, -h, 0, 0], [h, 0, 0, 0]]
+    else:
+        gram = [[0, 0, 0, 0, 0, h], [0, 0, 0, 0, -h, 0], [0, 0, 0, h, 0, 0],
+                [0, 0, h, 0, 0, 0], [0, -h, 0, 0, 0, 0], [h, 0, 0, 0, 0, 0]]
+    return QuadraticForm([[field.coerce(x) for x in row] for row in gram], field)
+
+
+def hyperbolic_form(field, planes):
+    """x0*x1 + x2*x3 + ... with ``planes`` hyperbolic planes."""
+    n = 2 * planes
+    return QuadraticForm([[field.coerce(Fraction(1, 2)) if i ^ 1 == j else field.zero
+                           for j in range(n)] for i in range(n)], field)
+
+
+def member_form(system, lam):
+    """The member sum_k lam_k q_k of a pencil or net, from the boxed Gram
+    matrices."""
+    field, n = system.field, system.NVARS
+    lam = [field.coerce(x) for x in lam]
+    return QuadraticForm([[sum((c * q.gram[i][j] for c, q in zip(lam, system.forms)),
+                               field.zero) for j in range(n)] for i in range(n)], field)
+
+
+def klein_matrix(field, nvars, rows):
+    """The alternating 4x4 linear matrix whose Klein coordinates, the entries
+    (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), are the linear forms
+    sum_i rows[a][i] x_i, built through the public constructor."""
+    mats = []
+    for i in range(nvars):
+        mat = [[field.zero] * 4 for _ in range(4)]
+        for (r, c), row in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), rows):
+            mat[r][c] = field.coerce(row[i])
+            mat[c][r] = -mat[r][c]
+        mats.append(mat)
+    return LinearMatrix(field, 4, nvars, mats)
 
 
 def identity(field, n):

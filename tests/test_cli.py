@@ -393,6 +393,20 @@ def test_exit_code_parse_error_malformed_system_files(tmp_path, capsys):
     assert code == 1 and out == "" and err.startswith("k3lab: parse error: ")
 
 
+def test_exit_code_parse_error_deeply_nested_json(tmp_path, capsys):
+    # json.loads raises RecursionError on nesting this deep
+    depth = 10**5
+    system = tmp_path / "deep-system.json"
+    system.write_text('{"pencil": ' + "[" * depth + "]" * depth + "}")
+    lattice = tmp_path / "deep-lattice.json"
+    lattice.write_text("[" * depth + "]" * depth)
+    for argv, path in ((("pencil", "disc", "--system"), system),
+                       (("lattice", "overlattice", "--alpha", "1", "--r", "2", "--lattice"),
+                        lattice)):
+        assert run(capsys, *argv, str(path)) == (
+            1, "", f"k3lab: parse error: {path}: JSON nested too deeply\n")
+
+
 def test_exit_code_parse_error_system_not_an_object(tmp_path, capsys):
     for i, doc in enumerate(([1, 2], "pencil", 3, None)):
         path = tmp_path / f"doc{i}.json"
@@ -423,11 +437,11 @@ def test_exit_code_sweep_prime_above_the_limit(capsys):
 
 
 def test_exit_code_empty_prime_list(capsys):
+    # "," is two empty items, a parse error (test_integer_flags_are_canonical)
     for action in ("probe", "cover"):
-        for primes in ("", ","):
-            code, out, err = run(capsys, "net", action, "--system", "builtin:net-diagonal",
-                                 "--primes", primes)
-            assert (code, out, err) == (2, "", "k3lab: the probe needs at least one prime\n")
+        code, out, err = run(capsys, "net", action, "--system", "builtin:net-diagonal",
+                             "--primes", "")
+        assert (code, out, err) == (2, "", "k3lab: the probe needs at least one prime\n")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -735,6 +749,46 @@ def test_field_tags(tmp_path, capsys):
     for tag in ("F7", "F1009", "F2147483647"):
         path.write_text(json.dumps({**doc, "field": tag}))
         assert run(capsys, "pencil", "disc", "--system", str(path))[0] == 0, tag
+
+
+def test_integer_flags_are_canonical(capsys):
+    # an optional "-", then ASCII digits without a leading zero; int() read
+    # "1_3", "+13", " 13" and "\u0661\u0663" as 13, and the lists dropped empty items
+    bad = ("1_3", "+13", " 13", "13 ", "13\n", "013", "00", "\u0661\u0663", "", "-",
+           "1.0", "1e1", "0x0d", "7" * 5000)
+    pencil = ("pencil", "count", "--system", "builtin:pencil-diagonal")
+    verify = ("construct", "verify-pencil", "--system", "builtin:pencil-diagonal",
+              "--p", "13", "--samples", "2")
+    commands = [(pencil, "--p"), (verify, "--seed"), (verify[:-2], "--samples"),
+                (("mukai", "dim", "--l2", "8", "--s", "2"), "--r"),
+                (("lattice", "overlattice", "--alpha", ALPHA_OK), "--r"),
+                (("construct", "invariance", "--system", "builtin:net-diagonal", "--p", "11"),
+                 "--count"),
+                (("bn", "dim", "--type", "II", "--n", "7"), "--g"),
+                (("fano", "section", "--variety", "spinor10"), "--cuts")]
+    for argv, flag in commands:
+        for text in bad:
+            assert run(capsys, *argv, f"{flag}={text}") == (
+                1, "", f"k3lab: parse error: argument {flag}: invalid int value: {text!r}\n"
+            ), (flag, text)
+    # canonical forms parse, and "-0" is 0
+    assert run(capsys, *pencil, "--p", "13")[0] == 0
+    assert run(capsys, *verify, "--seed", "-0") == run(capsys, *verify, "--seed", "0")
+    assert run(capsys, *pencil, "--p", "-13") == (
+        2, "", "k3lab: -13 is not an odd prime below 2**31\n")
+    # every item of --alpha and --primes, with no empty items
+    probe = ("net", "probe", "--system", "builtin:net-diagonal")
+    for what, argv, items in (("alpha", ("lattice", "overlattice", "--r", "2"),
+                               ALPHA_OK.split(",")),
+                              ("primes", probe, ["7", "11"])):
+        for text in bad:
+            for i in (0, 1, len(items)):
+                value = ",".join(items[:i] + [text] + items[i:])
+                assert run(capsys, *argv, f"--{what}={value}") == (
+                    1, "", f"k3lab: parse error: bad {what} list {value!r}\n"), (what, value)
+        assert run(capsys, *argv, f"--{what}={','.join(items)}")[0] == 0
+    assert run(capsys, *probe, "--primes", ",") == (
+        1, "", "k3lab: parse error: bad primes list ','\n")
 
 
 def test_lattice_file_keys(tmp_path, capsys):

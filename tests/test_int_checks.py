@@ -17,13 +17,13 @@ import pytest
 
 from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NotInSpan,
                    PencilOfQuadrics, QuadraticForm, SystemPoint, VerificationFailure,
-                   b_coordinates, det_2x2_form, discriminant_poly,
-                   express_as_2x2_det, express_as_pfaffian, klein_form,
-                   sample_point, t_invariant)
+                   b_coordinates, discriminant_poly, express_as_2x2_det,
+                   express_as_pfaffian, sample_point, t_invariant)
 from k3lab import cli, construction, quadforms
 from k3lab.systems import member_matrix
-from oracles import (boxed_span_solve, cofactor_det, klein_coordinates, matching_pfaffian,
-                     poly_entries, scalar_leibniz_det, symbolic_member_entries)
+from oracles import (boxed_span_solve, cofactor_det, form_poly, klein_coordinates,
+                     klein_matrix, matching_pfaffian, model_form, poly_entries, poly_form,
+                     scalar_leibniz_det, symbolic_member_entries)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -42,8 +42,8 @@ def rand_matrix(rng, field, n, nvars):
 
 
 def rand_klein(rng, field):
-    return LinearMatrix.from_klein_rows(
-        field, 6, [[rand_scalar(rng, field) for _ in range(6)] for _ in range(6)])
+    return klein_matrix(field, 6, [[rand_scalar(rng, field) for _ in range(6)]
+                                   for _ in range(6)])
 
 
 def rand_form(rng, field, n):
@@ -70,8 +70,8 @@ def system_through(rng, a):
                                                           for _ in others]
     rest = oracle_quadratic(a)
     for ci, q in zip(c[1:], others):
-        rest = rest - q.to_poly() * ci
-    first = QuadraticForm.from_poly(rest * (field.one / c[0]))
+        rest = rest - form_poly(q) * ci
+    first = poly_form(rest * (field.one / c[0]))
     cls = PencilOfQuadrics if k == 2 else NetOfQuadrics
     return cls(first, *others), tuple(c)
 
@@ -87,10 +87,10 @@ def test_b_coordinates_against_boxed_span_solve(field):
             system, c = system_through(rng, a)
             b = b_coordinates(a, system)
             assert b == c
-            assert b == boxed_span_solve(oracle_quadratic(a), [q.to_poly() for q in system.forms])
+            assert b == boxed_span_solve(oracle_quadratic(a), list(map(form_poly, system.forms)))
             # an unrelated system: NotInSpan exactly when the oracle finds no solution
             other, _ = system_through(rng, make())
-            want = boxed_span_solve(oracle_quadratic(a), [q.to_poly() for q in other.forms])
+            want = boxed_span_solve(oracle_quadratic(a), list(map(form_poly, other.forms)))
             if want is None:
                 with pytest.raises(NotInSpan):
                     b_coordinates(a, other)
@@ -101,7 +101,7 @@ def test_b_coordinates_against_boxed_span_solve(field):
 @pytest.mark.parametrize("p", PRIMES)
 def test_b_coordinates_not_in_span_over_gf(p):
     F = GF(p)
-    pencil = PencilOfQuadrics(det_2x2_form(F), QuadraticForm(
+    pencil = PencilOfQuadrics(model_form(F, 4), QuadraticForm(
         [[1 if i == j else 0 for j in range(4)] for i in range(4)], F))
     diagonal = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3], F)
     # det = x0^2 has the forms' monomials but lies outside span(q1, q2), and
@@ -111,7 +111,7 @@ def test_b_coordinates_not_in_span_over_gf(p):
                                         for j in range(2)] for i in range(4)])
     for a, system in ((square, pencil), (canonical, diagonal)):
         assert boxed_span_solve(oracle_quadratic(a),
-                                [q.to_poly() for q in system.forms]) is None
+                                list(map(form_poly, system.forms))) is None
         with pytest.raises(NotInSpan):
             b_coordinates(a, system)
 
@@ -157,7 +157,7 @@ def test_discriminant_at_b_against_boxed_eval(field):
 def split_forms(rng, F, n, count):
     """Seeded split n-variable forms over F (a random isometric image of the
     target model)."""
-    target = det_2x2_form(F) if n == 4 else klein_form(F)
+    target = model_form(F, n)
     out = []
     while len(out) < count:
         m = [[rand_scalar(rng, F) for _ in range(n)] for _ in range(n)]
@@ -175,7 +175,7 @@ def model_from_rows(F, n, r):
     if n == 4:
         return LinearMatrix(F, 2, 4, [[[r[0][i], r[1][i]], [r[2][i], r[3][i]]]
                                       for i in range(4)])
-    return LinearMatrix.from_klein_rows(F, 6, r)
+    return klein_matrix(F, 6, r)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -186,7 +186,7 @@ def test_express_check_against_oracle_expansions(p, monkeypatch):
     for n, express in ((4, express_as_2x2_det), (6, express_as_pfaffian)):
         for q in split_forms(rng, F, n, 3):
             a = express(q, seed=5)
-            assert oracle_quadratic(a) == q.to_poly()
+            assert oracle_quadratic(a) == form_poly(q)
             rows = real(p, quadforms._witt_rows(q._rows, p, 5)[3])
             assert model_from_rows(F, n, rows) == a
             # each one-coefficient mutant of the model fails the check, and
@@ -195,7 +195,7 @@ def test_express_check_against_oracle_expansions(p, monkeypatch):
                 for j in range(n):
                     mutant = [list(row) for row in rows]
                     mutant[i][j] = (mutant[i][j] + 1) % p
-                    assert oracle_quadratic(model_from_rows(F, n, mutant)) != q.to_poly()
+                    assert oracle_quadratic(model_from_rows(F, n, mutant)) != form_poly(q)
                     monkeypatch.setattr(quadforms, "_model_rows", lambda p_, gm: mutant)
                     with pytest.raises(VerificationFailure):
                         express(q, seed=5)
@@ -222,8 +222,7 @@ def test_system_point_build_rejects_one_coefficient_mutants(p):
             mutant = [list(row) for row in rows]
             mutant[a][i] += 1
             with pytest.raises(VerificationFailure):
-                SystemPoint.build(LinearMatrix.from_klein_rows(F, 6, mutant), pt.system,
-                                  pt.base_point)
+                SystemPoint.build(klein_matrix(F, 6, mutant), pt.system, pt.base_point)
 
 
 # -- transforms --------------------------------------------------------------------------

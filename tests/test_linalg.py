@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 from k3lab import GF, QQ, MultiPoly, QuadraticForm, SingularMatrix, linalg, witt_split
-from oracles import cofactor_det, row_reduction_rank, scalar_leibniz_det
+from oracles import cofactor_det, hyperbolic_form, row_reduction_rank, scalar_leibniz_det
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -255,26 +255,36 @@ def test_congruence_diagonalize_checked_in_plain_arithmetic(field):
                 assert row_reduction_rank(field, d) == row_reduction_rank(field, g)
 
 
-@pytest.mark.parametrize("p", (3, 13, 2**31 - 1))
+def assert_witt_transport(q, seed):
+    """witt_split(q) has h planes and a residual of dimension <= 2, and its
+    matrix M carries the Gram matrix G of q to the split normal form:
+    M^T G M is h blocks [[0, 1/2], [1/2, 0]] followed by the residual's Gram."""
+    field, n = q.field, q.n
+    dec = witt_split(q, seed=seed)
+    h, r = dec.h, dec.residual.n
+    assert 2 * h + r == n and r <= 2
+    target = [[0] * n for _ in range(n)]
+    for k in range(h):
+        target[2 * k][2 * k + 1] = target[2 * k + 1][2 * k] = (field.p + 1) // 2
+    for i, row in enumerate(plain(field, dec.residual.gram)):
+        target[2 * h + i][2 * h:] = row
+    pm = plain(field, dec.matrix)
+    mt = [list(c) for c in zip(*pm)]
+    assert plain_mul(field, plain_mul(field, mt, plain(field, q.gram)), pm) == target
+    return dec
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 2**31 - 1))
 def test_witt_split_transports_the_gram_exactly(p):
     field = GF(p)
+    for planes in (1, 2, 3):
+        assert assert_witt_transport(hyperbolic_form(field, planes), 0).h == planes
     rng = random.Random(12)
-    half = (p + 1) // 2
     for n in range(2, 7):
         done = 0
         while done < 4:
             q = QuadraticForm(rand_symmetric(rng, field, n), field)
             if not q.is_nondegenerate():
                 continue
-            dec = witt_split(q, seed=done)
-            h, r = dec.h, dec.residual.n
-            assert 2 * h + r == n and r <= 2
-            target = [[0] * n for _ in range(n)]
-            for k in range(h):
-                target[2 * k][2 * k + 1] = target[2 * k + 1][2 * k] = half
-            for i, row in enumerate(plain(field, dec.residual.gram)):
-                target[2 * h + i][2 * h:] = row
-            pm = plain(field, dec.isometry.matrix)
-            mt = [list(c) for c in zip(*pm)]
-            assert plain_mul(field, plain_mul(field, mt, plain(field, q.gram)), pm) == target
+            assert_witt_transport(q, done)
             done += 1

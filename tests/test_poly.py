@@ -79,20 +79,6 @@ def test_variable_count_mismatch():
         p.eval((1, 2, 3))
 
 
-def test_substitute_composition():
-    # f(x0, x1) = x0^2 + x1 with x0 -> x0 + x1 gives x0^2 + 2 x0 x1 + x1^2 + x1
-    f = MultiPoly(QQ, 2, {(2, 0): 1, (0, 1): 1})
-    x0, x1 = MultiPoly.var(QQ, 2, 0), MultiPoly.var(QQ, 2, 1)
-    got = f.substitute({0: x0 + x1})
-    assert got == x0**2 + 2 * (x0 * x1) + x1**2 + x1
-
-
-def test_derivative():
-    f = MultiPoly(QQ, 2, {(3, 1): 2})  # 2 x0^3 x1
-    assert f.deriv(0) == MultiPoly(QQ, 2, {(2, 1): 6})
-    assert f.deriv(1) == MultiPoly(QQ, 2, {(3, 0): 2})
-
-
 def test_text_round_trip_canonical():
     rng = random.Random(4)
     for _ in range(60):
@@ -142,11 +128,3 @@ def test_text_tolerates_spacing_and_signs():
     assert poly_from_text("-x0+ 2") == poly_from_text("2 - x0")
     assert poly_from_text("x0 * x1") == poly_from_text("x0*x1")
     assert poly_from_text("x0^1") == poly_from_text("x0")
-
-
-def test_reduce_mod():
-    p = MultiPoly(QQ, 2, {(1, 0): Fraction(1, 2), (0, 1): 7})
-    q = p.reduce_mod(7)
-    assert q.field.p == 7
-    assert q.coeff((1, 0)) == 4  # 1/2 = 4 mod 7
-    assert q.coeff((0, 1)) == 0

@@ -9,8 +9,8 @@ from k3lab import (GF, QQ, DegenerateSystem, LinearMatrix, MultiPoly, NetOfQuadr
                    PencilOfQuadrics, PolyMatrix, PreconditionError, QuadraticForm, cli,
                    linalg, pfaffian, poly_det, polymat)
 from k3lab.systems import member_matrix
-from oracles import (cofactor_det, klein_coordinates, leibniz_det, matching_pfaffian,
-                     pfaffian_three_term, poly_entries)
+from oracles import (cofactor_det, klein_coordinates, klein_matrix, leibniz_det,
+                     matching_pfaffian, pfaffian_three_term, poly_entries)
 
 ORACLE_FIELDS = (QQ, GF(13), GF(2**31 - 1))
 # (nvars, max entry degree): every pair for small sizes, a spread for 5 and 6
@@ -234,7 +234,7 @@ def test_linear_matrix_expansions_against_oracles(field):
     assert all(type(c) is type(field.one) for c in eye.det_poly().terms.values())
     for nvars in (2, 6):
         rows = [[coeff() for _ in range(nvars)] for _ in range(6)]
-        a = LinearMatrix.from_klein_rows(field, nvars, rows)
+        a = klein_matrix(field, nvars, rows)
         pf = a.pfaffian_poly()
         assert pf == matching_pfaffian(poly_entries(a))
         assert all(type(c) is type(field.one) for c in pf.terms.values())
@@ -287,7 +287,7 @@ def test_linear_matrix_klein_round_trip():
     F = GF(11)
     rng = random.Random(14)
     rows = [[F.element(rng.randrange(11)) for _ in range(6)] for _ in range(6)]
-    a = LinearMatrix.from_klein_rows(F, 6, rows)
+    a = klein_matrix(F, 6, rows)
     assert a.alternating
     for i in range(6):
         assert klein_coordinates(a, i) == tuple(rows[k][i] for k in range(6))
@@ -304,8 +304,7 @@ def test_expansions_leave_no_cyclic_garbage(field):
         alt[i][i] = const(field, 3, 0)
         for j in range(i):
             alt[i][j] = -alt[j][i]
-    a = LinearMatrix.from_klein_rows(field, 6, [[rng.randint(-5, 5) for _ in range(6)]
-                                                for _ in range(6)])
+    a = klein_matrix(field, 6, [[rng.randint(-5, 5) for _ in range(6)] for _ in range(6)])
     gc.collect()
     gc.disable()
     try:
@@ -419,6 +418,6 @@ def test_only_pfaffians_and_dets_in_four_or_more_variables_expand(monkeypatch):
     rng = random.Random(35)
     for nvars in range(1, 7):
         rows = [[rng.randint(-5, 5) for _ in range(nvars)] for _ in range(6)]
-        a = LinearMatrix.from_klein_rows(QQ, nvars, rows)
+        a = klein_matrix(QQ, nvars, rows)
         assert a.pfaffian_poly() ** 2 == a.det_poly()
     assert calls == [(4, True)] * 3 + [(4, True), (4, False)] * 3

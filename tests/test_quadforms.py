@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from k3lab import (GF, QQ, Isometry, MultiPoly, NotSplit,
-                   PreconditionError, QuadraticForm, VerificationFailure,
-                   det_2x2_form, diagonalize, express_as_2x2_det,
-                   express_as_pfaffian, hyperbolic_form, is_split,
-                   isotropic_vector, klein_form, witt_split)
+from k3lab import (GF, QQ, MultiPoly, NotSplit, PreconditionError,
+                   QuadraticForm, VerificationFailure, diagonalize,
+                   express_as_2x2_det, express_as_pfaffian, is_split,
+                   isotropic_vector, witt_split)
 from k3lab import linalg
-from oracles import (exhaustive_isotropic, identity, klein_coordinates, poly_entries,
+from oracles import (exhaustive_isotropic, form_poly, hyperbolic_form, identity,
+                     klein_coordinates, model_form, poly_entries, poly_form,
                      row_reduction_rank, witt_index_exhaustive)
 
 
@@ -29,6 +29,11 @@ def rand_sym_gram(rng, field, n, lo=-5, hi=5):
     return g
 
 
+def congruent(field, m, gram):
+    """m^T G m by the boxed products of ``linalg``."""
+    return linalg.mat_mul(field, linalg.mat_mul(field, tuple(zip(*m)), gram), m)
+
+
 def rand_form(rng, field, n, nondegenerate=False):
     while True:
         q = QuadraticForm(rand_sym_gram(rng, field, n), field)
@@ -45,7 +50,7 @@ def test_disc_diagonal():
 
 def test_disc_hyperbolic_four_vars():
     # q = x0 x3 - x1 x2 has Gram entries +-1/2 on two antidiagonal blocks
-    q = det_2x2_form(GF(7))
+    q = model_form(GF(7), 4)
     qq_version = QuadraticForm(
         [[0, 0, 0, Fraction(1, 2)],
          [0, 0, Fraction(-1, 2), 0],
@@ -60,29 +65,19 @@ def test_disc_rank_three_vanishes():
     assert q.disc() == 0
 
 
-def test_poly_round_trip():
-    rng = random.Random(40)
-    for field in (QQ, GF(11)):
-        for n in (2, 3, 4, 6):
-            q = rand_form(rng, field, n)
-            if q.to_poly().is_zero():
-                continue
-            assert QuadraticForm.from_poly(q.to_poly()) == q
-
-
 # -- diagonalize -----------------------------------------------------------
 
 def test_diagonalize_already_diagonal_is_identity():
     q = diag_form([1, 0, 2, 5])
-    iso, d = diagonalize(q)
-    assert iso.matrix == identity(QQ, 4)
+    m, d = diagonalize(q)
+    assert m == identity(QQ, 4)
     assert d == q
 
 
 def test_diagonalize_hyperbolic_plane():
     q = QuadraticForm([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], QQ)
-    iso, d = diagonalize(q)
-    assert iso.transform_gram(q.gram) == d.gram
+    m, d = diagonalize(q)
+    assert congruent(q.field, m, q.gram) == d.gram
     offdiag = [d.gram[i][j] for i in range(2) for j in range(2) if i != j]
     assert all(x == 0 for x in offdiag)
     assert all(d.gram[i][i] != 0 for i in range(2))
@@ -93,8 +88,8 @@ def test_diagonalize_rank_matches_row_reduction_oracle():
     for field in (QQ, GF(13)):
         for _ in range(40):
             q = rand_form(rng, field, rng.choice((3, 4, 5)))
-            iso, d = diagonalize(q)
-            assert iso.transform_gram(q.gram) == d.gram
+            m, d = diagonalize(q)
+            assert congruent(field, m, q.gram) == d.gram
             nonzero = sum(1 for i in range(q.n) if d.gram[i][i] != field.zero)
             assert nonzero == row_reduction_rank(field, [list(r) for r in q.gram])
 
@@ -103,8 +98,7 @@ def test_diagonalize_rank_matches_row_reduction_oracle():
 
 def test_isotropic_hyperbolic_plane():
     F = GF(7)
-    q = QuadraticForm.from_poly(
-        MultiPoly(F, 2, {(1, 1): 1}))  # x0 x1
+    q = hyperbolic_form(F, 1)  # x0 x1
     v = isotropic_vector(q)
     assert v is not None and any(v) and q.eval(v) == 0
 
@@ -178,11 +172,10 @@ def test_isotropic_large_prime():
 # -- witt_split --------------------------------------------------------------
 
 def test_witt_two_planes():
-    F = GF(7)
-    q = hyperbolic_form(F, 2)
-    dec = witt_split(q)
+    # test_linalg.test_witt_split_transports_the_gram_exactly checks the
+    # change of basis of this split
+    dec = witt_split(hyperbolic_form(GF(7), 2))
     assert dec.h == 2 and dec.residual.n == 0
-    assert dec.isometry.transform_gram(q.gram) == dec.target_gram()
 
 
 def test_witt_sum_of_four_squares_f5():
@@ -196,7 +189,7 @@ def test_witt_anisotropic_residual_f5():
     q = diag_form([1, 1, 1, 3], GF(5))  # disc = 3, a non-square mod 5
     dec = witt_split(q)
     assert dec.h == 1 and dec.residual.n == 2
-    assert not dec.residual.to_poly().is_zero()
+    assert dec.residual.is_nondegenerate()
     assert isotropic_vector(dec.residual) is None
     assert witt_index_exhaustive(q) == 1
 
@@ -208,8 +201,8 @@ def test_witt_rejects_degenerate():
 
 
 def test_witt_split_check_catches_a_bad_isotropic_vector(monkeypatch):
-    # a non-isotropic first vector leaves an invertible but wrong isometry,
-    # which the explicit Gram-transport check must catch, also under -O
+    # a non-isotropic first vector leaves an invertible but wrong change of
+    # basis, which the explicit Gram-transport check must catch, also under -O
     from k3lab import quadforms
 
     real = quadforms._isotropic_rows
@@ -224,26 +217,13 @@ def test_witt_split_check_catches_a_bad_isotropic_vector(monkeypatch):
         witt_split(diag_form([1, 2, 3, 4], GF(7)))
 
 
-def test_witt_target_equality_random():
-    rng = random.Random(44)
-    for p in (5, 7, 11):
-        F = GF(p)
-        for n in (2, 3, 4, 5, 6):
-            for _ in range(5):
-                q = rand_form(rng, F, n, nondegenerate=True)
-                dec = witt_split(q, seed=3)
-                assert dec.isometry.transform_gram(q.gram) == dec.target_gram()
-                assert 2 * dec.h + dec.residual.n == n
-                assert dec.residual.n <= 2
-
-
 def test_disc_square_class_criteria_validated():
     # n = 4: split iff disc is a square; n = 6: h = 3 iff the disc class
     # matches the Klein form's class.  Validated against witt_split.
     rng = random.Random(45)
     for p in (5, 7, 11):
         F = GF(p)
-        klein_disc_class = F.legendre(klein_form(F).disc())
+        klein_disc_class = F.legendre(model_form(F, 6).disc())
         for _ in range(20):
             q4 = rand_form(rng, F, 4, nondegenerate=True)
             assert (witt_split(q4).h == 2) == (F.legendre(q4.disc()) == 1)
@@ -264,7 +244,7 @@ def test_disc_square_class_criteria_against_enumeration():
                 F.legendre(q4.disc()) == 1)
     F = GF(3)
     rng6 = random.Random(38)
-    klein_disc_class = F.legendre(klein_form(F).disc())
+    klein_disc_class = F.legendre(model_form(F, 6).disc())
     seen = set()
     while len(seen) < 2:  # one form of each Witt index
         q6 = rand_form(rng6, F, 6, nondegenerate=True)
@@ -278,7 +258,7 @@ def test_disc_square_class_criteria_against_enumeration():
 def test_is_split_square_class_rule():
     for p in (5, 7, 11):
         F = GF(p)
-        assert is_split(det_2x2_form(F)) and is_split(klein_form(F))
+        assert is_split(model_form(F, 4)) and is_split(model_form(F, 6))
         assert is_split(hyperbolic_form(F, 1))
         assert not is_split(diag_form([1, 1, 1, 0], F))
     assert not is_split(diag_form([1, 1, 1, 2], GF(3)))  # (-1)^2 * det = 2: a non-square mod 3
@@ -298,8 +278,8 @@ def test_disc_congruence_square_class_invariant():
         det_m = linalg.det(field, m)
         if not det_m:
             continue
-        iso = Isometry(m, field)
-        assert iso.transform(q).disc() == det_m**2 * q.disc()
+        moved = QuadraticForm(congruent(field, m, q.gram), field)
+        assert moved.disc() == det_m**2 * q.disc()
         count += 1
 
 
@@ -307,7 +287,7 @@ def test_disc_congruence_square_class_invariant():
 
 def test_express_2x2_canonical_hyperbolic():
     F = GF(7)
-    a = express_as_2x2_det(det_2x2_form(F))
+    a = express_as_2x2_det(model_form(F, 4))
     x = [MultiPoly.var(F, 4, i) for i in range(4)]
     pm = poly_entries(a)
     assert [pm[0][0], pm[0][1], pm[1][0], pm[1][1]] == [x[0], x[1], x[2], x[3]]
@@ -316,10 +296,9 @@ def test_express_2x2_canonical_hyperbolic():
 def test_express_2x2_mixed_form():
     # q = x0^2 - x1^2 + x2 x3
     F = GF(11)
-    q = QuadraticForm.from_poly(
-        MultiPoly(F, 4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 1, 1): 1}))
-    a = express_as_2x2_det(q)
-    assert a.det_poly() == q.to_poly()
+    f = MultiPoly(F, 4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 1, 1): 1})
+    a = express_as_2x2_det(poly_form(f))
+    assert a.det_poly() == f
 
 
 def test_express_2x2_not_split_f3():
@@ -341,25 +320,25 @@ def test_express_2x2_random_split_forms():
             if F.legendre(q.disc()) != 1:
                 continue
             a = express_as_2x2_det(q, seed=done)
-            assert (a.det_poly() - q.to_poly()).is_zero()
+            assert (a.det_poly() - form_poly(q)).is_zero()
             done += 1
 
 
 def test_express_pfaffian_klein_is_coordinate_embedding():
     F = GF(7)
-    kf = klein_form(F)
+    kf = model_form(F, 6)
     a = express_as_pfaffian(kf)
     for i in range(6):
         expected = tuple(F.one if k == i else F.zero for k in range(6))
         assert klein_coordinates(a, i) == expected
-    assert a.pfaffian_poly() == kf.to_poly()
+    assert a.pfaffian_poly() == form_poly(kf)
 
 
 def test_express_pfaffian_three_plane_form():
     F = GF(11)
     q = hyperbolic_form(F, 3)
     a = express_as_pfaffian(q)
-    assert a.pfaffian_poly() == q.to_poly()
+    assert a.pfaffian_poly() == form_poly(q)
 
 
 def test_express_pfaffian_witt_mismatch_f3():
@@ -379,14 +358,14 @@ def test_express_pfaffian_random_split_forms():
     rng = random.Random(48)
     for p in (5, 7, 11):
         F = GF(p)
-        klein_class = F.legendre(klein_form(F).disc())
+        klein_class = F.legendre(model_form(F, 6).disc())
         done = 0
         while done < 100:
             q = rand_form(rng, F, 6, nondegenerate=True)
             if F.legendre(q.disc()) != klein_class:
                 continue
             a = express_as_pfaffian(q, seed=done)
-            assert (a.pfaffian_poly() - q.to_poly()).is_zero()
+            assert (a.pfaffian_poly() - form_poly(q)).is_zero()
             done += 1
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from k3lab import (QQ, BinaryQuartic, DegenerateBranch, MultiPoly,
                    PreconditionError)
-from oracles import (cross_ratio_j, quartic_from_roots, uni_deriv, uni_gcd,
-                     uni_trim)
+from oracles import (cross_ratio_j, quartic_from_roots, substitute, uni_deriv,
+                     uni_gcd, uni_trim)
 
 
 def test_harmonic_quartic_invariants():
@@ -110,7 +110,7 @@ def _substituted(f, a, b, g, d):
     p = f.to_poly()
     x = MultiPoly.var(QQ, 2, 0)
     y = MultiPoly.var(QQ, 2, 1)
-    q = p.substitute({0: a * x + b * y, 1: g * x + d * y})
+    q = substitute(p, {0: a * x + b * y, 1: g * x + d * y})
     return BinaryQuartic.from_poly(q)
 
 

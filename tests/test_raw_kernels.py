@@ -25,10 +25,9 @@ import pytest
 
 from k3lab import (GF, QQ, BadPrime, BadReduction, GFElement, NetOfQuadrics,
                    NoSplitMember, PencilOfQuadrics, PreconditionError,
-                   QuadraticForm, det_2x2_form, discriminant_poly, klein_form,
-                   linalg, sample_point)
+                   QuadraticForm, discriminant_poly, linalg, sample_point)
 from k3lab import cli, construction, quadforms
-from oracles import (boxed_reduce, model_rows_by_inverse, scalar_leibniz_det,
+from oracles import (boxed_reduce, model_form, model_rows_by_inverse, scalar_leibniz_det,
                      witt_rows_by_products)
 
 PRIMES = (3, 5, 7, 13, 1009, 2**31 - 1)
@@ -67,7 +66,7 @@ def nondegenerate(rng, p, n):
 def split_rows(rng, p, n):
     """A seeded split n-variable form mod p: m^T T m for the target T and
     an invertible m."""
-    t = (det_2x2_form if n == 4 else klein_form)(GF(p))._rows
+    t = model_form(GF(p), n)._rows
     while True:
         m = rand_rows(rng, p, n, n)
         if linalg.int_det(m, p):
@@ -109,7 +108,7 @@ def test_witt_rows_against_product_route(p, fallback):
 def test_model_rows_against_int_inverse(p, fallback):
     rng = random.Random(913)
     for n in (4, 6):
-        target = (det_2x2_form if n == 4 else klein_form)(GF(p))
+        target = model_form(GF(p), n)
         target_cols = quadforms._witt_rows(target._rows, p, 0)[0]
         for seed in range(4):
             g = split_rows(rng, p, n)

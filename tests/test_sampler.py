@@ -4,8 +4,8 @@
 the model's coefficient representatives) as the boxed sampler produced it,
 so a faster sampler has to reproduce every sample exactly.  The filter test
 checks the sampler's int member determinant and its split decision against
-the boxed route (``discriminant_poly``, ``member``, ``is_split``) on every
-point of P^k(F_p).
+the boxed route (``discriminant_poly``, the member summed on boxed
+scalars, ``is_split``) on every point of P^k(F_p).
 """
 
 import hashlib
@@ -18,6 +18,7 @@ from k3lab import (GF, DegenerateSystem, NetOfQuadrics, PencilOfQuadrics,
                    projective_points, sample_point)
 from k3lab import construction, quadforms
 from k3lab.systems import member_rows
+from oracles import member_form
 
 DIAG_PENCIL = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3])
 DIAG_NET = NetOfQuadrics.from_diagonals(
@@ -133,13 +134,6 @@ FILTER_PRIMES = (3, 5, 7, 11)
 FILTER_SEEDS = (31, 32)
 
 
-def boxed_member_gram(system, lam):
-    """sum_k lam_k G_k in GFElement arithmetic, entry by entry."""
-    n = system.forms[0].n
-    return tuple(tuple(sum((l * q.gram[i][j] for l, q in zip(lam, system.forms)),
-                           system.field.zero) for j in range(n)) for i in range(n))
-
-
 @pytest.mark.parametrize("p", FILTER_PRIMES)
 def test_split_filter_matches_the_boxed_route(p):
     F = GF(p)
@@ -154,8 +148,8 @@ def test_split_filter_matches_the_boxed_route(p):
                 rows = member_rows(grams, ints, p)
                 d = disc.eval(lam)
                 assert linalg.int_det(rows, p) == d.v
-                member = system.member(lam)
-                assert member.gram == boxed_member_gram(system, lam)
+                member = QuadraticForm(rows, F)
+                assert member.gram == member_form(system, lam).gram
                 split = bool(d) and is_split(member)
                 assert split == (F.legendre((-1) ** (n // 2) * d) == 1)
                 assert quadforms._split_det(d.v, n, p) == split  # the sampler's test

@@ -50,9 +50,9 @@ def test_pencil_discriminant_matches_sympy_det():
                                       QuadraticForm(_rand_sym_gram(rng, 4), QQ))
         except Exception:
             continue
+        q1, q2 = pencil.forms
         m = sympy.Matrix(4, 4, lambda i, j: (
-            sympy.Rational(pencil.q1.gram[i][j]) * l0
-            + sympy.Rational(pencil.q2.gram[i][j]) * l1))
+            sympy.Rational(q1.gram[i][j]) * l0 + sympy.Rational(q2.gram[i][j]) * l1))
         expected = sympy.expand(m.det())
         got = _to_sympy(discriminant_poly(pencil), (l0, l1))
         assert sympy.simplify(got - expected) == 0
