@@ -25,7 +25,7 @@ Samples are drawn over F_p in three steps, on int Gram rows mod p from
 the draw to the finished Witt split.  A base point lam of P^1 (pencil) or
 P^2 (net) is drawn from a seeded generator as ints, a bounded number of
 times.  Each draw's member sum lam_k G_k is combined on the reduced forms'
-int rows (``systems.member_rows``), and one Bareiss determinant decides
+int rows (``systems.member_rows``), and one determinant mod p decides
 it: that determinant is disc(lam) exactly, and a 2m-dimensional member is
 split iff (-1)^m det is a nonzero square, which Euler's criterion tells.
 So degenerate and non-split members are both skipped before any Witt
@@ -46,9 +46,9 @@ coordinates with one elimination of the forms' int coefficient columns
 (memoized on the reduced system) against the matrix's packed det/Pf
 expansion (memoized on the matrix, which the det/Pf = q check of
 ``express_as_*`` already computed); T is one int determinant of the raw
-coefficients; disc(B) is the system's packed discriminant evaluated at
-B.  Both fields share these steps, QQ through the lcm scaling of
-``linalg``.  Only what is reported or returned is boxed.
+coefficients; disc(B) is one int determinant of the member at B, so the
+discriminant is never expanded.  Both fields share these steps, QQ
+through the lcm scaling of ``linalg``.  Only what is reported is boxed.
 """
 
 from __future__ import annotations
@@ -256,19 +256,20 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     c is measured on the first sample (every sample has disc(B) != 0 by
     construction) and must agree with all others; disagreements are
     collected as witnesses rather than raised, so callers can report them.
-    The system is reduced once, so its discriminant is expanded once per run,
-    and evaluated at each B on its packed int terms.
+    The system is reduced once; disc(B) is one determinant of the member at
+    B, never an evaluation of the expanded discriminant.
     """
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")
     red = _reduced(system, p)
-    member = member_matrix(red)
+    grams = [q._rows for q in red.forms]
     c = None
     passed, failed = 0, []
     for i in range(count):
         pt = sample_point(red, p, seed + i)
         t = t_invariant(pt.matrix)
-        disc_b = GFElement(red.field, member._at([x.v for x in pt.b]))
+        b = [x.v for x in pt.b]
+        disc_b = GFElement(red.field, linalg.int_det(member_rows(grams, b, p), p))
         if c is None:
             c = t * t / disc_b
         if t * t == c * disc_b:

@@ -10,10 +10,10 @@ work on those ints directly, with ``p = 0`` standing for ZZ; ``quadforms``
 and the sampler in ``construction`` run on them.
 
 ``det``, ``rank``, ``solve``, ``inverse`` and ``nullspace`` share one
-fraction-free elimination (Bareiss, Math. Comp. 22, 1968).  Each step
-divides by the previous pivot: exactly over ZZ, where every entry stays a
-minor of the input, and through its inverse mod p over GF(p).  The
-package never sees matrices bigger than 23x23.
+elimination that never touches a row with a zero in the pivot column:
+by the pivot's inverse over GF(p), fraction-free over ZZ (Bareiss, Math.
+Comp. 22, 1968, with lazy row scaling).  The package never sees matrices
+bigger than 23x23.
 """
 
 from __future__ import annotations
@@ -60,48 +60,62 @@ def int_mul(a, b, p):
 
 
 def _eliminate(rows, ncols, p, jordan):
-    """Fraction-free elimination of the int ``rows`` in place, with pivots
-    taken in the first ``ncols`` columns.  Returns (pivots, d, sign): the
-    pivot columns, the last pivot (1 if none) and the sign of the swaps.
+    """Elimination of the int ``rows`` in place, with pivots taken in the
+    first ``ncols`` columns; a row whose entry in the pivot column is zero
+    is never touched.  Returns (pivots, d, sign): the pivot columns, d and
+    the sign of the swaps, sign * d being the determinant of a nonsingular
+    square input.  Forward elimination clears the rows below each pivot;
+    with ``jordan`` every other row is cleared, and rows / d is the reduced
+    row echelon form over ZZ, rows itself over GF(p).
 
-    Forward elimination clears the rows below each pivot, and sign * d is
-    then the determinant of a nonsingular square input.  With ``jordan``
-    every other row is cleared, and each pivot row ends with d in its pivot
-    column, so rows / d is the reduced row echelon form.
+    Over GF(p) it is Gaussian elimination by the pivot's inverse, d is the
+    product of the pivots, and ``jordan`` normalizes each pivot row.  Over
+    ZZ it is Bareiss with the lazy row scaling of ``_det_and_signature`` in
+    ``lattices``, d the last pivot: each row keeps the pivot q at which it
+    was last brought up to date.  The pivot row is rescaled by prev / q
+    when used and is then up to date at its own pivot, a row with an entry
+    f in the pivot column becomes (piv * x - f * y) // q, and ``jordan``
+    brings every row up to prev at the end.  The divisions are exact.
     """
     nrows = len(rows)
-    pivots, prev, sign = [], 1, 1
+    pivots, prev, sign, q = [], 1, 1, [1] * nrows
     for c in range(ncols):
         r = len(pivots)
-        if r == nrows:
-            break
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
+            rows[r], rows[piv], q[r], q[piv] = rows[piv], rows[r], q[piv], q[r]
             sign = -sign
-        top, pk = rows[r], rows[r][c]
-        if p:  # the division by prev, folded into the two multipliers
-            inv = pow(prev, -1, p)
-            a = pk * inv % p
+        top = rows[r]
+        if p:
+            inv, prev = pow(top[c], -1, p), prev * top[c] % p
+            if jordan:
+                top = rows[r] = [x * inv % p for x in top]
+        elif q[r] != prev:
+            top = rows[r] = [x * prev // q[r] for x in top]
+        pk = q[r] = top[c]
         for i in range(0 if jordan else r + 1, nrows):
-            if i == r:
+            f = rows[i][c]
+            if not f or i == r:
                 continue
-            row, f = rows[i], rows[i][c]
             if p:
-                b = f * inv % p
-                rows[i] = [(a * x - b * y) % p for x, y in zip(row, top)]
+                b = f if jordan else f * inv % p
+                rows[i] = [(x - b * y) % p for x, y in zip(rows[i], top)]
             else:
-                rows[i] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
+                rows[i] = [(pk * x - f * y) // q[i] for x, y in zip(rows[i], top)]
+                q[i] = pk
         pivots.append(c)
-        prev = pk
+        if not p:
+            prev = pk
+    if jordan and not p:
+        rows[:] = [row if qi == prev else [x * prev // qi for x in row] for row, qi in zip(rows, q)]
     return pivots, prev, sign
 
 
 def int_det(rows, p):
     """Determinant of the square int ``rows`` (left unchanged), mod p or over
-    ZZ when p = 0: the last Bareiss pivot with the sign of the swaps."""
+    ZZ when p = 0."""
     n = len(rows)
     pivots, d, sign = _eliminate(list(rows), n, p, False)
     if len(pivots) < n:
@@ -113,10 +127,7 @@ def int_rref(rows, ncols, p):
     """Gauss-Jordan elimination of the int ``rows`` in place: (rows, pivots,
     den) with rows / den the reduced row echelon form (den = 1 over GF(p))."""
     pivots, d, _ = _eliminate(rows, ncols, p, True)
-    if p:
-        s = pow(d, -1, p)
-        return [[x * s % p for x in row] for row in rows], pivots, 1
-    return rows, pivots, d
+    return rows, pivots, 1 if p else d
 
 
 def int_inverse(rows, p, scale=1):

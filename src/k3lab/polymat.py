@@ -17,15 +17,16 @@ terms: the monomial of x_i is 1 << width * i.  A determinant in at most
 three variables, such as the symbolic member of a pencil (4x4 in two) or
 a net (6x6 in three), is one int determinant at a Kronecker point
 (``_kronecker_det``; Kronecker substitution as in D. Harvey, J. Symb.
-Comp. 44, 2009), taken by ``linalg.int_det``.  Pfaffians and
-determinants in more variables go through the Laplace kernel above,
-because the Kronecker point of n variables needs (m+1)^(n-1) digits.
+Comp. 44, 2009), taken by ``linalg.int_det`` (no row operation on a
+diagonal member).  Pfaffians and determinants in more variables go
+through the Laplace kernel above, because the Kronecker point of n
+variables needs (m+1)^(n-1) digits.
 The rule reads only the number of variables.  The packed expansions are
 memoized and are what the package checks against: ``quadforms``
 compares det/Pf with a form's ``quadratic_terms`` and ``construction``
-solves for span coordinates and evaluates the discriminant on them, all
-on ints.  ``det_poly`` and ``pfaffian_poly`` only box them.  Its
-transforms multiply the raw rows.
+solves for span coordinates on them, all on ints (disc(B) is a member's
+determinant, not an expansion).  ``det_poly`` and ``pfaffian_poly`` only
+box them.  Its transforms multiply the raw rows.
 """
 
 from __future__ import annotations
@@ -355,20 +356,6 @@ class LinearMatrix:
     def _denom(self, pf: bool) -> int:
         """The denominator of ``_terms(pf)``: scale ** degree (1 over GF(p))."""
         return self._scale ** (self.size // 2 if pf else self.size)
-
-    def _at(self, x):
-        """det A(x) at the raw point ``x`` (ints mod p, or Fractions over QQ)
-        as a raw representative."""
-        width, p = _width(self.size, False), self.field.char
-        mask, acc = (1 << width) - 1, 0
-        for k, c in self._terms(False).items():
-            for xi in x:
-                e = k & mask
-                if e:
-                    c *= xi ** e
-                k >>= width
-            acc += c
-        return acc % p if p else Fraction(acc) / self._denom(False)
 
     def _poly(self, pf: bool) -> MultiPoly:
         """``_terms(pf)`` boxed as a MultiPoly, memoized."""

@@ -25,7 +25,7 @@ identities are checked with explicit VerificationFailure raises, so they
 also hold under ``python -O``.
 
 Over F_p the split test, the isotropic search and the Witt split are
-kernels on int Gram rows mod p (``_split_det`` on a Bareiss determinant,
+kernels on int Gram rows mod p (``_split_det`` on a ``linalg.int_det``,
 ``_isotropic_rows``, ``_witt_rows``), which the sampler in ``construction``
 calls directly; ``is_split``, ``isotropic_vector`` and ``witt_split`` are
 thin wrappers that box their results.  Each step of a Witt split takes the

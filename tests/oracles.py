@@ -3,7 +3,8 @@
 Everything here recomputes results by a different route than the library:
 permutation-sum determinants, direct cofactor recursion, perfect-matching
 Pfaffians, boxed span solves, term-by-term convolution, cross-ratio j-invariants, exhaustive
-isotropic searches, boxed sweeps of P^3 and P^2 for point counts and
+isotropic searches, a textbook Gauss-Jordan on Fractions or ints mod p
+(``gauss_jordan``), boxed sweeps of P^3 and P^2 for point counts and
 singular points, an int point-by-point sweep of P^2 for singular points,
 and univariate Euclid gcds, squarefree tests and
 Sylvester resultants.  The views of a ``LinearMatrix`` that only tests need
@@ -202,6 +203,34 @@ def row_reduction_rank(field, rows):
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def gauss_jordan(rows, ncols, p):
+    """Textbook Gauss-Jordan elimination of the int ``rows`` on Fractions over
+    QQ (p = 0) or on ints mod p, with pivots taken in the first ``ncols``
+    columns: each pivot row, the first from the top with a nonzero entry, is
+    divided by its pivot and subtracted from every other row.  Returns
+    (rref, pivots); unlike ``linalg`` it never scales a row by anything but
+    its pivot's inverse and never skips a row."""
+    if p:
+        m = [[x % p for x in row] for row in rows]
+    else:
+        m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p) if p else 1 / m[r][c]
+        m[r] = [x * inv % p if p else x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def all_vectors(field, n):

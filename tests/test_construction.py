@@ -11,6 +11,7 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NoSplitMember,
                    invariants, is_split, linalg, projective_points, random_gl,
                    random_sl, sample_point, t_invariant, verify_relation,
                    wedge2_matrix)
+from k3lab import cli
 from oracles import (form_poly, identity, klein_matrix, member_form, model_form, scaled,
                      witt_index_exhaustive)
 
@@ -302,6 +303,21 @@ def test_sample_leaves_the_discriminant_unexpanded():
         sample_point(MOD3_PENCIL, 3)
 
 
+def test_relation_leaves_the_discriminant_unexpanded():
+    # disc(B) is one determinant of the member at B: neither verify_relation
+    # nor `construct invariance` expands the discriminant of a system already
+    # over GF(p), which both use as it is
+    for system in (DIAG_PENCIL, DIAG_NET):
+        for p in (11, 1009):
+            red = system.reduce_mod(p)
+            rep = verify_relation(red, p, 3, seed=2)
+            assert rep.passed == 3 and not rep.failed
+            assert red._matrix is None
+            out = cli._invariance_report(red, p, 2, 2)
+            assert out["b_invariant"] and out["t_invariant"]
+            assert red._matrix is None
+
+
 # -- relation verification ---------------------------------------------------------
 
 def test_relation_constant_direct_computation():
@@ -330,6 +346,18 @@ def test_relation_constant_net_large_primes():
         rep = verify_relation(DIAG_NET, p, 6, seed=0)
         assert not rep.failed and rep.passed == 6
         assert rep.c == -64 % p
+
+
+def test_relation_constant_dense_net_at_the_largest_prime():
+    rng = random.Random(74)
+    grams = [[[0] * 6 for _ in range(6)] for _ in range(3)]
+    for g in grams:
+        for i in range(6):
+            for j in range(i, 6):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+    net = NetOfQuadrics(*(QuadraticForm(g, QQ) for g in grams))
+    rep = verify_relation(net, 2**31 - 1, 4, seed=5)
+    assert not rep.failed and rep.passed == rep.samples == 4
 
 
 def test_relation_constant_random_systems():

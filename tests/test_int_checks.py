@@ -19,8 +19,8 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NotInSpan,
                    PencilOfQuadrics, QuadraticForm, SystemPoint, VerificationFailure,
                    b_coordinates, discriminant_poly, express_as_2x2_det,
                    express_as_pfaffian, sample_point, t_invariant)
-from k3lab import cli, construction, quadforms
-from k3lab.systems import member_matrix
+from k3lab import cli, construction, linalg, quadforms
+from k3lab.systems import member_rows
 from oracles import (boxed_span_solve, cofactor_det, form_poly, klein_coordinates,
                      klein_matrix, matching_pfaffian, model_form, poly_entries, poly_form,
                      scalar_leibniz_det, symbolic_member_entries)
@@ -144,12 +144,15 @@ def test_discriminant_at_b_against_boxed_eval(field):
     for k, n in ((2, 4), (3, 6)):
         cls = PencilOfQuadrics if k == 2 else NetOfQuadrics
         system = cls(*(rand_form(rng, field, n) for _ in range(k)))
-        disc = cofactor_det(symbolic_member_entries(system))
+        disc, p = cofactor_det(symbolic_member_entries(system)), field.char
         assert discriminant_poly(system) == disc
+        grams = [q._rows for q in system.forms]
         for _ in range(5):
             b = [rand_scalar(rng, field) for _ in range(k)]
             raw = [x.v for x in b] if field.char else b
-            assert field.coerce(member_matrix(system)._at(raw)) == disc.eval(b)
+            # disc(B) as verify_relation takes it: one determinant of the member at B
+            rows, scale = linalg.scaled_rows(member_rows(grams, raw, p), p)
+            assert field.coerce(Fraction(linalg.int_det(rows, p), scale ** n)) == disc.eval(b)
 
 
 # -- the det/Pf = q check of express_as_* --------------------------------------------------

@@ -3,17 +3,23 @@
 Products, solutions and inverses are re-checked in plain int / Fraction
 arithmetic (never through linalg), determinants against permutation sums
 and cofactor expansions, ranks and kernels against brute-force enumeration
-of F_5^n.  Seeds and sizes are fixed.
+of F_5^n.  The int kernels are also checked over ZZ, GF(3), GF(13) and
+GF(2**31 - 1) against a textbook Gauss-Jordan, on the inputs where the
+elimination leaves rows untouched and rescales them late: permuted
+diagonal and block-diagonal matrices, zero rows and columns, rank-deficient
+and augmented systems, and Kronecker points.  Seeds and sizes are fixed.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
 from k3lab import GF, QQ, MultiPoly, QuadraticForm, SingularMatrix, linalg, witt_split
-from oracles import cofactor_det, hyperbolic_form, row_reduction_rank, scalar_leibniz_det
+from oracles import (block_sum, cofactor_det, gauss_jordan, hyperbolic_form,
+                     row_reduction_rank, scalar_leibniz_det)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -288,3 +294,159 @@ def test_witt_split_transports_the_gram_exactly(p):
                 continue
             assert_witt_transport(q, done)
             done += 1
+
+
+# -- the int kernels on sparse, deficient and huge-entry inputs ---------------------------
+
+RINGS = (0, 3, 13, 2**31 - 1)
+RING_IDS = ("ZZ", "GF3", "GF13", "GFmersenne")
+
+
+def permuted(rng, m):
+    """m with its rows and its columns in seeded random orders."""
+    rows, cols = list(range(len(m))), list(range(len(m[0])))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[m[i][j] for j in cols] for i in rows]
+
+
+def kronecker_point(rng, n, diagonal, b=100):
+    """sum_k M_k 2^(s_k) for three seeded n x n small-int matrices M_k
+    (diagonal when ``diagonal``) at s = 0, b, b (n + 1), the shape of the
+    discriminant's Kronecker point: entries of several hundred bits."""
+    point = [[0] * n for _ in range(n)]
+    for s in (0, b, b * (n + 1)):
+        for i in range(n):
+            for j in range(n):
+                if i == j or not diagonal:
+                    point[i][j] += rng.randint(-9, 9) << s
+    return point
+
+
+def square_cases(rng, p):
+    """Square int matrices, reduced mod p unless p = 0: permuted diagonal and
+    block-diagonal ones, ones with a zero row and a zero column, rank-deficient
+    ones and Kronecker points."""
+    def entry(zero_share):
+        return 0 if rng.random() < zero_share else rng.randint(-30, 30)
+
+    cases = []
+    for n in range(1, 7):
+        for _ in range(3):
+            cases.append(permuted(rng, [[entry(0.2) if i == j else 0 for j in range(n)]
+                                        for i in range(n)]))
+            blocks, size = [], 0
+            while size < n:
+                k = rng.randint(1, min(3, n - size))
+                blocks.append([[entry(0.3) for _ in range(k)] for _ in range(k)])
+                size += k
+            cases.append(permuted(rng, block_sum(*blocks)))
+            m = [[entry(0.3) for _ in range(n)] for _ in range(n)]
+            zero_col = rng.randrange(n)
+            m[rng.randrange(n)] = [0] * n
+            cases.append([[0 if j == zero_col else x for j, x in enumerate(row)] for row in m])
+            base = [[entry(0.3) for _ in range(n)] for _ in range(rng.randrange(n))]
+            m = base + [[sum(rng.randint(-2, 2) * row[j] for row in base) for j in range(n)]
+                        for _ in range(n - len(base))]
+            cases.append(permuted(rng, m))
+    for n in (4, 6):
+        for diagonal in (True, False):
+            cases.append(kronecker_point(rng, n, diagonal))
+            cases.append(permuted(rng, kronecker_point(rng, n, diagonal)))
+    return [reduced(p, m) for m in cases]
+
+
+def rect_cases(rng, p):
+    """The square cases widened by two columns and lengthened by a zero row
+    and a sum of two rows, each in seeded random orders."""
+    out = []
+    for m in square_cases(rng, p):
+        wide = [row + [rng.randint(-3, 3) for _ in range(2)] for row in m]
+        tall = m + [[0] * len(m), [x + y for x, y in zip(m[0], m[-1])]]
+        out += [permuted(rng, reduced(p, wide)), permuted(rng, reduced(p, tall))]
+    return out
+
+
+def reduced(p, m):
+    return [[x % p for x in row] for row in m] if p else m
+
+
+def over(p, rows, den):
+    """The int ``rows`` over den: as they are over GF(p) (den = 1), as
+    Fractions over ZZ."""
+    if p:
+        assert den == 1
+        return rows
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def to_field(p, m):
+    field = GF(p) if p else QQ
+    return field, [[field.coerce(x) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("p", RINGS, ids=RING_IDS)
+def test_int_det_against_leibniz(p):
+    for m in square_cases(random.Random(20), p):
+        before = [list(row) for row in m]
+        got = linalg.int_det(m, p)
+        assert m == before
+        assert not p or 0 <= got < p
+        field, boxed = to_field(p, m)
+        assert field.coerce(got) == scalar_leibniz_det(field, boxed)
+
+
+@pytest.mark.parametrize("p", RINGS, ids=RING_IDS)
+def test_int_rref_rank_and_nullspace_against_gauss_jordan(p):
+    rng = random.Random(21)
+    for m in square_cases(rng, p) + rect_cases(rng, p):
+        ncols = len(m[0])
+        want, pivots = gauss_jordan(m, ncols, p)
+        r = len(pivots)
+        assert linalg.int_rank(m, p) == r
+        red, got_pivots, den = linalg.int_rref([list(row) for row in m], ncols, p)
+        assert got_pivots == pivots
+        assert over(p, red, den) == want
+        # the kernel: one vector per free column, which m annihilates and
+        # which is the identity on the free columns
+        basis, den = linalg.int_nullspace(m, ncols, p)
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = over(p, basis, den)
+        assert [[v[c] for c in free] for v in basis] == [[int(c == f) for c in free]
+                                                         for f in free]
+        for v in basis:
+            for row in m:
+                s = sum(x * y for x, y in zip(row, v))
+                assert (s % p if p else s) == 0
+
+
+@pytest.mark.parametrize("p", RINGS, ids=RING_IDS)
+def test_int_solve_and_inverse_against_gauss_jordan(p):
+    rng = random.Random(22)
+    red = (lambda x: x % p) if p else (lambda x: x)
+    for m in square_cases(rng, p):
+        n = len(m)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        want, pivots = gauss_jordan([row + e for row, e in zip(m, eye)], n, p)
+        if len(pivots) < n:
+            with pytest.raises(SingularMatrix):
+                linalg.int_inverse(m, p, 3)
+        else:
+            inv, den = linalg.int_inverse(m, p, 3)
+            assert over(p, inv, den) == [[red(3 * x) for x in row[n:]] for row in want]
+        # augmented systems: a consistent right-hand side and a random one,
+        # each also overdetermined by the sum of the first and last equation
+        x0 = [rng.randint(-5, 5) for _ in range(n)]
+        for b in ([red(sum(map(mul, row, x0))) for row in m],
+                  [red(rng.randint(-5, 5)) for _ in range(n)]):
+            aug = [row + [y] for row, y in zip(m, b)]
+            for rows in (aug, aug + [[red(x + y) for x, y in zip(aug[0], aug[-1])]]):
+                want, pivots = gauss_jordan(rows, n, p)
+                if any(row[n] for row in want[len(pivots):]):
+                    assert linalg.int_solve([list(row) for row in rows], n, p) is None
+                elif len(pivots) < n:
+                    with pytest.raises(SingularMatrix):
+                        linalg.int_solve([list(row) for row in rows], n, p)
+                else:
+                    x, den = linalg.int_solve([list(row) for row in rows], n, p)
+                    assert over(p, [x], den)[0] == [row[n] for row in want[:n]]
