@@ -32,10 +32,12 @@ So degenerate and non-split members are both skipped before any Witt
 work, without evaluating the discriminant polynomial.  The first split
 member is factored through its Witt decomposition (``quadforms``, also on
 ints), with the same determinant handed on as the member's memoized disc,
-so each member costs one determinant.  The factorization is normalized so
-that det A(x) (or Pf A(x)) equals the member exactly;
-the span coordinates are then lam on the nose, which ``SystemPoint.build``
-re-checks.  Only when every draw fails does the sampler sweep the whole
+so each member costs one determinant.  The Witt split is one symmetric
+elimination followed by a pairing of the diagonal entries; it draws
+nothing, so the seed decides only the base point, and the base point the
+sample.  The factorization is normalized so that det A(x) (or Pf A(x))
+equals the member exactly; the span coordinates are then lam on the nose,
+which ``SystemPoint.build`` re-checks.  Only when every draw fails does the sampler sweep the whole
 base in a fixed order, which either finds a split member or certifies
 NoSplitMember; before it, a discriminant that vanishes identically (on
 which every draw fails) is refused.  The cost of a sample therefore does
@@ -63,8 +65,8 @@ from .errors import (BadReduction, FieldMismatch, NoSplitMember, NotInSpan,
                      PreconditionError, VariableCountMismatch,
                      VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
-from .quadforms import (SEEDED_DRAWS, SPLIT_MODELS, QuadraticForm, _split_det,
-                        express_as_2x2_det, express_as_pfaffian, matrix_model)
+from .quadforms import (SPLIT_MODELS, QuadraticForm, _split_det, express_as_2x2_det,
+                        express_as_pfaffian, matrix_model)
 from .scalars import GF, GFElement, projective_points
 from .systems import QuadricSystem, member_matrix, member_rows, span_rows
 
@@ -165,6 +167,12 @@ def _reduced(system, p):
     raise BadReduction(f"system already lives over GF({system.field.char})")
 
 
+# Seeded base-point draws before ``sample_point`` sweeps the base.  About
+# half of all members are split whatever p is, so the sweep runs only when
+# the draws are exhausted by bad luck or when the field is tiny.
+SEEDED_DRAWS = 64
+
+
 def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     """Draw a split member over F_p and factor it into a SystemPoint.
 
@@ -172,9 +180,8 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     (normalized like ``projective_points``: first nonzero coordinate 1),
     then sweeps the whole base in its fixed order.  Each lam is skipped
     unless its member, combined on int Gram rows, is split; the first member
-    that passes is factored, with the same seed driving the isotropic searches
-    of its Witt split.  About half of all members are split for large p,
-    so the sweep only runs when the draws were unlucky or p is tiny.
+    that passes is factored.  Its Witt split draws nothing, so the seed
+    chooses the base point and the base point the sample.
     Raises NoSplitMember when the sweep finds no split member (possible for
     tiny p) and BadReduction when the reduced discriminant vanishes
     identically.
@@ -194,7 +201,7 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
         d = linalg.int_det(g, p)
         if _split_det(d, len(g), p):
             member = QuadraticForm._of_rows(gf, g, GFElement(gf, d))
-            return SystemPoint.build(express(member, seed=seed),
+            return SystemPoint.build(express(member),
                                      red, tuple(GFElement(gf, x) for x in lam))
     raise NoSplitMember(f"no nondegenerate split member over F_{p}")
 
@@ -256,8 +263,9 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     c is measured on the first sample (every sample has disc(B) != 0 by
     construction) and must agree with all others; disagreements are
     collected as witnesses rather than raised, so callers can report them.
-    The system is reduced once; disc(B) is one determinant of the member at
-    B, never an evaluation of the expanded discriminant.
+    Sample i is ``sample_point(system, p, seed + i)``, whose seed draws only
+    its base point.  The system is reduced once; disc(B) is one determinant
+    of the member at B, never an evaluation of the expanded discriminant.
     """
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")

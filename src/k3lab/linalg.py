@@ -12,7 +12,9 @@ and the sampler in ``construction`` run on them.
 ``det``, ``rank``, ``solve``, ``inverse`` and ``nullspace`` share one
 elimination that never touches a row with a zero in the pivot column:
 by the pivot's inverse over GF(p), fraction-free over ZZ (Bareiss, Math.
-Comp. 22, 1968, with lazy row scaling).  The package never sees matrices
+Comp. 22, 1968, with lazy row scaling).  ``congruence_diagonalize`` and
+the Witt split of ``quadforms`` share one symmetric elimination
+(``int_congruence``) under the same rule.  The package never sees matrices
 bigger than 23x23.
 """
 
@@ -223,48 +225,56 @@ def congruence_diagonalize(field, g):
     Works over any field of characteristic != 2 (see ``int_congruence``).
     """
     p, n = field.char, len(g)
-    m, diag = int_congruence(int_rows(field, g)[0] if p else [list(row) for row in g], p)
-    return _box(field, m), _box(field, [[diag[i] if i == j else 0 for j in range(n)]
-                                         for i in range(n)])
+    basis, diag = int_congruence(int_rows(field, g)[0] if p else [list(row) for row in g], p)
+    d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return _box(field, list(zip(*basis))), _box(field, d)
 
 
 def int_congruence(a, p):
-    """Congruence diagonalization of the symmetric rows ``a`` in place: ints
-    mod p, or Fractions over QQ (p = 0).  Returns (m, diag), int rows m and
-    the diagonal entries of m^T a m.
+    """Symmetric elimination of the symmetric rows ``a`` (changed in place):
+    ints mod p, or Fractions over QQ (p = 0).  Returns (basis, diag): rows
+    b_i with b_i^T a b_j = 0 for i != j and diag[i] = b_i^T a b_i.
 
-    Zero diagonal entries are repaired by mixing in a row with a nonzero
-    off-diagonal partner.
+    Step k pivots on d = a[k][k] and replaces every later row j with
+    f = a[j][k] != 0 by row j - (f / d) row k on the columns after k (the
+    Schur complement, which stays symmetric), and b_j by b_j - (f / d) b_k;
+    a row with f = 0 is never touched.  A zero pivot whose row is zero after
+    column k (e_k is orthogonal to the rest) stays a zero entry.  Any other
+    zero pivot is repaired first: a later row with a nonzero diagonal entry
+    is swapped in, else e_k += e_j for a j with a[k][j] != 0 makes the pivot
+    2 a[k][j].
     """
     n = len(a)
-    red = (lambda x: x % p) if p else (lambda x: x)
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, c):
-        # basis op e_dst <- e_dst + c * e_src, applied to gram and basis
-        for mat in (a, m):
-            for row in mat:
-                row[dst] = red(row[dst] + c * row[src])
-        a[dst] = [red(x + c * y) for x, y in zip(a[dst], a[src])]
-
-    def swap_cols(i, j):
-        for mat in (a, m):
-            for row in mat:
-                row[i], row[j] = row[j], row[i]
-        a[i], a[j] = a[j], a[i]
-
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(n):
         if not a[k][k]:
-            if all(not a[k][i] for i in range(k + 1, n)):
-                continue  # e_k is orthogonal to everything from k on
-            j = next((i for i in range(k + 1, n) if a[i][i]), None)
+            partner = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if partner is None:
+                continue
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
             if j is not None:
-                swap_cols(k, j)
+                a[k], a[j], basis[k], basis[j] = a[j], a[k], basis[j], basis[k]
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
             else:
-                j = next(i for i in range(k + 1, n) if a[k][i])
-                add_col(k, j, 1)  # now a[k][k] = 2*a[k][j] != 0
-        d = a[k][k]
+                j = partner
+                red = (lambda x: x % p) if p else (lambda x: x)
+                for row in a[k:]:
+                    row[k] = red(row[k] + row[j])
+                a[k] = [red(x + y) for x, y in zip(a[k], a[j])]
+                basis[k] = [red(x + y) for x, y in zip(basis[k], basis[j])]
+        top, bk = a[k], basis[k]
+        inv = pow(top[k], -1, p) if p else Fraction(1, top[k])
         for j in range(k + 1, n):
-            if a[k][j]:
-                add_col(j, k, red(-a[k][j] * (pow(d, -1, p) if p else Fraction(1, d))))
-    return m, [a[i][i] for i in range(n)]
+            f = a[j][k]
+            if not f:
+                continue
+            if p:
+                c = f * inv % p
+                a[j][k + 1:] = [(x - c * y) % p for x, y in zip(a[j][k + 1:], top[k + 1:])]
+                basis[j] = [(x - c * y) % p for x, y in zip(basis[j], bk)]
+            else:
+                c = f * inv
+                a[j][k + 1:] = [x - c * y for x, y in zip(a[j][k + 1:], top[k + 1:])]
+                basis[j] = [x - c * y for x, y in zip(basis[j], bk)]
+    return basis, [a[i][i] for i in range(n)]

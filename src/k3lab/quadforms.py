@@ -7,7 +7,7 @@ The associated bilinear form is B(u, v) = u^T G v = (q(u+v)-q(u)-q(v))/2.
 
 The split normal form used throughout pairs basis vectors into hyperbolic
 planes with Gram [[0, 1/2], [1/2, 0]] (the form x*y), stacked first, with
-an anisotropic residual of dimension <= 2 at the end.
+a diagonal anisotropic residual of dimension <= 2 at the end.
 
 ``express_as_2x2_det`` and ``express_as_pfaffian`` realize split forms as
 det of a 2x2 matrix of linear forms, respectively as the Pfaffian of an
@@ -24,21 +24,21 @@ model's packed int det/Pf expansion with the form's coefficients.  Such
 identities are checked with explicit VerificationFailure raises, so they
 also hold under ``python -O``.
 
-Over F_p the split test, the isotropic search and the Witt split are
-kernels on int Gram rows mod p (``_split_det`` on a ``linalg.int_det``,
-``_isotropic_rows``, ``_witt_rows``), which the sampler in ``construction``
-calls directly; ``is_split``, ``isotropic_vector`` and ``witt_split`` are
-thin wrappers that box their results.  Each step of a Witt split takes the
-orthogonal complement of one hyperbolic plane by sparse row operations
-(``_complement``).  Forms keep their Gram matrix as raw representatives,
-ints or Fractions over QQ as a system file gives them, and are validated
-and reduced mod p on those.
+Over F_p the split test and the Witt split are kernels on int Gram rows
+mod p (``_split_det`` on a ``linalg.int_det``, ``_witt_rows``), which the
+sampler in ``construction`` calls directly; ``is_split``, ``witt_split``
+and ``isotropic_vector`` (the first vector of the Witt basis) are thin
+wrappers that box their results.  The Witt split searches nothing and
+draws nothing: one symmetric elimination (``linalg.int_congruence``)
+diagonalizes the form, and its diagonal entries are paired into
+hyperbolic planes by their quadratic characters.  Forms keep their Gram
+matrix as raw representatives, ints or Fractions over QQ as a system file
+gives them, and are validated and reduced mod p on those.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,7 +122,7 @@ class QuadraticForm:
         x, y = ([f.coerce(t) for t in w] for w in (u, v))
         if f.char:
             x, y = [t.v for t in x], [t.v for t in y]
-        return f.coerce(_pair_rows(self._rows, x, y))
+        return f.coerce(sum(a * sum(map(mul, row, y)) for a, row in zip(x, self._rows)))
 
     def disc(self):
         """det of the Gram matrix (memoized); zero iff the form is degenerate."""
@@ -175,11 +175,6 @@ def _raw(field, x):
     return x.v if field.char else x
 
 
-def _pair_rows(g, u, v):
-    """u^T g v on raw representatives, unreduced."""
-    return sum(a * sum(map(mul, row, v)) for a, row in zip(u, g))
-
-
 def diagonalize(q: QuadraticForm):
     """Congruence diagonalization: returns (m, d), the change-of-basis matrix
     m as rows of field scalars and the diagonal form d, with m^T G m =
@@ -193,75 +188,19 @@ def _require_prime_field(q: QuadraticForm, who: str):
         raise FieldMismatch(f"{who} works over prime fields only")
 
 
-# Seeded attempts before a search falls back to its deterministic sweep.
-# Each attempt succeeds with probability about 1/2 whatever p is, so the
-# fallback runs only when the attempts are exhausted by bad luck or when
-# the field is tiny.
-SEEDED_DRAWS = 64
-
-
-def isotropic_vector(q: QuadraticForm, seed: int = 0):
-    """A nonzero v with q(v) = 0 over F_p, or None when none exists.
+def isotropic_vector(q: QuadraticForm):
+    """A nonzero v with q(v) = 0 over F_p, or None when none exists: the
+    first vector of the form's Witt basis (``_witt_rows``), None when its
+    Witt index is 0.
 
     For nondegenerate forms a vector always exists once n >= 3; for n = 2 it
-    exists iff -disc is a square; n <= 1 is always anisotropic.  For n >= 3
-    the search draws the first n-1 coordinates w from a seeded generator
-    (reproducible) and solves q(w, t) = a t^2 + 2 b t + c = 0 for the last
-    coordinate t, which has a root iff b^2 - a c is a square: about half the
-    draws, since b^2 - a c is a nondegenerate form in w.  When a = 0 the last
-    unit vector is itself isotropic.  After ``SEEDED_DRAWS`` failed draws the
-    search falls back to a deterministic solve on a diagonalized ternary
-    subform.  The search runs on the form's int Gram rows mod p
-    (``_isotropic_rows``), which check q(v) = 0 on the returned vector.
+    exists iff -disc is a square; n <= 1 is always anisotropic.
     """
     _require_prime_field(q, "isotropic_vector")
     if not q.is_nondegenerate():
         raise PreconditionError("isotropic_vector expects a nondegenerate form")
-    v = _isotropic_rows(q._rows, q.field.p, seed)
-    return None if v is None else tuple(GFElement(q.field, x) for x in v)
-
-
-def _isotropic_rows(g, p, seed):
-    """``isotropic_vector`` on nondegenerate int Gram rows g mod p: a nonzero
-    int vector v mod p with v^T g v = 0 (checked), or None."""
-    n = len(g)
-    if n <= 1:
-        return None
-    if n == 2:
-        m, (a, b) = linalg.int_congruence([list(row) for row in g], p)
-        s = sqrt_mod(-b * pow(a, -1, p), p)
-        if s is None:
-            return None
-        return _checked_isotropic(g, p, [(r0 * s + r1) % p for r0, r1 in m])
-
-    last = g[n - 1]
-    a = last[n - 1]
-    if not a:
-        return _checked_isotropic(g, p, [0] * (n - 1) + [1])
-    rng = random.Random(seed)
-    for _ in range(SEEDED_DRAWS):
-        w = [rng.randrange(p) for _ in range(n - 1)]
-        b = sum(map(mul, last, w))
-        s = sqrt_mod(b * b - a * _pair_rows(g, w, w), p)  # q(w, 0) = w^T g w
-        if s is not None and any(w):
-            return _checked_isotropic(g, p, w + [(s - b) * pow(a, -1, p) % p])
-
-    # Deterministic completion: solve a*x^2 + b*y^2 + c = 0 on the first
-    # three diagonal entries (a nondegenerate conic always has an affine
-    # point over F_p).
-    m, (a, b, c, *_) = linalg.int_congruence([list(row) for row in g], p)
-    b_inv = pow(b, -1, p)
-    for x in range(p):
-        s = sqrt_mod((-c - a * x * x) * b_inv, p)
-        if s is not None:
-            return _checked_isotropic(g, p, [(r[0] * x + r[1] * s + r[2]) % p for r in m])
-    raise VerificationFailure("ternary conics over F_p are isotropic, but none was found")
-
-
-def _checked_isotropic(g, p, v):
-    if _pair_rows(g, v, v) % p:
-        raise VerificationFailure("isotropic_vector: q(v) != 0 for the returned vector")
-    return v
+    cols, h, _, _ = _witt_rows(q._rows, q.field.p)
+    return tuple(GFElement(q.field, x) for x in cols[0]) if h else None
 
 
 def is_split(q: QuadraticForm) -> bool:
@@ -295,60 +234,79 @@ class WittDecomposition:
     matrix: tuple
 
 
-def witt_split(q: QuadraticForm, seed: int = 0) -> WittDecomposition:
+def witt_split(q: QuadraticForm) -> WittDecomposition:
     """Witt decomposition of a nondegenerate form over F_p.
 
-    Splits off hyperbolic planes one at a time: find an isotropic v, a
-    partner u with B(v, u) = 1/2 and q(u) = 0, then recurse on the
-    orthogonal complement; what remains (dimension <= 2) is anisotropic.
-    The work runs on ints mod p (``_witt_rows``) and is checked there: the
-    isometry must carry the Gram matrix of q to the split normal form
-    exactly, else VerificationFailure.
+    Diagonalizes the form and pairs its diagonal entries into hyperbolic
+    planes by their quadratic characters; what remains (dimension <= 2) is
+    anisotropic.  The work runs on ints mod p (``_witt_rows``) and is checked
+    there: the isometry must carry the Gram matrix of q to the split normal
+    form exactly, else VerificationFailure.
     """
     _require_prime_field(q, "witt_split")
     if not q.is_nondegenerate():
         raise DegenerateSystem("witt_split expects a nondegenerate form")
-    cols, h, sub, _ = _witt_rows(q._rows, q.field.p, seed)
+    cols, h, sub, _ = _witt_rows(q._rows, q.field.p)
     return WittDecomposition(h=h, residual=QuadraticForm._of_rows(q.field, sub),
                              matrix=linalg._box(q.field, list(zip(*cols))))
 
 
-def _witt_rows(g, p, seed):
+def _witt_rows(g, p):
     """``witt_split`` on nondegenerate int Gram rows g mod p: (cols, h, sub,
     gm).
 
     ``cols`` is the new basis in original coordinates, v1, u1, ..., vh, uh
     and then the anisotropic residual's basis, and ``sub`` the residual's
-    int Gram rows.  Checked: the Gram rows of ``cols`` must be h hyperbolic
-    planes [[0, 1/2], [1/2, 0]] followed by ``sub``, else VerificationFailure.
-    ``gm`` is G M_q, the product that check forms, for M_q the matrix with
-    the columns ``cols``.  Each plane's orthogonal complement comes from
-    ``_complement``.
+    int Gram rows, diagonal.  Checked: the Gram rows of ``cols`` must be h
+    hyperbolic planes [[0, 1/2], [1/2, 0]] followed by ``sub``, else
+    VerificationFailure.  ``gm`` is G M_q, the product that check forms, for
+    M_q the matrix with the columns ``cols``.
+
+    One symmetric elimination (``linalg.int_congruence``) gives diagonal
+    entries d_i with basis vectors b_i.  Entries i, j with chi(-d_i d_j) = 1
+    span a hyperbolic plane: with t^2 = -d_i / d_j, v = b_i + t b_j and
+    u = (b_i - t b_j) / (4 d_i) are isotropic with B(v, u) = 1/2.  Over F_p
+    a nondegenerate form is classified by its dimension and discriminant
+    (Lidl-Niederreiter, *Finite Fields*, ch. 6), so pairing greedily leaves
+    at most one entry of each class, or, when -1 is a non-square, entries
+    of one class only.  While three or more of those remain, two of them,
+    a and b, are flipped into the other class: with a x^2 + b y^2 = -a
+    (solved for y = 1, 2, ...), w1 = x b_i + y b_j and w2 = b y b_i - a x b_j
+    are orthogonal with q(w1) = -a and q(w2) = -a^2 b.
     """
     n, half = len(g), (p + 1) // 2
-    # `embed` holds the current subspace basis as rows in original coords,
-    # and `sub` the subspace's Gram matrix E G E^T.
-    embed = [[int(i == j) for j in range(n)] for i in range(n)]
-    sub = [list(row) for row in g]
-    planes = []  # v1, u1, v2, u2, ... in original coords
-    while True:
-        v = _isotropic_rows(sub, p, seed)
-        if v is None:
-            break
-        gv = [sum(map(mul, row, v)) % p for row in sub]  # gv[i] = B(v, e_i)
-        j = next(i for i, x in enumerate(gv) if x)
-        # u = s e_j has B(v, u) = 1/2; subtracting q(u) v makes it isotropic
-        # without touching B(v, u).
-        s = half * pow(gv[j], -1, p) % p
-        t = sub[j][j] * s * s
-        u = [-t * x % p for x in v]
-        u[j] = (u[j] + s) % p
-        gu = [sum(map(mul, row, u)) % p for row in sub]
-        planes += linalg.int_mul([v, u], embed, p)
-        # B(v, u) = 1/2 makes gv, gu independent
-        embed, sub = _complement(gv, gu, embed, sub, p)
+    basis, d = linalg.int_congruence([list(row) for row in g], p)
+    chi = [chi_mod(x, p) for x in d]
+    minus_one = chi_mod(-1, p)
+    planes, left, todo = [], [], list(range(n))
+    while todo:
+        j = todo.pop()
+        i = next((i for i in left if chi[i] * chi[j] == minus_one), None)
+        if i is None:
+            left.append(j)
+        else:
+            left.remove(i)
+            t = sqrt_mod(-d[i] * pow(d[j], -1, p), p)
+            s = pow(4 * d[i], -1, p)
+            planes.append([(x + t * y) % p for x, y in zip(basis[i], basis[j])])
+            planes.append([(x - t * y) * s % p for x, y in zip(basis[i], basis[j])])
+        if not todo and len(left) >= 3:
+            # all of one class, which happens only when -1 is a non-square
+            i, j = left.pop(), left.pop()
+            a, b = d[i], d[j]
+            y, x, a_inv = 0, None, pow(a, -1, p)
+            while x is None:
+                y += 1
+                x = sqrt_mod(-1 - b * y * y * a_inv, p)
+            pairs = list(zip(basis[i], basis[j]))
+            basis[i] = [(x * u + y * w) % p for u, w in pairs]
+            basis[j] = [(b * y * u - a * x * w) % p for u, w in pairs]
+            d[i], d[j] = -a % p, -a * a * b % p
+            chi[i] = chi[j] = -chi[i]
+            todo = [i, j]
 
-    cols, k = planes + embed, len(planes)
+    cols, k = planes + [basis[i] for i in left], len(planes)
+    sub = [[d[i] if i == j else 0 for j in left] for i in left]
     target = [[0] * n for _ in range(n)]
     for i in range(0, k, 2):
         target[i][i + 1] = target[i + 1][i] = half
@@ -358,28 +316,6 @@ def _witt_rows(g, p, seed):
     if linalg.int_mul(cols, gm, p) != target:
         raise VerificationFailure("witt_split: the isometry does not reach the split normal form")
     return cols, k // 2, sub, gm
-
-
-def _complement(gv, gu, embed, sub, p):
-    """(N E, N S N^T) mod p for the rows N of the right kernel of [gv; gu]
-    (two independent int rows mod p) as ``linalg.int_nullspace`` returns
-    them, E = ``embed`` and S = ``sub`` symmetric: the basis and the Gram
-    rows of the orthogonal complement of span(v, u) when gv = S v, gu = S u.
-
-    With r1, r2 the rows of the reduced echelon form of [gv; gu] and c1, c2
-    its pivot columns, the kernel row of free column f is
-    w_f = e_f - r1[f] e_c1 - r2[f] e_c2, three nonzeros, so both products
-    are row operations: O(m n) and O(m^2) instead of general products.
-    """
-    (r1, r2), (c1, c2), _ = linalg.int_rref([gv, gu], len(gv), p)
-    free = [f for f in range(len(gv)) if f != c1 and f != c2]
-
-    def combine(rows, f):  # w_f^T rows
-        return [(x - r1[f] * y - r2[f] * z) % p for x, y, z in zip(rows[f], rows[c1], rows[c2])]
-
-    sw = [combine(sub, f) for f in free]  # the rows w_f^T S = (S w_f)^T
-    return ([combine(embed, f) for f in free],
-            [[(w[f] - r1[f] * w[c1] - r2[f] * w[c2]) % p for w in sw] for f in free])
 
 
 def _products_form(field, n, signs) -> QuadraticForm:
@@ -418,7 +354,7 @@ def _target_split(p: int, n: int):
     inverse of the split normal form, n/2 blocks [[0, 2], [2, 0]], so column
     k of M_t H^-1 is twice column k ^ 1 of M_t."""
     target = _products_form(GF(p), n, SPLIT_MODELS[n].target)
-    cols = _witt_rows(target._rows, p, 0)[0]
+    cols = _witt_rows(target._rows, p)[0]
     return tuple(tuple(2 * cols[k ^ 1][i] % p for k in range(n)) for i in range(n))
 
 
@@ -432,7 +368,7 @@ def _model_rows(p: int, gm):
     return linalg.int_mul(_target_split(p, len(gm)), list(zip(*gm)), p)
 
 
-def _express(q: QuadraticForm, n: int, seed: int, who: str) -> LinearMatrix:
+def _express(q: QuadraticForm, n: int, who: str) -> LinearMatrix:
     """The body of ``express_as_*``: q in the model of dimension n."""
     model = SPLIT_MODELS[n]
     _require_prime_field(q, who)
@@ -441,7 +377,7 @@ def _express(q: QuadraticForm, n: int, seed: int, who: str) -> LinearMatrix:
     if not q.is_nondegenerate():
         raise PreconditionError("form must be nondegenerate")
     p = q.field.p
-    _, index, _, gm = _witt_rows(q._rows, p, seed)
+    _, index, _, gm = _witt_rows(q._rows, p)
     if index != n // 2:
         raise NotSplit(f"form is not split: Witt index {index} < {n // 2}")
     a = LinearMatrix._of_cells(q.field, model.size, n, model.cells, model.pf,
@@ -452,22 +388,22 @@ def _express(q: QuadraticForm, n: int, seed: int, who: str) -> LinearMatrix:
     return a
 
 
-def express_as_2x2_det(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
+def express_as_2x2_det(q: QuadraticForm) -> LinearMatrix:
     """Write a split 4-variable form over F_p as det of a 2x2 linear matrix.
 
     Returns A(x) with det A(x) = q(x) identically (checked; a mismatch raises
     VerificationFailure).  Raises NotSplit when the form has Witt index < 2
     (equivalently: non-square discriminant class).
     """
-    return _express(q, 4, seed, "express_as_2x2_det")
+    return _express(q, 4, "express_as_2x2_det")
 
 
-def express_as_pfaffian(q: QuadraticForm, seed: int = 0) -> LinearMatrix:
+def express_as_pfaffian(q: QuadraticForm) -> LinearMatrix:
     """Write a 6-variable form isometric to the Klein form as Pf of an
     alternating 4x4 linear matrix, with Pf(A(x)) = q(x) identically
     (checked; a mismatch raises VerificationFailure).  Raises NotSplit when
     the form has Witt index < 3."""
-    return _express(q, 6, seed, "express_as_pfaffian")
+    return _express(q, 6, "express_as_pfaffian")
 
 
 __all__ = [

@@ -3,7 +3,8 @@
 Everything here recomputes results by a different route than the library:
 permutation-sum determinants, direct cofactor recursion, perfect-matching
 Pfaffians, boxed span solves, term-by-term convolution, cross-ratio j-invariants, exhaustive
-isotropic searches, a textbook Gauss-Jordan on Fractions or ints mod p
+isotropic searches, the Witt index by the discriminant-class rule
+(``witt_index_by_class``), a textbook Gauss-Jordan on Fractions or ints mod p
 (``gauss_jordan``), boxed sweeps of P^3 and P^2 for point counts and
 singular points, an int point-by-point sweep of P^2 for singular points,
 and univariate Euclid gcds, squarefree tests and
@@ -32,7 +33,7 @@ from itertools import permutations
 from math import gcd
 
 from k3lab import (QQ, LinearMatrix, MultiPoly, OverlatticeSpec, PreconditionError,
-                   QuadraticForm, k3_lattice, linalg, overlattice, quadforms)
+                   QuadraticForm, k3_lattice, linalg, overlattice)
 from k3lab.lattices import e8_gram, hnf_row_basis, l_zero_basis
 
 
@@ -280,6 +281,18 @@ def witt_index_exhaustive(q, stop_at=None):
 
     extend([], iso)
     return best
+
+
+def witt_index_by_class(q):
+    """The Witt index of a nondegenerate form over F_p from its dimension n
+    and discriminant class (Lidl-Niederreiter, *Finite Fields*, ch. 6):
+    (n - 1) / 2 for odd n; for even n, n / 2 when (-1)^(n/2) det is a
+    square, else n / 2 - 1.  The determinant is a permutation sum."""
+    p, n = q.field.p, q.n
+    if n % 2:
+        return (n - 1) // 2
+    d = (-1) ** (n // 2) * scalar_leibniz_det(q.field, q.gram).v
+    return n // 2 if pow(d % p, (p - 1) // 2, p) == 1 else n // 2 - 1
 
 
 def _dependent_on(field, chosen, v):
@@ -587,30 +600,6 @@ def uni_resultant(field, f, g):
     for i in range(m):
         rows.append([field.zero] * i + gd + [field.zero] * (size - i - len(gd)))
     return linalg.det(field, rows)
-
-
-def witt_rows_by_products(g, p, seed):
-    """(cols, h, sub) of a Witt split of the int Gram rows g mod p, taking
-    each orthogonal complement as a general kernel (``linalg.int_nullspace``)
-    and its basis and Gram rows as general products (``linalg.int_mul``).
-    The isotropic vectors come from the library's own search."""
-    n, half = len(g), (p + 1) // 2
-    embed = [[int(i == j) for j in range(n)] for i in range(n)]
-    sub, planes = [list(row) for row in g], []
-    while True:
-        v = quadforms._isotropic_rows(sub, p, seed)
-        if v is None:
-            return planes + embed, len(planes) // 2, sub
-        gv = linalg.int_mul(sub, [[x] for x in v], p)
-        j = next(i for i, (x,) in enumerate(gv) if x)
-        s = half * pow(gv[j][0], -1, p) % p
-        u = [-sub[j][j] * s * s * x % p for x in v]
-        u[j] = (u[j] + s) % p
-        gu = linalg.int_mul(sub, [[x] for x in u], p)
-        planes += linalg.int_mul([v, u], embed, p)
-        comp = linalg.int_nullspace([[x for (x,) in gv], [x for (x,) in gu]], len(sub), p)[0]
-        embed = linalg.int_mul(comp, embed, p)
-        sub = linalg.int_mul(comp, linalg.int_mul(sub, [list(c) for c in zip(*comp)], p), p)
 
 
 def model_rows_by_inverse(p, cols, target_cols):

@@ -7,7 +7,12 @@ of F_5^n.  The int kernels are also checked over ZZ, GF(3), GF(13) and
 GF(2**31 - 1) against a textbook Gauss-Jordan, on the inputs where the
 elimination leaves rows untouched and rescales them late: permuted
 diagonal and block-diagonal matrices, zero rows and columns, rank-deficient
-and augmented systems, and Kronecker points.  Seeds and sizes are fixed.
+and augmented systems, and Kronecker points.  Witt splits are checked by
+their transport in plain arithmetic, their Witt index against a maximal
+totally isotropic subspace found by exhaustive search and against the
+discriminant-class rule, and their residual against an exhaustive isotropic
+search, on dense, zero-diagonal, hyperbolic and one-class diagonal forms at
+primes p = 1 and 3 mod 4.  Seeds and sizes are fixed.
 """
 
 import random
@@ -18,8 +23,9 @@ from operator import mul
 import pytest
 
 from k3lab import GF, QQ, MultiPoly, QuadraticForm, SingularMatrix, linalg, witt_split
-from oracles import (block_sum, cofactor_det, gauss_jordan, hyperbolic_form,
-                     row_reduction_rank, scalar_leibniz_det)
+from oracles import (block_sum, cofactor_det, exhaustive_isotropic, gauss_jordan,
+                     hyperbolic_form, row_reduction_rank, scalar_leibniz_det,
+                     witt_index_by_class, witt_index_exhaustive)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -261,12 +267,12 @@ def test_congruence_diagonalize_checked_in_plain_arithmetic(field):
                 assert row_reduction_rank(field, d) == row_reduction_rank(field, g)
 
 
-def assert_witt_transport(q, seed):
+def assert_witt_transport(q):
     """witt_split(q) has h planes and a residual of dimension <= 2, and its
     matrix M carries the Gram matrix G of q to the split normal form:
     M^T G M is h blocks [[0, 1/2], [1/2, 0]] followed by the residual's Gram."""
     field, n = q.field, q.n
-    dec = witt_split(q, seed=seed)
+    dec = witt_split(q)
     h, r = dec.h, dec.residual.n
     assert 2 * h + r == n and r <= 2
     target = [[0] * n for _ in range(n)]
@@ -284,7 +290,7 @@ def assert_witt_transport(q, seed):
 def test_witt_split_transports_the_gram_exactly(p):
     field = GF(p)
     for planes in (1, 2, 3):
-        assert assert_witt_transport(hyperbolic_form(field, planes), 0).h == planes
+        assert assert_witt_transport(hyperbolic_form(field, planes)).h == planes
     rng = random.Random(12)
     for n in range(2, 7):
         done = 0
@@ -292,8 +298,50 @@ def test_witt_split_transports_the_gram_exactly(p):
             q = QuadraticForm(rand_symmetric(rng, field, n), field)
             if not q.is_nondegenerate():
                 continue
-            assert_witt_transport(q, done)
+            assert_witt_transport(q)
             done += 1
+
+
+def witt_cases(rng, field, n):
+    """Nondegenerate n-variable forms over F_p that take every step of the
+    Witt split: a dense form, a form with a zero diagonal (the zero-pivot
+    repair, n >= 2), two diagonal forms whose entries all share one
+    quadratic class, squares and non-squares (the flip when -1 is a
+    non-square), and for even n the hyperbolic form."""
+    p = field.p
+    non_square = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    cases = [QuadraticForm([[c * rng.randrange(1, p) ** 2 if i == j else 0 for j in range(n)]
+                            for i in range(n)], field) for c in (1, non_square)]
+    for zero_diagonal in (False, True) if n > 1 else (False,):
+        while True:
+            q = QuadraticForm(rand_symmetric(rng, field, n, zero_diagonal), field)
+            if q.is_nondegenerate():
+                cases.append(q)
+                break
+    if n % 2 == 0:
+        cases.append(hyperbolic_form(field, n // 2))
+    return cases
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_witt_index_against_maximal_isotropic_subspaces(p):
+    field, rng = GF(p), random.Random(13)
+    for n in range(1, 5):
+        for q in witt_cases(rng, field, n):
+            dec = assert_witt_transport(q)
+            assert dec.h == witt_index_exhaustive(q, stop_at=n // 2)
+            assert exhaustive_isotropic(dec.residual) == []
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 1009, 2**31 - 1))
+def test_witt_index_against_discriminant_class(p):
+    field, rng = GF(p), random.Random(14)
+    for n in range(1, 7):
+        for q in witt_cases(rng, field, n):
+            dec = assert_witt_transport(q)
+            assert dec.h == witt_index_by_class(q)
+            if p <= 13:
+                assert exhaustive_isotropic(dec.residual) == []
 
 
 # -- the int kernels on sparse, deficient and huge-entry inputs ---------------------------

@@ -117,7 +117,7 @@ def test_isotropic_random_ternary():
         F = GF(p)
         for _ in range(15):
             q = rand_form(rng, F, 3, nondegenerate=True)
-            v = isotropic_vector(q, seed=1)
+            v = isotropic_vector(q)
             assert v is not None and any(v) and q.eval(v) == 0
 
 
@@ -128,7 +128,7 @@ def test_isotropic_never_none_for_n_at_least_three():
         for n in (3, 4, 5, 6):
             for _ in range(6):
                 q = rand_form(rng, F, n, nondegenerate=True)
-                assert isotropic_vector(q, seed=2) is not None
+                assert isotropic_vector(q) is not None
 
 
 def test_isotropic_requires_nondegenerate():
@@ -151,18 +151,18 @@ def test_isotropic_binary_iff_minus_disc_square():
 
 
 def test_isotropic_large_prime():
-    # p = 2**31 - 1: the seeded solve for the last coordinate needs no
-    # search over the field; q(v) is re-evaluated here with plain ints
+    # p = 2**31 - 1: the Witt split needs no search over the field; q(v)
+    # is re-evaluated here with plain ints
     p = 2**31 - 1
     F = GF(p)
     rng = random.Random(50)
     for n in (3, 4, 5, 6):
-        for k in range(5):
+        for _ in range(5):
             while True:
                 q = QuadraticForm(rand_sym_gram(rng, F, n, 0, p - 1), F)
                 if q.is_nondegenerate():
                     break
-            v = isotropic_vector(q, seed=k)
+            v = isotropic_vector(q)
             assert v is not None and any(v)
             g = [[x.v for x in row] for row in q.gram]
             w = [x.v for x in v]
@@ -201,18 +201,13 @@ def test_witt_rejects_degenerate():
 
 
 def test_witt_split_check_catches_a_bad_isotropic_vector(monkeypatch):
-    # a non-isotropic first vector leaves an invertible but wrong change of
-    # basis, which the explicit Gram-transport check must catch, also under -O
+    # a wrong square root t makes v = b_i + t b_j non-isotropic and leaves an
+    # invertible but wrong change of basis, which the explicit Gram-transport
+    # check must catch, also under -O
     from k3lab import quadforms
 
-    real = quadforms._isotropic_rows
-
-    def not_isotropic(g, p, seed):
-        if len(g) == 4:
-            return [1, 1, 0, 0]
-        return real(g, p, seed)
-
-    monkeypatch.setattr(quadforms, "_isotropic_rows", not_isotropic)
+    real = quadforms.sqrt_mod
+    monkeypatch.setattr(quadforms, "sqrt_mod", lambda a, p: (real(a, p) + 1) % p)
     with pytest.raises(VerificationFailure):
         witt_split(diag_form([1, 2, 3, 4], GF(7)))
 
@@ -319,7 +314,7 @@ def test_express_2x2_random_split_forms():
             q = rand_form(rng, F, 4, nondegenerate=True)
             if F.legendre(q.disc()) != 1:
                 continue
-            a = express_as_2x2_det(q, seed=done)
+            a = express_as_2x2_det(q)
             assert (a.det_poly() - form_poly(q)).is_zero()
             done += 1
 
@@ -364,7 +359,7 @@ def test_express_pfaffian_random_split_forms():
             q = rand_form(rng, F, 6, nondegenerate=True)
             if F.legendre(q.disc()) != klein_class:
                 continue
-            a = express_as_pfaffian(q, seed=done)
+            a = express_as_pfaffian(q)
             assert (a.pfaffian_poly() - form_poly(q)).is_zero()
             done += 1
 

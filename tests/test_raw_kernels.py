@@ -1,10 +1,11 @@
 """The sampler's sparse and inverse-free kernels, and raw-loaded forms,
 against the general routes they replace.
 
-* ``quadforms._complement`` (the orthogonal complement of one hyperbolic
-  plane as row operations) against ``linalg.int_nullspace`` and two
-  ``linalg.int_mul`` products, and whole Witt splits against a split that
-  takes every complement that way (``oracles.witt_rows_by_products``);
+* ``linalg.int_congruence`` (the symmetric elimination behind the Witt
+  split): after each pivot the remaining basis vectors span the orthogonal
+  complement of the pivots so far, which ``linalg.int_nullspace`` gives as
+  a kernel; whole Witt splits against ``linalg.int_mul`` products of their
+  basis;
 * ``quadforms._model_rows`` (M_q^-1 as the dual basis H^-1 (G M_q)^T)
   against ``linalg.int_inverse``;
 * the determinant ``sample_point`` hands to ``QuadraticForm._of_rows``
@@ -13,8 +14,8 @@ against the general routes they replace.
   per-entry oracle: ``gram``, ``reduce_mod`` and the ``BadPrime`` text.
 
 Seeds and sizes are fixed.  The primes include 3 and 5, where the tiny-field
-paths run; the searches are also run with no seeded draws, so that their
-fallbacks (the base-point sweep, the isotropic search's conic) run.
+paths run; the sampler is also run with no seeded draws, so that its
+base-point sweep runs.
 """
 
 import json
@@ -27,24 +28,18 @@ from k3lab import (GF, QQ, BadPrime, BadReduction, GFElement, NetOfQuadrics,
                    NoSplitMember, PencilOfQuadrics, PreconditionError,
                    QuadraticForm, discriminant_poly, linalg, sample_point)
 from k3lab import cli, construction, quadforms
-from oracles import (boxed_reduce, model_form, model_rows_by_inverse, scalar_leibniz_det,
-                     witt_rows_by_products)
+from oracles import boxed_reduce, model_form, model_rows_by_inverse, scalar_leibniz_det
 
 PRIMES = (3, 5, 7, 13, 1009, 2**31 - 1)
 
 
 @pytest.fixture
 def fallback(request, monkeypatch):
-    """None, or the fallback that runs when the seeded draws are taken away:
-    "sweep" (of base points) or "conic" (the isotropic search's).  The
-    cached target bases are rebuilt either way."""
+    """None, or "sweep": the base-point sweep that runs when the seeded
+    draws are taken away."""
     if request.param == "sweep":
         monkeypatch.setattr(construction, "SEEDED_DRAWS", 0)
-    elif request.param == "conic":
-        monkeypatch.setattr(quadforms, "SEEDED_DRAWS", 0)
-    quadforms._target_split.cache_clear()
-    yield request.param
-    quadforms._target_split.cache_clear()
+    return request.param
 
 
 def rand_rows(rng, p, nrows, ncols):
@@ -56,9 +51,12 @@ def rand_sym(rng, p, n):
     return [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
 
 
-def nondegenerate(rng, p, n):
+def nondegenerate(rng, p, n, zero_diagonal=False):
     while True:
         g = rand_sym(rng, p, n)
+        if zero_diagonal:
+            for i in range(n):
+                g[i][i] = 0
         if linalg.int_det(g, p):
             return g
 
@@ -76,43 +74,51 @@ def split_rows(rng, p, n):
 @pytest.mark.parametrize("p", PRIMES)
 def test_complement_against_nullspace_products(p):
     rng = random.Random(911)
-    for m in range(2, 7):
-        for n in (m, 6):
-            for _ in range(4):
-                while True:
-                    gv, gu = rand_rows(rng, p, 2, m)
-                    if linalg.int_rank([gv, gu], p) == 2:
-                        break
-                embed, sub = rand_rows(rng, p, m, n), rand_sym(rng, p, m)
-                comp = linalg.int_nullspace([gv, gu], m, p)[0]
-                want_sub = linalg.int_mul(
-                    comp, linalg.int_mul(sub, [list(c) for c in zip(*comp)], p), p)
-                got = quadforms._complement(list(gv), list(gu), embed, sub, p)
-                assert got == (linalg.int_mul(comp, embed, p), want_sub)
-
-
-@pytest.mark.parametrize("fallback", [None, "conic"], indirect=True)
-@pytest.mark.parametrize("p", PRIMES)
-def test_witt_rows_against_product_route(p, fallback):
-    rng = random.Random(912)
     for n in range(2, 7):
-        for seed in range(3):
-            g = nondegenerate(rng, p, n)
-            cols, h, sub, gm = quadforms._witt_rows(g, p, seed)
-            assert (cols, h, sub) == witt_rows_by_products(g, p, seed)
-            assert gm == linalg.int_mul(g, [list(c) for c in zip(*cols)], p)
+        for zero_diagonal in (False, True):
+            for _ in range(4):
+                g = nondegenerate(rng, p, n, zero_diagonal)
+                basis, diag = linalg.int_congruence([list(row) for row in g], p)
+                gb = linalg.int_mul(basis, g, p)  # the rows b_i^T G
+                assert linalg.int_mul(gb, [list(c) for c in zip(*basis)], p) == [
+                    [diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+                for k in range(n - 1):
+                    # b_(k+1), ..., b_(n-1) span the kernel of b_0^T G, ..., b_k^T G
+                    comp = linalg.int_nullspace(gb[:k + 1], n, p)[0]
+                    assert len(comp) == n - k - 1
+                    assert linalg.int_rank(comp + basis[k + 1:], p) == n - k - 1
 
 
-@pytest.mark.parametrize("fallback", [None, "conic"], indirect=True)
 @pytest.mark.parametrize("p", PRIMES)
-def test_model_rows_against_int_inverse(p, fallback):
+def test_witt_rows_against_product_route(p):
+    rng = random.Random(912)
+    for n in range(1, 7):
+        for _ in range(3):
+            g = nondegenerate(rng, p, n)
+            cols, h, sub, gm = quadforms._witt_rows(g, p)
+            assert gm == linalg.int_mul(g, [list(c) for c in zip(*cols)], p)
+            k = 2 * h
+            normal = linalg.int_mul(cols, gm, p)
+            for i in range(0, k, 2):
+                assert normal[i][:k] == [(p + 1) // 2 if j == i + 1 else 0 for j in range(k)]
+                assert normal[i + 1][:k] == [(p + 1) // 2 if j == i else 0 for j in range(k)]
+            assert [row[k:] for row in normal[k:]] == sub
+            # the residual is diagonal and anisotropic: -d1 d2 is a non-square
+            assert len(sub) <= 2 and all(sub[i][j] == 0 for i in range(len(sub))
+                                         for j in range(len(sub)) if i != j)
+            if len(sub) == 2:
+                assert pow(-sub[0][0] * sub[1][1] % p, (p - 1) // 2, p) == p - 1
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_model_rows_against_int_inverse(p):
     rng = random.Random(913)
     for n in (4, 6):
         target = model_form(GF(p), n)
-        target_cols = quadforms._witt_rows(target._rows, p, 0)[0]
-        for seed in range(4):
+        target_cols = quadforms._witt_rows(target._rows, p)[0]
+        for _ in range(4):
             g = split_rows(rng, p, n)
-            cols, h, _, gm = quadforms._witt_rows(g, p, seed)
+            cols, h, _, gm = quadforms._witt_rows(g, p)
             assert h == n // 2
             m_q_inv = linalg.int_inverse([list(r) for r in zip(*cols)], p)[0]
             # the dual basis: row 2k is 2 G u_k, row 2k + 1 is 2 G v_k
@@ -143,7 +149,7 @@ SYSTEMS = (
 )
 
 
-@pytest.mark.parametrize("fallback", [None, "sweep", "conic"], indirect=True)
+@pytest.mark.parametrize("fallback", [None, "sweep"], indirect=True)
 @pytest.mark.parametrize("p", PRIMES)
 def test_sampled_member_disc_is_int_det(p, fallback, monkeypatch):
     calls = []

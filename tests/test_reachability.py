@@ -68,8 +68,9 @@ ALLOWLIST = {
     # kernels of the boxed solvers above, and the general routes of the oracles
     "linalg.int_inverse": "the int kernel of linalg.inverse; the general "
                           "route of oracles.model_rows_by_inverse",
-    "linalg.int_nullspace": "the int kernel of linalg.nullspace; the general "
-                            "route of oracles.witt_rows_by_products",
+    "linalg.int_nullspace": "the int kernel of linalg.nullspace; the kernel "
+                            "route of the symmetric elimination's complements "
+                            "in test_raw_kernels",
     # entry points and error paths no command of the set takes
     "cli.main_entry": "the console script; runs cli.main in a new process",
     "cli._VerificationExit.__init__": "raised only when a sampled identity is "

@@ -1,11 +1,16 @@
 """The base-point sampler: its seed -> sample mapping and its split filter.
 
-``GOLDEN`` pins ``sample_point(system, p, seed)`` (base point, and a digest of
-the model's coefficient representatives) as the boxed sampler produced it,
-so a faster sampler has to reproduce every sample exactly.  The filter test
-checks the sampler's int member determinant and its split decision against
-the boxed route (``discriminant_poly``, the member summed on boxed
-scalars, ``is_split``) on every point of P^k(F_p).
+``GOLDEN`` pins ``sample_point(system, p, seed)``: the base point, as the
+boxed sampler first drew it, and a digest of the model's coefficient
+representatives, which the Witt split by one symmetric elimination fixes
+once the base point is drawn.  So a faster sampler has to reproduce every
+sample exactly.  Besides the seeded draws, the cases cover the base-point
+sweep, the flip of the Witt split (a member at p = 3 mod 4 whose diagonal
+entries share one quadratic class) and its zero-pivot repair (a member
+with a zero first diagonal entry).  The filter test checks the sampler's
+int member determinant and its split decision against the boxed route
+(``discriminant_poly``, the member summed on boxed scalars, ``is_split``)
+on every point of P^k(F_p).
 """
 
 import hashlib
@@ -59,72 +64,83 @@ def snapshot(system, p, seed):
 
 
 def golden_cases():
-    """(case id, system name, p, seed, forced fallback) for every golden."""
+    """(case id, system name, p, seed, path) for every golden; the path is
+    None for a seeded draw, or "sweep", "flip" or "repair"."""
     cases = [(f"{name}-p{p}-s{seed}", name, p, seed, None)
              for name in SYSTEMS for p in GOLDEN_PRIMES for seed in (0, 5)]
     for name in ("dense-pencil", "dense-net"):
         cases.append((f"{name}-p13-s3-sweep", name, 13, 3, "sweep"))
-        cases.append((f"{name}-p13-s3-conic", name, 13, 3, "conic"))
-        cases.append((f"{name}-p1009-s4-conic", name, 1009, 4, "conic"))
+    cases += [("diag-pencil-p11-s1-flip", "diag-pencil", 11, 1, "flip"),
+              ("dense-pencil-p7-s6-flip", "dense-pencil", 7, 6, "flip"),
+              ("dense-pencil-p11-s0-repair", "dense-pencil", 11, 0, "repair"),
+              ("dense-net-p13-s36-repair", "dense-net", 13, 36, "repair")]
     return cases
 
 
-def force(monkeypatch, fallback):
-    """No seeded base-point draws (the sweep runs) or no seeded isotropic
-    draws (the conic fallback runs)."""
-    if fallback == "sweep":
-        monkeypatch.setattr(construction, "SEEDED_DRAWS", 0)
-    elif fallback == "conic":
-        monkeypatch.setattr(quadforms, "SEEDED_DRAWS", 0)
+def assert_path_runs(system, p, seed, path):
+    """The sampled member takes the Witt split's flip (all its diagonal
+    entries in one quadratic class, -1 a non-square) or its zero-pivot
+    repair (a zero first diagonal entry)."""
+    grams = [q._rows for q in system.reduce_mod(p).forms]
+    g = member_rows(grams, [x.v for x in sample_point(system, p, seed).base_point], p)
+    if path == "flip":
+        _, diag = linalg.int_congruence([list(row) for row in g], p)
+        assert p % 4 == 3 and len({pow(d, (p - 1) // 2, p) for d in diag}) == 1
+    elif path == "repair":
+        assert g[0][0] == 0 and any(g[0])
 
 
-# Captured from the boxed sampler (the member's GFElement Gram, MultiPoly.eval
-# of the discriminant on every draw, a QuadraticForm per Witt subform).
+# Base points captured from the boxed sampler (the member's GFElement Gram,
+# MultiPoly.eval of the discriminant on every draw); digests from the Witt
+# split by symmetric elimination.
 GOLDEN = {
-    'diag-pencil-p7-s0': [[1, 4], '4e9eaf18bd01099a'],
-    'diag-pencil-p7-s5': [[1, 4], '0eab2a33f6e36b5d'],
-    'diag-pencil-p13-s0': [[1, 2], '4e1c612b954edae5'],
-    'diag-pencil-p13-s5': [[1, 2], '847f256110b32322'],
-    'diag-pencil-p1009-s0': [[1, 213], '5099680484975b35'],
-    'diag-pencil-p1009-s5': [[1, 51], '381b8b8406858d68'],
-    'diag-pencil-p2147483647-s0': [[1, 1609340602], '94e472f2d9e3f33a'],
-    'diag-pencil-p2147483647-s5': [[1, 771568937], '55fecca7894fd4f7'],
-    'diag-net-p7-s0': [[1, 4, 1], 'afbea8ff4a13f436'],
-    'diag-net-p7-s5': [[1, 3, 6], '1a8050fdc3611b51'],
-    'diag-net-p13-s0': [[1, 2, 1], '83a74e40b1c566b8'],
-    'diag-net-p13-s5': [[1, 8, 9], 'db13a66cf446a7e8'],
-    'diag-net-p1009-s0': [[1, 213, 440], '5fc03d65e0a780bb'],
-    'diag-net-p1009-s5': [[1, 882, 714], '2f167314507acd76'],
-    'diag-net-p2147483647-s0': [[1, 75148233, 459499349], '0dee0ba4c463aadb'],
-    'diag-net-p2147483647-s5': [[1, 1611456672, 886168250], 'cad5556f9c4c9260'],
-    'dense-pencil-p7-s0': [[1, 4], 'b807956600c6806a'],
-    'dense-pencil-p7-s5': [[1, 4], '52d4abf0463a142a'],
-    'dense-pencil-p13-s0': [[1, 0], '8b9a8f6aaba461d6'],
-    'dense-pencil-p13-s5': [[1, 8], '664b841f5af79b0d'],
-    'dense-pencil-p1009-s0': [[1, 213], '1cbbbabeb8dac3ef'],
-    'dense-pencil-p1009-s5': [[1, 51], 'd2dd33fbafe4dc50'],
-    'dense-pencil-p2147483647-s0': [[1, 1609340602], '6199c32cb6f78e76'],
-    'dense-pencil-p2147483647-s5': [[1, 1074650977], 'b9e08a65f0cc354e'],
-    'dense-net-p7-s0': [[1, 4, 1], 'f861a193648261b6'],
-    'dense-net-p7-s5': [[1, 4, 3], '1022ebbbe845ba7b'],
-    'dense-net-p13-s0': [[0, 1, 2], '4a54f08c0abb0593'],
-    'dense-net-p13-s5': [[1, 5, 10], '76808b26a01837c9'],
-    'dense-net-p1009-s0': [[1, 213, 440], '4f5ccd0895410f30'],
-    'dense-net-p1009-s5': [[1, 308, 86], 'e3a1515fb0329c7a'],
-    'dense-net-p2147483647-s0': [[1, 1609340602, 1780236489], '0f47338d472aafdc'],
-    'dense-net-p2147483647-s5': [[1, 1611456672, 886168250], 'fe4374faef2f0cd0'],
-    'dense-pencil-p13-s3-sweep': [[1, 0], '86e5385ec6c14e7f'],
-    'dense-pencil-p13-s3-conic': [[1, 3], 'a5a910925650f573'],
-    'dense-pencil-p1009-s4-conic': [[1, 119], 'c4a270451db1a067'],
-    'dense-net-p13-s3-sweep': [[1, 8, 0], '205423e07bb1bee1'],
-    'dense-net-p13-s3-conic': [[1, 8, 3], '779a97aaa7536e63'],
-    'dense-net-p1009-s4-conic': [[1, 382, 512], 'd1b1d975e8ccebbd'],
+    'diag-pencil-p7-s0': [[1, 4], 'e18e82b72e658d6d'],
+    'diag-pencil-p7-s5': [[1, 4], 'e18e82b72e658d6d'],
+    'diag-pencil-p13-s0': [[1, 2], 'd0683184c659ae75'],
+    'diag-pencil-p13-s5': [[1, 2], 'd0683184c659ae75'],
+    'diag-pencil-p1009-s0': [[1, 213], 'd9bc5d3fd0d52824'],
+    'diag-pencil-p1009-s5': [[1, 51], 'f81947369edfe45a'],
+    'diag-pencil-p2147483647-s0': [[1, 1609340602], '877a88c95215c284'],
+    'diag-pencil-p2147483647-s5': [[1, 771568937], 'b00c401a3fdccf4d'],
+    'diag-net-p7-s0': [[1, 4, 1], 'e8ff8ebfbd2f6803'],
+    'diag-net-p7-s5': [[1, 3, 6], '102ee7b9e9f146c7'],
+    'diag-net-p13-s0': [[1, 2, 1], 'f001d3ff25c92783'],
+    'diag-net-p13-s5': [[1, 8, 9], '01615e348dfd8616'],
+    'diag-net-p1009-s0': [[1, 213, 440], 'ec128bd94b38f641'],
+    'diag-net-p1009-s5': [[1, 882, 714], '3425bd7e95d7f539'],
+    'diag-net-p2147483647-s0': [[1, 75148233, 459499349], 'df25a884286ea7cf'],
+    'diag-net-p2147483647-s5': [[1, 1611456672, 886168250], '277a3d14c5b2cd98'],
+    'dense-pencil-p7-s0': [[1, 4], '8e649554eeba86c0'],
+    'dense-pencil-p7-s5': [[1, 4], '8e649554eeba86c0'],
+    'dense-pencil-p13-s0': [[1, 0], '77d8ce34daa44db3'],
+    'dense-pencil-p13-s5': [[1, 8], '75d65b77e5bc3ee2'],
+    'dense-pencil-p1009-s0': [[1, 213], '3cecf9314a82741b'],
+    'dense-pencil-p1009-s5': [[1, 51], 'a45f5880995c7077'],
+    'dense-pencil-p2147483647-s0': [[1, 1609340602], '6839f0302ebe585f'],
+    'dense-pencil-p2147483647-s5': [[1, 1074650977], '712bccaa5ad332bd'],
+    'dense-net-p7-s0': [[1, 4, 1], '60d0f8de062c8583'],
+    'dense-net-p7-s5': [[1, 4, 3], '2ccad005485b9865'],
+    'dense-net-p13-s0': [[0, 1, 2], 'fe281c22ce22f472'],
+    'dense-net-p13-s5': [[1, 5, 10], '29c9764183cc06a0'],
+    'dense-net-p1009-s0': [[1, 213, 440], 'ad176f3c268c688b'],
+    'dense-net-p1009-s5': [[1, 308, 86], 'a50e28a2895df93e'],
+    'dense-net-p2147483647-s0': [[1, 1609340602, 1780236489], 'b5f11da9098de9e2'],
+    'dense-net-p2147483647-s5': [[1, 1611456672, 886168250], 'c4cca429ee9511de'],
+    'dense-pencil-p13-s3-sweep': [[1, 0], '77d8ce34daa44db3'],
+    'dense-net-p13-s3-sweep': [[1, 8, 0], '8e51f28c605f1797'],
+    'diag-pencil-p11-s1-flip': [[1, 0], '8a0dc5aaf49cffe4'],
+    'dense-pencil-p7-s6-flip': [[1, 3], '37dc24346a6f0548'],
+    'dense-pencil-p11-s0-repair': [[1, 1], 'a3db764dc3457ea2'],
+    'dense-net-p13-s36-repair': [[1, 0, 8], '9b49cf2c19dd00c8'],
 }
 
 
-@pytest.mark.parametrize("case, name, p, seed, fallback", golden_cases())
-def test_seed_to_sample_mapping_is_pinned(monkeypatch, case, name, p, seed, fallback):
-    force(monkeypatch, fallback)
+@pytest.mark.parametrize("case, name, p, seed, path", golden_cases())
+def test_seed_to_sample_mapping_is_pinned(monkeypatch, case, name, p, seed, path):
+    if path == "sweep":
+        monkeypatch.setattr(construction, "SEEDED_DRAWS", 0)
+    elif path:
+        assert_path_runs(SYSTEMS[name], p, seed, path)
     assert list(snapshot(SYSTEMS[name], p, seed)) == GOLDEN[case]
 
 
