@@ -15,12 +15,16 @@ against the general routes they replace.
 
 Seeds and sizes are fixed.  The primes include 3 and 5, where the tiny-field
 paths run; the sampler is also run with no seeded draws, so that its
-base-point sweep runs.
+base-point sweep runs.  The Witt splits also run on diagonal forms whose
+entries share one quadratic class (the ``conic`` family): when -1 is a
+non-square, only the split's flip, which solves the conic
+a x^2 + b y^2 = -a, pairs their entries.
 """
 
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -28,7 +32,9 @@ from k3lab import (GF, QQ, BadPrime, BadReduction, GFElement, NetOfQuadrics,
                    NoSplitMember, PencilOfQuadrics, PreconditionError,
                    QuadraticForm, discriminant_poly, linalg, sample_point)
 from k3lab import cli, construction, quadforms
-from oracles import boxed_reduce, model_form, model_rows_by_inverse, scalar_leibniz_det
+from k3lab.scalars import chi_mod
+from oracles import (boxed_reduce, model_form, model_rows_by_inverse, scalar_leibniz_det,
+                     witt_index_by_class)
 
 PRIMES = (3, 5, 7, 13, 1009, 2**31 - 1)
 
@@ -61,6 +67,23 @@ def nondegenerate(rng, p, n, zero_diagonal=False):
             return g
 
 
+def one_class_diagonal(rng, p, n, split=False):
+    """A diagonal form mod p whose n entries share one quadratic class; with
+    ``split``, its last entry takes the other class where one class alone
+    gives no split form (n = 6, -1 a non-square)."""
+    def entry(c):
+        while True:
+            x = rng.randrange(1, p)
+            if chi_mod(x, p) == c:
+                return x
+
+    c = rng.choice((1, -1))
+    d = [entry(c) for _ in range(n)]
+    if split and not quadforms._split_det(prod(d), n, p):
+        d[-1] = entry(-c)
+    return [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def split_rows(rng, p, n):
     """A seeded split n-variable form mod p: m^T T m for the target T and
     an invertible m."""
@@ -89,13 +112,15 @@ def test_complement_against_nullspace_products(p):
                     assert linalg.int_rank(comp + basis[k + 1:], p) == n - k - 1
 
 
+@pytest.mark.parametrize("family", [None, "conic"])
 @pytest.mark.parametrize("p", PRIMES)
-def test_witt_rows_against_product_route(p):
+def test_witt_rows_against_product_route(p, family):
     rng = random.Random(912)
     for n in range(1, 7):
         for _ in range(3):
-            g = nondegenerate(rng, p, n)
+            g = nondegenerate(rng, p, n) if family is None else one_class_diagonal(rng, p, n)
             cols, h, sub, gm = quadforms._witt_rows(g, p)
+            assert h == witt_index_by_class(QuadraticForm(g, GF(p)))
             assert gm == linalg.int_mul(g, [list(c) for c in zip(*cols)], p)
             k = 2 * h
             normal = linalg.int_mul(cols, gm, p)
@@ -110,14 +135,15 @@ def test_witt_rows_against_product_route(p):
                 assert pow(-sub[0][0] * sub[1][1] % p, (p - 1) // 2, p) == p - 1
 
 
+@pytest.mark.parametrize("family", [None, "conic"])
 @pytest.mark.parametrize("p", PRIMES)
-def test_model_rows_against_int_inverse(p):
+def test_model_rows_against_int_inverse(p, family):
     rng = random.Random(913)
     for n in (4, 6):
         target = model_form(GF(p), n)
         target_cols = quadforms._witt_rows(target._rows, p)[0]
         for _ in range(4):
-            g = split_rows(rng, p, n)
+            g = split_rows(rng, p, n) if family is None else one_class_diagonal(rng, p, n, True)
             cols, h, _, gm = quadforms._witt_rows(g, p)
             assert h == n // 2
             m_q_inv = linalg.int_inverse([list(r) for r in zip(*cols)], p)[0]

@@ -7,7 +7,10 @@ once the base point is drawn.  So a faster sampler has to reproduce every
 sample exactly.  Besides the seeded draws, the cases cover the base-point
 sweep, the flip of the Witt split (a member at p = 3 mod 4 whose diagonal
 entries share one quadratic class) and its zero-pivot repair (a member
-with a zero first diagonal entry).  The filter test checks the sampler's
+with a zero first diagonal entry).  The four ``conic`` cases were first
+captured with the seeded isotropic draws of an earlier Witt split taken
+away, so that its conic fallback ran; the split now draws nothing, and
+these cases check that the model is the member's own.  The filter test checks the sampler's
 int member determinant and its split decision against the boxed route
 (``discriminant_poly``, the member summed on boxed scalars, ``is_split``)
 on every point of P^k(F_p).
@@ -65,11 +68,13 @@ def snapshot(system, p, seed):
 
 def golden_cases():
     """(case id, system name, p, seed, path) for every golden; the path is
-    None for a seeded draw, or "sweep", "flip" or "repair"."""
+    None for a seeded draw, or "sweep", "conic", "flip" or "repair"."""
     cases = [(f"{name}-p{p}-s{seed}", name, p, seed, None)
              for name in SYSTEMS for p in GOLDEN_PRIMES for seed in (0, 5)]
     for name in ("dense-pencil", "dense-net"):
         cases.append((f"{name}-p13-s3-sweep", name, 13, 3, "sweep"))
+        cases.append((f"{name}-p13-s3-conic", name, 13, 3, "conic"))
+        cases.append((f"{name}-p1009-s4-conic", name, 1009, 4, "conic"))
     cases += [("diag-pencil-p11-s1-flip", "diag-pencil", 11, 1, "flip"),
               ("dense-pencil-p7-s6-flip", "dense-pencil", 7, 6, "flip"),
               ("dense-pencil-p11-s0-repair", "dense-pencil", 11, 0, "repair"),
@@ -78,12 +83,19 @@ def golden_cases():
 
 
 def assert_path_runs(system, p, seed, path):
-    """The sampled member takes the Witt split's flip (all its diagonal
+    """The sample's model is the one its member alone gives ("conic"), or
+    the sampled member takes the Witt split's flip (all its diagonal
     entries in one quadratic class, -1 a non-square) or its zero-pivot
     repair (a zero first diagonal entry)."""
     grams = [q._rows for q in system.reduce_mod(p).forms]
-    g = member_rows(grams, [x.v for x in sample_point(system, p, seed).base_point], p)
-    if path == "flip":
+    pt = sample_point(system, p, seed)
+    g = member_rows(grams, [x.v for x in pt.base_point], p)
+    if path == "conic":
+        express = quadforms.express_as_pfaffian if len(g) == 6 else quadforms.express_as_2x2_det
+        own = express(QuadraticForm(g, GF(p))).coeff_mats
+        assert [[[x.v for x in row] for row in mat] for mat in own] == [
+            [[x.v for x in row] for row in mat] for mat in pt.matrix.coeff_mats]
+    elif path == "flip":
         _, diag = linalg.int_congruence([list(row) for row in g], p)
         assert p % 4 == 3 and len({pow(d, (p - 1) // 2, p) for d in diag}) == 1
     elif path == "repair":
@@ -127,7 +139,11 @@ GOLDEN = {
     'dense-net-p2147483647-s0': [[1, 1609340602, 1780236489], 'b5f11da9098de9e2'],
     'dense-net-p2147483647-s5': [[1, 1611456672, 886168250], 'c4cca429ee9511de'],
     'dense-pencil-p13-s3-sweep': [[1, 0], '77d8ce34daa44db3'],
+    'dense-pencil-p13-s3-conic': [[1, 3], 'b7feb1432c69127b'],
+    'dense-pencil-p1009-s4-conic': [[1, 119], '6228a440fa63c4f0'],
     'dense-net-p13-s3-sweep': [[1, 8, 0], '8e51f28c605f1797'],
+    'dense-net-p13-s3-conic': [[1, 8, 3], 'efc6e2fbc861a5b7'],
+    'dense-net-p1009-s4-conic': [[1, 382, 512], 'c1238b8aecc74b75'],
     'diag-pencil-p11-s1-flip': [[1, 0], '8a0dc5aaf49cffe4'],
     'dense-pencil-p7-s6-flip': [[1, 3], '37dc24346a6f0548'],
     'dense-pencil-p11-s0-repair': [[1, 1], 'a3db764dc3457ea2'],
