@@ -58,9 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise CLIParseError(message)
 
 
+@functools.cache
+def _builtin_text(name: str) -> str:
+    """The text of a bundled data file, read once per process."""
+    return resources.files("k3lab.data").joinpath(name).read_text("utf-8")
+
+
 def _read_json(path: str):
     if path in _BUILTIN_FILES:
-        text = resources.files("k3lab.data").joinpath(_BUILTIN_FILES[path]).read_text("utf-8")
+        text = _builtin_text(_BUILTIN_FILES[path])
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -120,10 +126,19 @@ def _check_keys(doc, what, allowed):
         raise CLIParseError(f"{what} file has an unknown key {bad!r}")
 
 
-def load_system(path: str):
+def load_system(path: str, p=None):
     """A PencilOfQuadrics or NetOfQuadrics from a JSON file or builtin name:
     an object with exactly one of the keys 'pencil' and 'net', and optionally
-    'field'."""
+    'field'.
+
+    Given a prime ``p`` (the construct commands' --p), a system over Q is
+    built straight over GF(p): each Gram matrix is checked on its raw
+    entries and reduced entry by entry, and the one independence check runs
+    mod p, which implies independence over Q.  When that fails (p is not an
+    odd prime below 2**31, divides a denominator, or the forms are dependent
+    mod p), the system is built over Q as without ``p``.  So the errors come
+    in the order of that route: its own, then the caller's checks, then
+    BadPrime and BadReduction when the caller reduces it mod p."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CLIParseError("system file must be a JSON object")
@@ -136,6 +151,13 @@ def load_system(path: str):
             grams = doc[cls.KIND]
             if not isinstance(grams, list) or len(grams) != cls.NFORMS:
                 raise CLIParseError(f"a {cls.KIND} needs exactly {count} Gram matrices")
+            if p is not None and field is QQ:
+                try:
+                    gf = GF(p)
+                    return cls(*(QuadraticForm._rational_mod(_parse_gram(g), gf)
+                                 for g in grams))
+                except PreconditionError:
+                    pass  # the route over Q raises the first error in order
             return cls(*(QuadraticForm(_parse_gram(g), field) for g in grams))
     raise CLIParseError("system file must contain a 'pencil' or 'net' key")
 
@@ -356,7 +378,7 @@ def _run(args):
         return cover if action == "cover" else cover.verdict
 
     if group == "construct":
-        system = load_system(args.system)
+        system = load_system(args.system, args.p)
         if action in ("verify-pencil", "verify-net"):
             if action != f"verify-{system.KIND}":
                 raise PreconditionError(f"{action} got the wrong kind of system")

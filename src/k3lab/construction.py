@@ -24,8 +24,9 @@ it is measured from the first sample and cross-checked on all others.
 Samples are drawn over F_p in three steps, on int Gram rows mod p from
 the draw to the finished Witt split.  A base point lam of P^1 (pencil) or
 P^2 (net) is drawn from a seeded generator as ints, a bounded number of
-times.  Each draw's member sum lam_k G_k is combined on the reduced forms'
-int rows (``systems.member_rows``), and one determinant mod p decides
+times.  Each draw's member sum lam_k G_k is combined from the reduced
+forms' nonzero entries (``systems.member_at``, one dot product per
+position where some form is nonzero), and one determinant mod p decides
 it: that determinant is disc(lam) exactly, and a 2m-dimensional member is
 split iff (-1)^m det is a nonzero square, which Euler's criterion tells.
 So degenerate and non-split members are both skipped before any Witt
@@ -68,7 +69,7 @@ from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
 from .quadforms import (SPLIT_MODELS, QuadraticForm, _split_det, express_as_2x2_det,
                         express_as_pfaffian, matrix_model)
 from .scalars import GF, GFElement, projective_points
-from .systems import QuadricSystem, member_matrix, member_rows, span_rows
+from .systems import QuadricSystem, member_at, member_matrix, span_rows
 
 
 class InvariantData(NamedTuple):
@@ -189,7 +190,6 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     red = _reduced(system, p)
     gf = GF(p)
     dim = len(red.forms) - 1
-    grams = [q._rows for q in red.forms]
     express = express_as_pfaffian if SPLIT_MODELS[red.NVARS].pf else express_as_2x2_det
     rng = random.Random(seed)
     draws = (_random_point(p, dim, rng) for _ in range(SEEDED_DRAWS))
@@ -197,7 +197,7 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
         # det(member) is disc(lam), so one determinant rejects both the
         # degenerate and the non-split members, and is the member's memoized
         # disc for the nondegeneracy check of express_as_*
-        g = member_rows(grams, lam, p)
+        g = member_at(red, lam)
         d = linalg.int_det(g, p)
         if _split_det(d, len(g), p):
             member = QuadraticForm._of_rows(gf, g, GFElement(gf, d))
@@ -264,20 +264,21 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     construction) and must agree with all others; disagreements are
     collected as witnesses rather than raised, so callers can report them.
     Sample i is ``sample_point(system, p, seed + i)``, whose seed draws only
-    its base point.  The system is reduced once; disc(B) is one determinant
-    of the member at B, never an evaluation of the expanded discriminant.
+    its base point.  The system is reduced once, or not at all when it is
+    already over GF(p), as ``construct`` loads it; disc(B) is one
+    determinant of the member at B (``systems.member_at``), never an
+    evaluation of the expanded discriminant.
     """
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")
     red = _reduced(system, p)
-    grams = [q._rows for q in red.forms]
     c = None
     passed, failed = 0, []
     for i in range(count):
         pt = sample_point(red, p, seed + i)
         t = t_invariant(pt.matrix)
         b = [x.v for x in pt.b]
-        disc_b = GFElement(red.field, linalg.int_det(member_rows(grams, b, p), p))
+        disc_b = GFElement(red.field, linalg.int_det(member_at(red, b), p))
         if c is None:
             c = t * t / disc_b
         if t * t == c * disc_b:

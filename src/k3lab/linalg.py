@@ -64,11 +64,12 @@ def int_mul(a, b, p):
 def _eliminate(rows, ncols, p, jordan):
     """Elimination of the int ``rows`` in place, with pivots taken in the
     first ``ncols`` columns; a row whose entry in the pivot column is zero
-    is never touched.  Returns (pivots, d, sign): the pivot columns, d and
-    the sign of the swaps, sign * d being the determinant of a nonsingular
-    square input.  Forward elimination clears the rows below each pivot;
-    with ``jordan`` every other row is cleared, and rows / d is the reduced
-    row echelon form over ZZ, rows itself over GF(p).
+    is never touched, and the scan stops once every row holds a pivot.
+    Returns (pivots, d, sign): the pivot columns, d and the sign of the
+    swaps, sign * d being the determinant of a nonsingular square input.
+    Forward elimination clears the rows below each pivot; with ``jordan``
+    every other row is cleared, and rows / d is the reduced row echelon
+    form over ZZ, rows itself over GF(p).
 
     Over GF(p) it is Gaussian elimination by the pivot's inverse, d is the
     product of the pivots, and ``jordan`` normalizes each pivot row.  Over
@@ -83,6 +84,8 @@ def _eliminate(rows, ncols, p, jordan):
     pivots, prev, sign, q = [], 1, 1, [1] * nrows
     for c in range(ncols):
         r = len(pivots)
+        if r == nrows:  # every row holds a pivot, so no later column can
+            break
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue

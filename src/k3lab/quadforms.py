@@ -67,22 +67,15 @@ class QuadraticForm:
     MAX_DIM = 6
 
     def __init__(self, gram, field=None):
-        rows = [list(r) for r in gram]
-        n = len(rows)
-        if n > self.MAX_DIM:
-            raise PreconditionError(f"quadratic forms limited to dimension {self.MAX_DIM}")
+        rows = _square(gram)
         if field is None:
-            if n == 0:
+            if not rows:
                 raise PreconditionError("dimension-0 form needs an explicit field")
             probe = rows[0][0]
             field = probe.field if hasattr(probe, "field") else QQ
-        if any(len(r) != n for r in rows):
-            raise PreconditionError("Gram matrix must be square")
-        rows = tuple(tuple(_raw(field, x) for x in r) for r in rows)
-        if rows != tuple(zip(*rows)):
-            raise PreconditionError("Gram matrix must be symmetric")
+        rows = _symmetric(tuple(tuple(_raw(field, x) for x in r) for r in rows))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_disc", None)
@@ -103,6 +96,23 @@ class QuadraticForm:
         object.__setattr__(out, "_rows", rows)
         object.__setattr__(out, "_disc", disc)
         return out
+
+    @classmethod
+    def _rational_mod(cls, gram, gf) -> "QuadraticForm":
+        """``QuadraticForm(gram, QQ).reduce_mod(p)`` in one pass, for ``gram``
+        over QQ as raw ints and Fractions and ``gf`` = GF(p), without the form
+        over QQ.  The constructor's checks run on the raw entries, so a
+        matrix that is symmetric only mod p is refused; each entry is then
+        reduced on its own.  BadPrime when p divides a denominator (the
+        first such entry is named in the message)."""
+        rows, p = _symmetric(_square(gram)), gf.p
+        try:
+            return cls._of_rows(gf, tuple(
+                tuple(x % p if type(x) is int else x.numerator * pow(x.denominator, -1, p) % p
+                      for x in r) for r in rows))
+        except ValueError:  # pow: a denominator without an inverse mod p
+            bad = next(x for r in rows for x in r if x.denominator % p == 0)
+            raise BadPrime(f"denominator of {bad} vanishes mod {p}") from None
 
     @property
     def gram(self):
@@ -138,21 +148,14 @@ class QuadraticForm:
 
     def reduce_mod(self, p: int) -> "QuadraticForm":
         """The form over GF(p): BadPrime when p is not an odd prime below
-        2**31 or divides a denominator of the Gram matrix (named in the
-        message).  The rows are cleared of denominators with one lcm D and
-        multiplied by one inverse of D mod p."""
+        2**31 or divides a denominator of the Gram matrix.  Over QQ it is
+        ``_rational_mod``."""
         f = GF(p)
         if self.field.char:
             if self.field is not f:
                 raise FieldMismatch(f"form over GF({self.field.char}) reduced mod {p}")
             return self
-        # the rows times the lcm D of the denominators, times D^-1 mod p
-        rows, scale = linalg.scaled_rows(self._rows, 0)
-        if scale % p == 0:
-            bad = next(x for row in self._rows for x in row if x.denominator % p == 0)
-            raise BadPrime(f"denominator of {bad} vanishes mod {p}")
-        inv = pow(scale, -1, p)
-        return QuadraticForm._of_rows(f, [[x * inv % p for x in row] for row in rows])
+        return QuadraticForm._rational_mod(self._rows, f)
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticForm) and self.field == other.field
@@ -162,6 +165,25 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm({self.gram!r})"
+
+
+def _square(gram):
+    """The rows of ``gram`` as tuples; PreconditionError unless they form a
+    square matrix of dimension at most ``QuadraticForm.MAX_DIM``."""
+    rows = tuple(map(tuple, gram))
+    n = len(rows)
+    if n > QuadraticForm.MAX_DIM:
+        raise PreconditionError(f"quadratic forms limited to dimension {QuadraticForm.MAX_DIM}")
+    if any(len(r) != n for r in rows):
+        raise PreconditionError("Gram matrix must be square")
+    return rows
+
+
+def _symmetric(rows):
+    """The square tuple ``rows``; PreconditionError unless they are symmetric."""
+    if rows != tuple(zip(*rows)):
+        raise PreconditionError("Gram matrix must be symmetric")
+    return rows
 
 
 def _raw(field, x):

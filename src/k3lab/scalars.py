@@ -215,7 +215,8 @@ class PrimeField:
     def __new__(cls, p: int):
         inst = cls._cache.get(p)
         if inst is None:
-            if not is_odd_prime(p) or p >= _MAX_PRIME:
+            # the bound first: Miller-Rabin on a 4000-digit p takes seconds
+            if not (isinstance(p, int) and p < _MAX_PRIME and is_odd_prime(p)):
                 raise BadPrime(f"{p} is not an odd prime below 2**31")
             inst = super().__new__(cls)
             inst.p = p

@@ -42,14 +42,29 @@ def _check_sweep_prime(p) -> None:
                        "the point sweeps accept")
 
 
-def member_rows(grams, lam, p):
-    """The Gram rows of sum_k lam_k G_k from the raw Gram rows ``grams`` and
-    raw coefficients ``lam``: ints reduced mod p, or Fractions when p = 0."""
-    rows = [[sum(map(mul, lam, entries)) for entries in zip(*row_i)]
-            for row_i in zip(*grams)]
-    if p:
-        return [[x % p for x in row] for row in rows]
+def member_at(system, lam):
+    """The Gram rows of the member sum_k lam_k G_k, from the raw coefficients
+    ``lam``: ints reduced mod p over GF(p), ints or Fractions over QQ.  Only
+    the positions i <= j where some form is nonzero (``_support``) are
+    combined, one dot product each, mirrored to j, i; the rest stay 0."""
+    p, n = system.field.char, system.NVARS
+    rows = [[0] * n for _ in range(n)]
+    for i, j, coeffs in _support(system):
+        x = sum(map(mul, lam, coeffs))
+        rows[i][j] = rows[j][i] = x % p if p else x
     return rows
+
+
+def _support(system):
+    """[(i, j, (G_1[i][j], G_2[i][j], ...))] over the positions i <= j where
+    some form of the system is nonzero.  Memoized on the system."""
+    if system._support is None:
+        # row i of each form, zipped, and zipped again: the entries at (i, j)
+        support = [(i, j, coeffs)
+                   for i, rows in enumerate(zip(*(q._rows for q in system.forms)))
+                   for j, coeffs in enumerate(zip(*rows)) if j >= i and any(coeffs)]
+        object.__setattr__(system, "_support", support)
+    return system._support
 
 
 class QuadricSystem:
@@ -59,7 +74,7 @@ class QuadricSystem:
     KIND: str
     NFORMS: int
     NVARS: int
-    __slots__ = ("forms", "field", "_matrix", "_span")
+    __slots__ = ("forms", "field", "_matrix", "_span", "_support")
 
     def __init__(self, *forms: QuadraticForm):
         kind = self.KIND
@@ -81,6 +96,7 @@ class QuadricSystem:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_span", None)
+        object.__setattr__(self, "_support", None)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -17,7 +17,8 @@ from Klein coordinate forms through the public constructor, and
 do with polynomials and forms is done here on boxed scalars: reduction
 mod p (``poly_mod``), substitution, partial derivatives, a form's
 polynomial and back (``form_poly``, ``poly_form``), the members of a
-system (``member_form``), and the model target forms and hyperbolic forms
+system (``member_form``, and ``member_rows`` combining every Gram entry on
+raw rows), and the model target forms and hyperbolic forms
 written out entry by entry (``model_form``, ``hyperbolic_form``).  Overlattice Grams are rebuilt from ambient
 basis vectors as dense A G A^T products (``dense_overlattice_gram``).
 The lattice tests share their case generators, which are no oracles:
@@ -31,6 +32,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from operator import mul
 
 from k3lab import (QQ, LinearMatrix, MultiPoly, OverlatticeSpec, PreconditionError,
                    QuadraticForm, k3_lattice, linalg, overlattice)
@@ -471,6 +473,17 @@ def member_form(system, lam):
     lam = [field.coerce(x) for x in lam]
     return QuadraticForm([[sum((c * q.gram[i][j] for c, q in zip(lam, system.forms)),
                                field.zero) for j in range(n)] for i in range(n)], field)
+
+
+def member_rows(grams, lam, p):
+    """The Gram rows of sum_k lam_k G_k from the raw Gram rows ``grams`` and
+    raw coefficients ``lam``, every entry combined (also where all forms
+    are 0): ints reduced mod p, or Fractions when p = 0."""
+    rows = [[sum(map(mul, lam, entries)) for entries in zip(*row_i)]
+            for row_i in zip(*grams)]
+    if p:
+        return [[x % p for x in row] for row in rows]
+    return rows
 
 
 def klein_matrix(field, nvars, rows):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from k3lab import GF, QQ
 from k3lab.cli import build_parser, main
 
 ALPHA_OK = ",".join(["1", "4"] + ["0"] * 20)
@@ -530,6 +531,110 @@ def test_exit_code_wrong_system_kind(tmp_path, capsys):
     ]
     for argv, code, err in cases:
         assert run(capsys, *argv) == (code, "", f"k3lab: {err}\n"), argv
+
+
+def test_construct_errors_on_several_faults_come_in_order(tmp_path, capsys):
+    # texts and order as they were when every construct op built its system
+    # over Q first: the system's own errors, then the wrong kind, then the
+    # samples or count, then BadPrime, then BadReduction
+    docs = {
+        "dependent": {"pencil": [_diag(1, 2, 3, 4), _diag(2, 4, 6, 8)]},
+        "valid": {"pencil": [_diag(1, 2, 3, 4), _diag(0, 1, 2, 3)]},
+        "third": {"pencil": [[["1/3", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                             _diag(0, 1, 2, 3)]},
+        "third-dependent": {"pencil": [
+            [["1/3", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [["2/3", 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]]},
+        # [[1, 8], [1, 1]] is symmetric mod 7, not over Q
+        "asymmetric": {"pencil": [[[1, 8, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                                  _diag(0, 1, 2, 3)]},
+        "asymmetric-then-unparsable": {"pencil": [
+            [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[True]]]},
+        "five": {"pencil": [_diag(1, 2, 3, 4, 5), _diag(0, 1, 2, 3, 4)]},
+        "dependent-mod-7": {"pencil": [_diag(1, 2, 3, 4), _diag(8, 9, 10, 11)]},
+        "f7": {"field": "F7", "pencil": [_diag(1, 2, 3, 4), _diag(0, 1, 2, 3)]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    dependent = "pencil: Gram matrices are linearly dependent (identically-proportional members)"
+    cases = [
+        ("verify-net", "dependent", ("--p", "7"), dependent),
+        ("verify-net", "dependent", ("--p", "15"), dependent),
+        ("verify-pencil", "dependent", ("--p", "15"), dependent),
+        ("verify-pencil", "dependent", ("--p", "7", "--samples", "1"), dependent),
+        ("invariance", "dependent", ("--p", "7", "--count", "0"), dependent),
+        ("verify-net", "valid", ("--p", "15"), "verify-net got the wrong kind of system"),
+        ("verify-pencil", "valid", ("--p", "15", "--samples", "1"),
+         "need at least two samples to cross-check the constant"),
+        ("invariance", "valid", ("--p", "15", "--count", "0"),
+         "invariance needs a count of at least 1"),
+        ("verify-pencil", "valid", ("--p", "15"), "15 is not an odd prime below 2**31"),
+        ("verify-pencil", "third", ("--p", "3"),
+         "pencil has bad reduction mod 3: denominator of 1/3 vanishes mod 3"),
+        ("verify-pencil", "third", ("--p", "15"), "15 is not an odd prime below 2**31"),
+        ("verify-net", "third", ("--p", "3"), "verify-net got the wrong kind of system"),
+        ("invariance", "third", ("--p", "3", "--count", "0"),
+         "invariance needs a count of at least 1"),
+        ("verify-pencil", "third-dependent", ("--p", "3"), dependent),
+        ("verify-pencil", "asymmetric", ("--p", "7"), "Gram matrix must be symmetric"),
+        ("verify-pencil", "asymmetric", ("--p", "0"), "Gram matrix must be symmetric"),
+        ("verify-pencil", "asymmetric-then-unparsable", ("--p", "7"),
+         "Gram matrix must be symmetric"),
+        ("verify-pencil", "five", ("--p", "7"), "pencil members must be 4-variable forms"),
+        ("verify-pencil", "dependent-mod-7", ("--p", "7"),
+         f"pencil has bad reduction mod 7: {dependent}"),
+        ("invariance", "dependent-mod-7", ("--p", "7", "--count", "0"),
+         "invariance needs a count of at least 1"),
+        ("verify-pencil", "f7", ("--p", "11"), "system already lives over GF(7)"),
+        ("verify-net", "f7", ("--p", "11"), "verify-net got the wrong kind of system"),
+    ]
+    for action, name, flags, err in cases:
+        argv = ("construct", action, "--system", str(tmp_path / f"{name}.json")) + flags
+        assert run(capsys, *argv) == (2, "", f"k3lab: {err}\n"), argv
+
+
+def test_construct_builds_a_system_over_q_once_over_gf_p(tmp_path, capsys, monkeypatch):
+    from k3lab.systems import QuadricSystem
+
+    built = []
+    init = QuadricSystem.__init__
+
+    def counted(self, *forms):
+        built.append(forms[0].field)
+        init(self, *forms)
+
+    monkeypatch.setattr(QuadricSystem, "__init__", counted)
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"pencil": [
+        [["1/2", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], _diag(0, 1, 2, 3)]}))
+    for argv in (("verify-pencil", "--system", str(path), "--p", "13", "--samples", "3"),
+                 ("verify-net", "--system", "builtin:net-diagonal", "--p", "11",
+                  "--samples", "2"),
+                 ("invariance", "--system", "builtin:pencil-diagonal", "--p", "13",
+                  "--count", "2")):
+        built.clear()
+        run_json(capsys, "construct", *argv)
+        assert built == [GF(int(argv[argv.index("--p") + 1]))], argv
+    # a system file over F_q, and the other commands, are built as given
+    path.write_text(json.dumps({"field": "F13", "pencil": [_diag(1, 2, 3, 4), _diag(0, 1, 2, 3)]}))
+    built.clear()
+    run_json(capsys, "construct", "verify-pencil", "--system", str(path), "--p", "13",
+             "--samples", "2")
+    assert built == [GF(13)]
+    built.clear()
+    run_json(capsys, "pencil", "disc", "--system", "builtin:pencil-diagonal")
+    assert built == [QQ]
+
+
+def test_builtin_files_are_read_once_per_process(capsys, monkeypatch):
+    from k3lab import cli
+
+    reads, files = [], cli.resources.files
+    monkeypatch.setattr(cli.resources, "files", lambda pkg: reads.append(pkg) or files(pkg))
+    cli._builtin_text.cache_clear()
+    outs = {run(capsys, "construct", "verify-pencil", "--system", "builtin:pencil-diagonal",
+                "--p", "13", "--samples", "2") for _ in range(3)}
+    assert len(outs) == 1 and reads == ["k3lab.data"]
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):

@@ -20,10 +20,10 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NotInSpan,
                    b_coordinates, discriminant_poly, express_as_2x2_det,
                    express_as_pfaffian, sample_point, t_invariant)
 from k3lab import cli, construction, linalg, quadforms
-from k3lab.systems import member_rows
+from k3lab.systems import member_at
 from oracles import (boxed_span_solve, cofactor_det, form_poly, klein_coordinates,
-                     klein_matrix, matching_pfaffian, model_form, poly_entries, poly_form,
-                     scalar_leibniz_det, symbolic_member_entries)
+                     klein_matrix, matching_pfaffian, member_rows, model_form, poly_entries,
+                     poly_form, scalar_leibniz_det, symbolic_member_entries)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -151,7 +151,9 @@ def test_discriminant_at_b_against_boxed_eval(field):
             b = [rand_scalar(rng, field) for _ in range(k)]
             raw = [x.v for x in b] if field.char else b
             # disc(B) as verify_relation takes it: one determinant of the member at B
-            rows, scale = linalg.scaled_rows(member_rows(grams, raw, p), p)
+            member = member_at(system, raw)
+            assert member == member_rows(grams, raw, p)
+            rows, scale = linalg.scaled_rows(member, p)
             assert field.coerce(Fraction(linalg.int_det(rows, p), scale ** n)) == disc.eval(b)
 
 

@@ -406,12 +406,20 @@ def square_cases(rng, p):
 
 def rect_cases(rng, p):
     """The square cases widened by two columns and lengthened by a zero row
-    and a sum of two rows, each in seeded random orders."""
+    and a sum of two rows, each in seeded random orders; also each widened
+    by 30 columns in its own order, so that a nonsingular one holds its last
+    pivot long before its last column, as do the flattened Grams of a
+    diagonal net (pivots in columns 0, 7 and 14 of 36)."""
     out = []
     for m in square_cases(rng, p):
         wide = [row + [rng.randint(-3, 3) for _ in range(2)] for row in m]
         tall = m + [[0] * len(m), [x + y for x, y in zip(m[0], m[-1])]]
-        out += [permuted(rng, reduced(p, wide)), permuted(rng, reduced(p, tall))]
+        early = [row + [rng.randint(-3, 3) for _ in range(30)] for row in m]
+        out += [permuted(rng, reduced(p, wide)), permuted(rng, reduced(p, tall)),
+                reduced(p, early)]
+    diagonals = ([1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5], [0, 1, 4, 9, 16, 25])
+    out.append(reduced(p, [[d[i] if i == j else 0 for i in range(6) for j in range(6)]
+                           for d in diagonals]))
     return out
 
 

@@ -25,8 +25,8 @@ from k3lab import (GF, DegenerateSystem, NetOfQuadrics, PencilOfQuadrics,
                    QuadraticForm, discriminant_poly, is_split, linalg,
                    projective_points, sample_point)
 from k3lab import construction, quadforms
-from k3lab.systems import member_rows
-from oracles import member_form
+from k3lab.systems import member_at
+from oracles import member_form, member_rows
 
 DIAG_PENCIL = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3])
 DIAG_NET = NetOfQuadrics.from_diagonals(
@@ -174,10 +174,9 @@ def test_split_filter_matches_the_boxed_route(p):
         for k, n in ((2, 4), (3, 6)):
             system = dense_system(random.Random(seed * 100 + p), k, n, F)
             disc = discriminant_poly(system)
-            grams = [q._rows for q in system.forms]
             for lam in projective_points(F, k - 1):
                 ints = [x.v for x in lam]
-                rows = member_rows(grams, ints, p)
+                rows = member_at(system, ints)  # the sampler's combination
                 d = disc.eval(lam)
                 assert linalg.int_det(rows, p) == d.v
                 member = QuadraticForm(rows, F)

@@ -14,6 +14,19 @@ def test_field_cache_and_validation():
             GF(bad)
 
 
+def test_field_checks_the_bound_before_primality(monkeypatch):
+    # Miller-Rabin on a 4000-digit p takes seconds; the bound alone refuses it
+    from k3lab import scalars
+
+    def never(p):
+        raise AssertionError(f"primality test run on {p}")
+
+    monkeypatch.setattr(scalars, "is_odd_prime", never)
+    for bad in (2**31, 2**31 + 11, 10**4000 + 1):
+        with pytest.raises(BadPrime, match="is not an odd prime below 2"):
+            GF(bad)
+
+
 def test_is_odd_prime():
     primes = {3, 5, 7, 11, 13, 101, 2147483629}
     for p in primes:

@@ -9,9 +9,11 @@ from k3lab import (GF, QQ, BadReduction, BinaryQuartic, DegenerateBranch,
                    discriminant_poly, jacobian_j_invariant,
                    moduli_double_cover, net_discriminant, pencil_discriminant,
                    pic2_double_cover, sextic_smoothness_probe)
+from k3lab.systems import member_at
 from oracles import (brute_force_pencil_count, brute_force_singular_point,
                      cofactor_det, cross_ratio_j, deriv, line_sweep_singular_point,
-                     poly_mod, scalar_leibniz_det, substitute, uni_sweep_count)
+                     member_rows, poly_mod, scalar_leibniz_det, substitute,
+                     uni_sweep_count)
 
 VAR = lambda i, n=2: MultiPoly.var(QQ, n, i)
 
@@ -255,7 +257,7 @@ def test_pencil_and_net_share_the_quadric_system_base():
         assert not hasattr(system, "__dict__")
         with pytest.raises(AttributeError, match=f"^{type(system).__name__} is immutable$"):
             system.forms = system.forms[::-1]
-    assert systems.member_rows([q._rows for q in pencil.forms], [1, 2], 7) == [
+    assert systems.member_at(pencil, [1, 2]) == [
         [d % 7 if i == j else 0 for j in range(4)] for i, d in enumerate((1, 4, 7, 10))]
     assert PencilOfQuadrics.__init__ is NetOfQuadrics.__init__ is QuadricSystem.__init__
     assert PencilOfQuadrics.reduce_mod is NetOfQuadrics.reduce_mod
@@ -271,6 +273,58 @@ def test_pencil_and_net_share_the_quadric_system_base():
              "pencil members over different fields")):
         with pytest.raises(PreconditionError, match=f"^{text}$"):
             cls(*forms)
+
+
+def _member_cases(rng, p):
+    """(system, grams, sparse) over GF(p), or over QQ with Fraction entries
+    when p = 0: for a pencil and a net each, a diagonal system, a dense one,
+    and a sparse one, whose last row is zero in every form and whose entry
+    (0, 1) is nonzero in the last form only."""
+    field = GF(p) if p else QQ
+    entry = (lambda: rng.randrange(p)) if p else (
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    cases = []
+    for cls in (PencilOfQuadrics, NetOfQuadrics):
+        n, r = cls.NVARS, range(cls.NVARS)
+        shapes = (lambda i, j: i == j,
+                  lambda i, j: True,
+                  lambda i, j: j < n - 1 and (i, j) != (0, 1))
+        for shape in shapes:
+            while True:
+                grams = []
+                for _ in range(cls.NFORMS):
+                    g = [[0] * n for _ in r]
+                    for i in r:
+                        for j in r[i:]:
+                            if shape(i, j):
+                                g[i][j] = g[j][i] = entry()
+                    grams.append(g)
+                if shape is shapes[2]:
+                    grams[-1][0][1] = grams[-1][1][0] = 1
+                try:
+                    system = cls(*(QuadraticForm(g, field) for g in grams))
+                except DegenerateSystem:
+                    continue
+                cases.append((system, [q._rows for q in system.forms], shape is shapes[2]))
+                break
+    return cases
+
+
+@pytest.mark.parametrize("p", [0, 3, 13, 1009, 2**31 - 1])
+def test_member_at_against_the_dense_combination(p):
+    rng = random.Random(p)
+    for system, grams, sparse in _member_cases(rng, p):
+        k = len(grams)
+        lams = [[int(i == k - 1) for i in range(k)], [1] * k]
+        for _ in range(6):
+            lams.append([rng.randrange(p) if p else Fraction(rng.randint(-7, 7), rng.randint(1, 3))
+                         for _ in range(k)])
+        for lam in lams:
+            assert member_at(system, lam) == member_rows(grams, lam, p), (system.KIND, lam)
+        if sparse:  # the all-zero row, and the entry of the last form only
+            n = system.NVARS
+            assert member_at(system, lams[0])[n - 1] == [0] * n
+            assert member_at(system, lams[0])[1][0] == 1
 
 
 def test_from_diagonals_rejects_a_diagonal_of_the_wrong_length():
