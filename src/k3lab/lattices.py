@@ -19,11 +19,12 @@ operation.  The overlattice's Hermite basis S is m*I plus one dense row in
 L0-coordinates, so its Gram S G0 S^T / m^2 costs one row operation per
 sparse row of S.
 
-Determinant and signature come from one fraction-free symmetric
-elimination (Bareiss, Math. Comp. 22, 1968), ``_det_and_signature``.  It
-pivots on the row with the most zeros, as the overlattice Gram has one
-dense row that would fill the whole matrix if eliminated first, and it
-rescales a row only when it is used; both are exact (see its docstring).
+Determinant and signature are read off the pivots of the package's one
+symmetric elimination, ``linalg.int_congruence`` over ZZ (fraction-free,
+Bareiss, Math. Comp. 22, 1968), which carries no basis here.  It pivots on
+the row with the most zeros, as the overlattice Gram has one dense row that
+would fill the whole matrix if eliminated first, and it rescales a row only
+when it is used; both are exact (see its docstring).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
+from . import linalg
 from .errors import DivisibilityViolation, K3LabError, PreconditionError
 
 
@@ -185,54 +187,14 @@ def k3_lattice() -> IntegralLattice:
 
 def _det_and_signature(gram):
     """(det, (positive, negative)) of a symmetric integer matrix, (0, None)
-    if degenerate, by Bareiss congruence: pivot k is the leading minor p_k of
-    a congruent matrix, so diagonal entry k has the sign of p_k * p_(k-1).
-
-    Pivot on the row with the most zeros among those with a nonzero diagonal
-    entry, the lowest such index on a tie (Markowitz's rule against fill-in).
-    That is a symmetric swap, a congruence by a permutation, so it changes
-    neither det nor the sign rule.  With no nonzero diagonal entry,
-    e_0 += e_j makes it twice a nonzero pairing, unless row 0 is zero.
-
-    Rows are scaled lazily.  Bareiss multiplies a row with a zero in the
-    pivot column by piv / prev; over several steps the factors telescope to
-    prev / q, q the pivot at which the row was last brought up to date.  So
-    each row keeps its q, and only a row that is used is brought up to date:
-    the pivot row and a row in the repair as x * prev // q, a row with an
-    entry f in the pivot column as (piv * x - f * y) // q, which is its
-    rescale by prev / q and the Bareiss step by 1 / prev in one division.
-    Both divisions are exact because the results are minors of the matrix.
-    Zero tests, zero counts and the repair's column operation, which stays
-    within each row, do not see the scale of a row."""
-    a = [list(row) for row in gram]
-    q = [1] * len(a)
-    prev, neg = 1, 0
-    while a:
-        zeros = [row.count(0) if row[i] else -1 for i, row in enumerate(a)]
-        most = max(zeros)
-        if most < 0:
-            k, j = 0, next((i for i, x in enumerate(a[0]) if x), None)
-            if j is None:
-                return 0, None
-            q0, qj = q[0], q[j]
-            a[0] = [x * prev // q0 + y * prev // qj for x, y in zip(a[0], a[j])]
-            q[0] = prev
-            for row in a:
-                row[0] += row[j]
-        else:
-            k = zeros.index(most)
-        top, qk = a.pop(k), q.pop(k)
-        if qk != prev:
-            top = [x * prev // qk for x in top]
-        piv = top.pop(k)
-        neg += (piv > 0) != (prev > 0)
-        for i, row in enumerate(a):
-            f = row.pop(k)
-            if f:
-                a[i] = [(piv * x - f * y) // q[i] for x, y in zip(row, top)]
-                q[i] = piv
-        prev = piv
-    return prev, (len(gram) - neg, neg)
+    if degenerate, read off the Bareiss pivots of ``linalg.int_congruence``:
+    det is the last pivot p_n, and diagonal entry k of the congruent
+    diagonal form has the sign of p_k * p_(k-1).  No basis is carried."""
+    pivots, _ = linalg.int_congruence([list(row) for row in gram], 0)
+    if not all(pivots):
+        return 0, None
+    neg = sum((pk > 0) != (prev > 0) for prev, pk in zip([1] + pivots, pivots))
+    return (pivots[-1] if pivots else 1), (len(pivots) - neg, neg)
 
 
 def _combination(row, mat):

@@ -12,10 +12,12 @@ and the sampler in ``construction`` run on them.
 ``det``, ``rank``, ``solve``, ``inverse`` and ``nullspace`` share one
 elimination that never touches a row with a zero in the pivot column:
 by the pivot's inverse over GF(p), fraction-free over ZZ (Bareiss, Math.
-Comp. 22, 1968, with lazy row scaling).  ``congruence_diagonalize`` and
-the Witt split of ``quadforms`` share one symmetric elimination
-(``int_congruence``) under the same rule.  The package never sees matrices
-bigger than 23x23.
+Comp. 22, 1968, with lazy row scaling).  Symmetric forms have one
+symmetric elimination, ``int_congruence``, under the same rule and in the
+same two arithmetics, which pivots on the sparsest row: the Witt split of
+``quadforms``, the lattice determinant and signature of ``lattices`` and
+``congruence_diagonalize``, over QQ through ZZ, all run on it.  The
+package never sees matrices bigger than 23x23.
 """
 
 from __future__ import annotations
@@ -73,12 +75,12 @@ def _eliminate(rows, ncols, p, jordan):
 
     Over GF(p) it is Gaussian elimination by the pivot's inverse, d is the
     product of the pivots, and ``jordan`` normalizes each pivot row.  Over
-    ZZ it is Bareiss with the lazy row scaling of ``_det_and_signature`` in
-    ``lattices``, d the last pivot: each row keeps the pivot q at which it
-    was last brought up to date.  The pivot row is rescaled by prev / q
-    when used and is then up to date at its own pivot, a row with an entry
-    f in the pivot column becomes (piv * x - f * y) // q, and ``jordan``
-    brings every row up to prev at the end.  The divisions are exact.
+    ZZ it is Bareiss with the lazy row scaling of ``int_congruence``, d the
+    last pivot: each row keeps the pivot q at which it was last brought up
+    to date.  The pivot row is rescaled by prev / q when used and is then
+    up to date at its own pivot, a row with an entry f in the pivot column
+    becomes (piv * x - f * y) // q, and ``jordan`` brings every row up to
+    prev at the end.  The divisions are exact.
     """
     nrows = len(rows)
     pivots, prev, sign, q = [], 1, 1, [1] * nrows
@@ -225,59 +227,91 @@ def nullspace(field, a):
 def congruence_diagonalize(field, g):
     """Diagonalize a symmetric matrix by congruence: returns (m, d), m^T g m = d.
 
-    Works over any field of characteristic != 2 (see ``int_congruence``).
+    ``int_congruence`` of [g | I] over GF(p), or of [D g | I] over ZZ for QQ,
+    D the lcm of the denominators: there column k of m is the carried row
+    over p_(k-1), and d_k = p_k / (p_(k-1) D).
     """
     p, n = field.char, len(g)
-    basis, diag = int_congruence(int_rows(field, g)[0] if p else [list(row) for row in g], p)
-    d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return _box(field, list(zip(*basis))), _box(field, d)
+    rows, scale = int_rows(field, g)
+    d, cols = int_congruence(with_identity(rows), p)
+    if not p:
+        prev = 1
+        for k, pk in enumerate(d):
+            cols[k] = [Fraction(x, prev) for x in cols[k]]
+            d[k] = Fraction(pk, prev * scale)
+            prev = pk or prev
+    diag = [[x if i == j else 0 for j in range(n)] for i, x in enumerate(d)]
+    return _box(field, list(zip(*cols))), _box(field, diag)
 
 
-def int_congruence(a, p):
-    """Symmetric elimination of the symmetric rows ``a`` (changed in place):
-    ints mod p, or Fractions over QQ (p = 0).  Returns (basis, diag): rows
-    b_i with b_i^T a b_j = 0 for i != j and diag[i] = b_i^T a b_i.
+def with_identity(rows):
+    """[rows | I], the carried columns that make ``int_congruence`` return a basis."""
+    n = len(rows)
+    return [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(rows)]
 
-    Step k pivots on d = a[k][k] and replaces every later row j with
-    f = a[j][k] != 0 by row j - (f / d) row k on the columns after k (the
-    Schur complement, which stays symmetric), and b_j by b_j - (f / d) b_k;
-    a row with f = 0 is never touched.  A zero pivot whose row is zero after
-    column k (e_k is orthogonal to the rest) stays a zero entry.  Any other
-    zero pivot is repaired first: a later row with a nonzero diagonal entry
-    is swapped in, else e_k += e_j for a j with a[k][j] != 0 makes the pivot
-    2 a[k][j].
+
+def int_congruence(rows, p):
+    """Symmetric elimination of the int ``rows`` (used up), mod p or over ZZ
+    when p = 0: the n rows of a symmetric n x n form, each followed by the
+    same carried columns ([g | I] for a basis, none for the pivots alone).
+    Returns (pivots, carried): the pivot values and the carried parts of
+    the pivot rows, in pivot order.
+
+    Each step pivots on the row with the most zeros (Markowitz's rule
+    against fill-in) among those with a nonzero diagonal entry or a zero
+    part in the form, which ranks one zero lower and leaves as pivot 0; the
+    lowest index wins a tie.  With no such row, e_0 += e_j for the first j
+    with a[0][j] != 0 makes the diagonal entry of row 0 twice a nonzero
+    pairing.  A row with an entry f != 0 in the pivot column takes a row
+    operation on the Schur complement; the others are never touched.
+
+    Over GF(p) it subtracts f / piv times the pivot row: the pivots are the
+    diagonal entries d_k, and the carried parts the rows b_k of [g | I],
+    with b_i g b_j^T = 0 for i != j and b_k g b_k^T = d_k.  Over ZZ it is
+    Bareiss (Math. Comp. 22, 1968): with p_(k-1) the last nonzero pivot
+    before p_k (1 at first), d_k = p_k / p_(k-1) and the carried part is
+    p_(k-1) b_k.  Rows are scaled lazily: each keeps the pivot q at which
+    it was last brought up to date, as the factors piv / prev of Bareiss
+    telescope to prev / q.  A pivot or repair row is rescaled as
+    x * prev // q when used, and a row with an entry f in the pivot column
+    becomes (piv * x - f * y) // q.  The divisions are exact, as the
+    results are minors; zero tests and counts do not see the scale.
     """
-    n = len(a)
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if not a[k][k]:
-            partner = next((j for j in range(k + 1, n) if a[k][j]), None)
-            if partner is None:
-                continue
-            j = next((j for j in range(k + 1, n) if a[j][j]), None)
-            if j is not None:
-                a[k], a[j], basis[k], basis[j] = a[j], a[k], basis[j], basis[k]
-                for row in a[k:]:
-                    row[k], row[j] = row[j], row[k]
-            else:
-                j = partner
-                red = (lambda x: x % p) if p else (lambda x: x)
-                for row in a[k:]:
-                    row[k] = red(row[k] + row[j])
-                a[k] = [red(x + y) for x, y in zip(a[k], a[j])]
-                basis[k] = [red(x + y) for x, y in zip(basis[k], basis[j])]
-        top, bk = a[k], basis[k]
-        inv = pow(top[k], -1, p) if p else Fraction(1, top[k])
-        for j in range(k + 1, n):
-            f = a[j][k]
+    a, q = rows, [1] * len(rows)
+    pivots, carried, prev = [], [], 1
+    while a:
+        m = len(a)
+        zeros = [c if row[i] else c - 1 if c >= m and not any(row[:m]) else -1
+                 for i, row in enumerate(a) for c in (row.count(0),)]
+        most = max(zeros)
+        if most < 0:
+            k, j = 0, next(j for j, x in enumerate(a[0]) if x)
+            a[0] = [x * prev // q[0] + y * prev // q[j] for x, y in zip(a[0], a[j])]
+            q[0] = prev
+            for row in a:
+                row[0] += row[j]
+            if p:  # prev and every q are 1 over GF(p)
+                a = [[x % p for x in row] for row in a]
+        else:
+            k = zeros.index(most)
+        top, qk = a.pop(k), q.pop(k)
+        if not p and qk != prev:
+            top = [x * prev // qk for x in top]
+        piv = top.pop(k)
+        inv = pow(piv, -1, p) if p and piv else 0  # piv = 0: the column is zero too
+        for i, row in enumerate(a):
+            f = row.pop(k)
             if not f:
                 continue
             if p:
                 c = f * inv % p
-                a[j][k + 1:] = [(x - c * y) % p for x, y in zip(a[j][k + 1:], top[k + 1:])]
-                basis[j] = [(x - c * y) % p for x, y in zip(basis[j], bk)]
+                a[i] = [(x - c * y) % p for x, y in zip(row, top)]
             else:
-                c = f * inv
-                a[j][k + 1:] = [x - c * y for x, y in zip(a[j][k + 1:], top[k + 1:])]
-                basis[j] = [x - c * y for x, y in zip(basis[j], bk)]
-    return basis, [a[i][i] for i in range(n)]
+                a[i] = [(piv * x - f * y) // q[i] for x, y in zip(row, top)]
+                q[i] = piv
+        pivots.append(piv)
+        carried.append(top[m - 1:])
+        if piv and not p:
+            prev = piv
+    return pivots, carried
+

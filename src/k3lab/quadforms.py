@@ -297,7 +297,7 @@ def _witt_rows(g, p):
     are orthogonal with q(w1) = -a and q(w2) = -a^2 b.
     """
     n, half = len(g), (p + 1) // 2
-    basis, d = linalg.int_congruence([list(row) for row in g], p)
+    d, basis = linalg.int_congruence(linalg.with_identity(g), p)
     chi = [chi_mod(x, p) for x in d]
     minus_one = chi_mod(-1, p)
     planes, left, todo = [], [], list(range(n))

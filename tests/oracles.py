@@ -5,8 +5,10 @@ permutation-sum determinants, direct cofactor recursion, perfect-matching
 Pfaffians, boxed span solves, term-by-term convolution, cross-ratio j-invariants, exhaustive
 isotropic searches, the Witt index by the discriminant-class rule
 (``witt_index_by_class``), a textbook Gauss-Jordan on Fractions or ints mod p
-(``gauss_jordan``), boxed sweeps of P^3 and P^2 for point counts and
-singular points, an int point-by-point sweep of P^2 for singular points,
+(``gauss_jordan``), a textbook symmetric elimination on Fractions
+(``fraction_congruence``, the signature oracle of the lattice tests),
+boxed sweeps of P^3 and P^2 for point counts and singular points, an int
+point-by-point sweep of P^2 for singular points,
 and univariate Euclid gcds, squarefree tests and
 Sylvester resultants.  The views of a ``LinearMatrix`` that only tests need
 are rebuilt here from its boxed ``coeff_mats``: its matrix of MultiPoly
@@ -234,6 +236,43 @@ def gauss_jordan(rows, ncols, p):
                 m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
+
+
+def fraction_congruence(a):
+    """Textbook symmetric elimination of the symmetric Fraction rows ``a``
+    (changed in place): (basis, diag), rows b_i with b_i^T a b_j = 0 for
+    i != j and diag[i] = b_i^T a b_i.  Step k pivots on a[k][k], the first
+    diagonal entry left, and subtracts (f / a[k][k]) row k from every later
+    row with f = a[j][k] != 0 on the columns after k.  A zero pivot whose row
+    is zero after column k stays a zero entry; any other is repaired first,
+    by swapping in a later row with a nonzero diagonal entry, else by
+    e_k += e_j for a j with a[k][j] != 0.  Unlike ``linalg.int_congruence``
+    it takes no sparsest row, scales nothing and runs on Fractions."""
+    n = len(a)
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if not a[k][k]:
+            partner = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if partner is None:
+                continue
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j], basis[k], basis[j] = a[j], a[k], basis[j], basis[k]
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = partner
+                for row in a[k:]:
+                    row[k] += row[j]
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                basis[k] = [x + y for x, y in zip(basis[k], basis[j])]
+        top, bk = a[k], basis[k]
+        for j in range(k + 1, n):
+            if a[j][k]:
+                c = a[j][k] / top[k]
+                a[j][k + 1:] = [x - c * y for x, y in zip(a[j][k + 1:], top[k + 1:])]
+                basis[j] = [x - c * y for x, y in zip(basis[j], bk)]
+    return basis, [a[i][i] for i in range(n)]
 
 
 def all_vectors(field, n):

@@ -14,7 +14,8 @@ from k3lab import MultiPoly, QQ, linalg
 from k3lab.lattices import (_column_ops, _kernel_coordinates, e8_gram,
                             hnf_row_basis, l_zero_basis)
 from oracles import (block_sum, cofactor_det, dense_overlattice_gram,
-                     dense_row_block_sums, gram_of, leibniz_det, scalar_leibniz_det,
+                     dense_row_block_sums, fraction_congruence, gram_of, leibniz_det,
+                     scalar_leibniz_det,
                      seeded_overlattice_grams, stale_repair_cases, sym_permuted)
 
 
@@ -142,11 +143,10 @@ def test_det_against_leibniz_and_cofactor_oracles():
 
 
 def _fraction_signature(m):
-    n = len(m)
-    _, d = linalg.congruence_diagonalize(QQ, [[Fraction(x) for x in r] for r in m])
-    pos = sum(1 for i in range(n) if d[i][i] > 0)
-    neg = sum(1 for i in range(n) if d[i][i] < 0)
-    return (pos, neg) if pos + neg == n else None
+    _, d = fraction_congruence([[Fraction(x) for x in r] for r in m])
+    pos = sum(1 for x in d if x > 0)
+    neg = sum(1 for x in d if x < 0)
+    return (pos, neg) if pos + neg == len(m) else None
 
 
 def _scramble(rng, m, steps):

@@ -7,12 +7,16 @@ of F_5^n.  The int kernels are also checked over ZZ, GF(3), GF(13) and
 GF(2**31 - 1) against a textbook Gauss-Jordan, on the inputs where the
 elimination leaves rows untouched and rescales them late: permuted
 diagonal and block-diagonal matrices, zero rows and columns, rank-deficient
-and augmented systems, and Kronecker points.  Witt splits are checked by
-their transport in plain arithmetic, their Witt index against a maximal
-totally isotropic subspace found by exhaustive search and against the
-discriminant-class rule, and their residual against an exhaustive isotropic
-search, on dense, zero-diagonal, hyperbolic and one-class diagonal forms at
-primes p = 1 and 3 mod 4.  Seeds and sizes are fixed.
+and augmented systems, and Kronecker points.  ``congruence_diagonalize`` is
+checked in plain arithmetic, also where a zero row turns up after the first
+pivot with rows left after it, and over QQ on the seeded rank-22 overlattice
+Grams, whose signs must match the textbook Fraction congruence of
+``oracles``.  Witt splits are checked by their transport in plain
+arithmetic, their Witt index against a maximal totally isotropic subspace
+found by exhaustive search and against the discriminant-class rule, and
+their residual against an exhaustive isotropic search, on dense,
+zero-diagonal, hyperbolic and one-class diagonal forms at primes p = 1 and
+3 mod 4.  Seeds and sizes are fixed.
 """
 
 import random
@@ -23,9 +27,9 @@ from operator import mul
 import pytest
 
 from k3lab import GF, QQ, MultiPoly, QuadraticForm, SingularMatrix, linalg, witt_split
-from oracles import (block_sum, cofactor_det, exhaustive_isotropic, gauss_jordan,
-                     hyperbolic_form, row_reduction_rank, scalar_leibniz_det,
-                     witt_index_by_class, witt_index_exhaustive)
+from oracles import (block_sum, cofactor_det, exhaustive_isotropic, fraction_congruence,
+                     gauss_jordan, hyperbolic_form, row_reduction_rank, scalar_leibniz_det,
+                     seeded_overlattice_grams, witt_index_by_class, witt_index_exhaustive)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -251,20 +255,39 @@ def rand_symmetric(rng, field, n, zero_diagonal=False):
     return tuple(tuple(row) for row in g)
 
 
+def zero_row_after_elimination():
+    """Int forms whose rows 0 and 1 agree on the first two columns, so that
+    row 1 of the Schur complement is zero after the first pivot while rows
+    are left after it; blocks that pivot first put it at |p_(k-1)| > 1."""
+    base = [[1, 1, 1], [1, 1, 1], [1, 1, 2]]
+    return [base, block_sum([[3]], base), block_sum([[-2]], base, [[0, 1], [1, 0]]),
+            block_sum([[2, 1, 1], [1, 2, 1], [1, 1, 2]], [[0, 3], [3, 0]])]
+
+
+def signs(diag):
+    return sum(1 for x in diag if x > 0), sum(1 for x in diag if x < 0)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_congruence_diagonalize_checked_in_plain_arithmetic(field):
     rng = random.Random(11)
-    for n in range(1, 7):
-        for zero_diagonal in (False, True):
-            for _ in range(3):
-                g = rand_symmetric(rng, field, n, zero_diagonal)
-                m, d = linalg.congruence_diagonalize(field, g)
-                pm, pd = plain(field, m), plain(field, d)
-                mt = [list(c) for c in zip(*pm)]
-                assert plain_mul(field, plain_mul(field, mt, plain(field, g)), pm) == pd
-                assert all(pd[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-                assert scalar_leibniz_det(field, m) != field.zero
-                assert row_reduction_rank(field, d) == row_reduction_rank(field, g)
+    cases = [rand_symmetric(rng, field, n, zero_diagonal) for n in range(1, 7)
+             for zero_diagonal in (False, True) for _ in range(3)]
+    ints = zero_row_after_elimination()
+    if field is QQ:  # rank 22, the Grams the lattice invariants run on
+        ints += seeded_overlattice_grams(2, 1)
+    cases += [tuple(tuple(field.coerce(x) for x in row) for row in m) for m in ints]
+    for g in cases:
+        n = len(g)
+        m, d = linalg.congruence_diagonalize(field, g)
+        pm, pd, pg = plain(field, m), plain(field, d), plain(field, g)
+        mt = [list(c) for c in zip(*pm)]
+        assert plain_mul(field, plain_mul(field, mt, pg), pm) == pd
+        assert all(pd[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        assert row_reduction_rank(field, m) == n
+        assert row_reduction_rank(field, d) == row_reduction_rank(field, g)
+        if field is QQ:  # Sylvester's law of inertia against the textbook route
+            assert signs([pd[i][i] for i in range(n)]) == signs(fraction_congruence(pg)[1])
 
 
 def assert_witt_transport(q):

@@ -2,10 +2,12 @@
 against the general routes they replace.
 
 * ``linalg.int_congruence`` (the symmetric elimination behind the Witt
-  split): after each pivot the remaining basis vectors span the orthogonal
-  complement of the pivots so far, which ``linalg.int_nullspace`` gives as
-  a kernel; whole Witt splits against ``linalg.int_mul`` products of their
-  basis;
+  split, the lattice invariants and ``congruence_diagonalize``), mod p and
+  over ZZ: its carried basis B diagonalizes G, B G B^T = diag(p_(k-1) p_k)
+  over ZZ, and after each pivot the remaining basis vectors span the
+  orthogonal complement of the pivots so far, which
+  ``linalg.int_nullspace`` gives as a kernel; whole Witt splits against
+  ``linalg.int_mul`` products of their basis;
 * ``quadforms._model_rows`` (M_q^-1 as the dual basis H^-1 (G M_q)^T)
   against ``linalg.int_inverse``;
 * the determinant ``sample_point`` hands to ``QuadraticForm._of_rows``
@@ -49,7 +51,9 @@ def fallback(request, monkeypatch):
 
 
 def rand_rows(rng, p, nrows, ncols):
-    return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    """Ints mod p, or in [-4, 4] over ZZ (p = 0)."""
+    return [[rng.randrange(p) if p else rng.randint(-4, 4) for _ in range(ncols)]
+            for _ in range(nrows)]
 
 
 def rand_sym(rng, p, n):
@@ -94,14 +98,17 @@ def split_rows(rng, p, n):
             return linalg.int_mul(linalg.int_mul([list(r) for r in zip(*m)], t, p), m, p)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", (0,) + PRIMES)
 def test_complement_against_nullspace_products(p):
     rng = random.Random(911)
     for n in range(2, 7):
         for zero_diagonal in (False, True):
             for _ in range(4):
                 g = nondegenerate(rng, p, n, zero_diagonal)
-                basis, diag = linalg.int_congruence([list(row) for row in g], p)
+                pivots, basis = linalg.int_congruence(
+                    [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)], p)
+                # over ZZ row k carries p_(k-1) b_k, so its entry is p_(k-1) p_k
+                diag = pivots if p else [x * y for x, y in zip([1] + pivots, pivots)]
                 gb = linalg.int_mul(basis, g, p)  # the rows b_i^T G
                 assert linalg.int_mul(gb, [list(c) for c in zip(*basis)], p) == [
                     [diag[i] if i == j else 0 for j in range(n)] for i in range(n)]

@@ -6,8 +6,9 @@ representatives, which the Witt split by one symmetric elimination fixes
 once the base point is drawn.  So a faster sampler has to reproduce every
 sample exactly.  Besides the seeded draws, the cases cover the base-point
 sweep, the flip of the Witt split (a member at p = 3 mod 4 whose diagonal
-entries share one quadratic class) and its zero-pivot repair (a member
-with a zero first diagonal entry).  The four ``conic`` cases were first
+entries share one quadratic class) and its zero-pivot repair (a member of
+a system whose forms all have zero diagonals, so that no row is a pivot
+candidate at the first step).  The four ``conic`` cases were first
 captured with the seeded isotropic draws of an earlier Witt split taken
 away, so that its conic fallback ran; the split now draws nothing, and
 these cases check that the model is the member's own.  The filter test checks the sampler's
@@ -34,29 +35,34 @@ DIAG_NET = NetOfQuadrics.from_diagonals(
 GOLDEN_PRIMES = (7, 13, 1009, 2**31 - 1)
 
 
-def rand_sym(rng, n, lo=-4, hi=4):
+def rand_sym(rng, n, lo=-4, hi=4, zero_diagonal=False):
     g = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i + 1 if zero_diagonal else i, n):
             g[i][j] = g[j][i] = rng.randint(lo, hi)
     return g
 
 
-def dense_system(rng, k, n, field=None):
+def dense_system(rng, k, n, field=None, zero_diagonal=False):
     """A seeded system of k dense n-variable integer forms (over QQ unless
-    a field is given)."""
+    a field is given), with all-zero diagonals if asked."""
     cls = PencilOfQuadrics if k == 2 else NetOfQuadrics
     while True:
         try:
-            return cls(*(QuadraticForm(rand_sym(rng, n), field) for _ in range(k)))
+            return cls(*(QuadraticForm(rand_sym(rng, n, zero_diagonal=zero_diagonal), field)
+                         for _ in range(k)))
         except DegenerateSystem:
             continue
 
 
 DENSE_PENCIL = dense_system(random.Random(2026), 2, 4)
 DENSE_NET = dense_system(random.Random(2027), 3, 6)
-SYSTEMS = {"diag-pencil": DIAG_PENCIL, "diag-net": DIAG_NET,
-           "dense-pencil": DENSE_PENCIL, "dense-net": DENSE_NET}
+SEEDED = {"diag-pencil": DIAG_PENCIL, "diag-net": DIAG_NET,
+          "dense-pencil": DENSE_PENCIL, "dense-net": DENSE_NET}
+# every member has a zero diagonal, so its Witt split starts with e_0 += e_j
+SYSTEMS = {**SEEDED,
+           "zero-diag-pencil": dense_system(random.Random(2028), 2, 4, zero_diagonal=True),
+           "zero-diag-net": dense_system(random.Random(2029), 3, 6, zero_diagonal=True)}
 
 
 def snapshot(system, p, seed):
@@ -70,23 +76,24 @@ def golden_cases():
     """(case id, system name, p, seed, path) for every golden; the path is
     None for a seeded draw, or "sweep", "conic", "flip" or "repair"."""
     cases = [(f"{name}-p{p}-s{seed}", name, p, seed, None)
-             for name in SYSTEMS for p in GOLDEN_PRIMES for seed in (0, 5)]
+             for name in SEEDED for p in GOLDEN_PRIMES for seed in (0, 5)]
     for name in ("dense-pencil", "dense-net"):
         cases.append((f"{name}-p13-s3-sweep", name, 13, 3, "sweep"))
         cases.append((f"{name}-p13-s3-conic", name, 13, 3, "conic"))
         cases.append((f"{name}-p1009-s4-conic", name, 1009, 4, "conic"))
     cases += [("diag-pencil-p11-s1-flip", "diag-pencil", 11, 1, "flip"),
               ("dense-pencil-p7-s6-flip", "dense-pencil", 7, 6, "flip"),
-              ("dense-pencil-p11-s0-repair", "dense-pencil", 11, 0, "repair"),
-              ("dense-net-p13-s36-repair", "dense-net", 13, 36, "repair")]
+              ("zero-diag-pencil-p11-s0-repair", "zero-diag-pencil", 11, 0, "repair"),
+              ("zero-diag-net-p13-s0-repair", "zero-diag-net", 13, 0, "repair")]
     return cases
 
 
 def assert_path_runs(system, p, seed, path):
     """The sample's model is the one its member alone gives ("conic"), or
-    the sampled member takes the Witt split's flip (all its diagonal
-    entries in one quadratic class, -1 a non-square) or its zero-pivot
-    repair (a zero first diagonal entry)."""
+    the sampled member takes the Witt split's flip (all the diagonal
+    entries of its elimination in one quadratic class, -1 a non-square) or
+    its zero-pivot repair (an all-zero diagonal, so that no row is a pivot
+    candidate and e_0 += e_j runs first)."""
     grams = [q._rows for q in system.reduce_mod(p).forms]
     pt = sample_point(system, p, seed)
     g = member_rows(grams, [x.v for x in pt.base_point], p)
@@ -96,58 +103,59 @@ def assert_path_runs(system, p, seed, path):
         assert [[[x.v for x in row] for row in mat] for mat in own] == [
             [[x.v for x in row] for row in mat] for mat in pt.matrix.coeff_mats]
     elif path == "flip":
-        _, diag = linalg.int_congruence([list(row) for row in g], p)
+        diag, _ = linalg.int_congruence([list(row) for row in g], p)
         assert p % 4 == 3 and len({pow(d, (p - 1) // 2, p) for d in diag}) == 1
     elif path == "repair":
-        assert g[0][0] == 0 and any(g[0])
+        assert not any(g[i][i] for i in range(len(g))) and linalg.int_det(g, p)
 
 
 # Base points captured from the boxed sampler (the member's GFElement Gram,
-# MultiPoly.eval of the discriminant on every draw); digests from the Witt
-# split by symmetric elimination.
+# MultiPoly.eval of the discriminant on every draw), but those of the two
+# zero-diag systems, which came later; digests from the Witt split by the
+# sparsest-row symmetric elimination of linalg.int_congruence.
 GOLDEN = {
-    'diag-pencil-p7-s0': [[1, 4], 'e18e82b72e658d6d'],
-    'diag-pencil-p7-s5': [[1, 4], 'e18e82b72e658d6d'],
-    'diag-pencil-p13-s0': [[1, 2], 'd0683184c659ae75'],
-    'diag-pencil-p13-s5': [[1, 2], 'd0683184c659ae75'],
-    'diag-pencil-p1009-s0': [[1, 213], 'd9bc5d3fd0d52824'],
-    'diag-pencil-p1009-s5': [[1, 51], 'f81947369edfe45a'],
-    'diag-pencil-p2147483647-s0': [[1, 1609340602], '877a88c95215c284'],
-    'diag-pencil-p2147483647-s5': [[1, 771568937], 'b00c401a3fdccf4d'],
-    'diag-net-p7-s0': [[1, 4, 1], 'e8ff8ebfbd2f6803'],
-    'diag-net-p7-s5': [[1, 3, 6], '102ee7b9e9f146c7'],
-    'diag-net-p13-s0': [[1, 2, 1], 'f001d3ff25c92783'],
-    'diag-net-p13-s5': [[1, 8, 9], '01615e348dfd8616'],
-    'diag-net-p1009-s0': [[1, 213, 440], 'ec128bd94b38f641'],
-    'diag-net-p1009-s5': [[1, 882, 714], '3425bd7e95d7f539'],
-    'diag-net-p2147483647-s0': [[1, 75148233, 459499349], 'df25a884286ea7cf'],
-    'diag-net-p2147483647-s5': [[1, 1611456672, 886168250], '277a3d14c5b2cd98'],
-    'dense-pencil-p7-s0': [[1, 4], '8e649554eeba86c0'],
-    'dense-pencil-p7-s5': [[1, 4], '8e649554eeba86c0'],
-    'dense-pencil-p13-s0': [[1, 0], '77d8ce34daa44db3'],
-    'dense-pencil-p13-s5': [[1, 8], '75d65b77e5bc3ee2'],
-    'dense-pencil-p1009-s0': [[1, 213], '3cecf9314a82741b'],
-    'dense-pencil-p1009-s5': [[1, 51], 'a45f5880995c7077'],
-    'dense-pencil-p2147483647-s0': [[1, 1609340602], '6839f0302ebe585f'],
-    'dense-pencil-p2147483647-s5': [[1, 1074650977], '712bccaa5ad332bd'],
-    'dense-net-p7-s0': [[1, 4, 1], '60d0f8de062c8583'],
-    'dense-net-p7-s5': [[1, 4, 3], '2ccad005485b9865'],
-    'dense-net-p13-s0': [[0, 1, 2], 'fe281c22ce22f472'],
-    'dense-net-p13-s5': [[1, 5, 10], '29c9764183cc06a0'],
-    'dense-net-p1009-s0': [[1, 213, 440], 'ad176f3c268c688b'],
-    'dense-net-p1009-s5': [[1, 308, 86], 'a50e28a2895df93e'],
-    'dense-net-p2147483647-s0': [[1, 1609340602, 1780236489], 'b5f11da9098de9e2'],
-    'dense-net-p2147483647-s5': [[1, 1611456672, 886168250], 'c4cca429ee9511de'],
-    'dense-pencil-p13-s3-sweep': [[1, 0], '77d8ce34daa44db3'],
-    'dense-pencil-p13-s3-conic': [[1, 3], 'b7feb1432c69127b'],
-    'dense-pencil-p1009-s4-conic': [[1, 119], '6228a440fa63c4f0'],
-    'dense-net-p13-s3-sweep': [[1, 8, 0], '8e51f28c605f1797'],
-    'dense-net-p13-s3-conic': [[1, 8, 3], 'efc6e2fbc861a5b7'],
-    'dense-net-p1009-s4-conic': [[1, 382, 512], 'c1238b8aecc74b75'],
-    'diag-pencil-p11-s1-flip': [[1, 0], '8a0dc5aaf49cffe4'],
-    'dense-pencil-p7-s6-flip': [[1, 3], '37dc24346a6f0548'],
-    'dense-pencil-p11-s0-repair': [[1, 1], 'a3db764dc3457ea2'],
-    'dense-net-p13-s36-repair': [[1, 0, 8], '9b49cf2c19dd00c8'],
+    'diag-pencil-p7-s0': [[1, 4], '6b47cc5adc818551'],
+    'diag-pencil-p7-s5': [[1, 4], '6b47cc5adc818551'],
+    'diag-pencil-p13-s0': [[1, 2], '0eac34a2f016a8d8'],
+    'diag-pencil-p13-s5': [[1, 2], '0eac34a2f016a8d8'],
+    'diag-pencil-p1009-s0': [[1, 213], '736651b3941014be'],
+    'diag-pencil-p1009-s5': [[1, 51], '8d4364731c27ce6a'],
+    'diag-pencil-p2147483647-s0': [[1, 1609340602], '259f0bc7f542e51d'],
+    'diag-pencil-p2147483647-s5': [[1, 771568937], 'b62c4cb96e56ca42'],
+    'diag-net-p7-s0': [[1, 4, 1], '06bcfe09bf3ae9a6'],
+    'diag-net-p7-s5': [[1, 3, 6], '9e35da6271f8a150'],
+    'diag-net-p13-s0': [[1, 2, 1], 'd7e16fb6d57463b1'],
+    'diag-net-p13-s5': [[1, 8, 9], 'e9fac6539e4a41b2'],
+    'diag-net-p1009-s0': [[1, 213, 440], '454838f39364c2fb'],
+    'diag-net-p1009-s5': [[1, 882, 714], 'dfd919f0e870c1cd'],
+    'diag-net-p2147483647-s0': [[1, 75148233, 459499349], '3c6bf1835f13fc57'],
+    'diag-net-p2147483647-s5': [[1, 1611456672, 886168250], '7c70ce13cf5bd1a5'],
+    'dense-pencil-p7-s0': [[1, 4], '06226928ac88f208'],
+    'dense-pencil-p7-s5': [[1, 4], '06226928ac88f208'],
+    'dense-pencil-p13-s0': [[1, 0], 'bd189df30d6c200c'],
+    'dense-pencil-p13-s5': [[1, 8], '3149158bff7f93a3'],
+    'dense-pencil-p1009-s0': [[1, 213], '13c50cdcc08e27ea'],
+    'dense-pencil-p1009-s5': [[1, 51], 'f4fd1be0b53f52f7'],
+    'dense-pencil-p2147483647-s0': [[1, 1609340602], '6e0fba10aee2b640'],
+    'dense-pencil-p2147483647-s5': [[1, 1074650977], '661656c0c3483426'],
+    'dense-net-p7-s0': [[1, 4, 1], '30af2657c4551779'],
+    'dense-net-p7-s5': [[1, 4, 3], 'dfaefeaf48fd3354'],
+    'dense-net-p13-s0': [[0, 1, 2], '7eecb544844471d9'],
+    'dense-net-p13-s5': [[1, 5, 10], 'd47b67ec2bdc417e'],
+    'dense-net-p1009-s0': [[1, 213, 440], '74fca4cc69da3858'],
+    'dense-net-p1009-s5': [[1, 308, 86], '2d1af521a99c1cee'],
+    'dense-net-p2147483647-s0': [[1, 1609340602, 1780236489], '0becd1c7fede00d7'],
+    'dense-net-p2147483647-s5': [[1, 1611456672, 886168250], '948b511388e6315d'],
+    'dense-pencil-p13-s3-sweep': [[1, 0], 'bd189df30d6c200c'],
+    'dense-pencil-p13-s3-conic': [[1, 3], 'e81c4bff95c71e9c'],
+    'dense-pencil-p1009-s4-conic': [[1, 119], 'de4335ee241c94a7'],
+    'dense-net-p13-s3-sweep': [[1, 8, 0], 'dcac92ba12973863'],
+    'dense-net-p13-s3-conic': [[1, 8, 3], 'dc073ee7cb92a06d'],
+    'dense-net-p1009-s4-conic': [[1, 382, 512], 'ab23279c106fd935'],
+    'diag-pencil-p11-s1-flip': [[1, 0], '09fa468a8035cf11'],
+    'dense-pencil-p7-s6-flip': [[1, 3], '722a1b2a1ee97a2c'],
+    'zero-diag-pencil-p11-s0-repair': [[0, 1], 'e4092ab05079a2a9'],
+    'zero-diag-net-p13-s0-repair': [[1, 12, 11], 'a498ee73c85a5959'],
 }
 
 

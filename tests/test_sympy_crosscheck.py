@@ -2,7 +2,8 @@
 
 These duplicate results already covered by the in-repo oracles, through a
 fully independent implementation.  The lattice signatures are the exception:
-in-repo, only ``linalg.congruence_diagonalize`` checks them.
+in-repo, only the textbook Fraction congruence ``oracles.fraction_congruence``
+checks them.
 """
 
 import random
