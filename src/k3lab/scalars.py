@@ -165,7 +165,7 @@ def _inv_mod(v: int, p: int) -> int:
     v %= p
     if v == 0:
         raise ZeroDivisionError(f"division by zero in GF({p})")
-    return pow(v, p - 2, p)
+    return pow(v, -1, p)
 
 
 def chi_mod(a: int, p: int) -> int:

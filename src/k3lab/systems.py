@@ -8,7 +8,7 @@ members of the system: a binary quartic on the pencil's P^1, a plane
 sextic on the net's P^2.  The double cover tau^2 = disc is the object of
 interest in both cases; smoothness of its branch is decided exactly for
 quartics (discriminant nonzero) and probed over small finite fields for
-sextics.
+sextics, along the lines of P^2(F_p) that the pencil count sweeps too.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .polymat import LinearMatrix, quadratic_terms
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, chi_mod
+from .univar import (common_roots, deriv, first_root, gcd, partials, plane_lines,
+                     plane_rows, restrict)
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
@@ -266,90 +268,10 @@ def jacobian_j_invariant(pencil: PencilOfQuadrics):
     return pencil_discriminant(pencil).j_invariant()
 
 
-def _plane_lines(p):
-    """P^2(F_p) as lines (base, j, length): the points base + s*e_j for s in
-    range(length), with base[j] = 0.
-
-    Together they visit every normalized point once, in exactly the order of
-    ``projective_points(GF(p), 2)``: (1, x1, x2) with x1 fastest, then
-    (0, 1, x2), then (0, 0, 1).
-    """
-    for x2 in range(p):
-        yield (1, 0, x2), 1, p
-    yield (0, 1, 0), 2, p
-    yield (0, 0, 1), 0, 1
-
-
-def _trim(a, p):
-    """The descending coefficient list a reduced mod p, without leading
-    zeros ([] for the zero polynomial)."""
-    a = [x % p for x in a]
-    while a and not a[0]:
-        del a[0]
-    return a
-
-
-def _poly_gcd(a, b, p):
-    """A gcd mod p of two descending coefficient lists, by Euclid's
-    algorithm: [] when both are zero, [u] (u a unit) when they are coprime."""
-    a, b = _trim(a, p), _trim(b, p)
-    while b:
-        inv, n, tail = pow(b[0], -1, p), len(b), b[1:]
-        while len(a) >= n:
-            q = a[0] * inv
-            a = [(x - q * y) % p for x, y in zip(a[1:n], tail)] + a[n:]
-            while a and not a[0]:
-                del a[0]
-        a, b = b, a
-    return a
-
-
-def _first_root(h, length, p):
-    """The least t in range(length) where the descending coefficient list h
-    vanishes mod p, or None."""
-    for t in range(length):
-        acc = 0
-        for a in h:
-            acc = acc * t + a
-        if not acc % p:
-            return t
-    return None
-
-
-def _line_restriction(rows, base, j):
-    """A plane form of degree d on the line base + t*e_j of ``_plane_lines``,
-    as a descending coefficient list in t (unreduced ints).  ``rows[k][i]``
-    is the coefficient of x0^(d-k-i)*x1^k*x2^i, so each row k is a
-    polynomial in x2: on (1 : t : x2) it gives the coefficient of t^k."""
-    if j == 1:  # (1 : t : x2)
-        powers = [base[2]**i for i in range(len(rows))]
-        return [sum(map(mul, r, powers)) for r in reversed(rows)]
-    if j == 2:  # (0 : 1 : t): the terms free of x0
-        return [r[-1] for r in rows]
-    return rows[0]  # (t : 0 : 1): the terms free of x1
-
-
-def _sextic_rows(f):
-    """(rows, D): D*f in the layout of ``_line_restriction``, with D the lcm
-    of the coefficients' denominators (1 over GF(p))."""
-    (ints,), scale = linalg.int_rows(f.field, [list(f.terms.values())])
-    rows = [[0] * (7 - k) for k in range(7)]
-    for (_, k, i), c in zip(f.terms, ints):
-        rows[k][i] = c
-    return rows, scale
-
-
-def _partial_rows(rows):
-    """The three partials of a sextic in the layout of ``_line_restriction``."""
-    return ([[(6 - k - i) * c for i, c in enumerate(r[:-1])] for k, r in enumerate(rows[:6])],
-            [[k * c for c in r] for k, r in enumerate(rows) if k],
-            [[i * c for i, c in enumerate(r) if i] for r in rows[:6]])
-
-
 def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     """Look for singular points of a plane sextic over each F_p.
 
-    Sweeps the lines of ``_plane_lines`` in order, so the first witness is
+    Sweeps the lines of ``univar.plane_lines`` in order, so the first witness is
     the one a point-by-point search of ``projective_points`` would find.
     On the line base + t*e_j, f restricts to a polynomial c(t) of degree at
     most 6 whose derivative c' is the partial f_j on the line, so in every
@@ -373,7 +295,7 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
         raise PreconditionError("the probe needs at least one prime")
     for p in primes:
         _check_sweep_prime(p)
-    rows, scale = _sextic_rows(f)
+    rows, scale = plane_rows(f)
     for p in primes:
         if f.field.char not in (0, p):
             raise FieldMismatch(f"element of GF({f.field.char}) used in GF({p})")
@@ -381,16 +303,16 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
             bad = next(c for _, c in f.sorted_terms() if c.denominator % p == 0)
             raise BadPrime(f"denominator of {bad} vanishes mod {p}")
         rp = [[c % p for c in r] for r in rows]
-        partials = _partial_rows(rp)
-        for base, j, length in _plane_lines(p):
-            c = _line_restriction(rp, base, j)
-            h = _poly_gcd(c, [k * x for k, x in zip(range(len(c) - 1, 0, -1), c)], p)
+        df = partials(rp)
+        for base, j, length in plane_lines(p):
+            c = restrict(rp, base, j)
+            h = gcd(c, deriv(c), p)
             if len(h) == 1:  # a unit: no common root (c = 0 leaves h = [])
                 continue
             for i in range(3):
                 if i != j:
-                    h = _poly_gcd(h, _line_restriction(partials[i], base, j), p)
-            t = _first_root(h, length, p)
+                    h = gcd(h, restrict(df[i], base, j), p)
+            t = first_root(h, length, p)
             if t is not None:
                 x = list(base)
                 x[j] = t
@@ -422,34 +344,6 @@ def _good_reduction_coeffs(f: BinaryQuartic, p: int) -> list:
         raise BadReduction(str(exc)) from exc
 
 
-def _common_roots(a, b1, c1, b2, c2, p) -> int:
-    """Number of roots in F_p of gcd(a t^2 + b1 t + c1, b2 t + c2).
-
-    The gcd is zero (p roots), a constant (0), linear (1) or the quadratic
-    itself (1 + chi(disc)).  A linear second polynomial has its root
-    -c2/b2 in common with the first iff their resultant vanishes.
-    """
-    if b2:
-        return 0 if (a * c2 * c2 - b1 * b2 * c2 + c1 * b2 * b2) % p else 1
-    if c2:
-        return 0
-    if a:
-        return 1 + chi_mod(b1 * b1 - 4 * a * c1, p)
-    if b1:
-        return 1
-    return 0 if c1 else p  # a line in the base locus: never with good reduction
-
-
-def _on_line(g, base, j):
-    """(l0, l1, m0, m1, m2) with q(base + s*e_j, t) = G[3][3] t^2
-    + (l0 + l1 s) t + (m0 + m1 s + m2 s^2), for the int Gram matrix g of q
-    and base[j] = 0."""
-    r = range(3)
-    return (2 * sum(g[i][3] * base[i] for i in r), 2 * g[j][3],
-            sum(g[i][k] * base[i] * base[k] for i in r for k in r),
-            2 * sum(g[i][j] * base[i] for i in r), g[j][j])
-
-
 def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
     g1, g2 = (q._rows for q in pencil.reduce_mod(p).forms)
     # Both forms are quadratics in x3 with the constant leading coefficients
@@ -460,14 +354,20 @@ def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
     a, a2 = g1[3][3], g2[3][3]
     if a2:
         g2 = [[(a2 * x - a * y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(g1, g2)]
-    # (0:0:0:1) lies on both forms iff both G[3][3] vanish.
+    # q(x, t) = G[3][3] t^2 + l(x) t + m(x) for x in P^2, with l and m plane rows
+    # of degree 1 and 2.  (0:0:0:1) lies on both forms iff both G[3][3] vanish.
+    (l, m), (k, n) = (([[2 * g[0][3], 2 * g[2][3]], [2 * g[1][3]]],
+                       [[g[0][0], 2 * g[0][2], g[2][2]], [2 * g[0][1], 2 * g[1][2]], [g[1][1]]])
+                      for g in (g1, g2))
     count = 0 if a else 1
-    for base, j, length in _plane_lines(p):
-        l0, l1, m0, m1, m2 = _on_line(g1, base, j)
-        k0, k1, n0, n1, n2 = _on_line(g2, base, j)
+    for base, j, length in plane_lines(p):
+        l1, l0 = restrict(l, base, j)
+        m2, m1, m0 = restrict(m, base, j)
+        k1, k0 = restrict(k, base, j)
+        n2, n1, n0 = restrict(n, base, j)
         for s in range(length):
-            count += _common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
-                                   (k0 + k1 * s) % p, ((n2 * s + n1) * s + n0) % p, p)
+            count += common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
+                                  (k0 + k1 * s) % p, ((n2 * s + n1) * s + n0) % p, p)
     return count
 
 

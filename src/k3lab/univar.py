@@ -1,0 +1,117 @@
+"""Univariate polynomials mod p, and plane forms on the lines of P^2(F_p).
+
+A univariate polynomial is a descending list of int coefficients, [] for
+zero; functions that take p reduce mod p, the others return unreduced
+ints.  A plane form of degree d is kept as rows: ``rows[k][i]`` is the
+coefficient of x0^(d-k-i)*x1^k*x2^i, so row k is a polynomial in x2.
+``plane_lines`` covers P^2(F_p) by lines and ``restrict`` puts a plane
+form on one of them: the sextic probe of ``systems`` restricts the branch
+sextic and its partials, the pencil count the quadrics of the pencil.
+"""
+
+from . import linalg
+from .scalars import chi_mod
+
+
+def plane_lines(p):
+    """P^2(F_p) as lines (base, j, length): the points base + s*e_j for s in
+    range(length), with base[j] = 0.  Together they visit every normalized
+    point once, in exactly the order of ``projective_points(GF(p), 2)``:
+    (1, x1, x2) with x1 fastest, then (0, 1, x2), then (0, 0, 1)."""
+    for x2 in range(p):
+        yield (1, 0, x2), 1, p
+    yield (0, 1, 0), 2, p
+    yield (0, 0, 1), 0, 1
+
+
+def plane_rows(f):
+    """(rows, D): D*f as rows, for a nonzero plane form f (MultiPoly), with D
+    the lcm of the coefficients' denominators (1 over GF(p))."""
+    d = sum(next(iter(f.terms)))
+    (ints,), scale = linalg.int_rows(f.field, [list(f.terms.values())])
+    rows = [[0] * (d + 1 - k) for k in range(d + 1)]
+    for (_, k, i), c in zip(f.terms, ints):
+        rows[k][i] = c
+    return rows, scale
+
+
+def partials(rows):
+    """The partials in x0, x1 and x2 of a plane form of degree d >= 1."""
+    d = len(rows) - 1
+    return ([[(d - k - i) * c for i, c in enumerate(r[:-1])] for k, r in enumerate(rows[:d])],
+            [[k * c for c in r] for k, r in enumerate(rows) if k],
+            [[i * c for i, c in enumerate(r) if i] for r in rows[:d]])
+
+
+def restrict(rows, base, j):
+    """A plane form of degree d on the line base + t*e_j of ``plane_lines``,
+    as a descending list of d + 1 coefficients in t: on (1 : t : x2) row k
+    gives the coefficient of t^k."""
+    if j == 1:  # (1 : t : x2): each row by Horner in x2
+        x2, out = base[2], []
+        for r in reversed(rows):
+            acc = 0
+            for c in reversed(r):
+                acc = acc * x2 + c
+            out.append(acc)
+        return out
+    if j == 2:  # (0 : 1 : t): the terms free of x0
+        return [r[-1] for r in rows]
+    return rows[0]  # (t : 0 : 1): the terms free of x1
+
+
+def trim(a, p):
+    """The list a reduced mod p, without leading zeros ([] for zero)."""
+    a = [x % p for x in a]
+    while a and not a[0]:
+        del a[0]
+    return a
+
+
+def deriv(a):
+    """The derivative of the descending coefficient list a."""
+    return [k * x for k, x in zip(range(len(a) - 1, 0, -1), a)]
+
+
+def gcd(a, b, p):
+    """A gcd mod p of two descending coefficient lists, by Euclid's
+    algorithm: [] when both are zero, [u] (u a unit) when they are coprime."""
+    a, b = trim(a, p), trim(b, p)
+    while b:
+        inv, n, tail = pow(b[0], -1, p), len(b), b[1:]
+        while len(a) >= n:
+            q = a[0] * inv
+            a = [(x - q * y) % p for x, y in zip(a[1:n], tail)] + a[n:]
+            while a and not a[0]:
+                del a[0]
+        a, b = b, a
+    return a
+
+
+def first_root(h, length, p):
+    """The least t in range(length) where h vanishes mod p, or None."""
+    for t in range(length):
+        acc = 0
+        for a in h:
+            acc = acc * t + a
+        if not acc % p:
+            return t
+    return None
+
+
+def common_roots(a, b1, c1, b2, c2, p) -> int:
+    """Number of roots in F_p of gcd(a t^2 + b1 t + c1, b2 t + c2), all mod p.
+
+    The gcd is zero (p roots), a constant (0), linear (1) or the quadratic
+    itself (1 + chi(disc)).  A linear second polynomial has its root
+    -c2/b2 in common with the first iff their resultant vanishes.
+    """
+    if b2:
+        return 0 if (a * c2 * c2 - b1 * b2 * c2 + c1 * b2 * b2) % p else 1
+    if c2:
+        return 0
+    if a:
+        return 1 + chi_mod(b1 * b1 - 4 * a * c1, p)
+    if b1:
+        return 1
+    return 0 if c1 else p  # a line in the base locus: never with good reduction

@@ -366,12 +366,14 @@ def brute_force_singular_point(f, p):
 
 
 def line_sweep_singular_point(f, p):
-    """``brute_force_singular_point`` by an int sweep of every point: f is
-    restricted to each line of ``systems._plane_lines`` and evaluated along
-    it by Horner, and the partials are evaluated wherever f vanishes,
-    O(p^2) int operations.  The point as a tuple of ints, or None."""
-    from k3lab.systems import _plane_lines
-
+    """``brute_force_singular_point`` by an int sweep of every point, O(p^2)
+    int operations.  f is restricted to the lines (1 : s : x2), then
+    (0 : 1 : s), then the point (0 : 0 : 1), the documented order of
+    ``univar.plane_lines``, built here so that the sweep under test is not
+    its own oracle; it is evaluated along each by Horner, and the partials
+    wherever f vanishes.  The point as a tuple of ints, or None."""
+    lines = ([((1, 0, x2), 1, p) for x2 in range(p)]
+             + [((0, 1, 0), 2, p), ((0, 0, 1), 0, 1)])
     terms = [(e, c.v) for e, c in poly_mod(f, p).terms.items()]
     partials = [[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in terms if e[i]]
                 for i in range(3)]
@@ -384,7 +386,7 @@ def line_sweep_singular_point(f, p):
             acc += c
         return acc % p
 
-    for base, j, length in _plane_lines(p):
+    for base, j, length in lines:
         coeffs = [0] * 7
         for e, c in terms:
             for i, (xi, k) in enumerate(zip(base, e)):

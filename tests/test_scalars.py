@@ -61,7 +61,9 @@ def test_gf_fraction_coercion():
 
 def test_legendre_and_sqrt():
     rng = random.Random(0)
-    for p in (3, 5, 7, 11, 13, 10007, 1000003):
+    # Tonelli-Shanks with p - 1 = q * 2^s for s up to 27: 65537 = 2^16 + 1 and
+    # 2013265921 = 15 * 2^27 + 1
+    for p in (3, 5, 7, 11, 13, 10007, 1000003, 65537, 2013265921):
         F = GF(p)
         squares = {pow(x, 2, p) for x in range(1, p)} if p < 2000 else None
         for _ in range(25):

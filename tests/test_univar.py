@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from k3lab import GF, QQ, PreconditionError
-from oracles import (uni_deriv, uni_divmod, uni_eval, uni_gcd,
+from k3lab import GF, QQ, MultiPoly, PreconditionError, poly_from_text, projective_points, univar
+from oracles import (deriv, substitute, uni_degree, uni_deriv, uni_divmod, uni_eval, uni_gcd,
                      uni_is_squarefree, uni_resultant, uni_trim)
 
 
@@ -85,3 +86,173 @@ def _from_roots(roots):
 def test_from_roots_helper():
     assert _from_roots((2,)) == (Fraction(-2), Fraction(1))
     assert _from_roots((1, -1)) == (Fraction(-1), Fraction(0), Fraction(1))
+
+
+# -- the int kernel k3lab.univar against the boxed oracles ----------------------
+# The kernel's polynomials are descending int lists, the oracles' ascending
+# tuples of scalars; ``boxed`` converts.  The hand examples above run again
+# here as fixed inputs, reduced mod each prime.
+
+KERNEL_PRIMES = (3, 13, 2**31 - 1)
+# (a, b) in the kernel's format: gcd(x^2 - 1, x - 1), gcd(2x^2, 4x),
+# x^2 + 1 against x + 1, and 3x^2 + 2x + 1 (whose derivative is 6x + 2)
+HAND_PAIRS = [([1, 0, -1], [1, -1]), ([2, 0, 0], [4, 0]), ([1, 0, 1], [1, 1]),
+              ([3, 2, 1], [6, 2])]
+
+
+def boxed(F, a):
+    """The descending int list a as the oracles' ascending tuple over F."""
+    return uni_trim(F, a[::-1])
+
+
+def descending(t):
+    """An oracle tuple over GF(p) as a descending list of ints in [0, p)."""
+    return [c.v for c in reversed(t)]
+
+
+def times(a, b):
+    """The product of two descending int lists."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def random_poly(rng, p, max_deg=6):
+    """A descending list of unreduced ints (some negative, some >= p) with up
+    to two leading zeros; zero polynomials ([] or zeros) come up too."""
+    n = rng.randint(0, max_deg + 1)
+    a = [rng.choice((0, rng.randrange(-p, 2 * p), rng.randrange(1, p))) for _ in range(n)]
+    return [0] * rng.randint(0, 2) + a
+
+
+def kernel_pairs(p):
+    """Seeded (a, b): random pairs, pairs with a common factor, equal
+    arguments, zero polynomials, and the hand examples."""
+    rng = random.Random(p)
+    pairs = list(HAND_PAIRS) + [([], []), ([0, 0], []), ([], [0]), ([0, 5], [0, 0, 7])]
+    for _ in range(60):
+        a, b, u = (random_poly(rng, p, 4) for _ in range(3))
+        pairs += [(a, b), (times(a, u), times(b, u)), (a, a), (a, []), ([0], b),
+                  (times(u, u), times(u, [2, 1]))]
+    return pairs
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_trim_and_deriv_against_oracles(p):
+    F = GF(p)
+    for a, b in kernel_pairs(p):
+        for f in (a, b):
+            assert univar.trim(f, p) == descending(uni_trim(F, f[::-1]))
+            assert boxed(F, univar.deriv(f)) == uni_deriv(F, boxed(F, f))
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_gcd_against_oracle(p):
+    F = GF(p)
+    nontrivial = 0
+    for a, b in kernel_pairs(p):
+        got = univar.gcd(a, b, p)
+        if not boxed(F, a) and not boxed(F, b):
+            assert got == []  # where the oracle raises
+            continue
+        assert got[0] and all(0 <= x < p for x in got)
+        inv = pow(got[0], -1, p)
+        assert [x * inv % p for x in got] == descending(uni_gcd(F, boxed(F, a), boxed(F, b)))
+        nontrivial += len(got) > 1
+    assert nontrivial > 60
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_first_root_against_scan(p):
+    F = GF(p)
+    rng = random.Random(p + 1)
+    cases = []
+    for _ in range(80):
+        length = rng.randint(1, min(p, 40))
+        roots = [rng.randrange(length + 3) for _ in range(rng.randint(0, 3))]
+        h = [rng.randrange(1, p)]
+        for r in roots:
+            h = times(h, [1, -r])
+        cases += [(h, length), (random_poly(rng, p), length), ([1, 1 - length], length)]
+    for h, length in cases + [(a, 3) for a, _ in HAND_PAIRS] + [([], 2), ([0, 0], 1)]:
+        want = next((t for t in range(length) if not uni_eval(F, boxed(F, h), t)), None)
+        assert univar.first_root(h, length, p) == want
+
+
+def test_kernel_common_roots_exhaustive_mod_5():
+    p, F = 5, GF(5)
+    for a, b1, c1, b2, c2 in product(range(p), repeat=5):
+        got = univar.common_roots(a, b1, c1, b2, c2, p)
+        f, g = boxed(F, [a, b1, c1]), boxed(F, [b2, c2])
+        if not f and not g:
+            assert got == p
+            continue
+        h = uni_gcd(F, f, g)
+        roots = [t for t in range(p) if not uni_eval(F, h, t)]
+        assert got == len(roots) <= uni_degree(h)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_kernel_plane_lines_in_point_order(p):
+    got = []
+    for base, j, length in univar.plane_lines(p):
+        assert base[j] == 0
+        for s in range(length):
+            x = list(base)
+            x[j] = s
+            got.append(tuple(x))
+    assert got == [tuple(c.v for c in pt) for pt in projective_points(GF(p), 2)]
+
+
+def plane_form(F, rows):
+    """The MultiPoly of plane rows of degree d = len(rows) - 1 over F."""
+    d = len(rows) - 1
+    return MultiPoly(F, 3, {(d - k - i, k, i): c for k, r in enumerate(rows)
+                            for i, c in enumerate(r)})
+
+
+def random_plane_form(rng, F, d):
+    """A nonzero plane form of degree d over F, about a third of whose
+    coefficients are zero."""
+    p = F.p
+    rows = [[rng.choice((0, rng.randrange(-p, p), 1)) for _ in range(d + 1 - k)]
+            for k in range(d + 1)]
+    rows[rng.randrange(d + 1)][0] = 1
+    return plane_form(F, rows)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_plane_rows_and_partials_against_oracles(p):
+    rng = random.Random(p + 2)
+    F = GF(p)
+    for d in range(1, 7):
+        for _ in range(8):
+            f = random_plane_form(rng, F, d)
+            rows, scale = univar.plane_rows(f)
+            assert scale == 1 and plane_form(F, rows) == f
+            assert [plane_form(F, r) for r in univar.partials(rows)] == [
+                deriv(f, i) for i in range(3)]
+    f = poly_from_text("1/2*x0^2 + 2/3*x1*x2 - x2^2", QQ, 3)
+    rows, scale = univar.plane_rows(f)
+    assert scale == 6 and plane_form(QQ, rows) == f * MultiPoly.const(QQ, 3, 6)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_restrict_against_substitution(p):
+    rng = random.Random(p + 3)
+    F = GF(p)
+    lines = ([((1, 0, x2), 1, p) for x2 in sorted({0, 1, 2, p // 2, p - 1})]
+             + [((0, 1, 0), 2, p), ((0, 0, 1), 0, 1)])
+    for d in range(1, 7):
+        f = random_plane_form(rng, F, d)
+        rows, _ = univar.plane_rows(f)
+        for form, r in [(f, rows)] + list(zip((deriv(f, i) for i in range(3)),
+                                             univar.partials(rows))):
+            for base, j, _ in lines:
+                line = substitute(form, {i: MultiPoly.const(F, 3, base[i])
+                                         for i in range(3) if i != j})
+                want = [line.coeff(tuple(e if i == j else 0 for i in range(3))).v
+                        for e in range(len(r) - 1, -1, -1)]
+                assert [c % p for c in univar.restrict(r, base, j)] == want
