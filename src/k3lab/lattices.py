@@ -15,14 +15,15 @@ Both Grams are built by congruence, never from ambient basis vectors.  The
 L0 basis comes from at most n unimodular two-column operations on
 [alpha G | r] (Cohen, GTM 138, section 2.4); applying each one to the rows
 and the columns of G + [0] gives the Gram of that basis in O(n) per
-operation.  The overlattice's Hermite basis S is m*I plus one dense row in
-L0-coordinates, so its Gram S G0 S^T / m^2 costs one row operation per
-sparse row of S.
+operation.  The overlattice's Hermite basis S in L0-coordinates is the row
+HNF of the stack [m*I ; c], which ``_stack_hnf`` reduces with one running
+row: S is m*I with a few rows replaced by dense ones (one for prime m).  Its
+Gram S G0 S^T / m^2 is G0 bordered at those rows, one row product each.
 
 Determinant and signature are read off the pivots of the package's one
 symmetric elimination, ``linalg.int_congruence`` over ZZ (fraction-free,
 Bareiss, Math. Comp. 22, 1968), which carries no basis here.  It pivots on
-the row with the most zeros, as the overlattice Gram has one dense row that
+the row with the most zeros, as the overlattice Gram has dense rows that
 would fill the whole matrix if eliminated first, and it rescales a row only
 when it is used; both are exact (see its docstring).
 """
@@ -254,6 +255,42 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def _stack_hnf(m: int, c):
+    """The row HNF of the stack m*e_0, ..., m*e_(n-1), c, as ``rows[j]``,
+    the pivot row of column j: None for the unit row m*e_j, else a dense
+    row.  Pivots are positive and the entries above them reduced, as
+    ``hnf_row_basis`` leaves them, and the HNF is unique.
+
+    One running row v, starting at c, sweeps the columns: at column j only
+    m*e_j and v can be nonzero among the rows not yet pivoted.  If m | v_j
+    the pivot is m*e_j.  Otherwise g = gcd(v_j, m) = s*v_j + t*m > 0, the
+    pivot is s*v + t*m*e_j and v becomes (m/g)*v, a unimodular 2x2
+    operation.  Either way v_j is then cleared, and every earlier dense row
+    is reduced into [0, pivot) at column j.
+    """
+    v = list(c)
+    rows = [None] * len(v)
+    dense = []
+    for j in range(len(v)):
+        if v[j] % m == 0:
+            v[j] = 0
+            for row in dense:
+                row[j] %= m
+            continue
+        g, s, t = _xgcd(v[j], m)  # g > 0: remainders mod m > 0 are >= 0
+        piv = [s * x for x in v]
+        piv[j] = g  # s*v_j + t*m
+        v = [x * (m // g) for x in v]
+        v[j] = 0
+        for row in dense:
+            q = row[j] // g
+            if q:
+                row[:] = [x - q * y for x, y in zip(row, piv)]
+        rows[j] = piv
+        dense.append(piv)
+    return rows
+
+
 def _column_ops(w, r: int):
     """Unimodular column operations (i, s, t, a0, ai) reducing [w | r] to
     [g, 0, ..., 0]: columns 0, i become s*c0 + t*ci, a0*ci - ai*c0."""
@@ -382,10 +419,12 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
 
     Computed on integers in L0-coordinates: alpha lies in L0 (r | (alpha^2))
     and alpha/r = c/m there, m = r / gcd(r, coordinates of alpha).  So the
-    overlattice is Z^n + Z(c/m), whose Hermite stack is diagonal plus one
-    dense row and stays well-conditioned.  Its Gram is S G0 S^T / m^2, with
-    S the Hermite basis and G0 the congruence ``_kernel_gram`` of the
-    ambient Gram; no ambient basis vector is formed.
+    overlattice is Z^n + Z(c/m), whose Hermite basis S of m*(Z^n + Z(c/m))
+    is ``_stack_hnf(m, c)``: m*I with the rows of a few columns dense.  Its
+    Gram S G0 S^T / m^2, with G0 the congruence ``_kernel_gram`` of the
+    ambient Gram, is G0 bordered at those columns: for a dense row P_j and
+    u = P_j G0, entry (j, k) is u[k] / m at a unit row k and (u . P_k) / m^2
+    at a dense row k.  No ambient basis vector is formed.
     """
     lat, alpha, r = spec.lattice, spec.alpha, spec.r
     w = _combination(alpha, lat.gram)
@@ -393,22 +432,24 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     if alpha_sq % (2 * r * r):
         raise DivisibilityViolation(
             f"(alpha^2) = {alpha_sq} is not divisible by 2*r^2 = {2 * r * r}")
-    n = lat.rank
     ops = _column_ops(w, r)
     coords = _kernel_coordinates(ops, alpha + (-alpha_sq // r,))
     m = r // gcd(r, *coords)  # alpha/r = c/m in L0-coordinates, in lowest terms
-    rows = [[m if i == j else 0 for j in range(n)] for i in range(n)]
-    rows.append([x * m // r for x in coords])
-    scaled = hnf_row_basis(rows)  # basis of m * (Z^n + Z(c/m)) in L0-coords
-    if len(scaled) != n:
-        raise K3LabError("overlattice basis has wrong rank")  # unreachable
-    # S G0 S^T = S (S G0)^T as G0 is symmetric; rows of S are mostly m * e_i
+    rows = _stack_hnf(m, [x * m // r for x in coords])
     g0 = _kernel_gram(lat.gram, ops)
-    g0_st = list(zip(*[_combination(row, g0) for row in scaled]))
-    gram = [_combination(row, g0_st) for row in scaled]
-    if any(val % (m * m) for row in gram for val in row):
-        raise K3LabError("overlattice Gram is not integral")  # unreachable
-    gram = [[val // (m * m) for val in row] for row in gram]
+    gram = [list(row) for row in g0]
+    for j, row in enumerate(rows):
+        if row is None:
+            continue
+        u = _combination(row, g0)
+        for k, other in enumerate(rows):
+            if other is None:
+                val, rem = divmod(u[k], m)
+            else:
+                val, rem = divmod(sum(map(mul, u, other)), m * m)
+            if rem:
+                raise K3LabError("overlattice Gram is not integral")  # unreachable
+            gram[j][k] = gram[k][j] = val
     out = IntegralLattice(gram, label=f"{lat.label or 'L'}+Z(alpha/{r})")
     if not out.is_even:
         raise K3LabError("overlattice is not even")  # unreachable under the precondition

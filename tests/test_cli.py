@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3lab import GF, QQ
+from k3lab import GF, QQ, lattices
 from k3lab.cli import build_parser, main
 
 ALPHA_OK = ",".join(["1", "4"] + ["0"] * 20)
@@ -275,6 +275,19 @@ def test_lattice_overlattice_gram_golden_bytes(capsys):
     goldens = json.loads(OVERLATTICE_GOLDEN.read_text())
     assert len(goldens) == 4
     for case in goldens:
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
+
+
+def test_lattice_overlattice_command_skips_generic_hnf(capsys, monkeypatch):
+    # the command reduces its stack by lattices._stack_hnf; the generic
+    # Hermite reduction is only its oracle
+    def refuse(rows):
+        raise AssertionError("hnf_row_basis on the command path")
+
+    monkeypatch.setattr(lattices, "hnf_row_basis", refuse)
+    for case in json.loads(OVERLATTICE_GOLDEN.read_text()):
         code, out, _ = run(capsys, *case["argv"])
         assert code == 0
         assert out == case["stdout"]

@@ -11,8 +11,8 @@ from k3lab import (DivisibilityViolation, IntegralLattice, MukaiVector,
                    k3_lattice, l_zero_sublattice, lattice_invariants,
                    moduli_dim, overlattice)
 from k3lab import MultiPoly, QQ, linalg
-from k3lab.lattices import (_column_ops, _kernel_coordinates, e8_gram,
-                            hnf_row_basis, l_zero_basis)
+from k3lab.lattices import (_column_ops, _kernel_coordinates, _stack_hnf,
+                            e8_gram, hnf_row_basis, l_zero_basis)
 from oracles import (block_sum, cofactor_det, dense_overlattice_gram,
                      dense_row_block_sums, fraction_congruence, gram_of, leibniz_det,
                      scalar_leibniz_det,
@@ -254,6 +254,42 @@ def test_hnf_row_basis_shape():
         lead = next(j for j, x in enumerate(row) if x)
         for upper in basis[:i]:
             assert 0 <= upper[lead] < row[lead]
+
+
+def _stacks():
+    """Seeded stacks [m*I ; c] as the overlattice reduces them: c with zeros,
+    negative entries and multiples of m, and in every third stack c_0 = 0
+    mod m, so that the first dense pivot comes after column 0."""
+    rng = random.Random(94)
+    stacks = []
+    for m in (1, 2, 3, 4, 6, 8, 9, 12, 30):
+        for n in (1, 2, 5, 22):
+            for k in range(12):
+                c = [rng.choice((0, m * rng.randint(-3, 3), rng.randint(-2 * m, 2 * m)))
+                     for _ in range(n)]
+                if k % 3 == 0:
+                    c[0] = m * rng.randint(-2, 2)
+                stacks.append((m, c))
+    return stacks
+
+
+def test_stack_hnf_against_generic_hnf():
+    seen = dict.fromkeys(("zero", "negative", "multiple of m",
+                          "first dense pivot after column 0", "two dense rows"), 0)
+    for m, c in _stacks():
+        n = len(c)
+        unit = [[m * (i == j) for j in range(n)] for i in range(n)]
+        rows = _stack_hnf(m, c)
+        assert len(rows) == n
+        got = [unit[j] if row is None else row for j, row in enumerate(rows)]
+        assert got == hnf_row_basis(unit + [c]), (m, c)
+        dense = [j for j, row in enumerate(rows) if row is not None]
+        seen["zero"] += 0 in c
+        seen["negative"] += min(c) < 0
+        seen["multiple of m"] += m > 1 and any(x and x % m == 0 for x in c)
+        seen["first dense pivot after column 0"] += bool(dense) and dense[0] > 0
+        seen["two dense rows"] += len(dense) >= 2
+    assert all(seen.values()), seen
 
 
 # -- divisibility sublattice ----------------------------------------------------
@@ -539,6 +575,7 @@ def test_overlattice_and_l_zero_grams_match_dense_ambient_products():
     assert any(abs(lat.det) > 1 for lat, _, _ in cases)
     assert any(lat.det == 0 for lat, _, _ in cases)
     assert sum(gcd(*alpha) > 1 for _, alpha, _ in cases) >= 60
+    most_dense = 0
     for lat, alpha, r in cases:
         out = overlattice(OverlatticeSpec(lat, alpha, r))
         want = dense_overlattice_gram(lat, alpha, r)
@@ -550,9 +587,12 @@ def test_overlattice_and_l_zero_grams_match_dense_ambient_products():
         coords = linalg.solve(QQ, [list(c) for c in zip(*l_zero_basis(lat, alpha, r))], alpha)
         m = r // gcd(r, *[int(c) for c in coords])
         assert out.det * m * m == lat.det * index_in * index_in
+        stack = _stack_hnf(m, [int(c) * m // r for c in coords])
+        most_dense = max(most_dense, sum(row is not None for row in stack))
         if lat.det:
             assert out.signature() == lat.signature()
         # L0 needs no divisibility; at r + 1 alpha^2 is mostly not divisible
         for r_sub in (r, r + 1):
             want = gram_of(lat.gram, l_zero_basis(lat, alpha, r_sub))
             assert l_zero_sublattice(lat, alpha, r_sub).gram == tuple(map(tuple, want))
+    assert most_dense >= 2  # the Gram pairs two dense Hermite rows

@@ -62,6 +62,7 @@ ALLOWLIST = {
     "scalars.PrimeField.sqrt": TRACER,
     "scalars.PrimeField.legendre": TRACER,
     "lattices.IntegralLattice.pairing": TRACER,
+    "lattices.hnf_row_basis": "the generic oracle of _stack_hnf; " + TRACER,
     # overlattice and l_zero_sublattice build their Grams by congruence
     "lattices.l_zero_basis": "exported L0 basis; " + TRACER,
     "lattices._kernel_of_functional_mod": "the body of l_zero_basis",
