@@ -16,6 +16,7 @@ bundled inputs are reachable as ``builtin:pencil-diagonal``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -36,11 +37,11 @@ from .lattices import (IntegralLattice, MukaiVector, OverlatticeSpec,
                        overlattice)
 from .poly import MultiPoly, poly_to_text
 from .quadforms import QuadraticForm, matrix_model
-from .scalars import GF, QQ, scalar_to_json
-from .systems import (DEFAULT_PROBE_PRIMES, MAX_SWEEP_PRIME, NetOfQuadrics,
-                      PencilOfQuadrics, count_points, jacobian_j_invariant,
-                      moduli_double_cover, net_discriminant, pencil_discriminant,
-                      pic2_double_cover)
+from .scalars import GF, QQ, GFElement
+from .systems import (DEFAULT_PROBE_PRIMES, MAX_SWEEP_PRIME, CoverVerdict,
+                      DoubleCoverDescriptor, NetOfQuadrics, PencilOfQuadrics,
+                      count_points, jacobian_j_invariant, moduli_double_cover,
+                      net_discriminant, pencil_discriminant, pic2_double_cover)
 
 _BUILTIN_FILES = {
     "builtin:pencil-diagonal": "pencil-diagonal.json",
@@ -213,24 +214,43 @@ def _parse_int_list(text: str, what: str):
 
 
 def _jsonable(x):
-    if hasattr(x, "to_json"):
-        return _jsonable(x.to_json())
-    if isinstance(x, MultiPoly):
-        return poly_to_text(x)
+    """The JSON value of a report or of a part of one: the one place where
+    results become JSON.  Field elements print their residue, rationals an
+    int or "num/den", polynomials their text; a cover verdict omits empty
+    primes and a missing witness; any other dataclass prints its fields."""
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    return scalar_to_json(x)
+    if isinstance(x, GFElement):
+        return x.v
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, MultiPoly):
+        return poly_to_text(x)
+    if isinstance(x, CoverVerdict):
+        out = {"status": x.status}
+        if x.primes:
+            out["primes"] = list(x.primes)
+        if x.witness is not None:
+            p, point = x.witness
+            out["witness"] = {"p": p, "point": _jsonable(point)}
+        return out
+    if isinstance(x, DoubleCoverDescriptor):
+        return {"base_dim": x.base_dim, "branch": poly_to_text(x.branch),
+                "branch_degree": x.branch_degree, "equation": x.equation,
+                "verdict": _jsonable(x.verdict)}
+    if dataclasses.is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    raise TypeError(f"no JSON form for {x!r}")
 
 
 def _render(report, fmt: str) -> str:
-    """The report as printed.  Polynomials and objects with ``to_json`` are
-    turned into text here, so every int-to-text conversion of a report is
-    in this function, and the only ValueError it raises is an integer
-    beyond Python's int-string conversion limit."""
+    """The report as printed.  Every int-to-text conversion of a report is
+    in this function, so the only ValueError it raises is an integer beyond
+    Python's int-string conversion limit."""
     data = _jsonable(report)
     if fmt == "json":
         return json.dumps(data, sort_keys=True) + "\n"
@@ -320,8 +340,8 @@ def build_parser() -> _Parser:
 
 
 def _run(args):
-    """The report of one command: a dict or an object with ``to_json``,
-    rendered by ``_render``."""
+    """The report of one command: a dict or a result dataclass, rendered by
+    ``_render``."""
     group, action = args.group, args.action
     if group == "mukai":
         return {"dim": moduli_dim(MukaiVector(args.r, args.l2, args.s))}
@@ -330,12 +350,9 @@ def _run(args):
         ambient = load_lattice(args.lattice)
         alpha = _parse_int_list(args.alpha, "alpha")
         out = overlattice(OverlatticeSpec(ambient, alpha, args.r))
-        inv = lattice_invariants(out)
-        report = {"label": out.label, "rank": inv["rank"], "det": inv["det"],
-                  "even": inv["even"],
-                  "signature": list(inv["signature"]) if inv["signature"] else None}
+        report = {"label": out.label, **lattice_invariants(out)}
         if args.gram:
-            report["gram"] = [list(r) for r in out.gram]
+            report["gram"] = out.gram
         return report
 
     if group in ("pencil", "net"):
@@ -383,10 +400,9 @@ def _run(args):
             if action != f"verify-{system.KIND}":
                 raise PreconditionError(f"{action} got the wrong kind of system")
             report = verify_relation(system, args.p, args.samples, args.seed)
-            out = report.to_json()
             if report.failed:
-                raise _VerificationExit(out)
-            return out
+                raise _VerificationExit(report)
+            return report
         if action == "invariance":
             return _invariance_report(system, args.p, args.count, args.seed)
 

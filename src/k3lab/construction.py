@@ -237,25 +237,6 @@ class RelationReport:
     passed: int
     failed: tuple
 
-    def to_json(self):
-        return {
-            "case": self.case,
-            "p": self.p,
-            "samples": self.samples,
-            "seed": self.seed,
-            "c": self.c.v,
-            "passed": self.passed,
-            "failed": [
-                {
-                    "index": w["index"],
-                    "base_point": [x.v for x in w["base_point"]],
-                    "t": w["t"].v,
-                    "disc_b": w["disc_b"].v,
-                }
-                for w in self.failed
-            ],
-        }
-
 
 def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport:
     """Sample ``count`` points mod p and check T^2 = c * disc(B) on each.

@@ -120,9 +120,6 @@ class IntegralLattice:
         integer elimination behind ``det``; None when degenerate."""
         return self._invariants()[1]
 
-    def to_json(self):
-        return {"label": self.label, "gram": [list(r) for r in self.gram]}
-
     def __eq__(self, other):
         return isinstance(other, IntegralLattice) and self.gram == other.gram
 

@@ -7,8 +7,11 @@ classical invariants
     J = 72ace + 9bcd - 27ad^2 - 27b^2e - 2c^3   (degree 3)
 
 with discriminant Delta = (4I^3 - J^2)/27, zero exactly when the form has a
-repeated root in P^1.  When Delta != 0 the double cover tau^2 = f(x, y) is a
-smooth genus-one curve with
+repeated root in P^1.  The division is exact over ZZ, so over GF(p) Delta
+comes from the integer lifts of the coefficients and is defined in every
+odd characteristic; I, J and j are refused in characteristic 3.  When
+Delta != 0 the double cover tau^2 = f(x, y) is a smooth genus-one curve
+with
 
     j = 1728 * 4I^3 / (4I^3 - J^2),
 
@@ -17,6 +20,8 @@ for any ordering of the four roots.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .errors import BadPrime, DegenerateBranch, PreconditionError
 from .poly import MultiPoly
@@ -51,21 +56,29 @@ class BinaryQuartic:
         return MultiPoly(self.field, 2,
                          {(4 - k, k): c for k, c in enumerate(self.coeffs)})
 
-    def invariants(self):
-        """The triple (I, J, Delta), computed once: the quartic is immutable."""
+    def _lifted_invariants(self):
+        """(I, J, Delta), computed once (the quartic is immutable): over
+        GF(p) on the integer lifts of the coefficients, then reduced."""
         if self._invariants is None:
-            if self.field.char == 3:
-                raise BadPrime("quartic invariants are undefined in characteristic 3")
-            a, b, c, d, e = self.coeffs
+            cs = self.coeffs
+            a, b, c, d, e = (x.v for x in cs) if self.field.char else cs
             i_inv = 12 * a * e - 3 * b * d + c * c
             j_inv = (72 * a * c * e + 9 * b * c * d - 27 * a * d * d
                      - 27 * b * b * e - 2 * c**3)
-            delta = (4 * i_inv**3 - j_inv**2) / self.field.coerce(27)
-            object.__setattr__(self, "_invariants", (i_inv, j_inv, delta))
+            delta = Fraction(4 * i_inv**3 - j_inv**2, 27)
+            object.__setattr__(self, "_invariants",
+                               tuple(map(self.field.coerce, (i_inv, j_inv, delta))))
         return self._invariants
 
+    def invariants(self):
+        """The triple (I, J, Delta); BadPrime in characteristic 3."""
+        if self.field.char == 3:
+            raise BadPrime("quartic invariants are undefined in characteristic 3")
+        return self._lifted_invariants()
+
     def discriminant(self):
-        return self.invariants()[2]
+        """Delta, defined in characteristic 3 as well."""
+        return self._lifted_invariants()[2]
 
     def is_squarefree(self) -> bool:
         """True when the four roots in P^1 are distinct."""

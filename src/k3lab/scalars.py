@@ -286,14 +286,3 @@ def projective_points(field: PrimeField, dim: int):
                 rest.append(field.element(m % field.p))
                 m //= field.p
             yield tuple(coords + rest)
-
-
-def scalar_to_json(x):
-    """JSON encoding: integers stay integers, other rationals become 'num/den'."""
-    if isinstance(x, GFElement):
-        return x.v
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"not a scalar: {x!r}")

@@ -214,43 +214,24 @@ class CoverVerdict:
     primes: tuple = ()
     witness: Optional[tuple] = None  # (p, projective point)
 
-    def to_json(self):
-        out = {"status": self.status}
-        if self.primes:
-            out["primes"] = list(self.primes)
-        if self.witness is not None:
-            p, pt = self.witness
-            out["witness"] = {"p": p, "point": [c.v for c in pt]}
-        return out
-
 
 @dataclass(frozen=True)
 class DoubleCoverDescriptor:
     """A double cover tau^2 = branch over P^1 (branch quartic) or P^2
-    (branch sextic), with its smoothness verdict."""
+    (branch sextic), with its smoothness verdict.  The branch is the
+    system's discriminant polynomial."""
 
     base_dim: int
-    branch: object  # BinaryQuartic over P^1, MultiPoly over P^2
+    branch: MultiPoly
     verdict: CoverVerdict
 
     @property
     def equation(self) -> str:
-        poly = self.branch.to_poly() if isinstance(self.branch, BinaryQuartic) else self.branch
-        return f"tau^2 = {poly_to_text(poly)}"
+        return f"tau^2 = {poly_to_text(self.branch)}"
 
     @property
     def branch_degree(self) -> int:
-        return 4 if self.base_dim == 1 else 6
-
-    def to_json(self):
-        poly = self.branch.to_poly() if isinstance(self.branch, BinaryQuartic) else self.branch
-        return {
-            "base_dim": self.base_dim,
-            "branch": poly_to_text(poly),
-            "branch_degree": self.branch_degree,
-            "equation": self.equation,
-            "verdict": self.verdict.to_json(),
-        }
+        return self.branch.degree()
 
 
 def pic2_double_cover(pencil: PencilOfQuadrics) -> DoubleCoverDescriptor:
@@ -258,9 +239,8 @@ def pic2_double_cover(pencil: PencilOfQuadrics) -> DoubleCoverDescriptor:
 
     Smooth exactly when the branch quartic has four distinct roots.
     """
-    branch = pencil_discriminant(pencil)
-    status = "smooth" if branch.is_squarefree() else "singular"
-    return DoubleCoverDescriptor(1, branch, CoverVerdict(status))
+    status = "smooth" if pencil_discriminant(pencil).is_squarefree() else "singular"
+    return DoubleCoverDescriptor(1, discriminant_poly(pencil), CoverVerdict(status))
 
 
 def jacobian_j_invariant(pencil: PencilOfQuadrics):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +94,7 @@ def test_pencil_count_builds_one_branch_and_evaluates_it_once(capsys, monkeypatc
     from k3lab.quartic import BinaryQuartic
 
     built, evaluated = [], []
-    init, invariants = BinaryQuartic.__init__, BinaryQuartic.invariants
+    init, invariants = BinaryQuartic.__init__, BinaryQuartic._lifted_invariants
 
     def counting_init(self, *a, **kw):
         built.append(a)
@@ -105,7 +106,7 @@ def test_pencil_count_builds_one_branch_and_evaluates_it_once(capsys, monkeypatc
         return invariants(self)
 
     monkeypatch.setattr(BinaryQuartic, "__init__", counting_init)
-    monkeypatch.setattr(BinaryQuartic, "invariants", counting_invariants)
+    monkeypatch.setattr(BinaryQuartic, "_lifted_invariants", counting_invariants)
     code, out, _ = run(capsys, "pencil", "count", "--system", "builtin:pencil-diagonal",
                        "--p", "101")
     assert code == 0
@@ -350,6 +351,87 @@ def test_text_format_same_data(capsys):
                         "--format", "text")
     assert json.loads(as_json) == {"dim": 2}
     assert as_text == "dim = 2\n"
+
+
+def _failing_verify(system, p, count, seed):
+    """A verify_relation whose first sample falsifies the relation."""
+    from k3lab import RelationReport
+
+    one = GF(11).one
+    return RelationReport(case="pencil", p=p, samples=count, seed=seed,
+                          c=one, passed=count - 1,
+                          failed=({"index": 0, "base_point": (one, one),
+                                   "t": one, "disc_b": one},))
+
+
+NET_SEXTIC = ("x0^6 + 15*x0^5*x1 + 55*x0^5*x2 + 85*x0^4*x1^2"
+              " + 600*x0^4*x1*x2 + 1023*x0^4*x2^2 + 225*x0^3*x1^3"
+              " + 2279*x0^3*x1^2*x2 + 7395*x0^3*x1*x2^2 + 7645*x0^3*x2^3"
+              " + 274*x0^2*x1^4 + 3510*x0^2*x1^3*x2 + 16090*x0^2*x1^2*x2^2"
+              " + 31050*x0^2*x1*x2^3 + 21076*x0^2*x2^4 + 120*x0*x1^5"
+              " + 1800*x0*x1^4*x2 + 10200*x0*x1^3*x2^2 + 27000*x0*x1^2*x2^3"
+              " + 32880*x0*x1*x2^4 + 14400*x0*x2^5")
+
+OVERLATTICE_GRAM_TEXT = (
+    "gram = ["
+    "[-2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], "
+    "[0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, -2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, -2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 1, 0, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 1, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, 0, 1, 0, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, 0, 1, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -2, 1, 0, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, -2, 1, 0, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 1, 0], "
+    "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -2, 0], "
+    "[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
+    "]\n")
+
+
+@pytest.mark.parametrize("argv, fake_verify, expected", [
+    (("construct", "verify-pencil", "--system", "builtin:pencil-diagonal", "--p", "13",
+      "--samples", "4"), False,
+     (0, 'c = 3\ncase = "pencil"\nfailed = []\np = 13\npassed = 4\nsamples = 4\n'
+         'seed = 0\n', "")),
+    (("net", "probe", "--system", "builtin:net-diagonal", "--primes", "7,11,13"), False,
+     (0, 'primes = [7, 11, 13]\nstatus = "singular"\n'
+         'witness = {"p": 7, "point": [1, 1, 1]}\n', "")),
+    (("net", "cover", "--system", "builtin:net-diagonal"), False,
+     (0, f'base_dim = 2\nbranch = "{NET_SEXTIC}"\nbranch_degree = 6\n'
+         f'equation = "tau^2 = {NET_SEXTIC}"\nverdict = {{"primes": [7, 11, 13], '
+         '"status": "singular", "witness": {"p": 7, "point": [1, 1, 1]}}\n', "")),
+    (("pencil", "cover", "--system", "builtin:pencil-diagonal"), False,
+     (0, 'base_dim = 1\nbranch = "x0^4 + 6*x0^3*x1 + 11*x0^2*x1^2 + 6*x0*x1^3"\n'
+         'branch_degree = 4\nequation = "tau^2 = x0^4 + 6*x0^3*x1 + 11*x0^2*x1^2 + '
+         '6*x0*x1^3"\nverdict = {"status": "smooth"}\n', "")),
+    (("lattice", "overlattice", f"--alpha={ALPHA_OK}", "--r", "2", "--gram"), False,
+     (0, "det = -1\neven = true\n" + OVERLATTICE_GRAM_TEXT
+         + 'label = "K3+Z(alpha/2)"\nrank = 22\nsignature = [3, 19]\n', "")),
+    (("construct", "verify-pencil", "--system", "builtin:pencil-diagonal", "--p", "11",
+      "--samples", "4", "--seed", "0"), True,
+     (3, 'c = 1\ncase = "pencil"\nfailed = [{"base_point": [1, 1], "disc_b": 1, '
+         '"index": 0, "t": 1}]\np = 11\npassed = 3\nsamples = 4\nseed = 0\n',
+      "k3lab: verification failed\n")),
+], ids=["verify", "probe", "net-cover", "pencil-cover", "overlattice-gram", "verify-failing"])
+def test_text_format_golden_bytes(capsys, monkeypatch, argv, fake_verify, expected):
+    # the text rendering of each kind of report: dataclasses, the cover
+    # verdict with and without a witness, polynomials, nested lists
+    if fake_verify:
+        from k3lab import cli
+
+        monkeypatch.setattr(cli, "verify_relation", _failing_verify)
+    assert run(capsys, *argv, "--format", "text") == expected
 
 
 def test_exit_code_parse_error_flags(capsys):
@@ -652,16 +734,8 @@ def test_builtin_files_are_read_once_per_process(capsys, monkeypatch):
 
 def test_exit_code_verification_failure(capsys, monkeypatch):
     import k3lab.cli as cli
-    from k3lab import GF, RelationReport
 
-    def fake_verify(system, p, count, seed):
-        one = GF(11).one
-        return RelationReport(case="pencil", p=p, samples=count, seed=seed,
-                              c=one, passed=count - 1,
-                              failed=({"index": 0, "base_point": (one, one),
-                                       "t": one, "disc_b": one},))
-
-    monkeypatch.setattr(cli, "verify_relation", fake_verify)
+    monkeypatch.setattr(cli, "verify_relation", _failing_verify)
     code, out, err = run(capsys, "construct", "verify-pencil", "--system",
                          "builtin:pencil-diagonal", "--p", "11",
                          "--samples", "4", "--seed", "0")
@@ -669,6 +743,40 @@ def test_exit_code_verification_failure(capsys, monkeypatch):
     assert "verification failed" in err
     assert json.loads(out)["failed"]
 
+
+
+def test_exit_code_verification_failure_raised_in_the_library(capsys, monkeypatch):
+    # a VerificationFailure from deep in the sampler reaches main's exit-3
+    # branch with its message and no report
+    from k3lab import quadforms
+
+    sqrt_mod = quadforms.sqrt_mod
+    monkeypatch.setattr(quadforms, "sqrt_mod", lambda a, p: (sqrt_mod(a, p) + 1) % p)
+    assert run(capsys, "construct", "verify-net", "--system", "builtin:net-diagonal",
+               "--p", "13", "--samples", "2") == (
+        3, "", "k3lab: verification failed: witt_split: the isometry does not reach "
+               "the split normal form\n")
+
+
+def test_exit_code_invariance_failure_prints_its_report(capsys, monkeypatch):
+    # a group action that doubles the matrix breaks both invariants: the
+    # report is printed, then the run exits 3
+    from k3lab.polymat import LinearMatrix
+
+    transform = LinearMatrix.left_right_transform
+
+    def doubled(self, g, h):
+        out = transform(self, g, h)
+        p = out.field.char
+        mats = [[[2 * x % p for x in row] for row in mat] for mat in out._mats]
+        return LinearMatrix._of_raw(out.field, out.size, out.nvars, mats, out._scale,
+                                    out.alternating)
+
+    monkeypatch.setattr(LinearMatrix, "left_right_transform", doubled)
+    assert run(capsys, "construct", "invariance", "--system", "builtin:pencil-diagonal",
+               "--p", "13", "--count", "2") == (
+        3, '{"b_invariant": false, "case": "pencil", "checked": 2, "p": 13, "seed": 0, '
+           '"t_invariant": false}\n', "k3lab: verification failed\n")
 
 def test_file_input_with_rational_entries(tmp_path, capsys):
     doc = {
@@ -817,6 +925,45 @@ def test_pencil_count_over_a_prime_field(tmp_path, capsys):
             assert run(capsys, "pencil", "count", "--system", str(path), "--p", p) == (
                 2, "", f"k3lab: the system is over GF({q}): --p must be {q}, not {p}\n")
 
+
+
+def test_pencils_over_f3_count_and_cover_as_their_lifts_over_q(tmp_path, capsys):
+    # the branch quartic's Delta is defined in characteristic 3, so a pencil
+    # over F_3 with good reduction counts and covers (both exited 2), and
+    # its count prints what the same Gram entries over Q print at --p 3
+    def diag(*v):
+        return [[v[i] if i == j else 0 for j in range(4)] for i in range(4)]
+
+    def dense(rng):
+        g = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                g[i][j] = g[j][i] = rng.randrange(3)
+        return g
+
+    rng = random.Random("f3-pencil-files")
+    pencils = [[diag(1, 1, 1, 0), diag(0, 1, 2, 1)]]
+    pencils += [[dense(rng), dense(rng)] for _ in range(30)]
+    over_f3, over_q = tmp_path / "f3.json", tmp_path / "q.json"
+    compared = 0
+    for grams in pencils:
+        over_q.write_text(json.dumps({"pencil": grams}))
+        want = run(capsys, "pencil", "count", "--system", str(over_q), "--p", "3")
+        if want[0] != 0:  # bad reduction mod 3
+            continue
+        over_f3.write_text(json.dumps({"field": "F3", "pencil": grams}))
+        assert run(capsys, "pencil", "count", "--system", str(over_f3), "--p", "3") == want
+        cover = run_json(capsys, "pencil", "cover", "--system", str(over_f3))
+        assert cover["verdict"] == {"status": "smooth"}
+        compared += 1
+    assert compared >= 10
+    over_f3.write_text(json.dumps({"field": "F3", "pencil": pencils[0]}))
+    assert run(capsys, "pencil", "count", "--system", str(over_f3), "--p", "3") == (
+        0, '{"hyperelliptic_points": 4, "p": 3, "pencil_points": 4, '
+           '"twist_consistent": true}\n', "")
+    # I, J and j stay undefined in characteristic 3
+    assert run(capsys, "pencil", "jinv", "--system", str(over_f3)) == (
+        2, "", "k3lab: quartic invariants are undefined in characteristic 3\n")
 
 def test_system_file_keys(tmp_path, capsys):
     doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"

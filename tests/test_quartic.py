@@ -126,3 +126,35 @@ def test_invariants_reject_characteristic_three():
     f = BinaryQuartic([1, 0, 0, 0, 1], GF(3))
     with pytest.raises(BadPrime):
         f.invariants()
+
+
+def test_discriminant_in_every_odd_characteristic():
+    # 4I^3 - J^2 = 27 Delta holds over ZZ, so over GF(p) Delta is the
+    # reduction of the discriminant of any integer lift, in characteristic 3
+    # too; zero exactly when f has a repeated root in P^1, which is at
+    # infinity when both leading coefficients vanish
+    from k3lab import BadPrime, GF
+
+    rng = random.Random(34)
+    for p in (3, 5, 7):
+        gf = GF(p)
+        seen = set()
+        for _ in range(150):
+            coeffs = [rng.randint(-9, 9) for _ in range(5)]
+            if rng.random() < 0.2:
+                coeffs[0] = coeffs[1] = 0
+            if not any(c % p for c in coeffs):
+                continue
+            f = BinaryQuartic(coeffs, gf)
+            assert f.discriminant() == gf.coerce(BinaryQuartic(coeffs).discriminant())
+            a, b = f.coeffs[:2]
+            t = uni_trim(gf, f.coeffs[::-1])  # f(t, 1), ascending
+            squarefree = bool(a or b) and (
+                len(t) == 1 or len(uni_gcd(gf, t, uni_deriv(gf, t))) == 1)
+            assert f.is_squarefree() == squarefree
+            seen.add((squarefree, bool(a or b)))
+        assert seen == {(True, True), (False, True), (False, False)}, p
+    f = BinaryQuartic([0, 1, 0, -1, 0], GF(3))
+    assert f.is_squarefree()
+    with pytest.raises(BadPrime):
+        f.j_invariant()

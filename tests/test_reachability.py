@@ -8,9 +8,10 @@ that creates and drops a generator would otherwise reach its body.
 The commands are the ``k3lab ...`` lines of README.md's examples (each must
 exit 0), ``construct invariance`` on the builtin pencil (the README runs
 the net), ``lattice overlattice --gram --format text``, ``net cover`` on
-``tests/data/net-fractional.json``, a pencil over F_3 with no split member
-(the sampler's draws all fail and its sweep runs), a bad flag (exit 1) and
-a composite ``--p`` (exit 2).
+``tests/data/net-fractional.json``, ``bn dim --type II`` (the README shows
+type III), a pencil over F_3 with no split member (the sampler's draws all
+fail and its sweep runs), a bad flag (exit 1) and a composite ``--p``
+(exit 2).
 
 Every ``def`` in the package, found by parsing its source, must be reached
 or named in ``ALLOWLIST`` with a reason.  Methods are named
@@ -83,12 +84,9 @@ ALLOWLIST = {
     # library API the CLI does not use
     "enumerative.brill_noether_number": "exported enumerative bookkeeping",
     "enumerative.restriction_section_bound": "exported enumerative bookkeeping",
-    "enumerative.type_ii_expected_dim": "reached by `bn dim --type II`; the "
-                                        "README shows type III",
     "lattices.MukaiVector.chi": "exported Mukai-vector API",
     "lattices.is_rigid": "exported Mukai-vector API",
     "lattices.is_k3_moduli": "exported Mukai-vector API",
-    "lattices.IntegralLattice.to_json": "exported lattice API",
     "lattices.IntegralLattice.norm": "exported lattice API (acceptance criterion 7)",
     "lattices.OverlatticeSpec.alpha_sq": "exported OverlatticeSpec API",
     "lattices.e8_lattice": "exported lattice constructor",
@@ -147,6 +145,7 @@ def extra_commands(tmp: Path):
         (["lattice", "overlattice", "--alpha", alpha, "--r", "2", "--gram",
           "--format", "text"], 0),
         (["net", "cover", "--system", FRACTIONAL_NET], 0),
+        (["bn", "dim", "--type", "II", "--g", "11", "--n", "6"], 0),
         (["construct", "verify-pencil", "--system", str(mod3), "--p", "3",
           "--samples", "2"], 2),
         (["mukai", "dim", "--r", "two", "--l2", "8", "--s", "2"], 1),

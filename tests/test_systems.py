@@ -13,7 +13,7 @@ from k3lab.systems import member_at
 from oracles import (brute_force_pencil_count, brute_force_singular_point,
                      cofactor_det, cross_ratio_j, deriv, line_sweep_singular_point,
                      member_rows, poly_mod, scalar_leibniz_det, substitute,
-                     uni_sweep_count)
+                     uni_is_squarefree, uni_sweep_count)
 
 VAR = lambda i, n=2: MultiPoly.var(QQ, n, i)
 
@@ -556,6 +556,43 @@ def test_count_over_the_systems_own_prime_field():
             count_points(branch, 7)
         with pytest.raises(FieldMismatch):
             count_points(red, 7)
+
+
+def _f3_pencils(seed, n):
+    """``n`` seeded pencils over GF(3), dense Gram entries in {0, 1, 2},
+    whose discriminant does not vanish identically."""
+    rng, gf, out = random.Random(seed), GF(3), []
+    while len(out) < n:
+        try:
+            pencil = PencilOfQuadrics(*(QuadraticForm(rand_sym(rng, 4, 0, 2), gf)
+                                        for _ in range(2)))
+            pencil_discriminant(pencil)
+        except DegenerateSystem:
+            continue
+        out.append(pencil)
+    return out
+
+
+def test_pencils_over_f3_count_and_cover():
+    # the branch quartic's Delta is defined in characteristic 3, so pencils
+    # over F_3 have a cover verdict and, with good reduction, point counts
+    gf = GF(3)
+    seen = {"smooth": 0, "singular": 0, "at-infinity": 0}
+    for pencil in _f3_pencils("f3-pencils", 60):
+        branch = pencil_discriminant(pencil)
+        a, b = branch.coeffs[:2]
+        # a double root at infinity when both leading coefficients vanish
+        smooth = bool(a or b) and uni_is_squarefree(gf, branch.coeffs[::-1])
+        assert pic2_double_cover(pencil).verdict.status == ("smooth" if smooth else "singular")
+        seen["smooth" if smooth else "singular"] += 1
+        seen["at-infinity"] += not (a or b)
+        if smooth:
+            assert count_points(pencil, 3) == brute_force_pencil_count(pencil, 3)
+            assert count_points(branch, 3) == uni_sweep_count(branch, 3)
+        else:
+            with pytest.raises(BadReduction):
+                count_points(pencil, 3)
+    assert min(seen.values()) >= 3, seen
 
 
 # Fixed up front: 20 good-reduction pencils per prime, drawn from at most 200.
