@@ -261,44 +261,46 @@ def _render(report, fmt: str) -> str:
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process (parsing leaves no state
-    in it)."""
+    in it).  Its ``leaves`` map each (group, action) to the parser of that
+    command's flags."""
     top = _Parser(prog="k3lab", description=__doc__.splitlines()[0])
+    top.leaves = {}
     sub = top.add_subparsers(dest="group", required=True)
 
+    groups = {}
+
     def leaf(group, name, **kw):
-        p = group.add_parser(name, **kw)
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="action", required=True)
+        p = top.leaves[group, name] = groups[group].add_parser(name, **kw)
         p.add_argument("--format", choices=("json", "text"), default="json")
         return p
 
-    mukai = sub.add_parser("mukai").add_subparsers(dest="action", required=True)
-    p = leaf(mukai, "dim", help="moduli dimension from (r, (L^2), s)")
+    p = leaf("mukai", "dim", help="moduli dimension from (r, (L^2), s)")
     p.add_argument("--r", type=_parse_int, required=True)
     p.add_argument("--l2", type=_parse_int, required=True)
     p.add_argument("--s", type=_parse_int, required=True)
 
-    lattice = sub.add_parser("lattice").add_subparsers(dest="action", required=True)
-    p = leaf(lattice, "overlattice", help="adjoin alpha/r to the alpha-divisibility sublattice")
+    p = leaf("lattice", "overlattice", help="adjoin alpha/r to the alpha-divisibility sublattice")
     p.add_argument("--alpha", required=True, help="comma-separated integer coordinates")
     p.add_argument("--r", type=_parse_int, required=True)
     p.add_argument("--lattice", default=None, help="ambient lattice JSON (default: K3 lattice)")
     p.add_argument("--gram", action="store_true", help="include the resulting Gram matrix")
 
-    pencil = sub.add_parser("pencil").add_subparsers(dest="action", required=True)
     for name, hlp in (("disc", "branch quartic of the pencil"),
                       ("jinv", "j-invariant of the double cover"),
                       ("cover", "double-cover descriptor"),
                       ("count", "point counts over F_p")):
-        p = leaf(pencil, name, help=hlp)
+        p = leaf("pencil", name, help=hlp)
         p.add_argument("--system", required=True)
         if name == "count":
             p.add_argument("--p", type=_parse_int, required=True,
                            help=f"an odd prime <= {MAX_SWEEP_PRIME} (larger p exits 2)")
 
-    net = sub.add_parser("net").add_subparsers(dest="action", required=True)
     for name, hlp in (("disc", "branch sextic of the net"),
                       ("cover", "double-cover descriptor"),
                       ("probe", "finite-field smoothness probe of the branch")):
-        p = leaf(net, name, help=hlp)
+        p = leaf("net", name, help=hlp)
         p.add_argument("--system", required=True)
         if name != "disc":
             p.add_argument("--primes", default=None,
@@ -306,34 +308,30 @@ def build_parser() -> _Parser:
                                 "(larger p exits 2), only p itself over F_p; default: "
                                 f"p over F_p, {','.join(map(str, DEFAULT_PROBE_PRIMES))} over Q")
 
-    construct = sub.add_parser("construct").add_subparsers(dest="action", required=True)
     for name in ("verify-pencil", "verify-net"):
-        p = leaf(construct, name, help="sample points and verify T^2 = c*disc(B)")
+        p = leaf("construct", name, help="sample points and verify T^2 = c*disc(B)")
         p.add_argument("--system", required=True)
         p.add_argument("--p", type=_parse_int, required=True)
         p.add_argument("--samples", type=_parse_int, default=100)
         p.add_argument("--seed", type=_parse_int, default=0)
-    p = leaf(construct, "invariance", help="check (B, T) under random unimodular elements")
+    p = leaf("construct", "invariance", help="check (B, T) under random unimodular elements")
     p.add_argument("--system", required=True)
     p.add_argument("--p", type=_parse_int, required=True)
     p.add_argument("--count", type=_parse_int, default=20)
     p.add_argument("--seed", type=_parse_int, default=0)
 
-    bn = sub.add_parser("bn").add_subparsers(dest="action", required=True)
-    p = leaf(bn, "dim", help="expected dimension of a section locus")
+    p = leaf("bn", "dim", help="expected dimension of a section locus")
     p.add_argument("--type", dest="kind", choices=("II", "III"), required=True)
     p.add_argument("--g", type=_parse_int, required=True)
     p.add_argument("--n", type=_parse_int, required=True)
 
-    fano = sub.add_parser("fano").add_subparsers(dest="action", required=True)
-    p = leaf(fano, "section", help="invariants of a linear section")
+    p = leaf("fano", "section", help="invariants of a linear section")
     p.add_argument("--variety", choices=sorted(HOMOGENEOUS_SPACES), required=True)
     p.add_argument("--cuts", type=_parse_int, required=True)
-    p = leaf(fano, "genus", help="genus admissibility and degree")
+    p = leaf("fano", "genus", help="genus admissibility and degree")
     p.add_argument("--g", type=_parse_int, required=True)
 
-    pairs = sub.add_parser("pairs").add_subparsers(dest="action", required=True)
-    p = leaf(pairs, "dims", help="dimensions of the pair and curve moduli")
+    p = leaf("pairs", "dims", help="dimensions of the pair and curve moduli")
     p.add_argument("--g", type=_parse_int, required=True)
 
     return top
@@ -452,10 +450,27 @@ class _VerificationExit(Exception):
         self.report = report
 
 
-def main(argv=None) -> int:
+def _parse_argv(argv):
+    """The Namespace of ``argv``, as ``build_parser().parse_args(argv)``
+    gives it.  When the first two tokens name a command, the rest goes
+    straight to that command's parser, which gives the same Namespace (or
+    the same CLIParseError); anything else (help, a misspelt group or
+    action) goes through the whole tree."""
     parser = build_parser()
+    leaf = parser.leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        return parser.parse_args(argv)
+    args = leaf.parse_args(argv[2:])
+    args.group, args.action = argv[:2]
+    return args
+
+
+def main(argv=None) -> int:
+    """Run one command (``argv``, default ``sys.argv[1:]``) and return its
+    exit code.  The flags are parsed by ``_parse_argv``, which skips the
+    tree of subcommands when the first two tokens name a command."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except CLIParseError as exc:
         sys.stderr.write(f"k3lab: parse error: {exc}\n")
         return 1

@@ -49,14 +49,23 @@ coordinates with one elimination of the forms' int coefficient columns
 (memoized on the reduced system) against the matrix's packed det/Pf
 expansion (memoized on the matrix, which the det/Pf = q check of
 ``express_as_*`` already computed); T is one int determinant of the raw
-coefficients; disc(B) is one int determinant of the member at B, so the
-discriminant is never expanded.  Both fields share these steps, QQ
-through the lcm scaling of ``linalg``.  Only what is reported is boxed.
+coefficients; disc(B) is the determinant the draw already took of the
+accepted member, which is the member at B since ``SystemPoint.build``
+checked B == lam, so the discriminant is never expanded.  Both fields
+share these steps, QQ through the lcm scaling of ``linalg``.  Only what is
+reported is boxed.
+
+``sample_point`` is the draw (``_draw``) followed by the factorization of
+the accepted member (``_factor``).  ``verify_relation`` runs the two steps
+itself with two dicts that live for one call, the seeded draws'
+determinants and the factored samples with T and disc(B), both keyed by
+base point: at small p many samples land on a base point already drawn,
+which then costs a lookup, and each distinct base point is factored and
+checked once.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -177,33 +186,59 @@ SEEDED_DRAWS = 64
 def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     """Draw a split member over F_p and factor it into a SystemPoint.
 
+    The composition of ``_draw``, which finds the base point of ``seed``,
+    and ``_factor``, which factors its member.  The seed chooses the base
+    point and the base point the sample.  Raises NoSplitMember when the
+    sweep finds no split member (possible for tiny p) and BadReduction when
+    the reduced discriminant vanishes identically.
+    """
+    red = _reduced(system, p)
+    return _factor(red, *_draw(red, p, seed, {}))
+
+
+def _draw(red, p: int, seed: int, dets: dict):
+    """The base point of sample ``seed`` on the system ``red`` over GF(p):
+    (lam, g, d) with g the member's int Gram rows and d = det g.
+
     Tries ``SEEDED_DRAWS`` base points lam drawn from ``random.Random(seed)``
     (normalized like ``projective_points``: first nonzero coordinate 1),
     then sweeps the whole base in its fixed order.  Each lam is skipped
     unless its member, combined on int Gram rows, is split; the first member
-    that passes is factored.  Its Witt split draws nothing, so the seed
-    chooses the base point and the base point the sample.
-    Raises NoSplitMember when the sweep finds no split member (possible for
-    tiny p) and BadReduction when the reduced discriminant vanishes
-    identically.
+    that passes is returned.  ``dets`` maps the seeded draws already made
+    to their member's determinant, which is looked up instead of recomputed;
+    for such a lam g is None.  A split lam found there ended the draw that
+    put it there, so a caller that keeps its samples by base point already
+    holds it.  The sweep is never kept.
     """
-    red = _reduced(system, p)
-    gf = GF(p)
+    gf, n = GF(p), red.NVARS
     dim = len(red.forms) - 1
-    express = express_as_pfaffian if SPLIT_MODELS[red.NVARS].pf else express_as_2x2_det
     rng = random.Random(seed)
-    draws = (_random_point(p, dim, rng) for _ in range(SEEDED_DRAWS))
-    for lam in itertools.chain(draws, _sweep(red, gf, dim)):
-        # det(member) is disc(lam), so one determinant rejects both the
-        # degenerate and the non-split members, and is the member's memoized
-        # disc for the nondegeneracy check of express_as_*
+    for _ in range(SEEDED_DRAWS):
+        lam = _random_point(p, dim, rng)
+        d, g = dets.get(lam), None
+        if d is None:
+            # det(member) is disc(lam), so one determinant rejects both the
+            # degenerate and the non-split members
+            g = member_at(red, lam)
+            d = dets[lam] = linalg.int_det(g, p)
+        if _split_det(d, n, p):
+            return lam, g, d
+    for lam in _sweep(red, gf, dim):
         g = member_at(red, lam)
         d = linalg.int_det(g, p)
-        if _split_det(d, len(g), p):
-            member = QuadraticForm._of_rows(gf, g, GFElement(gf, d))
-            return SystemPoint.build(express(member),
-                                     red, tuple(GFElement(gf, x) for x in lam))
+        if _split_det(d, n, p):
+            return lam, g, d
     raise NoSplitMember(f"no nondegenerate split member over F_{p}")
+
+
+def _factor(red, lam, g, d) -> SystemPoint:
+    """The SystemPoint of the split member g at lam, whose determinant d is
+    handed on as the member's memoized disc for the nondegeneracy check of
+    ``express_as_*``.  Its Witt split draws nothing."""
+    gf = red.field
+    express = express_as_pfaffian if SPLIT_MODELS[red.NVARS].pf else express_as_2x2_det
+    member = QuadraticForm._of_rows(gf, g, GFElement(gf, d))
+    return SystemPoint.build(express(member), red, tuple(GFElement(gf, x) for x in lam))
 
 
 def _sweep(red, gf, dim):
@@ -212,17 +247,17 @@ def _sweep(red, gf, dim):
     if not member_matrix(red)._terms(False):
         raise BadReduction(f"discriminant vanishes identically mod {gf.p}")
     for lam in projective_points(gf, dim):
-        yield [x.v for x in lam]
+        yield tuple(x.v for x in lam)
 
 
-def _random_point(p: int, dim: int, rng) -> list:
+def _random_point(p: int, dim: int, rng) -> tuple:
     """A uniform point of P^dim(F_p) as ints, first nonzero coordinate 1."""
     while True:
         v = [rng.randrange(p) for _ in range(dim + 1)]
         lead = next((x for x in v if x), None)
         if lead is not None:
             inv = pow(lead, -1, p)
-            return [x * inv % p for x in v]
+            return tuple(x * inv % p for x in v)
 
 
 @dataclass(frozen=True)
@@ -246,20 +281,27 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     collected as witnesses rather than raised, so callers can report them.
     Sample i is ``sample_point(system, p, seed + i)``, whose seed draws only
     its base point.  The system is reduced once, or not at all when it is
-    already over GF(p), as ``construct`` loads it; disc(B) is one
-    determinant of the member at B (``systems.member_at``), never an
-    evaluation of the expanded discriminant.
+    already over GF(p), as ``construct`` loads it.  Two dicts live for the
+    call: the determinants of the seeded draws by base point, and the
+    factored sample with its T and disc(B) by base point, so a base point
+    drawn again costs a lookup and each distinct one is factored and
+    checked once.  disc(B) is the determinant the draw took of the accepted
+    member, which is the member at B because ``SystemPoint.build`` checked
+    B == lam; the discriminant is never expanded.
     """
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")
     red = _reduced(system, p)
+    dets, samples = {}, {}
     c = None
     passed, failed = 0, []
     for i in range(count):
-        pt = sample_point(red, p, seed + i)
-        t = t_invariant(pt.matrix)
-        b = [x.v for x in pt.b]
-        disc_b = GFElement(red.field, linalg.int_det(member_at(red, b), p))
+        lam, g, d = _draw(red, p, seed + i, dets)
+        got = samples.get(lam)
+        if got is None:
+            pt = _factor(red, lam, g, d)
+            got = samples[lam] = (pt, t_invariant(pt.matrix), GFElement(red.field, d))
+        pt, t, disc_b = got
         if c is None:
             c = t * t / disc_b
         if t * t == c * disc_b:

@@ -74,13 +74,15 @@ def _eliminate(rows, ncols, p, jordan):
     form over ZZ, rows itself over GF(p).
 
     Over GF(p) it is Gaussian elimination by the pivot's inverse, d is the
-    product of the pivots, and ``jordan`` normalizes each pivot row.  Over
-    ZZ it is Bareiss with the lazy row scaling of ``int_congruence``, d the
-    last pivot: each row keeps the pivot q at which it was last brought up
-    to date.  The pivot row is rescaled by prev / q when used and is then
-    up to date at its own pivot, a row with an entry f in the pivot column
-    becomes (piv * x - f * y) // q, and ``jordan`` brings every row up to
-    prev at the end.  The divisions are exact.
+    product of the pivots, and ``jordan`` normalizes each pivot row.  The
+    inverse is taken only when a row needs it, so forward elimination of a
+    diagonal matrix takes none.  Over ZZ it is Bareiss with the lazy row
+    scaling of ``int_congruence``, d the last pivot: each row keeps the
+    pivot q at which it was last brought up to date.  The pivot row is
+    rescaled by prev / q when used and is then up to date at its own pivot,
+    a row with an entry f in the pivot column becomes (piv * x - f * y) // q,
+    and ``jordan`` brings every row up to prev at the end.  The divisions
+    are exact.
     """
     nrows = len(rows)
     pivots, prev, sign, q = [], 1, 1, [1] * nrows
@@ -88,16 +90,19 @@ def _eliminate(rows, ncols, p, jordan):
         r = len(pivots)
         if r == nrows:  # every row holds a pivot, so no later column can
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
+        piv = r
+        while piv < nrows and not rows[piv][c]:
+            piv += 1
+        if piv == nrows:
             continue
         if piv != r:
             rows[r], rows[piv], q[r], q[piv] = rows[piv], rows[r], q[piv], q[r]
             sign = -sign
         top = rows[r]
         if p:
-            inv, prev = pow(top[c], -1, p), prev * top[c] % p
+            prev, inv = prev * top[c] % p, 0  # inv is taken when a row needs it
             if jordan:
+                inv = pow(top[c], -1, p)
                 top = rows[r] = [x * inv % p for x in top]
         elif q[r] != prev:
             top = rows[r] = [x * prev // q[r] for x in top]
@@ -107,7 +112,11 @@ def _eliminate(rows, ncols, p, jordan):
             if not f or i == r:
                 continue
             if p:
-                b = f if jordan else f * inv % p
+                if jordan:
+                    b = f
+                else:
+                    inv = inv or pow(pk, -1, p)
+                    b = f * inv % p
                 rows[i] = [(x - b * y) % p for x, y in zip(rows[i], top)]
             else:
                 rows[i] = [(pk * x - f * y) // q[i] for x, y in zip(rows[i], top)]
@@ -265,9 +274,10 @@ def int_congruence(rows, p):
     pairing.  A row with an entry f != 0 in the pivot column takes a row
     operation on the Schur complement; the others are never touched.
 
-    Over GF(p) it subtracts f / piv times the pivot row: the pivots are the
-    diagonal entries d_k, and the carried parts the rows b_k of [g | I],
-    with b_i g b_j^T = 0 for i != j and b_k g b_k^T = d_k.  Over ZZ it is
+    Over GF(p) it subtracts f / piv times the pivot row, taking 1 / piv
+    only when some row has such an f: the pivots are the diagonal entries
+    d_k, and the carried parts the rows b_k of [g | I], with
+    b_i g b_j^T = 0 for i != j and b_k g b_k^T = d_k.  Over ZZ it is
     Bareiss (Math. Comp. 22, 1968): with p_(k-1) the last nonzero pivot
     before p_k (1 at first), d_k = p_k / p_(k-1) and the carried part is
     p_(k-1) b_k.  Rows are scaled lazily: each keeps the pivot q at which
@@ -298,12 +308,13 @@ def int_congruence(rows, p):
         if not p and qk != prev:
             top = [x * prev // qk for x in top]
         piv = top.pop(k)
-        inv = pow(piv, -1, p) if p and piv else 0  # piv = 0: the column is zero too
+        inv = 0  # over GF(p), taken when a row needs it; piv = 0 leaves the column zero
         for i, row in enumerate(a):
             f = row.pop(k)
             if not f:
                 continue
             if p:
+                inv = inv or pow(piv, -1, p)
                 c = f * inv % p
                 a[i] = [(x - c * y) % p for x, y in zip(row, top)]
             else:

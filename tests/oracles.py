@@ -9,8 +9,9 @@ isotropic searches, the Witt index by the discriminant-class rule
 (``fraction_congruence``, the signature oracle of the lattice tests),
 boxed sweeps of P^3 and P^2 for point counts and singular points, an int
 point-by-point sweep of P^2 for singular points,
-and univariate Euclid gcds, squarefree tests and
-Sylvester resultants.  The views of a ``LinearMatrix`` that only tests need
+univariate Euclid gcds, squarefree tests and
+Sylvester resultants, and the relation check one sample at a time
+(``relation_report``).  The views of a ``LinearMatrix`` that only tests need
 are rebuilt here from its boxed ``coeff_mats``: its matrix of MultiPoly
 entries (``poly_entries``) and the Klein coordinates of its alternating
 coefficient matrices (``klein_coordinates``); ``klein_matrix`` builds one
@@ -36,8 +37,10 @@ from itertools import permutations
 from math import gcd
 from operator import mul
 
-from k3lab import (QQ, LinearMatrix, MultiPoly, OverlatticeSpec, PreconditionError,
-                   QuadraticForm, k3_lattice, linalg, overlattice)
+from k3lab import (QQ, GFElement, LinearMatrix, MultiPoly, OverlatticeSpec,
+                   PreconditionError, QuadraticForm, construction, k3_lattice, linalg,
+                   overlattice)
+from k3lab.systems import member_at
 from k3lab.lattices import e8_gram, hnf_row_basis, l_zero_basis
 
 
@@ -768,3 +771,25 @@ def stale_repair_cases():
             block_sum([[-2]], base, [[0, 1], [1, 0]]),
             block_sum([[3]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
             block_sum([[2, 1], [1, 2]], [[0, 2], [2, 0]], [[-7]])]
+
+
+def relation_report(system, p, count, seed=0):
+    """``verify_relation`` one sample at a time, keeping nothing between
+    samples: sample i is ``sample_point(system, p, seed + i)``, T its
+    ``t_invariant`` and disc(B) one determinant of the member at B.  The
+    construction functions are looked up when called, so a test that
+    patches one patches it here too."""
+    red = construction._reduced(system, p)
+    c, passed, failed = None, 0, []
+    for i in range(count):
+        pt = construction.sample_point(red, p, seed + i)
+        t = construction.t_invariant(pt.matrix)
+        disc_b = GFElement(red.field, linalg.int_det(member_at(red, [x.v for x in pt.b]), p))
+        if c is None:
+            c = t * t / disc_b
+        if t * t == c * disc_b:
+            passed += 1
+        else:
+            failed.append({"index": i, "base_point": pt.base_point, "t": t, "disc_b": disc_b})
+    return construction.RelationReport(case=red.KIND, p=p, samples=count, seed=seed, c=c,
+                                       passed=passed, failed=tuple(failed))

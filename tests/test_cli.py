@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from k3lab import GF, QQ, lattices
-from k3lab.cli import build_parser, main
+from k3lab import cli
+from k3lab.cli import CLIParseError, build_parser, main
 
 ALPHA_OK = ",".join(["1", "4"] + ["0"] * 20)
 ALPHA_BAD = ",".join(["1", "1"] + ["0"] * 20)
@@ -440,6 +443,77 @@ def test_exit_code_parse_error_flags(capsys):
     # only probe and cover take --primes
     assert run(capsys, "net", "disc", "--system", "builtin:net-diagonal", "--primes", "3") == (
         1, "", "k3lab: parse error: unrecognized arguments: --primes 3\n")
+
+
+def _parsed(parse, argv, capsys):
+    """What ``parse(argv)`` gives: its Namespace, its CLIParseError's
+    message, or the exit code and output of help."""
+    try:
+        return "namespace", vars(parse(argv))
+    except CLIParseError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return "exit", exc.code, out.out, out.err
+
+
+def _leaf_argvs(argv):
+    """The dispatch table of one command: its README argv, an unknown flag,
+    missing required flags, each int value made bad, both formats, an
+    abbreviated flag and ``--`` tokens."""
+    head, rest = argv[:2], argv[2:]
+    first = next(i for i, token in enumerate(rest) if token.startswith("--"))
+    table = [argv, argv + ["--bogus", "1"], head, head + rest[first + 2:],
+             argv + ["--format", "text"], argv + ["--format", "xml"],
+             argv + ["--sam", "4"], head + [rest[first][:-1]] + rest[first + 1:],
+             argv + ["--"], argv + ["--", "x"], head + ["--"] + rest, argv + ["-h"]]
+    table += [head + rest[:i] + ["1_0"] + rest[i + 1:]
+              for i, token in enumerate(rest) if re.fullmatch(r"-?[0-9]+", token)]
+    return table
+
+
+def test_leaf_dispatch_parses_as_the_tree(capsys):
+    # argv whose first two tokens name a command go straight to its parser,
+    # which must give the tree's Namespace (group and action included) or
+    # its error message
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    examples = {}
+    for line in readme.splitlines():
+        if line.startswith("k3lab "):
+            argv = shlex.split(line)[1:]
+            examples.setdefault(tuple(argv[:2]), argv)
+    parser = build_parser()
+    assert set(parser.leaves) == set(examples) and len(examples) == 16
+    kinds = set()
+    for key, example in examples.items():
+        assert parser.leaves[key].prog == "k3lab " + " ".join(key)
+        for argv in _leaf_argvs(example):
+            got = _parsed(cli._parse_argv, argv, capsys)
+            assert got == _parsed(parser.parse_args, argv, capsys), argv
+            kinds.add(got[0])
+            if got[0] == "namespace":
+                assert (got[1]["group"], got[1]["action"]) == key
+    assert kinds == {"namespace", "error", "exit"}
+
+
+def test_tree_argv_keep_their_output(capsys):
+    # argv that name no command (none, a group alone, a misspelt action,
+    # help) go through the whole tree
+    parser = build_parser()
+    for argv, want in (([], "the following arguments are required: group"),
+                       (["construct"], "the following arguments are required: action"),
+                       (["construct", "verify-pencl"],
+                        "argument action: invalid choice: 'verify-pencl'")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith(f"k3lab: parse error: {want}")
+        with pytest.raises(CLIParseError) as exc:
+            parser.parse_args(argv)
+        assert err == f"k3lab: parse error: {exc.value}\n"
+    for argv in (["-h"], ["construct", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: k3lab ")
 
 
 def test_exit_code_parse_error_bad_json(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,9 +13,9 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NoSplitMember,
                    invariants, is_split, linalg, projective_points, random_gl,
                    random_sl, sample_point, t_invariant, verify_relation,
                    wedge2_matrix)
-from k3lab import cli
-from oracles import (form_poly, identity, klein_matrix, member_form, model_form, scaled,
-                     witt_index_exhaustive)
+from k3lab import K3LabError, cli, construction
+from oracles import (form_poly, identity, klein_matrix, member_form, model_form,
+                     relation_report, scaled, witt_index_exhaustive)
 
 DIAG_PENCIL = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3])
 DIAG_NET = NetOfQuadrics.from_diagonals(
@@ -414,6 +416,99 @@ def test_relation_scaling_invariance_net():
 def test_relation_needs_two_samples():
     with pytest.raises(PreconditionError):
         verify_relation(DIAG_PENCIL, 11, 1)
+
+
+def _dense_system(rng, k, n, field=QQ):
+    """A seeded system of k dense n-variable forms with entries in [-3, 3]."""
+    while True:
+        grams = [[[0] * n for _ in range(n)] for _ in range(k)]
+        for g in grams:
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+        try:
+            return (PencilOfQuadrics if k == 2 else NetOfQuadrics)(
+                *(QuadraticForm(g, field) for g in grams))
+        except PreconditionError:
+            continue
+
+
+def _outcome(fn, *args):
+    """The report of ``fn(*args)``, or the type and text of its error."""
+    try:
+        return fn(*args)
+    except K3LabError as exc:
+        return type(exc), str(exc)
+
+
+def test_relation_matches_the_sample_by_sample_oracle():
+    # verify_relation keeps the draws and the samples by base point for one
+    # call; the oracle recomputes every sample, T and disc(B) = det of the
+    # member at B.  At small p most samples repeat a base point.
+    rng = random.Random(925)
+    systems = [DIAG_PENCIL, DIAG_NET, _dense_system(rng, 2, 4), _dense_system(rng, 3, 6),
+               _dense_system(rng, 2, 4), _dense_system(rng, 3, 6)]
+    reports = repeats = 0
+    for system in systems:
+        for p in (5, 7, 11, 13, 101):
+            for count in (2, 4, 100):
+                got = _outcome(verify_relation, system, p, count, 3)
+                assert got == _outcome(relation_report, system, p, count, 3), (system, p, count)
+                if not isinstance(got, tuple):
+                    reports += 1
+                    if p < 100:
+                        points = {sample_point(system, p, 3 + i).base_point
+                                  for i in range(count)}
+                        repeats += count - len(points)
+    assert reports == 90 and repeats >= 1000
+
+
+def test_relation_matches_the_oracle_over_a_finite_field():
+    for system in (DIAG_PENCIL.reduce_mod(13), _dense_system(random.Random(926), 3, 6, GF(13)),
+                   _dense_system(random.Random(927), 2, 4, GF(13))):
+        rep = verify_relation(system, 13, 40, 1)
+        assert rep == relation_report(system, 13, 40, 1)
+        assert rep.passed == 40
+
+
+def test_relation_lists_every_repeat_of_a_failing_base_point(monkeypatch):
+    # T is wrong (twice the true one) at one base point, which is not the
+    # first sample's, so c is right and every sample of that point fails
+    red = DIAG_PENCIL.reduce_mod(7)
+    points = [sample_point(red, 7, i).base_point for i in range(30)]
+    bad = next(b for b in points if b != points[0])
+    bad_matrix = sample_point(red, 7, points.index(bad)).matrix
+    real = construction.t_invariant
+    monkeypatch.setattr(construction, "t_invariant",
+                        lambda a: 2 * real(a) if a == bad_matrix else real(a))
+    rep = verify_relation(red, 7, 30)
+    assert rep == relation_report(red, 7, 30)
+    want = [i for i, b in enumerate(points) if b == bad]
+    assert [f["index"] for f in rep.failed] == want and len(want) >= 2
+    assert {f["base_point"] for f in rep.failed} == {bad}
+    assert rep.passed == 30 - len(want)
+
+
+def test_verify_factors_and_checks_each_distinct_base_point_once(monkeypatch, capsys):
+    # construct verify-pencil --p 7 --samples 100: the Witt split with its
+    # det = q check, B == lam and T run once per distinct base point, and
+    # each drawn base point is combined into its member once (by its first
+    # draw), so disc(B) takes no member of its own
+    red = cli.load_system("builtin:pencil-diagonal", 7)
+    distinct = {tuple(x.v for x in sample_point(red, 7, i).base_point) for i in range(100)}
+    calls = {name: [] for name in ("express_as_2x2_det", "b_coordinates", "t_invariant",
+                                   "member_at")}
+    for name, log in calls.items():
+        monkeypatch.setattr(construction, name, lambda *args, real=getattr(construction, name),
+                            log=log: log.append(args) or real(*args))
+    assert cli.main(["construct", "verify-pencil", "--system", "builtin:pencil-diagonal",
+                     "--p", "7", "--samples", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] == 100
+    assert len(distinct) < 10
+    for name in ("express_as_2x2_det", "b_coordinates", "t_invariant"):
+        assert len(calls[name]) == len(distinct), name
+    members = Counter(tuple(lam) for _, lam in calls["member_at"])
+    assert distinct <= set(members) and max(members.values()) == 1
 
 
 # -- group invariance ----------------------------------------------------------------
