@@ -57,11 +57,11 @@ reported is boxed.
 
 ``sample_point`` is the draw (``_draw``) followed by the factorization of
 the accepted member (``_factor``).  ``verify_relation`` runs the two steps
-itself with two dicts that live for one call, the seeded draws'
-determinants and the factored samples with T and disc(B), both keyed by
-base point: at small p many samples land on a base point already drawn,
-which then costs a lookup, and each distinct base point is factored and
-checked once.
+itself with two dicts that live for one call, the seeded draws' members
+(or their rejection) and the factored samples with T and disc(B), both
+keyed by base point: at small p many samples land on a base point already
+drawn, which then costs a lookup, and each distinct base point is factored
+and checked once.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def sample_point(system, p: int, seed: int = 0) -> SystemPoint:
     return _factor(red, *_draw(red, p, seed, {}))
 
 
-def _draw(red, p: int, seed: int, dets: dict):
+def _draw(red, p: int, seed: int, drawn: dict):
     """The base point of sample ``seed`` on the system ``red`` over GF(p):
     (lam, g, d) with g the member's int Gram rows and d = det g.
 
@@ -204,25 +204,25 @@ def _draw(red, p: int, seed: int, dets: dict):
     (normalized like ``projective_points``: first nonzero coordinate 1),
     then sweeps the whole base in its fixed order.  Each lam is skipped
     unless its member, combined on int Gram rows, is split; the first member
-    that passes is returned.  ``dets`` maps the seeded draws already made
-    to their member's determinant, which is looked up instead of recomputed;
-    for such a lam g is None.  A split lam found there ended the draw that
-    put it there, so a caller that keeps its samples by base point already
-    holds it.  The sweep is never kept.
+    that passes is returned.  ``drawn`` maps each seeded base point already
+    tried to its member (g, d), or to None when that member is not split,
+    and is looked up instead of recomputed.  The sweep is never kept.
     """
     gf, n = GF(p), red.NVARS
     dim = len(red.forms) - 1
     rng = random.Random(seed)
     for _ in range(SEEDED_DRAWS):
         lam = _random_point(p, dim, rng)
-        d, g = dets.get(lam), None
-        if d is None:
+        if lam in drawn:
+            member = drawn[lam]
+        else:
             # det(member) is disc(lam), so one determinant rejects both the
             # degenerate and the non-split members
             g = member_at(red, lam)
-            d = dets[lam] = linalg.int_det(g, p)
-        if _split_det(d, n, p):
-            return lam, g, d
+            d = linalg.int_det(g, p)
+            member = drawn[lam] = (g, d) if _split_det(d, n, p) else None
+        if member is not None:
+            return (lam, *member)
     for lam in _sweep(red, gf, dim):
         g = member_at(red, lam)
         d = linalg.int_det(g, p)
@@ -282,8 +282,8 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     Sample i is ``sample_point(system, p, seed + i)``, whose seed draws only
     its base point.  The system is reduced once, or not at all when it is
     already over GF(p), as ``construct`` loads it.  Two dicts live for the
-    call: the determinants of the seeded draws by base point, and the
-    factored sample with its T and disc(B) by base point, so a base point
+    call: the seeded draws' members (or their rejection) by base point, and
+    the factored sample with its T and disc(B) by base point, so a base point
     drawn again costs a lookup and each distinct one is factored and
     checked once.  disc(B) is the determinant the draw took of the accepted
     member, which is the member at B because ``SystemPoint.build`` checked
@@ -292,11 +292,11 @@ def verify_relation(system, p: int, count: int, seed: int = 0) -> RelationReport
     if count < 2:
         raise PreconditionError("need at least two samples to cross-check the constant")
     red = _reduced(system, p)
-    dets, samples = {}, {}
+    drawn, samples = {}, {}
     c = None
     passed, failed = 0, []
     for i in range(count):
-        lam, g, d = _draw(red, p, seed + i, dets)
+        lam, g, d = _draw(red, p, seed + i, drawn)
         got = samples.get(lam)
         if got is None:
             pt = _factor(red, lam, g, d)

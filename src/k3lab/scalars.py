@@ -13,7 +13,6 @@ by the quadratic-form code needs to halve cross terms.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .errors import BadPrime, FieldMismatch
@@ -178,16 +177,6 @@ def chi_mod(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@functools.lru_cache(maxsize=64)
-def _least_non_residue(p: int) -> int:
-    """The least quadratic non-residue mod the odd prime p, which
-    Tonelli-Shanks raises to the odd part of p - 1.  Cached per prime."""
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    return z
-
-
 def sqrt_mod(a: int, p: int):
     """An int square root of a mod p in [0, p), or None when a is a
     non-square (Tonelli-Shanks)."""
@@ -203,7 +192,10 @@ def sqrt_mod(a: int, p: int):
     while q % 2 == 0:
         q //= 2
         s += 1
-    m, c, t, r = s, pow(_least_non_residue(p), q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
     while t != 1:
         t2, i = t * t % p, 1
         while t2 != 1:

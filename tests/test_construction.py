@@ -14,6 +14,7 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NoSplitMember,
                    random_sl, sample_point, t_invariant, verify_relation,
                    wedge2_matrix)
 from k3lab import K3LabError, cli, construction
+from k3lab.systems import member_at
 from oracles import (form_poly, identity, klein_matrix, member_form, model_form,
                      relation_report, scaled, witt_index_exhaustive)
 
@@ -509,6 +510,18 @@ def test_verify_factors_and_checks_each_distinct_base_point_once(monkeypatch, ca
         assert len(calls[name]) == len(distinct), name
     members = Counter(tuple(lam) for _, lam in calls["member_at"])
     assert distinct <= set(members) and max(members.values()) == 1
+
+
+@pytest.mark.parametrize("system", [DIAG_PENCIL, DIAG_NET])
+def test_draw_with_its_memo_returns_what_a_fresh_draw_does(system):
+    # one memo over 100 seeds, most of them repeating a base point already
+    # drawn: each draw still hands back the member's rows and determinant
+    red = system.reduce_mod(7)
+    drawn = {}
+    for seed in range(100):
+        lam, g, d = construction._draw(red, 7, seed, drawn)
+        assert (lam, g, d) == construction._draw(red, 7, seed, {})
+        assert g == member_at(red, lam) and d == linalg.int_det(g, 7)
 
 
 # -- group invariance ----------------------------------------------------------------

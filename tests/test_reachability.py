@@ -9,8 +9,7 @@ The commands are the ``k3lab ...`` lines of README.md's examples (each must
 exit 0), ``construct invariance`` on the builtin pencil (the README runs
 the net), ``lattice overlattice --gram --format text``, ``net cover`` on
 ``tests/data/net-fractional.json``, ``bn dim --type II`` (the README shows
-type III), ``construct verify-net`` at p = 13 (the README's primes are
-3 mod 4, which skip Tonelli-Shanks), a pencil over F_3 with no split member (the sampler's draws all
+type III), a pencil over F_3 with no split member (the sampler's draws all
 fail and its sweep runs), a bad flag (exit 1) and a composite ``--p``
 (exit 2).
 
@@ -147,10 +146,6 @@ def extra_commands(tmp: Path):
           "--format", "text"], 0),
         (["net", "cover", "--system", FRACTIONAL_NET], 0),
         (["bn", "dim", "--type", "II", "--g", "11", "--n", "6"], 0),
-        # p = 1 mod 4 (the README's primes are 3 mod 4): the Witt split's
-        # square roots run Tonelli-Shanks
-        (["construct", "verify-net", "--system", "builtin:net-diagonal", "--p", "13",
-          "--samples", "2"], 0),
         (["construct", "verify-pencil", "--system", str(mod3), "--p", "3",
           "--samples", "2"], 2),
         (["mukai", "dim", "--r", "two", "--l2", "8", "--s", "2"], 1),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3lab import GF, QQ, BadPrime, FieldMismatch, projective_points
-from k3lab.scalars import _least_non_residue, is_odd_prime, sqrt_mod
+from k3lab.scalars import is_odd_prime
 
 
 def test_field_cache_and_validation():
@@ -76,25 +76,6 @@ def test_legendre_and_sqrt():
                 assert s is not None and s * s == a
             else:
                 assert s is None
-
-
-@pytest.mark.parametrize("p", [13, 1009, 8089, 65537])
-def test_least_non_residue_and_sqrt_mod(p):
-    # the non-residue Tonelli-Shanks raises, cached per prime, against the
-    # least int missing from the set of squares; the least non-residues
-    # are 2, 11, 17 and 3
-    squares = {x * x % p for x in range(1, p)}
-    z = next(z for z in range(2, p) if z not in squares)
-    assert z == {13: 2, 1009: 11, 8089: 17, 65537: 3}[p]
-    _least_non_residue.cache_clear()
-    assert _least_non_residue(p) == z
-    assert sqrt_mod(z, p) is None
-    rng = random.Random(p)
-    for _ in range(50):
-        a = pow(rng.randrange(1, p), 2, p)
-        r = sqrt_mod(a, p)
-        assert 0 <= r < p and r * r % p == a
-    assert _least_non_residue.cache_info().misses == 1
 
 
 def test_rationals_canonical():
