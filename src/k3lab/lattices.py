@@ -20,12 +20,15 @@ HNF of the stack [m*I ; c], which ``_stack_hnf`` reduces with one running
 row: S is m*I with a few rows replaced by dense ones (one for prime m).  Its
 Gram S G0 S^T / m^2 is G0 bordered at those rows, one row product each.
 
-Determinant and signature are read off the pivots of the package's one
-symmetric elimination, ``linalg.int_congruence`` over ZZ (fraction-free,
-Bareiss, Math. Comp. 22, 1968), which carries no basis here.  It pivots on
-the row with the most zeros, as the overlattice Gram has dense rows that
-would fill the whole matrix if eliminated first, and it rescales a row only
-when it is used; both are exact (see its docstring).
+Determinant and signature of a lattice given by its Gram are read off the
+pivots of the package's one symmetric elimination, ``linalg.int_congruence``
+over ZZ (fraction-free, Bareiss, Math. Comp. 22, 1968), which carries no
+basis here, and memoized on the ``IntegralLattice``.  L0 and the
+overlattice M never run it: both span the ambient L over QQ, so they have
+the signature of L (Sylvester's law of inertia), and det L0 = det L *
+[L : L0]^2, det M = det L * ([L : L0] / [M : L0])^2 (Nikulin, Math. USSR
+Izv. 14 (1980), section 1).  So ``int_congruence`` runs once per ambient
+lattice, not once per sublattice or overlattice.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ class IntegralLattice:
 
     def signature(self):
         """(positive, negative) inertia counts, read off the pivots of the
-        integer elimination behind ``det``; None when degenerate."""
+        integer elimination behind ``det`` (the ambient's, for an L0 or an
+        overlattice); None when degenerate."""
         return self._invariants()[1]
 
     def __eq__(self, other):
@@ -193,6 +197,20 @@ def _det_and_signature(gram):
         return 0, None
     neg = sum((pk > 0) != (prev > 0) for prev, pk in zip([1] + pivots, pivots))
     return (pivots[-1] if pivots else 1), (len(pivots) - neg, neg)
+
+
+def _seed_invariants(out: IntegralLattice, lat: IntegralLattice, num: int,
+                     den: int) -> IntegralLattice:
+    """``out``, which spans ``lat`` over QQ with [lat : out] = num / den,
+    given the invariants of ``lat`` scaled by that index: det lat *
+    (num / den)^2 and the signature of ``lat``; (0, None) when ``lat`` is
+    degenerate."""
+    det, sig = lat._invariants()
+    det, rem = divmod(det * num * num, den * den)
+    if rem:
+        raise K3LabError("index does not divide the determinant")  # unreachable
+    object.__setattr__(out, "_det_sig", (det, sig))
+    return out
 
 
 def _combination(row, mat):
@@ -354,11 +372,16 @@ def l_zero_sublattice(lat: IntegralLattice, alpha, r: int) -> IntegralLattice:
     """The sublattice of vectors beta with (beta . alpha) divisible by r.
 
     Its Gram matrix is the congruence ``_kernel_gram`` of the ambient Gram,
-    in the basis ``l_zero_basis`` returns."""
+    in the basis ``l_zero_basis`` returns.  Its det and signature are the
+    ambient's (memoized), with det scaled by [L : L0]^2, where [L : L0] =
+    r / gcd(r, alpha G) is the order of the image of beta -> (beta . alpha)
+    mod r."""
     alpha = _checked_alpha(lat, alpha)
     _checked_r(r, 1)
-    gram = _kernel_gram(lat.gram, _column_ops(_combination(alpha, lat.gram), r))
-    return IntegralLattice(gram, label=f"L0({lat.label or 'L'}; r={r})")
+    w = _combination(alpha, lat.gram)
+    gram = _kernel_gram(lat.gram, _column_ops(w, r))
+    out = IntegralLattice(gram, label=f"L0({lat.label or 'L'}; r={r})")
+    return _seed_invariants(out, lat, r // gcd(r, *w), 1)
 
 
 def l_zero_basis(lat: IntegralLattice, alpha, r: int):
@@ -422,6 +445,10 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     ambient Gram, is G0 bordered at those columns: for a dense row P_j and
     u = P_j G0, entry (j, k) is u[k] / m at a unit row k and (u . P_k) / m^2
     at a dense row k.  No ambient basis vector is formed.
+
+    The det and signature are not eliminated from that Gram: they are the
+    ambient's (memoized on ``spec.lattice``), with det scaled by
+    ([L : L0] / m)^2, [L : L0] = r / gcd(r, alpha G) and m = [M : L0].
     """
     lat, alpha, r = spec.lattice, spec.alpha, spec.r
     w = _combination(alpha, lat.gram)
@@ -450,4 +477,4 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     out = IntegralLattice(gram, label=f"{lat.label or 'L'}+Z(alpha/{r})")
     if not out.is_even:
         raise K3LabError("overlattice is not even")  # unreachable under the precondition
-    return out
+    return _seed_invariants(out, lat, r // gcd(r, *w), m)

@@ -278,6 +278,19 @@ def fraction_congruence(a):
     return basis, [a[i][i] for i in range(n)]
 
 
+def fraction_invariants(gram):
+    """(det, signature) of an integer Gram by ``fraction_congruence``: det is
+    the product of the diagonal (every step has determinant +-1), and the
+    signature counts its signs, None when an entry is zero."""
+    _, diag = fraction_congruence([[Fraction(x) for x in row] for row in gram])
+    pos = sum(x > 0 for x in diag)
+    neg = sum(x < 0 for x in diag)
+    det = Fraction(1)
+    for x in diag:
+        det *= x
+    return det, ((pos, neg) if pos + neg == len(diag) else None)
+
+
 def all_vectors(field, n):
     total = field.p**n
     for idx in range(total):
@@ -710,18 +723,26 @@ def dense_overlattice_gram(lat, alpha, r):
     return [[x // (m * m) for x in row] for row in gram]
 
 
-def seeded_overlattice_grams(r, size, count=20):
-    """The Grams of ``count`` seeded overlattices L0 + Z(alpha/r) of the K3
-    lattice, alpha with entries in [-size, size] and 2 r^2 | (alpha^2), drawn
-    by rejection as the overlattice benchmark draws its ops."""
+def seeded_overlattice_alphas(r, size, count=20):
+    """``count`` seeded classes alpha of the K3 lattice with entries in
+    [-size, size] and 2 r^2 | (alpha^2), drawn by rejection as the
+    overlattice benchmark draws its ops."""
     rng = random.Random(f"overlattice/{r}/{size}")
     k3 = k3_lattice()
-    grams = []
-    while len(grams) < count:
+    alphas = []
+    while len(alphas) < count:
         alpha = [rng.randint(-size, size) for _ in range(k3.rank)]
         if any(alpha) and k3.norm(alpha) % (2 * r * r) == 0:
-            grams.append(overlattice(OverlatticeSpec(k3, alpha, r)).gram)
-    return grams
+            alphas.append(alpha)
+    return alphas
+
+
+def seeded_overlattice_grams(r, size, count=20):
+    """The Grams of the overlattices L0 + Z(alpha/r) of the K3 lattice at
+    the ``seeded_overlattice_alphas``."""
+    k3 = k3_lattice()
+    return [overlattice(OverlatticeSpec(k3, alpha, r)).gram
+            for alpha in seeded_overlattice_alphas(r, size, count)]
 
 
 def block_sum(*blocks):

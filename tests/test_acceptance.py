@@ -10,8 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from k3lab import (GF, QQ, DivisibilityViolation, MukaiVector,
-                   NetOfQuadrics, OverlatticeSpec, PencilOfQuadrics,
+from k3lab import (GF, QQ, DegenerateSystem, DivisibilityViolation,
+                   MukaiVector, NetOfQuadrics, OverlatticeSpec, PencilOfQuadrics,
                    QuadraticForm, count_points, fano_genus_allowed,
                    linear_section_invariants, linalg, moduli_dim,
                    MultiPoly, k3_lattice, net_discriminant, overlattice,
@@ -65,15 +65,18 @@ def test_criterion_2_pencil_discriminants():
             expected = expected * (l0 + ai * l1)
         got = pencil_discriminant(pencil).to_poly()
         ok = ok and got == expected
-    # 100 random dense pencils: cofactor oracle
-    made = 0
+    # 100 random dense pencils: cofactor oracle; a degenerate draw is
+    # redrawn, anything else fails the test
+    made = attempts = 0
     while ok and made < 100:
+        attempts += 1
+        assert attempts <= 200, "seed 100: under 100 nondegenerate pencils in 200 draws"
         g1 = _rand_sym(rng, 4)
         g2 = _rand_sym(rng, 4)
         try:
             pencil = PencilOfQuadrics(QuadraticForm(g1, QQ), QuadraticForm(g2, QQ))
             got = pencil_discriminant(pencil).to_poly()
-        except Exception:
+        except DegenerateSystem:
             continue
         sym = _symbolic_gram(pencil)
         ok = ok and got == cofactor_det(sym)
@@ -154,13 +157,15 @@ def test_criterion_5_branch_sextics():
     rng = random.Random(103)
     start = time.perf_counter()
     ok = True
-    made = 0
+    made = attempts = 0
     while made < 100:
+        attempts += 1
+        assert attempts <= 200, "seed 103: under 100 nets with a sextic in 200 draws"
         try:
             net = NetOfQuadrics(QuadraticForm(_rand_sym(rng, 6), QQ),
                                 QuadraticForm(_rand_sym(rng, 6), QQ),
                                 QuadraticForm(_rand_sym(rng, 6), QQ))
-        except Exception:
+        except DegenerateSystem:
             continue
         d = net_discriminant(net)
         if d.is_zero():
@@ -168,13 +173,15 @@ def test_criterion_5_branch_sextics():
         ok = ok and d.degree() == 6 and d.is_homogeneous(6)
         made += 1
     # diagonal nets: exact product of six linear forms, flagged singular
+    checked = 0
     for trial in range(5):
         b = rng.sample(range(-9, 10), 6)
         c = rng.sample(range(-9, 10), 6)
         try:
             net = NetOfQuadrics.from_diagonals([1] * 6, b, c)
-        except Exception:
+        except DegenerateSystem:
             continue
+        checked += 1
         d = net_discriminant(net)
         l = [MultiPoly.var(QQ, 3, i) for i in range(3)]
         expected = MultiPoly.const(QQ, 3, 1)
@@ -182,6 +189,7 @@ def test_criterion_5_branch_sextics():
             expected = expected * (l[0] + bi * l[1] + ci * l[2])
         ok = ok and d == expected
         ok = ok and sextic_smoothness_probe(d, (7, 11, 13)).status == "singular"
+    assert checked, "seed 103: every diagonal net of the five trials was degenerate"
     fermat = (MultiPoly.var(QQ, 3, 0)**6 + MultiPoly.var(QQ, 3, 1)**6
               + MultiPoly.var(QQ, 3, 2)**6)
     ok = ok and sextic_smoothness_probe(fermat, (7, 11, 13)).status == "probably-smooth"

@@ -12,6 +12,7 @@ import pytest
 from k3lab import GF, QQ, lattices
 from k3lab import cli
 from k3lab.cli import CLIParseError, build_parser, main
+from oracles import fraction_invariants, seeded_overlattice_alphas
 
 ALPHA_OK = ",".join(["1", "4"] + ["0"] * 20)
 ALPHA_BAD = ",".join(["1", "1"] + ["0"] * 20)
@@ -308,6 +309,45 @@ def test_lattice_overlattice_gram_golden_bytes_wide(capsys):
         code, out, _ = run(capsys, *case["argv"])
         assert code == 0
         assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("r, size", [(2, 1), (3, 1), (2, 3), (3, 3)])
+def test_lattice_overlattice_det_and_signature_match_the_printed_gram(capsys, r, size):
+    # the printed det and signature come from the ambient and the index; an
+    # independent elimination of the printed Gram must give the same, on the
+    # overlattice benchmark's four classes of ops
+    alphas = seeded_overlattice_alphas(r, size)
+    assert len(alphas) == 20
+    for alpha in alphas:
+        rep = run_json(capsys, "lattice", "overlattice", "--alpha=" + ",".join(map(str, alpha)),
+                       "--r", str(r), "--gram")
+        det, sig = fraction_invariants(rep["gram"])
+        assert (rep["det"], rep["signature"]) == (det, list(sig)), alpha
+
+
+def test_lattice_overlattice_eliminates_once_per_ambient(capsys, monkeypatch):
+    # det and signature of an overlattice are the ambient's, scaled by the
+    # index: one elimination per ambient lattice, none per overlattice
+    calls = []
+    eliminate = lattices._det_and_signature
+
+    def counting(gram):
+        calls.append(len(gram))
+        return eliminate(gram)
+
+    monkeypatch.setattr(lattices, "_det_and_signature", counting)
+    alphas = seeded_overlattice_alphas(2, 3, count=50)
+    k3 = lattices.k3_lattice()
+    for alpha in alphas:
+        out = lattices.overlattice(lattices.OverlatticeSpec(k3, alpha, 2))
+        assert (out.det, out.signature()) == (-1, (3, 19))
+    assert calls == [22]
+    calls.clear()
+    for alpha in alphas:  # the builtin K3 lattice, built once per process
+        rep = run_json(capsys, "lattice", "overlattice",
+                       "--alpha=" + ",".join(map(str, alpha)), "--r", "2")
+        assert (rep["det"], rep["signature"]) == (-1, [3, 19])
+    assert len(calls) <= 1
 
 
 def test_fano_and_pairs(capsys):

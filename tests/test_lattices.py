@@ -14,7 +14,7 @@ from k3lab import MultiPoly, QQ, linalg
 from k3lab.lattices import (_column_ops, _kernel_coordinates, _stack_hnf,
                             e8_gram, hnf_row_basis, l_zero_basis)
 from oracles import (block_sum, cofactor_det, dense_overlattice_gram,
-                     dense_row_block_sums, fraction_congruence, gram_of, leibniz_det,
+                     dense_row_block_sums, fraction_invariants, gram_of, leibniz_det,
                      scalar_leibniz_det,
                      seeded_overlattice_grams, stale_repair_cases, sym_permuted)
 
@@ -143,10 +143,7 @@ def test_det_against_leibniz_and_cofactor_oracles():
 
 
 def _fraction_signature(m):
-    _, d = fraction_congruence([[Fraction(x) for x in r] for r in m])
-    pos = sum(1 for x in d if x > 0)
-    neg = sum(1 for x in d if x < 0)
-    return (pos, neg) if pos + neg == len(m) else None
+    return fraction_invariants(m)[1]
 
 
 def _scramble(rng, m, steps):
@@ -375,6 +372,7 @@ def test_l_zero_det_index_formula():
             content = _gcd(content, x)
         index = r // _gcd(r, content)
         assert abs(sub.det) == index * index
+        _assert_as_eliminated(sub)
         if index == r:
             assert abs(sub.det) == r * r
         done += 1
@@ -386,6 +384,13 @@ def _gcd(a, b):
     return abs(a)
 
 
+def _assert_as_eliminated(lat):
+    """The det and signature of ``lat``, which an L0 or an overlattice takes
+    from its ambient, equal a fresh elimination of its Gram."""
+    fresh = IntegralLattice(lat.gram)
+    assert (lat.det, lat.signature()) == (fresh.det, fresh.signature()), lat.gram
+
+
 # -- overlattice ------------------------------------------------------------------
 
 def test_overlattice_non_primitive_alpha_recovers_ambient():
@@ -393,6 +398,7 @@ def test_overlattice_non_primitive_alpha_recovers_ambient():
     alpha = [2, 2] + [0] * 20  # alpha / 2 is already integral
     out = overlattice(OverlatticeSpec(k3, alpha, 2))
     assert lattice_invariants(out) == lattice_invariants(k3)
+    _assert_as_eliminated(out)
 
 
 def test_overlattice_hyperbolic_example():
@@ -401,6 +407,7 @@ def test_overlattice_hyperbolic_example():
     out = overlattice(OverlatticeSpec(k3, alpha, 2))
     inv = lattice_invariants(out)
     assert inv == {"rank": 22, "det": -1, "even": True, "signature": (3, 19)}
+    _assert_as_eliminated(out)
 
 
 def test_overlattice_divisibility_violation():
@@ -436,6 +443,7 @@ def test_overlattice_random_draws_are_even_unimodular():
             continue
         out = overlattice(OverlatticeSpec(k3, alpha, r))
         assert out.rank == 22 and out.is_even and abs(out.det) == 1
+        _assert_as_eliminated(out)
         done += 1
 
 
@@ -453,6 +461,7 @@ def test_overlattice_property_wider_alpha_and_r():
         out = overlattice(OverlatticeSpec(k3, alpha, r))
         assert out.rank == 22 and out.is_even and abs(out.det) == 1
         assert out.signature() == (3, 19)
+        _assert_as_eliminated(out)
         done += 1
 
 
@@ -474,6 +483,8 @@ def test_det_chain_measured():
         index_in = r // _gcd(r, content)
         assert abs(sub.det) == index_in**2 * abs(k3.det)
         assert abs(out.det) == abs(k3.det)
+        _assert_as_eliminated(sub)
+        _assert_as_eliminated(out)
         done += 1
 
 
@@ -591,8 +602,57 @@ def test_overlattice_and_l_zero_grams_match_dense_ambient_products():
         most_dense = max(most_dense, sum(row is not None for row in stack))
         if lat.det:
             assert out.signature() == lat.signature()
+        _assert_as_eliminated(out)
         # L0 needs no divisibility; at r + 1 alpha^2 is mostly not divisible
         for r_sub in (r, r + 1):
             want = gram_of(lat.gram, l_zero_basis(lat, alpha, r_sub))
-            assert l_zero_sublattice(lat, alpha, r_sub).gram == tuple(map(tuple, want))
+            sub = l_zero_sublattice(lat, alpha, r_sub)
+            assert sub.gram == tuple(map(tuple, want))
+            _assert_as_eliminated(sub)
     assert most_dense >= 2  # the Gram pairs two dense Hermite rows
+
+
+# -- det and signature from the ambient, against the printed Gram -----------------
+
+# the ambient lattice files of the packaging smoke test: U + U, and the
+# degenerate U + <0>, each with alpha = (2, 2, 0, ...) at r = 2
+SMOKE_AMBIENTS = (([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], (2, 2, 0, 0)),
+                  ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (2, 2, 0)))
+
+
+def _derived_invariant_cases():
+    """(lattice, alpha, r) with 2 r^2 | (alpha^2): the smoke-test ambients
+    and random even lattices of rank 2..7, a fifth of the draws made
+    degenerate, r in {2, 3, 4, 6} and alpha entries in [-4, 4]."""
+    rng = random.Random(1400)
+    cases = [(IntegralLattice(g), alpha, 2) for g, alpha in SMOKE_AMBIENTS]
+    while len(cases) < 250:
+        gram = _random_even_block(rng, rng.randint(2, 7))
+        if rng.random() < 0.2:
+            gram = _make_degenerate(rng, gram)
+        lat = IntegralLattice(gram)
+        r = rng.choice((2, 3, 4, 6))
+        alpha = [rng.randint(-4, 4) for _ in range(lat.rank)]
+        if any(alpha) and lat.norm(alpha) % (2 * r * r) == 0:
+            cases.append((lat, alpha, r))
+    return cases
+
+
+def test_l_zero_and_overlattice_invariants_against_fraction_congruence():
+    # on a unimodular ambient [L : L0] = [M : L0] and gcd(r, alpha G) =
+    # gcd(r, alpha), so only ambients of other determinants tell the index
+    # formula's parts apart; the oracle reads the printed Gram
+    seen = dict.fromkeys(("degenerate", "[L : L0] != m", "gcd(r, alpha G) != gcd(r, alpha)",
+                          "|det L| > 1"), 0)
+    for lat, alpha, r in _derived_invariant_cases():
+        sub = l_zero_sublattice(lat, alpha, r)
+        out = overlattice(OverlatticeSpec(lat, alpha, r))
+        for got in (sub, out):
+            assert (got.det, got.signature()) == fraction_invariants(got.gram), (
+                lat.gram, alpha, r)
+        w = [sum(a * g for a, g in zip(alpha, col)) for col in zip(*lat.gram)]
+        seen["degenerate"] += lat.det == 0
+        seen["[L : L0] != m"] += out.det != lat.det  # det M = det L ([L : L0] / m)^2
+        seen["gcd(r, alpha G) != gcd(r, alpha)"] += gcd(r, *w) != gcd(r, *alpha)
+        seen["|det L| > 1"] += abs(lat.det) > 1
+    assert all(count >= 10 for count in seen.values()), seen

@@ -14,8 +14,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from k3lab import (QQ, IntegralLattice, MultiPoly, OverlatticeSpec,
-                   PencilOfQuadrics, QuadraticForm, discriminant_poly,
+from k3lab import (QQ, DegenerateSystem, IntegralLattice, MultiPoly,
+                   OverlatticeSpec, PencilOfQuadrics, QuadraticForm, discriminant_poly,
                    k3_lattice, lattice_invariants, net_discriminant, overlattice)
 from k3lab.cli import load_system
 from oracles import (dense_row_block_sums, seeded_overlattice_grams, stale_repair_cases,
@@ -44,12 +44,14 @@ def _rand_sym_gram(rng, n):
 def test_pencil_discriminant_matches_sympy_det():
     rng = random.Random(200)
     l0, l1 = sympy.symbols("l0 l1")
-    done = 0
+    done = attempts = 0
     while done < 10:
+        attempts += 1
+        assert attempts <= 50, "seed 200: under 10 nondegenerate pencils in 50 draws"
         try:
             pencil = PencilOfQuadrics(QuadraticForm(_rand_sym_gram(rng, 4), QQ),
                                       QuadraticForm(_rand_sym_gram(rng, 4), QQ))
-        except Exception:
+        except DegenerateSystem:
             continue
         q1, q2 = pencil.forms
         m = sympy.Matrix(4, 4, lambda i, j: (
