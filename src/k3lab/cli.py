@@ -171,6 +171,12 @@ _builtin_lattice = functools.cache(k3_lattice)
 def load_lattice(path: str | None) -> IntegralLattice:
     if path is None:
         return _builtin_lattice()
+    if path in _BUILTIN_FILES:
+        return _bundled_lattice(path)
+    return _lattice_from_file(path)
+
+
+def _lattice_from_file(path: str) -> IntegralLattice:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "gram" not in doc:
         raise CLIParseError("lattice file must contain a 'gram' key")
@@ -186,6 +192,11 @@ def load_lattice(path: str | None) -> IntegralLattice:
     if not isinstance(label, str):
         raise CLIParseError(f"lattice 'label' must be a string, got {label!r}")
     return IntegralLattice(rows, label=label)
+
+
+# A bundled lattice file is built once per process, as the default is: the
+# lattice is immutable, so each op reuses its det and signature.
+_bundled_lattice = functools.cache(_lattice_from_file)
 
 
 # An integer on argv: an optional "-", then ASCII decimal digits without a

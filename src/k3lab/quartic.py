@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
 from .errors import BadPrime, DegenerateBranch, PreconditionError
 from .poly import MultiPoly
 from .scalars import QQ
@@ -57,17 +58,22 @@ class BinaryQuartic:
                          {(4 - k, k): c for k, c in enumerate(self.coeffs)})
 
     def _lifted_invariants(self):
-        """(I, J, Delta), computed once (the quartic is immutable): over
-        GF(p) on the integer lifts of the coefficients, then reduced."""
+        """(I, J, Delta), computed once (the quartic is immutable) on ints:
+        over QQ on the coefficients times the lcm D of their denominators,
+        which scales I, J and Delta by D^2, D^3 and D^6; over GF(p) on the
+        integer lifts of the coefficients (D = 1), then reduced."""
         if self._invariants is None:
-            cs = self.coeffs
-            a, b, c, d, e = (x.v for x in cs) if self.field.char else cs
+            (cs,), scale = linalg.int_rows(self.field, [self.coeffs])
+            a, b, c, d, e = cs
             i_inv = 12 * a * e - 3 * b * d + c * c
             j_inv = (72 * a * c * e + 9 * b * c * d - 27 * a * d * d
                      - 27 * b * b * e - 2 * c**3)
-            delta = Fraction(4 * i_inv**3 - j_inv**2, 27)
+            delta = (4 * i_inv**3 - j_inv**2) // 27  # exact on ints
+            invariants = ((i_inv, j_inv, delta) if scale == 1 else
+                          (Fraction(i_inv, scale**2), Fraction(j_inv, scale**3),
+                           Fraction(delta, scale**6)))
             object.__setattr__(self, "_invariants",
-                               tuple(map(self.field.coerce, (i_inv, j_inv, delta))))
+                               tuple(map(self.field.coerce, invariants)))
         return self._invariants
 
     def invariants(self):

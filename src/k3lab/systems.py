@@ -24,8 +24,8 @@ from .polymat import LinearMatrix, quadratic_terms
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, chi_mod
-from .univar import (common_roots, deriv, first_root, gcd, partials, plane_lines,
-                     plane_rows, restrict)
+from .univar import (common_roots, coprime_to_derivative, deriv, first_root, gcd,
+                     partials, plane_lines, plane_rows, restrict)
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
@@ -248,6 +248,25 @@ def jacobian_j_invariant(pencil: PencilOfQuadrics):
     return pencil_discriminant(pencil).j_invariant()
 
 
+def _coprime_lines(rows, p):
+    """For x2 = 0, 1, ..., p - 1 in turn, True when the plane form ``rows``
+    (mod p) restricts on (1 : t : x2) to a c(t) with gcd(c, c') certainly a
+    unit.  The lines go to ``coprime_to_derivative`` in blocks of 4, 8,
+    16, ... consecutive x2, each restricted by Horner in x2 coefficient-wise
+    when the first of its flags is asked for."""
+    start, size = 0, 4
+    while start < p:
+        xs = range(start, min(start + size, p))
+        cols = []
+        for r in reversed(rows):
+            acc = [r[-1]] * len(xs)
+            for c in reversed(r[:-1]):
+                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+            cols.append(acc)
+        yield from coprime_to_derivative(cols, p)
+        start, size = start + size, 2 * size
+
+
 def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     """Look for singular points of a plane sextic over each F_p.
 
@@ -263,10 +282,20 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     finds its first root in F_p: the witness.  The coefficients are
     reduced to ints mod p and grouped by the power of x1 once per prime,
     and c on (1 : t : x2) comes from seven evaluations in x2, so a prime
-    costs O(p) line tests.  A witness certifies that the reduction mod p
-    is singular; without one the verdict is 'probably-smooth' for the
-    probed primes.  The primes must be nonempty (PreconditionError) and
-    each at most MAX_SWEEP_PRIME (BadPrime, before any sweep).
+    costs O(p) line tests.
+
+    The lines (1 : t : x2) are first tested in blocks of consecutive x2,
+    of 4, 8, 16, ... lines, each block when the sweep reaches it: one
+    ``univar.coprime_to_derivative`` clears the lines where gcd(c, c') is
+    certainly a unit, and those are skipped.  Every other line, and every
+    line when the x1^6 coefficient vanishes mod p, takes the test above,
+    so the blocks change no verdict or witness.  The blocks start small
+    because a singular reduction often shows on one of the first lines.
+
+    A witness certifies that the reduction mod p is singular; without one
+    the verdict is 'probably-smooth' for the probed primes.  The primes
+    must be nonempty (PreconditionError) and each at most MAX_SWEEP_PRIME
+    (BadPrime, before any sweep).
     """
     if f.nvars != 3 or not f.is_homogeneous(6) or f.is_zero():
         raise PreconditionError("probe expects a nonzero homogeneous plane sextic")
@@ -284,7 +313,10 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
             raise BadPrime(f"denominator of {bad} vanishes mod {p}")
         rp = [[c % p for c in r] for r in rows]
         df = partials(rp)
+        coprime = _coprime_lines(rp, p)
         for base, j, length in plane_lines(p):
+            if j == 1 and next(coprime):  # plane_lines yields x2 = 0, 1, ... first
+                continue
             c = restrict(rp, base, j)
             h = gcd(c, deriv(c), p)
             if len(h) == 1:  # a unit: no common root (c = 0 leaves h = [])

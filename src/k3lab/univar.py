@@ -88,6 +88,43 @@ def gcd(a, b, p):
     return a
 
 
+def coprime_to_derivative(cols, p):
+    """For a block of polynomials c of one degree d >= 1, mod p, whether
+    gcd(c, c') is certainly a unit, as a list of bools.
+
+    The block is given coefficient-wise: ``cols[k]`` lists the coefficient
+    of t^(d-k) of every polynomial, as ints.  Euclid runs on the whole
+    block at once, one list operation per coefficient, by pseudo-remainders:
+    while b has degree m >= 1 and a degree m + 1, a becomes
+    lc(b)^2 (a mod b), and a, b swap.  This follows the degrees d, d - 1,
+    ..., 0 that the remainders take when no leading coefficient vanishes;
+    the polynomials where one does are split off, as in Della Dora,
+    Dicrescenzo and Duval's dynamic evaluation, and left to ``gcd``.  So a
+    polynomial gets True when its last remainder is a nonzero constant, and
+    False when that is zero (the gcd has positive degree) or when the
+    leading coefficient of a remainder of positive degree vanished.  A c
+    whose own leading coefficient vanishes mod p gets False too, since the
+    lead of c' vanishes with it.
+    """
+    d = len(cols) - 1
+    a = cols
+    b = [[(d - k) * x % p for x in col] for k, col in enumerate(cols[:-1])]
+    ok = [True] * len(cols[0])
+    while len(b) > 1:
+        lb = b[0]
+        ok = [f and x != 0 for f, x in zip(ok, lb)]
+        # lc(b)*a - lc(a)*t*b, then lc(b)*a - lc(a)*b: each cancels a's lead
+        la = a[0]
+        a = ([[(u * x - v * y) % p for u, x, v, y in zip(lb, ai, la, bi)]
+              for ai, bi in zip(a[1:], b[1:])]
+             + [[u * x % p for u, x in zip(lb, a[-1])]])
+        la = a[0]
+        a = [[(u * x - v * y) % p for u, x, v, y in zip(lb, ai, la, bi)]
+             for ai, bi in zip(a[1:], b[1:])]
+        a, b = b, a
+    return [f and x != 0 for f, x in zip(ok, b[0])]
+
+
 def first_root(h, length, p):
     """The least t in range(length) where h vanishes mod p, or None."""
     for t in range(length):

@@ -169,6 +169,18 @@ def quartic_from_roots(roots, scale=1):
     return (poly[4], poly[3], poly[2], poly[1], poly[0])
 
 
+def fraction_quartic_invariants(quartic):
+    """(I, J, Delta) of a BinaryQuartic by the classical formulas in Fraction
+    arithmetic, on the integer lifts of the coefficients over GF(p), then
+    coerced into the quartic's field; Delta is defined at p = 3 too."""
+    cs = quartic.coeffs
+    a, b, c, d, e = (Fraction(x.v) if quartic.field.char else Fraction(x) for x in cs)
+    i_inv = 12 * a * e - 3 * b * d + c * c
+    j_inv = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    delta = (4 * i_inv**3 - j_inv**2) / 27
+    return tuple(map(quartic.field.coerce, (i_inv, j_inv, delta)))
+
+
 def uni_sweep_count(quartic, p):
     """Points of the smooth model of tau^2 = f(t) over F_p by direct sweep."""
     from k3lab import GF

@@ -342,12 +342,13 @@ def test_lattice_overlattice_eliminates_once_per_ambient(capsys, monkeypatch):
         out = lattices.overlattice(lattices.OverlatticeSpec(k3, alpha, 2))
         assert (out.det, out.signature()) == (-1, (3, 19))
     assert calls == [22]
-    calls.clear()
-    for alpha in alphas:  # the builtin K3 lattice, built once per process
-        rep = run_json(capsys, "lattice", "overlattice",
-                       "--alpha=" + ",".join(map(str, alpha)), "--r", "2")
-        assert (rep["det"], rep["signature"]) == (-1, [3, 19])
-    assert len(calls) <= 1
+    for flags in ((), ("--lattice", "builtin:k3-lattice")):
+        calls.clear()
+        for alpha in alphas:  # the builtin K3 lattice, built once per process
+            rep = run_json(capsys, "lattice", "overlattice", *flags,
+                           "--alpha=" + ",".join(map(str, alpha)), "--r", "2")
+            assert (rep["det"], rep["signature"]) == (-1, [3, 19])
+        assert len(calls) <= 1
 
 
 def test_fano_and_pairs(capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from k3lab import (QQ, BinaryQuartic, DegenerateBranch, MultiPoly,
                    PreconditionError)
-from oracles import (cross_ratio_j, quartic_from_roots, substitute, uni_deriv,
-                     uni_gcd, uni_trim)
+from oracles import (cross_ratio_j, fraction_quartic_invariants, quartic_from_roots,
+                     substitute, uni_deriv, uni_gcd, uni_trim)
 
 
 def test_harmonic_quartic_invariants():
@@ -158,3 +158,34 @@ def test_discriminant_in_every_odd_characteristic():
     assert f.is_squarefree()
     with pytest.raises(BadPrime):
         f.j_invariant()
+
+
+def test_invariants_against_fraction_oracle():
+    # the int route scales by the lcm D of the denominators and divides by
+    # D^2, D^3 and D^6 at the end; over GF(p) it runs on the lifts
+    from k3lab import GF
+
+    rng = random.Random(35)
+    fields = [QQ] + [GF(p) for p in (3, 5, 7, 13, 101)]
+    checked = {}
+    while min(checked.get(F, 0) for F in fields) < 60:
+        F = rng.choice(fields)
+        dens = rng.choice(((1,), (1, 2, 3), (1, 4, 9, 25), (7, 12, 35)))
+        coeffs = [Fraction(rng.randint(-40, 40), rng.choice(dens)) if rng.random() < 0.8
+                  else Fraction(0) for _ in range(5)]
+        if F.char:
+            if any(x.denominator % F.char == 0 for x in coeffs):
+                continue
+            coeffs = [F.coerce(x) for x in coeffs]
+        if not any(coeffs):
+            continue
+        f = BinaryQuartic(coeffs, F)
+        want = fraction_quartic_invariants(f)
+        assert f.discriminant() == want[2]
+        if F.char != 3:
+            assert f.invariants() == want
+        checked[F] = checked.get(F, 0) + 1
+    # a square factor: Delta = 0, over QQ with denominators and mod p
+    f = BinaryQuartic(quartic_from_roots((Fraction(1, 2), Fraction(1, 2), 3, Fraction(-2, 7)),
+                                         Fraction(5, 6)))
+    assert f.discriminant() == fraction_quartic_invariants(f)[2] == 0

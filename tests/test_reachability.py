@@ -7,11 +7,11 @@ event when it closes a generator object that never started, so a function
 that creates and drops a generator would otherwise reach its body.
 The commands are the ``k3lab ...`` lines of README.md's examples (each must
 exit 0), ``construct invariance`` on the builtin pencil (the README runs
-the net), ``lattice overlattice --gram --format text``, ``net cover`` on
-``tests/data/net-fractional.json``, ``bn dim --type II`` (the README shows
-type III), a pencil over F_3 with no split member (the sampler's draws all
-fail and its sweep runs), a bad flag (exit 1) and a composite ``--p``
-(exit 2).
+the net), ``lattice overlattice --gram --format text`` on the bundled
+lattice file, ``net cover`` on ``tests/data/net-fractional.json``,
+``bn dim --type II`` (the README shows type III), a pencil over F_3 with no
+split member (the sampler's draws all fail and its sweep runs), a bad flag
+(exit 1) and a composite ``--p`` (exit 2).
 
 Every ``def`` in the package, found by parsing its source, must be reached
 or named in ``ALLOWLIST`` with a reason.  Methods are named
@@ -142,8 +142,8 @@ def extra_commands(tmp: Path):
     return [
         (["construct", "invariance", "--system", "builtin:pencil-diagonal",
           "--p", "11", "--count", "5"], 0),
-        (["lattice", "overlattice", "--alpha", alpha, "--r", "2", "--gram",
-          "--format", "text"], 0),
+        (["lattice", "overlattice", "--lattice", "builtin:k3-lattice", "--alpha", alpha,
+          "--r", "2", "--gram", "--format", "text"], 0),
         (["net", "cover", "--system", FRACTIONAL_NET], 0),
         (["bn", "dim", "--type", "II", "--g", "11", "--n", "6"], 0),
         (["construct", "verify-pencil", "--system", str(mod3), "--p", "3",

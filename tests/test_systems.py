@@ -752,6 +752,18 @@ def test_probe_matches_brute_force_witness():
             statuses.add(verdict.status)
         assert sextic_smoothness_probe(d, primes).witness == first
     assert statuses == {"singular", "probably-smooth"}
+    # the sweep tests the lines (1 : t : x2) in blocks of x2 in [0, 4),
+    # [4, 12), [12, 28), ...: first singular points on each side of each
+    # boundary, and on a sextic free of x1^6 mod p, whose lines all take
+    # the per-line test
+    for p in (29, 31):
+        for x2 in (3, 4, 11, 12, 27, 28):
+            t = (5 * x2 + 2) % p
+            _probe_agrees(_singular_at(t, x2), p, (1, t, x2))
+        t = (5 * 12 + 2) % p
+        f = _singular_at(t, 12, p)
+        assert f.coeff((0, 6, 0)) == p
+        _probe_agrees(f, p, (1, t, 12))
 
 
 def test_probe_matches_point_sweep_at_larger_primes():
@@ -778,12 +790,24 @@ X = [MultiPoly.var(QQ, 3, i) for i in range(3)]
 
 
 def _probe_agrees(f, p, want):
-    """The probe's witness at p (a tuple of ints, or None) is ``want`` and
-    the boxed point-by-point search's."""
+    """The probe's witness at p (a tuple of ints, or None) is ``want``, the
+    boxed point-by-point search's and the int point sweep's."""
     verdict = sextic_smoothness_probe(f, (p,))
     got = None if verdict.witness is None else tuple(c.v for c in verdict.witness[1])
     pt = brute_force_singular_point(f, p)
     assert got == want == (None if pt is None else tuple(c.v for c in pt))
+    assert line_sweep_singular_point(f, p) == want
+
+
+def _singular_at(t, x2, x1_quartic=1):
+    """A sextic over QQ singular at (1 : t : x2), in the square of that
+    point's ideal, whose x1^6 coefficient is ``x1_quartic``.  At the points
+    and primes used here it is the first F_p-singular point, as
+    ``_probe_agrees`` checks."""
+    x0, x1, x2_ = X
+    a, b = x2_ - x2 * x0, x1 - t * x0
+    return (a**2 * (x0**4 + x1**4 - 2 * x2_**4 + x0 * x1 * x2_**2)
+            + b**2 * (x1_quartic * x1**4 + 3 * x0**3 * x2_ - x2_**4 + x0**2 * x1**2))
 
 
 def _vanish(f, p, pt, i=None):

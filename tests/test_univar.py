@@ -256,3 +256,69 @@ def test_kernel_restrict_against_substitution(p):
                 want = [line.coeff(tuple(e if i == j else 0 for i in range(3))).v
                         for e in range(len(r) - 1, -1, -1)]
                 assert [c % p for c in univar.restrict(r, base, j)] == want
+
+
+# -- coprime_to_derivative: Euclid on a block of polynomials at once -------------
+
+BLOCK_PRIMES = (5, 7, 11, 13, 23, 101)
+
+
+def normal_remainders(F, c):
+    """True when the oracle's remainders r0 = c, r1 = c', r2, ... have the
+    degrees d, d - 1, ..., 1: no leading coefficient vanishes before the
+    last remainder, a constant or zero."""
+    a, b = c, uni_deriv(F, c)
+    while uni_degree(a) >= 2:
+        if uni_degree(b) != uni_degree(a) - 1:
+            return False
+        a, b = b, uni_divmod(F, a, b)[1]
+    return uni_degree(b) == uni_degree(a) - 1 or not b
+
+
+def block_polys(rng, p, d):
+    """Seeded descending lists of d + 1 unreduced ints: random polynomials
+    of degree d mod p, two whose leading coefficient vanishes mod p, ones
+    with a square factor, and ones whose remainders lose a leading
+    coefficient mid-Euclid, found by rejection."""
+    F = GF(p)
+
+    def rand(deg):
+        return [rng.randrange(1, p) + p * rng.randint(-1, 1)] + [
+            rng.randrange(-p, 2 * p) for _ in range(deg)]
+
+    polys = [rand(d) for _ in range(30)] + [[p] + rand(d)[1:], [0] + rand(d)[1:]]
+    if d >= 2:
+        polys += [times(times(u, u), rand(d - 2))
+                  for u in ([1, -rng.randrange(p)] for _ in range(10))]
+    if d >= 3:  # below, c' and the last remainder have no lead to lose
+        vanished = 0
+        while vanished < 10:
+            c = rand(d)
+            if not normal_remainders(F, boxed(F, c)):
+                polys.append(c)
+                vanished += 1
+    rng.shuffle(polys)
+    return polys
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+def test_kernel_coprime_to_derivative_against_oracle(p):
+    F = GF(p)
+    rng = random.Random(p + 4)
+    seen = set()
+    for d in range(1, 8):
+        polys = block_polys(rng, p, d)
+        want = []
+        for c in polys:
+            f = boxed(F, c)
+            unit = bool(f) and uni_degree(uni_gcd(F, f, uni_deriv(F, f))) == 0
+            normal = uni_degree(f) == d and normal_remainders(F, f)
+            want.append(normal and unit)  # False where a lead vanished
+            seen.add((normal, unit))
+        for size in (1, 3, len(polys)):
+            for i in range(0, len(polys), size):
+                block = polys[i:i + size]
+                flags = univar.coprime_to_derivative([list(col) for col in zip(*block)], p)
+                assert flags == want[i:i + size]
+    # flags == normal and unit: True only for a unit gcd; each case comes up
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
