@@ -14,6 +14,7 @@ sextics, along the lines of P^2(F_p) that the pencil count sweeps too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 from typing import Optional
 
@@ -251,12 +252,15 @@ def jacobian_j_invariant(pencil: PencilOfQuadrics):
 def _coprime_lines(rows, p):
     """For x2 = 0, 1, ..., p - 1 in turn, True when the plane form ``rows``
     (mod p) restricts on (1 : t : x2) to a c(t) with gcd(c, c') certainly a
-    unit.  The lines go to ``coprime_to_derivative`` in blocks of 4, 8,
-    16, ... consecutive x2, each restricted by Horner in x2 coefficient-wise
-    when the first of its flags is asked for."""
-    start, size = 0, 4
+    unit.  The first four lines get False, for the per-line test: a block
+    costs about as much as four of those.  Then each block of x2 is as long
+    as the sweep before it, [4, 8), [8, 16), ..., restricted by Horner in
+    x2 coefficient-wise and sent to ``coprime_to_derivative`` when the
+    first of its flags is asked for."""
+    yield from repeat(False, min(4, p))
+    start = 4
     while start < p:
-        xs = range(start, min(start + size, p))
+        xs = range(start, min(2 * start, p))
         cols = []
         for r in reversed(rows):
             acc = [r[-1]] * len(xs)
@@ -264,7 +268,7 @@ def _coprime_lines(rows, p):
                 acc = [(a * x + c) % p for a, x in zip(acc, xs)]
             cols.append(acc)
         yield from coprime_to_derivative(cols, p)
-        start, size = start + size, 2 * size
+        start *= 2
 
 
 def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
@@ -284,13 +288,15 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     and c on (1 : t : x2) comes from seven evaluations in x2, so a prime
     costs O(p) line tests.
 
-    The lines (1 : t : x2) are first tested in blocks of consecutive x2,
-    of 4, 8, 16, ... lines, each block when the sweep reaches it: one
+    From x2 = 4 on, the lines (1 : t : x2) are first tested in blocks of
+    x2 in [4, 8), [8, 16), ..., each block when the sweep reaches it: one
     ``univar.coprime_to_derivative`` clears the lines where gcd(c, c') is
     certainly a unit, and those are skipped.  Every other line, and every
     line when the x1^6 coefficient vanishes mod p, takes the test above,
-    so the blocks change no verdict or witness.  The blocks start small
-    because a singular reduction often shows on one of the first lines.
+    so the blocks change no verdict or witness.  The blocks start small,
+    and after four lines tested one by one, because a singular reduction
+    often shows on one of the first lines (a net with many F_p-singular
+    points has one there).
 
     A witness certifies that the reduction mod p is singular; without one
     the verdict is 'probably-smooth' for the probed primes.  The primes

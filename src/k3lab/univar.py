@@ -109,20 +109,18 @@ def coprime_to_derivative(cols, p):
     d = len(cols) - 1
     a = cols
     b = [[(d - k) * x % p for x in col] for k, col in enumerate(cols[:-1])]
-    ok = [True] * len(cols[0])
+    leads, zeros = [], [0] * len(cols[0])
     while len(b) > 1:
-        lb = b[0]
-        ok = [f and x != 0 for f, x in zip(ok, lb)]
-        # lc(b)*a - lc(a)*t*b, then lc(b)*a - lc(a)*b: each cancels a's lead
-        la = a[0]
-        a = ([[(u * x - v * y) % p for u, x, v, y in zip(lb, ai, la, bi)]
-              for ai, bi in zip(a[1:], b[1:])]
-             + [[u * x % p for u, x in zip(lb, a[-1])]])
-        la = a[0]
-        a = [[(u * x - v * y) % p for u, x, v, y in zip(lb, ai, la, bi)]
-             for ai, bi in zip(a[1:], b[1:])]
+        # a1 = the t^m coefficient of lc(b) a - lc(a) t b; then
+        # lc(b) (lc(b) a - lc(a) t b) - a1 b has two leading zeros
+        lb, la = b[0], a[0]
+        leads.append(lb)
+        a1 = [(u * x - v * y) % p for u, x, v, y in zip(lb, a[1], la, b[1])]
+        a = [[(u * (u * x - v * y) - w * z) % p
+              for u, v, w, x, y, z in zip(lb, la, a1, ak, bk, bj)]
+             for ak, bk, bj in zip(a[2:], b[2:] + [zeros], b[1:])]
         a, b = b, a
-    return [f and x != 0 for f, x in zip(ok, b[0])]
+    return [0 not in t for t in zip(*leads, b[0])]
 
 
 def first_root(h, length, p):

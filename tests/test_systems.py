@@ -752,18 +752,18 @@ def test_probe_matches_brute_force_witness():
             statuses.add(verdict.status)
         assert sextic_smoothness_probe(d, primes).witness == first
     assert statuses == {"singular", "probably-smooth"}
-    # the sweep tests the lines (1 : t : x2) in blocks of x2 in [0, 4),
-    # [4, 12), [12, 28), ...: first singular points on each side of each
-    # boundary, and on a sextic free of x1^6 mod p, whose lines all take
-    # the per-line test
-    for p in (29, 31):
-        for x2 in (3, 4, 11, 12, 27, 28):
+    # the sweep tests the lines (1 : t : x2) with x2 < 4 one by one, then in
+    # blocks of x2 in [4, 8), [8, 16), [16, 32), ...: first singular points
+    # on each side of each boundary, and on a sextic free of x1^6 mod p,
+    # whose lines all take the per-line test
+    for p in (37, 43):
+        for x2 in (3, 4, 7, 8, 15, 16, 31, 32):
             t = (5 * x2 + 2) % p
             _probe_agrees(_singular_at(t, x2), p, (1, t, x2))
-        t = (5 * 12 + 2) % p
-        f = _singular_at(t, 12, p)
+        t = (5 * 16 + 2) % p
+        f = _singular_at(t, 16, p)
         assert f.coeff((0, 6, 0)) == p
-        _probe_agrees(f, p, (1, t, 12))
+        _probe_agrees(f, p, (1, t, 16))
 
 
 def test_probe_matches_point_sweep_at_larger_primes():
