@@ -799,15 +799,15 @@ def _probe_agrees(f, p, want):
     assert line_sweep_singular_point(f, p) == want
 
 
-def _singular_at(t, x2, x1_quartic=1):
+def _singular_at(t, x2, lead=1):
     """A sextic over QQ singular at (1 : t : x2), in the square of that
-    point's ideal, whose x1^6 coefficient is ``x1_quartic``.  At the points
-    and primes used here it is the first F_p-singular point, as
-    ``_probe_agrees`` checks."""
+    point's ideal, whose x1^6 coefficient (the lead of c on every line
+    (1 : t : x2)) is ``lead``.  At the points and primes used here that is
+    the first F_p-singular point, as ``_probe_agrees`` checks."""
     x0, x1, x2_ = X
     a, b = x2_ - x2 * x0, x1 - t * x0
     return (a**2 * (x0**4 + x1**4 - 2 * x2_**4 + x0 * x1 * x2_**2)
-            + b**2 * (x1_quartic * x1**4 + 3 * x0**3 * x2_ - x2_**4 + x0**2 * x1**2))
+            + b**2 * (lead * x1**4 + 3 * x0**3 * x2_ - x2_**4 + x0**2 * x1**2))
 
 
 def _vanish(f, p, pt, i=None):
