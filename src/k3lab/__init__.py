@@ -17,7 +17,7 @@ from .quadforms import (QuadraticForm, WittDecomposition, diagonalize,
 from .systems import (CoverVerdict, DoubleCoverDescriptor, NetOfQuadrics,
                       PencilOfQuadrics, QuadricSystem, count_points, discriminant_poly,
                       jacobian_j_invariant, moduli_double_cover,
-                      net_discriminant, pencil_discriminant,
+                      net_discriminant, net_smoothness_probe, pencil_discriminant,
                       pic2_double_cover, sextic_smoothness_probe)
 from .construction import (InvarianceReport, InvariantData, RelationReport,
                            SystemPoint, b_coordinates, group_invariance_check,

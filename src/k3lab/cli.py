@@ -41,7 +41,8 @@ from .scalars import GF, QQ, GFElement
 from .systems import (DEFAULT_PROBE_PRIMES, MAX_SWEEP_PRIME, CoverVerdict,
                       DoubleCoverDescriptor, NetOfQuadrics, PencilOfQuadrics,
                       count_points, jacobian_j_invariant, moduli_double_cover,
-                      net_discriminant, pencil_discriminant, pic2_double_cover)
+                      net_discriminant, net_smoothness_probe, pencil_discriminant,
+                      pic2_double_cover)
 
 _BUILTIN_FILES = {
     "builtin:pencil-diagonal": "pencil-diagonal.json",
@@ -400,8 +401,9 @@ def _run(args):
             if q and set(primes) - {q}:
                 raise PreconditionError(f"the system is over GF({q}): --primes may "
                                         f"list only {q}, not {args.primes}")
-        cover = moduli_double_cover(system, primes)
-        return cover if action == "cover" else cover.verdict
+        if action == "probe":
+            return net_smoothness_probe(system, primes)
+        return moduli_double_cover(system, primes)
 
     if group == "construct":
         system = load_system(args.system, args.p)

@@ -15,12 +15,14 @@ A(x) = sum_i A_i x_i through its scalar coefficient matrices A_i, kept as
 raw int rows, and expands det/Pf from them directly into the same packed
 terms: the monomial of x_i is 1 << width * i.  A determinant in at most
 three variables, such as the symbolic member of a pencil (4x4 in two) or
-a net (6x6 in three), is one int determinant at a Kronecker point
+a net (6x6 in three), is read off its value at one Kronecker point
 (``_kronecker_det``; Kronecker substitution as in D. Harvey, J. Symb.
-Comp. 44, 2009), taken by ``linalg.int_det`` (no row operation on a
-diagonal member).  Pfaffians and determinants in more variables go
-through the Laplace kernel above, because the Kronecker point of n
-variables needs (m+1)^(n-1) digits.
+Comp. 44, 2009): the point splits into diagonal blocks, whose int
+determinants ``linalg.int_det`` takes and multiplies, so a diagonal
+member costs a product of packed linear forms, and the digits of the
+value are read in one pass over its bytes.  Pfaffians and determinants
+in more variables go through the Laplace kernel above, because the
+Kronecker point of n variables needs (m+1)^(n-1) digits.
 The rule reads only the number of variables.  The packed expansions are
 memoized and are what the package checks against: ``quadforms``
 compares det/Pf with a form's ``quadratic_terms`` and ``construction``
@@ -31,6 +33,7 @@ box them.  Its transforms multiply the raw rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -208,42 +211,83 @@ def _width(size, pf):
 def _kronecker_det(mats, n, p) -> dict:
     """det of the n x n linear matrix sum_i mats[i] x_i (raw int rows, at
     most three variables) as the packed terms of ``LinearMatrix._terms``,
-    reduced mod p unless p = 0, from one int determinant (Kronecker
-    substitution).
+    reduced mod p unless p = 0, from int determinants at one Kronecker
+    point (Kronecker substitution).
 
     The determinant is homogeneous of degree n, so x0 = 1 loses nothing;
     x_i = 2^(B (n+1)^(i-1)) for i >= 1 puts the coefficient of
     x0^(n-e1-e2) x1^e1 x2^e2 in base-2^B digit e1 + (n+1) e2, one digit per
     monomial since e1 <= n.  No coefficient exceeds the permanent bound
     prod_rows sum |coefficients| < 2^(B-1), so the digits, read balanced
-    in [-2^(B-1), 2^(B-1)), are the coefficients.  Over GF(p) the rows are
-    lifted to balanced representatives first, which keeps B small.
+    in [-2^(B-1), 2^(B-1)), are the coefficients.  B is a whole number of
+    bytes: adding 2^(B-1) to every digit at once makes them all
+    nonnegative, and the bytes of the sum are read off in one pass.  Over
+    GF(p) the rows are lifted to balanced representatives first, which
+    keeps B small.
+
+    The point is split into the blocks of ``_blocks``; the value at the
+    point is the product of the blocks' determinants, so a diagonal member
+    costs a product of packed linear forms and no elimination.
     """
     if p:
         half = p // 2
         mats = [[[x - p if x > half else x for x in row] for row in mat] for mat in mats]
-    bound = math.prod(sum(abs(x) for mat in mats for x in mat[j]) for j in range(n))
-    b = bound.bit_length() + 1
-    shifts = [0] + [b * (n + 1) ** i for i in range(len(mats) - 1)]
-    point = [[0] * n for _ in range(n)]
-    for mat, s in zip(mats, shifts):
+    bound = math.prod(sum(sum(map(abs, mat[j])) for mat in mats) for j in range(n))
+    size = (bound.bit_length() + 8) // 8  # bytes per digit: 2^(B-1) > bound
+    b = 8 * size
+    point = mats[0]
+    for i, mat in enumerate(mats[1:]):
+        s = b * (n + 1) ** i
         point = [[x + (y << s) for x, y in zip(prow, row)] for prow, row in zip(point, mat)]
-    d = linalg.int_det(point, 0)
-    width = _width(n, False)
-    mask, top = (1 << b) - 1, 1 << (b - 1)
-    terms, slot = {}, 0
-    while d:
-        c = d & mask
-        if c >= top:
-            c -= 1 << b
-        d = (d - c) >> b
-        if p:
-            c %= p
-        if c:
-            e2, e1 = divmod(slot, n + 1)
-            terms[n - e1 - e2 + (e1 << width) + (e2 << 2 * width)] = c
-        slot += 1
+    d = 1
+    for block in _blocks(point):
+        d *= (point[block[0]][block[0]] if len(block) == 1
+              else linalg.int_det([[point[i][j] for j in block] for i in block], 0))
+    if not d:
+        return {}
+    slots, top = (n + 1) ** (len(mats) - 1), 1 << (b - 1)
+    zero = bytes(size - 1) + b"\x80"  # the digit 0 plus the offset 2^(B-1)
+    digits = (d + int.from_bytes(zero * slots, "little")).to_bytes(size * slots, "little")
+    terms = {}
+    for slot, key in _monomial_slots(n, len(mats)):
+        c = digits[size * slot:size * slot + size]
+        if c != zero:
+            c = int.from_bytes(c, "little") - top
+            if p:
+                c %= p
+            if c:
+                terms[key] = c
     return terms
+
+
+@functools.cache
+def _monomial_slots(n, nvars) -> list:
+    """[(digit, packed monomial)] of the degree-n monomials in ``nvars`` <= 3
+    variables, the digit of x0^(n-e1-e2) x1^e1 x2^e2 being e1 + (n+1) e2."""
+    width = _width(n, False)
+    return [(e1 + (n + 1) * e2, n - e1 - e2 + (e1 << width) + (e2 << 2 * width))
+            for e2 in range(n + 1 if nvars == 3 else 1)
+            for e1 in range(n + 1 - e2 if nvars > 1 else 1)]
+
+
+def _blocks(point) -> list:
+    """The index sets of the diagonal blocks of the square matrix ``point``:
+    the finest partition of its indices in which i and j share a block
+    whenever point[i][j] or point[j][i] is nonzero.  Permuting rows and
+    columns alike by the blocks makes the matrix block diagonal, so its
+    determinant is the product of theirs.  At a Kronecker point an entry
+    is zero exactly when every coefficient matrix is zero there, as each
+    coefficient has a digit of its own."""
+    label = list(range(len(point)))
+    for i, row in enumerate(point):
+        for j, x in enumerate(row):
+            if x and label[j] != label[i]:
+                old, new = label[j], label[i]
+                label = [new if c == old else c for c in label]
+    blocks = {}
+    for i, c in enumerate(label):
+        blocks.setdefault(c, []).append(i)
+    return list(blocks.values())
 
 
 def quadratic_terms(rows, p) -> dict:

@@ -13,7 +13,9 @@ sextics, along the lines of P^2(F_p) that the pencil count sweeps too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 from operator import mul
 from typing import Optional
@@ -21,19 +23,20 @@ from typing import Optional
 from .errors import (BadPrime, BadReduction, DegenerateSystem, FieldMismatch,
                      PreconditionError)
 from .poly import MultiPoly, poly_to_text
-from .polymat import LinearMatrix, quadratic_terms
+from .polymat import LinearMatrix, _width, quadratic_terms
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, chi_mod
 from .univar import (common_roots, coprime_to_derivative, deriv, first_root, gcd,
-                     partials, plane_lines, plane_rows, restrict)
+                     line_restrictions, partials, plane_lines, plane_rows, restrict,
+                     restrict_cols)
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
 # The largest prime the sweeps of P^2(F_p) (count_points, sextic_smoothness_probe)
 # accept.  A pencil count costs O(p^2) int operations per prime: a dense one
-# at p = 4093 took 14-15 s on a shared 2-CPU host.  The probe costs O(p) line
-# tests: a dense net at p = 4093 took 0.4 s there.
+# at p = 4093 takes 4-5.5 s on a shared 2-CPU host (CPython 3.11.7).  The
+# probe costs O(p) line tests: a dense net at p = 4093 takes 0.03-0.05 s there.
 MAX_SWEEP_PRIME = 4093
 
 
@@ -260,14 +263,8 @@ def _coprime_lines(rows, p):
     yield from repeat(False, min(4, p))
     start = 4
     while start < p:
-        xs = range(start, min(2 * start, p))
-        cols = []
-        for r in reversed(rows):
-            acc = [r[-1]] * len(xs)
-            for c in reversed(r[:-1]):
-                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
-            cols.append(acc)
-        yield from coprime_to_derivative(cols, p)
+        yield from coprime_to_derivative(
+            restrict_cols(rows, range(start, min(2 * start, p)), p), p)
         start *= 2
 
 
@@ -298,6 +295,9 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     often shows on one of the first lines (a net with many F_p-singular
     points has one there).
 
+    ``net_smoothness_probe`` runs the same sweep on a net's branch sextic
+    without boxing it.
+
     A witness certifies that the reduction mod p is singular; without one
     the verdict is 'probably-smooth' for the probed primes.  The primes
     must be nonempty (PreconditionError) and each at most MAX_SWEEP_PRIME
@@ -305,17 +305,47 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     """
     if f.nvars != 3 or not f.is_homogeneous(6) or f.is_zero():
         raise PreconditionError("probe expects a nonzero homogeneous plane sextic")
+    rows, scale = plane_rows(f)
+    return _probe_rows(rows, scale, f.field.char, primes)
+
+
+def net_smoothness_probe(net: NetOfQuadrics, primes=DEFAULT_PROBE_PRIMES) -> CoverVerdict:
+    """``sextic_smoothness_probe`` of the net's branch sextic, without boxing
+    it: the plane rows are the packed determinant of ``member_matrix``
+    (``_terms(False)``) and the scale its ``_denom(False)``, both divided by
+    their gcd, which are the rows and scale ``plane_rows`` derives from the
+    boxed sextic.  DegenerateSystem when the discriminant vanishes
+    identically."""
+    a = member_matrix(net)
+    terms = a._terms(False)
+    if not terms:
+        raise DegenerateSystem("net discriminant vanishes identically")
+    denom = a._denom(False)
+    g = math.gcd(denom, *terms.values())
+    d, width = a.size, _width(a.size, False)
+    mask = (1 << width) - 1
+    rows = [[0] * (d + 1 - k) for k in range(d + 1)]
+    # the key of x0^e0 x1^e1 x2^e2 is e0 + (e1 << width) + (e2 << 2 width)
+    for key, c in terms.items():
+        rows[key >> width & mask][key >> 2 * width] = c // g
+    return _probe_rows(rows, denom // g, net.field.char, primes)
+
+
+def _probe_rows(rows, scale, char, primes) -> CoverVerdict:
+    """The sweep of ``sextic_smoothness_probe`` on the plane rows of D*f
+    with D = ``scale``, for f over a field of characteristic ``char``."""
     primes = tuple(primes)
     if not primes:
         raise PreconditionError("the probe needs at least one prime")
     for p in primes:
         _check_sweep_prime(p)
-    rows, scale = plane_rows(f)
     for p in primes:
-        if f.field.char not in (0, p):
-            raise FieldMismatch(f"element of GF({f.field.char}) used in GF({p})")
+        if char not in (0, p):
+            raise FieldMismatch(f"element of GF({char}) used in GF({p})")
         if scale % p == 0:
-            bad = next(c for _, c in f.sorted_terms() if c.denominator % p == 0)
+            # the first coefficient in print order: x0 degree down, then x1 degree down
+            bad = next(c for s in range(len(rows)) for k in range(s, -1, -1)
+                       if (c := Fraction(rows[k][s - k], scale)).denominator % p == 0)
             raise BadPrime(f"denominator of {bad} vanishes mod {p}")
         rp = [[c % p for c in r] for r in rows]
         df = partials(rp)
@@ -363,7 +393,18 @@ def _good_reduction_coeffs(f: BinaryQuartic, p: int) -> list:
 
 
 def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
-    g1, g2 = (q._rows for q in pencil.reduce_mod(p).forms)
+    """The pencil case of ``count_points``, on the forms' Gram rows mod p
+    from ``QuadraticForm.reduce_mod``.  The caller has checked the
+    reduction through the branch quartic, so the forms stay independent mod
+    p; BadReduction, worded as ``QuadricSystem.reduce_mod``'s, when p
+    divides a Gram denominator.  Each line of ``plane_lines`` is swept in
+    one pass: a list comprehension finds the zeros there of one polynomial
+    in the line's parameter, and only the points the resultant leaves open
+    go through ``common_roots``."""
+    try:
+        g1, g2 = (q.reduce_mod(p)._rows for q in pencil.forms)
+    except BadPrime as exc:  # p divides a Gram denominator
+        raise BadReduction(f"{pencil.KIND} has bad reduction mod {p}: {exc}") from exc
     # Both forms are quadratics in x3 with the constant leading coefficients
     # G[3][3].  Recombine the pencil so that only the first keeps one: the
     # first Euclid step of every pointwise gcd, hoisted out of the sweep.
@@ -378,14 +419,35 @@ def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
                        [[g[0][0], 2 * g[0][2], g[2][2]], [2 * g[0][1], 2 * g[1][2]], [g[1][1]]])
                       for g in (g1, g2))
     count = 0 if a else 1
-    for base, j, length in plane_lines(p):
-        l1, l0 = restrict(l, base, j)
-        m2, m1, m0 = restrict(m, base, j)
-        k1, k0 = restrict(k, base, j)
-        n2, n1, n0 = restrict(n, base, j)
-        for s in range(length):
-            count += common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
-                                  (k0 + k1 * s) % p, ((n2 * s + n1) * s + n0) % p, p)
+    for (_, _, length), (l1, l0), (m2, m1, m0), (k1, k0), (n2, n1, n0) in zip(
+            plane_lines(p), *(line_restrictions(f, p) for f in (l, m, k, n))):
+        if not (k1 or k0):
+            # the second form is n(s) on the whole line: the fibres over its zeros
+            for s in [s for s in range(length) if not ((n2 * s + n1) * s + n0) % p]:
+                count += common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
+                                      0, 0, p)
+            continue
+        # Where k(s) != 0 the second form has the one root t = -n/k, which lies
+        # on the first iff R(s) = a n^2 - l k n + m k^2, the resultant
+        # common_roots tests, vanishes: R has degree <= 4 in s.
+        u2, u1, u0 = l1 * k1, l1 * k0 + l0 * k1, l0 * k0  # l k
+        v2, v1, v0 = k1 * k1, 2 * k1 * k0, k0 * k0  # k^2
+        r4 = (a * n2 * n2 - u2 * n2 + m2 * v2) % p
+        r3 = (2 * a * n2 * n1 - u2 * n1 - u1 * n2 + m2 * v1 + m1 * v2) % p
+        r2 = (a * (n1 * n1 + 2 * n2 * n0) - u2 * n0 - u1 * n1 - u0 * n2
+              + m2 * v0 + m1 * v1 + m0 * v2) % p
+        r1 = (2 * a * n1 * n0 - u1 * n0 - u0 * n1 + m1 * v0 + m0 * v1) % p
+        r0 = (a * n0 * n0 - u0 * n0 + m0 * v0) % p
+        count += len([s for s in range(length)
+                      if not ((((r4 * s + r3) * s + r2) * s + r1) * s + r0) % p])
+        if k1:
+            # at the one s where k vanishes, R(s) = a n(s)^2 says nothing: the
+            # fibre there is common_roots' instead
+            s = -k0 * pow(k1, -1, p) % p
+            if s < length:
+                ns = ((n2 * s + n1) * s + n0) % p
+                count += common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
+                                      0, ns, p) - (not a * ns * ns % p)
     return count
 
 
@@ -396,7 +458,13 @@ def count_points(system, p: int) -> int:
       from (0:0:0:1).  Every other point is (x, t) for a normalized x in
       P^2(F_p) and t in F_p; for fixed x both forms are quadratics in t, and
       the points over x are the roots in F_p of their gcd.  (0:0:0:1) itself
-      counts when both G[3][3] vanish.  Cost O(p^2) int operations.
+      counts when both G[3][3] vanish.  The pencil is recombined into
+      a t^2 + l(x) t + m(x) and k(x) t + n(x), and P^2 is swept line by
+      line.  Where k vanishes on the whole line, the fibres over the zeros
+      of n are counted.  Elsewhere each zero of the resultant
+      a n^2 - l k n + m k^2, of degree <= 4 on the line, is one point,
+      except at the one point of the line where k = 0, whose fibre is
+      counted on its own.  Cost O(p^2) int operations.
     * BinaryQuartic f: points of the smooth model of tau^2 = f, i.e. the sum
       over P^1(F_p) of 1 + chi(f): each t gives 1 + chi(f(t, 1)), and
       infinity gives 2/1/0 points according to whether the leading

@@ -5,9 +5,13 @@ zero; functions that take p reduce mod p, the others return unreduced
 ints.  A plane form of degree d is kept as rows: ``rows[k][i]`` is the
 coefficient of x0^(d-k-i)*x1^k*x2^i, so row k is a polynomial in x2.
 ``plane_lines`` covers P^2(F_p) by lines and ``restrict`` puts a plane
-form on one of them: the sextic probe of ``systems`` restricts the branch
-sextic and its partials, the pencil count the quadrics of the pencil.
+form on one of them; ``restrict_cols`` puts it on many lines (1 : t : x2)
+at once, coefficient-wise, and ``line_restrictions`` on all of them.  The
+sextic probe of ``systems`` restricts the branch sextic and its partials,
+the pencil count the quadrics of the pencil.
 """
+
+from itertools import islice
 
 from . import linalg
 from .scalars import chi_mod
@@ -33,6 +37,29 @@ def plane_rows(f):
     for (_, k, i), c in zip(f.terms, ints):
         rows[k][i] = c
     return rows, scale
+
+
+def restrict_cols(rows, xs, p):
+    """``restrict`` mod p of a plane form of degree d on the lines
+    (1 : t : x2) for x2 in ``xs``, coefficient-wise: entry k lists the
+    coefficient of t^(d-k) on each line.  Each row goes by Horner in x2,
+    one list operation per coefficient for all the lines at once."""
+    cols = []
+    for r in reversed(rows):
+        acc = [r[-1] % p] * len(xs)
+        for c in reversed(r[:-1]):
+            acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+        cols.append(acc)
+    return cols
+
+
+def line_restrictions(rows, p):
+    """``restrict`` mod p of a plane form on every line of ``plane_lines(p)``,
+    in that order; the first p lines, (1 : t : x2), from one
+    ``restrict_cols``."""
+    return [*zip(*restrict_cols(rows, range(p), p)),
+            *([c % p for c in restrict(rows, base, j)]
+              for base, j, _ in islice(plane_lines(p), p, None))]
 
 
 def partials(rows):

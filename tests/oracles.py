@@ -8,7 +8,8 @@ isotropic searches, the Witt index by the discriminant-class rule
 (``gauss_jordan``), a textbook symmetric elimination on Fractions
 (``fraction_congruence``, the signature oracle of the lattice tests),
 boxed sweeps of P^3 and P^2 for point counts and singular points, an int
-point-by-point sweep of P^2 for singular points,
+point-by-point sweep of P^2 for singular points, an int sweep of every
+fibre over P^2 for pencil counts at larger p (``fibre_sweep_pencil_count``),
 univariate Euclid gcds, squarefree tests and
 Sylvester resultants, and the relation check one sample at a time
 (``relation_report``).  The views of a ``LinearMatrix`` that only tests need
@@ -378,6 +379,25 @@ def brute_force_pencil_count(pencil, p):
     q1, q2 = pencil.reduce_mod(p).forms
     return sum(1 for pt in projective_points(GF(p), 3)
                if not q1.eval(pt) and not q2.eval(pt))
+
+
+def fibre_sweep_pencil_count(pencil, p):
+    """``brute_force_pencil_count`` on ints, fibre by fibre: for each
+    normalized x in P^2(F_p), listed here, both forms on the points (x, t)
+    are quadratics in t, evaluated at every t in F_p; (0:0:0:1) counts
+    when both G[3][3] vanish.  No gcd, resultant or recombination."""
+    grams = [[[x.v for x in row] for row in q.gram] for q in pencil.reduce_mod(p).forms]
+    count = int(not grams[0][3][3] and not grams[1][3][3])
+    plane = ([(1, x1, x2) for x2 in range(p) for x1 in range(p)]
+             + [(0, 1, x2) for x2 in range(p)] + [(0, 0, 1)])
+    for x in plane:
+        (a1, b1, c1), (a2, b2, c2) = (
+            (g[3][3], 2 * sum(g[i][3] * x[i] for i in range(3)) % p,
+             sum(g[i][j] * x[i] * x[j] for i in range(3) for j in range(3)) % p)
+            for g in grams)
+        count += sum(1 for t in range(p) if not (a1 * t * t + b1 * t + c1) % p
+                     and not (a2 * t * t + b2 * t + c2) % p)
+    return count
 
 
 def brute_force_singular_point(f, p):

@@ -191,6 +191,106 @@ def test_probe_and_cover_golden_bytes_small_and_large_p(capsys):
     assert (code, out, err) == (2, "", "k3lab: denominator of -106351/38400 vanishes mod 3\n")
 
 
+def test_net_probe_boxes_no_polynomial(capsys, monkeypatch):
+    # `net probe` reads its plane rows off the packed determinant; `net disc`
+    # and `net cover` print the sextic, so they still box it, with the bytes
+    # they had when the probe boxed it too
+    from k3lab import polymat
+
+    boxed = []
+    real = polymat._box_terms
+    monkeypatch.setattr(polymat, "_box_terms", lambda *a: boxed.append(a) or real(*a))
+    net_disc = run_json(capsys, "net", "disc", "--system", FRACTIONAL_NET)["discriminant"]
+    assert len(boxed) == 1
+    probes = [
+        (("net", "probe", "--system", "builtin:net-diagonal", "--primes", "43"),
+         '{"primes": [43], "status": "singular", '
+         '"witness": {"p": 43, "point": [1, 31, 11]}}\n'),
+        (("net", "probe", "--system", FRACTIONAL_NET, "--primes", "7,11,13,1009"),
+         '{"primes": [7, 11, 13, 1009], "status": "probably-smooth"}\n'),
+    ]
+    for argv, want in probes:
+        del boxed[:]
+        assert run(capsys, *argv) == (0, want, "")
+        assert boxed == []
+    # the error path names the coefficient without boxing the sextic either
+    assert run(capsys, "net", "probe", "--system", FRACTIONAL_NET, "--primes", "3,5") == (
+        2, "", "k3lab: denominator of -106351/38400 vanishes mod 3\n")
+    assert boxed == []
+    covers = [
+        (("net", "disc", "--system", "builtin:net-diagonal"),
+         '{"degree": 6, "discriminant": "%s"}\n' % NET_DIAGONAL_BRANCH),
+        (("net", "cover", "--system", "builtin:net-diagonal", "--primes", "1009"),
+         '{"base_dim": 2, "branch": "%s", "branch_degree": 6, "equation": '
+         '"tau^2 = %s", "verdict": {"primes": [1009], "status": "singular", '
+         '"witness": {"p": 1009, "point": [1, 302, 101]}}}\n'
+         % (NET_DIAGONAL_BRANCH, NET_DIAGONAL_BRANCH)),
+        (("net", "cover", "--system", FRACTIONAL_NET, "--primes", "1009"),
+         '{"base_dim": 2, "branch": "%s", "branch_degree": 6, "equation": '
+         '"tau^2 = %s", "verdict": {"primes": [1009], "status": "probably-smooth"}}\n'
+         % (net_disc, net_disc)),
+    ]
+    for argv, want in covers:
+        del boxed[:]
+        assert run(capsys, *argv) == (0, want, "")
+        assert len(boxed) == 1
+
+
+def test_net_probe_and_cover_on_a_vanishing_discriminant(tmp_path, capsys):
+    # three coordinate squares: every member has rank <= 3.  Both actions
+    # refuse the net before they look at the primes; `net disc` prints 0
+    squares = [[[int(i == j == k) for j in range(6)] for i in range(6)] for k in range(3)]
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps({"net": squares}))
+    for argv in (("probe",), ("cover",), ("probe", "--primes", "9"), ("cover", "--primes", "9")):
+        assert run(capsys, "net", *argv, "--system", str(path)) == (
+            2, "", "k3lab: net discriminant vanishes identically\n")
+    assert run(capsys, "net", "disc", "--system", str(path)) == (
+        0, '{"degree": -1, "discriminant": "0"}\n', "")
+
+
+def test_pencil_count_builds_only_the_loaded_system(capsys, monkeypatch):
+    # the sweep reads each form's Gram rows mod p; the one system built is
+    # the one `load_system` read
+    from k3lab.systems import QuadricSystem
+
+    built = []
+    init = QuadricSystem.__init__
+
+    def counting_init(self, *forms):
+        built.append(type(self).__name__)
+        init(self, *forms)
+
+    monkeypatch.setattr(QuadricSystem, "__init__", counting_init)
+    for p, want in ((23, 32), (101, 120)):
+        del built[:]
+        out = run_json(capsys, "pencil", "count", "--system", "builtin:pencil-diagonal",
+                       "--p", str(p))
+        assert out["pencil_points"] == want
+        assert built == ["PencilOfQuadrics"]
+
+
+PENCIL_COUNT_GOLDEN = Path(__file__).parent / "data" / "pencil-count-large-p-golden.json"
+
+
+def test_pencil_count_golden_bytes_at_large_p(tmp_path, capsys):
+    # stdout of the builtin pencil and two seeded dense pencils (entries in
+    # [-9, 9]) at p = 1009 and 2003, taken from the point-by-point sweep that
+    # called common_roots at every point.  The builtin pencil is diagonal, so
+    # k vanishes on every line and no point reaches the resultant; the dense
+    # ones take it on almost every line.
+    cases = json.loads(PENCIL_COUNT_GOLDEN.read_text())
+    assert [c["p"] for c in cases] == [1009, 2003] * 3
+    for i, case in enumerate(cases):
+        system = case["system"]
+        if not isinstance(system, str):
+            path = tmp_path / f"pencil{i}.json"
+            path.write_text(json.dumps(system))
+            system = str(path)
+        argv = ("pencil", "count", "--system", system, "--p", str(case["p"]))
+        assert run(capsys, *argv) == (0, case["stdout"], "")
+
+
 def test_probe_and_cover_default_primes(tmp_path, capsys):
     # over Q the default is DEFAULT_PROBE_PRIMES, with the bytes of an explicit
     # --primes 7,11,13 (taken before the default followed the field)

@@ -421,3 +421,113 @@ def test_only_pfaffians_and_dets_in_four_or_more_variables_expand(monkeypatch):
         a = klein_matrix(QQ, nvars, rows)
         assert a.pfaffian_poly() ** 2 == a.det_poly()
     assert calls == [(4, True)] * 3 + [(4, True), (4, False)] * 3
+
+
+# -- the blocks of the Kronecker point -----------------------------------------
+# _kronecker_det multiplies the determinants of the diagonal blocks of the
+# point: i and j share a block when some A_k[i][j] or A_k[j][i] is nonzero.
+
+BLOCK_FIELDS = (QQ, GF(3), GF(13), GF(2**31 - 1))
+
+
+def nonzero_coeff(rng, field):
+    while True:
+        c = rand_coeff(rng, field)
+        if c:
+            return c
+
+
+def block_linear_matrix(rng, field, sizes, nvars, density):
+    """Coefficient matrices whose indices fall into blocks of ``sizes``,
+    spread over the indices by a random permutation, and the blocks.  Inside
+    a block each coefficient is drawn with probability ``density`` (1: a
+    dense block), and one nonzero entry per index, i to the next index of
+    its block, in one direction only, keeps the block connected."""
+    n = sum(sizes)
+    perm = rng.sample(range(n), n)
+    blocks = [perm[sum(sizes[:b]):sum(sizes[:b + 1])] for b in range(len(sizes))]
+    mats = [[[0] * n for _ in range(n)] for _ in range(nvars)]
+    for block in blocks:
+        for pos, i in enumerate(block):
+            for j in block:
+                for mat in mats:
+                    if rng.random() < density:
+                        mat[i][j] = rand_coeff(rng, field)
+            mats[rng.randrange(nvars)][i][block[(pos + 1) % len(block)]] = nonzero_coeff(rng, field)
+    return mats, blocks
+
+
+def random_sizes(rng, n, largest):
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(largest, n - sum(sizes))))
+    return sizes
+
+
+def spy_blocks(monkeypatch):
+    seen = []
+    real = polymat._blocks
+    monkeypatch.setattr(polymat, "_blocks", lambda point: seen.append(real(point)) or seen[-1])
+    return seen
+
+
+def as_partition(blocks):
+    return {frozenset(b) for b in blocks}
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS)
+def test_kronecker_blocks_of_permuted_block_matrices(field, monkeypatch):
+    # blocks of sizes 1-4, sparse and not symmetric, spread over the indices
+    seen = spy_blocks(monkeypatch)
+    rng = random.Random(f"kronecker-blocks/{field}")
+    for n in range(1, 9):
+        for nvars in (1, 2, 3):
+            for density in (0.2, 0.6):
+                mats, blocks = block_linear_matrix(rng, field, random_sizes(rng, n, 4),
+                                                   nvars, density)
+                a = LinearMatrix(field, n, nvars, mats)
+                assert a.det_poly() == cofactor_det(poly_entries(a))
+                assert as_partition(seen[-1]) == as_partition(blocks)
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS)
+def test_kronecker_blocks_of_one_by_one(field, monkeypatch):
+    # a diagonal matrix is n blocks of size 1: a product of linear forms,
+    # and int_det is never called
+    seen = spy_blocks(monkeypatch)
+    dets = []
+    real = linalg.int_det
+    monkeypatch.setattr(linalg, "int_det", lambda rows, p: dets.append(rows) or real(rows, p))
+    rng = random.Random(f"kronecker-diagonal/{field}")
+    for n in range(1, 9):
+        for nvars in (1, 2, 3):
+            mats, blocks = block_linear_matrix(rng, field, [1] * n, nvars, 0.7)
+            a = LinearMatrix(field, n, nvars, mats)
+            assert a.det_poly() == cofactor_det(poly_entries(a))
+            assert as_partition(seen[-1]) == as_partition(blocks)
+    assert dets == []
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS)
+def test_kronecker_blocks_with_a_zero_row(field):
+    rng = random.Random(f"kronecker-zero-row/{field}")
+    for n in range(2, 9):
+        for nvars in (1, 2, 3):
+            mats, _ = block_linear_matrix(rng, field, random_sizes(rng, n, 3), nvars, 0.5)
+            j = rng.randrange(n)
+            for mat in mats:
+                mat[j] = [0] * n
+            a = LinearMatrix(field, n, nvars, mats)
+            assert a._terms(False) == {} and cofactor_det(poly_entries(a)).is_zero()
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS)
+def test_kronecker_one_dense_block(field, monkeypatch):
+    seen = spy_blocks(monkeypatch)
+    rng = random.Random(f"kronecker-dense/{field}")
+    for n in range(1, 7):
+        for nvars in (1, 2, 3):
+            mats, blocks = block_linear_matrix(rng, field, [n], nvars, 1)
+            a = LinearMatrix(field, n, nvars, mats)
+            assert a.det_poly() == cofactor_det(poly_entries(a))
+            assert len(seen[-1]) == 1 and as_partition(seen[-1]) == as_partition(blocks)

@@ -120,6 +120,9 @@ ALLOWLIST = {
     "scalars.RationalField.one": "exported field API, the counterpart of "
                                  "PrimeField.one",
     "systems.QuadricSystem._diagonal": "the body of both from_diagonals",
+    "systems.QuadricSystem.reduce_mod": "exported QuadricSystem API; sample_point and "
+                                        "verify_relation reduce a system over QQ by it "
+                                        "(the CLI loads one straight over GF(p))",
     "systems.PencilOfQuadrics.from_diagonals": "exported constructor",
     "systems.NetOfQuadrics.from_diagonals": "exported constructor",
 }

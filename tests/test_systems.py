@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from k3lab import (GF, QQ, BadReduction, BinaryQuartic, DegenerateBranch,
+from k3lab import (GF, QQ, BadPrime, BadReduction, BinaryQuartic, DegenerateBranch,
                    DegenerateSystem, MultiPoly, NetOfQuadrics,
                    PencilOfQuadrics, QuadraticForm, count_points,
                    discriminant_poly, jacobian_j_invariant,
                    moduli_double_cover, net_discriminant, pencil_discriminant,
                    pic2_double_cover, sextic_smoothness_probe)
+from k3lab import systems
 from k3lab.systems import member_at
 from oracles import (brute_force_pencil_count, brute_force_singular_point,
-                     cofactor_det, cross_ratio_j, deriv, line_sweep_singular_point,
+                     cofactor_det, cross_ratio_j, deriv, fibre_sweep_pencil_count,
+                     line_sweep_singular_point,
                      member_rows, poly_mod, scalar_leibniz_det, substitute,
                      uni_is_squarefree, uni_sweep_count)
 
@@ -411,6 +413,15 @@ def test_probe_bad_prime_names_the_first_coefficient_in_print_order():
             sextic_smoothness_probe(f, (3,))
         messages.add(str(info.value))
     assert messages == {"denominator of 1/3 vanishes mod 3"}
+    # within one power of x0, the higher power of x1 comes first; a lower
+    # power of x0 comes later whatever its x1
+    for terms, bad in (
+            ([((5, 0, 1), Fraction(2, 3)), ((5, 1, 0), Fraction(1, 3))], "1/3"),
+            ([((3, 3, 0), Fraction(4, 3)), ((4, 0, 2), Fraction(5, 3)),
+              ((4, 1, 1), Fraction(7, 3)), ((2, 4, 0), Fraction(1, 3))], "7/3")):
+        f = MultiPoly(QQ, 3, dict(terms + [((6, 0, 0), Fraction(1))]))
+        with pytest.raises(BadPrime, match=f"^denominator of {bad} vanishes mod 3$"):
+            sextic_smoothness_probe(f, (3,))
 
 
 def test_probe_needs_a_prime():
@@ -466,6 +477,47 @@ def test_moduli_double_cover_error_on_vanishing_discriminant():
     assert net_discriminant(net).is_zero()
     with pytest.raises(DegenerateSystem):
         moduli_double_cover(net)
+    with pytest.raises(DegenerateSystem, match="net discriminant vanishes identically"):
+        systems.net_smoothness_probe(net)
+
+
+def test_net_probe_reads_the_rows_plane_rows_reads_off_the_boxed_sextic(monkeypatch):
+    # the plane rows and scale net_smoothness_probe takes from the packed
+    # determinant are those plane_rows takes from the boxed branch sextic:
+    # dense nets with denominators, diagonal nets, nets over GF(13), and the
+    # fractional test net; the verdicts and the BadPrime texts agree too
+    from pathlib import Path
+
+    from k3lab import cli
+
+    swept = []
+    real = systems._probe_rows
+    monkeypatch.setattr(systems, "_probe_rows",
+                        lambda *a: swept.append(a) or real(*a))
+    rng = random.Random("net-probe-rows")
+    nets = [cli.load_system(str(Path(__file__).parent / "data" / "net-fractional.json"))]
+    for _ in range(4):
+        grams = [rand_sym(rng, 6) for _ in range(3)]
+        for g in grams:
+            for i in range(6):
+                for j in range(6):
+                    g[i][j] /= rng.choice((1, 2, 3, 5, 7))
+                    g[j][i] = g[i][j]
+        nets.append(NetOfQuadrics(*(QuadraticForm(g, QQ) for g in grams)))
+        nets.append(NetOfQuadrics.from_diagonals(*([rng.randint(-9, 9) for _ in range(6)]
+                                                   for _ in range(3))))
+        nets.append(rand_net(rng).reduce_mod(13))
+    for net in nets:
+        primes = (13,) if net.field.char else (3, 5, 7, 13)
+        outcomes = []
+        for probe in (systems.net_smoothness_probe,
+                      lambda n, ps: sextic_smoothness_probe(net_discriminant(n), ps)):
+            try:
+                outcomes.append(probe(net, primes))
+            except BadPrime as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert swept[-2] == swept[-1]
 
 
 def test_moduli_double_cover_dense_net_probably_smooth():
@@ -667,6 +719,156 @@ def test_count_hand_built_corner_pencils():
                    PencilOfQuadrics.from_diagonals([1, 1, 1, 0], [0, -1, 1, 1])):
         compared = sum(_counts_match_oracle(pencil, p) for p in (3, 5, 7, 11, 13))
         assert compared >= 3
+
+
+# -- the line sweep of the pencil count ---------------------------------------
+# After the recombination the second form is k(x) t + n(x).  On a line of
+# P^2 where k is not identically zero, the zeros of the resultant
+# R = a n^2 - l k n + m k^2 count one point each, except at the root of k,
+# whose fibre common_roots counts; where k is identically zero, the fibres
+# over the zeros of n are counted.
+
+SWEEP_PRIMES = (3, 5, 7, 11, 101)
+
+
+def _pencil_oracle(p):
+    # the boxed P^3 sweep where it runs in time, else the int fibre sweep
+    return brute_force_pencil_count if p <= 11 else fibre_sweep_pencil_count
+
+
+def _through(rng, x, lo=-4, hi=4):
+    """A random integer Gram matrix with G[3][3] = 0 whose form vanishes on
+    the whole line through (x, 0) and (0:0:0:1), x = (1, x1, x2): k(x) and
+    n(x) are 0 over ZZ, hence mod every p."""
+    g = [[rng.randint(lo, hi) for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        for j in range(i):
+            g[i][j] = g[j][i]
+    g[3][3] = 0
+    g[0][3] = g[3][0] = -(g[1][3] * x[1] + g[2][3] * x[2])
+    g[0][0] = -sum(g[i][j] * x[i] * x[j] for i in range(3) for j in range(3)
+                   if (i, j) != (0, 0))
+    return g
+
+
+def _line_root_pencils(rng, p, n):
+    """``n`` pencils with good reduction at p whose second form vanishes on
+    the fibre over a point x inside a line (1 : s : x2): there k has its
+    root, and R = a n^2 vanishes too."""
+    out = []
+    while len(out) < n:
+        x = (1, rng.randrange(p), rng.randrange(p))
+        q1 = rand_sym(rng, 4)
+        q1[3][3] = Fraction(rng.choice((1, -1, 2, -2)))
+        try:
+            pencil = PencilOfQuadrics(_gram(q1), _gram(_through(rng, x)))
+            count_points(pencil, p)
+        except (BadReduction, DegenerateSystem):
+            continue
+        out.append(pencil)
+    return out
+
+
+def _line_in_base_pencils(rng, p, n):
+    """``n`` pencils whose second form is (x2 - c x0)(2 x3 + u0 x0 + u1 x1 +
+    u2 x2): k and n vanish on the whole line (1 : s : c), with the first
+    form random.  A member of rank 2 is a bad reduction, so these go to the
+    sweep directly."""
+    out = []
+    while len(out) < n:
+        c = rng.randrange(p)
+        left, right = (-c, 0, 1, 0), (rng.randint(-4, 4), rng.randint(-4, 4),
+                                      rng.randint(-4, 4), 2)
+        g2 = [[Fraction(left[i] * right[j] + left[j] * right[i], 2) for j in range(4)]
+              for i in range(4)]
+        try:
+            out.append(PencilOfQuadrics(_gram(rand_sym(rng, 4)), _gram(g2)))
+        except DegenerateSystem:
+            continue
+    return out
+
+
+def _both_corner_zero_pencils(rng, p, n):
+    """``n`` dense pencils with good reduction at p and both G[3][3] = 0 mod
+    p, once 0 and once p: (0:0:0:1) lies on both forms."""
+    out = []
+    while len(out) < n:
+        grams = [rand_sym(rng, 4) for _ in range(2)]
+        grams[0][3][3], grams[1][3][3] = Fraction(0), Fraction(p * rng.choice((1, -1, 2)))
+        try:
+            pencil = PencilOfQuadrics(*map(_gram, grams))
+            count_points(pencil, p)
+        except (BadReduction, DegenerateSystem):
+            continue
+        out.append(pencil)
+    return out
+
+
+def _good_dense_pencils(rng, p, n):
+    out = []
+    while len(out) < n:
+        pencil = rand_pencil(rng)
+        try:
+            count_points(pencil, p)
+        except BadReduction:
+            continue
+        out.append(pencil)
+    return out
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_count_sweep_at_the_root_of_k_matches_the_oracle(p):
+    rng, oracle = random.Random(f"k-root/{p}"), _pencil_oracle(p)
+    for pencil in _line_root_pencils(rng, p, 4 if p > 11 else 8):
+        assert count_points(pencil, p) == oracle(pencil, p)
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_count_sweep_on_a_line_where_k_and_n_vanish_matches_the_oracle(p):
+    # bad reduction (a member of rank 2), so the sweep is called directly
+    rng, oracle = random.Random(f"k-n-zero/{p}"), _pencil_oracle(p)
+    for pencil in _line_in_base_pencils(rng, p, 2 if p > 11 else 6):
+        assert systems._count_pencil(pencil, p) == oracle(pencil, p)
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_count_sweep_with_both_corners_zero_matches_the_oracle(p):
+    rng, oracle = random.Random(f"corners/{p}"), _pencil_oracle(p)
+    for pencil in _both_corner_zero_pencils(rng, p, 2 if p > 11 else 5):
+        assert count_points(pencil, p) == oracle(pencil, p)
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_count_sweep_over_the_pencils_own_prime_field_matches_the_oracle(p):
+    # a pencil over F_p counts at p = q (the CLI's `pencil count --p q`)
+    rng, oracle = random.Random(f"over-fq/{p}"), _pencil_oracle(p)
+    for pencil in _good_dense_pencils(rng, p, 2 if p > 11 else 5):
+        red = pencil.reduce_mod(p)
+        assert red.field is GF(p)
+        assert count_points(red, p) == count_points(pencil, p) == oracle(red, p)
+
+
+def test_fibre_sweep_oracle_matches_the_boxed_sweep():
+    # the int oracle of p = 101 agrees with the boxed P^3 sweep where both run
+    rng = random.Random("fibre-oracle")
+    for p in (3, 5, 7):
+        pencils = (_line_root_pencils(rng, p, 2) + _line_in_base_pencils(rng, p, 2)
+                   + _both_corner_zero_pencils(rng, p, 2))
+        for pencil in pencils:
+            assert fibre_sweep_pencil_count(pencil, p) == brute_force_pencil_count(pencil, p)
+
+
+def test_count_bad_reduction_at_a_gram_denominator():
+    # the branch quartic l2 (5 l1 + 5 l2)(l1 + 2 l2)(l1 + 3 l2) (up to a unit)
+    # has four distinct roots mod 5, but 5 divides a Gram denominator: the
+    # error is worded as QuadricSystem.reduce_mod's
+    pencil = PencilOfQuadrics.from_diagonals([1, 5, 1, 1], [Fraction(1, 5), 5, 2, 3])
+    with pytest.raises(BadReduction) as exc:
+        count_points(pencil, 5)
+    assert str(exc.value) == "pencil has bad reduction mod 5: denominator of 1/5 vanishes mod 5"
+    with pytest.raises(BadReduction) as exc:
+        pencil.reduce_mod(5)
+    assert str(exc.value) == "pencil has bad reduction mod 5: denominator of 1/5 vanishes mod 5"
 
 
 def _gauss_sum_count(pencil, p):
