@@ -647,7 +647,8 @@ def test_pencils_over_f3_count_and_cover():
     assert min(seen.values()) >= 3, seen
 
 
-# Fixed up front: 20 good-reduction pencils per prime, drawn from at most 200.
+# Fixed up front: 20 good-reduction pencils per prime (5 at p = 101), drawn
+# from at most 200.
 PENCILS_PER_PRIME, MAX_DRAWS = 20, 200
 
 
@@ -655,19 +656,25 @@ def _gram(rows):
     return QuadraticForm([[Fraction(x) for x in r] for r in rows], QQ)
 
 
+def _pencil_oracle(p):
+    # the boxed P^3 sweep where it runs in time, else the int fibre sweep
+    return brute_force_pencil_count if p <= 13 else fibre_sweep_pencil_count
+
+
 def _counts_match_oracle(pencil, p):
-    """Compare count_points with the boxed P^3 sweep; False on bad reduction."""
+    """Compare count_points with the oracle; False on bad reduction."""
     try:
         n = count_points(pencil, p)
     except BadReduction:
         return False
-    assert n == brute_force_pencil_count(pencil, p)
+    assert n == _pencil_oracle(p)(pencil, p)
     return True
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
 def test_count_pencil_matches_brute_force_on_dense_pencils(p):
     rng = random.Random(f"dense-pencil/{p}")
+    want = PENCILS_PER_PRIME if p <= 13 else 5
     done = 0
     for _ in range(MAX_DRAWS):
         pencil = rand_pencil(rng)
@@ -675,9 +682,9 @@ def test_count_pencil_matches_brute_force_on_dense_pencils(p):
                for i in range(4) for j in range(4) if i != j):
             continue
         done += _counts_match_oracle(pencil, p)
-        if done == PENCILS_PER_PRIME:
+        if done == want:
             break
-    assert done == PENCILS_PER_PRIME
+    assert done == want
 
 
 def _with_corner(rng, g33, p):
@@ -694,7 +701,8 @@ def _with_corner(rng, g33, p):
 ], ids=["both-zero", "both-zero-mod-p", "first-zero", "second-zero-mod-p"])
 def test_count_pencil_corner_cases_match_brute_force(corners):
     rng = random.Random(63)
-    for p in (5, 7, 11):
+    for p in (5, 7, 11, 3, 101):
+        want = 5 if p <= 11 else 2
         done = 0
         for _ in range(MAX_DRAWS):
             try:
@@ -703,9 +711,9 @@ def test_count_pencil_corner_cases_match_brute_force(corners):
             except DegenerateSystem:
                 continue
             done += _counts_match_oracle(pencil, p)
-            if done == 5:
+            if done == want:
                 break
-        assert done == 5
+        assert done == want
 
 
 def test_count_hand_built_corner_pencils():
@@ -729,11 +737,6 @@ def test_count_hand_built_corner_pencils():
 # over the zeros of n are counted.
 
 SWEEP_PRIMES = (3, 5, 7, 11, 101)
-
-
-def _pencil_oracle(p):
-    # the boxed P^3 sweep where it runs in time, else the int fibre sweep
-    return brute_force_pencil_count if p <= 11 else fibre_sweep_pencil_count
 
 
 def _through(rng, x, lo=-4, hi=4):
@@ -788,22 +791,6 @@ def _line_in_base_pencils(rng, p, n):
     return out
 
 
-def _both_corner_zero_pencils(rng, p, n):
-    """``n`` dense pencils with good reduction at p and both G[3][3] = 0 mod
-    p, once 0 and once p: (0:0:0:1) lies on both forms."""
-    out = []
-    while len(out) < n:
-        grams = [rand_sym(rng, 4) for _ in range(2)]
-        grams[0][3][3], grams[1][3][3] = Fraction(0), Fraction(p * rng.choice((1, -1, 2)))
-        try:
-            pencil = PencilOfQuadrics(*map(_gram, grams))
-            count_points(pencil, p)
-        except (BadReduction, DegenerateSystem):
-            continue
-        out.append(pencil)
-    return out
-
-
 def _good_dense_pencils(rng, p, n):
     out = []
     while len(out) < n:
@@ -832,13 +819,6 @@ def test_count_sweep_on_a_line_where_k_and_n_vanish_matches_the_oracle(p):
 
 
 @pytest.mark.parametrize("p", SWEEP_PRIMES)
-def test_count_sweep_with_both_corners_zero_matches_the_oracle(p):
-    rng, oracle = random.Random(f"corners/{p}"), _pencil_oracle(p)
-    for pencil in _both_corner_zero_pencils(rng, p, 2 if p > 11 else 5):
-        assert count_points(pencil, p) == oracle(pencil, p)
-
-
-@pytest.mark.parametrize("p", SWEEP_PRIMES)
 def test_count_sweep_over_the_pencils_own_prime_field_matches_the_oracle(p):
     # a pencil over F_p counts at p = q (the CLI's `pencil count --p q`)
     rng, oracle = random.Random(f"over-fq/{p}"), _pencil_oracle(p)
@@ -853,15 +833,16 @@ def test_fibre_sweep_oracle_matches_the_boxed_sweep():
     rng = random.Random("fibre-oracle")
     for p in (3, 5, 7):
         pencils = (_line_root_pencils(rng, p, 2) + _line_in_base_pencils(rng, p, 2)
-                   + _both_corner_zero_pencils(rng, p, 2))
+                   + [PencilOfQuadrics(_with_corner(rng, lambda p: 0, p),
+                                       _with_corner(rng, lambda p: p, p))])
         for pencil in pencils:
             assert fibre_sweep_pencil_count(pencil, p) == brute_force_pencil_count(pencil, p)
 
 
 def test_count_bad_reduction_at_a_gram_denominator():
-    # the branch quartic l2 (5 l1 + 5 l2)(l1 + 2 l2)(l1 + 3 l2) (up to a unit)
-    # has four distinct roots mod 5, but 5 divides a Gram denominator: the
-    # error is worded as QuadricSystem.reduce_mod's
+    # the branch quartic (5 l1 + l2)(l1 + l2)(l1 + 2 l2)(l1 + 3 l2) has four
+    # distinct roots mod 5, but 5 divides a Gram denominator: the error is
+    # worded as QuadricSystem.reduce_mod's
     pencil = PencilOfQuadrics.from_diagonals([1, 5, 1, 1], [Fraction(1, 5), 5, 2, 3])
     with pytest.raises(BadReduction) as exc:
         count_points(pencil, 5)
