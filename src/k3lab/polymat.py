@@ -235,7 +235,7 @@ def _kronecker_det(mats, n, p) -> dict:
     bound = math.prod(sum(sum(map(abs, mat[j])) for mat in mats) for j in range(n))
     size = (bound.bit_length() + 8) // 8  # bytes per digit: 2^(B-1) > bound
     b = 8 * size
-    point = mats[0]
+    point = mats[0] if mats else [[0] * n for _ in range(n)]
     for i, mat in enumerate(mats[1:]):
         s = b * (n + 1) ** i
         point = [[x + (y << s) for x, y in zip(prow, row)] for prow, row in zip(point, mat)]

@@ -519,6 +519,8 @@ def test_kronecker_blocks_with_a_zero_row(field):
                 mat[j] = [0] * n
             a = LinearMatrix(field, n, nvars, mats)
             assert a._terms(False) == {} and cofactor_det(poly_entries(a)).is_zero()
+        # a matrix in no variables is zero
+        assert LinearMatrix(field, n, 0, [])._terms(False) == {}
 
 
 @pytest.mark.parametrize("field", BLOCK_FIELDS)
