@@ -55,6 +55,18 @@ checked B == lam, so the discriminant is never expanded.  Both fields
 share these steps, QQ through the lcm scaling of ``linalg``.  Only what is
 reported is boxed.
 
+``group_invariance_check`` applies one unimodular element to a sampled
+matrix and computes B and T of the result from scratch (those of the
+sample once per matrix, ``invariants``).  A pencil's pair (g, h) in
+SL2 x SL2 acts by A_i -> g A_i h^T (``LinearMatrix.left_right_transform``).
+A net's g in SL4 acts on the Klein coordinates of the A_i, the Pluecker
+coordinates of Lambda^2 of the 4-space, by wedge^2 g, the 6x6 matrix of the
+2x2 minors of g (Cauchy-Binet; ``LinearMatrix.congruence_transform``): one
+int product for all six coefficient matrices.  The unimodularity of each
+element is one int determinant of its int rows.  ``random_sl`` draws
+the elements on int rows, testing each candidate's determinant mod p, and
+boxes only the one it returns.
+
 ``sample_point`` is the draw (``_draw``) followed by the factorization of
 the accepted member (``_factor``).  ``verify_relation`` runs the two steps
 itself with two dicts that live for one call, the seeded draws' members
@@ -74,7 +86,7 @@ from . import linalg
 from .errors import (BadReduction, FieldMismatch, NoSplitMember, NotInSpan,
                      PreconditionError, VariableCountMismatch,
                      VerificationFailure)
-from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix
+from .polymat import LinearMatrix
 from .quadforms import (SPLIT_MODELS, QuadraticForm, _split_det, express_as_2x2_det,
                         express_as_pfaffian, matrix_model)
 from .scalars import GF, GFElement, projective_points
@@ -332,21 +344,26 @@ class InvarianceReport:
 def group_invariance_check(a: LinearMatrix, system, g, h=None) -> InvarianceReport:
     """Check that B and T are unchanged under the unimodular action.
 
-    Pencil case: (g, h) in SL2 x SL2 acting by A_i -> g A_i h^T.
-    Net case: g in SL4 acting by A_i -> g A_i g^T (h must be omitted).
-    Non-unimodular inputs are rejected.
+    Pencil case: (g, h) in SL2 x SL2 acting by A_i -> g A_i h^T
+    (``left_right_transform``).  Net case: g in SL4 acting by A_i -> g A_i g^T
+    (h must be omitted), which is wedge^2 g on the Klein coordinates
+    (``congruence_transform``).  The int rows of each element, its entries
+    times the lcm D of their denominators (D = 1 over GF(p)), must have
+    determinant D^n; non-unimodular inputs are rejected with
+    PreconditionError.  B and T of the transformed matrix are computed from
+    scratch, those of ``a`` once per matrix (``invariants``).
     """
     field = a.field
-    if matrix_model(a, "group_invariance_check").pf:
-        if h is not None:
-            raise PreconditionError("net case takes a single SL(4) element")
-        h = g
-    elif h is None:
+    pf = matrix_model(a, "group_invariance_check").pf
+    if pf and h is not None:
+        raise PreconditionError("net case takes a single SL(4) element")
+    if not pf and h is None:
         raise PreconditionError("pencil case needs a pair (g, h)")
-    for m in (g,) if h is g else (g, h):
-        if linalg.det(field, m) != field.one:
+    for m in (g,) if pf else (g, h):
+        rows, scale = linalg.int_rows(field, m)
+        if linalg.int_det(rows, field.char) != scale ** len(rows):
             raise PreconditionError("group elements must have determinant 1")
-    transformed = a.left_right_transform(g, h)
+    transformed = a.congruence_transform(g) if pf else a.left_right_transform(g, h)
     before = invariants(a, system)
     after = invariants(transformed, system)
     return InvarianceReport(b_before=tuple(before.b), b_after=tuple(after.b),
@@ -355,30 +372,37 @@ def group_invariance_check(a: LinearMatrix, system, g, h=None) -> InvarianceRepo
 
 def wedge2_matrix(field, g):
     """The induced action on Klein coordinates: the 6x6 matrix of 2x2 minors
-    of g, indexed by the Klein pair order.  Its determinant is det(g)^3."""
-    rows = []
-    for (i, j) in KLEIN_INDEX_PAIRS:
-        row = []
-        for (k, l) in KLEIN_INDEX_PAIRS:
-            row.append(g[i][k] * g[j][l] - g[i][l] * g[j][k])
-        rows.append(tuple(row))
-    return tuple(rows)
+    of the 4x4 g, indexed by the Klein pair order, so that the Klein
+    coordinates of g A g^T are it times those of A.  ``linalg.int_wedge2``
+    of g's int rows, boxed over D^2, D the lcm of g's denominators (1 over
+    GF(p)).  Its determinant is det(g)^3."""
+    rows, scale = linalg.int_rows(field, g)
+    return linalg._box(field, linalg.int_wedge2(rows, field.char), scale * scale)
 
 
 def random_sl(field, n: int, rng) -> tuple:
-    """A seeded pseudorandom element of SL_n(F_p)."""
-    while True:
-        m = [[field.random_element(rng) for _ in range(n)] for _ in range(n)]
-        d = linalg.det(field, m)
-        if d:
-            inv = field.one / d
-            m[0] = [x * inv for x in m[0]]
-            return tuple(tuple(r) for r in m)
+    """A seeded pseudorandom element of SL_n(F_p): the first invertible
+    draw of ``_random_invertible`` with its first row divided by its
+    determinant, boxed."""
+    p = field.p
+    m, d = _random_invertible(p, n, rng)
+    inv = pow(d, -1, p)
+    m[0] = [x * inv % p for x in m[0]]
+    return linalg._box(field, m)
 
 
 def random_gl(field, n: int, rng) -> tuple:
-    """A seeded pseudorandom element of GL_n(F_p)."""
+    """A seeded pseudorandom element of GL_n(F_p): the first invertible
+    draw of ``_random_invertible``, boxed."""
+    return linalg._box(field, _random_invertible(field.p, n, rng)[0])
+
+
+def _random_invertible(p: int, n: int, rng):
+    """(m, d): the first n x n int matrix mod p, drawn row by row with one
+    ``rng.randrange(p)`` per entry, whose determinant d mod p is nonzero.
+    The candidates are tested on ints; the callers box only the one kept."""
     while True:
-        m = tuple(tuple(field.random_element(rng) for _ in range(n)) for _ in range(n))
-        if linalg.det(field, m):
-            return m
+        m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        d = linalg.int_det(m, p)
+        if d:
+            return m, d

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from .errors import SingularMatrix
@@ -61,6 +62,21 @@ def int_mul(a, b, p):
     if p:
         return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def int_wedge2(rows, p):
+    """wedge^2 g of the square int ``rows`` g: its 2x2 minors, reduced mod p
+    unless p = 0, with rows and columns indexed by the pairs i < j in
+    lexicographic order (the Klein order for n = 4).  Entry ((i, j), (k, l))
+    is g_ik g_jl - g_il g_jk, so for an alternating A the entries (i, j),
+    i < j, of g A g^T are wedge^2 g times those of A (Cauchy-Binet)."""
+    pairs = list(combinations(range(len(rows)), 2))
+    out = []
+    for i, j in pairs:
+        gi, gj = rows[i], rows[j]
+        row = [gi[k] * gj[l] - gi[l] * gj[k] for k, l in pairs]
+        out.append([x % p for x in row] if p else row)
+    return out
 
 
 def _eliminate(rows, ncols, p, jordan):

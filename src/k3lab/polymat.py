@@ -28,7 +28,9 @@ memoized and are what the package checks against: ``quadforms``
 compares det/Pf with a form's ``quadratic_terms`` and ``construction``
 solves for span coordinates on them, all on ints (disc(B) is a member's
 determinant, not an expansion).  ``det_poly`` and ``pfaffian_poly`` only
-box them.  Its transforms multiply the raw rows.
+box them.  Its transforms multiply the raw rows: ``left_right_transform``
+by g and h^T, ``congruence_transform`` the Klein coordinates of an
+alternating matrix by wedge^2 g (``linalg.int_wedge2``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .errors import FieldMismatch, PreconditionError, VariableCountMismatch
@@ -417,7 +420,10 @@ class LinearMatrix:
         return self._poly(True)
 
     def left_right_transform(self, g, h) -> "LinearMatrix":
-        """A_i -> g A_i h^T for size x size scalar matrices g, h."""
+        """A_i -> g A_i h^T for size x size scalar matrices g, h: two int
+        products per A_i, after which the result is scanned for the
+        alternating property.  On an alternating matrix with h = g,
+        ``congruence_transform`` gives the same result through wedge^2 g."""
         n, field = self.size, self.field
         for m in (g, h):
             if len(m) != n or any(len(r) != n for r in m):
@@ -428,8 +434,27 @@ class LinearMatrix:
         return LinearMatrix._of_raw(field, n, self.nvars, mats, self._scale * dg * dh)
 
     def congruence_transform(self, g) -> "LinearMatrix":
-        """A_i -> g A_i g^T (preserves the alternating property)."""
-        return self.left_right_transform(g, g)
+        """A_i -> g A_i g^T on an alternating matrix, through wedge^2 g.
+
+        The upper-triangle (Klein) coordinates of all the A_i, one column
+        per variable, are multiplied once by ``linalg.int_wedge2`` of g's int
+        rows, and the result is mirrored into alternating matrices.  Over QQ
+        the scale is the matrix's times dg^2, dg the lcm of g's denominators.
+        Equal in ``_mats``, ``_scale`` and ``alternating`` to
+        ``left_right_transform(g, g)``; PreconditionError on a matrix that is
+        not alternating.
+        """
+        n, field = self.size, self.field
+        if len(g) != n or any(len(r) != n for r in g):
+            raise PreconditionError(f"transforms need {n}x{n} matrices")
+        if not self.alternating:
+            raise PreconditionError("congruence_transform of a non-alternating matrix")
+        gi, dg = linalg.int_rows(field, g)
+        p, pairs = field.char, list(combinations(range(n), 2))
+        klein = [[mat[r][c] for mat in self._mats] for r, c in pairs]
+        rows = linalg.int_mul(linalg.int_wedge2(gi, p), klein, p)
+        return LinearMatrix._of_cells(field, n, self.nvars, pairs, True, rows,
+                                      self._scale * dg * dg)
 
     @classmethod
     def _of_cells(cls, field, size, nvars, cells, alternating, rows, scale=1) -> "LinearMatrix":

@@ -250,9 +250,6 @@ class PrimeField:
             return self.coerce(Fraction(x))
         raise FieldMismatch(f"cannot coerce {x!r} into GF({self.p})")
 
-    def random_element(self, rng) -> GFElement:
-        return GFElement(self, rng.randrange(self.p))
-
     def legendre(self, a) -> int:
         """Quadratic character: 1 for nonzero squares, -1 for non-squares, 0 for zero."""
         return chi_mod(self.coerce(a).v, self.p)

@@ -17,7 +17,10 @@ are rebuilt here from its boxed ``coeff_mats``: its matrix of MultiPoly
 entries (``poly_entries``) and the Klein coordinates of its alternating
 coefficient matrices (``klein_coordinates``); ``klein_matrix`` builds one
 from Klein coordinate forms through the public constructor, and
-``identity`` builds identity matrices of field scalars.  What only tests
+``identity`` builds identity matrices of field scalars.  The 2x2 minors
+of a scalar matrix are taken on its scalars (``boxed_wedge2``), and the
+seeded SL and GL draws are made on boxed scalars
+(``boxed_random_sl``, ``boxed_random_gl``).  What only tests
 do with polynomials and forms is done here on boxed scalars: reduction
 mod p (``poly_mod``), substitution, partial derivatives, a form's
 polynomial and back (``form_poly``, ``poly_form``), the members of a
@@ -587,6 +590,39 @@ def klein_matrix(field, nvars, rows):
             mat[c][r] = -mat[r][c]
         mats.append(mat)
     return LinearMatrix(field, 4, nvars, mats)
+
+
+def boxed_wedge2(g):
+    """The 2x2 minors of the square matrix g of field scalars, row (i, j) and
+    column (k, l) over the pairs i < j in lexicographic order, each
+    g_ik g_jl - g_il g_jk taken on the scalars themselves."""
+    pairs = [(i, j) for i in range(len(g)) for j in range(i + 1, len(g))]
+    return tuple(tuple(g[i][k] * g[j][l] - g[i][l] * g[j][k] for k, l in pairs)
+                 for i, j in pairs)
+
+
+def boxed_random_sl(field, n, rng):
+    """A seeded element of SL_n(F_p) drawn on boxed scalars: n x n entries
+    ``field.element(rng.randrange(p))`` row by row until the boxed
+    determinant is nonzero, then the first row divided by it: the stream
+    ``random_sl`` must reproduce while it tests its candidates on ints."""
+    while True:
+        m = [[field.element(rng.randrange(field.p)) for _ in range(n)] for _ in range(n)]
+        d = linalg.det(field, m)
+        if d:
+            inv = field.one / d
+            m[0] = [x * inv for x in m[0]]
+            return tuple(tuple(r) for r in m)
+
+
+def boxed_random_gl(field, n, rng):
+    """``boxed_random_sl``'s draw without the division: the first boxed
+    n x n matrix with a nonzero determinant."""
+    while True:
+        m = tuple(tuple(field.element(rng.randrange(field.p)) for _ in range(n))
+                  for _ in range(n))
+        if linalg.det(field, m):
+            return m
 
 
 def identity(field, n):

@@ -975,23 +975,26 @@ def test_exit_code_verification_failure_raised_in_the_library(capsys, monkeypatc
 
 def test_exit_code_invariance_failure_prints_its_report(capsys, monkeypatch):
     # a group action that doubles the matrix breaks both invariants: the
-    # report is printed, then the run exits 3
+    # report is printed, then the run exits 3.  Pencils are transformed by
+    # left_right_transform, nets by congruence_transform
     from k3lab.polymat import LinearMatrix
 
-    transform = LinearMatrix.left_right_transform
+    def doubling(transform):
+        def doubled(self, *elements):
+            out = transform(self, *elements)
+            p = out.field.char
+            mats = [[[2 * x % p for x in row] for row in mat] for mat in out._mats]
+            return LinearMatrix._of_raw(out.field, out.size, out.nvars, mats, out._scale,
+                                        out.alternating)
+        return doubled
 
-    def doubled(self, g, h):
-        out = transform(self, g, h)
-        p = out.field.char
-        mats = [[[2 * x % p for x in row] for row in mat] for mat in out._mats]
-        return LinearMatrix._of_raw(out.field, out.size, out.nvars, mats, out._scale,
-                                    out.alternating)
-
-    monkeypatch.setattr(LinearMatrix, "left_right_transform", doubled)
-    assert run(capsys, "construct", "invariance", "--system", "builtin:pencil-diagonal",
-               "--p", "13", "--count", "2") == (
-        3, '{"b_invariant": false, "case": "pencil", "checked": 2, "p": 13, "seed": 0, '
-           '"t_invariant": false}\n', "k3lab: verification failed\n")
+    for name in ("left_right_transform", "congruence_transform"):
+        monkeypatch.setattr(LinearMatrix, name, doubling(getattr(LinearMatrix, name)))
+    for case in ("pencil", "net"):
+        assert run(capsys, "construct", "invariance", "--system", f"builtin:{case}-diagonal",
+                   "--p", "13", "--count", "2") == (
+            3, f'{{"b_invariant": false, "case": "{case}", "checked": 2, "p": 13, "seed": 0, '
+               '"t_invariant": false}\n', "k3lab: verification failed\n")
 
 def test_file_input_with_rational_entries(tmp_path, capsys):
     doc = {

@@ -15,8 +15,9 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NoSplitMember,
                    wedge2_matrix)
 from k3lab import K3LabError, cli, construction
 from k3lab.systems import member_at
-from oracles import (form_poly, identity, klein_matrix, member_form, model_form,
-                     relation_report, scaled, witt_index_exhaustive)
+from oracles import (boxed_random_gl, boxed_random_sl, form_poly, identity, klein_matrix,
+                     member_form, model_form, relation_report, scaled,
+                     witt_index_exhaustive)
 
 DIAG_PENCIL = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3])
 DIAG_NET = NetOfQuadrics.from_diagonals(
@@ -565,9 +566,45 @@ def test_invariance_random_sl():
 def test_invariance_rejects_non_unimodular():
     F = GF(11)
     pt = sample_point(DIAG_PENCIL, 11, seed=7)
+    nt = sample_point(DIAG_NET, 11, seed=7)
     g = ((F.element(2), F.zero), (F.zero, F.one))
+    g4 = tuple(tuple(F.element(2 if i == j == 3 else int(i == j)) for j in range(4))
+               for i in range(4))
+    for call in (lambda: group_invariance_check(pt.matrix, pt.system, g, identity(F, 2)),
+                 lambda: group_invariance_check(pt.matrix, pt.system, identity(F, 2), g),
+                 lambda: group_invariance_check(nt.matrix, nt.system, g4)):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == "group elements must have determinant 1"
+
+
+def test_invariance_over_qq_with_denominators():
+    # SL elements with denominators: unimodular over QQ though their int rows
+    # are not, and the transformed matrices carry the scale D^2
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    g2 = ((half, third), (0, 2))
+    g4 = ((half, third, 0, 1), (0, 2, 0, Fraction(-5, 6)), (0, 0, third, 0), (0, 0, 1, 3))
+    net = NetOfQuadrics(model_form(QQ, 6), QuadraticForm(identity(QQ, 6), QQ),
+                        QuadraticForm([[int(i == j) * (i + 1) for j in range(6)]
+                                       for i in range(6)], QQ))
+    for rep in (group_invariance_check(canonical_2x2(QQ), hyperbolic_pencil(), g2, g2),
+                group_invariance_check(canonical_klein(QQ), net, g4)):
+        assert rep.b_equal and rep.t_equal
     with pytest.raises(PreconditionError):
-        group_invariance_check(pt.matrix, pt.system, g, identity(F, 2))
+        group_invariance_check(canonical_klein(QQ), net, g4[:3] + ((0, 0, 1, 6),))
+
+
+def test_random_sl_and_gl_keep_the_boxed_stream():
+    # the same element from the same rng.randrange calls, and the rng left
+    # in the same state
+    for p in (3, 7, 13, 1009):
+        F = GF(p)
+        for n in (2, 4):
+            for seed in range(200):
+                for draw, oracle in ((random_sl, boxed_random_sl), (random_gl, boxed_random_gl)):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    assert draw(F, n, rng) == oracle(F, n, ref), (draw, p, n, seed)
+                    assert rng.random() == ref.random(), (draw, p, n, seed)
 
 
 # -- the invariants satisfy exactly one relation of the expected degree ---------------

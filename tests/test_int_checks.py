@@ -6,7 +6,11 @@ boxed scalars through ``tests/oracles.py`` (cofactor and perfect-matching
 expansions of ``poly_entries``, a Gauss-Jordan span solve on MultiPoly
 coefficients, ``MultiPoly.eval``, permutation-sum determinants) over QQ,
 GF(13) and GF(2**31 - 1).  Mutants that change one raw coefficient of a
-model must fail the checks with VerificationFailure.  Seeds and sizes are
+model must fail the checks with VerificationFailure.
+``congruence_transform``, which acts through wedge^2 g, must equal
+``left_right_transform(g, g)`` on net samples and random alternating
+matrices over QQ and GF(p) for small and large p, and ``wedge2_matrix``
+the minors taken on boxed scalars (``boxed_wedge2``).  Seeds and sizes are
 fixed.
 """
 
@@ -16,14 +20,15 @@ from fractions import Fraction
 import pytest
 
 from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NotInSpan,
-                   PencilOfQuadrics, QuadraticForm, SystemPoint, VerificationFailure,
-                   b_coordinates, discriminant_poly, express_as_2x2_det,
+                   PencilOfQuadrics, PreconditionError, QuadraticForm, SystemPoint,
+                   VerificationFailure, b_coordinates, discriminant_poly, express_as_2x2_det,
                    express_as_pfaffian, sample_point, t_invariant)
 from k3lab import cli, construction, linalg, quadforms
 from k3lab.systems import member_at
-from oracles import (boxed_span_solve, cofactor_det, form_poly, klein_coordinates,
-                     klein_matrix, matching_pfaffian, member_rows, model_form, poly_entries,
-                     poly_form, scalar_leibniz_det, symbolic_member_entries)
+from oracles import (boxed_span_solve, boxed_wedge2, cofactor_det, form_poly,
+                     klein_coordinates, klein_matrix, matching_pfaffian, member_rows,
+                     model_form, poly_entries, poly_form, scalar_leibniz_det,
+                     symbolic_member_entries)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
 IDS = ("QQ", "GF13", "GFmersenne")
@@ -253,6 +258,86 @@ def test_left_right_transform_against_boxed_products(field):
             assert got.alternating == LinearMatrix(field, n, nvars, want).alternating
             if n == 4:
                 assert a.congruence_transform(g).alternating
+
+
+# the builtin net's diagonals, and a diagonal net with a split member mod 3,
+# where the builtin net has none
+DIAG_NET = NetOfQuadrics.from_diagonals([1] * 6, [0, 1, 2, 3, 4, 5], [0, 1, 4, 9, 16, 25])
+NET_MOD3 = NetOfQuadrics.from_diagonals([3, 0, 3, 0, -3, -1], [1, 0, 0, 3, 3, -1],
+                                        [0, -1, 1, -2, 1, -2])
+WEDGE_FIELDS = (QQ, GF(3), GF(5), GF(13), GF(1009), GF(2**31 - 1))
+WEDGE_IDS = ("QQ", "GF3", "GF5", "GF13", "GF1009", "GFmersenne")
+
+
+def congruence_against_left_right(a, g):
+    """``a.congruence_transform(g)``, asserted equal to
+    ``a.left_right_transform(g, g)`` in raw rows, scale and alternating flag."""
+    got, want = a.congruence_transform(g), a.left_right_transform(g, g)
+    assert (got._mats, got._scale, got.alternating) == (
+        want._mats, want._scale, want.alternating)
+    assert got.alternating
+    return got
+
+
+@pytest.mark.parametrize("p", [f.p for f in WEDGE_FIELDS[1:]], ids=WEDGE_IDS[1:])
+def test_congruence_transform_on_net_samples(p):
+    field, rng = GF(p), random.Random(306 + p)
+    net = NET_MOD3 if p == 3 else DIAG_NET
+    for seed in range(6):
+        a = sample_point(net, p, seed).matrix
+        for g in ([[rand_scalar(rng, field) for _ in range(4)] for _ in range(4)],
+                  construction.random_sl(field, 4, rng)):
+            congruence_against_left_right(a, g)
+
+
+@pytest.mark.parametrize("field", WEDGE_FIELDS, ids=WEDGE_IDS)
+def test_congruence_transform_on_random_alternating_matrices(field):
+    rng = random.Random(307)
+    rescaled = 0
+    for nvars in (1, 3, 6):
+        for _ in range(8):
+            a = klein_matrix(field, nvars, [[rand_scalar(rng, field) for _ in range(nvars)]
+                                            for _ in range(6)])
+            g = [[rand_scalar(rng, field) for _ in range(4)] for _ in range(4)]
+            got = congruence_against_left_right(a, g)
+            rescaled += got._scale != a._scale
+    # over QQ the draws put denominators in g, so the scale dg^2 is tested
+    assert rescaled if field.char == 0 else not rescaled
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_wedge2_matrix_boxes_the_kernel_rows(field):
+    rng = random.Random(308)
+    for _ in range(10):
+        g = [[rand_scalar(rng, field) for _ in range(4)] for _ in range(4)]
+        rows, dg = linalg.int_rows(field, g)
+        got = construction.wedge2_matrix(field, g)
+        assert got == linalg._box(field, linalg.int_wedge2(rows, field.char), dg * dg)
+        assert got == boxed_wedge2(g)
+        assert all(type(x) is type(field.one) for row in got for x in row)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_congruence_transform_refuses_a_non_alternating_matrix(field):
+    rng = random.Random(309)
+    a = rand_matrix(rng, field, 4, 6)
+    assert not a.alternating
+    with pytest.raises(PreconditionError) as err:
+        a.congruence_transform([[rand_scalar(rng, field) for _ in range(4)] for _ in range(4)])
+    assert str(err.value) == "congruence_transform of a non-alternating matrix"
+
+
+def test_net_invariance_transforms_by_congruence_only(capsys, monkeypatch):
+    calls = {"left_right_transform": 0, "congruence_transform": 0}
+    for name in calls:
+        def counted(self, *elements, _name=name, _real=getattr(LinearMatrix, name)):
+            calls[_name] += 1
+            return _real(self, *elements)
+        monkeypatch.setattr(LinearMatrix, name, counted)
+    assert cli.main(["construct", "invariance", "--system", "builtin:net-diagonal",
+                     "--p", "13", "--count", "5", "--seed", "1"]) == 0
+    assert '"t_invariant": true' in capsys.readouterr().out
+    assert calls == {"left_right_transform": 0, "congruence_transform": 5}
 
 
 def test_invariance_computes_the_untransformed_side_once(capsys, monkeypatch):
