@@ -20,10 +20,14 @@ a net (6x6 in three), is read off its value at one Kronecker point
 Comp. 44, 2009): the point splits into diagonal blocks, whose int
 determinants ``linalg.int_det`` takes and multiplies, so a diagonal
 member costs a product of packed linear forms, and the digits of the
-value are read in one pass over its bytes.  Pfaffians and determinants
-in more variables go through the Laplace kernel above, because the
-Kronecker point of n variables needs (m+1)^(n-1) digits.
-The rule reads only the number of variables.  The packed expansions are
+value are read in one pass over its bytes.  The two expansions of degree
+2, the determinant of a 2x2 in more variables and every 4x4 Pfaffian (the
+split models of ``quadforms``), are summed from a table of signed
+products of two cells (``_degree2_terms``), with no minors.  Other
+Pfaffians, and larger determinants in more variables, go through the
+Laplace kernel above, because the Kronecker point of n variables needs
+(m+1)^(n-1) digits.  The rule reads only the shape and the number of
+variables, one algorithm per shape.  The packed expansions are
 memoized and are what the package checks against: ``quadforms``
 compares det/Pf with a form's ``quadratic_terms`` and ``construction``
 solves for span coordinates on them, all on ints (disc(B) is a member's
@@ -293,6 +297,44 @@ def _blocks(point) -> list:
     return list(blocks.values())
 
 
+# The two degree-2 expansions as signed products of two cells, keyed by
+# (size, pf): det of a 2x2 and Pf of a 4x4, normalized as m01*m23 -
+# m02*m13 + m03*m12.  Kept here, not read from quadforms.SPLIT_MODELS, so
+# that express_as_*'s det/Pf = q check does not take its model on trust.
+_DEGREE2_PRODUCTS = {
+    (2, False): ((1, (0, 0), (1, 1)), (-1, (0, 1), (1, 0))),
+    (4, True): ((1, (0, 1), (2, 3)), (-1, (0, 2), (1, 3)), (1, (0, 3), (1, 2))),
+}
+
+
+def _degree2_terms(mats, products, p) -> dict:
+    """The sum of the signed cell ``products`` of the linear matrix
+    sum_i mats[i] x_i (raw int rows) as packed terms of width 2, reduced mod
+    p unless p = 0, zeros dropped.  With u and v the coefficient columns of
+    a product's two cells, u_k v_k goes to x_k^2 and u_k v_l + u_l v_k to
+    x_k x_l."""
+    n = len(mats)
+    uv = [0] * (n * n)  # uv[k * n + l]: the signed sum of u_k v_l
+    for sign, (r, c), (s, t) in products:
+        v = [(l, mat[s][t]) for l, mat in enumerate(mats) if mat[s][t]]
+        for k, mat in enumerate(mats):
+            ca = mat[r][c]
+            if ca:
+                ca *= sign
+                row = k * n
+                for l, cb in v:
+                    uv[row + l] += ca * cb
+    out = {}
+    for k in range(n):
+        for l in range(k, n):
+            c = uv[k * n + l] + uv[l * n + k] if l > k else uv[k * n + k]
+            if p:
+                c %= p
+            if c:
+                out[(1 << 2 * k) + (1 << 2 * l)] = c
+    return out
+
+
 def quadratic_terms(rows, p) -> dict:
     """The quadratic form x^T G x of the raw Gram ``rows`` (ints mod p, or
     Fractions when p = 0) as packed terms of width 2: G[i][i] on x_i^2 and
@@ -382,8 +424,10 @@ class LinearMatrix:
         int}, memoized: the monomial of x_i is 1 << _width(size, pf) * i,
         and the value is the terms divided by ``_denom(pf)``.  A determinant
         in at most three variables is ``_kronecker_det``'s one int
-        determinant; Pfaffians, and determinants in more variables, are
-        ``_expand``'s Laplace expansion."""
+        determinant; a 2x2 determinant in more variables and a 4x4 Pfaffian
+        are ``_degree2_terms``' sums of cell products; other Pfaffians, and
+        larger determinants in more variables, are ``_expand``'s Laplace
+        expansion."""
         got = self._memo.get(("terms", pf))
         if got is None:
             n, p = self.size, self.field.char
@@ -392,6 +436,8 @@ class LinearMatrix:
                 raise PreconditionError("pfaffian of a non-alternating matrix")
             if not pf and self.nvars <= _MAX_KRONECKER_VARS:
                 got = _kronecker_det(self._mats, n, p)
+            elif (n, pf) in _DEGREE2_PRODUCTS:
+                got = _degree2_terms(self._mats, _DEGREE2_PRODUCTS[n, pf], p)
             else:
                 width = _width(n, pf)
                 rows = [[[(1 << width * i, mat[j][k]) for i, mat in enumerate(self._mats)

@@ -13,7 +13,7 @@ from k3lab import (GF, QQ, LinearMatrix, NetOfQuadrics, NoSplitMember,
                    invariants, is_split, linalg, projective_points, random_gl,
                    random_sl, sample_point, t_invariant, verify_relation,
                    wedge2_matrix)
-from k3lab import K3LabError, cli, construction
+from k3lab import K3LabError, cli, construction, polymat
 from k3lab.systems import member_at
 from oracles import (boxed_random_gl, boxed_random_sl, form_poly, identity, klein_matrix,
                      member_form, model_form, relation_report, scaled,
@@ -516,6 +516,29 @@ def test_verify_factors_and_checks_each_distinct_base_point_once(monkeypatch, ca
         assert len(calls[name]) == len(distinct), name
     members = Counter(tuple(lam) for _, lam in calls["member_at"])
     assert distinct <= set(members) and max(members.values()) == 1
+
+
+@pytest.mark.parametrize("p", [11, 1009, 2**31 - 1])
+def test_construct_commands_never_expand_by_laplace(p, monkeypatch, capsys):
+    # every det/Pf of a construct op is a Kronecker determinant or the
+    # degree-2 product table: express_as_*'s check, b_coordinates of the
+    # samples and of the transformed matrices, the sampler's member dets
+    calls = {name: 0 for name in ("_expand", "_degree2_terms")}
+    for name in calls:
+        def count(*args, real=getattr(polymat, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(polymat, name, count)
+    for action, system, n in (("verify-pencil", "pencil", "--samples"),
+                              ("verify-net", "net", "--samples"),
+                              ("invariance", "pencil", "--count"),
+                              ("invariance", "net", "--count")):
+        assert cli.main(["construct", action, "--system", f"builtin:{system}-diagonal",
+                         "--p", str(p), n, "6"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("passed", out.get("checked")) == 6
+    assert calls["_expand"] == 0
+    assert calls["_degree2_terms"] > 0
 
 
 @pytest.mark.parametrize("system", [DIAG_PENCIL, DIAG_NET])

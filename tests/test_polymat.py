@@ -410,7 +410,9 @@ def test_kronecker_point_packs_balanced_representatives(monkeypatch):
         assert max(abs(x) for row in points[-1] for x in row) < F.p
 
 
-def test_only_pfaffians_and_dets_in_four_or_more_variables_expand(monkeypatch):
+def test_only_four_by_four_dets_in_four_or_more_variables_expand(monkeypatch):
+    # the 4x4 Pfaffian is the product table's, its det in 1-3 variables
+    # _kronecker_det's; only the det in 4-6 variables is left to _expand
     calls = []
     real = polymat._expand
     monkeypatch.setattr(polymat, "_expand",
@@ -420,7 +422,129 @@ def test_only_pfaffians_and_dets_in_four_or_more_variables_expand(monkeypatch):
         rows = [[rng.randint(-5, 5) for _ in range(nvars)] for _ in range(6)]
         a = klein_matrix(QQ, nvars, rows)
         assert a.pfaffian_poly() ** 2 == a.det_poly()
-    assert calls == [(4, True)] * 3 + [(4, True), (4, False)] * 3
+    assert calls == [(4, False)] * 3
+
+
+# -- degree-2 expansions from the product table --------------------------------
+# det of a 2x2 and Pf of a 4x4 are sums of signed products of two cells; each
+# product adds u_k v_l to the key of x_k x_l, u and v the cells' coefficient
+# columns.  Compared with the Laplace kernel, the route these expansions took
+# before the table, and with the permutation and matching oracles.
+
+TABLE_FIELDS = (QQ, GF(3), GF(5), GF(13), GF(1009), GF(2**31 - 1))
+
+
+def degree2_matrix(rng, field, pf, nvars, density):
+    """A seeded 2x2 linear matrix, or an alternating 4x4 one when ``pf``, in
+    ``nvars`` variables; each free coefficient is drawn with probability
+    ``density`` and is 0 otherwise."""
+    n = 4 if pf else 2
+    mats = []
+    for _ in range(nvars):
+        mat = [[field.zero] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1 if pf else 0, n):
+                if rng.random() < density:
+                    mat[j][k] = rand_coeff(rng, field)
+                if pf:
+                    mat[k][j] = -mat[j][k]
+        mats.append(mat)
+    return LinearMatrix(field, n, nvars, mats)
+
+
+def laplace_terms(a, pf):
+    """det (Pf when ``pf``) of ``a`` through ``_expand``, on entries packed as
+    ``LinearMatrix._terms`` packs them."""
+    n, width = a.size, polymat._width(a.size, pf)
+    rows = [[[(1 << width * i, mat[j][k]) for i, mat in enumerate(a._mats) if mat[j][k]]
+             for k in range(n)] for j in range(n)]
+    return polymat._expand(rows, a.field.char, pf)
+
+
+def table_terms(a, pf):
+    return polymat._degree2_terms(a._mats, polymat._DEGREE2_PRODUCTS[a.size, pf],
+                                  a.field.char)
+
+
+@pytest.mark.parametrize("pf", (False, True))
+@pytest.mark.parametrize("field", TABLE_FIELDS)
+def test_degree2_expansions_match_laplace_and_the_oracles(field, pf):
+    # 0-6 variables, sparse to dense; a 2x2 det in at most three variables
+    # is _kronecker_det's in _terms, so the table is also called directly
+    rng = random.Random(f"degree2/{field}/{pf}")
+    oracle = matching_pfaffian if pf else leibniz_det
+    for nvars in range(7):
+        for density in (0.3, 0.7, 1):
+            for _ in range(4):
+                a = degree2_matrix(rng, field, pf, nvars, density)
+                want = laplace_terms(a, pf)
+                assert table_terms(a, pf) == want
+                assert a._terms(pf) == want
+                got = a.pfaffian_poly() if pf else a.det_poly()
+                assert got == oracle(poly_entries(a))
+
+
+@pytest.mark.parametrize("pf", (False, True))
+@pytest.mark.parametrize("field", TABLE_FIELDS)
+def test_degree2_expansions_that_cancel_are_empty(field, pf):
+    # det [[2L, L], [L, L/2]] and the Pf of Klein coordinates 2L, L, 0, 0,
+    # L, L/2 are 2 L (L/2) - L^2 = 0.  Over GF(p) the coefficients c of L
+    # are odd, so the residues of 2c and c/2 = (c + p)/2 multiply to c^2
+    # plus a nonzero multiple of p: the int sum is nonzero and must reduce
+    # away
+    rng = random.Random(f"degree2-cancel/{field}/{pf}")
+    half = field.one / field.coerce(2)
+    for nvars in range(1, 7):
+        lin = [field.coerce(rng.randrange(1, min(field.p, 99), 2)) if field.char
+               else nonzero_coeff(rng, field) for _ in range(nvars)]
+        cells = ({(0, 1): 2, (0, 2): 1, (1, 3): 1, (2, 3): half} if pf
+                 else {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): half})
+        n = 4 if pf else 2
+        mats = []
+        for c in lin:
+            mat = [[field.zero] * n for _ in range(n)]
+            for (j, k), t in cells.items():
+                mat[j][k] = c * t
+                if pf:
+                    mat[k][j] = -mat[j][k]
+            mats.append(mat)
+        a = LinearMatrix(field, n, nvars, mats)
+        assert table_terms(a, pf) == a._terms(pf) == laplace_terms(a, pf) == {}
+        assert (matching_pfaffian if pf else leibniz_det)(poly_entries(a)).is_zero()
+        if field.char:
+            assert polymat._degree2_terms(a._mats, polymat._DEGREE2_PRODUCTS[n, pf], 0)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS)
+def test_degree2_table_takes_only_its_two_shapes(field, monkeypatch):
+    # one route per shape: 2x2 dets in 4-6 variables and 4x4 Pfaffians take
+    # the table; dets in at most three variables stay on _kronecker_det, and
+    # 2x2 Pfaffians (degree 1), 6x6 Pfaffians and 3x3 dets in 4-6 variables
+    # on _expand
+    calls = []
+    for name in ("_kronecker_det", "_degree2_terms", "_expand"):
+        monkeypatch.setattr(polymat, name, lambda *args, real=getattr(polymat, name),
+                            name=name: calls.append(name) or real(*args))
+    rng = random.Random(f"degree2-dispatch/{field}")
+
+    def route(size, nvars, pf):
+        mats = [[[rand_coeff(rng, field) for _ in range(size)] for _ in range(size)]
+                for _ in range(nvars)]
+        if pf:
+            mats = [[[m[j][k] - m[k][j] for k in range(size)] for j in range(size)]
+                    for m in mats]
+        a = LinearMatrix(field, size, nvars, mats)
+        del calls[:]
+        a.pfaffian_poly() if pf else a.det_poly()
+        return calls
+
+    for nvars in range(7):
+        kronecker = nvars <= polymat._MAX_KRONECKER_VARS
+        assert route(2, nvars, False) == ["_kronecker_det" if kronecker else "_degree2_terms"]
+        assert route(4, nvars, True) == ["_degree2_terms"]
+        assert route(2, nvars, True) == ["_expand"]
+        assert route(6, nvars, True) == ["_expand"]
+        assert route(3, nvars, False) == ["_kronecker_det" if kronecker else "_expand"]
 
 
 # -- the blocks of the Kronecker point -----------------------------------------

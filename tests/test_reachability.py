@@ -107,6 +107,10 @@ ALLOWLIST = {
     "polymat.poly_det": "exported symbolic determinant (README)",
     "polymat.pfaffian": "exported symbolic Pfaffian (README)",
     "polymat._pack": "packs the entries of poly_det and pfaffian",
+    "polymat._expand": "the kernel of the exported poly_det and pfaffian and of "
+                       "expansions above degree 2",
+    "polymat._expand.<locals>.minor": "the kernel of the exported poly_det and pfaffian "
+                                      "and of expansions above degree 2",
     "polymat.LinearMatrix.__init__": "exported: the validating constructor; the "
                                      "package builds its own results by _of_raw",
     "polymat.LinearMatrix.coeff_mats": "exported LinearMatrix API",
@@ -312,7 +316,7 @@ def test_guard_is_not_vacuous(audit):
     if modules != want:
         pytest.fail(f"collected functions from {sorted(modules)}, want {sorted(want)}")
     for name in ("cli.main", "construction.sample_point", "scalars.projective_points",
-                 "cli._Parser.error", "polymat._expand.<locals>.minor"):
+                 "cli._Parser.error", "cli._parse_gram.<locals>.entry"):
         if name not in audit["reached"]:
             pytest.fail(f"{name} should be reached by the command set")
     for name in ("linalg.solve", "quadforms.witt_split"):

@@ -14,7 +14,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from k3lab import (QQ, DegenerateSystem, IntegralLattice, MultiPoly,
+from k3lab import (QQ, DegenerateSystem, IntegralLattice, LinearMatrix, MultiPoly,
                    OverlatticeSpec, PencilOfQuadrics, QuadraticForm, discriminant_poly,
                    k3_lattice, lattice_invariants, net_discriminant, overlattice)
 from k3lab.cli import load_system
@@ -92,6 +92,40 @@ def test_pfaffian_squared_matches_sympy_det():
         pf = _to_sympy(pfaffian(m), xs)
         det = sympy.Matrix(4, 4, lambda i, j: _to_sympy(m[i, j], xs)).det()
         assert sympy.expand(pf * pf - det) == 0
+
+
+def _rand_linear_matrix(rng, n, nvars, alternating=False):
+    """A LinearMatrix over QQ with coefficients of denominators up to 6, and
+    the same matrix in sympy over the symbols x0, x1, ..."""
+    mats = [[[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+             for _ in range(n)] for _ in range(nvars)]
+    if alternating:
+        mats = [[[m[j][k] - m[k][j] for k in range(n)] for j in range(n)] for m in mats]
+    xs = sympy.symbols(f"x0:{nvars}")
+    m = sympy.Matrix(n, n, lambda j, k: sum(
+        sympy.Rational(mat[j][k].numerator, mat[j][k].denominator) * x
+        for mat, x in zip(mats, xs)))
+    return LinearMatrix(QQ, n, nvars, mats), m, xs
+
+
+def test_degree2_det_matches_sympy_det():
+    rng = random.Random(203)
+    for nvars in (4, 5, 6):
+        for _ in range(5):
+            a, m, xs = _rand_linear_matrix(rng, 2, nvars)
+            assert sympy.expand(_to_sympy(a.det_poly(), xs) - m.det()) == 0
+
+
+def test_degree2_pfaffian_matches_sympy_three_term_expansion():
+    rng = random.Random(204)
+    for _ in range(5):
+        a, m, xs = _rand_linear_matrix(rng, 4, 6, alternating=True)
+        pf = _to_sympy(a.pfaffian_poly(), xs)
+        assert sympy.expand(pf - (m[0, 1] * m[2, 3] - m[0, 2] * m[1, 3]
+                                  + m[0, 3] * m[1, 2])) == 0
+        # elimination over QQ[x0, ..., x5]; sympy's default bareiss takes
+        # seconds per matrix here
+        assert sympy.expand(pf * pf - m.det(method="domain-ge")) == 0
 
 
 def test_resultant_matches_sympy_sylvester_det():
