@@ -8,8 +8,8 @@ rigid when that is 0 and a K3 candidate when it is 2.
 ``k3_lattice`` builds the even unimodular lattice of signature (3, 19)
 as U + U + U + E8(-1) + E8(-1).  ``l_zero_sublattice`` carves out the
 vectors pairing with a fixed alpha divisibly by r, and ``overlattice``
-adjoins alpha/r, which stays integral and even precisely because 2*r^2
-divides (alpha^2).
+adjoins alpha/r, which stays integral because 2*r^2 divides (alpha^2),
+and even when the ambient lattice is.
 
 Both Grams are built by congruence, never from ambient basis vectors.  The
 L0 basis comes from at most n unimodular two-column operations on
@@ -434,8 +434,9 @@ class OverlatticeSpec:
 def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     """The lattice generated by L0 and alpha/r inside the rational span.
 
-    Requires 2*r^2 | (alpha^2) (DivisibilityViolation otherwise); the result
-    is verified to be integral and even before it is returned.
+    Requires 2*r^2 | (alpha^2) (DivisibilityViolation otherwise).  The
+    result is verified to be integral, and it is even over an even ambient;
+    an odd result, which only an odd ambient gives, raises PreconditionError.
 
     Computed on integers in L0-coordinates: alpha lies in L0 (r | (alpha^2))
     and alpha/r = c/m there, m = r / gcd(r, coordinates of alpha).  So the
@@ -475,6 +476,6 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
                 raise K3LabError("overlattice Gram is not integral")  # unreachable
             gram[j][k] = gram[k][j] = val
     out = IntegralLattice(gram, label=f"{lat.label or 'L'}+Z(alpha/{r})")
-    if not out.is_even:
-        raise K3LabError("overlattice is not even")  # unreachable under the precondition
+    if not out.is_even:  # v^2 = b^2 mod 2 on L0 + Z(alpha/r): only an odd L0 gets here
+        raise PreconditionError("overlattice is not even: the ambient lattice is odd")
     return _seed_invariants(out, lat, r // gcd(r, *w), m)

@@ -416,6 +416,21 @@ def test_overlattice_divisibility_violation():
         overlattice(OverlatticeSpec(k3, [1, 1] + [0] * 20, 2))
 
 
+@pytest.mark.parametrize("gram, alpha, r", [([[1]], [4], 2), ([[1, 0], [0, 1]], [2, 2], 2),
+                                           ([[3]], [6], 3)])
+def test_overlattice_of_an_odd_ambient_can_be_odd(gram, alpha, r):
+    # (v^2) = (b^2) mod 2 for v = b + k alpha/r, so the overlattice is odd
+    # exactly when L0 is, which takes an odd ambient: a precondition violation
+    with pytest.raises(PreconditionError, match="the ambient lattice is odd"):
+        overlattice(OverlatticeSpec(IntegralLattice(gram), alpha, r))
+
+
+def test_overlattice_of_an_odd_ambient_can_be_even():
+    # <1> + <-1>: L0 is its even sublattice, and L0 + Z(alpha/2) is U
+    out = overlattice(OverlatticeSpec(IntegralLattice([[1, 0], [0, -1]]), [1, 1], 2))
+    assert lattice_invariants(out) == {"rank": 2, "det": -1, "even": True, "signature": (1, 1)}
+
+
 def test_overlattice_norm_of_adjoined_vector():
     # (alpha/r, alpha/r) = alpha^2 / r^2 is an even integer by hypothesis
     rng = random.Random(84)

@@ -6,12 +6,8 @@ generator's code counts only once a line of it runs: CPython fires a call
 event when it closes a generator object that never started, so a function
 that creates and drops a generator would otherwise reach its body.
 The commands are the ``k3lab ...`` lines of README.md's examples (each must
-exit 0), ``construct invariance`` on the builtin pencil (the README runs
-the net), ``lattice overlattice --gram --format text`` on the bundled
-lattice file, ``net cover`` on ``tests/data/net-fractional.json``,
-``bn dim --type II`` (the README shows type III), a pencil over F_3 with no
-split member (the sampler's draws all fail and its sweep runs), a bad flag
-(exit 1) and a composite ``--p`` (exit 2).
+exit 0) and every case of ``tests/data/commands.json`` (each must exit with
+its ``exit``), run in a directory holding its files.
 
 Every ``def`` in the package, found by parsing its source, must be reached
 or named in ``ALLOWLIST`` with a reason.  Methods are named
@@ -28,8 +24,6 @@ import ast
 import contextlib
 import importlib.util
 import inspect
-import io
-import json
 import os
 import shlex
 import sys
@@ -37,12 +31,12 @@ from pathlib import Path
 
 import pytest
 
+import commands
 import k3lab
 from k3lab import cli
 
 SRC = Path(k3lab.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
-FRACTIONAL_NET = str(Path(__file__).parent / "data" / "net-fractional.json")
 # modules that hold only imports, exception classes or a script body
 NO_DEFS = frozenset({"__init__", "__main__", "errors"})
 
@@ -137,29 +131,6 @@ def readme_commands():
             if line.startswith("k3lab ")]
 
 
-def extra_commands(tmp: Path):
-    """(argv, exit code) of the commands beyond the README."""
-    mod3 = tmp / "pencil-no-split-mod-3.json"
-    mod3.write_text(json.dumps({"pencil": [
-        [[int(i == j) * d for j in range(4)] for i, d in enumerate(diag)]
-        for diag in ([1, 2, 1, 1], [1, 2, 2, 2])]}))
-    alpha = ",".join(["1", "4"] + ["0"] * 20)
-    return [
-        (["construct", "invariance", "--system", "builtin:pencil-diagonal",
-          "--p", "11", "--count", "5"], 0),
-        (["lattice", "overlattice", "--lattice", "builtin:k3-lattice", "--alpha", alpha,
-          "--r", "2", "--gram", "--format", "text"], 0),
-        (["net", "cover", "--system", FRACTIONAL_NET], 0),
-        (["bn", "dim", "--type", "II", "--g", "11", "--n", "6"], 0),
-        (["construct", "verify-pencil", "--system", str(mod3), "--p", "3",
-          "--samples", "2"], 2),
-        (["mukai", "dim", "--r", "two", "--l2", "8", "--s", "2"], 1),
-        # GF caches each field it builds, so only a p that is not prime reaches
-        # is_odd_prime whatever ran before
-        (["pencil", "count", "--system", "builtin:pencil-diagonal", "--p", "4095"], 2),
-    ]
-
-
 def collect_defs(src):
     """{(source path, first line of its code object): (name, def line)} for
     every def in the modules of ``src``.  A decorated function's code starts
@@ -229,9 +200,10 @@ def real_keys(codes):
     return {(real[c.co_filename], c.co_firstlineno) for c in codes}
 
 
-def run_traced(commands):
-    """Run each argv through ``cli.main`` inside ``reached_code``: (exit
-    codes, {(real source path, first line)} of the code that ran)."""
+def run_traced(cases):
+    """Run each case (its ``argv`` and ``files``) through ``cli.main`` inside
+    ``reached_code``: (exit codes, {(real source path, first line)} of the
+    code that ran)."""
     # memoized functions (build_parser, the builtin K3 lattice, the Witt
     # targets) must run their bodies inside the traced window, whatever
     # other tests ran before
@@ -241,23 +213,21 @@ def run_traced(commands):
                 obj.cache_clear()
     codes = []
     with reached_code() as seen:
-        for argv in commands:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                codes.append(cli.main(argv))
+        for case in cases:
+            codes.append(commands.run_in_process(cli.main, case)[0])
     return codes, real_keys(seen)
 
 
 @pytest.fixture(scope="module")
-def audit(tmp_path_factory):
+def audit():
     readme = readme_commands()
-    extra = extra_commands(tmp_path_factory.mktemp("reach"))
+    table = commands.load()
     previous = sys.gettrace()
-    codes, reached = run_traced(readme + [argv for argv, _ in extra])
+    codes, reached = run_traced([{"argv": argv} for argv in readme] + table)
     defs = collect_defs(SRC)
     return {
         "readme": list(zip(readme, codes)),
-        "extra": [(argv, want, got) for (argv, want), got in zip(extra, codes[len(readme):])],
+        "table": list(zip(table, codes[len(readme):])),
         "defs": defs,
         "reached": {name for key, (name, _) in defs.items() if key in reached},
         "trace_restored": sys.gettrace() is previous,
@@ -277,8 +247,9 @@ def test_readme_commands_exit_zero(audit):
 
 
 def test_extra_commands_exit_codes(audit):
-    bad = [f"k3lab {shlex.join(argv)} -> exit {got}, want {want}"
-           for argv, want, got in audit["extra"] if got != want]
+    # every case of the command table exits with its exit code
+    bad = [f"{case['id']}: k3lab {shlex.join(case['argv'])} -> exit {got}, want {case['exit']}"
+           for case, got in audit["table"] if got != case["exit"]]
     if bad:
         pytest.fail("\n".join(bad))
 
