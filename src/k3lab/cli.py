@@ -67,14 +67,14 @@ def _builtin_text(name: str) -> str:
 
 
 def _read_json(path: str):
-    if path in _BUILTIN_FILES:
-        text = _builtin_text(_BUILTIN_FILES[path])
-    else:
-        try:
+    try:
+        if path in _BUILTIN_FILES:  # a wheel built without its data files lands here
+            text = _builtin_text(_BUILTIN_FILES[path])
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise CLIParseError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:
+        raise CLIParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -217,12 +217,16 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_int_list(text: str, what: str):
-    """A comma-separated list of integers, each as ``_parse_int`` reads it;
-    the empty string is the empty list."""
-    try:
-        return [_parse_int(x) for x in text.split(",")] if text else []
-    except argparse.ArgumentTypeError as exc:
-        raise CLIParseError(f"bad {what} list {text!r}") from exc
+    """A comma-separated list of integers, each as ``_parse_int`` reads it:
+    every item is checked against ``_INT``, then all are converted; the
+    empty string is the empty list."""
+    parts = text.split(",") if text else []
+    if all(map(_INT.fullmatch, parts)):
+        try:
+            return list(map(int, parts))
+        except ValueError:  # beyond Python's int-string conversion limit
+            pass
+    raise CLIParseError(f"bad {what} list {text!r}")
 
 
 def _jsonable(x):

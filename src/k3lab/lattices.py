@@ -13,12 +13,16 @@ and even when the ambient lattice is.
 
 Both Grams are built by congruence, never from ambient basis vectors.  The
 L0 basis comes from at most n unimodular two-column operations on
-[alpha G | r] (Cohen, GTM 138, section 2.4); applying each one to the rows
-and the columns of G + [0] gives the Gram of that basis in O(n) per
-operation.  The overlattice's Hermite basis S in L0-coordinates is the row
-HNF of the stack [m*I ; c], which ``_stack_hnf`` reduces with one running
-row: S is m*I with a few rows replaced by dense ones (one for prime m).  Its
-Gram S G0 S^T / m^2 is G0 bordered at those rows, one row product each.
+[alpha G | r] (Cohen, GTM 138, section 2.4).  Each one runs once over the
+rows of G + [0], on its two columns; by symmetry the two changed rows are
+those columns read back, fixed at their two positions, so the Gram of that
+basis costs O(n) per operation.  The overlattice's Hermite basis S in
+L0-coordinates is the row HNF of the stack [m*I ; c], which ``_stack_hnf``
+reduces with one running row: S is m*I with a few rows replaced by dense
+ones (one for prime m).  Its Gram S G0 S^T / m^2 is G0 bordered at those
+rows, one row product each.  Every product of a vector with a Gram, alpha G
+as well, is ``_gram_product``: G is symmetric, so v G = G v is one dot
+product per row.
 
 Determinant and signature of a lattice given by its Gram are read off the
 pivots of the package's one symmetric elimination, ``linalg.int_congruence``
@@ -113,7 +117,7 @@ class IntegralLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def pairing(self, u, v) -> int:
-        return sum(map(mul, _combination(u, self.gram), v))
+        return sum(map(mul, _gram_product(self.gram, u), v))
 
     def norm(self, v) -> int:
         return self.pairing(v, v)
@@ -213,13 +217,10 @@ def _seed_invariants(out: IntegralLattice, lat: IntegralLattice, num: int,
     return out
 
 
-def _combination(row, mat):
-    """The product row . mat: the rows of mat added up at nonzero entries."""
-    acc = [0] * (len(mat[0]) if mat else 0)
-    for x, mrow in zip(row, mat):
-        if x:
-            acc = [a + x * y for a, y in zip(acc, mrow)]
-    return acc
+def _gram_product(gram, v):
+    """The product v . G = G . v of a vector and a symmetric matrix: one
+    dot product per row of G."""
+    return [sum(map(mul, row, v)) for row in gram]
 
 
 def hnf_row_basis(rows):
@@ -337,20 +338,25 @@ def _kernel_of_functional_mod(w, r: int):
 def _kernel_gram(gram, ops):
     """Gram matrix of the ``_kernel_of_functional_mod`` basis, U^T (G + [0]) U.
 
-    Each column operation of ``ops`` acts on the columns and then on the
-    rows of G extended by a zero row and column, which stand for the
-    auxiliary coordinate of [w | r]; that coordinate adds nothing to a
-    pairing, so dropping index 0 (the gcd column) leaves the Gram of
-    columns 1..n.  O(n) per operation, no ambient vectors.
+    G is extended by a zero row and column, which stand for the auxiliary
+    coordinate of [w | r]; that coordinate adds nothing to a pairing, so
+    dropping index 0 (the gcd column) leaves the Gram of columns 1..n.  Each
+    column operation E of ``ops`` runs once over the rows, taking A to A E.
+    E^T A E is symmetric, so its rows 0 and i are its columns 0 and i: the
+    columns 0 and i of A E, read back as rows, with the same 2x2 operation
+    applied at their positions 0 and i.  The other rows are those of A E.
+    O(n) per operation, no ambient vectors.
     """
     a = [list(row) + [0] for row in gram]
     a.append([0] * (len(a) + 1))
     for i, s, t, a0, ai in ops:
         for row in a:
             row[0], row[i] = s * row[0] + t * row[i], a0 * row[i] - ai * row[0]
-        row_0, row_i = a[0], a[i]
-        a[0] = [s * x + t * y for x, y in zip(row_0, row_i)]
-        a[i] = [a0 * y - ai * x for x, y in zip(row_0, row_i)]
+        col_0 = [row[0] for row in a]
+        col_i = [row[i] for row in a]
+        for col in (col_0, col_i):
+            col[0], col[i] = s * col[0] + t * col[i], a0 * col[i] - ai * col[0]
+        a[0], a[i] = col_0, col_i
     return [row[1:] for row in a[1:]]
 
 
@@ -378,7 +384,7 @@ def l_zero_sublattice(lat: IntegralLattice, alpha, r: int) -> IntegralLattice:
     mod r."""
     alpha = _checked_alpha(lat, alpha)
     _checked_r(r, 1)
-    w = _combination(alpha, lat.gram)
+    w = _gram_product(lat.gram, alpha)
     gram = _kernel_gram(lat.gram, _column_ops(w, r))
     out = IntegralLattice(gram, label=f"L0({lat.label or 'L'}; r={r})")
     return _seed_invariants(out, lat, r // gcd(r, *w), 1)
@@ -388,7 +394,7 @@ def l_zero_basis(lat: IntegralLattice, alpha, r: int):
     """Column basis vectors of the sublattice, in the ambient coordinates."""
     alpha = _checked_alpha(lat, alpha)
     _checked_r(r, 1)
-    return _kernel_of_functional_mod(_combination(alpha, lat.gram), r)
+    return _kernel_of_functional_mod(_gram_product(lat.gram, alpha), r)
 
 
 def _checked_alpha(lat: IntegralLattice, alpha) -> tuple:
@@ -452,7 +458,7 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     ([L : L0] / m)^2, [L : L0] = r / gcd(r, alpha G) and m = [M : L0].
     """
     lat, alpha, r = spec.lattice, spec.alpha, spec.r
-    w = _combination(alpha, lat.gram)
+    w = _gram_product(lat.gram, alpha)
     alpha_sq = sum(map(mul, w, alpha))
     if alpha_sq % (2 * r * r):
         raise DivisibilityViolation(
@@ -466,7 +472,7 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     for j, row in enumerate(rows):
         if row is None:
             continue
-        u = _combination(row, g0)
+        u = _gram_product(g0, row)
         for k, other in enumerate(rows):
             if other is None:
                 val, rem = divmod(u[k], m)

@@ -4,7 +4,8 @@ Every case runs through ``cli.main`` in a fresh directory holding its
 files, one test per case.  The other tests check the table (well formed,
 the README's examples, the content of the former golden files) and its
 runner ``commands.py``: a changed byte, a malformed case, the choice-list
-rule, command mode and a package without its data files.  Every check
+rule, command mode and a package without its data files, which in
+process turns every builtin: case into one parse error line.  Every check
 fails through ``pytest.fail``, so it also holds under ``python -O``.
 """
 
@@ -206,3 +207,25 @@ def test_a_package_without_its_data_files_fails(tmp_path, monkeypatch, capsys):
     code, out = run_command_mode([sys.executable, "-m", "k3lab"], cases, tmp_path, capsys)
     if code != 1 or "FAIL readme-pencil-disc" not in out or "FAIL overlattice-uu" in out:
         pytest.fail(f"exit {code}:\n{out}")
+
+
+def test_missing_bundled_data_is_a_parse_error(monkeypatch):
+    # a builtin: file that cannot be read (a wheel without data/*.json) is
+    # one "parse error" line and exit 1, never a traceback; a case that
+    # fails its parse before it reads the file keeps its own error
+    def unreadable(name):
+        raise FileNotFoundError(f"no such file: {name!r}")
+
+    monkeypatch.setattr(cli, "_builtin_text", unreadable)
+    cli._bundled_lattice.cache_clear()
+    builtin = [case for case in CASES if any("builtin:" in token for token in case["argv"])]
+    problems = [] if builtin else ["no case names a builtin: file"]
+    for case in builtin:
+        code, out, err = commands.run_in_process(cli.main, case)
+        own_error = case["exit"] == 1 and not commands.mismatches(case, (code, out, err))
+        read_error = code == 1 and not out and re.fullmatch(
+            r"k3lab: parse error: cannot read builtin:[a-z0-9-]+: no such file: [^\n]*\n", err)
+        if not (own_error or read_error):
+            problems.append(f"{case['id']}: exit {code}, stdout {out!r}, stderr {err!r}")
+    cli._bundled_lattice.cache_clear()
+    fail_on(problems)

@@ -11,8 +11,9 @@ from k3lab import (DivisibilityViolation, IntegralLattice, MukaiVector,
                    k3_lattice, l_zero_sublattice, lattice_invariants,
                    moduli_dim, overlattice)
 from k3lab import MultiPoly, QQ, linalg
-from k3lab.lattices import (_column_ops, _kernel_coordinates, _stack_hnf,
-                            e8_gram, hnf_row_basis, l_zero_basis)
+from k3lab.lattices import (_column_ops, _kernel_coordinates, _kernel_gram,
+                            _kernel_of_functional_mod, _stack_hnf, _xgcd, e8_gram,
+                            hnf_row_basis, l_zero_basis)
 from oracles import (block_sum, cofactor_det, dense_overlattice_gram,
                      dense_row_block_sums, fraction_invariants, gram_of, leibniz_det,
                      scalar_leibniz_det,
@@ -354,6 +355,71 @@ def test_alpha_coordinates_in_the_l_zero_basis():
         coords = _kernel_coordinates(_column_ops(w, r), alpha + [aux])
         assert [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(22)] == alpha
         done += 1
+
+
+def _gcd_chain(w, r):
+    """The running gcds g that ``_column_ops(w, r)`` leaves in column 0, one
+    per operation, signed as ``_xgcd`` returns them."""
+    chain, v0 = [], w[0]
+    for vi in list(w[1:]) + [r]:
+        if vi:
+            v0 = _xgcd(v0, vi)[0]
+            chain.append(v0)
+    return chain
+
+
+def _kernel_gram_cases():
+    """(gram, w, r) on seeded symmetric Grams of rank 1..9, odd, indefinite
+    and degenerate ones among them, with w drawn in five shapes: dense,
+    w[0] = 0, zeros inside w, all of w divisible by 6 with r = 12, and r = 1."""
+    rng = random.Random(133)
+    cases = []
+    for k in range(300):
+        n = 1 + k % 9
+        gram = _random_symmetric(rng, n, 5, zero_diagonal_share=0.2)
+        if k % 4 == 3:
+            gram = _make_degenerate(rng, gram)
+        shape = k % 5
+        w = [rng.randint(-9, 9) for _ in range(n)]
+        r = rng.choice((2, 3, 4, 5, 6, 12))
+        if shape == 1:
+            w[0] = 0
+        elif shape == 2:
+            w = [x if rng.random() < 0.5 else 0 for x in w]
+        elif shape == 3:
+            w, r = [6 * rng.randint(-3, 3) for _ in range(n)], 12
+        elif shape == 4:
+            r = 1
+        cases.append((gram, w, r))
+    return cases
+
+
+def test_kernel_gram_against_dense_products():
+    # the congruence U^T (G + [0]) U of _kernel_gram equals the Gram of the
+    # kernel basis taken by dense products, on every shape of w and r
+    cases = _kernel_gram_cases()
+    wrong = [(gram, w, r) for gram, w, r in cases
+             if _kernel_gram(gram, _column_ops(w, r))
+             != gram_of(gram, _kernel_of_functional_mod(w, r))]
+    if wrong:
+        pytest.fail(f"{len(wrong)} of {len(cases)} differ, first {wrong[0]}")
+    lats = [IntegralLattice(gram) for gram, _, _ in cases]
+    chains = [_gcd_chain(w, r) for _, w, r in cases]
+    covered = {
+        "w[0] = 0": any(w[0] == 0 and any(w) for _, w, _ in cases),
+        "zeros inside w": any(0 in w[1:] and any(w[1:]) for _, w, _ in cases),
+        "r = 1": any(r == 1 for _, _, r in cases),
+        "|g| > 1 for three operations running": any(
+            all(abs(g) > 1 for g in chain[j:j + 3])
+            for chain in chains for j in range(len(chain) - 2)),
+        "a negative g": any(g < 0 for chain in chains for g in chain),
+        "an odd Gram": any(not lat.is_even for lat in lats),
+        "an indefinite Gram": any(lat.signature() and min(lat.signature()) for lat in lats),
+        "a degenerate Gram": any(lat.det == 0 for lat in lats),
+    }
+    missing = [what for what, seen in covered.items() if not seen]
+    if missing:
+        pytest.fail(f"no case with {missing}")
 
 
 def test_l_zero_det_index_formula():
