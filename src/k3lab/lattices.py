@@ -42,7 +42,7 @@ from math import gcd
 from operator import mul
 
 from . import linalg
-from .errors import DivisibilityViolation, K3LabError, PreconditionError
+from .errors import DivisibilityViolation, PreconditionError, VerificationFailure
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,16 @@ class IntegralLattice:
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_det_sig", None)
+
+    @classmethod
+    def _of_gram(cls, rows, label: str, det_sig) -> "IntegralLattice":
+        """The package's own int Gram and its (det, signature), wrapped unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rank", len(rows))
+        object.__setattr__(out, "gram", tuple(map(tuple, rows)))
+        object.__setattr__(out, "label", label)
+        object.__setattr__(out, "_det_sig", det_sig)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("IntegralLattice is immutable")
@@ -201,20 +211,6 @@ def _det_and_signature(gram):
         return 0, None
     neg = sum((pk > 0) != (prev > 0) for prev, pk in zip([1] + pivots, pivots))
     return (pivots[-1] if pivots else 1), (len(pivots) - neg, neg)
-
-
-def _seed_invariants(out: IntegralLattice, lat: IntegralLattice, num: int,
-                     den: int) -> IntegralLattice:
-    """``out``, which spans ``lat`` over QQ with [lat : out] = num / den,
-    given the invariants of ``lat`` scaled by that index: det lat *
-    (num / den)^2 and the signature of ``lat``; (0, None) when ``lat`` is
-    degenerate."""
-    det, sig = lat._invariants()
-    det, rem = divmod(det * num * num, den * den)
-    if rem:
-        raise K3LabError("index does not divide the determinant")  # unreachable
-    object.__setattr__(out, "_det_sig", (det, sig))
-    return out
 
 
 def _gram_product(gram, v):
@@ -367,8 +363,8 @@ def _kernel_coordinates(ops, y):
     y = list(y)
     for i, s, t, a0, ai in ops:
         y[0], y[i] = a0 * y[0] + ai * y[i], s * y[i] - t * y[0]
-    if y[0]:
-        raise K3LabError("vector is not in the kernel")  # unreachable
+    if y[0]:  # columns 1..n of U span the kernel of [w | r], so a kernel y has y[0] = 0
+        raise VerificationFailure("vector is not in the kernel")
     return y[1:]
 
 
@@ -381,13 +377,13 @@ def l_zero_sublattice(lat: IntegralLattice, alpha, r: int) -> IntegralLattice:
     in the basis ``l_zero_basis`` returns.  Its det and signature are the
     ambient's (memoized), with det scaled by [L : L0]^2, where [L : L0] =
     r / gcd(r, alpha G) is the order of the image of beta -> (beta . alpha)
-    mod r."""
+    mod r; (0, None) when the ambient is degenerate."""
     alpha = _checked_alpha(lat, alpha)
     _checked_r(r, 1)
     w = _gram_product(lat.gram, alpha)
     gram = _kernel_gram(lat.gram, _column_ops(w, r))
-    out = IntegralLattice(gram, label=f"L0({lat.label or 'L'}; r={r})")
-    return _seed_invariants(out, lat, r // gcd(r, *w), 1)
+    det = lat.det * (r // gcd(r, *w)) ** 2
+    return IntegralLattice._of_gram(gram, f"L0({lat.label or 'L'}; r={r})", (det, lat.signature()))
 
 
 def l_zero_basis(lat: IntegralLattice, alpha, r: int):
@@ -441,8 +437,9 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
     """The lattice generated by L0 and alpha/r inside the rational span.
 
     Requires 2*r^2 | (alpha^2) (DivisibilityViolation otherwise).  The
-    result is verified to be integral, and it is even over an even ambient;
-    an odd result, which only an odd ambient gives, raises PreconditionError.
+    result and its det are verified integral (VerificationFailure otherwise),
+    and it is even over an even ambient; an odd result, which only an odd
+    ambient gives, raises PreconditionError.
 
     Computed on integers in L0-coordinates: alpha lies in L0 (r | (alpha^2))
     and alpha/r = c/m there, m = r / gcd(r, coordinates of alpha).  So the
@@ -478,10 +475,13 @@ def overlattice(spec: OverlatticeSpec) -> IntegralLattice:
                 val, rem = divmod(u[k], m)
             else:
                 val, rem = divmod(sum(map(mul, u, other)), m * m)
-            if rem:
-                raise K3LabError("overlattice Gram is not integral")  # unreachable
+            if rem:  # S G0 S^T is divisible by m^2: M is integral as 2 r^2 | (alpha^2)
+                raise VerificationFailure("overlattice Gram is not integral")
             gram[j][k] = gram[k][j] = val
-    out = IntegralLattice(gram, label=f"{lat.label or 'L'}+Z(alpha/{r})")
+    det, rem = divmod(lat.det * (r // gcd(r, *w)) ** 2, m * m)
+    if rem:  # det M = det L * ([L : L0] / [M : L0])^2 is the det of an int Gram
+        raise VerificationFailure("index does not divide the determinant")
+    out = IntegralLattice._of_gram(gram, f"{lat.label or 'L'}+Z(alpha/{r})", (det, lat.signature()))
     if not out.is_even:  # v^2 = b^2 mod 2 on L0 + Z(alpha/r): only an odd L0 gets here
         raise PreconditionError("overlattice is not even: the ambient lattice is odd")
-    return _seed_invariants(out, lat, r // gcd(r, *w), m)
+    return out

@@ -31,10 +31,11 @@ variables, one algorithm per shape.  The packed expansions are
 memoized and are what the package checks against: ``quadforms``
 compares det/Pf with a form's ``quadratic_terms`` and ``construction``
 solves for span coordinates on them, all on ints (disc(B) is a member's
-determinant, not an expansion).  ``det_poly`` and ``pfaffian_poly`` only
-box them.  Its transforms multiply the raw rows: ``left_right_transform``
-by g and h^T, ``congruence_transform`` the Klein coordinates of an
-alternating matrix by wedge^2 g (``linalg.int_wedge2``).
+determinant, not an expansion), and ``systems`` reads both branch forms
+off them as ``univar``'s plane rows (``_det_rows``).  ``det_poly`` and
+``pfaffian_poly`` only box them.  The transforms multiply raw rows:
+``left_right_transform`` by g and h^T, ``congruence_transform`` the Klein
+coordinates of an alternating matrix by wedge^2 g (``linalg.int_wedge2``).
 """
 
 from __future__ import annotations
@@ -367,9 +368,8 @@ class LinearMatrix:
     alternating, as computed from them.  The instance is immutable, so
     ``_memo`` keeps what is derived from it: the packed det and Pfaffian
     expansions (``_terms``), their boxed polynomials, the boxed
-    ``coeff_mats``, the invariants ``construction.invariants`` derived
-    against one system, and a pencil's branch quartic
-    (``systems.pencil_discriminant``).
+    ``coeff_mats``, and what the modules above derive from it against one
+    system.
     """
 
     __slots__ = ("field", "size", "nvars", "alternating", "_mats", "_scale", "_memo")
@@ -449,6 +449,23 @@ class LinearMatrix:
     def _denom(self, pf: bool) -> int:
         """The denominator of ``_terms(pf)``: scale ** degree (1 over GF(p))."""
         return self._scale ** (self.size // 2 if pf else self.size)
+
+    def _det_rows(self):
+        """(rows, D): D * det A(x) in at most three variables as ``univar``'s
+        plane rows, with D = ``_denom(False)`` over its gcd with the terms,
+        the lcm of the coefficients' denominators that ``univar.plane_rows``
+        takes; (None, 1) when det A(x) = 0.  Not memoized; ``_terms`` is."""
+        terms = self._terms(False)
+        if not terms:
+            return None, 1
+        d, width, denom = self.size, _width(self.size, False), self._denom(False)
+        g = math.gcd(denom, *terms.values())
+        mask = (1 << width) - 1
+        rows = [[0] * (d + 1 - k) for k in range(d + 1)]
+        # the key of x0^e0 x1^e1 x2^e2 is e0 + (e1 << width) + (e2 << 2 width)
+        for key, c in terms.items():
+            rows[key >> width & mask][key >> 2 * width] = c // g
+        return rows, denom // g
 
     def _poly(self, pf: bool) -> MultiPoly:
         """``_terms(pf)`` boxed as a MultiPoly, memoized."""

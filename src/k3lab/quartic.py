@@ -47,12 +47,6 @@ class BinaryQuartic:
     def __setattr__(self, *a):
         raise AttributeError("BinaryQuartic is immutable")
 
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "BinaryQuartic":
-        if p.nvars != 2 or not p.is_homogeneous(4):
-            raise PreconditionError("expected a homogeneous binary quartic")
-        return cls([p.coeff((4 - k, k)) for k in range(5)], p.field)
-
     def to_poly(self) -> MultiPoly:
         return MultiPoly(self.field, 2,
                          {(4 - k, k): c for k, c in enumerate(self.coeffs)})

@@ -9,11 +9,12 @@ sextic on the net's P^2.  The double cover tau^2 = disc is the object of
 interest in both cases; smoothness of its branch is decided exactly for
 quartics (discriminant nonzero) and probed over small finite fields for
 sextics, along the lines of P^2(F_p) that the pencil count sweeps too.
+Both are read as ints off the packed determinant (``_det_rows``); a
+command boxes one as a polynomial only to print it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -23,7 +24,7 @@ from typing import Optional
 from .errors import (BadPrime, BadReduction, DegenerateSystem, FieldMismatch,
                      PreconditionError)
 from .poly import MultiPoly, poly_to_text
-from .polymat import LinearMatrix, _width, quadratic_terms
+from .polymat import LinearMatrix, quadratic_terms
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
 from .scalars import GF, QQ, chi_mod
@@ -33,10 +34,10 @@ from .univar import (common_roots, coprime_to_derivative, deriv, first_root, gcd
 from . import linalg
 
 DEFAULT_PROBE_PRIMES = (7, 11, 13)
-# The largest prime the sweeps of P^2(F_p) (count_points, sextic_smoothness_probe)
-# accept.  A pencil count costs O(p^2) int operations per prime: a dense one
-# at p = 4093 takes 4-5.5 s on a shared 2-CPU host (CPython 3.11.7).  The
-# probe costs O(p) line tests: a dense net at p = 4093 takes 0.03-0.05 s there.
+# The largest prime count_points and the two probes sweep P^2(F_p) at.  A pencil
+# count costs O(p^2) int operations per prime: a dense one at p = 4093 takes
+# 4-5.5 s on a shared 2-CPU host (CPython 3.11.7).  The probe costs O(p) line
+# tests: a dense net at p = 4093 takes 0.03-0.05 s there.
 MAX_SWEEP_PRIME = 4093
 
 
@@ -188,15 +189,17 @@ def span_rows(system):
 
 def pencil_discriminant(pencil: PencilOfQuadrics) -> BinaryQuartic:
     """The branch quartic det(l1*G1 + l2*G2); vanishes at the singular members.
-    Memoized with ``member_matrix``, so a pencil has one branch quartic and
-    its invariants are computed once."""
-    memo = member_matrix(pencil)._memo
-    branch = memo.get("branch")
+    Read off ``member_matrix(pencil)._det_rows()`` (column 0) and memoized
+    with it, so a pencil has one branch quartic and its invariants are
+    computed once.  DegenerateSystem when it vanishes identically."""
+    a = member_matrix(pencil)
+    branch = a._memo.get("branch")
     if branch is None:
-        d = discriminant_poly(pencil)
-        if d.is_zero():
+        rows, scale = a._det_rows()
+        if rows is None:
             raise DegenerateSystem("pencil discriminant vanishes identically")
-        branch = memo["branch"] = BinaryQuartic.from_poly(d)
+        branch = a._memo["branch"] = BinaryQuartic(
+            [Fraction(row[0], scale) for row in rows], pencil.field)
     return branch
 
 
@@ -243,8 +246,9 @@ def pic2_double_cover(pencil: PencilOfQuadrics) -> DoubleCoverDescriptor:
 
     Smooth exactly when the branch quartic has four distinct roots.
     """
-    status = "smooth" if pencil_discriminant(pencil).is_squarefree() else "singular"
-    return DoubleCoverDescriptor(1, discriminant_poly(pencil), CoverVerdict(status))
+    branch = pencil_discriminant(pencil)
+    status = "smooth" if branch.is_squarefree() else "singular"
+    return DoubleCoverDescriptor(1, branch.to_poly(), CoverVerdict(status))
 
 
 def jacobian_j_invariant(pencil: PencilOfQuadrics):
@@ -295,9 +299,6 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
     often shows on one of the first lines (a net with many F_p-singular
     points has one there).
 
-    ``net_smoothness_probe`` runs the same sweep on a net's branch sextic
-    without boxing it.
-
     A witness certifies that the reduction mod p is singular; without one
     the verdict is 'probably-smooth' for the probed primes.  The primes
     must be nonempty (PreconditionError) and each at most MAX_SWEEP_PRIME
@@ -310,25 +311,13 @@ def sextic_smoothness_probe(f: MultiPoly, primes) -> CoverVerdict:
 
 
 def net_smoothness_probe(net: NetOfQuadrics, primes=DEFAULT_PROBE_PRIMES) -> CoverVerdict:
-    """``sextic_smoothness_probe`` of the net's branch sextic, without boxing
-    it: the plane rows are the packed determinant of ``member_matrix``
-    (``_terms(False)``) and the scale its ``_denom(False)``, both divided by
-    their gcd, which are the rows and scale ``plane_rows`` derives from the
-    boxed sextic.  DegenerateSystem when the discriminant vanishes
-    identically."""
-    a = member_matrix(net)
-    terms = a._terms(False)
-    if not terms:
+    """``sextic_smoothness_probe`` of the net's branch sextic, unboxed: on the
+    plane rows of ``member_matrix(net)._det_rows()``.  DegenerateSystem when
+    the discriminant vanishes identically."""
+    rows, scale = member_matrix(net)._det_rows()
+    if rows is None:
         raise DegenerateSystem("net discriminant vanishes identically")
-    denom = a._denom(False)
-    g = math.gcd(denom, *terms.values())
-    d, width = a.size, _width(a.size, False)
-    mask = (1 << width) - 1
-    rows = [[0] * (d + 1 - k) for k in range(d + 1)]
-    # the key of x0^e0 x1^e1 x2^e2 is e0 + (e1 << width) + (e2 << 2 width)
-    for key, c in terms.items():
-        rows[key >> width & mask][key >> 2 * width] = c // g
-    return _probe_rows(rows, denom // g, net.field.char, primes)
+    return _probe_rows(rows, scale, net.field.char, primes)
 
 
 def _probe_rows(rows, scale, char, primes) -> CoverVerdict:

@@ -30,8 +30,8 @@ PINS = {
 }
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def load_workloads():
+    """``bench/workloads.py`` as a module, loaded without writing bytecode."""
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -42,6 +42,11 @@ def workloads():
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_workloads()
 
 
 def test_every_workload_is_pinned(workloads):

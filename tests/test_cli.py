@@ -102,6 +102,35 @@ NET_DIAGONAL_BRANCH = (
     "10200*x0*x1^3*x2^2 + 27000*x0*x1^2*x2^3 + 32880*x0*x1*x2^4 + 14400*x0*x2^5")
 
 
+FRACTIONAL_PENCIL = {"pencil": [
+    [["1/3", 0, "1/2", 0], [0, "-5/4", 0, 1], ["1/2", 0, 2, 0], [0, 1, 0, "7/2"]],
+    [[1, "2/3", 0, 0], ["2/3", 0, 0, "1/2"], [0, 0, "-5/4", 1], [0, "1/2", 1, 3]]]}
+
+
+def test_branch_commands_read_the_packed_determinant(tmp_path, capsys, monkeypatch):
+    # the pencil commands read the branch quartic, and net probe the branch
+    # sextic, off the packed determinant: no det_poly and no boxed expansion
+    # (disc and cover print the quartic from its coefficients)
+    from k3lab import polymat
+    from k3lab.polymat import LinearMatrix
+
+    path = tmp_path / "pencil-fractional.json"
+    path.write_text(json.dumps(FRACTIONAL_PENCIL), encoding="utf-8")
+    calls = []
+    box_terms, det_poly = polymat._box_terms, LinearMatrix.det_poly
+    monkeypatch.setattr(polymat, "_box_terms",
+                        lambda *a: calls.append("_box_terms") or box_terms(*a))
+    monkeypatch.setattr(LinearMatrix, "det_poly",
+                        lambda self: calls.append("det_poly") or det_poly(self))
+    argvs = [("pencil", action, "--system", system, *extra)
+             for system in ("builtin:pencil-diagonal", str(path))
+             for action, *extra in (("disc",), ("jinv",), ("cover",), ("count", "--p", "7"))]
+    argvs.append(("net", "probe", "--system", "builtin:net-diagonal", "--primes", "7"))
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert (code, err, calls) == (0, "", []), argv
+
+
 def test_net_probe_boxes_no_polynomial(capsys, monkeypatch):
     # `net probe` reads its plane rows off the packed determinant; `net disc`
     # and `net cover` print the sextic, so they still box it, with the bytes
@@ -779,6 +808,56 @@ def test_exit_code_verification_failure_raised_in_the_library(capsys, monkeypatc
                "--p", "13", "--samples", "2") == (
         3, "", "k3lab: verification failed: witt_split: the isometry does not reach "
                "the split normal form\n")
+
+
+def _corrupt_first_column_op(column_ops):
+    def corrupted(w, r):
+        (i, s, t, a0, ai), *rest = column_ops(w, r)
+        return [(i, s, t, a0 + 1, ai), *rest]
+    return corrupted
+
+
+def _bump_first_entry(kernel_gram):
+    def bumped(gram, ops):
+        out = kernel_gram(gram, ops)
+        out[0][0] += 1
+        return out
+    return bumped
+
+
+# (name patched in lattices, its replacement, the message, ambient Gram file or
+# None for the K3 lattice, alpha, r); 2 r^2 | (alpha^2) in each case
+LATTICE_IDENTITIES = [
+    ("_column_ops", _corrupt_first_column_op, "vector is not in the kernel",
+     None, (1, 4) + (0,) * 20, 2),
+    ("_kernel_gram", _bump_first_entry, "overlattice Gram is not integral",
+     None, (1, 4) + (0,) * 20, 2),
+    # <8> with alpha = e, r = 2: [L : L0] = 1 and [M : L0] = 2, so det M =
+    # det L / 4, which a wrong ambient det 1 does not divide
+    ("_det_and_signature", lambda real: lambda gram: (1, (1, 0)),
+     "index does not divide the determinant", [[8]], (1,), 2),
+]
+
+
+@pytest.mark.parametrize("name, patch, message, gram, alpha, r", LATTICE_IDENTITIES,
+                         ids=[case[0] for case in LATTICE_IDENTITIES])
+def test_exit_code_lattice_identity_failure(tmp_path, capsys, monkeypatch,
+                                            name, patch, message, gram, alpha, r):
+    # an exact identity checked inside overlattice is a verification failure
+    # (exit 3), not a precondition violation of the input
+    from k3lab import IntegralLattice, VerificationFailure
+
+    argv = ["lattice", "overlattice", "--alpha=" + ",".join(map(str, alpha)), "--r", str(r)]
+    ambient = lattices.k3_lattice()
+    if gram is not None:
+        path = tmp_path / "ambient.json"
+        path.write_text(json.dumps({"gram": gram}), encoding="utf-8")
+        argv += ["--lattice", str(path)]
+        ambient = IntegralLattice(gram)
+    monkeypatch.setattr(lattices, name, patch(getattr(lattices, name)))
+    assert run(capsys, *argv) == (3, "", f"k3lab: verification failed: {message}\n")
+    with pytest.raises(VerificationFailure, match=f"^{message}$"):
+        lattices.overlattice(lattices.OverlatticeSpec(ambient, alpha, r))
 
 
 def test_exit_code_invariance_failure_prints_its_report(capsys, monkeypatch):

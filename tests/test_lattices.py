@@ -693,6 +693,36 @@ def test_overlattice_and_l_zero_grams_match_dense_ambient_products():
     assert most_dense >= 2  # the Gram pairs two dense Hermite rows
 
 
+def test_overlattice_and_l_zero_wrap_their_own_grams():
+    # overlattice and l_zero_sublattice build int, symmetric Grams and take
+    # det and signature from the ambient, so they wrap them by _of_gram and
+    # never run the validating constructor; what they return is what that
+    # constructor makes of the same Gram and label, det and signature included.
+    # Cases: the 400 ops of the benchmark's overlattice workload at seed 5, and
+    # the seeded ambients of _overlattice_cases for L0 at r and r + 1
+    from test_bench_digests import load_workloads
+
+    k3 = k3_lattice()
+    runs = []
+    for op in load_workloads().make_ops("overlattice", 5, 400):
+        alpha = [int(x) for x in op.argv[2].removeprefix("--alpha=").split(",")]
+        runs.append((overlattice, (OverlatticeSpec(k3, alpha, op.extra["r"]),)))
+    for lat, alpha, r in _overlattice_cases()[:60]:
+        runs += [(l_zero_sublattice, (lat, alpha, r)), (l_zero_sublattice, (lat, alpha, r + 1))]
+    calls = []
+    init = IntegralLattice.__init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntegralLattice, "__init__",
+                   lambda self, *a, **k: calls.append(a) or init(self, *a, **k))
+        outs = [make(*args) for make, args in runs]
+    if calls:
+        pytest.fail(f"IntegralLattice.__init__ ran {len(calls)} times")
+    for out in outs:
+        fresh = IntegralLattice(out.gram, out.label)
+        assert out == fresh and (out.rank, out.label) == (fresh.rank, fresh.label)
+        assert (out.det, out.signature()) == (fresh.det, fresh.signature())
+
+
 # -- det and signature from the ambient, against the printed Gram -----------------
 
 # the ambient lattice files of the packaging smoke test: U + U, and the

@@ -9,6 +9,7 @@ from k3lab import (GF, QQ, DegenerateSystem, LinearMatrix, MultiPoly, NetOfQuadr
                    PencilOfQuadrics, PolyMatrix, PreconditionError, QuadraticForm, cli,
                    linalg, pfaffian, poly_det, polymat)
 from k3lab.systems import member_matrix
+from k3lab.univar import plane_rows
 from oracles import (cofactor_det, klein_coordinates, klein_matrix, leibniz_det,
                      matching_pfaffian, pfaffian_three_term, poly_entries)
 
@@ -348,13 +349,26 @@ def seeded_systems(rng, field):
 
 @pytest.mark.parametrize("field", KRONECKER_FIELDS)
 def test_member_matrix_dets_match_the_cofactor_oracle(field):
+    # and _det_rows decodes the packed determinant into the plane rows and
+    # scale that plane_rows takes from the boxed one, a pencil's read as a
+    # plane form free of x2; (None, 1) for the pencil of x0^2, x1^2 and the
+    # net of x0^2, x1^2, x2^2, whose determinants vanish identically
     systems = seeded_systems(random.Random(31), field)
     if field == QQ:
         systems.append(cli.load_system(FRACTIONAL_NET))
+    for cls in (PencilOfQuadrics, NetOfQuadrics):
+        units = [[int(i == j) for j in range(cls.NVARS)] for i in range(cls.NFORMS)]
+        systems.append(cls.from_diagonals(*units, field=field))
     for system in systems:
         a = member_matrix(system)
         assert a.nvars <= 3
-        assert a.det_poly() == cofactor_det(poly_entries(a))
+        det = a.det_poly()
+        assert det == cofactor_det(poly_entries(a))
+        if det.is_zero():
+            assert a._det_rows() == (None, 1)
+            continue
+        plane = MultiPoly(field, 3, {e + (0,) * (3 - len(e)): c for e, c in det.terms.items()})
+        assert a._det_rows() == plane_rows(plane)
 
 
 @pytest.mark.parametrize("field", KRONECKER_FIELDS)

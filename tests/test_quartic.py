@@ -111,13 +111,7 @@ def _substituted(f, a, b, g, d):
     x = MultiPoly.var(QQ, 2, 0)
     y = MultiPoly.var(QQ, 2, 1)
     q = substitute(p, {0: a * x + b * y, 1: g * x + d * y})
-    return BinaryQuartic.from_poly(q)
-
-
-def test_from_poly_validation():
-    p = MultiPoly(QQ, 2, {(2, 0): 1})
-    with pytest.raises(PreconditionError):
-        BinaryQuartic.from_poly(p)
+    return BinaryQuartic([q.coeff((4 - k, k)) for k in range(5)])
 
 
 def test_invariants_reject_characteristic_three():

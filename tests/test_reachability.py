@@ -91,6 +91,7 @@ ALLOWLIST = {
     "poly.poly_from_text": "exported: the parser of the polynomial text format "
                            "(README)",
     "poly.MultiPoly._check": "the operand check of MultiPoly arithmetic",
+    "poly.MultiPoly.coeff": "exported MultiPoly API",
     "poly.MultiPoly.zero": "exported MultiPoly API (acceptance criterion 5)",
     "poly.MultiPoly.const": "exported MultiPoly API (acceptance criterion 5)",
     "poly.MultiPoly.var": "exported MultiPoly API (acceptance criterion 5)",
@@ -115,6 +116,8 @@ ALLOWLIST = {
     "quadforms.is_split": "exported quadratic-form API (README)",
     "scalars.RationalField.one": "exported field API, the counterpart of "
                                  "PrimeField.one",
+    "scalars.RationalField.zero": "exported field API, the counterpart of "
+                                  "PrimeField.zero",
     "systems.QuadricSystem._diagonal": "the body of both from_diagonals",
     "systems.QuadricSystem.reduce_mod": "exported QuadricSystem API; sample_point and "
                                         "verify_relation reduce a system over QQ by it "
