@@ -9,8 +9,10 @@ Input files are UTF-8 JSON.  Gram matrices are arrays of row arrays whose
 entries are integers or exact-rational strings "num/den"; quadric systems
 look like ``{"pencil": [G1, G2], "field": "Q"}`` (or ``"net": [G1, G2,
 G3]``), lattices like ``{"label": "K3", "gram": [[...], ...]}``.  The
-bundled inputs are reachable as ``builtin:pencil-diagonal``,
-``builtin:net-diagonal`` and ``builtin:k3-lattice``.
+paper's model objects are inputs by name, built by the library itself:
+``builtin:pencil-diagonal`` (the diagonal pencil of the genus-one curve),
+``builtin:net-diagonal`` (the diagonal net of the Mukai double plane) and
+``builtin:k3-lattice`` (U^3 + E8(-1)^2, also the default ``--lattice``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from .construction import (group_invariance_check, random_sl, sample_point,
                            verify_relation)
@@ -44,10 +45,13 @@ from .systems import (DEFAULT_PROBE_PRIMES, MAX_SWEEP_PRIME, CoverVerdict,
                       net_discriminant, net_smoothness_probe, pencil_discriminant,
                       pic2_double_cover)
 
-_BUILTIN_FILES = {
-    "builtin:pencil-diagonal": "pencil-diagonal.json",
-    "builtin:net-diagonal": "net-diagonal.json",
-    "builtin:k3-lattice": "k3-lattice.json",
+# The builtin inputs: the library's constructors of the paper's model objects.
+_BUILTINS = {
+    "builtin:pencil-diagonal": lambda: PencilOfQuadrics.from_diagonals(
+        [1, 1, 1, 1], [0, 1, 2, 3]),
+    "builtin:net-diagonal": lambda: NetOfQuadrics.from_diagonals(
+        [1] * 6, [0, 1, 2, 3, 4, 5], [0, 1, 4, 9, 16, 25]),
+    "builtin:k3-lattice": k3_lattice,
 }
 
 
@@ -61,18 +65,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _builtin_text(name: str) -> str:
-    """The text of a bundled data file, read once per process."""
-    return resources.files("k3lab.data").joinpath(name).read_text("utf-8")
+def _builtin(name: str):
+    """The object of a ``builtin:`` name, built once per process: systems and
+    lattices are immutable, so one copy, with its memoized discriminant or
+    det and signature, serves every op."""
+    return _BUILTINS[name]()
 
 
 def _read_json(path: str):
+    """The JSON document of a user's input file."""
     try:
-        if path in _BUILTIN_FILES:  # a wheel built without its data files lands here
-            text = _builtin_text(_BUILTIN_FILES[path])
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise CLIParseError(f"cannot read {path}: {exc}") from exc
     try:
@@ -129,18 +133,25 @@ def _check_keys(doc, what, allowed):
 
 
 def load_system(path: str, p=None):
-    """A PencilOfQuadrics or NetOfQuadrics from a JSON file or builtin name:
-    an object with exactly one of the keys 'pencil' and 'net', and optionally
-    'field'.
+    """A PencilOfQuadrics or NetOfQuadrics from a builtin name or a JSON
+    file: an object with exactly one of the keys 'pencil' and 'net', and
+    optionally 'field'.
 
-    Given a prime ``p`` (the construct commands' --p), a system over Q is
-    built straight over GF(p): each Gram matrix is checked on its raw
-    entries and reduced entry by entry, and the one independence check runs
-    mod p, which implies independence over Q.  When that fails (p is not an
-    odd prime below 2**31, divides a denominator, or the forms are dependent
+    A builtin is the library's own system over Q, whatever ``p``; the
+    caller reduces it mod p (``QuadricSystem.reduce_mod``).  Given a prime
+    ``p`` (the construct commands' --p), a file's system over Q is built
+    straight over GF(p): each Gram matrix is checked on its raw entries and
+    reduced entry by entry, and the one independence check runs mod p,
+    which implies independence over Q.  When that fails (p is not an odd
+    prime below 2**31, divides a denominator, or the forms are dependent
     mod p), the system is built over Q as without ``p``.  So the errors come
     in the order of that route: its own, then the caller's checks, then
     BadPrime and BadReduction when the caller reduces it mod p."""
+    if path in _BUILTINS:
+        system = _builtin(path)
+        if not isinstance(system, (PencilOfQuadrics, NetOfQuadrics)):
+            raise CLIParseError(f"{path} is not a pencil or a net")
+        return system
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CLIParseError("system file must be a JSON object")
@@ -164,20 +175,14 @@ def load_system(path: str, p=None):
     raise CLIParseError("system file must contain a 'pencil' or 'net' key")
 
 
-# The builtin lattice, built once: IntegralLattice is immutable, so one copy,
-# with its cached det and signature, serves every op without --lattice.
-_builtin_lattice = functools.cache(k3_lattice)
-
-
 def load_lattice(path: str | None) -> IntegralLattice:
-    if path is None:
-        return _builtin_lattice()
-    if path in _BUILTIN_FILES:
-        return _bundled_lattice(path)
-    return _lattice_from_file(path)
-
-
-def _lattice_from_file(path: str) -> IntegralLattice:
+    """An IntegralLattice from a builtin name or a JSON file; without
+    ``path``, the builtin K3 lattice."""
+    if path is None or path in _BUILTINS:
+        lattice = _builtin(path or "builtin:k3-lattice")
+        if not isinstance(lattice, IntegralLattice):
+            raise CLIParseError(f"{path} is not a lattice")
+        return lattice
     doc = _read_json(path)
     if not isinstance(doc, dict) or "gram" not in doc:
         raise CLIParseError("lattice file must contain a 'gram' key")
@@ -193,11 +198,6 @@ def _lattice_from_file(path: str) -> IntegralLattice:
     if not isinstance(label, str):
         raise CLIParseError(f"lattice 'label' must be a string, got {label!r}")
     return IntegralLattice(rows, label=label)
-
-
-# A bundled lattice file is built once per process, as the default is: the
-# lattice is immutable, so each op reuses its det and signature.
-_bundled_lattice = functools.cache(_lattice_from_file)
 
 
 # An integer on argv: an optional "-", then ASCII decimal digits without a

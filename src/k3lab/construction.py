@@ -347,9 +347,8 @@ def group_invariance_check(a: LinearMatrix, system, g, h=None) -> InvarianceRepo
     Pencil case: (g, h) in SL2 x SL2 acting by A_i -> g A_i h^T
     (``left_right_transform``).  Net case: g in SL4 acting by A_i -> g A_i g^T
     (h must be omitted), which is wedge^2 g on the Klein coordinates
-    (``congruence_transform``).  The int rows of each element, its entries
-    times the lcm D of their denominators (D = 1 over GF(p)), must have
-    determinant D^n; non-unimodular inputs are rejected with
+    (``congruence_transform``).  Each element must have determinant 1
+    (``linalg.det``); non-unimodular inputs are rejected with
     PreconditionError.  B and T of the transformed matrix are computed from
     scratch, those of ``a`` once per matrix (``invariants``).
     """
@@ -360,8 +359,7 @@ def group_invariance_check(a: LinearMatrix, system, g, h=None) -> InvarianceRepo
     if not pf and h is None:
         raise PreconditionError("pencil case needs a pair (g, h)")
     for m in (g,) if pf else (g, h):
-        rows, scale = linalg.int_rows(field, m)
-        if linalg.int_det(rows, field.char) != scale ** len(rows):
+        if linalg.det(field, m) != 1:
             raise PreconditionError("group elements must have determinant 1")
     transformed = a.congruence_transform(g) if pf else a.left_right_transform(g, h)
     before = invariants(a, system)

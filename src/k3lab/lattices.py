@@ -187,7 +187,8 @@ def e8_lattice(negative: bool = True) -> IntegralLattice:
 
 def k3_lattice() -> IntegralLattice:
     """U^3 + E8(-1)^2: even, rank 22, determinant -1, signature (3, 19)."""
-    blocks = [U_GRAM, U_GRAM, U_GRAM, e8_gram(), e8_gram()]
+    u, e8 = hyperbolic_plane_lattice().gram, e8_lattice().gram
+    blocks = [u, u, u, e8, e8]
     n = sum(len(b) for b in blocks)
     g = [[0] * n for _ in range(n)]
     off = 0

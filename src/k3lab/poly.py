@@ -81,8 +81,7 @@ class MultiPoly:
 
     # -- ring structure -------------------------------------------------
     def _check(self, other):
-        if not isinstance(other, MultiPoly):
-            raise TypeError("expected a MultiPoly")
+        """The operand check of MultiPoly arithmetic: one field, one variable set."""
         if other.field != self.field:
             raise FieldMismatch("polynomials over different fields")
         if other.nvars != self.nvars:

@@ -110,14 +110,14 @@ class QuadricSystem:
 
     @classmethod
     def _diagonal(cls, field, *diagonals):
-        """The system of the forms sum d[i] x_i^2, one per diagonal d."""
+        """The system of the forms sum d[i] x_i^2, one per diagonal d.  The
+        entries go to ``QuadraticForm`` as given, so ints stay ints over QQ."""
         r = range(cls.NVARS)
         for d in diagonals:
             if len(d) != cls.NVARS:
                 raise PreconditionError(
                     f"a {cls.KIND} diagonal has {cls.NVARS} entries, got {len(d)}")
-        return cls(*(QuadraticForm([[field.coerce(d[i]) if i == j else field.zero
-                                     for j in r] for i in r], field)
+        return cls(*(QuadraticForm([[d[i] if i == j else 0 for j in r] for i in r], field)
                      for d in diagonals))
 
     def reduce_mod(self, p: int) -> "QuadricSystem":
@@ -388,8 +388,8 @@ def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
     p; BadReduction, worded as ``QuadricSystem.reduce_mod``'s, when p
     divides a Gram denominator.  Each line of ``plane_lines`` is swept in
     one pass: a list comprehension finds the zeros there of one polynomial
-    in the line's parameter, and only the points the resultant leaves open
-    go through ``common_roots``."""
+    in the line's parameter, and only the points where the second form
+    vanishes identically go through ``common_roots``."""
     try:
         g1, g2 = (q.reduce_mod(p)._rows for q in pencil.forms)
     except BadPrime as exc:  # p divides a Gram denominator
@@ -413,12 +413,11 @@ def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
         if not (k1 or k0):
             # the second form is n(s) on the whole line: the fibres over its zeros
             for s in [s for s in range(length) if not ((n2 * s + n1) * s + n0) % p]:
-                count += common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
-                                      0, 0, p)
+                count += common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p, p)
             continue
         # Where k(s) != 0 the second form has the one root t = -n/k, which lies
-        # on the first iff R(s) = a n^2 - l k n + m k^2, the resultant
-        # common_roots tests, vanishes: R has degree <= 4 in s.
+        # on the first iff the resultant R(s) = a n^2 - l k n + m k^2 of the
+        # two forms in t vanishes: R has degree <= 4 in s.
         u2, u1, u0 = l1 * k1, l1 * k0 + l0 * k1, l0 * k0  # l k
         v2, v1, v0 = k1 * k1, 2 * k1 * k0, k0 * k0  # k^2
         r4 = (a * n2 * n2 - u2 * n2 + m2 * v2) % p
@@ -431,12 +430,14 @@ def _count_pencil(pencil: PencilOfQuadrics, p: int) -> int:
                       if not ((((r4 * s + r3) * s + r2) * s + r1) * s + r0) % p])
         if k1:
             # at the one s where k vanishes, R(s) = a n(s)^2 says nothing: the
-            # fibre there is common_roots' instead
+            # fibre there is empty unless n(s) = 0 too, and then common_roots'
             s = -k0 * pow(k1, -1, p) % p
             if s < length:
                 ns = ((n2 * s + n1) * s + n0) % p
-                count += common_roots(a, (l0 + l1 * s) % p, ((m2 * s + m1) * s + m0) % p,
-                                      0, ns, p) - (not a * ns * ns % p)
+                count -= not a * ns * ns % p
+                if not ns:
+                    count += common_roots(a, (l0 + l1 * s) % p,
+                                          ((m2 * s + m1) * s + m0) % p, p)
     return count
 
 

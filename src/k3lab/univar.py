@@ -161,19 +161,14 @@ def first_root(h, length, p):
     return None
 
 
-def common_roots(a, b1, c1, b2, c2, p) -> int:
-    """Number of roots in F_p of gcd(a t^2 + b1 t + c1, b2 t + c2), all mod p.
-
-    The gcd is zero (p roots), a constant (0), linear (1) or the quadratic
-    itself (1 + chi(disc)).  A linear second polynomial has its root
-    -c2/b2 in common with the first iff their resultant vanishes.
-    """
-    if b2:
-        return 0 if (a * c2 * c2 - b1 * b2 * c2 + c1 * b2 * b2) % p else 1
-    if c2:
-        return 0
+def common_roots(a, b, c, p) -> int:
+    """Number of roots in F_p of a t^2 + b t + c, all mod p: the common
+    roots of a pencil's two forms over a point where the second vanishes
+    identically.  A quadratic has 1 + chi(disc) roots, a linear one 1, a
+    nonzero constant none and the zero polynomial p (a line in the base
+    locus: never with good reduction)."""
     if a:
-        return 1 + chi_mod(b1 * b1 - 4 * a * c1, p)
-    if b1:
+        return 1 + chi_mod(b * b - 4 * a * c, p)
+    if b:
         return 1
-    return 0 if c1 else p  # a line in the base locus: never with good reduction
+    return 0 if c else p

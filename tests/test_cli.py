@@ -66,7 +66,8 @@ def test_net_subcommands(capsys):
 def test_pencil_count_builds_one_branch_and_evaluates_it_once(capsys, monkeypatch):
     # one op builds the branch quartic once (cli and count_points(pencil) share
     # the pencil's memo) and evaluates its invariants once (both counts check
-    # its discriminant mod p)
+    # its discriminant mod p); the builtin pencil keeps both for the next op
+    from k3lab import cli
     from k3lab.quartic import BinaryQuartic
 
     built, evaluated = [], []
@@ -83,12 +84,14 @@ def test_pencil_count_builds_one_branch_and_evaluates_it_once(capsys, monkeypatc
 
     monkeypatch.setattr(BinaryQuartic, "__init__", counting_init)
     monkeypatch.setattr(BinaryQuartic, "_lifted_invariants", counting_invariants)
-    code, out, _ = run(capsys, "pencil", "count", "--system", "builtin:pencil-diagonal",
-                       "--p", "101")
-    assert code == 0
-    assert out == ('{"hyperelliptic_points": 120, "p": 101, "pencil_points": 120, '
-                   '"twist_consistent": true}\n')
-    assert (len(built), len(evaluated)) == (1, 1)
+    cli._builtin.cache_clear()
+    for _ in range(2):
+        code, out, _ = run(capsys, "pencil", "count", "--system", "builtin:pencil-diagonal",
+                           "--p", "101")
+        assert code == 0
+        assert out == ('{"hyperelliptic_points": 120, "p": 101, "pencil_points": 120, '
+                       '"twist_consistent": true}\n')
+        assert (len(built), len(evaluated)) == (1, 1)
 
 
 FRACTIONAL_NET = str(Path(__file__).parent / "data" / "net-fractional.json")
@@ -101,6 +104,11 @@ NET_DIAGONAL_BRANCH = (
     "31050*x0^2*x1*x2^3 + 21076*x0^2*x2^4 + 120*x0*x1^5 + 1800*x0*x1^4*x2 + "
     "10200*x0*x1^3*x2^2 + 27000*x0*x1^2*x2^3 + 32880*x0*x1*x2^4 + 14400*x0*x2^5")
 
+
+# the document of builtin:pencil-diagonal
+PENCIL_DIAGONAL = {"field": "Q", "pencil": [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]]}
 
 FRACTIONAL_PENCIL = {"pencil": [
     [["1/3", 0, "1/2", 0], [0, "-5/4", 0, 1], ["1/2", 0, 2, 0], [0, 1, 0, "7/2"]],
@@ -135,7 +143,7 @@ def test_net_probe_boxes_no_polynomial(capsys, monkeypatch):
     # `net probe` reads its plane rows off the packed determinant; `net disc`
     # and `net cover` print the sextic, so they still box it, with the bytes
     # they had when the probe boxed it too
-    from k3lab import polymat
+    from k3lab import cli, polymat
 
     boxed = []
     real = polymat._box_terms
@@ -172,6 +180,7 @@ def test_net_probe_boxes_no_polynomial(capsys, monkeypatch):
     ]
     for argv, want in covers:
         del boxed[:]
+        cli._builtin.cache_clear()  # the builtin net memoizes its sextic
         assert run(capsys, *argv) == (0, want, "")
         assert len(boxed) == 1
 
@@ -191,7 +200,8 @@ def test_net_probe_and_cover_on_a_vanishing_discriminant(tmp_path, capsys):
 
 def test_pencil_count_builds_only_the_loaded_system(capsys, monkeypatch):
     # the sweep reads each form's Gram rows mod p; the one system built is
-    # the one `load_system` read
+    # the one `load_system` read, and none when the builtin is built already
+    from k3lab import cli
     from k3lab.systems import QuadricSystem
 
     built = []
@@ -202,12 +212,13 @@ def test_pencil_count_builds_only_the_loaded_system(capsys, monkeypatch):
         init(self, *forms)
 
     monkeypatch.setattr(QuadricSystem, "__init__", counting_init)
-    for p, want in ((23, 32), (101, 120)):
+    cli._builtin.cache_clear()
+    for p, want, systems in ((23, 32, ["PencilOfQuadrics"]), (101, 120, [])):
         del built[:]
         out = run_json(capsys, "pencil", "count", "--system", "builtin:pencil-diagonal",
                        "--p", str(p))
         assert out["pencil_points"] == want
-        assert built == ["PencilOfQuadrics"]
+        assert built == systems
 
 
 def test_probe_and_cover_default_primes(tmp_path, capsys):
@@ -741,6 +752,7 @@ def test_construct_errors_on_several_faults_come_in_order(tmp_path, capsys):
 
 
 def test_construct_builds_a_system_over_q_once_over_gf_p(tmp_path, capsys, monkeypatch):
+    from k3lab import cli
     from k3lab.systems import QuadricSystem
 
     built = []
@@ -751,6 +763,11 @@ def test_construct_builds_a_system_over_q_once_over_gf_p(tmp_path, capsys, monke
         init(self, *forms)
 
     monkeypatch.setattr(QuadricSystem, "__init__", counted)
+    # the builtin systems over Q are built once per process: warm them first
+    cli._builtin.cache_clear()
+    for name in ("builtin:pencil-diagonal", "builtin:net-diagonal"):
+        cli.load_system(name)
+    assert built == [QQ, QQ]
     path = tmp_path / "pencil.json"
     path.write_text(json.dumps({"pencil": [
         [["1/2", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], _diag(0, 1, 2, 3)]}))
@@ -769,19 +786,31 @@ def test_construct_builds_a_system_over_q_once_over_gf_p(tmp_path, capsys, monke
              "--samples", "2")
     assert built == [GF(13)]
     built.clear()
+    run_json(capsys, "pencil", "disc", "--system", str(path))
+    assert built == [GF(13)]
+    # a builtin is never built again
+    built.clear()
     run_json(capsys, "pencil", "disc", "--system", "builtin:pencil-diagonal")
-    assert built == [QQ]
+    assert built == []
 
 
-def test_builtin_files_are_read_once_per_process(capsys, monkeypatch):
+def test_each_builtin_is_built_once_per_process(capsys, monkeypatch):
     from k3lab import cli
 
-    reads, files = [], cli.resources.files
-    monkeypatch.setattr(cli.resources, "files", lambda pkg: reads.append(pkg) or files(pkg))
-    cli._builtin_text.cache_clear()
-    outs = {run(capsys, "construct", "verify-pencil", "--system", "builtin:pencil-diagonal",
-                "--p", "13", "--samples", "2") for _ in range(3)}
-    assert len(outs) == 1 and reads == ["k3lab.data"]
+    built = []
+    for name, make in cli._BUILTINS.items():
+        monkeypatch.setitem(cli._BUILTINS, name,
+                            lambda name=name, make=make: built.append(name) or make())
+    cli._builtin.cache_clear()
+    for argv in (("construct", "verify-pencil", "--system", "builtin:pencil-diagonal",
+                  "--p", "13", "--samples", "2"),
+                 ("net", "disc", "--system", "builtin:net-diagonal"),
+                 ("lattice", "overlattice", "--alpha", ALPHA_OK, "--r", "2"),
+                 ("lattice", "overlattice", "--alpha", ALPHA_OK, "--r", "2",
+                  "--lattice", "builtin:k3-lattice")):
+        outs = {run(capsys, *argv) for _ in range(3)}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0, argv
+    assert sorted(built) == sorted(cli._BUILTINS)
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):
@@ -903,8 +932,8 @@ def test_missing_file(capsys):
 
 
 def test_python_dash_m_matches_in_process_main(capsys):
-    # a fresh interpreter runs __main__, main_entry's sys.exit and loads the
-    # builtin system through importlib.resources
+    # a fresh interpreter runs __main__, main_entry's sys.exit and builds the
+    # builtin system
     root = Path(__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for argv, code in ((("net", "probe", "--system", "builtin:net-diagonal",
@@ -980,15 +1009,33 @@ def test_bundled_k3_lattice_matches_construction(capsys):
     from k3lab import k3_lattice
     from k3lab.cli import load_lattice
 
-    bundled = load_lattice("builtin:k3-lattice")
-    built = k3_lattice()
-    assert bundled.gram == built.gram and bundled.label == "K3"
-    # without --lattice every op shares one built K3 lattice
-    assert load_lattice(None) is load_lattice(None)
-    assert load_lattice(None).gram == built.gram
+    # the data file the benchmark reads is the builtin, which is k3_lattice()
+    bundled = load_lattice(str(Path(__file__).parents[1] / "src" / "k3lab" / "data"
+                               / "k3-lattice.json"))
+    built = load_lattice("builtin:k3-lattice")
+    assert bundled.gram == built.gram == k3_lattice().gram
+    assert bundled.label == built.label == "K3"
+    # without --lattice every op shares the one builtin K3 lattice
+    assert load_lattice(None) is built
     rep = run_json(capsys, "lattice", "overlattice", "--alpha", ALPHA_OK,
                    "--r", "2", "--lattice", "builtin:k3-lattice")
     assert rep["det"] == -1 and rep["rank"] == 22
+
+
+def test_bundled_diagonal_net_matches_construction():
+    from k3lab import NetOfQuadrics
+    from k3lab.cli import load_system
+
+    # the data file the benchmark reads is the builtin, whose forms are
+    # those of NetOfQuadrics.from_diagonals, with int entries
+    bundled = load_system(str(Path(__file__).parents[1] / "src" / "k3lab" / "data"
+                              / "net-diagonal.json"))
+    built = load_system("builtin:net-diagonal")
+    want = NetOfQuadrics.from_diagonals([1] * 6, range(6), [k * k for k in range(6)])
+    assert [q._rows for q in bundled.forms] == [q._rows for q in built.forms] == [
+        q._rows for q in want.forms]
+    assert built.field == bundled.field == QQ
+    assert {type(x) for q in built.forms for row in q._rows for x in row} == {int}
 
 
 def test_prime_field_system_input(tmp_path, capsys):
@@ -1012,8 +1059,7 @@ def test_pencil_count_over_a_prime_field(tmp_path, capsys):
     # the builtin diagonal pencil with its field tag set to F_q: --p q counts
     # where the forms live and prints what the pencil over Q prints at p = q
     # (every --p exited 2 with "reduction starts from a form over QQ")
-    doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
-                      / "pencil-diagonal.json").read_text())
+    doc = dict(PENCIL_DIAGONAL)
     for q in (7, 13):
         doc["field"] = f"F{q}"
         path = tmp_path / f"pencil{q}.json"
@@ -1071,8 +1117,7 @@ def test_pencils_over_f3_count_and_cover_as_their_lifts_over_q(tmp_path, capsys)
         2, "", "k3lab: quartic invariants are undefined in characteristic 3\n")
 
 def test_system_file_keys(tmp_path, capsys):
-    doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
-                      / "pencil-diagonal.json").read_text())
+    doc = dict(PENCIL_DIAGONAL)
     net = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
                       / "net-diagonal.json").read_text())
     cases = [
@@ -1102,8 +1147,7 @@ def test_system_file_keys(tmp_path, capsys):
 def test_field_tags(tmp_path, capsys):
     # a tag is "F" and canonical decimal digits; int() read "F1_009" as
     # GF(1009) and "F+7", "F07" as GF(7), and "F-7" exited 2
-    doc = json.loads((Path(__file__).parents[1] / "src" / "k3lab" / "data"
-                      / "pencil-diagonal.json").read_text())
+    doc = dict(PENCIL_DIAGONAL)
     path = tmp_path / "pencil.json"
     for tag in ("F1_009", "F+7", "F07", "F-7", "F", "F 7", "F7 ", "F7\n", "f7",
                 "F\u0667", "F" + "1" * 21, "Q7", 7):

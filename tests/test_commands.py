@@ -4,15 +4,15 @@ Every case runs through ``cli.main`` in a fresh directory holding its
 files, one test per case.  The other tests check the table (well formed,
 the README's examples, the content of the former golden files) and its
 runner ``commands.py``: a changed byte, a malformed case, the choice-list
-rule, command mode and a package without its data files, which in
-process turns every builtin: case into one parse error line.  Every check
-fails through ``pytest.fail``, so it also holds under ``python -O``.
+rule and command mode.  Each case that names a builtin: input runs again
+with the builtin replaced by a file holding its JSON, so the library's
+constructors cannot drift from the data files the benchmark reads.  Every
+check fails through ``pytest.fail``, so it also holds under ``python -O``.
 """
 
 import json
 import re
 import shlex
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +39,51 @@ def test_table_is_well_formed():
 @pytest.mark.parametrize("case", CASES, ids=[case["id"] for case in CASES])
 def test_command(case):
     fail_on(commands.mismatches(case, commands.run_in_process(cli.main, case)))
+
+
+def _diagonal(*d):
+    return [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+
+
+DATA = ROOT / "src" / "k3lab" / "data"
+# each builtin name: (the flag that takes it, the JSON text of its twin file)
+TWINS = {
+    "builtin:pencil-diagonal": ("--system", json.dumps(
+        {"field": "Q", "pencil": [_diagonal(1, 1, 1, 1), _diagonal(0, 1, 2, 3)]})),
+    "builtin:net-diagonal": ("--system", (DATA / "net-diagonal.json").read_text("utf-8")),
+    "builtin:k3-lattice": ("--lattice", (DATA / "k3-lattice.json").read_text("utf-8")),
+}
+
+
+def file_twin(case):
+    """The case with its builtin input replaced by a file holding the same
+    JSON, or None when it names no builtin or one of the wrong kind."""
+    argv, files = list(case["argv"]), dict(case.get("files", {}))
+    for i, token in enumerate(argv):
+        if token in TWINS:
+            flag, text = TWINS[token]
+            if i == 0 or argv[i - 1] != flag:
+                return None
+            argv[i] = "twin.json"
+            files["twin.json"] = text
+    return dict(case, argv=argv, files=files) if "twin.json" in files else None
+
+
+TWINNED = [(case, twin) for case in CASES if (twin := file_twin(case)) is not None]
+
+
+@pytest.mark.parametrize("case, twin", TWINNED, ids=[case["id"] for case, _ in TWINNED])
+def test_builtin_equals_its_file_twin(case, twin):
+    fail_on(commands.mismatches(case, commands.run_in_process(cli.main, twin)))
+
+
+def test_twins_cover_every_builtin():
+    # every builtin name is twinned, and only the cross-kind misuse is not
+    twinned = {token for case, _ in TWINNED for token in case["argv"] if token in TWINS}
+    left_out = ({case["id"] for case in CASES if set(case["argv"]) & set(TWINS)}
+                - {case["id"] for case, _ in TWINNED})
+    if twinned != set(TWINS) or left_out != {"system-builtin-lattice", "lattice-builtin-net"}:
+        pytest.fail(f"twinned {sorted(twinned)}, left out {sorted(left_out)}")
 
 
 def readme_examples():
@@ -195,37 +240,3 @@ def test_command_mode(tmp_path, monkeypatch, capsys):
                           capture_output=True, text=True, timeout=60)
     if proc.returncode != 2 or not proc.stderr.startswith("usage:"):
         pytest.fail(f"exit {proc.returncode}: {proc.stderr}")
-
-
-def test_a_package_without_its_data_files_fails(tmp_path, monkeypatch, capsys):
-    # a copy of the package without data/*.json stands in for a wheel built
-    # without its package data: the builtin: cases fail, the others match
-    shutil.copytree(ROOT / "src" / "k3lab", tmp_path / "src" / "k3lab",
-                    ignore=shutil.ignore_patterns("*.json", "__pycache__"))
-    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "src"))
-    cases = [BY_ID["readme-pencil-disc"], BY_ID["overlattice-uu"]]
-    code, out = run_command_mode([sys.executable, "-m", "k3lab"], cases, tmp_path, capsys)
-    if code != 1 or "FAIL readme-pencil-disc" not in out or "FAIL overlattice-uu" in out:
-        pytest.fail(f"exit {code}:\n{out}")
-
-
-def test_missing_bundled_data_is_a_parse_error(monkeypatch):
-    # a builtin: file that cannot be read (a wheel without data/*.json) is
-    # one "parse error" line and exit 1, never a traceback; a case that
-    # fails its parse before it reads the file keeps its own error
-    def unreadable(name):
-        raise FileNotFoundError(f"no such file: {name!r}")
-
-    monkeypatch.setattr(cli, "_builtin_text", unreadable)
-    cli._bundled_lattice.cache_clear()
-    builtin = [case for case in CASES if any("builtin:" in token for token in case["argv"])]
-    problems = [] if builtin else ["no case names a builtin: file"]
-    for case in builtin:
-        code, out, err = commands.run_in_process(cli.main, case)
-        own_error = case["exit"] == 1 and not commands.mismatches(case, (code, out, err))
-        read_error = code == 1 and not out and re.fullmatch(
-            r"k3lab: parse error: cannot read builtin:[a-z0-9-]+: no such file: [^\n]*\n", err)
-        if not (own_error or read_error):
-            problems.append(f"{case['id']}: exit {code}, stdout {out!r}, stderr {err!r}")
-    cli._bundled_lattice.cache_clear()
-    fail_on(problems)

@@ -43,7 +43,6 @@ NO_DEFS = frozenset({"__init__", "__main__", "errors"})
 TRACER = "wrapped by the bench tracer until ROADMAP item 2"
 ALLOWLIST = {
     # called by name from bench/tracing.py TARGETS, and README-documented API
-    "linalg.det": TRACER,
     "linalg.solve": TRACER,
     "linalg.rank": TRACER,
     "linalg.inverse": TRACER,
@@ -84,8 +83,6 @@ ALLOWLIST = {
     "lattices.is_k3_moduli": "exported Mukai-vector API",
     "lattices.IntegralLattice.norm": "exported lattice API (acceptance criterion 7)",
     "lattices.OverlatticeSpec.alpha_sq": "exported OverlatticeSpec API",
-    "lattices.e8_lattice": "exported lattice constructor",
-    "lattices.hyperbolic_plane_lattice": "exported lattice constructor",
     "lattices.l_zero_sublattice": "exported: the lattice L0 that overlattice "
                                   "builds on (README)",
     "poly.poly_from_text": "exported: the parser of the polynomial text format "
@@ -118,12 +115,6 @@ ALLOWLIST = {
                                  "PrimeField.one",
     "scalars.RationalField.zero": "exported field API, the counterpart of "
                                   "PrimeField.zero",
-    "systems.QuadricSystem._diagonal": "the body of both from_diagonals",
-    "systems.QuadricSystem.reduce_mod": "exported QuadricSystem API; sample_point and "
-                                        "verify_relation reduce a system over QQ by it "
-                                        "(the CLI loads one straight over GF(p))",
-    "systems.PencilOfQuadrics.from_diagonals": "exported constructor",
-    "systems.NetOfQuadrics.from_diagonals": "exported constructor",
 }
 
 
@@ -207,7 +198,7 @@ def run_traced(cases):
     """Run each case (its ``argv`` and ``files``) through ``cli.main`` inside
     ``reached_code``: (exit codes, {(real source path, first line)} of the
     code that ran)."""
-    # memoized functions (build_parser, the builtin K3 lattice, the Witt
+    # memoized functions (build_parser, the builtin inputs, the Witt
     # targets) must run their bodies inside the traced window, whatever
     # other tests ran before
     for module in [m for n, m in sys.modules.items() if n.startswith("k3lab.")]:

@@ -43,6 +43,7 @@ def test_gf_arithmetic():
     assert (a * b).v == 1
     assert (a / b).v == (3 * pow(5, 5, 7)) % 7
     assert (-a).v == 4
+    assert (4 - a).v == 1 and (2 / b).v == 2 * pow(5, 5, 7) % 7  # reflected operands
     assert a**6 == 1 and a**-1 * a == 1
     assert a == 3 and a == 10 and a != 4
 

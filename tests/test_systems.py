@@ -733,8 +733,8 @@ def test_count_hand_built_corner_pencils():
 # After the recombination the second form is k(x) t + n(x).  On a line of
 # P^2 where k is not identically zero, the zeros of the resultant
 # R = a n^2 - l k n + m k^2 count one point each, except at the root of k,
-# whose fibre common_roots counts; where k is identically zero, the fibres
-# over the zeros of n are counted.
+# whose fibre is empty unless n vanishes there too; where k is identically
+# zero, the fibres over the zeros of n are counted.
 
 SWEEP_PRIMES = (3, 5, 7, 11, 101)
 

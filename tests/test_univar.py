@@ -182,16 +182,20 @@ def test_kernel_first_root_against_scan(p):
 
 
 def test_kernel_common_roots_exhaustive_mod_5():
-    p, F = 5, GF(5)
-    for a, b1, c1, b2, c2 in product(range(p), repeat=5):
-        got = univar.common_roots(a, b1, c1, b2, c2, p)
-        f, g = boxed(F, [a, b1, c1]), boxed(F, [b2, c2])
-        if not f and not g:
-            assert got == p
-            continue
-        h = uni_gcd(F, f, g)
-        roots = [t for t in range(p) if not uni_eval(F, h, t)]
-        assert got == len(roots) <= uni_degree(h)
+    # the fibre of the pencil count over a point where the second form
+    # vanishes identically: the roots of gcd(a t^2 + b t + c, 0), every
+    # t when the quadratic is zero too
+    for p in (3, 5, 7):
+        F = GF(p)
+        for a, b, c in product(range(p), repeat=3):
+            got = univar.common_roots(a, b, c, p)
+            f = boxed(F, [a, b, c])
+            if not f:
+                assert got == p
+                continue
+            h = uni_gcd(F, f, ())
+            roots = [t for t in range(p) if not uni_eval(F, h, t)]
+            assert got == len(roots) <= uni_degree(h)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
