@@ -112,8 +112,6 @@ def _parse_gram(rows):
         raise CLIParseError("a Gram matrix must be an array of row arrays")
 
     def entry(x):
-        if type(x) is int:  # JSON true/false are not integers
-            return x
         if isinstance(x, str):
             try:
                 return Fraction(x)
@@ -121,7 +119,8 @@ def _parse_gram(rows):
                 pass
         raise CLIParseError(f"bad Gram entry {x!r}")
 
-    return [[entry(x) for x in row] for row in rows]
+    # JSON true/false are not integers, so they go to entry and are refused
+    return [[x if type(x) is int else entry(x) for x in row] for row in rows]
 
 
 def _check_keys(doc, what, allowed):

@@ -38,26 +38,33 @@ elimination followed by a pairing of the diagonal entries; it draws
 nothing, so the seed decides only the base point, and the base point the
 sample.  The factorization is normalized so that det A(x) (or Pf A(x))
 equals the member exactly; the span coordinates are then lam on the nose,
-which ``SystemPoint.build`` re-checks.  Only when every draw fails does the sampler sweep the whole
-base in a fixed order, which either finds a split member or certifies
+which ``SystemPoint.build`` re-checks.  Only when every draw fails does the
+sampler sweep the whole base in a fixed order, which either finds a split member or certifies
 NoSplitMember; before it, a discriminant that vanishes identically (on
 which every draw fails) is refused.  The cost of a sample therefore does
 not grow with p, except in that final sweep.
 
-The checks run on ints as well.  ``b_coordinates`` solves for the span
-coordinates with one elimination of the forms' int coefficient columns
-(memoized on the reduced system) against the matrix's packed det/Pf
-expansion (memoized on the matrix, which the det/Pf = q check of
-``express_as_*`` already computed); T is one int determinant of the raw
-coefficients; disc(B) is the determinant the draw already took of the
-accepted member, which is the member at B since ``SystemPoint.build``
-checked B == lam, so the discriminant is never expanded.  Both fields
-share these steps, QQ through the lcm scaling of ``linalg``.  Only what is
-reported is boxed.
+The checks run on ints as well.  ``SystemPoint.build`` checks B == lam
+without solving for B: it substitutes lam into the forms' int coefficient
+columns (``span_rows``, memoized on the reduced system) and compares the
+sum with the matrix's packed det/Pf expansion (memoized on the matrix,
+which the det/Pf = q check of ``express_as_*`` already computed), after
+checking that every monomial of det/Pf is one of the forms'.  The forms
+are independent, so this holds exactly when B = lam.  Only a failed check
+solves (``b_coordinates``, one elimination of the same columns against
+the expansion), to tell a det/Pf outside the span from one at another
+member.  T is one int determinant of the raw coefficients; disc(B) is the
+determinant the draw already took of the accepted member, which is the
+member at B since ``SystemPoint.build`` checked B == lam, so the
+discriminant is never expanded.  Both fields share these steps, QQ
+through the lcm scaling of ``linalg``.  Only what is reported is boxed.
 
 ``group_invariance_check`` applies one unimodular element to a sampled
-matrix and computes B and T of the result from scratch (those of the
-sample once per matrix, ``invariants``).  A pencil's pair (g, h) in
+matrix and computes T of the result from scratch.  Its B is checked the
+same way: the det/Pf of the result, expanded from scratch, must be the
+combination of the forms with the sample's own B (solved once per
+matrix, ``invariants``), and only when it is not is the result's B solved
+for, so the report is the one two solves would give.  A pencil's pair (g, h) in
 SL2 x SL2 acts by A_i -> g A_i h^T (``LinearMatrix.left_right_transform``).
 A net's g in SL4 acts on the Klein coordinates of the A_i, the Pluecker
 coordinates of Lambda^2 of the 4-space, by wedge^2 g, the 6x6 matrix of the
@@ -80,6 +87,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -100,6 +108,19 @@ class InvariantData(NamedTuple):
     t: object
 
 
+def _span_inputs(a: LinearMatrix, system, who: str):
+    """(pf, cols, den) for solving or checking det/Pf A(x) in the span of the
+    system's forms: the model's Pfaffian flag and ``span_rows(system)``.
+    PreconditionError naming ``who`` on a shape of no model, FieldMismatch
+    and VariableCountMismatch when the matrix does not fit the system."""
+    pf = matrix_model(a, who).pf
+    if a.field != system.field:
+        raise FieldMismatch("matrix and system over different fields")
+    if a.nvars != system.forms[0].n:
+        raise VariableCountMismatch("matrix and system in different numbers of variables")
+    return (pf, *span_rows(system))
+
+
 def b_coordinates(a: LinearMatrix, system) -> tuple:
     """Solve det A(x) = sum B_i q_i (pencil) or Pf A(x) = sum B_i q_i (net).
 
@@ -108,12 +129,7 @@ def b_coordinates(a: LinearMatrix, system) -> tuple:
     elimination of the forms' coefficient columns (``span_rows``) augmented
     by the packed expansion of det/Pf A(x).
     """
-    pf = matrix_model(a, "b_coordinates").pf
-    if a.field != system.field:
-        raise FieldMismatch("matrix and system over different fields")
-    if a.nvars != system.forms[0].n:
-        raise VariableCountMismatch("matrix and system in different numbers of variables")
-    cols, den = span_rows(system)
+    pf, cols, den = _span_inputs(a, system, "b_coordinates")
     lhs, lhs_den = a._terms(pf), a._denom(pf)
     sol = None
     if lhs.keys() <= cols.keys():
@@ -124,6 +140,28 @@ def b_coordinates(a: LinearMatrix, system) -> tuple:
     if sol is None:
         raise NotInSpan("det/Pf of the matrix is not a combination of the system's quadrics")
     return linalg._box(a.field, [sol[0]], sol[1])[0]
+
+
+def _is_combination(a: LinearMatrix, system, b, who: str) -> bool:
+    """Whether det/Pf A(x) = sum_k b_k q_k exactly, for field scalars b: the
+    known span coordinates substituted into ``span_rows``, with no
+    elimination.  True iff ``b_coordinates(a, system)`` would return b, since
+    the forms are independent.  Each monomial of det/Pf must be one of the
+    forms' and every monomial's residual must vanish; shape, field and
+    variable count are refused as in ``b_coordinates``, naming ``who``."""
+    pf, cols, den = _span_inputs(a, system, who)
+    lhs = a._terms(pf)
+    if len(b) != len(system.forms) or not lhs.keys() <= cols.keys():
+        return False
+    (b,), b_den = linalg.int_rows(a.field, [b])
+    p = a.field.char
+    # lhs / lhs_den = sum_k (b_k / b_den) (col_k / den), cleared of the three
+    scale, lhs_den = den * b_den, a._denom(pf)
+    for key, col in cols.items():
+        r = scale * lhs.get(key, 0) - lhs_den * sum(map(mul, b, col))
+        if r % p if p else r:
+            return False
+    return True
 
 
 def t_invariant(a: LinearMatrix):
@@ -168,12 +206,14 @@ class SystemPoint:
 
     @staticmethod
     def build(matrix: LinearMatrix, system, base_point: tuple) -> "SystemPoint":
-        try:
-            b = b_coordinates(matrix, system)
-        except NotInSpan as exc:
-            raise VerificationFailure(
-                "det/Pf of the sampled matrix is not in the span of the system") from exc
-        if b != tuple(base_point):
+        b = tuple(map(matrix.field.coerce, base_point))
+        if not _is_combination(matrix, system, b, "SystemPoint.build"):
+            # solved only to tell the two failures apart
+            try:
+                b_coordinates(matrix, system)
+            except NotInSpan as exc:
+                raise VerificationFailure(
+                    "det/Pf of the sampled matrix is not in the span of the system") from exc
             raise VerificationFailure(
                 "det/Pf of the sampled matrix is not the member at its base point")
         return SystemPoint(matrix, system, tuple(base_point), b)
@@ -363,9 +403,11 @@ def group_invariance_check(a: LinearMatrix, system, g, h=None) -> InvarianceRepo
             raise PreconditionError("group elements must have determinant 1")
     transformed = a.congruence_transform(g) if pf else a.left_right_transform(g, h)
     before = invariants(a, system)
-    after = invariants(transformed, system)
-    return InvarianceReport(b_before=tuple(before.b), b_after=tuple(after.b),
-                            t_before=before.t, t_after=after.t)
+    b_after = before.b
+    if not _is_combination(transformed, system, b_after, "group_invariance_check"):
+        b_after = b_coordinates(transformed, system)
+    return InvarianceReport(b_before=tuple(before.b), b_after=tuple(b_after),
+                            t_before=before.t, t_after=t_invariant(transformed))
 
 
 def wedge2_matrix(field, g):

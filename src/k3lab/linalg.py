@@ -45,7 +45,9 @@ def scaled_rows(m, p):
     are copied as they are, or ints and Fractions over QQ when p = 0)."""
     if p:
         return [list(row) for row in m], 1
-    scale = math.lcm(*(x.denominator for row in m for x in row))
+    # a list, not a generator: CPython builds a generator's args tuple by
+    # resizing, and each resized tuple of <= 20 items stays on its free list
+    scale = math.lcm(*[x.denominator for row in m for x in row])
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
 
 

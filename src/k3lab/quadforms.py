@@ -13,11 +13,13 @@ a diagonal anisotropic residual of dimension <= 2 at the end.
 det of a 2x2 matrix of linear forms, respectively as the Pfaffian of an
 alternating 4x4 one.  The two models are data, one row of ``SPLIT_MODELS``
 each, so one body (``_express``) transports the form to the model's
-hard-coded target form through explicit Witt decompositions; the Witt
-bases of the two targets are cached per prime.  The model needs M_q^-1
-for the form's Witt basis M_q, which the Witt split's own transport check
-M_q^T G M_q = H gives without an inversion: M_q^-1 = H^-1 (G M_q)^T, the
-dual basis.
+hard-coded target form through explicit Witt decompositions.  The model
+is M_t M_q^-1 for the Witt bases M_t of the target and M_q of the form.
+The Witt split's own transport check M_q^T G M_q = H gives M_q^-1 without
+an inversion: M_q^-1 = H^-1 (G M_q)^T, the dual basis.  M_t H^-1 is
+cached per prime as one (column, coefficient) pair per row, since it is
+twice a signed permutation (checked when cached), so ``_model_rows``
+scales n columns of G M_q instead of multiplying two n x n matrices.
 Both return a LinearMatrix whose det/Pf reproduces the input form
 *identically*, which downstream sampling relies on: the check compares the
 model's packed int det/Pf expansion with the form's coefficients.  Such
@@ -73,7 +75,11 @@ class QuadraticForm:
                 raise PreconditionError("dimension-0 form needs an explicit field")
             probe = rows[0][0]
             field = probe.field if hasattr(probe, "field") else QQ
-        rows = _symmetric(tuple(tuple(_raw(field, x) for x in r) for r in rows))
+        p = field.char
+        # ints are reduced inline; only other entries pay a call
+        rows = _symmetric(tuple(
+            tuple((x % p if p else x) if type(x) is int else _raw(field, x) for x in r)
+            for r in rows))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "_gram", None)
@@ -371,13 +377,30 @@ def matrix_model(a: LinearMatrix, who: str) -> SplitModel:
 
 @functools.lru_cache(maxsize=16)
 def _target_split(p: int, n: int):
-    """M_t H^-1 as int rows mod p, cached per prime: M_t is the Witt basis
-    of the target form of the n-variable model as columns, and H^-1 the
-    inverse of the split normal form, n/2 blocks [[0, 2], [2, 0]], so column
-    k of M_t H^-1 is twice column k ^ 1 of M_t."""
+    """M_t H^-1 mod p as one (column, coefficient) pair per row, cached per
+    prime: M_t is the Witt basis of the target form of the n-variable model
+    as columns, and H^-1 the inverse of the split normal form, n/2 blocks
+    [[0, 2], [2, 0]], so column k of M_t H^-1 is twice column k ^ 1 of M_t.
+    The target is a signed sum of products of distinct coordinates, and its
+    Witt split pairs signed coordinate vectors, so M_t is a signed
+    permutation and M_t H^-1 twice one; ``_signed_permutation`` checks it
+    at each prime before it is cached."""
     target = _products_form(GF(p), n, SPLIT_MODELS[n].target)
     cols = _witt_rows(target._rows, p)[0]
-    return tuple(tuple(2 * cols[k ^ 1][i] % p for k in range(n)) for i in range(n))
+    return _signed_permutation(
+        [[2 * cols[k ^ 1][i] % p for k in range(n)] for i in range(n)], p)
+
+
+def _signed_permutation(rows, p):
+    """The int ``rows`` mod p as ((column, coefficient), ...), one pair per
+    row, when they are twice a signed permutation matrix: each row has one
+    nonzero entry, +-2, and no two rows share its column.
+    VerificationFailure otherwise."""
+    pairs = tuple((j, x) for row in rows for j, x in enumerate(row) if x)
+    if (len(pairs) != len(rows) or len({j for j, _ in pairs}) != len(rows)
+            or any(x not in (2 % p, -2 % p) for _, x in pairs)):
+        raise VerificationFailure("the target's Witt basis is not a signed permutation")
+    return pairs
 
 
 def _model_rows(p: int, gm):
@@ -385,9 +408,10 @@ def _model_rows(p: int, gm):
     form q with Gram matrix G and gm = G M_q: q(M_q u) = H(u) = target(M_t u),
     so target(R x) = q(x).  The transport check M_q^T G M_q = H makes
     M_q^{-1} = H^{-1} M_q^T G = H^{-1} gm^T, the dual basis 2 G u_k, 2 G v_k
-    (Lam, *Introduction to Quadratic Forms over Fields*, ch. I), so R is one
-    product with the cached M_t H^{-1}."""
-    return linalg.int_mul(_target_split(p, len(gm)), list(zip(*gm)), p)
+    (Lam, *Introduction to Quadratic Forms over Fields*, ch. I), so R is the
+    cached M_t H^{-1}, twice a signed permutation, times gm^T: row i of R is
+    column j of gm times c, for the pair (j, c) of row i."""
+    return [[c * row[j] % p for row in gm] for j, c in _target_split(p, len(gm))]
 
 
 def _express(q: QuadraticForm, n: int, who: str) -> LinearMatrix:

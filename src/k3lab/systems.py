@@ -67,8 +67,9 @@ def _support(system):
     some form of the system is nonzero.  Memoized on the system."""
     if system._support is None:
         # row i of each form, zipped, and zipped again: the entries at (i, j)
+        # (a list to star-unpack, for the reason in ``linalg.scaled_rows``)
         support = [(i, j, coeffs)
-                   for i, rows in enumerate(zip(*(q._rows for q in system.forms)))
+                   for i, rows in enumerate(zip(*[q._rows for q in system.forms]))
                    for j, coeffs in enumerate(zip(*rows)) if j >= i and any(coeffs)]
         object.__setattr__(system, "_support", support)
     return system._support
@@ -92,18 +93,21 @@ class QuadricSystem:
         field = forms[0].field
         if any(q.field != field for q in forms):
             raise PreconditionError(f"{kind} members over different fields")
-        # the Gram matrices, flattened, must be linearly independent
-        rows, _ = linalg.scaled_rows([[x for row in q._rows for x in row] for q in forms],
-                                     field.char)
-        if linalg.int_rank(rows, field.char) < len(forms):
-            raise DegenerateSystem(
-                f"{kind}: Gram matrices are linearly dependent "
-                "(identically-proportional members)")
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_span", None)
         object.__setattr__(self, "_support", None)
+        # the Gram matrices must be linearly independent: symmetric, so on
+        # their upper triangles, and only where some form is nonzero (rows
+        # built as lists, so no args tuple of their length is resized)
+        support = _support(self)
+        rows, _ = linalg.scaled_rows([[c[k] for _, _, c in support] for k in range(len(forms))],
+                                     field.char)
+        if linalg.int_rank(rows, field.char) < len(forms):
+            raise DegenerateSystem(
+                f"{kind}: Gram matrices are linearly dependent "
+                "(identically-proportional members)")
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -498,24 +498,51 @@ def test_relation_lists_every_repeat_of_a_failing_base_point(monkeypatch):
 
 def test_verify_factors_and_checks_each_distinct_base_point_once(monkeypatch, capsys):
     # construct verify-pencil --p 7 --samples 100: the Witt split with its
-    # det = q check, B == lam and T run once per distinct base point, and
-    # each drawn base point is combined into its member once (by its first
-    # draw), so disc(B) takes no member of its own
+    # det = q check, B == lam (by substitution) and T run once per distinct
+    # base point, and each drawn base point is combined into its member once
+    # (by its first draw), so disc(B) takes no member of its own.  Nothing
+    # on the path solves: no b_coordinates, no elimination
     red = cli.load_system("builtin:pencil-diagonal", 7)
     distinct = {tuple(x.v for x in sample_point(red, 7, i).base_point) for i in range(100)}
-    calls = {name: [] for name in ("express_as_2x2_det", "b_coordinates", "t_invariant",
-                                   "member_at")}
+    calls = {name: [] for name in ("express_as_2x2_det", "_is_combination", "t_invariant",
+                                   "member_at", "b_coordinates")}
     for name, log in calls.items():
         monkeypatch.setattr(construction, name, lambda *args, real=getattr(construction, name),
                             log=log: log.append(args) or real(*args))
+    rref = []
+    monkeypatch.setattr(linalg, "int_rref", lambda *args, real=linalg.int_rref:
+                        rref.append(args) or real(*args))
     assert cli.main(["construct", "verify-pencil", "--system", "builtin:pencil-diagonal",
                      "--p", "7", "--samples", "100"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] == 100
     assert len(distinct) < 10
-    for name in ("express_as_2x2_det", "b_coordinates", "t_invariant"):
+    for name in ("express_as_2x2_det", "_is_combination", "t_invariant"):
         assert len(calls[name]) == len(distinct), name
+    assert calls["b_coordinates"] == [] and rref == []
     members = Counter(tuple(lam) for _, lam in calls["member_at"])
     assert distinct <= set(members) and max(members.values()) == 1
+
+
+@pytest.mark.parametrize("system", ["pencil", "net"])
+def test_invariance_solves_once_and_substitutes_once_per_element(system, monkeypatch, capsys):
+    # construct invariance --count 20: B of the sample is solved once (its
+    # invariants are memoized on the matrix); each group element's B is the
+    # sample's, checked by one substitution into the transformed matrix,
+    # as the sample's own B == lam was when it was built
+    calls = {name: [] for name in ("_is_combination", "b_coordinates")}
+    for name, log in calls.items():
+        monkeypatch.setattr(construction, name, lambda *args, real=getattr(construction, name),
+                            log=log: log.append(args) or real(*args))
+    assert cli.main(["construct", "invariance", "--system", f"builtin:{system}-diagonal",
+                     "--p", "13", "--count", "20"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["checked"], out["b_invariant"], out["t_invariant"]) == (20, True, True)
+    sample = calls["_is_combination"][0][0]
+    assert [args[0] for args in calls["b_coordinates"]] == [sample]
+    whos = Counter(args[3] for args in calls["_is_combination"])
+    assert whos == {"SystemPoint.build": 1, "group_invariance_check": 20}
+    transformed = [args[0] for args in calls["_is_combination"][1:]]
+    assert all(a is not sample for a in transformed)
 
 
 @pytest.mark.parametrize("p", [11, 1009, 2**31 - 1])

@@ -19,10 +19,10 @@ import pytest
 from k3lab import (GF, QQ, BinaryQuartic, FieldMismatch, IntegralLattice, LinearMatrix,
                    MultiPoly, NetOfQuadrics, PencilOfQuadrics, PolyMatrix,
                    PreconditionError, QuadraticForm, VariableCountMismatch,
-                   b_coordinates, count_points, express_as_2x2_det, fano_degree,
-                   is_split, poly_from_text, sample_point, sextic_smoothness_probe,
-                   type_ii_expected_dim)
-from k3lab import cli
+                   VerificationFailure, b_coordinates, count_points, express_as_2x2_det,
+                   fano_degree, is_split, poly_from_text, sample_point,
+                   sextic_smoothness_probe, type_ii_expected_dim)
+from k3lab import cli, quadforms
 from k3lab.cli import CLIParseError
 
 F7 = GF(7)
@@ -86,6 +86,12 @@ ROWS = [
     (is_split, (QuadraticForm([[1]]),), FieldMismatch, "^is_split works over prime fields only$"),
     (express_as_2x2_det, (QuadraticForm([[1, 0], [0, 1]], F7),), PreconditionError,
      "^express_as_2x2_det expects a 4-variable form$"),
+    (quadforms._signed_permutation, ([[2, 0], [0, 1]], 7), VerificationFailure,
+     "^the target's Witt basis is not a signed permutation$"),
+    (quadforms._signed_permutation, ([[2, 0], [2, 0]], 7), VerificationFailure,
+     "^the target's Witt basis is not a signed permutation$"),
+    (quadforms._signed_permutation, ([[2, 2], [0, 5]], 7), VerificationFailure,
+     "^the target's Witt basis is not a signed permutation$"),
     # systems, sampling and the relation
     (b_coordinates, (A_F7, PENCIL_F11), FieldMismatch,
      "^matrix and system over different fields$"),

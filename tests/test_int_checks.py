@@ -27,7 +27,7 @@ from k3lab import cli, construction, linalg, quadforms
 from k3lab.systems import member_at
 from oracles import (boxed_span_solve, boxed_wedge2, cofactor_det, form_poly,
                      klein_coordinates, klein_matrix, matching_pfaffian, member_rows,
-                     model_form, poly_entries, poly_form, scalar_leibniz_det,
+                     model_form, poly_entries, poly_form, scaled, scalar_leibniz_det,
                      symbolic_member_entries)
 
 FIELDS = (QQ, GF(13), GF(2**31 - 1))
@@ -119,6 +119,146 @@ def test_b_coordinates_not_in_span_over_gf(p):
                                 list(map(form_poly, system.forms))) is None
         with pytest.raises(NotInSpan):
             b_coordinates(a, system)
+
+
+# -- B = lam by substitution -------------------------------------------------------
+
+NOT_IN_SPAN = "det/Pf of the sampled matrix is not in the span of the system"
+NOT_AT_BASE = "det/Pf of the sampled matrix is not the member at its base point"
+
+
+def matrix_of_rows(field, size, rows):
+    """The 2x2 (size 2) or alternating 4x4 (size 4) linear matrix whose cells,
+    row-major resp. in Klein order, are the linear forms of ``rows``."""
+    if size == 2:
+        return LinearMatrix(field, 2, 4, [[[rows[0][i], rows[1][i]], [rows[2][i], rows[3][i]]]
+                                          for i in range(4)])
+    return klein_matrix(field, 6, rows)
+
+
+def assert_build_refuses(a, system, lam, text):
+    with pytest.raises(VerificationFailure) as err:
+        SystemPoint.build(a, system, lam)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_system_point_build_refuses_with_the_oracle_text(field):
+    # B = lam is checked by substituting lam, not by solving for B; each
+    # failure still raises VerificationFailure with the text that the
+    # boxed span solve picks: not in the span when it finds no solution,
+    # not the member at its base point when its solution is not lam
+    rng = random.Random(309)
+    for size, n in ((2, 4), (4, 6)):
+        for _ in range(2):
+            rows = [[rand_scalar(rng, field) for _ in range(n)] for _ in range(n)]
+            a = matrix_of_rows(field, size, rows)
+            system, c = system_through(rng, a)
+            forms = list(map(form_poly, system.forms))
+            assert SystemPoint.build(a, system, c).b == c
+            # lam off by one coordinate
+            for k in range(len(c)):
+                lam = list(c)
+                lam[k] += 1
+                assert_build_refuses(a, system, lam, NOT_AT_BASE)
+            # one coefficient of the matrix changed
+            for r in range(n):
+                for i in range(n):
+                    mutant = [list(row) for row in rows]
+                    mutant[r][i] += 1
+                    m = matrix_of_rows(field, size, mutant)
+                    want = boxed_span_solve(oracle_quadratic(m), forms)
+                    assert want != c
+                    assert_build_refuses(m, system, c, NOT_IN_SPAN if want is None
+                                         else NOT_AT_BASE)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_system_point_build_refuses_a_monomial_outside_the_span(field):
+    # det/Pf = (the model form) + x0 x1, where x0 x1 is a monomial of no
+    # form: on the forms' own monomials it agrees with the member at
+    # lam = (1, 0[, 0]), so only the test that each monomial of det/Pf is
+    # one of the forms' refuses it
+    eye = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    ramp = [[i if i == j else 0 for j in range(6)] for i in range(6)]
+    for size, n in ((2, 4), (4, 6)):
+        rows = [[1 if k == i else 0 for i in range(n)] for k in range(n)]
+        system = (PencilOfQuadrics(model_form(field, 4), QuadraticForm(
+            [r[:4] for r in eye[:4]], field)) if size == 2 else
+            NetOfQuadrics(model_form(field, 6), QuadraticForm(eye, field),
+                          QuadraticForm(ramp, field)))
+        lam = (1,) + (0,) * (len(system.forms) - 1)
+        assert SystemPoint.build(matrix_of_rows(field, size, rows), system, lam).b == lam
+        # the last cell, the coefficient of x0 in det/Pf, gets x1 added
+        rows[n - 1][1] = 1
+        m = matrix_of_rows(field, size, rows)
+        assert boxed_span_solve(oracle_quadratic(m), list(map(form_poly, system.forms))) is None
+        assert_build_refuses(m, system, lam, NOT_IN_SPAN)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_system_point_build_checks_every_monomial_and_coordinate(field):
+    # det/Pf A differs from the member at lam on one monomial of the span
+    # only: the first form moved at one Gram position, for each position.
+    # Every monomial's residual is checked, so each of these is refused;
+    # so is a lam with one coordinate too many
+    rng = random.Random(313)
+    for a in (rand_matrix(rng, field, 2, 4), rand_klein(rng, field)):
+        system, c = system_through(rng, a)
+        n = system.NVARS
+        assert_build_refuses(a, system, c + (field.zero,), NOT_AT_BASE)
+        for i in range(n):
+            for j in range(i, n):
+                g = [list(row) for row in system.forms[0].gram]
+                g[i][j] = g[j][i] = g[i][j] + field.one
+                moved = type(system)(QuadraticForm(g, field), *system.forms[1:])
+                want = boxed_span_solve(oracle_quadratic(a), list(map(form_poly, moved.forms)))
+                assert want != c
+                assert_build_refuses(a, moved, c, NOT_IN_SPAN if want is None else NOT_AT_BASE)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_invariance_on_a_non_invariant_transform_against_boxed_span_solve(field, monkeypatch):
+    # group_invariance_check reports B of the transformed matrix by
+    # substituting B of the sample, and solves only when that fails: a
+    # transform that is not unimodular on the matrix (scaled by t after the
+    # real one) must still report the B that the boxed span solve finds,
+    # and one whose det/Pf leaves the span raise NotInSpan
+    rng = random.Random(311)
+
+    def box(m):
+        return tuple(tuple(map(field.coerce, row)) for row in m)
+
+    g2, h2 = box(((1, 2), (0, 1))), box(((1, 0), (Fraction(3, 2) if field is QQ else 3, 1)))
+    g4 = box([[1 if i == j else (i + 2 * j) % 5 if j > i else 0 for j in range(4)]
+              for i in range(4)])
+    t, swap, seen = 1, None, []
+
+    def transformed(real):
+        def transform(self, *args):
+            out = swap or scaled(real(self, *args), t)
+            seen.append(out)
+            return out
+        return transform
+
+    for name in ("left_right_transform", "congruence_transform"):
+        monkeypatch.setattr(LinearMatrix, name, transformed(getattr(LinearMatrix, name)))
+    for make, elements in ((lambda: rand_matrix(rng, field, 2, 4), (g2, h2)),
+                           (lambda: rand_klein(rng, field), (g4,))):
+        a = make()
+        system, c = system_through(rng, a)
+        forms = list(map(form_poly, system.forms))
+        for t in (1, 2, -3):
+            rep = construction.group_invariance_check(a, system, *elements)
+            want = boxed_span_solve(oracle_quadratic(seen[-1]), forms)
+            assert rep.b_before == c and rep.b_after == want
+            assert rep.b_equal == (t == 1)
+        # a transform whose det/Pf leaves the span: a matrix of a system of its own
+        swap = make()
+        assert boxed_span_solve(oracle_quadratic(swap), forms) is None
+        with pytest.raises(NotInSpan):
+            construction.group_invariance_check(a, system, *elements)
+        swap = None
 
 
 # -- T and disc(B) --------------------------------------------------------------------

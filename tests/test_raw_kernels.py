@@ -159,6 +159,47 @@ def test_model_rows_against_int_inverse(p, family):
             assert quadforms._model_rows(p, gm) == model_rows_by_inverse(p, cols, target_cols)
 
 
+def odd_primes_below(n):
+    sieve = [True] * n
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    return [i for i in range(3, n) if sieve[i]]
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_target_split_is_twice_a_signed_permutation(n):
+    # _model_rows scales rows of gm^T because the cached M_t H^-1 has one
+    # entry +-2 in each row and column; checked here on the dense matrix
+    # built from the target's Witt basis, at every odd prime below 3000 and
+    # at the two largest primes below 2^31
+    primes = odd_primes_below(3000) + [2147483629, 2**31 - 1]
+    assert len(primes) == 429 + 2
+    for p in primes:
+        cols = quadforms._witt_rows(model_form(GF(p), n)._rows, p)[0]
+        dense = [[2 * cols[k ^ 1][i] % p for k in range(n)] for i in range(n)]
+        pairs = quadforms._target_split(p, n)
+        assert [[c if k == j else 0 for k in range(n)] for j, c in pairs] == dense, p
+        assert sorted(j for j, _ in pairs) == list(range(n)), p
+        assert all(c in (2 % p, -2 % p) for _, c in pairs), p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_model_rows_against_dense_product(p):
+    # R = M_t H^-1 gm^T as one n x n x n int product of the dense matrices
+    rng = random.Random(917)
+    for n in (4, 6):
+        cols = quadforms._witt_rows(model_form(GF(p), n)._rows, p)[0]
+        dense = [[2 * cols[k ^ 1][i] % p for k in range(n)] for i in range(n)]
+        for family in (None, "conic"):
+            for _ in range(4):
+                g = (split_rows(rng, p, n) if family is None
+                     else one_class_diagonal(rng, p, n, True))
+                gm = quadforms._witt_rows(g, p)[3]
+                assert quadforms._model_rows(p, gm) == linalg.int_mul(
+                    dense, [list(r) for r in zip(*gm)], p)
+
+
 def dense_system(rng, k, n):
     """A seeded system of k dense n-variable integer forms over QQ."""
     while True:

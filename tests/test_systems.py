@@ -9,7 +9,7 @@ from k3lab import (GF, QQ, BadPrime, BadReduction, BinaryQuartic, DegenerateBran
                    discriminant_poly, jacobian_j_invariant,
                    moduli_double_cover, net_discriminant, pencil_discriminant,
                    pic2_double_cover, sextic_smoothness_probe)
-from k3lab import systems
+from k3lab import linalg, systems
 from k3lab.systems import member_at
 from oracles import (brute_force_pencil_count, brute_force_singular_point,
                      cofactor_det, cross_ratio_j, deriv, fibre_sweep_pencil_count,
@@ -241,6 +241,43 @@ def test_dependent_net_rejected_at_construction():
                         for i in range(6)], QQ)
     with pytest.raises(DegenerateSystem):
         NetOfQuadrics(q1, q2, q3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(13)], ids=["QQ", "GF3", "GF13"])
+def test_independence_on_the_support_against_the_flattened_rank(field):
+    # the constructor ranks the forms on the upper-triangle positions where
+    # some form is nonzero; the verdict must be the rank of the whole Gram
+    # matrices, flattened, on sparse forms, on forms that are combinations
+    # of the others and on zero forms
+    rng = random.Random(59)
+    seen = set()
+    for cls in (PencilOfQuadrics, NetOfQuadrics):
+        k, n = cls.NFORMS, cls.NVARS
+        for trial in range(40):
+            grams = []
+            for _ in range(k):
+                g = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        if rng.random() < 0.15:
+                            g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                grams.append(g)
+            if trial % 4 == 0:  # the last form a combination of the others
+                c = [rng.randint(-2, 2) for _ in range(k - 1)]
+                grams[-1] = [[sum(ci * g[i][j] for ci, g in zip(c, grams)) for j in range(n)]
+                             for i in range(n)]
+            forms = [QuadraticForm(g, QQ) for g in grams]
+            if field.char:
+                forms = [q.reduce_mod(field.char) for q in forms]
+            flat = [[x for row in q.gram for x in row] for q in forms]
+            independent = linalg.rank(field, flat) == k
+            seen.add((cls.KIND, independent))
+            try:
+                cls(*forms)
+                assert independent, (cls.KIND, trial)
+            except DegenerateSystem:
+                assert not independent, (cls.KIND, trial)
+    assert len(seen) == 4
 
 
 def test_pencil_and_net_share_the_quadric_system_base():
