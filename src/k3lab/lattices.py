@@ -43,6 +43,7 @@ from operator import mul
 
 from . import linalg
 from .errors import DivisibilityViolation, PreconditionError, VerificationFailure
+from .scalars import Immutable
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def is_k3_moduli(v: MukaiVector) -> bool:
     return moduli_dim(v) == 2
 
 
-class IntegralLattice:
+class IntegralLattice(Immutable):
     """A finite-rank lattice presented by a symmetric integer Gram matrix."""
 
     __slots__ = ("rank", "gram", "label", "_det_sig")
@@ -110,9 +111,6 @@ class IntegralLattice:
         object.__setattr__(out, "_det_sig", det_sig)
         return out
 
-    def __setattr__(self, *a):
-        raise AttributeError("IntegralLattice is immutable")
-
     def _invariants(self):
         if self._det_sig is None:
             object.__setattr__(self, "_det_sig", _det_and_signature(self.gram))
@@ -137,14 +135,6 @@ class IntegralLattice:
         integer elimination behind ``det`` (the ambient's, for an L0 or an
         overlattice); None when degenerate."""
         return self._invariants()[1]
-
-    def __eq__(self, other):
-        return isinstance(other, IntegralLattice) and self.gram == other.gram
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"IntegralLattice(rank={self.rank}, label={self.label!r})"
 
 
 def lattice_invariants(lat: IntegralLattice) -> dict:

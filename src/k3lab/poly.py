@@ -22,13 +22,16 @@ whitespace around operators and round-trips printer output bit-exactly.
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 
 from .errors import FieldMismatch, PreconditionError, VariableCountMismatch
-from .scalars import QQ, Fraction, GFElement
+from .scalars import QQ, Fraction, GFElement, Immutable
 
 
-class MultiPoly:
-    """Immutable multivariate polynomial over QQ or GF(p)."""
+class MultiPoly(Immutable):
+    """Immutable multivariate polynomial over QQ or GF(p).  ``terms`` is a
+    read-only view of its dict, so a memoized polynomial cannot be changed
+    through it."""
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -46,10 +49,7 @@ class MultiPoly:
                 clean[exps] = c if acc is None else acc + c
                 if not clean[exps]:
                     del clean[exps]
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiPoly is immutable")
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -60,7 +60,7 @@ class MultiPoly:
         out = object.__new__(cls)
         object.__setattr__(out, "field", field)
         object.__setattr__(out, "nvars", nvars)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "terms", MappingProxyType(terms))
         return out
 
     @classmethod
@@ -178,12 +178,6 @@ class MultiPoly:
                     t = t * v**k
             acc = acc + t
         return acc
-
-    def __repr__(self):
-        return f"MultiPoly({self.field!r}, {poly_to_text(self)!r})"
-
-    def __str__(self):
-        return poly_to_text(self)
 
 
 def _monomial_text(exps):

@@ -48,7 +48,7 @@ from itertools import combinations
 from . import linalg
 from .errors import FieldMismatch, PreconditionError, VariableCountMismatch
 from .poly import MultiPoly
-from .scalars import GFElement
+from .scalars import GFElement, Immutable
 
 _MAX_DET = 8
 _MAX_PF = 6
@@ -57,7 +57,7 @@ _MAX_PF = 6
 _MAX_KRONECKER_VARS = 3
 
 
-class PolyMatrix:
+class PolyMatrix(Immutable):
     """A rectangular matrix of polynomials over a common variable set."""
 
     __slots__ = ("field", "nvars", "entries")
@@ -82,9 +82,6 @@ class PolyMatrix:
         object.__setattr__(self, "field", first.field)
         object.__setattr__(self, "nvars", first.nvars)
 
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
     @property
     def nrows(self):
         return len(self.entries)
@@ -92,10 +89,6 @@ class PolyMatrix:
     @property
     def ncols(self):
         return len(self.entries[0])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def is_alternating(self) -> bool:
         if self.nrows != self.ncols:
@@ -107,11 +100,6 @@ class PolyMatrix:
                 if self.entries[j][i] != -self.entries[i][j]:
                     return False
         return True
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    __hash__ = None
 
 
 def poly_det(m: PolyMatrix) -> MultiPoly:
@@ -356,7 +344,7 @@ def quadratic_terms(rows, p) -> dict:
 KLEIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-class LinearMatrix:
+class LinearMatrix(Immutable):
     """An m x m matrix of linear forms A(x) = sum_i A_i x_i.
 
     ``coeff_mats`` holds one m x m scalar matrix per variable; entry (j, k)
@@ -407,9 +395,6 @@ class LinearMatrix:
         out = object.__new__(cls)
         out._init(field, size, nvars, mats, scale, alternating)
         return out
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinearMatrix is immutable")
 
     @property
     def coeff_mats(self):
@@ -533,17 +518,6 @@ class LinearMatrix:
                     mat[c][r] = -row[i] % p if p else -row[i]
             mats.append(mat)
         return cls._of_raw(field, size, nvars, mats, scale, alternating or None)
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearMatrix) and self.field == other.field
-                and self.size == other.size and self.nvars == other.nvars
-                and self.coeff_mats == other.coeff_mats)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"LinearMatrix(size={self.size}, nvars={self.nvars}, "
-                f"alternating={self.alternating})")
 
 
 def _is_alternating(mat, p) -> bool:

@@ -50,10 +50,10 @@ from . import linalg
 from .errors import (BadPrime, DegenerateSystem, FieldMismatch, NotSplit,
                      PreconditionError, VerificationFailure)
 from .polymat import KLEIN_INDEX_PAIRS, LinearMatrix, quadratic_terms
-from .scalars import GF, GFElement, PrimeField, QQ, chi_mod, sqrt_mod
+from .scalars import GF, GFElement, Immutable, PrimeField, QQ, chi_mod, sqrt_mod
 
 
-class QuadraticForm:
+class QuadraticForm(Immutable):
     """A quadratic form of dimension n <= 6 given by its symmetric Gram matrix.
 
     ``_rows`` holds the Gram matrix as raw representatives (ints in [0, p)
@@ -85,9 +85,6 @@ class QuadraticForm:
         object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_disc", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QuadraticForm is immutable")
 
     @classmethod
     def _of_rows(cls, field, rows, disc=None) -> "QuadraticForm":
@@ -162,15 +159,6 @@ class QuadraticForm:
                 raise FieldMismatch(f"form over GF({self.field.char}) reduced mod {p}")
             return self
         return QuadraticForm._rational_mod(self._rows, f)
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticForm) and self.field == other.field
-                and self.gram == other.gram)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"QuadraticForm({self.gram!r})"
 
 
 def _square(gram):

@@ -26,10 +26,10 @@ from fractions import Fraction
 from . import linalg
 from .errors import BadPrime, DegenerateBranch, PreconditionError
 from .poly import MultiPoly
-from .scalars import QQ
+from .scalars import QQ, Immutable
 
 
-class BinaryQuartic:
+class BinaryQuartic(Immutable):
     """The five exact coefficients (a, b, c, d, e); all-zero is forbidden."""
 
     __slots__ = ("field", "coeffs", "_invariants")
@@ -43,9 +43,6 @@ class BinaryQuartic:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "_invariants", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BinaryQuartic is immutable")
 
     def to_poly(self) -> MultiPoly:
         return MultiPoly(self.field, 2,
@@ -89,15 +86,3 @@ class BinaryQuartic:
         if not delta:
             raise DegenerateBranch("repeated branch point: j-invariant undefined")
         return 1728 * 4 * i_inv**3 / (4 * i_inv**3 - j_inv**2)
-
-    def __eq__(self, other):
-        return (isinstance(other, BinaryQuartic) and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"BinaryQuartic({self.coeffs!r})"
-
-    def __str__(self):
-        return str(self.to_poly())

@@ -43,7 +43,20 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-class RationalField:
+class Immutable:
+    """The base of the package's value types: they are memoized on, so
+    assigning or deleting an attribute raises.  Constructors set their
+    attributes through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class RationalField(Immutable):
     """The field of rational numbers (a stateless singleton, ``QQ``)."""
 
     char = 0
@@ -63,10 +76,9 @@ class RationalField:
             return Fraction(x)
         if isinstance(x, str):
             return Fraction(x)
+        if isinstance(x, GFElement):
+            raise FieldMismatch(f"element of GF({x.field.p}) used in QQ")
         raise FieldMismatch(f"cannot coerce {x!r} into QQ")
-
-    def __repr__(self):
-        return "QQ"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -78,14 +90,14 @@ class RationalField:
 QQ = RationalField()
 
 
-class GFElement:
+class GFElement(Immutable):
     """An element of a prime field, stored as its representative in [0, p)."""
 
     __slots__ = ("field", "v")
 
     def __init__(self, field: "PrimeField", v: int):
-        self.field = field
-        self.v = v % field.p
+        _set_field(self, field)
+        _set_v(self, v % field.p)
 
     def _lift(self, other):
         if isinstance(other, GFElement):
@@ -157,8 +169,11 @@ class GFElement:
     def __hash__(self):
         return hash((self.field.p, self.v))
 
-    def __repr__(self):
-        return f"GF({self.field.p})({self.v})"
+
+# the setters of GFElement's slots, which its constructor calls past
+# Immutable.__setattr__: cheaper than object.__setattr__ on the scalar
+# layer's hottest constructor
+_set_field, _set_v = GFElement.field.__set__, GFElement.v.__set__
 
 
 def _inv_mod(v: int, p: int) -> int:
@@ -207,7 +222,7 @@ def sqrt_mod(a: int, p: int):
     return r
 
 
-class PrimeField:
+class PrimeField(Immutable):
     """The prime field F_p for an odd prime p < 2**31.  Instances are cached."""
 
     _cache: dict = {}
@@ -219,8 +234,8 @@ class PrimeField:
             if not (isinstance(p, int) and p < _MAX_PRIME and is_odd_prime(p)):
                 raise BadPrime(f"{p} is not an odd prime below 2**31")
             inst = super().__new__(cls)
-            inst.p = p
-            inst.char = p
+            object.__setattr__(inst, "p", p)
+            object.__setattr__(inst, "char", p)
             cls._cache[p] = inst
         return inst
 
@@ -258,9 +273,6 @@ class PrimeField:
         """A square root of ``a``, or None when ``a`` is a non-square (Tonelli-Shanks)."""
         r = sqrt_mod(self.coerce(a).v, self.p)
         return None if r is None else GFElement(self, r)
-
-    def __repr__(self):
-        return f"GF({self.p})"
 
 
 def GF(p: int) -> PrimeField:

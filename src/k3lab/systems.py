@@ -27,7 +27,7 @@ from .poly import MultiPoly, poly_to_text
 from .polymat import LinearMatrix, quadratic_terms
 from .quartic import BinaryQuartic
 from .quadforms import QuadraticForm
-from .scalars import GF, QQ, chi_mod
+from .scalars import GF, QQ, Immutable, chi_mod
 from .univar import (common_roots, coprime_to_derivative, deriv, first_root, gcd,
                      line_restrictions, partials, plane_lines, plane_rows, restrict,
                      restrict_cols)
@@ -75,7 +75,7 @@ def _support(system):
     return system._support
 
 
-class QuadricSystem:
+class QuadricSystem(Immutable):
     """NFORMS linearly independent NVARS-variable quadratic forms over one
     field: a pencil or a net.  Immutable; ``KIND`` names the case."""
 
@@ -108,9 +108,6 @@ class QuadricSystem:
             raise DegenerateSystem(
                 f"{kind}: Gram matrices are linearly dependent "
                 "(identically-proportional members)")
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _diagonal(cls, field, *diagonals):

@@ -48,8 +48,17 @@ ROWS = [
     (setattr, (QuadraticForm([[1]]), "n", 2), AttributeError, "QuadraticForm is immutable"),
     (setattr, (BinaryQuartic([1, 0, 0, 0, 1]), "field", F7), AttributeError,
      "BinaryQuartic is immutable"),
+    (setattr, (PENCIL_F7, "field", QQ), AttributeError, "^PencilOfQuadrics is immutable$"),
+    (setattr, (NET_F7, "forms", ()), AttributeError, "^NetOfQuadrics is immutable$"),
+    (setattr, (F7.element(3), "v", 5), AttributeError, "^GFElement is immutable$"),
+    (setattr, (GF(11), "p", 13), AttributeError, "^PrimeField is immutable$"),
+    (setattr, (QQ, "char", 5), AttributeError, "^RationalField is immutable$"),
+    (delattr, (GF(11), "p"), AttributeError, "^PrimeField is immutable$"),
+    (delattr, (X_QQ, "terms"), AttributeError, "^MultiPoly is immutable$"),
+    (operator.setitem, (X_QQ.terms, (0, 0), 1), TypeError, "does not support item assignment"),
     # scalars
     (QQ.coerce, (1.5,), FieldMismatch, r"^cannot coerce 1\.5 into QQ$"),
+    (QQ.coerce, (F7.element(3),), FieldMismatch, r"^element of GF\(7\) used in QQ$"),
     (F7.coerce, (1.5,), FieldMismatch, r"^cannot coerce 1\.5 into GF\(7\)$"),
     (operator.truediv, (1, F7.element(0)), ZeroDivisionError, r"^division by zero in GF\(7\)$"),
     # polynomials
@@ -135,3 +144,20 @@ def test_every_row_raises_its_check():
         problems.append(f"{where}: returned, want {exc.__name__}")
     if problems:
         pytest.fail("\n".join(problems))
+
+
+def test_refused_assignments_leave_fields_and_elements_unchanged():
+    # GF(p) is cached process-wide and elements are hashed, so an assignment
+    # that went through would change every later GF(11) or lose x from s
+    x = GF(11).element(3)
+    s = {x}
+    for obj, name in ((GF(11), "p"), (GF(11), "char"), (x, "field"), (x, "v"),
+                      (QQ, "char")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, GF(13) if name == "field" else 13)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    if not (GF(11).p == GF(11).char == 11 and QQ.char == 0):
+        pytest.fail(f"GF(11) has p = {GF(11).p}, char {GF(11).char}; QQ has char {QQ.char}")
+    if not (x.field is GF(11) and x.v == 3 and x in s):
+        pytest.fail("a refused assignment changed a GF(11) element")

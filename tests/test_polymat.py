@@ -21,6 +21,11 @@ DET_SHAPES = {1: ALL_SHAPES, 2: ALL_SHAPES, 3: ALL_SHAPES, 4: ALL_SHAPES,
               5: ((2, 3), (4, 1)), 6: ((3, 2), (4, 3))}
 
 
+def field_name(field):
+    """GF(p) or QQ: the field as the seeds of the generators below spell it."""
+    return f"GF({field.char})" if field.char else "QQ"
+
+
 def const(field, nvars, c):
     return MultiPoly.const(field, nvars, c)
 
@@ -485,7 +490,7 @@ def table_terms(a, pf):
 def test_degree2_expansions_match_laplace_and_the_oracles(field, pf):
     # 0-6 variables, sparse to dense; a 2x2 det in at most three variables
     # is _kronecker_det's in _terms, so the table is also called directly
-    rng = random.Random(f"degree2/{field}/{pf}")
+    rng = random.Random(f"degree2/{field_name(field)}/{pf}")
     oracle = matching_pfaffian if pf else leibniz_det
     for nvars in range(7):
         for density in (0.3, 0.7, 1):
@@ -506,7 +511,7 @@ def test_degree2_expansions_that_cancel_are_empty(field, pf):
     # are odd, so the residues of 2c and c/2 = (c + p)/2 multiply to c^2
     # plus a nonzero multiple of p: the int sum is nonzero and must reduce
     # away
-    rng = random.Random(f"degree2-cancel/{field}/{pf}")
+    rng = random.Random(f"degree2-cancel/{field_name(field)}/{pf}")
     half = field.one / field.coerce(2)
     for nvars in range(1, 7):
         lin = [field.coerce(rng.randrange(1, min(field.p, 99), 2)) if field.char
@@ -539,7 +544,7 @@ def test_degree2_table_takes_only_its_two_shapes(field, monkeypatch):
     for name in ("_kronecker_det", "_degree2_terms", "_expand"):
         monkeypatch.setattr(polymat, name, lambda *args, real=getattr(polymat, name),
                             name=name: calls.append(name) or real(*args))
-    rng = random.Random(f"degree2-dispatch/{field}")
+    rng = random.Random(f"degree2-dispatch/{field_name(field)}")
 
     def route(size, nvars, pf):
         mats = [[[rand_coeff(rng, field) for _ in range(size)] for _ in range(size)]
@@ -617,7 +622,7 @@ def as_partition(blocks):
 def test_kronecker_blocks_of_permuted_block_matrices(field, monkeypatch):
     # blocks of sizes 1-4, sparse and not symmetric, spread over the indices
     seen = spy_blocks(monkeypatch)
-    rng = random.Random(f"kronecker-blocks/{field}")
+    rng = random.Random(f"kronecker-blocks/{field_name(field)}")
     for n in range(1, 9):
         for nvars in (1, 2, 3):
             for density in (0.2, 0.6):
@@ -636,7 +641,7 @@ def test_kronecker_blocks_of_one_by_one(field, monkeypatch):
     dets = []
     real = linalg.int_det
     monkeypatch.setattr(linalg, "int_det", lambda rows, p: dets.append(rows) or real(rows, p))
-    rng = random.Random(f"kronecker-diagonal/{field}")
+    rng = random.Random(f"kronecker-diagonal/{field_name(field)}")
     for n in range(1, 9):
         for nvars in (1, 2, 3):
             mats, blocks = block_linear_matrix(rng, field, [1] * n, nvars, 0.7)
@@ -648,7 +653,7 @@ def test_kronecker_blocks_of_one_by_one(field, monkeypatch):
 
 @pytest.mark.parametrize("field", BLOCK_FIELDS)
 def test_kronecker_blocks_with_a_zero_row(field):
-    rng = random.Random(f"kronecker-zero-row/{field}")
+    rng = random.Random(f"kronecker-zero-row/{field_name(field)}")
     for n in range(2, 9):
         for nvars in (1, 2, 3):
             mats, _ = block_linear_matrix(rng, field, random_sizes(rng, n, 3), nvars, 0.5)
@@ -664,7 +669,7 @@ def test_kronecker_blocks_with_a_zero_row(field):
 @pytest.mark.parametrize("field", BLOCK_FIELDS)
 def test_kronecker_one_dense_block(field, monkeypatch):
     seen = spy_blocks(monkeypatch)
-    rng = random.Random(f"kronecker-dense/{field}")
+    rng = random.Random(f"kronecker-dense/{field_name(field)}")
     for n in range(1, 7):
         for nvars in (1, 2, 3):
             mats, blocks = block_linear_matrix(rng, field, [n], nvars, 1)

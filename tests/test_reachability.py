@@ -12,9 +12,11 @@ its ``exit``), run in a directory holding its files.
 Every ``def`` in the package, found by parsing its source, must be reached
 or named in ``ALLOWLIST`` with a reason.  Methods are named
 ``module.Class.method``, nested functions ``module.outer.<locals>.inner``;
-dunders other than ``__init__`` are exempt.  An allowlisted name that no
-longer exists or that the commands reach fails too, so the list cannot go
-stale.  A new function has to be reached by the command set or be
+special methods (``__eq__``, ``__add__``, ``__repr__``, ...) count like any
+other def, so an operator or a repr that no command uses is either
+documented API with its reason here or deleted.  An allowlisted name that
+no longer exists or that the commands reach fails too, so the list cannot
+go stale.  A new function has to be reached by the command set or be
 allowlisted here with its reason.  Every check fails through
 ``pytest.fail``, so it also holds under ``python -O``.
 """
@@ -41,6 +43,11 @@ ROOT = Path(__file__).resolve().parents[1]
 NO_DEFS = frozenset({"__init__", "__main__", "errors"})
 
 TRACER = "wrapped by the bench tracer until ROADMAP item 2"
+# special methods that documented API needs, one reason per group
+POLY_RING = ("MultiPoly arithmetic: acceptance criteria 2 and 5 and the README's "
+             "pfaffian(m)**2 == poly_det(m)")
+GF_ARITHMETIC = "GFElement field arithmetic, reflected operators included (exported scalars)"
+HASH = "hashes as the class's __eq__ compares, which stays"
 ALLOWLIST = {
     # called by name from bench/tracing.py TARGETS, and README-documented API
     "linalg.solve": TRACER,
@@ -115,6 +122,21 @@ ALLOWLIST = {
                                  "PrimeField.one",
     "scalars.RationalField.zero": "exported field API, the counterpart of "
                                   "PrimeField.zero",
+    "scalars.Immutable.__setattr__": "the one immutability refusal of the value "
+                                     "types; no command assigns to a value "
+                                     "(test_explicit_checks forces it)",
+    "poly.MultiPoly.__add__": POLY_RING,
+    "poly.MultiPoly.__sub__": POLY_RING,
+    "poly.MultiPoly.__neg__": POLY_RING,
+    "poly.MultiPoly.__mul__": POLY_RING,
+    "poly.MultiPoly.__pow__": POLY_RING,
+    "poly.MultiPoly.__eq__": POLY_RING,
+    "scalars.GFElement.__add__": GF_ARITHMETIC,
+    "scalars.GFElement.__neg__": GF_ARITHMETIC,
+    "scalars.GFElement.__rsub__": GF_ARITHMETIC,
+    "scalars.GFElement.__rtruediv__": GF_ARITHMETIC,
+    "scalars.GFElement.__hash__": HASH,
+    "scalars.RationalField.__hash__": HASH,
 }
 
 
@@ -146,11 +168,6 @@ def collect_defs(src):
     for path in sorted(src.glob("*.py")):
         walk(ast.parse(path.read_text("utf-8")), path, "")
     return out
-
-
-def exempt(name):
-    last = name.rsplit(".", 1)[-1]
-    return last.startswith("__") and last.endswith("__") and last != "__init__"
 
 
 GENERATOR_FLAGS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
@@ -250,9 +267,9 @@ def test_extra_commands_exit_codes(audit):
 
 def unreached(defs, reached, allowlist):
     """Sorted (path, def line, name) of the functions of ``defs`` that are
-    neither reached nor allowlisted nor exempt."""
+    neither reached nor allowlisted."""
     return sorted((path, line, name) for (path, _), (name, line) in defs.items()
-                  if name not in reached and name not in allowlist and not exempt(name))
+                  if name not in reached and name not in allowlist)
 
 
 def test_every_function_is_reached_or_allowlisted(audit):
@@ -305,21 +322,60 @@ def gen():
 """
 
 
-def test_guard_counts_a_generator_only_once_it_runs(tmp_path):
-    # CPython fires a call event when it closes the unstarted generator of
-    # drops(), which a profiler took for a run of gen's body
+DUNDER_MUTANT = """\
+class Value:
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return self.v == other.v
+
+    def __repr__(self):
+        return f"Value({self.v})"
+
+
+def compare():
+    return Value(1) == Value(1)
+"""
+
+
+def load_mutant(tmp_path, source):
+    """``source`` as the module ``mutant``, loaded from a file in
+    ``tmp_path``, and the defs the audit collects from it."""
     path = tmp_path.resolve() / "mutant.py"
-    path.write_text(MUTANT)
+    path.write_text(source)
     spec = importlib.util.spec_from_file_location("mutant", path)
     mutant = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutant)
-    defs = collect_defs(path.parent)
+    return mutant, collect_defs(path.parent)
+
+
+def reported(defs, entry, allowlist):
+    """The names the audit reports unreached after running ``entry()``."""
+    with reached_code() as seen:
+        entry()
+    reached = {name for key, (name, _) in defs.items() if key in real_keys(seen)}
+    return {name for _, _, name in unreached(defs, reached, allowlist)}
+
+
+def test_guard_counts_a_generator_only_once_it_runs(tmp_path):
+    # CPython fires a call event when it closes the unstarted generator of
+    # drops(), which a profiler took for a run of gen's body
+    mutant, defs = load_mutant(tmp_path, MUTANT)
     for entry, want in ((mutant.drops, {"mutant.gen", "mutant.runs"}),
                         (mutant.runs, {"mutant.drops"})):
-        with reached_code() as seen:
-            entry()
-        reached = {name for key, (name, _) in defs.items() if key in real_keys(seen)}
-        got = {name for _, _, name in unreached(defs, reached, {})}
+        got = reported(defs, entry, {})
         if got != want:
             pytest.fail(f"after {entry.__name__}() the guard reports {sorted(got)} "
                         f"unreached, want {sorted(want)}")
+
+
+def test_guard_reports_an_unreached_special_method_until_allowlisted(tmp_path):
+    # == runs Value.__eq__, which counts as reached; nothing prints a Value
+    mutant, defs = load_mutant(tmp_path, DUNDER_MUTANT)
+    for allowlist, want in (({}, {"mutant.Value.__repr__"}),
+                            ({"mutant.Value.__repr__": "a reason"}, set())):
+        got = reported(defs, mutant.compare, allowlist)
+        if got != want:
+            pytest.fail(f"with allowlist {sorted(allowlist)} the guard reports "
+                        f"{sorted(got)} unreached, want {sorted(want)}")

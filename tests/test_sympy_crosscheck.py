@@ -90,7 +90,7 @@ def test_pfaffian_squared_matches_sympy_det():
                 rows[j][i] = -f
         m = PolyMatrix(rows)
         pf = _to_sympy(pfaffian(m), xs)
-        det = sympy.Matrix(4, 4, lambda i, j: _to_sympy(m[i, j], xs)).det()
+        det = sympy.Matrix(4, 4, lambda i, j: _to_sympy(m.entries[i][j], xs)).det()
         assert sympy.expand(pf * pf - det) == 0
 
 

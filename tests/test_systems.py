@@ -9,7 +9,7 @@ from k3lab import (GF, QQ, BadPrime, BadReduction, BinaryQuartic, DegenerateBran
                    discriminant_poly, jacobian_j_invariant,
                    moduli_double_cover, net_discriminant, pencil_discriminant,
                    pic2_double_cover, sextic_smoothness_probe)
-from k3lab import linalg, systems
+from k3lab import linalg, poly_to_text, systems
 from k3lab.systems import member_at
 from oracles import (brute_force_pencil_count, brute_force_singular_point,
                      cofactor_det, cross_ratio_j, deriv, fibre_sweep_pencil_count,
@@ -60,6 +60,23 @@ def test_diagonal_pencil_product_formula():
 def test_repeated_diagonal_entry_not_squarefree():
     pencil = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 0, 1, 2])
     assert not pencil_discriminant(pencil).is_squarefree()
+
+
+def test_memoized_discriminant_cannot_be_changed_through_its_terms():
+    # discriminant_poly is memoized on the system, so every later call
+    # would print a polynomial changed through its terms
+    pencil = PencilOfQuadrics.from_diagonals([1, 1, 1, 1], [0, 1, 2, 3])
+    disc = discriminant_poly(pencil)
+    want = dict(disc.terms)
+    with pytest.raises(AttributeError):
+        disc.terms.clear()
+    with pytest.raises(TypeError):
+        disc.terms[(4, 0)] = 7
+    with pytest.raises(TypeError):
+        del disc.terms[(3, 1)]
+    again = discriminant_poly(pencil)
+    assert again is disc and again.terms == want
+    assert poly_to_text(again) == "x0^4 + 6*x0^3*x1 + 11*x0^2*x1^2 + 6*x0*x1^3"
 
 
 def test_pencil_disc_matches_cofactor_oracle():
